@@ -8,7 +8,9 @@
 
 use crate::answer::{state_to_estimate, ApproxAnswer, ApproxGroup, ApproxValue};
 use crate::error::AqpResult;
-use aqp_query::{execute, AggState, DataSource, ExecOptions, Query, Weighting};
+use aqp_query::{
+    run_scans, AggState, DataSource, ExecOptions, PreparedScan, Query, Weighting,
+};
 use aqp_sampling::Estimate;
 use aqp_storage::{BitSet, Table, Value};
 use std::collections::HashMap;
@@ -35,10 +37,11 @@ pub(crate) enum PartWeight<'a> {
 
 /// Execute every part and merge the tallies per group, forming estimates
 /// and confidence intervals. `is_exact` decides, per decoded group key,
-/// whether the answer for that group is exact. `threads` is the scan
-/// parallelism handed to the executor for every stratum; the answer is
-/// bit-identical at any value (morsel-order merge, see
-/// `aqp_query::parallel`), and strata are always merged in plan order.
+/// whether the answer for that group is exact. The morsels of all parts
+/// run in one scheduling round on up to `threads` workers; the answer is
+/// bit-identical at any value (each part folds its own morsels in morsel
+/// order, see `aqp_query::parallel`), and strata are always merged in
+/// plan order.
 pub(crate) fn answer_from_parts(
     query: &Query,
     parts: &[Part<'_>],
@@ -46,22 +49,27 @@ pub(crate) fn answer_from_parts(
     threads: usize,
     is_exact: &dyn Fn(&[Value]) -> bool,
 ) -> AqpResult<ApproxAnswer> {
+    let scans = parts
+        .iter()
+        .map(|part| {
+            let opts = ExecOptions {
+                weight: match part.weighting {
+                    PartWeight::Constant(w) => Weighting::Constant(w),
+                    PartWeight::PerRow(ws) => Weighting::PerRow(ws),
+                },
+                bitmask_exclude: part.mask.as_ref(),
+                ..ExecOptions::default()
+            };
+            PreparedScan::new(&DataSource::Wide(part.table), query, &opts)
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let partials = run_scans(&scans, threads.max(1), None)?;
+
     let mut merged: HashMap<Vec<Value>, Vec<AggState>> = HashMap::new();
     let mut rows_scanned = 0usize;
-
-    for part in parts {
+    for ((part, scan), partials) in parts.iter().zip(scans).zip(partials) {
         rows_scanned += part.table.num_rows();
-        let weight = match part.weighting {
-            PartWeight::Constant(w) => Weighting::Constant(w),
-            PartWeight::PerRow(ws) => Weighting::PerRow(ws),
-        };
-        let opts = ExecOptions {
-            weight,
-            bitmask_exclude: part.mask.as_ref(),
-            parallelism: threads.max(1),
-            ..ExecOptions::default()
-        };
-        // Label the executor's profile with this stratum's plan position;
+        // Label the scan's profile with this stratum's plan position;
         // every part scans table.num_rows() rows, so the per-operator
         // rows_in reconcile with `rows_scanned` by construction.
         let _ctx = aqp_obs::profile::scan_context(aqp_obs::ScanContext {
@@ -73,8 +81,12 @@ pub(crate) fn answer_from_parts(
                 PartWeight::PerRow(_) => 0.0,
             },
         });
-        let out = execute(&DataSource::Wide(part.table), query, &opts)?;
-        for g in out.groups {
+        let groups = scan.finish(partials).groups;
+        // The merged map ends up with at least this part's groups: make
+        // room once, where growing step by step re-hashes every key
+        // string about twice over.
+        merged.reserve(groups.len().saturating_sub(merged.len()));
+        for g in groups {
             match merged.entry(g.key) {
                 std::collections::hash_map::Entry::Occupied(mut e) => {
                     for (a, b) in e.get_mut().iter_mut().zip(&g.aggs) {

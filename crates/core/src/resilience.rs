@@ -637,6 +637,17 @@ mod tests {
     use crate::smallgroup::SmallGroupConfig;
     use aqp_query::AggExpr;
     use aqp_storage::{DataType, SchemaBuilder, Value};
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
+    /// `aqp_tier_fallback_total` lives in the process-global registry, and
+    /// two tests below assert exact deltas of it. Every test whose ladder
+    /// walk tallies a `budget` or `deadline` step-down holds this gate, so
+    /// none of them counts inside another's before/after window.
+    static LADDER_GATE: Mutex<()> = Mutex::new(());
+
+    fn ladder_gate() -> MutexGuard<'static, ()> {
+        LADDER_GATE.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     fn view() -> Table {
         let schema = SchemaBuilder::new()
@@ -698,6 +709,7 @@ mod tests {
 
     #[test]
     fn budget_steps_down_to_overall() {
+        let _gate = ladder_gate();
         let s = sampler();
         let q = Query::builder().count().group_by("g").build().unwrap();
         let primary_cost = s.runtime_rows(&q);
@@ -764,6 +776,7 @@ mod tests {
 
     #[test]
     fn threads_never_change_answers_across_tiers() {
+        let _gate = ladder_gate();
         let q = Query::builder().count().sum("x").group_by("g").build().unwrap();
         // Primary tier and budget-capped exact tier, serial vs threaded.
         for budget in [None, Some(50)] {
@@ -798,6 +811,7 @@ mod tests {
 
     #[test]
     fn deadline_budget_steps_down_with_deadline_reason() {
+        let _gate = ladder_gate();
         let s = sampler();
         let q = Query::builder().count().group_by("g").build().unwrap();
         let primary_cost = s.runtime_rows(&q);
@@ -823,6 +837,7 @@ mod tests {
 
     #[test]
     fn client_row_budget_keeps_budget_reason() {
+        let _gate = ladder_gate();
         let s = sampler();
         let q = Query::builder().count().group_by("g").build().unwrap();
         let overall_cost = s.catalog().overall_rows;

@@ -1,9 +1,10 @@
-//! Minimal JSON value model, writer, and recursive-descent parser.
+//! Minimal JSON value model, writer, and linear-time pull reader.
 //!
-//! The vendored `serde` is an API stub, so trace records and exporter
-//! output are encoded by hand. This module is the shared mechanism: a
-//! small `Value` tree, lossless `f64` formatting (Rust's shortest
-//! round-trip `Display`), and a strict parser used for trace validation.
+//! The vendored `serde` is an API stub, so trace records, exporter output
+//! and wire frames are encoded by hand. This module is the shared
+//! mechanism: a small `Value` tree, lossless `f64` formatting (Rust's
+//! shortest round-trip `Display`), and a strict [`Reader`] that [`parse`]
+//! builds trees on and schema-aware decoders drive directly.
 
 use std::fmt::Write as _;
 
@@ -154,22 +155,33 @@ impl From<bool> for Value {
     }
 }
 
-/// Append a JSON string literal (with escaping) to `out`.
+/// Append a JSON string literal (with escaping) to `out`. Runs between
+/// escaped characters are copied whole.
 pub fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    // Start of the run not yet copied. Every byte that needs an escape is
+    // ASCII, so the run always ends on a char boundary.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0..0x20 => None,
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match escape {
+            Some(short) => out.push_str(short),
+            None => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -185,167 +197,292 @@ pub fn write_f64(out: &mut String, v: f64) {
 
 /// Parse a complete JSON document. Trailing non-whitespace is an error.
 pub fn parse(input: &str) -> Result<Value, String> {
-    let bytes = input.as_bytes();
-    let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing bytes at offset {pos}"));
-    }
+    let mut reader = Reader::new(input);
+    let value = reader.value()?;
+    reader.finish()?;
     Ok(value)
 }
 
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
+/// Containers nested deeper than this are rejected: the reader recurses
+/// once per level, and a frame of 16 M `[` must not overflow the stack.
+const MAX_DEPTH: usize = 128;
+
+/// A strict pull tokenizer over one JSON document, linear in its length.
+///
+/// The input is already `&str`, and every cut the reader makes falls on
+/// an ASCII byte, so strings and numbers are sliced out without being
+/// validated again. [`parse`] builds a [`Value`] tree on it; a decoder
+/// that knows its schema drives it directly ([`Reader::try_object`],
+/// [`Reader::try_array`], the scalar readers) and allocates only what it
+/// keeps. The `try_*` readers consume the next value whatever it is and
+/// report a value of another type as `None`/`false`, which is how a
+/// lenient decoder says "absent or mistyped means the default".
+#[derive(Debug)]
+pub struct Reader<'a> {
+    src: &'a str,
+    pos: usize,
+    depth: usize,
 }
 
-fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
-    if *pos < bytes.len() && bytes[*pos] == b {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!(
-            "expected '{}' at offset {pos}",
-            char::from(b),
-            pos = *pos
-        ))
+impl<'a> Reader<'a> {
+    /// A reader at the start of `input`.
+    pub fn new(input: &'a str) -> Reader<'a> {
+        Reader { src: input, pos: 0, depth: 0 }
     }
-}
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'"') => Ok(Value::Str(parse_string(bytes, pos)?)),
-        Some(b't') => parse_lit(bytes, pos, "true", Value::Bool(true)),
-        Some(b'f') => parse_lit(bytes, pos, "false", Value::Bool(false)),
-        Some(b'n') => parse_lit(bytes, pos, "null", Value::Null),
-        Some(_) => parse_number(bytes, pos),
-    }
-}
-
-fn parse_lit(bytes: &[u8], pos: &mut usize, lit: &str, v: Value) -> Result<Value, String> {
-    if bytes[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(v)
-    } else {
-        Err(format!("invalid literal at offset {pos}", pos = *pos))
-    }
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-    let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    while *pos < bytes.len() && matches!(bytes[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-    {
-        *pos += 1;
-    }
-    let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
-    text.parse::<f64>()
-        .map(Value::Num)
-        .map_err(|_| format!("invalid number {text:?} at offset {start}"))
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(bytes, pos, b'"')?;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err("unterminated string".into()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
+    /// Skip whitespace and return the first byte of the next value.
+    fn peek(&mut self) -> Result<u8, String> {
+        let bytes = self.src.as_bytes();
+        while let Some(&b) = bytes.get(self.pos) {
+            if !matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
+                return Ok(b);
             }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or("truncated \\u escape")?;
-                        let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| format!("bad \\u escape {hex:?}"))?;
-                        // Surrogate pairs are not produced by our writer;
-                        // map lone surrogates to the replacement char.
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("bad escape at offset {pos}", pos = *pos)),
+            self.pos += 1;
+        }
+        Err("unexpected end of input".into())
+    }
+
+    fn expect(&mut self, b: u8) -> Result<(), String> {
+        if self.src.as_bytes().get(self.pos) == Some(&b) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(format!("expected '{}' at offset {}", char::from(b), self.pos))
+        }
+    }
+
+    fn literal(&mut self, lit: &str) -> Result<(), String> {
+        if self.src.as_bytes()[self.pos..].starts_with(lit.as_bytes()) {
+            self.pos += lit.len();
+            Ok(())
+        } else {
+            Err(format!("invalid literal at offset {}", self.pos))
+        }
+    }
+
+    /// Nothing but whitespace may follow the document's one value.
+    pub fn finish(mut self) -> Result<(), String> {
+        match self.peek() {
+            Err(_) => Ok(()),
+            Ok(_) => Err(format!("trailing bytes at offset {}", self.pos)),
+        }
+    }
+
+    /// Read the next value as a tree.
+    pub fn value(&mut self) -> Result<Value, String> {
+        match self.peek()? {
+            b'{' => {
+                let mut members = Vec::new();
+                self.try_object(|r, key| {
+                    members.push((key.into_owned(), r.value()?));
+                    Ok(())
+                })?;
+                Ok(Value::Obj(members))
+            }
+            b'[' => {
+                let mut items = Vec::new();
+                self.try_array(|r| {
+                    items.push(r.value()?);
+                    Ok(())
+                })?;
+                Ok(Value::Arr(items))
+            }
+            b'"' => Ok(Value::Str(self.string()?.into_owned())),
+            b't' => self.literal("true").map(|()| Value::Bool(true)),
+            b'f' => self.literal("false").map(|()| Value::Bool(false)),
+            b'n' => self.literal("null").map(|()| Value::Null),
+            _ => self.number().map(Value::Num),
+        }
+    }
+
+    /// Read the next value and drop it (validated like any other).
+    pub fn skip(&mut self) -> Result<(), String> {
+        self.value().map(drop)
+    }
+
+    /// The next value if it is a number; any other value is skipped.
+    pub fn try_f64(&mut self) -> Result<Option<f64>, String> {
+        match self.peek()? {
+            b'-' | b'0'..=b'9' => self.number().map(Some),
+            _ => self.skip().map(|()| None),
+        }
+    }
+
+    /// The next value if it is a boolean; any other value is skipped.
+    pub fn try_bool(&mut self) -> Result<Option<bool>, String> {
+        match self.peek()? {
+            b't' => self.literal("true").map(|()| Some(true)),
+            b'f' => self.literal("false").map(|()| Some(false)),
+            _ => self.skip().map(|()| None),
+        }
+    }
+
+    /// If the next value is an array, call `each` positioned at every
+    /// element in turn (it must consume exactly that element) and return
+    /// `true`; any other value is skipped and `false` returned.
+    pub fn try_array(
+        &mut self,
+        each: impl FnMut(&mut Self) -> Result<(), String>,
+    ) -> Result<bool, String> {
+        self.try_container(b'[', b']', each)
+    }
+
+    /// If the next value is an object, call `each` with every member's
+    /// key, positioned at that member's value (it must consume exactly
+    /// that value), and return `true`; any other value is skipped and
+    /// `false` returned. Keys without escapes are borrowed from the input.
+    pub fn try_object(
+        &mut self,
+        mut each: impl FnMut(&mut Self, std::borrow::Cow<'a, str>) -> Result<(), String>,
+    ) -> Result<bool, String> {
+        self.try_container(b'{', b'}', |r| {
+            let key = r.string()?;
+            r.peek()?;
+            r.expect(b':')?;
+            each(r, key)
+        })
+    }
+
+    /// The comma-separated items between `open` and `close`, each read by
+    /// `item` (called after leading whitespace); `false`, with the value
+    /// skipped, when the next value does not start with `open`.
+    fn try_container(
+        &mut self,
+        open: u8,
+        close: u8,
+        mut item: impl FnMut(&mut Self) -> Result<(), String>,
+    ) -> Result<bool, String> {
+        if self.peek()? != open {
+            return self.skip().map(|()| false);
+        }
+        if self.depth == MAX_DEPTH {
+            return Err(format!("nesting deeper than {MAX_DEPTH} at offset {}", self.pos));
+        }
+        self.depth += 1;
+        self.pos += 1;
+        if self.peek()? == close {
+            self.pos += 1;
+        } else {
+            loop {
+                self.peek()?;
+                item(self)?;
+                let next = self.peek()?;
+                self.pos += 1;
+                if next == close {
+                    break;
                 }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Advance by one UTF-8 scalar, not one byte.
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let ch = rest.chars().next().ok_or("unterminated string")?;
-                out.push(ch);
-                *pos += ch.len_utf8();
+                if next != b',' {
+                    return Err(format!(
+                        "expected ',' or '{}' at offset {}",
+                        char::from(close),
+                        self.pos - 1
+                    ));
+                }
             }
         }
+        self.depth -= 1;
+        Ok(true)
     }
-}
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-    expect(bytes, pos, b'[')?;
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Value::Arr(items));
-    }
-    loop {
-        items.push(parse_value(bytes, pos)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Value::Arr(items));
-            }
-            _ => return Err(format!("expected ',' or ']' at offset {pos}", pos = *pos)),
+    /// A number token: the run of number characters is sliced out and
+    /// handed to `f64::from_str`, which is laxer than JSON only in ways
+    /// the first-byte dispatch and the finiteness check close (`+1`,
+    /// `1e999`) or that no encoder emits (`.5`, `01`).
+    fn number(&mut self) -> Result<f64, String> {
+        let start = self.pos;
+        let bytes = self.src.as_bytes();
+        if bytes.get(start) == Some(&b'+') {
+            return Err(format!("invalid number at offset {start}: leading '+'"));
+        }
+        while matches!(bytes.get(self.pos), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) {
+            self.pos += 1;
+        }
+        let text = &self.src[start..self.pos];
+        match text.parse::<f64>() {
+            Ok(n) if n.is_finite() => Ok(n),
+            _ => Err(format!("invalid number {text:?} at offset {start}")),
         }
     }
-}
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-    expect(bytes, pos, b'{')?;
-    let mut members = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Value::Obj(members));
-    }
-    loop {
-        skip_ws(bytes, pos);
-        let key = parse_string(bytes, pos)?;
-        skip_ws(bytes, pos);
-        expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
-        members.push((key, value));
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Value::Obj(members));
+    /// A string token with escapes resolved. Each run up to the next `"`
+    /// or `\` is taken in one step; a string without escapes is borrowed.
+    fn string(&mut self) -> Result<std::borrow::Cow<'a, str>, String> {
+        use std::borrow::Cow;
+        self.expect(b'"')?;
+        let bytes = self.src.as_bytes();
+        // Allocated at the first escape.
+        let mut unescaped: Option<String> = None;
+        loop {
+            let run = bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or("unterminated string")?;
+            // Both stop bytes are ASCII, so the run ends on a char boundary.
+            let text = &self.src[self.pos..self.pos + run];
+            self.pos += run + 1;
+            if bytes[self.pos - 1] == b'"' {
+                return Ok(match unescaped {
+                    None => Cow::Borrowed(text),
+                    Some(mut out) => {
+                        out.push_str(text);
+                        Cow::Owned(out)
+                    }
+                });
             }
-            _ => return Err(format!("expected ',' or '}}' at offset {pos}", pos = *pos)),
+            let out = unescaped.get_or_insert_with(String::new);
+            out.push_str(text);
+            let escape = *bytes.get(self.pos).ok_or("unterminated string")?;
+            self.pos += 1;
+            out.push(match escape {
+                b'"' => '"',
+                b'\\' => '\\',
+                b'/' => '/',
+                b'n' => '\n',
+                b'r' => '\r',
+                b't' => '\t',
+                b'b' => '\u{8}',
+                b'f' => '\u{c}',
+                b'u' => self.unicode_escape()?,
+                _ => return Err(format!("bad escape at offset {}", self.pos - 1)),
+            });
         }
+    }
+
+    /// The scalar of a `\uXXXX` escape whose `\u` is already consumed. A
+    /// high surrogate followed by an escaped low surrogate is one scalar
+    /// (how every standard encoder writes a character beyond the BMP); a
+    /// surrogate without its partner becomes U+FFFD.
+    fn unicode_escape(&mut self) -> Result<char, String> {
+        let code = self.hex4()?;
+        if (0xD800..0xDC00).contains(&code) && self.src.as_bytes()[self.pos..].starts_with(b"\\u") {
+            let after_high = self.pos;
+            self.pos += 2;
+            let low = self.hex4()?;
+            if (0xDC00..0xE000).contains(&low) {
+                let scalar = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                return Ok(char::from_u32(scalar).expect("a surrogate pair is a scalar"));
+            }
+            // Not a low surrogate: leave that escape for the next round.
+            self.pos = after_high;
+        }
+        Ok(char::from_u32(code).unwrap_or('\u{fffd}'))
+    }
+
+    fn hex4(&mut self) -> Result<u32, String> {
+        let digits = self
+            .src
+            .as_bytes()
+            .get(self.pos..self.pos + 4)
+            .ok_or("truncated \\u escape")?;
+        let mut code = 0u32;
+        for &d in digits {
+            let digit = char::from(d)
+                .to_digit(16)
+                .ok_or_else(|| format!("bad \\u escape at offset {}", self.pos))?;
+            code = code * 16 + digit;
+        }
+        self.pos += 4;
+        Ok(code)
     }
 }
 
@@ -377,6 +514,81 @@ mod tests {
     }
 
     #[test]
+    fn surrogate_pairs_combine_and_lone_surrogates_are_replaced() {
+        let s = |doc: &str| parse(doc).unwrap().as_str().unwrap().to_string();
+        assert_eq!(s(r#""\ud83d\ude00""#), "\u{1f600}");
+        assert_eq!(s(r#""a\uD83D\uDE00b""#), "a\u{1f600}b");
+        // A half without its partner is U+FFFD; what follows is kept.
+        assert_eq!(s(r#""\ud83d""#), "\u{fffd}");
+        assert_eq!(s(r#""\ude00x""#), "\u{fffd}x");
+        assert_eq!(s(r#""\ud83d\u0041""#), "\u{fffd}A");
+        assert_eq!(s(r#""\ud83d\ud83d\ude00""#), "\u{fffd}\u{1f600}");
+        assert!(parse(r#""\ud83d\u12""#).is_err());
+        assert!(parse(r#""\u+123""#).is_err(), "sign is not a hex digit");
+    }
+
+    #[test]
+    fn rejects_numbers_json_does_not_have() {
+        assert!(parse("+1").is_err());
+        assert!(parse("[+1]").is_err());
+        assert!(parse("1e999").is_err(), "parses to infinity");
+        assert!(parse("-1e999").is_err());
+        assert!(parse("1e+2").is_ok(), "a sign inside the exponent is JSON");
+        assert_eq!(parse("-0").unwrap().as_f64().unwrap().to_bits(), (-0.0f64).to_bits());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&deep(MAX_DEPTH)).is_ok());
+        assert!(parse(&deep(MAX_DEPTH + 1)).is_err());
+        assert!(parse(&"[".repeat(1 << 20)).is_err(), "no stack overflow");
+    }
+
+    #[test]
+    fn reader_streams_a_known_schema() {
+        let doc = r#" {"n": 3, "skip": {"deep": [1, "x"]}, "flags": [true, 7, false], "k\n": "v"} "#;
+        let mut r = Reader::new(doc);
+        let (mut n, mut flags, mut borrowed, mut last) = (None, Vec::new(), 0, String::new());
+        let was_object = r
+            .try_object(|r, key| {
+                borrowed += usize::from(matches!(key, std::borrow::Cow::Borrowed(_)));
+                match &*key {
+                    "n" => n = r.try_f64()?,
+                    "flags" => {
+                        r.try_array(|r| {
+                            flags.push(r.try_bool()?);
+                            Ok(())
+                        })?;
+                    }
+                    other => {
+                        last = other.to_string();
+                        r.skip()?;
+                    }
+                }
+                Ok(())
+            })
+            .unwrap();
+        r.finish().unwrap();
+        assert!(was_object);
+        assert_eq!(n, Some(3.0));
+        assert_eq!(flags, vec![Some(true), None, Some(false)], "a mistyped element reads as None");
+        assert_eq!(borrowed, 3, "keys without escapes are slices of the input");
+        assert_eq!(last, "k\n");
+
+        // A value of another type is consumed whole and reported as absent.
+        let mut r = Reader::new(r#"[{"a": 1}, "s"]"#);
+        let mut seen = Vec::new();
+        r.try_array(|r| {
+            seen.push(r.try_array(|_| unreachable!("not an array"))?);
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(seen, vec![false, false]);
+        assert!(Reader::new("[1 2]").try_array(|r| r.skip()).is_err());
+    }
+
+    #[test]
     fn string_escapes_round_trip() {
         let original = "line1\nline2\t\"quoted\" \\slash\\ unicode: ≈ \u{1}";
         let mut enc = String::new();
@@ -405,7 +617,9 @@ mod tests {
 
     #[test]
     fn f64_shortest_display_round_trips() {
-        for v in [0.0, 1.5, 0.1, 123456.789, 1e-9, f64::MAX, 2.2250738585072014e-308] {
+        let integral = [0.0, -0.0, 1.0, -7.0, 34256.0, 1e15, -1e15, 1e22];
+        let fractional = [1.5, 0.1, 123456.789, 1e-9, f64::MAX, 2.2250738585072014e-308, 5e-324];
+        for v in integral.into_iter().chain(fractional) {
             let mut s = String::new();
             write_f64(&mut s, v);
             let back = parse(&s).unwrap().as_f64().unwrap();

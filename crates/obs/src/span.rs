@@ -6,7 +6,7 @@
 //! thread, accumulated into the current [`crate::QueryTrace`].
 //!
 //! Safety under the morsel executor: spans live on the control thread
-//! that calls `run_morsels`, bracketing the whole scoped-thread region.
+//! that calls `run_round`, bracketing the whole scheduling round.
 //! Worker closures never create spans or touch the thread-local trace —
 //! they only bump atomic counters — so instrumentation adds no
 //! synchronization to the parallel scan and cannot perturb the

@@ -37,10 +37,11 @@ use crate::error::{QueryError, QueryResult};
 use crate::expr::{compile, CompiledExpr};
 use crate::kernel::{run_morsel_vectorized, DensePlan, GroupKey, GroupMap, MAX_FAST_KEY};
 use crate::output::{AggState, GroupResult, QueryOutput};
-use crate::parallel::{merge_group_maps, run_morsels_cancellable};
+use crate::parallel::{merge_group_maps, run_round, MorselSchedule};
 use crate::plan::Query;
 use crate::prune::{PruneDecision, PrunePlan};
 use crate::source::{DataSource, ResolvedColumn};
+use aqp_storage::morsel::{Morsel, MorselIter};
 use aqp_storage::{BitSet, Value, DEFAULT_MORSEL_ROWS};
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
@@ -245,171 +246,78 @@ impl Default for ExecOptions<'static> {
     }
 }
 
-/// Execute `query` against `source`.
+/// Execute `query` against `source`: prepare the scan, run its morsels
+/// in a round of their own, fold them in morsel order.
 pub fn execute(
     source: &DataSource<'_>,
     query: &Query,
     opts: &ExecOptions<'_>,
 ) -> QueryResult<QueryOutput> {
-    if query.aggregates.is_empty() {
-        return Err(QueryError::InvalidQuery("no aggregates".into()));
-    }
-    if let Weighting::PerRow(ws) = opts.weight {
-        if ws.len() != source.num_rows() {
-            return Err(QueryError::InvalidQuery(format!(
-                "per-row weights: {} weights for {} rows",
-                ws.len(),
-                source.num_rows()
-            )));
-        }
-    }
+    let scan = PreparedScan::new(source, query, opts)?;
+    let mut partials = run_scans(std::slice::from_ref(&scan), opts.parallelism, opts.cancel)?;
+    Ok(scan.finish(partials.pop().expect("one scan in, one out")))
+}
 
-    // Resolve group-by columns.
-    let group_cols: Vec<ResolvedColumn<'_>> = query
-        .group_by
-        .iter()
-        .map(|name| source.resolve(name))
-        .collect::<QueryResult<_>>()?;
+/// One scan, planned: columns resolved, aggregates typed, predicate
+/// compiled and lowered onto the zone maps. The first of the three steps
+/// [`execute`] is made of — prepare, then per-morsel work in a scheduling
+/// round ([`run_scans`]), then the in-order fold ([`PreparedScan::finish`])
+/// — split so that a plan of several scans (the UNION ALL over sample
+/// tables) can put the morsels of all of them into one round.
+pub struct PreparedScan<'a> {
+    scan: Scan<'a>,
+    prune_plan: Option<PrunePlan>,
+    vectorized: bool,
+    /// Rows the scan covers (the source's, cut by any row limit).
+    rows: usize,
+    truncated: bool,
+    morsel_rows: usize,
+    group_names: Vec<String>,
+    agg_aliases: Vec<String>,
+}
 
-    // Resolve each aggregate to its per-scan plan, validating types. The
-    // function match and the input-column unwrap happen exactly once here,
-    // not once per row in the scan loop.
-    let aggs: Vec<AggStep<'_>> = query
-        .aggregates
-        .iter()
-        .map(|agg| match (&agg.column, agg.func.needs_column()) {
-            (None, false) => Ok(AggStep::CountStar),
-            (Some(name), true) => {
-                let col = source.resolve(name)?;
-                if !col.data_type().is_numeric() {
-                    return Err(QueryError::InvalidAggregate {
-                        reason: format!(
-                            "{}({name}) over non-numeric column of type {}",
-                            agg.func,
-                            col.data_type()
-                        ),
-                    });
-                }
-                Ok(AggStep::Column(col))
-            }
-            (None, true) => Err(QueryError::InvalidAggregate {
-                reason: format!("{} requires a column", agg.func),
-            }),
-            (Some(_), false) => Err(QueryError::InvalidAggregate {
-                reason: "COUNT(*) takes no column".into(),
-            }),
-        })
-        .collect::<QueryResult<_>>()?;
+/// What one morsel of a [`PreparedScan`] produced: plain data, so that
+/// all profiling bookkeeping happens on the control thread.
+struct MorselPartial {
+    map: GroupMap,
+    /// Rows that survived the filters.
+    matched: u64,
+    elapsed: std::time::Duration,
+    decision: PruneDecision,
+    /// Zone-map blocks the morsel overlaps (0 without a prune plan).
+    blocks: u64,
+    rows: u64,
+}
 
-    // Compile the predicate.
-    let predicate = query
-        .predicate
-        .as_ref()
-        .map(|p| compile(p, source))
-        .transpose()?;
+/// Every morsel of one scan in morsel order, as [`run_scans`] returns it
+/// and [`PreparedScan::finish`] folds it.
+pub struct ScanPartials {
+    partials: Vec<MorselPartial>,
+    schedule: MorselSchedule,
+}
 
-    // Bitmask exclusion requires the source to actually carry a bitmask.
-    let bitmask = match opts.bitmask_exclude {
-        Some(mask) => match source.bitmask() {
-            Some(col) => Some((col, mask)),
-            None => {
-                return Err(QueryError::InvalidQuery(
-                    "bitmask filter requested but source has no bitmask column".into(),
-                ))
-            }
-        },
-        None => None,
-    };
-
-    let total_rows = source.num_rows();
-    let n = match opts.row_limit {
-        Some(limit) => total_rows.min(limit),
-        None => total_rows,
-    };
-    let truncated = n < total_rows;
-    let num_aggs = query.aggregates.len();
-    let vectorized = opts.kernels.resolve() == KernelMode::Vectorized;
-    let scan = Scan {
-        group_cols: &group_cols,
-        aggs: &aggs,
-        predicate: predicate.as_ref(),
-        bitmask,
-        weight: opts.weight,
-        dense: if vectorized {
-            DensePlan::build(&group_cols)
-        } else {
-            None
-        },
-    };
-    let kernel = if !vectorized {
-        "scalar"
-    } else if scan.dense.is_some() {
-        "vectorized-dense"
-    } else {
-        "vectorized-hash"
-    };
-
-    // Lower the predicate onto the source table's zone maps (computing
-    // them lazily if the table was built before zone maps existed).
-    // Pruning reasons about physical fact/wide-table blocks, so the fact
-    // table anchors the star case; dimension-column leaves are opaque.
-    let prune_plan = if opts.pruning.resolve() == PruneMode::On {
-        let table = match source {
-            DataSource::Wide(t) => *t,
-            DataSource::Star(s) => s.fact(),
-        };
-        predicate.as_ref().and_then(|p| PrunePlan::build(p, table))
-    } else {
-        None
-    };
-
-    // Morsel-driven scan: workers produce one partial map per morsel;
-    // folding the partials in morsel order makes the result bit-identical
-    // at every thread count. The parallelism == 1 path runs the very same
-    // decomposition inline — a direct whole-range accumulation would round
-    // float sums differently and break the determinism contract.
-    //
+/// Run every morsel of every scan in **one** scheduling round on up to
+/// `threads` workers ([`run_round`]), returning each scan's partials in
+/// morsel order. `cancel` (or, when `None`, the ambient token installed
+/// on this thread via [`crate::cancel::install`]) is checked at every
+/// morsel claim; once it trips the whole round is abandoned with
+/// [`QueryError::Cancelled`] — which morsels ran depends on the OS
+/// schedule, so an incomplete set must never be folded into an answer.
+pub fn run_scans(
+    scans: &[PreparedScan<'_>],
+    threads: usize,
+    cancel: Option<&CancelToken>,
+) -> QueryResult<Vec<ScanPartials>> {
+    let token = cancel.cloned().or_else(crate::cancel::current);
+    let morsels: Vec<MorselIter> = scans.iter().map(PreparedScan::morsels).collect();
     // Span timers live on this control thread only, bracketing the whole
-    // scoped-thread region; worker closures touch no observability state,
-    // so instrumentation cannot perturb the morsel-order merge.
-    let token = opts.cancel.cloned().or_else(crate::cancel::current);
-    let (partials, schedule, cancelled) = {
+    // round; worker closures touch no observability state, so
+    // instrumentation cannot perturb the morsel-order merge.
+    let round = {
         let _span = aqp_obs::span("query.scan");
-        run_morsels_cancellable(n, opts.morsel_rows, opts.parallelism, token.as_ref(), |m| {
-            // Workers return plain data (map, matched rows, wall time,
-            // prune outcome); all profiling bookkeeping happens on the
-            // control thread.
-            let started = Instant::now();
-            let (decision, blocks) = match &prune_plan {
-                Some(p) => (p.decide(m.start, m.end), p.blocks(m.start, m.end) as u64),
-                None => (PruneDecision::Scan, 0),
-            };
-            let (map, matched) = match decision {
-                // No row can match: the empty partial map is exactly what
-                // either scan implementation returns for a fully-filtered
-                // morsel, so the merge fold is unchanged bit for bit.
-                PruneDecision::SkipAll => (GroupMap::default(), 0),
-                other => {
-                    let use_predicate = other != PruneDecision::TakeAll;
-                    if vectorized {
-                        run_morsel_vectorized(&scan, m.start, m.end, num_aggs, use_predicate)
-                    } else {
-                        let mut map = GroupMap::default();
-                        let matched =
-                            scan.run_range(m.start, m.end, num_aggs, &mut map, use_predicate);
-                        (map, matched)
-                    }
-                }
-            };
-            let prune = (decision, blocks, (m.end - m.start) as u64);
-            (map, matched, started.elapsed(), prune)
-        })
+        run_round(&morsels, threads, token.as_ref(), |scan, m| scans[scan].run_morsel(m))
     };
-    if cancelled {
-        // An incomplete morsel set must never be folded into an answer:
-        // which morsels ran depends on the OS schedule, and a partial fold
-        // would break the executor's determinism contract. Report the
-        // cancellation and let the caller pick a cheaper plan instead.
+    if round.cancelled {
         aqp_obs::counter("aqp_query_cancelled_total", &[]).inc();
         // Report *which* condition tripped, not merely whether a deadline
         // existed: an explicit cancel() on a deadline-carrying token is a
@@ -419,91 +327,281 @@ pub fn execute(
                 == Some(crate::cancel::CancelCause::Deadline),
         });
     }
-    aqp_obs::counter("aqp_rows_scanned_total", &[]).inc_by(n as u64);
-    aqp_obs::counter("aqp_query_scans_total", &[]).inc();
-    let mut rows_out = 0u64;
-    let mut morsel_ns = Vec::with_capacity(partials.len());
-    let mut partial_bytes = 0u64;
-    let mut blocks_skipped = 0u64;
-    let mut blocks_taken = 0u64;
-    let mut blocks_scanned = 0u64;
-    let mut rows_pruned = 0u64;
-    let merge_span = aqp_obs::span("query.merge");
-    let mut groups = GroupMap::default();
-    for (partial, matched, elapsed, (decision, blocks, morsel_rows)) in partials {
-        rows_out += matched;
-        morsel_ns.push(u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX));
-        partial_bytes += map_bytes(partial.len(), num_aggs);
-        match decision {
-            PruneDecision::SkipAll => {
-                blocks_skipped += blocks;
-                rows_pruned += morsel_rows;
+    Ok(round
+        .results
+        .into_iter()
+        .zip(round.schedules)
+        .map(|(partials, schedule)| ScanPartials { partials, schedule })
+        .collect())
+}
+
+impl<'a> PreparedScan<'a> {
+    /// Plan `query` over `source`. `opts.parallelism` and `opts.cancel`
+    /// belong to the scheduling round, not the scan: pass them to
+    /// [`run_scans`].
+    pub fn new(
+        source: &DataSource<'a>,
+        query: &Query,
+        opts: &ExecOptions<'a>,
+    ) -> QueryResult<PreparedScan<'a>> {
+        if query.aggregates.is_empty() {
+            return Err(QueryError::InvalidQuery("no aggregates".into()));
+        }
+        if let Weighting::PerRow(ws) = opts.weight {
+            if ws.len() != source.num_rows() {
+                return Err(QueryError::InvalidQuery(format!(
+                    "per-row weights: {} weights for {} rows",
+                    ws.len(),
+                    source.num_rows()
+                )));
             }
-            PruneDecision::TakeAll => blocks_taken += blocks,
-            PruneDecision::Scan => blocks_scanned += blocks,
         }
-        merge_group_maps(&mut groups, partial);
-    }
-    drop(merge_span);
-    if prune_plan.is_some() {
-        // Register all three outcomes (even at zero) so one pruned query
-        // makes the full metric family greppable in exports.
-        for (outcome, count) in [
-            ("skip", blocks_skipped),
-            ("take", blocks_taken),
-            ("scan", blocks_scanned),
-        ] {
-            aqp_obs::counter("aqp_prune_blocks_total", &[("outcome", outcome)]).inc_by(count);
-        }
-    }
-    // Logical memory: all per-morsel partial maps coexist before the fold,
-    // plus the merged table they fold into (see aqp_obs::mem).
-    let merged_bytes = map_bytes(groups.len(), num_aggs);
-    let _mem = aqp_obs::mem::reserve(partial_bytes + merged_bytes);
-    aqp_obs::profile::record_scan(aqp_obs::ScanStats {
-        rows_in: n as u64,
-        rows_out,
-        claims: schedule.claims,
-        morsel_ns,
-        mem_peak_bytes: partial_bytes + merged_bytes,
-        mem_current_bytes: merged_bytes,
-        kernel: kernel.to_string(),
-        blocks_skipped,
-        blocks_taken,
-        blocks_scanned,
-        rows_pruned,
-    });
-    let _finalize_span = aqp_obs::span("query.finalize");
 
-    // Aggregation without GROUP BY always yields exactly one row.
-    if query.group_by.is_empty() && groups.is_empty() {
-        groups.insert(
-            GroupKey::Fast {
-                codes: [0; MAX_FAST_KEY],
-                nulls: 0,
-                len: 0,
+        // Resolve group-by columns.
+        let group_cols: Vec<ResolvedColumn<'a>> = query
+            .group_by
+            .iter()
+            .map(|name| source.resolve(name))
+            .collect::<QueryResult<_>>()?;
+
+        // Resolve each aggregate to its per-scan plan, validating types. The
+        // function match and the input-column unwrap happen exactly once here,
+        // not once per row in the scan loop.
+        let aggs: Vec<AggStep<'a>> = query
+            .aggregates
+            .iter()
+            .map(|agg| match (&agg.column, agg.func.needs_column()) {
+                (None, false) => Ok(AggStep::CountStar),
+                (Some(name), true) => {
+                    let col = source.resolve(name)?;
+                    if !col.data_type().is_numeric() {
+                        return Err(QueryError::InvalidAggregate {
+                            reason: format!(
+                                "{}({name}) over non-numeric column of type {}",
+                                agg.func,
+                                col.data_type()
+                            ),
+                        });
+                    }
+                    Ok(AggStep::Column(col))
+                }
+                (None, true) => Err(QueryError::InvalidAggregate {
+                    reason: format!("{} requires a column", agg.func),
+                }),
+                (Some(_), false) => Err(QueryError::InvalidAggregate {
+                    reason: "COUNT(*) takes no column".into(),
+                }),
+            })
+            .collect::<QueryResult<_>>()?;
+
+        // Compile the predicate.
+        let predicate = query
+            .predicate
+            .as_ref()
+            .map(|p| compile(p, source))
+            .transpose()?;
+
+        // Bitmask exclusion requires the source to actually carry a bitmask.
+        let bitmask = match opts.bitmask_exclude {
+            Some(mask) => match source.bitmask() {
+                Some(col) => Some((col, mask)),
+                None => {
+                    return Err(QueryError::InvalidQuery(
+                        "bitmask filter requested but source has no bitmask column".into(),
+                    ))
+                }
             },
-            vec![AggState::new(); num_aggs],
-        );
+            None => None,
+        };
+
+        let total_rows = source.num_rows();
+        let rows = match opts.row_limit {
+            Some(limit) => total_rows.min(limit),
+            None => total_rows,
+        };
+        let vectorized = opts.kernels.resolve() == KernelMode::Vectorized;
+
+        // Lower the predicate onto the source table's zone maps (computing
+        // them lazily if the table was built before zone maps existed).
+        // Pruning reasons about physical fact/wide-table blocks, so the fact
+        // table anchors the star case; dimension-column leaves are opaque.
+        let prune_plan = if opts.pruning.resolve() == PruneMode::On {
+            let table = match source {
+                DataSource::Wide(t) => *t,
+                DataSource::Star(s) => s.fact(),
+            };
+            predicate.as_ref().and_then(|p| PrunePlan::build(p, table))
+        } else {
+            None
+        };
+
+        Ok(PreparedScan {
+            scan: Scan {
+                dense: if vectorized {
+                    DensePlan::build(&group_cols)
+                } else {
+                    None
+                },
+                group_cols,
+                aggs,
+                predicate,
+                bitmask,
+                weight: opts.weight,
+            },
+            prune_plan,
+            vectorized,
+            rows,
+            truncated: rows < total_rows,
+            morsel_rows: opts.morsel_rows,
+            group_names: query.group_by.clone(),
+            agg_aliases: query.aggregates.iter().map(|a| a.alias.clone()).collect(),
+        })
     }
 
-    // Decode keys.
-    let mut out_groups = Vec::with_capacity(groups.len());
-    for (key, aggs) in groups {
-        let key_values = decode_key(&key, &group_cols);
-        out_groups.push(GroupResult {
-            key: key_values,
-            aggs,
+    /// The scan's morsel decomposition: a function of its row count and
+    /// `morsel_rows` only, never of the thread count.
+    fn morsels(&self) -> MorselIter {
+        MorselIter::new(self.rows, self.morsel_rows)
+    }
+
+    /// The work of one morsel. Every scan — single-threaded ones included
+    /// — goes through the same morsel decomposition: a direct whole-range
+    /// accumulation would round float sums differently and break the
+    /// determinism contract.
+    fn run_morsel(&self, m: Morsel) -> MorselPartial {
+        let started = Instant::now();
+        let num_aggs = self.agg_aliases.len();
+        let (decision, blocks) = match &self.prune_plan {
+            Some(p) => (p.decide(m.start, m.end), p.blocks(m.start, m.end) as u64),
+            None => (PruneDecision::Scan, 0),
+        };
+        let (map, matched) = match decision {
+            // No row can match: the empty partial map is exactly what
+            // either scan implementation returns for a fully-filtered
+            // morsel, so the merge fold is unchanged bit for bit.
+            PruneDecision::SkipAll => (GroupMap::default(), 0),
+            other => {
+                let use_predicate = other != PruneDecision::TakeAll;
+                if self.vectorized {
+                    run_morsel_vectorized(&self.scan, m.start, m.end, num_aggs, use_predicate)
+                } else {
+                    let mut map = GroupMap::default();
+                    let matched =
+                        self.scan.run_range(m.start, m.end, num_aggs, &mut map, use_predicate);
+                    (map, matched)
+                }
+            }
+        };
+        MorselPartial {
+            map,
+            matched,
+            elapsed: started.elapsed(),
+            decision,
+            blocks,
+            rows: (m.end - m.start) as u64,
+        }
+    }
+
+    /// Fold the scan's partials in morsel order — which is what makes the
+    /// result bit-identical at every thread count — record the scan's
+    /// profile (under whatever [`aqp_obs::ScanContext`] is installed) and
+    /// decode the group keys.
+    pub fn finish(self, partials: ScanPartials) -> QueryOutput {
+        let ScanPartials { partials, schedule } = partials;
+        let num_aggs = self.agg_aliases.len();
+        let kernel = if !self.vectorized {
+            "scalar"
+        } else if self.scan.dense.is_some() {
+            "vectorized-dense"
+        } else {
+            "vectorized-hash"
+        };
+        aqp_obs::counter("aqp_rows_scanned_total", &[]).inc_by(self.rows as u64);
+        aqp_obs::counter("aqp_query_scans_total", &[]).inc();
+        let mut rows_out = 0u64;
+        let mut morsel_ns = Vec::with_capacity(partials.len());
+        let mut partial_bytes = 0u64;
+        let mut blocks_skipped = 0u64;
+        let mut blocks_taken = 0u64;
+        let mut blocks_scanned = 0u64;
+        let mut rows_pruned = 0u64;
+        let merge_span = aqp_obs::span("query.merge");
+        let mut groups = GroupMap::default();
+        for partial in partials {
+            rows_out += partial.matched;
+            morsel_ns.push(u64::try_from(partial.elapsed.as_nanos()).unwrap_or(u64::MAX));
+            partial_bytes += map_bytes(partial.map.len(), num_aggs);
+            match partial.decision {
+                PruneDecision::SkipAll => {
+                    blocks_skipped += partial.blocks;
+                    rows_pruned += partial.rows;
+                }
+                PruneDecision::TakeAll => blocks_taken += partial.blocks,
+                PruneDecision::Scan => blocks_scanned += partial.blocks,
+            }
+            merge_group_maps(&mut groups, partial.map);
+        }
+        drop(merge_span);
+        if self.prune_plan.is_some() {
+            // Register all three outcomes (even at zero) so one pruned query
+            // makes the full metric family greppable in exports.
+            for (outcome, count) in [
+                ("skip", blocks_skipped),
+                ("take", blocks_taken),
+                ("scan", blocks_scanned),
+            ] {
+                aqp_obs::counter("aqp_prune_blocks_total", &[("outcome", outcome)]).inc_by(count);
+            }
+        }
+        // Logical memory: all per-morsel partial maps coexist before the fold,
+        // plus the merged table they fold into (see aqp_obs::mem).
+        let merged_bytes = map_bytes(groups.len(), num_aggs);
+        let _mem = aqp_obs::mem::reserve(partial_bytes + merged_bytes);
+        aqp_obs::profile::record_scan(aqp_obs::ScanStats {
+            rows_in: self.rows as u64,
+            rows_out,
+            claims: schedule.claims,
+            morsel_ns,
+            mem_peak_bytes: partial_bytes + merged_bytes,
+            mem_current_bytes: merged_bytes,
+            kernel: kernel.to_string(),
+            blocks_skipped,
+            blocks_taken,
+            blocks_scanned,
+            rows_pruned,
         });
-    }
+        let _finalize_span = aqp_obs::span("query.finalize");
 
-    Ok(QueryOutput {
-        group_names: query.group_by.clone(),
-        agg_aliases: query.aggregates.iter().map(|a| a.alias.clone()).collect(),
-        groups: out_groups,
-        rows_scanned: n,
-        truncated,
-    })
+        // Aggregation without GROUP BY always yields exactly one row.
+        if self.group_names.is_empty() && groups.is_empty() {
+            groups.insert(
+                GroupKey::Fast {
+                    codes: [0; MAX_FAST_KEY],
+                    nulls: 0,
+                    len: 0,
+                },
+                vec![AggState::new(); num_aggs],
+            );
+        }
+
+        // Decode keys.
+        let mut out_groups = Vec::with_capacity(groups.len());
+        for (key, aggs) in groups {
+            let key_values = decode_key(&key, &self.scan.group_cols);
+            out_groups.push(GroupResult {
+                key: key_values,
+                aggs,
+            });
+        }
+
+        QueryOutput {
+            group_names: self.group_names,
+            agg_aliases: self.agg_aliases,
+            groups: out_groups,
+            rows_scanned: self.rows,
+            truncated: self.truncated,
+        }
+    }
 }
 
 /// Logical working-set estimate for a group map: per-entry key + state
@@ -544,23 +642,23 @@ pub(crate) enum AggStep<'a> {
 }
 
 /// Everything a scan partition needs, shareable across threads.
-pub(crate) struct Scan<'a, 'b> {
+pub(crate) struct Scan<'a> {
     /// Resolved GROUP BY columns, in query order.
-    pub(crate) group_cols: &'b [ResolvedColumn<'a>],
+    pub(crate) group_cols: Vec<ResolvedColumn<'a>>,
     /// Pre-resolved aggregate plans, in query order.
-    pub(crate) aggs: &'b [AggStep<'a>],
+    pub(crate) aggs: Vec<AggStep<'a>>,
     /// Compiled predicate, if the query has one.
-    pub(crate) predicate: Option<&'b CompiledExpr<'a>>,
+    pub(crate) predicate: Option<CompiledExpr<'a>>,
     /// Bitmask column + exclusion mask for the double-counting filter.
-    pub(crate) bitmask: Option<(&'a aqp_storage::BitmaskColumn, &'b BitSet)>,
+    pub(crate) bitmask: Option<(&'a aqp_storage::BitmaskColumn, &'a BitSet)>,
     /// Row weighting.
-    pub(crate) weight: Weighting<'b>,
+    pub(crate) weight: Weighting<'a>,
     /// Dense group-id plan; `Some` only when the vectorised path runs and
     /// every group column is dictionary/bool-coded (see [`DensePlan`]).
     pub(crate) dense: Option<DensePlan>,
 }
 
-impl Scan<'_, '_> {
+impl Scan<'_> {
     /// Scan `start..end` row at a time, accumulating into `groups`.
     /// Returns the number of rows that survived the bitmask and predicate
     /// filters (the operator's rows-out, for the profiler). With
@@ -588,7 +686,7 @@ impl Scan<'_, '_> {
                 }
             }
             if use_predicate {
-                if let Some(p) = self.predicate {
+                if let Some(p) = &self.predicate {
                     if !p.eval(row) {
                         continue;
                     }

@@ -180,7 +180,7 @@ thread_local! {
 /// built from the bitmask stage alone, which by the prune contract keeps
 /// exactly the rows the predicate stage would have kept.
 pub(crate) fn run_morsel_vectorized(
-    scan: &Scan<'_, '_>,
+    scan: &Scan<'_>,
     start: usize,
     end: usize,
     num_aggs: usize,
@@ -188,7 +188,7 @@ pub(crate) fn run_morsel_vectorized(
 ) -> (GroupMap, u64) {
     SCRATCH.with(|cell| {
         let s = &mut *cell.borrow_mut();
-        let predicate = if use_predicate { scan.predicate } else { None };
+        let predicate = if use_predicate { scan.predicate.as_ref() } else { None };
         build_selection(&mut s.sel, start, end, scan.bitmask, predicate);
         let matched = s.sel.len() as u64;
         let map = match &scan.dense {
@@ -200,8 +200,8 @@ pub(crate) fn run_morsel_vectorized(
 }
 
 /// Dense path: arithmetic group ids into a flat accumulator.
-fn run_dense(scan: &Scan<'_, '_>, plan: &DensePlan, s: &mut Scratch, num_aggs: usize) -> GroupMap {
-    fill_gids_dense(plan, scan.group_cols, &s.sel, &mut s.gids);
+fn run_dense(scan: &Scan<'_>, plan: &DensePlan, s: &mut Scratch, num_aggs: usize) -> GroupMap {
+    fill_gids_dense(plan, &scan.group_cols, &s.sel, &mut s.gids);
 
     // Lazy per-slot reset: a slot whose epoch tag is stale was last used
     // by an earlier morsel; re-initialise it on first touch this morsel.
@@ -243,7 +243,7 @@ fn run_dense(scan: &Scan<'_, '_>, plan: &DensePlan, s: &mut Scratch, num_aggs: u
 
 /// Hash fallback: batch key-code extraction + per-morsel interning, then
 /// the same flat-array aggregation kernels as the dense path.
-fn run_hash(scan: &Scan<'_, '_>, s: &mut Scratch, num_aggs: usize) -> GroupMap {
+fn run_hash(scan: &Scan<'_>, s: &mut Scratch, num_aggs: usize) -> GroupMap {
     s.intern.clear();
     s.keys.clear();
     s.flat.clear();
@@ -466,7 +466,7 @@ struct Lanes<'s> {
 /// input kind (COUNT's constant 1, `f64`/`i64` slices, null mask, row
 /// map) and the weighting each dispatched exactly once.
 fn accumulate_aggs(
-    scan: &Scan<'_, '_>,
+    scan: &Scan<'_>,
     sel: &[u32],
     gids: &[u32],
     states: &mut [AggState],

@@ -54,13 +54,14 @@ pub mod source;
 
 pub use cancel::{CancelCause, CancelToken};
 pub use error::{QueryError, QueryResult};
-pub use exec::{execute, set_kernel_mode, set_prune_mode, ExecOptions, KernelMode, PruneMode, Weighting};
+pub use exec::{
+    execute, run_scans, set_kernel_mode, set_prune_mode, ExecOptions, KernelMode, PreparedScan,
+    PruneMode, ScanPartials, Weighting,
+};
 pub use expr::{CmpOp, Expr};
 pub use hash::{FxBuildHasher, FxHashMap, FxHasher};
 pub use join::{Dimension, StarSchema};
 pub use output::{AggState, GroupResult, QueryOutput};
-pub use parallel::{
-    merge_group_maps, run_morsels, run_morsels_cancellable, run_morsels_traced, MorselSchedule,
-};
+pub use parallel::{merge_group_maps, run_morsels, run_round, MorselSchedule, Round};
 pub use plan::{AggExpr, AggFunc, Query};
 pub use source::DataSource;

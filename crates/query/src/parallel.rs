@@ -1,12 +1,15 @@
 //! Morsel-driven parallel scan scheduling with deterministic merge.
 //!
-//! [`run_morsels`] fans a scan over fixed-size morsels out to a scoped
-//! thread pool: workers claim morsels from a shared atomic counter
+//! [`run_round`] fans the morsels of one *or several* scans out to a
+//! scoped thread pool: workers claim morsels from a shared atomic counter
 //! (morsel-driven parallelism, Leis et al.), so a slow morsel never
-//! stalls the others. The per-morsel results come back **in morsel
-//! order**, which makes downstream folds deterministic: float aggregate
-//! merges are not associative, so the only way `--threads 8` can be
-//! bit-identical to `--threads 1` is for both to compute the same
+//! stalls the others. A plan that is a UNION ALL over sample tables puts
+//! all of its scans into one round — one spawn/join for the plan, not one
+//! per table — and a round too small to repay a spawn runs on the
+//! caller's thread. The per-morsel results come back **per scan, in
+//! morsel order**, which makes downstream folds deterministic: float
+//! aggregate merges are not associative, so the only way `--threads 8`
+//! can be bit-identical to `--threads 1` is for both to compute the same
 //! per-morsel partials and combine them in the same order. The executor
 //! therefore routes *every* scan — including single-threaded ones —
 //! through the same morsel decomposition and the same in-order fold
@@ -25,24 +28,37 @@ use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Run `work` over every morsel of `0..rows` on up to `threads` scoped
-/// worker threads, returning the per-morsel results in morsel order.
+/// A round of fewer morsels than this runs inline on the caller's thread.
 ///
-/// The schedule (which thread runs which morsel, in what order) is
-/// nondeterministic; the returned vector is not: slot `i` always holds
-/// the result for morsel `i`, and `work` receives identical morsels no
-/// matter how many threads run. With `threads <= 1` (or a single morsel)
-/// the morsels run inline on the caller's thread, still producing the
-/// same per-morsel decomposition.
+/// Measured on the 2-vCPU benchmark host (SALES 500k, 4096-row morsels,
+/// sample plans of 3 tables grown from 5 to 70 morsels by raising the
+/// sampling rate; inline and one-helper processes run in turn, medians of
+/// 301 queries, 3 turns each — DESIGN.md §9 has the table): plans of 6–12
+/// morsels answer 10–40 % faster inline, at 13 the two tie, from 14 up
+/// the helper wins by 20–30 %. One morsel of a sampled group-by costs
+/// 20–40 µs; spawning and joining one scoped worker costs 60–80 µs on the
+/// spot and more afterwards: the helper's partial maps come from another
+/// allocator arena and its stack is unmapped at exit, which slows the
+/// control thread's merge, and the kernels' thread-local scratch buffers
+/// are rebuilt by every new helper but stay warm on a connection thread
+/// that runs inline. Not a setting: the break-even moves with morsel
+/// cost and the host's spawn cost, not with anything a user knows.
+const INLINE_BELOW_MORSELS: usize = 16;
+
+/// Run `work` over every morsel of `0..rows` on up to `threads` scoped
+/// worker threads, returning the per-morsel results in morsel order: a
+/// [`run_round`] of one scan, without a cancellation token.
 pub fn run_morsels<T, F>(rows: usize, morsel_rows: usize, threads: usize, work: F) -> Vec<T>
 where
     T: Send,
     F: Fn(Morsel) -> T + Sync,
 {
-    run_morsels_traced(rows, morsel_rows, threads, work).0
+    let round = run_round(&[MorselIter::new(rows, morsel_rows)], threads, None, |_, m| work(m));
+    debug_assert!(!round.cancelled, "no token was supplied");
+    round.results.into_iter().next().expect("one scan in, one out")
 }
 
-/// Scheduling statistics from one [`run_morsels_traced`] call.
+/// Scheduling statistics of one scan within a [`run_round`].
 ///
 /// Purely informational: the claim split across workers depends on the OS
 /// schedule and changes run to run, unlike the returned results, which are
@@ -50,103 +66,110 @@ where
 /// treat it as telemetry, never as an input to computation.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MorselSchedule {
-    /// Morsels claimed by each worker, in spawn order. Length is the
-    /// number of workers actually used (1 for the inline path).
+    /// This scan's morsels claimed by each worker that claimed any, in
+    /// worker order (the caller's thread first). Empty for an empty scan.
     pub claims: Vec<u64>,
 }
 
-/// [`run_morsels`], additionally reporting how many morsels each worker
-/// claimed. Results are identical to [`run_morsels`] — the schedule is
-/// observed, not altered.
-pub fn run_morsels_traced<T, F>(
-    rows: usize,
-    morsel_rows: usize,
-    threads: usize,
-    work: F,
-) -> (Vec<T>, MorselSchedule)
-where
-    T: Send,
-    F: Fn(Morsel) -> T + Sync,
-{
-    let (out, sched, cancelled) = run_morsels_cancellable(rows, morsel_rows, threads, None, work);
-    debug_assert!(!cancelled, "no token was supplied");
-    (out, sched)
+/// What one [`run_round`] produced.
+#[derive(Debug)]
+pub struct Round<T> {
+    /// Per scan, the per-morsel results in morsel order.
+    pub results: Vec<Vec<T>>,
+    /// Per scan, how its morsels were split across workers.
+    pub schedules: Vec<MorselSchedule>,
+    /// The token tripped before every morsel was claimed. `results` is
+    /// then incomplete and MUST NOT be folded into an answer (partial
+    /// coverage would depend on the OS schedule); callers surface
+    /// [`crate::QueryError::Cancelled`] instead.
+    pub cancelled: bool,
 }
 
-/// [`run_morsels_traced`] with a cooperative [`CancelToken`] checked at
-/// every morsel **claim point**: a worker about to claim its next morsel
-/// first checks the token and stops claiming once it has tripped (explicit
-/// cancel or deadline). Returns `true` as the final element when the scan
-/// was cut short — in that case the result vector is incomplete and MUST
-/// NOT be folded into an answer (partial coverage would depend on the OS
-/// schedule); callers surface [`crate::QueryError::Cancelled`] instead.
-/// With `cancel: None` the behaviour is exactly [`run_morsels_traced`].
-pub fn run_morsels_cancellable<T, F>(
-    rows: usize,
-    morsel_rows: usize,
+/// Run `work(scan, morsel)` over every morsel of every scan in one
+/// scheduling round on up to `threads` workers, the caller's thread being
+/// the first of them.
+///
+/// The morsels of all scans form one queue, claimed in scan order then
+/// morsel order. The schedule (which thread runs which morsel) is
+/// nondeterministic; the result is not: slot `i` of `results[s]` always
+/// holds the result for morsel `i` of scan `s`, and `work` receives
+/// identical morsels no matter how many threads run. With `threads <= 1`,
+/// or fewer than [`INLINE_BELOW_MORSELS`] morsels in the whole round, no
+/// thread is spawned.
+///
+/// A [`CancelToken`] is checked at every morsel **claim point**: a worker
+/// about to claim its next morsel first checks the token and stops
+/// claiming once it has tripped (explicit cancel or deadline), so a
+/// timed-out query frees its threads within one morsel.
+pub fn run_round<T, F>(
+    scans: &[MorselIter],
     threads: usize,
     cancel: Option<&CancelToken>,
     work: F,
-) -> (Vec<T>, MorselSchedule, bool)
+) -> Round<T>
 where
     T: Send,
-    F: Fn(Morsel) -> T + Sync,
+    F: Fn(usize, Morsel) -> T + Sync,
 {
-    let iter = MorselIter::new(rows, morsel_rows);
-    let num_morsels = iter.count_total();
-    let threads = threads.clamp(1, num_morsels.max(1));
-    let tripped = |c: Option<&CancelToken>| c.is_some_and(CancelToken::is_cancelled);
+    let counts: Vec<usize> = scans.iter().map(MorselIter::count_total).collect();
+    let total: usize = counts.iter().sum();
+    let workers = if total < INLINE_BELOW_MORSELS { 1 } else { threads.clamp(1, total) };
 
-    if threads <= 1 {
-        let mut out: Vec<T> = Vec::with_capacity(num_morsels);
-        for m in iter {
-            if tripped(cancel) {
-                break;
+    // Position `i` of the round's queue, as (scan, morsel of that scan).
+    let locate = |mut i: usize| {
+        for (scan, &count) in counts.iter().enumerate() {
+            if i < count {
+                return scans[scan].get(i).map(|m| (scan, m));
             }
-            out.push(work(m));
+            i -= count;
         }
-        let cancelled = out.len() < num_morsels;
-        let claims = if out.is_empty() { Vec::new() } else { vec![out.len() as u64] };
-        return (out, MorselSchedule { claims }, cancelled);
-    }
-
+        None
+    };
     let next = AtomicUsize::new(0);
-    let mut tagged: Vec<(usize, T)> = Vec::with_capacity(num_morsels);
-    let mut claims = Vec::with_capacity(threads);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let next = &next;
-                let iter = &iter;
-                let work = &work;
-                s.spawn(move || {
-                    let mut mine = Vec::new();
-                    // The claim loop is the cancellation point: a tripped
-                    // token stops this worker before its next claim, so a
-                    // timed-out query frees its threads within one morsel.
-                    while !tripped(cancel) {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        match iter.get(i) {
-                            Some(m) => mine.push((i, work(m))),
-                            None => break,
-                        }
-                    }
-                    mine
-                })
-            })
-            .collect();
-        for h in handles {
-            let mine = h.join().expect("morsel worker panicked");
-            claims.push(mine.len() as u64);
-            tagged.extend(mine);
+    let claim_loop = || {
+        let mut mine = Vec::new();
+        while !cancel.is_some_and(CancelToken::is_cancelled) {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            match locate(i) {
+                Some((scan, m)) => mine.push((i, scan, work(scan, m))),
+                None => break,
+            }
         }
-    });
+        mine
+    };
+    let per_worker: Vec<Vec<(usize, usize, T)>> = if workers == 1 {
+        vec![claim_loop()]
+    } else {
+        std::thread::scope(|s| {
+            let spawned: Vec<_> = (1..workers).map(|_| s.spawn(claim_loop)).collect();
+            let mut all = vec![claim_loop()];
+            all.extend(spawned.into_iter().map(|h| h.join().expect("morsel worker panicked")));
+            all
+        })
+    };
 
-    // Restore morsel order so the caller's fold is schedule-independent.
-    tagged.sort_by_key(|(i, _)| *i);
-    let cancelled = tagged.len() < num_morsels;
-    debug_assert!(cancelled || tagged.len() == num_morsels);
-    (tagged.into_iter().map(|(_, t)| t).collect(), MorselSchedule { claims }, cancelled)
+    let mut schedules = vec![MorselSchedule::default(); scans.len()];
+    let mut tagged = Vec::with_capacity(total);
+    for mine in per_worker {
+        let mut claimed = vec![0u64; scans.len()];
+        for (_, scan, _) in &mine {
+            claimed[*scan] += 1;
+        }
+        for (schedule, n) in schedules.iter_mut().zip(claimed) {
+            if n > 0 {
+                schedule.claims.push(n);
+            }
+        }
+        tagged.extend(mine);
+    }
+    // Restore queue order so the caller's fold is schedule-independent.
+    tagged.sort_by_key(|(i, _, _)| *i);
+    let cancelled = tagged.len() < total;
+    let mut results: Vec<Vec<T>> = counts.iter().map(|&n| Vec::with_capacity(n)).collect();
+    for (_, scan, t) in tagged {
+        results[scan].push(t);
+    }
+    Round { results, schedules, cancelled }
 }
 
 /// Fold one partial group map into an accumulator, merging the
@@ -181,6 +204,10 @@ pub fn merge_group_maps<K: Eq + Hash, S: BuildHasher>(
 mod tests {
     use super::*;
 
+    fn one(rows: usize, morsel_rows: usize) -> [MorselIter; 1] {
+        [MorselIter::new(rows, morsel_rows)]
+    }
+
     #[test]
     fn results_arrive_in_morsel_order_at_any_thread_count() {
         for threads in [1, 2, 4, 8] {
@@ -196,20 +223,24 @@ mod tests {
 
     #[test]
     fn zero_rows_runs_nothing() {
-        let (out, sched) = run_morsels_traced(0, 4096, 8, |m| m.len());
-        assert!(out.is_empty());
-        assert!(sched.claims.is_empty());
+        let round = run_round(&one(0, 4096), 8, None, |_, m| m.len());
+        assert_eq!(round.results, vec![Vec::<usize>::new()]);
+        assert!(round.schedules[0].claims.is_empty());
+        assert!(!round.cancelled);
+        let round = run_round(&[], 8, None, |_, m| m.len());
+        assert!(round.results.is_empty() && !round.cancelled);
     }
 
     #[test]
     fn schedule_claims_account_for_every_morsel() {
         for threads in [1, 3, 8] {
-            let (out, sched) = run_morsels_traced(10_000, 256, threads, |m| m.index);
-            assert_eq!(out.len(), 40);
-            assert_eq!(sched.claims.iter().sum::<u64>(), 40, "at {threads} threads");
-            assert!(sched.claims.len() <= threads.max(1));
+            let round = run_round(&one(10_000, 256), threads, None, |_, m| m.index);
+            assert_eq!(round.results[0].len(), 40);
+            let claims = &round.schedules[0].claims;
+            assert_eq!(claims.iter().sum::<u64>(), 40, "at {threads} threads");
+            assert!(claims.len() <= threads);
             if threads == 1 {
-                assert_eq!(sched.claims, vec![40]);
+                assert_eq!(claims, &vec![40]);
             }
         }
     }
@@ -218,6 +249,70 @@ mod tests {
     fn more_threads_than_morsels() {
         let out = run_morsels(10, 4, 64, |m| m.len());
         assert_eq!(out, vec![4, 4, 2]);
+        let out = run_morsels(100, 4, 64, |m| m.len());
+        assert_eq!(out, vec![4; 25]);
+    }
+
+    #[test]
+    fn one_round_covers_every_scan_in_scan_then_morsel_order() {
+        // Scans of 3, 0, 1 and 12 morsels: every result lands in its own
+        // scan's slot whichever worker ran it.
+        let scans = [
+            MorselIter::new(10, 4),
+            MorselIter::new(0, 4),
+            MorselIter::new(3, 4),
+            MorselIter::new(48, 4),
+        ];
+        for threads in [1, 2, 4, 8] {
+            let round = run_round(&scans, threads, None, |scan, m| (scan, m.index, m.start));
+            assert!(!round.cancelled);
+            let lens: Vec<usize> = round.results.iter().map(Vec::len).collect();
+            assert_eq!(lens, vec![3, 0, 1, 12], "at {threads} threads");
+            for (s, results) in round.results.iter().enumerate() {
+                for (i, &(scan, index, start)) in results.iter().enumerate() {
+                    assert_eq!((scan, index, start), (s, i, i * 4));
+                }
+                let claimed: u64 = round.schedules[s].claims.iter().sum();
+                assert_eq!(claimed as usize, results.len());
+            }
+        }
+    }
+
+    #[test]
+    fn small_rounds_spawn_no_thread() {
+        let caller = std::thread::current().id();
+        let ran_on = |total_morsels: usize, threads: usize| {
+            let scans = [MorselIter::new(total_morsels - 1, 1), MorselIter::new(1, 1)];
+            let round = run_round(&scans, threads, None, |_, _| std::thread::current().id());
+            round.results.concat()
+        };
+        assert!(ran_on(INLINE_BELOW_MORSELS - 1, 8).iter().all(|&id| id == caller));
+        assert!(ran_on(64, 1).iter().all(|&id| id == caller));
+        // At the cutoff the round has a helper. Each of the two threads, on
+        // its first morsel, waits until the other has claimed one too, so
+        // the check does not depend on which thread the schedule favours
+        // (and times out, rather than hangs, if there is no helper).
+        use std::sync::atomic::AtomicBool;
+        use std::sync::{mpsc, Mutex};
+        let (to_helper, from_caller) = mpsc::channel();
+        let (to_caller, from_helper) = mpsc::channel();
+        let (from_caller, from_helper) = (Mutex::new(from_caller), Mutex::new(from_helper));
+        let arrived = [AtomicBool::new(false), AtomicBool::new(false)];
+        let round = run_round(&one(INLINE_BELOW_MORSELS, 1), 2, None, |_, _| {
+            let (me, tell, hear) = if std::thread::current().id() == caller {
+                (0, &to_helper, &from_helper)
+            } else {
+                (1, &to_caller, &from_caller)
+            };
+            if arrived[me].swap(true, Ordering::SeqCst) {
+                return true;
+            }
+            let _ = tell.send(());
+            let patience = std::time::Duration::from_secs(10);
+            hear.lock().unwrap().recv_timeout(patience).is_ok()
+        });
+        assert!(round.results[0].iter().all(|&met| met), "caller and helper never met");
+        assert_eq!(round.schedules[0].claims.len(), 2, "the caller and one helper");
     }
 
     #[test]
@@ -225,16 +320,37 @@ mod tests {
         for threads in [1, 4] {
             let token = CancelToken::new();
             let ran = AtomicUsize::new(0);
-            let (out, _, cancelled) =
-                run_morsels_cancellable(100_000, 64, threads, Some(&token), |m| {
-                    // Trip the token partway through the scan.
-                    if ran.fetch_add(1, Ordering::Relaxed) == 10 {
-                        token.cancel();
-                    }
-                    m.index
-                });
-            assert!(cancelled, "at {threads} threads");
-            assert!(out.len() < 100_000 / 64, "claiming stopped early at {threads} threads");
+            let round = run_round(&one(100_000, 64), threads, Some(&token), |_, m| {
+                // Trip the token partway through the scan.
+                if ran.fetch_add(1, Ordering::Relaxed) == 10 {
+                    token.cancel();
+                }
+                m.index
+            });
+            assert!(round.cancelled, "at {threads} threads");
+            assert!(
+                round.results[0].len() < 100_000 / 64,
+                "claiming stopped early at {threads} threads"
+            );
+        }
+    }
+
+    #[test]
+    fn token_tripped_in_a_later_scan_cancels_the_round() {
+        // The first scan of the plan completes; the token trips while the
+        // second is under way. The round as a whole reports cancelled.
+        let scans = [MorselIter::new(40, 4), MorselIter::new(4_000, 4)];
+        for threads in [1, 4] {
+            let token = CancelToken::new();
+            let round = run_round(&scans, threads, Some(&token), |scan, m| {
+                if scan == 1 && m.index == 3 {
+                    token.cancel();
+                }
+                m.index
+            });
+            assert!(round.cancelled, "at {threads} threads");
+            assert_eq!(round.results[0].len(), 10, "the first scan had finished");
+            assert!(round.results[1].len() < 1_000, "claiming stopped at {threads} threads");
         }
     }
 
@@ -242,25 +358,26 @@ mod tests {
     fn untripped_token_changes_nothing() {
         let token = CancelToken::new();
         for threads in [1, 4] {
-            let (out, sched, cancelled) =
-                run_morsels_cancellable(10_000, 256, threads, Some(&token), |m| m.index);
-            assert!(!cancelled);
-            assert_eq!(out.len(), 40);
-            assert_eq!(sched.claims.iter().sum::<u64>(), 40);
-            for (i, idx) in out.iter().enumerate() {
+            let round = run_round(&one(10_000, 256), threads, Some(&token), |_, m| m.index);
+            assert!(!round.cancelled);
+            assert_eq!(round.results[0].len(), 40);
+            assert_eq!(round.schedules[0].claims.iter().sum::<u64>(), 40);
+            for (i, idx) in round.results[0].iter().enumerate() {
                 assert_eq!(*idx, i, "results stay in morsel order");
             }
         }
     }
 
     #[test]
-    fn pre_tripped_token_runs_nothing_threaded() {
+    fn pre_tripped_token_runs_nothing() {
         let token = CancelToken::new();
         token.cancel();
-        let (out, _, cancelled) =
-            run_morsels_cancellable(10_000, 256, 4, Some(&token), |m| m.index);
-        assert!(cancelled);
-        assert!(out.is_empty(), "no morsel claimed after a pre-tripped token");
+        for rows in [10_000, 1_000] {
+            // 40 morsels (threaded) and 4 (inline).
+            let round = run_round(&one(rows, 256), 4, Some(&token), |_, m| m.index);
+            assert!(round.cancelled);
+            assert!(round.results[0].is_empty(), "no morsel claimed after a pre-tripped token");
+        }
     }
 
     #[test]

@@ -59,15 +59,18 @@ pub(crate) enum PruneDecision {
 }
 
 /// A predicate lowered onto a table's zone maps, built once per query.
-pub(crate) struct PrunePlan<'b> {
+/// It holds copies of the IN-list leaves (a few integers, or one bit per
+/// dictionary entry) rather than borrowing the compiled predicate, so the
+/// two can be fields of one prepared scan.
+pub(crate) struct PrunePlan {
     maps: Arc<ZoneMaps>,
-    node: PruneNode<'b>,
+    node: PruneNode,
 }
 
 /// The prunable skeleton of a [`CompiledExpr`]: typed leaves carry the
 /// zone-map column index; anything the zone maps cannot reason about is
 /// [`PruneNode::Opaque`] (always `Scan`).
-enum PruneNode<'b> {
+enum PruneNode {
     IntCmp {
         col: usize,
         op: CmpOp,
@@ -81,23 +84,23 @@ enum PruneNode<'b> {
     IntInSet {
         col: usize,
         /// Ascending, unique (sorted by `compile`).
-        values: &'b [i64],
+        values: Vec<i64>,
     },
     DictInSet {
         col: usize,
-        codes: &'b CodeBitmap,
+        codes: CodeBitmap,
     },
-    And(Vec<PruneNode<'b>>),
-    Or(Vec<PruneNode<'b>>),
-    Not(Box<PruneNode<'b>>),
+    And(Vec<PruneNode>),
+    Or(Vec<PruneNode>),
+    Not(Box<PruneNode>),
     Opaque,
 }
 
-impl<'b> PrunePlan<'b> {
+impl PrunePlan {
     /// Lower `predicate` onto `table`'s zone maps. Returns `None` when no
     /// leaf is prunable (plans that could only ever answer `Scan` are not
     /// worth consulting per morsel) or the maps do not cover the table.
-    pub(crate) fn build(predicate: &'b CompiledExpr<'_>, table: &Table) -> Option<PrunePlan<'b>> {
+    pub(crate) fn build(predicate: &CompiledExpr<'_>, table: &Table) -> Option<PrunePlan> {
         let maps = Arc::clone(table.zone_maps());
         if maps.rows != table.num_rows() || maps.block_rows == 0 {
             return None;
@@ -152,7 +155,7 @@ fn column_index(table: &Table, col: &ResolvedColumn<'_>) -> Option<usize> {
     (0..table.columns().len()).find(|&i| std::ptr::eq(table.column(i), col.column))
 }
 
-fn build_node<'b>(e: &'b CompiledExpr<'_>, table: &Table) -> PruneNode<'b> {
+fn build_node(e: &CompiledExpr<'_>, table: &Table) -> PruneNode {
     match e {
         CompiledExpr::IntCmp { col, op, literal } => match column_index(table, col) {
             Some(i) => PruneNode::IntCmp {
@@ -171,11 +174,11 @@ fn build_node<'b>(e: &'b CompiledExpr<'_>, table: &Table) -> PruneNode<'b> {
             None => PruneNode::Opaque,
         },
         CompiledExpr::IntInSet { col, values } => match column_index(table, col) {
-            Some(i) => PruneNode::IntInSet { col: i, values },
+            Some(i) => PruneNode::IntInSet { col: i, values: values.clone() },
             None => PruneNode::Opaque,
         },
         CompiledExpr::DictInSet { col, codes } => match column_index(table, col) {
-            Some(i) => PruneNode::DictInSet { col: i, codes },
+            Some(i) => PruneNode::DictInSet { col: i, codes: codes.clone() },
             None => PruneNode::Opaque,
         },
         CompiledExpr::GenericCmp { .. } | CompiledExpr::GenericInSet { .. } => PruneNode::Opaque,
@@ -185,7 +188,7 @@ fn build_node<'b>(e: &'b CompiledExpr<'_>, table: &Table) -> PruneNode<'b> {
     }
 }
 
-impl PruneNode<'_> {
+impl PruneNode {
     /// Whether any descendant can ever vote something other than `Scan`.
     fn has_leaf(&self) -> bool {
         match self {
@@ -368,7 +371,7 @@ mod tests {
         t
     }
 
-    fn plan<'b>(compiled: &'b CompiledExpr<'_>, t: &Table) -> PrunePlan<'b> {
+    fn plan(compiled: &CompiledExpr<'_>, t: &Table) -> PrunePlan {
         PrunePlan::build(compiled, t).expect("prunable plan")
     }
 

@@ -266,6 +266,15 @@ impl SemanticCache {
             }
             let mut flights = self.flights.lock().expect("cache flights poisoned");
             if !flights.contains(&key.text) {
+                // No flight, but one may have landed between the lookup
+                // above and this lock. A leader inserts before it lands,
+                // so look again (flights → state is the only nesting of
+                // the two locks) rather than execute the key a second time.
+                if let Some((answer, confidence)) = self.lookup(&key, contract, query) {
+                    drop(flights);
+                    aqp_obs::counter("aqp_cache_hit_total", &[]).inc();
+                    return CacheDecision::Hit(Box::new(answer), confidence);
+                }
                 flights.insert(key.text.clone());
                 drop(flights);
                 aqp_obs::counter("aqp_cache_miss_total", &[]).inc();

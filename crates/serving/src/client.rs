@@ -12,7 +12,7 @@
 //! server already spent a deadline or rejected the request on its
 //! merits, and trying again buys nothing.
 
-use crate::protocol::{read_frame, write_frame, Request, Response};
+use crate::protocol::{write_frame, FrameReader, Request, Response};
 use std::io;
 use std::net::TcpStream;
 use std::time::Duration;
@@ -128,7 +128,8 @@ impl ClientStats {
 pub struct Client {
     addr: String,
     policy: RetryPolicy,
-    conn: Option<TcpStream>,
+    /// The stream and the frame reader positioned on it; dropped together.
+    conn: Option<(TcpStream, FrameReader)>,
     rng: u64,
     stats: ClientStats,
 }
@@ -146,11 +147,11 @@ impl Client {
         self.stats
     }
 
-    fn connect(&mut self) -> io::Result<&mut TcpStream> {
+    fn connect(&mut self) -> io::Result<&mut (TcpStream, FrameReader)> {
         if self.conn.is_none() {
             let stream = TcpStream::connect(&self.addr)?;
             stream.set_nodelay(true)?;
-            self.conn = Some(stream);
+            self.conn = Some((stream, FrameReader::new()));
         }
         Ok(self.conn.as_mut().expect("connection just established"))
     }
@@ -228,18 +229,21 @@ impl Client {
     }
 
     fn attempt(&mut self, payload: &str) -> Result<Response, ClientError> {
-        let stream = self.connect()?;
+        let (stream, reader) = self.connect()?;
         write_frame(stream, payload)?;
-        let frame = read_frame(stream)?
+        let frame = reader
+            .read_blocking(stream)?
             .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "server closed"))?;
-        Response::from_json(&frame).map_err(ClientError::Protocol)
+        let response = Response::from_json(&frame).map_err(ClientError::Protocol);
+        reader.recycle(frame);
+        response
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::ContractClass;
+    use crate::protocol::{read_frame, ContractClass};
     use std::net::TcpListener;
 
     /// A scripted server: answers each request with the next scripted

@@ -3,9 +3,12 @@
 //! Each message is one *frame*: a 4-byte big-endian payload length
 //! followed by that many bytes of UTF-8 JSON. Framing keeps the parser
 //! trivial and makes partial reads explicit; JSON keeps the protocol
-//! inspectable with nothing but `nc` and eyeballs. The JSON tree reuses
-//! [`aqp_obs::json::Value`] — the same hand-rolled writer/parser the
-//! trace pipeline uses — so the serving layer stays zero-dependency.
+//! inspectable with nothing but `nc` and eyeballs. The codec is
+//! [`aqp_obs::json`] — the same hand-rolled writer/reader the trace
+//! pipeline uses — so the serving layer stays zero-dependency. Control
+//! frames go through its [`Value`] tree; an answer, whose size is set by
+//! its group count, is streamed: written straight into one string and
+//! read straight off the tokenizer, with no tree in between.
 //!
 //! Degradation is a *first-class wire concept*: an `ok` response carries
 //! the [`ServingTier`] that produced the answer, whether the scan was
@@ -15,23 +18,44 @@
 //! deadline answers `timeout`. Clients can react to load without any
 //! out-of-band channel.
 
-use aqp_core::{ApproxAnswer, ServingTier};
-use aqp_obs::json::{self, Value};
+use aqp_core::{ApproxAnswer, ApproxGroup, ServingTier};
+use aqp_obs::json::{self, write_escaped, write_f64, Reader, Value};
 use aqp_storage::Value as Datum;
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 /// Frames larger than this are rejected before allocation — a corrupt
 /// or hostile length prefix must not OOM the server.
 pub const MAX_FRAME_BYTES: usize = 16 * 1024 * 1024;
 
-/// Write one frame: 4-byte big-endian length, then the payload.
+/// The largest buffer a connection keeps between frames. Frames run from
+/// a few KB to tens of KB and reuse one allocation; what an outlier near
+/// [`MAX_FRAME_BYTES`] grew is freed, not held by an idle connection.
+pub(crate) const RETAINED_BUFFER_BYTES: usize = 256 * 1024;
+
+/// Write one frame: 4-byte big-endian length, then the payload, handed
+/// to the writer together. On a `TCP_NODELAY` socket two writes are two
+/// segments and two wake-ups of the peer's reader; one vectored write is
+/// one of each, and copies nothing.
 pub fn write_frame(w: &mut impl Write, payload: &str) -> io::Result<()> {
     let bytes = payload.as_bytes();
     if bytes.len() > MAX_FRAME_BYTES {
         return Err(io::Error::other("frame exceeds MAX_FRAME_BYTES"));
     }
-    w.write_all(&(bytes.len() as u32).to_be_bytes())?;
-    w.write_all(bytes)?;
+    let header = (bytes.len() as u32).to_be_bytes();
+    // A vectored write may stop anywhere (a writer without vectored
+    // support takes only the header); finish whatever it left.
+    let wrote = loop {
+        match w.write_vectored(&[IoSlice::new(&header), IoSlice::new(bytes)]) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => break n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    };
+    if wrote < header.len() {
+        w.write_all(&header[wrote..])?;
+    }
+    w.write_all(&bytes[wrote.saturating_sub(header.len())..])?;
     w.flush()
 }
 
@@ -40,16 +64,7 @@ pub fn write_frame(w: &mut impl Write, payload: &str) -> io::Result<()> {
 /// EOF is an error. On a stream with a read timeout, use [`FrameReader`]
 /// instead — this function discards partial progress on `WouldBlock`.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<String>> {
-    let mut reader = FrameReader::new();
-    loop {
-        match reader.read(r)? {
-            FrameRead::Frame(payload) => return Ok(Some(payload)),
-            FrameRead::Eof => return Ok(None),
-            // No timeout on a blocking stream should reach here; if one
-            // does (caller set a timeout anyway), keep accumulating.
-            FrameRead::Idle | FrameRead::MidFrame => {}
-        }
-    }
+    FrameReader::new().read_blocking(r)
 }
 
 /// Outcome of one [`FrameReader::read`] call.
@@ -89,12 +104,38 @@ pub struct FrameReader {
     payload: Option<Vec<u8>>,
     /// Payload bytes accumulated so far.
     payload_filled: usize,
+    /// The last payload's allocation, handed back through
+    /// [`FrameReader::recycle`] for the next frame to fill.
+    spare: Vec<u8>,
 }
 
 impl FrameReader {
     /// A reader positioned at a frame boundary.
     pub fn new() -> FrameReader {
         FrameReader::default()
+    }
+
+    /// Give a payload this reader returned back once it has been decoded,
+    /// so a connection's frames share one buffer (an oversized one is
+    /// dropped: see [`RETAINED_BUFFER_BYTES`]).
+    pub fn recycle(&mut self, payload: String) {
+        if payload.capacity() <= RETAINED_BUFFER_BYTES {
+            self.spare = payload.into_bytes();
+        }
+    }
+
+    /// [`read_frame`] on a reader kept across frames, so that what
+    /// [`FrameReader::recycle`] hands back is used.
+    pub fn read_blocking(&mut self, r: &mut impl Read) -> io::Result<Option<String>> {
+        loop {
+            match self.read(r)? {
+                FrameRead::Frame(payload) => return Ok(Some(payload)),
+                FrameRead::Eof => return Ok(None),
+                // No timeout on a blocking stream should reach here; if one
+                // does (caller set a timeout anyway), keep accumulating.
+                FrameRead::Idle | FrameRead::MidFrame => {}
+            }
+        }
     }
 
     /// Whether bytes of an incomplete frame are buffered.
@@ -113,7 +154,10 @@ impl FrameReader {
                 if len > MAX_FRAME_BYTES {
                     return Err(io::Error::other(format!("frame length {len} exceeds limit")));
                 }
-                self.payload = Some(vec![0u8; len]);
+                let mut payload = std::mem::take(&mut self.spare);
+                payload.clear();
+                payload.resize(len, 0);
+                self.payload = Some(payload);
                 self.payload_filled = 0;
                 break;
             }
@@ -404,22 +448,23 @@ impl WireAnswer {
         cache_hit: bool,
         trace_id: String,
     ) -> WireAnswer {
-        let mut sorted = answer.clone();
-        sorted.sort_by_key();
+        // Sort a permutation, not a clone of the answer; stable like
+        // `ApproxAnswer::sort_by_key`, so equal keys keep the same order.
+        let mut order: Vec<&ApproxGroup> = answer.groups.iter().collect();
+        order.sort_by(|a, b| a.key.cmp(&b.key));
         WireAnswer {
             trace_id,
-            tier: tier_str(sorted.tier).to_string(),
-            partial: sorted.partial,
+            tier: tier_str(answer.tier).to_string(),
+            partial: answer.partial,
             deadline_limited,
             cache_hit,
-            rows_scanned: sorted.rows_scanned as u64,
+            rows_scanned: answer.rows_scanned as u64,
             effective_budget: effective_budget.map(|b| b as u64),
             elapsed_ms,
-            group_names: sorted.group_names.clone(),
-            agg_aliases: sorted.agg_aliases.clone(),
-            groups: sorted
-                .groups
-                .iter()
+            group_names: answer.group_names.clone(),
+            agg_aliases: answer.agg_aliases.clone(),
+            groups: order
+                .into_iter()
                 .map(|g| WireGroup {
                     key: g.key.iter().map(datum_to_json).collect(),
                     values: g
@@ -435,6 +480,133 @@ impl WireAnswer {
                 })
                 .collect(),
         }
+    }
+
+    /// Append this answer's frame payload to `out`.
+    fn write_json(&self, out: &mut String) {
+        // Typical widths: ~12 bytes a key, ~100 a value object; the
+        // string grows if an answer is wider.
+        let per_group = 24 + 12 * self.group_names.len() + 100 * self.agg_aliases.len();
+        out.reserve(256 + self.groups.len() * per_group);
+        let bool_str = |b: bool| if b { "true" } else { "false" };
+        let write_strings = |out: &mut String, items: &[String]| {
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                write_escaped(out, item);
+            }
+            out.push(']');
+        };
+        out.push_str("{\"status\":\"ok\",\"trace_id\":");
+        write_escaped(out, &self.trace_id);
+        out.push_str(",\"tier\":");
+        write_escaped(out, &self.tier);
+        out.push_str(",\"partial\":");
+        out.push_str(bool_str(self.partial));
+        out.push_str(",\"deadline_limited\":");
+        out.push_str(bool_str(self.deadline_limited));
+        out.push_str(",\"cache_hit\":");
+        out.push_str(bool_str(self.cache_hit));
+        // Integers travel as JSON numbers formatted from an f64, like
+        // every number a `Value` holds.
+        if let Some(budget) = self.effective_budget {
+            out.push_str(",\"effective_budget\":");
+            write_f64(out, budget as f64);
+        }
+        out.push_str(",\"rows_scanned\":");
+        write_f64(out, self.rows_scanned as f64);
+        out.push_str(",\"elapsed_ms\":");
+        write_f64(out, self.elapsed_ms);
+        out.push_str(",\"group_names\":");
+        write_strings(out, &self.group_names);
+        out.push_str(",\"agg_aliases\":");
+        write_strings(out, &self.agg_aliases);
+        out.push_str(",\"groups\":[");
+        for (i, group) in self.groups.iter().enumerate() {
+            out.push_str(if i > 0 { ",{\"key\":[" } else { "{\"key\":[" });
+            for (j, key) in group.key.iter().enumerate() {
+                if j > 0 {
+                    out.push(',');
+                }
+                key.write(out);
+            }
+            out.push_str("],\"values\":[");
+            for (j, v) in group.values.iter().enumerate() {
+                out.push_str(if j > 0 { ",{\"estimate\":" } else { "{\"estimate\":" });
+                write_f64(out, v.estimate);
+                out.push_str(",\"lo\":");
+                write_f64(out, v.lo);
+                out.push_str(",\"hi\":");
+                write_f64(out, v.hi);
+                out.push_str(",\"exact\":");
+                out.push_str(bool_str(v.exact));
+                out.push('}');
+            }
+            out.push_str("]}");
+        }
+        out.push_str("]}");
+    }
+
+    /// Read the `groups` array of an answer frame off the tokenizer.
+    /// `None` when the value is not an array. Absent or mistyped members
+    /// take the defaults a non-finite number decodes to anyway (`null`
+    /// bounds are NaN, a `null` estimate is 0), and of two members with
+    /// one name the first counts: what a `Value::get` lookup would find.
+    fn read_groups(r: &mut Reader<'_>) -> Result<Option<Vec<WireGroup>>, String> {
+        let mut groups = Vec::new();
+        let is_array = r.try_array(|r| {
+            let (mut key, mut values) = (None, None);
+            r.try_object(|r, member| {
+                match &*member {
+                    "key" if key.is_none() => {
+                        let mut items = Vec::new();
+                        r.try_array(|r| {
+                            items.push(r.value()?);
+                            Ok(())
+                        })?;
+                        key = Some(items);
+                    }
+                    "values" if values.is_none() => {
+                        let mut items = Vec::new();
+                        r.try_array(|r| {
+                            items.push(Self::read_value(r)?);
+                            Ok(())
+                        })?;
+                        values = Some(items);
+                    }
+                    _ => r.skip()?,
+                }
+                Ok(())
+            })?;
+            groups.push(WireGroup {
+                key: key.unwrap_or_default(),
+                values: values.unwrap_or_default(),
+            });
+            Ok(())
+        })?;
+        Ok(is_array.then_some(groups))
+    }
+
+    fn read_value(r: &mut Reader<'_>) -> Result<WireValue, String> {
+        let (mut estimate, mut lo, mut hi, mut exact) = (None, None, None, None);
+        r.try_object(|r, field| {
+            match &*field {
+                "estimate" if estimate.is_none() => estimate = Some(r.try_f64()?.unwrap_or(0.0)),
+                "lo" if lo.is_none() => lo = Some(r.try_f64()?.unwrap_or(f64::NAN)),
+                "hi" if hi.is_none() => hi = Some(r.try_f64()?.unwrap_or(f64::NAN)),
+                "exact" if exact.is_none() => exact = Some(r.try_bool()?.unwrap_or(false)),
+                _ => r.skip()?,
+            }
+            Ok(())
+        })?;
+        Ok(WireValue {
+            estimate: estimate.unwrap_or(0.0),
+            lo: lo.unwrap_or(f64::NAN),
+            hi: hi.unwrap_or(f64::NAN),
+            exact: exact.unwrap_or(false),
+        })
     }
 }
 
@@ -500,7 +672,16 @@ pub enum Response {
 impl Response {
     /// Encode as a JSON frame payload.
     pub fn to_json(&self) -> String {
+        let mut out = String::new();
+        self.write_json(&mut out);
+        out
+    }
+
+    /// Append the JSON frame payload to `out` (a connection loop clears
+    /// and refills one string).
+    pub fn write_json(&self, out: &mut String) {
         let v = match self {
+            Response::Answer(answer) => return answer.write_json(out),
             Response::Pong => Value::Obj(vec![
                 ("status".into(), "ok".into()),
                 ("pong".into(), true.into()),
@@ -543,63 +724,34 @@ impl Response {
                 ("message".into(), message.as_str().into()),
                 ("trace_id".into(), trace_id.as_str().into()),
             ]),
-            Response::Answer(a) => {
-                let groups = a
-                    .groups
-                    .iter()
-                    .map(|g| {
-                        Value::Obj(vec![
-                            ("key".into(), Value::Arr(g.key.clone())),
-                            (
-                                "values".into(),
-                                Value::Arr(
-                                    g.values
-                                        .iter()
-                                        .map(|v| {
-                                            Value::Obj(vec![
-                                                ("estimate".into(), v.estimate.into()),
-                                                ("lo".into(), v.lo.into()),
-                                                ("hi".into(), v.hi.into()),
-                                                ("exact".into(), v.exact.into()),
-                                            ])
-                                        })
-                                        .collect(),
-                                ),
-                            ),
-                        ])
-                    })
-                    .collect();
-                let mut m: Vec<(String, Value)> = vec![
-                    ("status".into(), "ok".into()),
-                    ("trace_id".into(), a.trace_id.as_str().into()),
-                    ("tier".into(), a.tier.as_str().into()),
-                    ("partial".into(), a.partial.into()),
-                    ("deadline_limited".into(), a.deadline_limited.into()),
-                    ("cache_hit".into(), a.cache_hit.into()),
-                    ("rows_scanned".into(), a.rows_scanned.into()),
-                    ("elapsed_ms".into(), a.elapsed_ms.into()),
-                    (
-                        "group_names".into(),
-                        Value::Arr(a.group_names.iter().map(|s| s.as_str().into()).collect()),
-                    ),
-                    (
-                        "agg_aliases".into(),
-                        Value::Arr(a.agg_aliases.iter().map(|s| s.as_str().into()).collect()),
-                    ),
-                    ("groups".into(), Value::Arr(groups)),
-                ];
-                if let Some(b) = a.effective_budget {
-                    m.insert(6, ("effective_budget".into(), b.into()));
-                }
-                Value::Obj(m)
-            }
         };
-        v.to_json()
+        v.write(out);
     }
 
-    /// Decode a JSON frame payload.
+    /// Decode a JSON frame payload. The `groups` member — the only one
+    /// whose size grows with the answer — is decoded as it is tokenized;
+    /// the handful of other members form a small tree.
     pub fn from_json(payload: &str) -> Result<Response, String> {
-        let v = json::parse(payload)?;
+        let mut reader = Reader::new(payload);
+        let mut members = Vec::new();
+        // `Some` once a `groups` member was read, whatever its type: as in
+        // a `Value::get` lookup, the first member of a name is the one.
+        let mut groups = None;
+        let is_object = reader.try_object(|r, key| {
+            if key != "groups" {
+                members.push((key.into_owned(), r.value()?));
+            } else if groups.is_none() {
+                groups = Some(WireAnswer::read_groups(r)?);
+            } else {
+                r.skip()?;
+            }
+            Ok(())
+        })?;
+        reader.finish()?;
+        if !is_object {
+            return Err("missing status".into());
+        }
+        let v = Value::Obj(members);
         let status = v.get("status").and_then(Value::as_str).ok_or("missing status")?;
         match status {
             "shed" => Ok(Response::Shed {
@@ -641,28 +793,7 @@ impl Response {
                 if let Some(text) = v.get("dump").and_then(Value::as_str) {
                     return Ok(Response::Dump(text.to_string()));
                 }
-                let groups = v
-                    .get("groups")
-                    .and_then(Value::as_arr)
-                    .ok_or("ok response needs groups")?
-                    .iter()
-                    .map(|g| {
-                        let key = g.get("key").and_then(Value::as_arr).unwrap_or(&[]).to_vec();
-                        let values = g
-                            .get("values")
-                            .and_then(Value::as_arr)
-                            .unwrap_or(&[])
-                            .iter()
-                            .map(|w| WireValue {
-                                estimate: w.get("estimate").and_then(Value::as_f64).unwrap_or(0.0),
-                                lo: w.get("lo").and_then(Value::as_f64).unwrap_or(f64::NAN),
-                                hi: w.get("hi").and_then(Value::as_f64).unwrap_or(f64::NAN),
-                                exact: w.get("exact").and_then(Value::as_bool).unwrap_or(false),
-                            })
-                            .collect();
-                        WireGroup { key, values }
-                    })
-                    .collect();
+                let groups = groups.flatten().ok_or("ok response needs groups")?;
                 let strings = |k: &str| -> Vec<String> {
                     v.get(k)
                         .and_then(Value::as_arr)
@@ -715,6 +846,24 @@ mod tests {
         assert_eq!(read_frame(&mut r).unwrap(), Some("".into()));
         assert_eq!(read_frame(&mut r).unwrap(), Some("wörld".into()));
         assert_eq!(read_frame(&mut r).unwrap(), None, "clean EOF");
+    }
+
+    #[test]
+    fn recycled_buffers_are_reused_up_to_the_retention_cap() {
+        let mut wire: Vec<u8> = Vec::new();
+        write_frame(&mut wire, &"x".repeat(RETAINED_BUFFER_BYTES + 1)).unwrap();
+        write_frame(&mut wire, "small").unwrap();
+        write_frame(&mut wire, "next").unwrap();
+        let mut r = &wire[..];
+        let mut reader = FrameReader::new();
+        let outlier = reader.read_blocking(&mut r).unwrap().unwrap();
+        reader.recycle(outlier);
+        assert_eq!(reader.spare.capacity(), 0, "an outlier's allocation is released");
+        let small = reader.read_blocking(&mut r).unwrap().unwrap();
+        let at = small.as_ptr();
+        reader.recycle(small);
+        let next = reader.read_blocking(&mut r).unwrap().unwrap();
+        assert_eq!((next.as_str(), next.as_ptr()), ("next", at), "same allocation");
     }
 
     /// Yields scripted chunks, returning `WouldBlock` between them —

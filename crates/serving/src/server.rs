@@ -33,6 +33,7 @@ use crate::cache::{CacheConfig, CacheDecision, SemanticCache};
 use crate::fault;
 use crate::protocol::{
     write_frame, ContractClass, FrameRead, FrameReader, Request, Response, WireAnswer,
+    RETAINED_BUFFER_BYTES,
 };
 use crate::shadow::{ShadowAuditor, ShadowConfig};
 use crate::throughput::Throughput;
@@ -421,6 +422,8 @@ fn handle_connection(inner: Arc<Inner>, stream: TcpStream) {
     };
     let mut writer = stream;
     let mut framer = FrameReader::new();
+    // Request and response frames of this connection each reuse one buffer.
+    let mut json = String::new();
     // Set when the current frame's first bytes arrived; bounds how long
     // a mid-frame connection may stall before being dropped.
     let mut frame_started: Option<Instant> = None;
@@ -449,11 +452,16 @@ fn handle_connection(inner: Arc<Inner>, stream: TcpStream) {
                         )
                     }
                 };
+                framer.recycle(payload);
                 fault::write_stall();
-                let json = response.to_json();
+                json.clear();
+                response.write_json(&mut json);
                 timeline.mark("serialize");
                 let wrote = write_frame(&mut writer, &json);
                 timeline.mark("write");
+                if json.capacity() > RETAINED_BUFFER_BYTES {
+                    json = String::new();
+                }
                 if let Some(meta) = meta {
                     commit_request(&inner, meta, timeline);
                 }

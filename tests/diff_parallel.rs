@@ -1,7 +1,10 @@
 //! Differential oracle for morsel-driven parallel execution.
 //!
 //! Two independent checks, combined across aggregate types, group-by
-//! arities (including past the fast-key limit), NULLs and predicates:
+//! arities (including past the fast-key limit), NULLs and predicates,
+//! plus the properties of the single scheduling round a UNION-ALL plan
+//! runs in (bit-identity on both sides of the inline cutoff, all-or-
+//! nothing cancellation, per-part profiles):
 //!
 //! 1. **Determinism** — answers at 2/4/8 threads are *bit-identical* to
 //!    the 1-thread answer, for the exact executor and for the UNION-ALL
@@ -17,8 +20,9 @@
 
 use aqp::prelude::*;
 use aqp::query::plan::QueryBuilder;
-use aqp::query::AggState;
+use aqp::query::{run_scans, AggState, CancelToken, PreparedScan, QueryError, Weighting};
 use std::collections::HashMap;
+use std::time::{Duration, Instant};
 
 /// Deterministic splitmix-style generator: no rand dependency, stable
 /// across platforms.
@@ -545,5 +549,237 @@ fn parallel_sgs_build_produces_identical_families() {
                 assert_eq!(va.value().to_bits(), vb.value().to_bits(), "build @ {threads}");
             }
         }
+    }
+}
+
+fn part_opts(weight: f64, morsel_rows: usize) -> ExecOptions<'static> {
+    ExecOptions {
+        weight: Weighting::Constant(weight),
+        morsel_rows,
+        ..ExecOptions::default()
+    }
+}
+
+/// A UNION-ALL plan the way `answer_from_parts` runs it: every part
+/// prepared, the morsels of all parts in ONE scheduling round, then each
+/// part folded in morsel order and the parts merged in plan order.
+fn union_all_in_one_round(
+    parts: &[(Table, f64)],
+    q: &Query,
+    threads: usize,
+    morsel_rows: usize,
+) -> Vec<(Vec<Value>, Vec<AggState>)> {
+    let scans: Vec<PreparedScan<'_>> = parts
+        .iter()
+        .map(|(table, weight)| {
+            PreparedScan::new(&DataSource::Wide(table), q, &part_opts(*weight, morsel_rows)).unwrap()
+        })
+        .collect();
+    let partials = run_scans(&scans, threads, None).unwrap();
+    plan_order_merge(scans.into_iter().zip(partials).map(|(scan, p)| scan.finish(p)))
+}
+
+/// The same plan one `execute` (one round) per part: what the single
+/// round must reproduce bit for bit.
+fn union_all_round_per_part(
+    parts: &[(Table, f64)],
+    q: &Query,
+    morsel_rows: usize,
+) -> Vec<(Vec<Value>, Vec<AggState>)> {
+    plan_order_merge(parts.iter().map(|(table, weight)| {
+        aqp::query::execute(&DataSource::Wide(table), q, &part_opts(*weight, morsel_rows)).unwrap()
+    }))
+}
+
+fn plan_order_merge(
+    outputs: impl Iterator<Item = aqp::query::QueryOutput>,
+) -> Vec<(Vec<Value>, Vec<AggState>)> {
+    let mut merged: HashMap<Vec<Value>, Vec<AggState>> = HashMap::new();
+    for out in outputs {
+        for g in out.groups {
+            match merged.get_mut(&g.key) {
+                Some(states) => states.iter_mut().zip(&g.aggs).for_each(|(a, b)| a.merge(b)),
+                None => {
+                    merged.insert(g.key, g.aggs);
+                }
+            }
+        }
+    }
+    let mut groups: Vec<_> = merged.into_iter().collect();
+    groups.sort_by(|a, b| a.0.cmp(&b.0));
+    groups
+}
+
+#[test]
+fn union_all_single_round_bit_identical_on_both_sides_of_the_inline_cutoff() {
+    // Three strata of 64-row morsels whose total morsel count walks
+    // across the executor's inline cutoff (16 morsels at the time of
+    // writing; the sweep covers 3..=40, so the cutoff may move): below it
+    // the round runs on the caller's thread, from it on one scoped round
+    // serves all three parts. Either way, and at every thread count, the
+    // fold must equal one-round-per-part execution to the last bit.
+    let queries = query_grid();
+    for total_morsels in [3usize, 8, 14, 15, 16, 17, 18, 24, 40] {
+        // Part sizes: a short first stratum, a ragged middle one (its
+        // last morsel is partial), the rest in the last.
+        let first = 1;
+        let middle = (total_morsels - 1) / 2;
+        let last = total_morsels - first - middle;
+        let parts = [
+            (test_table(first * 64, 21), 1.0),
+            (test_table(middle * 64 - 17, 22), 2.5),
+            (test_table(last * 64, 23), 10.0 / 3.0),
+        ];
+        for (qi, q) in queries.iter().enumerate() {
+            let want = union_all_round_per_part(&parts, q, 64);
+            for threads in [1, 2, 4, 8] {
+                let got = union_all_in_one_round(&parts, q, threads, 64);
+                let ctx = format!("{total_morsels} morsels, query {qi} @ {threads} threads");
+                assert_eq!(want.len(), got.len(), "{ctx}: group count");
+                for ((ka, sa), (kb, sb)) in want.iter().zip(&got) {
+                    assert_eq!(ka, kb, "{ctx}");
+                    for (a, b) in sa.iter().zip(sb) {
+                        assert_states_bit_identical(a, b, &format!("{ctx}, key {ka:?}"));
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn sampler_plan_past_the_inline_cutoff_bit_identical_across_threads() {
+    // `union_all_rewrite_plan_bit_identical_across_threads` runs plans of
+    // a few hundred sample rows — a handful of morsels, always inline. A
+    // 90 % sample of 80k rows is ~18 default-size morsels plus the small
+    // group tables: the sampler's own plan through a threaded round.
+    let t = test_table(80_000, 29);
+    let mut sampler = SmallGroupSampler::build(
+        &t,
+        SmallGroupConfig {
+            seed: 5,
+            ..SmallGroupConfig::with_rates(0.9, 0.5)
+        },
+    )
+    .unwrap();
+    let q = Query::builder()
+        .count()
+        .sum("val")
+        .aggregate(AggExpr::avg("amt", "avg_amt"))
+        .group_by("cat")
+        .group_by("sub")
+        .filter(Expr::cmp("c6", CmpOp::Le, 5i64))
+        .build()
+        .unwrap();
+    sampler.set_threads(1);
+    let mut base = sampler.answer(&q, 0.95).unwrap();
+    assert!(base.rows_scanned > 16 * 4096, "plan of {} rows is past the cutoff", base.rows_scanned);
+    base.sort_by_key();
+    for threads in [2, 4, 8] {
+        sampler.set_threads(threads);
+        let mut par = sampler.answer(&q, 0.95).unwrap();
+        par.sort_by_key();
+        assert_eq!(base.rows_scanned, par.rows_scanned);
+        assert_eq!(base.groups.len(), par.groups.len(), "@ {threads}");
+        for (a, b) in base.groups.iter().zip(&par.groups) {
+            assert_eq!(a.key, b.key, "@ {threads}");
+            for (va, vb) in a.values.iter().zip(&b.values) {
+                assert_eq!(va.value().to_bits(), vb.value().to_bits(), "@ {threads}: {:?}", a.key);
+                assert_eq!(va.ci.lo.to_bits(), vb.ci.lo.to_bits(), "@ {threads}: ci.lo");
+                assert_eq!(va.ci.hi.to_bits(), vb.ci.hi.to_bits(), "@ {threads}: ci.hi");
+                assert_eq!(va.is_exact(), vb.is_exact(), "@ {threads}");
+            }
+        }
+    }
+}
+
+#[test]
+fn token_tripped_mid_plan_cancels_the_whole_plan() {
+    // 3 x 2500 one-row morsels take far longer than the 200 µs the
+    // deadline allows, so the token trips while the round is under way
+    // (or, on a stalled host, before it starts — the outcome is the same).
+    // The plan must come back as `Cancelled`, at every thread count, and
+    // no part may have been folded: `finish` is what records an operator
+    // profile, and the trace must hold none.
+    let parts = [test_table(2_500, 31), test_table(2_500, 32), test_table(2_500, 33)];
+    let q = query_grid().swap_remove(2);
+    for threads in [1, 4] {
+        let scans: Vec<PreparedScan<'_>> = parts
+            .iter()
+            .map(|t| {
+                let opts = ExecOptions { morsel_rows: 1, ..ExecOptions::default() };
+                PreparedScan::new(&DataSource::Wide(t), &q, &opts).unwrap()
+            })
+            .collect();
+        assert!(aqp::obs::trace::begin("cancelled plan"));
+        let token = CancelToken::with_deadline(Instant::now() + Duration::from_micros(200));
+        let outcome = run_scans(&scans, threads, Some(&token));
+        let trace = aqp::obs::trace::finish().expect("trace open");
+        assert!(
+            matches!(outcome, Err(QueryError::Cancelled { deadline: true })),
+            "@ {threads} threads: a tripped deadline is a timeout, not an answer"
+        );
+        assert!(trace.operators.is_empty(), "@ {threads} threads: a part was folded");
+
+        // An explicit cancel reports as a cancellation, not a timeout.
+        let token = CancelToken::new();
+        token.cancel();
+        assert!(matches!(
+            run_scans(&scans, threads, Some(&token)),
+            Err(QueryError::Cancelled { deadline: false })
+        ));
+    }
+
+    // The same through the sampler, which picks the token up ambiently.
+    let t = test_table(3_000, 3);
+    let sampler = SmallGroupSampler::build(
+        &t,
+        SmallGroupConfig { seed: 5, ..SmallGroupConfig::with_rates(0.1, 0.5) },
+    )
+    .unwrap();
+    let token = CancelToken::new();
+    token.cancel();
+    let _installed = aqp::query::cancel::install(token);
+    let q = Query::builder().count().group_by("cat").build().unwrap();
+    assert!(matches!(sampler.answer(&q, 0.95), Err(AqpError::Cancelled { .. })));
+}
+
+#[test]
+fn per_part_operator_profiles_reconcile_with_rows_scanned() {
+    // One scheduling round per plan, but still one operator profile per
+    // part, in plan order, each accounting for exactly its own table.
+    let t = test_table(80_000, 29);
+    let mut sampler = SmallGroupSampler::build(
+        &t,
+        SmallGroupConfig { seed: 5, ..SmallGroupConfig::with_rates(0.9, 0.5) },
+    )
+    .unwrap();
+    let q = Query::builder()
+        .count()
+        .group_by("cat")
+        .filter(Expr::cmp("sub", CmpOp::Le, 2i64))
+        .build()
+        .unwrap();
+    for threads in [1, 4] {
+        sampler.set_threads(threads);
+        assert!(aqp::obs::trace::begin("profiled plan"));
+        let answer = sampler.answer(&q, 0.95).unwrap();
+        let trace = aqp::obs::trace::finish().expect("trace open");
+        let ops = &trace.operators;
+        assert!(ops.len() >= 2, "small-group table(s) plus the overall sample: {ops:?}");
+        assert_eq!(ops.last().unwrap().stratum, "overall", "plan order: overall sample last");
+        assert!(ops[..ops.len() - 1].iter().all(|op| op.stratum == "small-group"));
+        let rows_in: u64 = ops.iter().map(|op| op.rows_in).sum();
+        assert_eq!(rows_in as usize, answer.rows_scanned, "@ {threads}: Σ rows_in");
+        for op in ops {
+            let ctx = format!("{} @ {threads} threads", op.op);
+            assert_eq!(op.morsels, op.rows_in.div_ceil(4096), "{ctx}: morsel count");
+            assert_eq!(op.morsels_per_worker.iter().sum::<u64>(), op.morsels, "{ctx}: claims");
+            assert!(op.morsels_per_worker.len() <= threads, "{ctx}: workers");
+            assert!(op.rows_out <= op.rows_in, "{ctx}: rows out");
+        }
+        // The predicate keeps 3 of 5 `sub` values: every part filters.
+        let rows_out: u64 = ops.iter().map(|op| op.rows_out).sum();
+        assert!(rows_out > 0 && rows_out < rows_in, "@ {threads}: Σ rows_out {rows_out}");
     }
 }

@@ -1,20 +1,32 @@
-//! Integration tests for the concurrent query server: overload soak,
-//! deadline-driven degradation on the wire, forced timeouts via fault
-//! injection, and graceful drain under load.
+//! Integration tests for the concurrent query server: deadline-driven
+//! degradation on the wire, forced timeouts via fault injection, and
+//! graceful drain under load. (The overload soak, which reconciles the
+//! process-global metrics registry against one server's traffic, has a
+//! test binary to itself: `soak_serving.rs`.)
 //!
-//! The acceptance contract (mirrors the serving design doc):
-//! at 2x the admission cap the server sheds deterministically, nothing
+//! The acceptance contract (mirrors the serving design doc): nothing
 //! panics, every request receives exactly one terminal response
-//! (answer / shed / timeout), the observability counters reconcile with
-//! the request total, and a deadline-bounded query comes back as a
-//! degraded-tier answer rather than a missed deadline.
+//! (answer / shed / timeout), and a deadline-bounded query comes back as
+//! a degraded-tier answer rather than a missed deadline.
 
 use aqp::prelude::*;
 use aqp::serving::{
     fault, AdmissionConfig, CacheConfig, ClassLimits, Client, ClientError, ContractClass,
     Request, Response, RetryPolicy, Server, ServerConfig, ServingFault,
 };
+use std::sync::{PoisonError, RwLock, RwLockReadGuard};
 use std::time::Duration;
+
+/// `exec_stall_fault_forces_deterministic_timeout` installs a fault that is
+/// process-global: it stalls the next execution in the process, whichever
+/// server runs it. That test takes this gate exclusively; every other
+/// test that executes queries shares it, so none of them can take the
+/// stall (and a timeout) meant for the other.
+static FAULT_GATE: RwLock<()> = RwLock::new(());
+
+fn no_fault_installed() -> RwLockReadGuard<'static, ()> {
+    FAULT_GATE.read().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn sales_view(rows: usize) -> Table {
     let star = gen_sales(&SalesConfig { fact_rows: rows, zipf_z: 1.5, seed: 42 }).unwrap();
@@ -40,93 +52,8 @@ const SQL: &str = "SELECT store.region, COUNT(*) AS cnt, SUM(sales.revenue) AS r
                    FROM v GROUP BY store.region";
 
 #[test]
-fn soak_overload_every_request_gets_exactly_one_terminal_response() {
-    let cap = ClassLimits { max_inflight: 2, max_queue: 2 };
-    let clients = 2 * (cap.max_inflight + cap.max_queue); // 2x admission capacity
-    let per_client = 5usize;
-    let config = ServerConfig {
-        admission: AdmissionConfig { interactive: cap, batch: cap },
-        // Cache off: the soak measures admission control, and with the
-        // cache on a single leader would execute while every identical
-        // request coalesced behind it instead of being shed.
-        cache: CacheConfig::disabled(),
-        ..ServerConfig::default()
-    };
-    let before = aqp::obs::global().snapshot();
-    let (addr, handle, join) = start_server(
-        ResilientSystem::exact_only(sales_view(20_000)).with_threads(2),
-        config,
-    );
-
-    // Each worker sends its requests with no client-side retry, so every
-    // wire-level outcome is counted exactly once.
-    let outcomes: Vec<&'static str> = std::thread::scope(|s| {
-        let workers: Vec<_> = (0..clients)
-            .map(|c| {
-                let addr = addr.clone();
-                s.spawn(move || {
-                    let mut client = Client::new(addr, RetryPolicy::no_retry());
-                    let mut seen = Vec::with_capacity(per_client);
-                    for _ in 0..per_client {
-                        let outcome = match client.request(&Request::Query {
-                            sql: SQL.into(),
-                            class: ContractClass::Interactive,
-                            deadline_ms: None,
-                            row_budget: None,
-                            confidence: None,
-                            max_rel_error: None,
-                            trace_id: None,
-                        }) {
-                            Ok(Response::Answer(_)) => "answered",
-                            Ok(Response::Timeout { .. }) => "timeout",
-                            Ok(Response::Error { .. }) => "error",
-                            Ok(other) => panic!("unexpected response for client {c}: {other:?}"),
-                            Err(ClientError::Shed { .. }) => "shed",
-                            Err(e) => panic!("transport failure for client {c}: {e}"),
-                        };
-                        seen.push(outcome);
-                    }
-                    seen
-                })
-            })
-            .collect();
-        workers.into_iter().flat_map(|w| w.join().expect("client thread panicked")).collect()
-    });
-    handle.shutdown();
-    let report = join.join().expect("server thread panicked").unwrap();
-
-    // Exactly one terminal response per request, and under 2x overload
-    // with no-retry clients at least one request must have been shed.
-    let total_requests = clients * per_client;
-    assert_eq!(outcomes.len(), total_requests);
-    let count = |k: &str| outcomes.iter().filter(|o| **o == k).count();
-    let (answered, shed, timeout, error) =
-        (count("answered"), count("shed"), count("timeout"), count("error"));
-    assert_eq!(answered + shed + timeout + error, total_requests);
-    assert!(shed > 0, "2x overload with a bounded queue must shed");
-    assert!(answered > 0, "admitted requests still get answers under overload");
-    assert_eq!(error, 0, "no parse or execution errors in the soak");
-
-    // The server's own report and the obs counters both reconcile.
-    assert_eq!(report.requests as usize, total_requests);
-    assert_eq!(report.answered as usize, answered);
-    assert_eq!(report.shed as usize, shed);
-    assert_eq!(report.timeouts as usize, timeout);
-    let after = aqp::obs::global().snapshot();
-    let delta = |name: &str| {
-        after.counter_total(name).saturating_sub(before.counter_total(name)) as usize
-    };
-    assert_eq!(delta("aqp_server_requests_total"), total_requests);
-    assert_eq!(delta("aqp_server_shed_total"), shed);
-    assert_eq!(
-        delta("aqp_server_admitted_total"),
-        answered + timeout,
-        "every non-shed request passed admission exactly once"
-    );
-}
-
-#[test]
 fn deadline_bounded_query_degrades_instead_of_missing() {
+    let _gate = no_fault_installed();
     // Pin throughput to 1 row/ms: a 150ms deadline converts to a ~120-row
     // budget against a 20k-row view, so the exact tier truncates — the
     // client gets a deadline-shaped answer, not a timeout.
@@ -169,6 +96,7 @@ fn deadline_bounded_query_degrades_instead_of_missing() {
 
 #[test]
 fn exec_stall_fault_forces_deterministic_timeout() {
+    let _gate = FAULT_GATE.write().unwrap_or_else(PoisonError::into_inner);
     // exec-stall@0 blocks the first execution until its deadline token
     // trips — the CI recipe for a machine-speed-independent timeout.
     let _guard = fault::install(vec![ServingFault::ExecStall { nth: 0 }]);
@@ -224,6 +152,7 @@ fn serving_faults_parse_from_shared_spec_grammar() {
 
 #[test]
 fn graceful_drain_finishes_inflight_and_rejects_new() {
+    let _gate = no_fault_installed();
     let (addr, handle, join) = start_server(
         ResilientSystem::exact_only(sales_view(20_000)).with_threads(2),
         ServerConfig::default(),
@@ -248,6 +177,7 @@ fn graceful_drain_finishes_inflight_and_rejects_new() {
 
 #[test]
 fn deadline_tier_fallback_reason_reaches_metrics() {
+    let _gate = no_fault_installed();
     // A deadline that forces the ladder below the viable tier is tallied
     // as aqp_tier_fallback_total{reason="deadline"} — distinct from
     // budget- and degradation-driven fallbacks. Exercised end-to-end
@@ -300,6 +230,7 @@ fn deadline_tier_fallback_reason_reaches_metrics() {
 /// with the request total.
 #[test]
 fn cache_soak_sixteen_clients_execute_each_distinct_key_once() {
+    let _gate = no_fault_installed();
     // Distinct plans: same shape, different predicate literal. Clients
     // also format them differently (whitespace/alias noise) — the
     // canonical key must see through that.
@@ -403,6 +334,7 @@ fn cache_soak_sixteen_clients_execute_each_distinct_key_once() {
 /// contract-violating hit all surface as hard mismatches.
 #[test]
 fn differential_oracle_cache_on_matches_cache_off_across_rebuild() {
+    let _gate = no_fault_installed();
     use aqp::serving::{CacheDecision, SemanticCache};
 
     let build = |seed: u64| -> ResilientSystem {
