@@ -81,7 +81,10 @@ pub struct ApproxAnswer {
     pub group_names: Vec<String>,
     /// Aliases of the aggregate expressions.
     pub agg_aliases: Vec<String>,
-    /// The estimated groups.
+    /// The estimated groups, first-seen in plan order: the first sample
+    /// table's groups in ascending order of first matching row, then each
+    /// later table's new ones. The same on every call and at every thread
+    /// count; [`ApproxAnswer::sort_by_key`] gives key order.
     pub groups: Vec<ApproxGroup>,
     /// Total sample rows scanned to produce this answer (the runtime cost
     /// the paper's fairness rule equalises across AQP systems).

@@ -379,20 +379,21 @@ impl AqpSystem for MultiLevelSampler {
             stratum: "overall",
         });
 
-        let is_exact = |key: &[Value]| {
-            applicable.iter().any(|&u| {
-                let e = &self.entries[u];
-                if e.rate < 1.0 {
-                    return false;
-                }
-                let pos = query
-                    .group_by
-                    .iter()
+        // The fully sampled applicable levels, each with its column's
+        // position in the group key (resolved once, not per group).
+        let exact_levels: Vec<(&HashSet<Value>, usize)> = applicable
+            .iter()
+            .map(|&u| &self.entries[u])
+            .filter(|e| e.rate >= 1.0)
+            .map(|e| {
+                let pos = (query.group_by.iter())
                     .position(|g| *g == e.column)
                     .expect("applicable implies present");
-                e.values.contains(&key[pos])
+                (&e.values, pos)
             })
-        };
+            .collect();
+        let is_exact =
+            |key: &[Value]| exact_levels.iter().any(|(values, pos)| values.contains(&key[*pos]));
         answer_from_parts(query, &parts, confidence, 1, &is_exact)
     }
 

@@ -8,12 +8,9 @@
 
 use crate::answer::{state_to_estimate, ApproxAnswer, ApproxGroup, ApproxValue};
 use crate::error::AqpResult;
-use aqp_query::{
-    run_scans, AggState, DataSource, ExecOptions, PreparedScan, Query, Weighting,
-};
+use aqp_query::{run_scans, DataSource, ExecOptions, PlanGroups, PreparedScan, Query, Weighting};
 use aqp_sampling::Estimate;
 use aqp_storage::{BitSet, Table, Value};
-use std::collections::HashMap;
 
 /// One stratum of a rewritten query plan.
 pub(crate) struct Part<'a> {
@@ -41,7 +38,10 @@ pub(crate) enum PartWeight<'a> {
 /// run in one scheduling round on up to `threads` workers; the answer is
 /// bit-identical at any value (each part folds its own morsels in morsel
 /// order, see `aqp_query::parallel`), and strata are always merged in
-/// plan order.
+/// plan order — on group *codes* ([`PlanGroups`]); a key is decoded once,
+/// here, when its group is finalised. Groups come out first-seen in plan
+/// order (the first part's groups in ascending first row, then each
+/// later part's new ones), the same on every call.
 pub(crate) fn answer_from_parts(
     query: &Query,
     parts: &[Part<'_>],
@@ -65,7 +65,7 @@ pub(crate) fn answer_from_parts(
         .collect::<Result<Vec<_>, _>>()?;
     let partials = run_scans(&scans, threads.max(1), None)?;
 
-    let mut merged: HashMap<Vec<Value>, Vec<AggState>> = HashMap::new();
+    let mut merged = PlanGroups::new(&scans)?;
     let mut rows_scanned = 0usize;
     for ((part, scan), partials) in parts.iter().zip(scans).zip(partials) {
         rows_scanned += part.table.num_rows();
@@ -73,41 +73,24 @@ pub(crate) fn answer_from_parts(
         // every part scans table.num_rows() rows, so the per-operator
         // rows_in reconcile with `rows_scanned` by construction.
         let _ctx = aqp_obs::profile::scan_context(aqp_obs::ScanContext {
-            op: format!("scan:{}", part.table.name()),
-            table: part.table.name().to_string(),
-            stratum: part.stratum.to_string(),
+            table: part.table.name(),
+            stratum: part.stratum,
             weight: match part.weighting {
                 PartWeight::Constant(w) => w,
                 PartWeight::PerRow(_) => 0.0,
             },
         });
-        let groups = scan.finish(partials).groups;
-        // The merged map ends up with at least this part's groups: make
-        // room once, where growing step by step re-hashes every key
-        // string about twice over.
-        merged.reserve(groups.len().saturating_sub(merged.len()));
-        for g in groups {
-            match merged.entry(g.key) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    for (a, b) in e.get_mut().iter_mut().zip(&g.aggs) {
-                        a.merge(b);
-                    }
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(g.aggs);
-                }
-            }
-        }
+        merged.absorb(scan.finish(partials));
     }
 
     let _finalize_span = aqp_obs::span("plan.finalize");
-    let mut groups = Vec::with_capacity(merged.len());
-    for (key, states) in merged {
+    let mut groups = Vec::with_capacity(merged.num_groups());
+    for (key, states) in merged.groups() {
         let exact = is_exact(&key);
         let values = query
             .aggregates
             .iter()
-            .zip(&states)
+            .zip(states)
             .map(|(agg, state)| {
                 // No estimate (e.g. AVG over a group whose sampled rows
                 // were all NULL): report value 0 with infinite variance so

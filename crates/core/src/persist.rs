@@ -38,7 +38,7 @@ use crate::smallgroup::{
 use aqp_storage::io::{decode_table, encode_table, get_string, get_value, put_string, put_value};
 use aqp_storage::{crc32c, fault, Table, Value};
 use bytes::{Buf, BufMut, BytesMut};
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 const MAGIC: &[u8; 4] = b"AQPS";
 // v3: checksummed header + segregated metadata section + self-checksummed
@@ -157,9 +157,12 @@ fn encode_meta(sampler: &SmallGroupSampler) -> AqpResult<Vec<u8>> {
                     put_value(&mut buf, v).map_err(AqpError::from)?;
                 }
             }
-            CommonValues::Pair(set) => {
+            CommonValues::Pair(pairs) => {
                 buf.put_u8(1);
-                let mut values: Vec<&(Value, Value)> = set.iter().collect();
+                let mut values: Vec<(&Value, &Value)> = pairs
+                    .iter()
+                    .flat_map(|(a, seconds)| seconds.iter().map(move |b| (a, b)))
+                    .collect();
                 values.sort();
                 buf.put_u64_le(values.len() as u64);
                 for (a, b) in values {
@@ -309,13 +312,13 @@ fn decode_meta(meta: &[u8]) -> AqpResult<Meta> {
             }
             1 => {
                 let n = buf.get_u64_le() as usize;
-                let mut set = HashSet::with_capacity(n.min(buf.remaining()));
+                let mut pairs: HashMap<Value, HashSet<Value>> = HashMap::new();
                 for _ in 0..n {
                     let a = get_value(&mut buf).map_err(AqpError::from)?;
                     let b = get_value(&mut buf).map_err(AqpError::from)?;
-                    set.insert((a, b));
+                    pairs.entry(a).or_default().insert(b);
                 }
-                CommonValues::Pair(set)
+                CommonValues::Pair(pairs)
             }
             other => return Err(corrupt(format!("unknown common tag {other}"))),
         };

@@ -237,9 +237,8 @@ impl ResilientSystem {
             ..ExecOptions::default()
         };
         let ctx = aqp_obs::profile::scan_context(aqp_obs::ScanContext {
-            op: format!("scan:{}", view.name()),
-            table: view.name().to_string(),
-            stratum: "base".to_string(),
+            table: view.name(),
+            stratum: "base",
             weight: match weight {
                 Weighting::Constant(w) => w,
                 _ => 1.0,

@@ -39,7 +39,7 @@ use aqp_sampling::{ColumnFrequency, ReservoirSampler};
 use aqp_storage::{BitSet, Table, Value, DEFAULT_MORSEL_ROWS};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 /// How the overall sample is constructed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -171,7 +171,9 @@ impl SgUnit {
 #[derive(Debug, Clone)]
 pub(crate) enum CommonValues {
     Single(HashSet<Value>),
-    Pair(HashSet<(Value, Value)>),
+    /// First value → the second values it is common with: two probes by
+    /// reference instead of one by a freshly built `(Value, Value)`.
+    Pair(HashMap<Value, HashSet<Value>>),
 }
 
 /// One member of `S`: its unit, its small group table, and its `L(C)`.
@@ -183,21 +185,39 @@ pub(crate) struct SgEntry {
 }
 
 impl SgEntry {
-    /// Whether the group identified by `key` (in `group_by` order) has an
-    /// uncommon value for this unit — i.e. every row of the group is in
-    /// this small group table, so the group is answered exactly.
-    fn key_is_uncommon(&self, key: &[Value], group_by: &[String]) -> bool {
+    /// Resolve, once per query, where this unit's column(s) sit in the
+    /// group key. The unit must apply to `group_by`.
+    fn uncommon_probe(&self, group_by: &[String]) -> UncommonProbe<'_> {
+        let pos = |c: &String| group_by.iter().position(|g| g == c).expect("applies() checked");
         match (&self.unit, &self.common) {
             (SgUnit::Single(c), CommonValues::Single(common)) => {
-                let pos = group_by.iter().position(|g| g == c).expect("applies() checked");
-                !common.contains(&key[pos])
+                UncommonProbe::Single(common, pos(c))
             }
             (SgUnit::Pair(a, b), CommonValues::Pair(common)) => {
-                let pa = group_by.iter().position(|g| g == a).expect("applies() checked");
-                let pb = group_by.iter().position(|g| g == b).expect("applies() checked");
-                !common.contains(&(key[pa].clone(), key[pb].clone()))
+                UncommonProbe::Pair(common, pos(a), pos(b))
             }
             _ => unreachable!("unit/common variants always match"),
+        }
+    }
+}
+
+/// One applicable unit's common-value set with the key position(s) it
+/// tests.
+enum UncommonProbe<'a> {
+    Single(&'a HashSet<Value>, usize),
+    Pair(&'a HashMap<Value, HashSet<Value>>, usize, usize),
+}
+
+impl UncommonProbe<'_> {
+    /// Whether the group identified by `key` has an uncommon value for
+    /// this unit — i.e. every row of the group is in the unit's small
+    /// group table, so the group is answered exactly.
+    fn key_is_uncommon(&self, key: &[Value]) -> bool {
+        match self {
+            UncommonProbe::Single(common, pos) => !common.contains(&key[*pos]),
+            UncommonProbe::Pair(common, pa, pb) => {
+                !common.get(&key[*pa]).is_some_and(|seconds| seconds.contains(&key[*pb]))
+            }
         }
     }
 }
@@ -544,13 +564,16 @@ impl SmallGroupSampler {
                         .map(|(code, null)| acc[0].decode_key(*code, *null))
                         .collect(),
                 ),
-                CommonCodes::Pair(set) => CommonValues::Pair(
-                    set.iter()
-                        .map(|(ka, kb)| {
-                            (acc[0].decode_key(ka.0, ka.1), acc[1].decode_key(kb.0, kb.1))
-                        })
-                        .collect(),
-                ),
+                CommonCodes::Pair(set) => {
+                    let mut pairs: HashMap<Value, HashSet<Value>> = HashMap::new();
+                    for (ka, kb) in &set {
+                        pairs
+                            .entry(acc[0].decode_key(ka.0, ka.1))
+                            .or_default()
+                            .insert(acc[1].decode_key(kb.0, kb.1));
+                    }
+                    CommonValues::Pair(pairs)
+                }
             };
             let table = std::mem::replace(
                 &mut sg_tables[idx],
@@ -830,11 +853,11 @@ impl AqpSystem for SmallGroupSampler {
                 stratum,
             })
             .collect();
-        let is_exact = |key: &[Value]| {
-            applicable
-                .iter()
-                .any(|&u| self.entries[u].key_is_uncommon(key, &query.group_by))
-        };
+        let probes: Vec<UncommonProbe<'_>> = applicable
+            .iter()
+            .map(|&u| self.entries[u].uncommon_probe(&query.group_by))
+            .collect();
+        let is_exact = |key: &[Value]| probes.iter().any(|p| p.key_is_uncommon(key));
         answer_from_parts(query, &parts, confidence, self.runtime_threads, &is_exact)
     }
 

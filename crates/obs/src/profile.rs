@@ -45,7 +45,7 @@ pub struct OpProfile {
     pub morsel_p95_ns: u64,
     /// 99th-percentile per-morsel latency in nanoseconds.
     pub morsel_p99_ns: u64,
-    /// Peak logical bytes held while the scan ran (partial maps plus the
+    /// Peak logical bytes held while the scan ran (partial tables plus the
     /// merged group table).
     pub mem_peak_bytes: u64,
     /// Logical bytes still held at operator completion (merged table).
@@ -78,34 +78,48 @@ impl OpProfile {
 }
 
 /// Plan-position labels for the next executor scan on this thread. Set by
-/// the plan layer (which knows the stratum) around each `execute` call.
-#[derive(Debug, Clone, Default)]
-pub struct ScanContext {
-    /// Operator label; empty defaults to `scan`.
-    pub op: String,
-    /// Table being scanned.
-    pub table: String,
+/// the plan layer (which knows the stratum) around each scan it finishes.
+/// Borrowed: the labels turn into owned strings only when a reader —
+/// the metrics registry or an open trace — exists (see [`scan_context`]).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ScanContext<'a> {
+    /// Table being scanned; the operator label is `scan:<table>`.
+    pub table: &'a str,
     /// Stratum kind (`small-group`, `overall`, `base`, or empty).
-    pub stratum: String,
+    pub stratum: &'static str,
     /// Constant row weight (0 when weights are per-row).
     pub weight: f64,
 }
 
+/// An installed [`ScanContext`].
+#[derive(Debug, Default)]
+struct Installed {
+    table: String,
+    stratum: &'static str,
+    weight: f64,
+}
+
 thread_local! {
-    static CONTEXT: RefCell<Option<ScanContext>> = const { RefCell::new(None) };
+    static CONTEXT: RefCell<Option<Installed>> = const { RefCell::new(None) };
 }
 
 /// Guard restoring the previous scan context when dropped.
 #[derive(Debug)]
 pub struct ContextGuard {
-    prev: Option<ScanContext>,
+    prev: Option<Installed>,
 }
 
 /// Install a [`ScanContext`] for the duration of the returned guard.
 /// Control-thread-only, like the trace collector; nesting restores the
-/// outer context on drop.
-pub fn scan_context(ctx: ScanContext) -> ContextGuard {
-    let prev = CONTEXT.with(|slot| slot.borrow_mut().replace(ctx));
+/// outer context on drop. With metrics off and no trace open nothing
+/// would read the labels, so nothing is copied.
+pub fn scan_context(ctx: ScanContext<'_>) -> ContextGuard {
+    let installed = (crate::enabled() || crate::trace::is_active()).then(|| Installed {
+        table: ctx.table.to_owned(),
+        stratum: ctx.stratum,
+        weight: ctx.weight,
+    });
+    let prev = CONTEXT.with(|slot| std::mem::replace(&mut *slot.borrow_mut(), installed));
     ContextGuard { prev }
 }
 
@@ -133,7 +147,7 @@ pub struct ScanStats {
     pub mem_current_bytes: u64,
     /// Scan implementation label (`scalar`, `vectorized-hash`,
     /// `vectorized-dense`).
-    pub kernel: String,
+    pub kernel: &'static str,
     /// Zone-map blocks skipped wholesale (pruning; 0 when inactive).
     pub blocks_skipped: u64,
     /// Zone-map blocks taken wholesale (predicate suppressed).
@@ -158,38 +172,48 @@ fn rank(sorted: &[u64], q: f64) -> u64 {
 /// `aqp_op_morsel_seconds{op=…}` histogram (when metrics are enabled) and
 /// appends an [`OpProfile`] to the open trace (when one is active).
 pub fn record_scan(stats: ScanStats) {
-    let ctx = CONTEXT.with(|slot| slot.borrow().clone()).unwrap_or_default();
-    let op = if ctx.op.is_empty() { "scan".to_owned() } else { ctx.op };
-    if crate::enabled() {
-        let hist = crate::histogram("aqp_op_morsel_seconds", &[("op", &op)]);
-        for &ns in &stats.morsel_ns {
-            hist.observe(ns);
-        }
-    }
-    if !crate::trace::is_active() {
+    let tracing = crate::trace::is_active();
+    if !crate::enabled() && !tracing {
         return;
     }
-    let mut sorted = stats.morsel_ns.clone();
-    sorted.sort_unstable();
-    crate::trace::record_operator(OpProfile {
-        op,
-        table: ctx.table,
-        stratum: ctx.stratum,
-        weight: ctx.weight,
-        rows_in: stats.rows_in,
-        rows_out: stats.rows_out,
-        morsels: stats.morsel_ns.len() as u64,
-        morsels_per_worker: stats.claims,
-        morsel_p50_ns: rank(&sorted, 0.50),
-        morsel_p95_ns: rank(&sorted, 0.95),
-        morsel_p99_ns: rank(&sorted, 0.99),
-        mem_peak_bytes: stats.mem_peak_bytes,
-        mem_current_bytes: stats.mem_current_bytes,
-        kernel: stats.kernel,
-        blocks_skipped: stats.blocks_skipped,
-        blocks_taken: stats.blocks_taken,
-        blocks_scanned: stats.blocks_scanned,
-        rows_pruned: stats.rows_pruned,
+    CONTEXT.with(|slot| {
+        let (slot, unlabelled) = (slot.borrow(), Installed::default());
+        let ctx = slot.as_ref().unwrap_or(&unlabelled);
+        let op = match ctx.table.as_str() {
+            "" => "scan".to_owned(),
+            table => format!("scan:{table}"),
+        };
+        if crate::enabled() {
+            let hist = crate::histogram("aqp_op_morsel_seconds", &[("op", &op)]);
+            for &ns in &stats.morsel_ns {
+                hist.observe(ns);
+            }
+        }
+        if !tracing {
+            return;
+        }
+        let mut sorted = stats.morsel_ns.clone();
+        sorted.sort_unstable();
+        crate::trace::record_operator(OpProfile {
+            op,
+            table: ctx.table.clone(),
+            stratum: ctx.stratum.to_owned(),
+            weight: ctx.weight,
+            rows_in: stats.rows_in,
+            rows_out: stats.rows_out,
+            morsels: stats.morsel_ns.len() as u64,
+            morsels_per_worker: stats.claims,
+            morsel_p50_ns: rank(&sorted, 0.50),
+            morsel_p95_ns: rank(&sorted, 0.95),
+            morsel_p99_ns: rank(&sorted, 0.99),
+            mem_peak_bytes: stats.mem_peak_bytes,
+            mem_current_bytes: stats.mem_current_bytes,
+            kernel: stats.kernel.to_owned(),
+            blocks_skipped: stats.blocks_skipped,
+            blocks_taken: stats.blocks_taken,
+            blocks_scanned: stats.blocks_scanned,
+            rows_pruned: stats.rows_pruned,
+        });
     });
 }
 
@@ -216,33 +240,36 @@ mod tests {
 
     #[test]
     fn context_nesting_restores_outer() {
+        // An open trace is a reader, so the labels are installed even
+        // when the crate is built without the `metrics` feature.
+        assert!(crate::trace::begin("nesting"));
         let outer = scan_context(ScanContext {
-            op: "scan:outer".into(),
+            table: "outer",
             ..ScanContext::default()
         });
         {
             let _inner = scan_context(ScanContext {
-                op: "scan:inner".into(),
+                table: "inner",
                 ..ScanContext::default()
             });
             CONTEXT.with(|c| {
-                assert_eq!(c.borrow().as_ref().unwrap().op, "scan:inner");
+                assert_eq!(c.borrow().as_ref().unwrap().table, "inner");
             });
         }
         CONTEXT.with(|c| {
-            assert_eq!(c.borrow().as_ref().unwrap().op, "scan:outer");
+            assert_eq!(c.borrow().as_ref().unwrap().table, "outer");
         });
         drop(outer);
         CONTEXT.with(|c| assert!(c.borrow().is_none()));
+        crate::trace::finish();
     }
 
     #[test]
     fn record_scan_appends_to_open_trace() {
         assert!(crate::trace::begin("profiled"));
         let _ctx = scan_context(ScanContext {
-            op: "scan:sg_t.a".into(),
-            table: "sg_t.a".into(),
-            stratum: "small-group".into(),
+            table: "sg_t.a",
+            stratum: "small-group",
             weight: 1.0,
         });
         record_scan(ScanStats {
@@ -252,7 +279,7 @@ mod tests {
             morsel_ns: vec![500, 100, 300, 200, 400],
             mem_peak_bytes: 4096,
             mem_current_bytes: 1024,
-            kernel: "vectorized-dense".into(),
+            kernel: "vectorized-dense",
             blocks_skipped: 7,
             blocks_taken: 2,
             blocks_scanned: 1,

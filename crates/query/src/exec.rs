@@ -12,7 +12,7 @@
 //!   a given mask are skipped, which is the paper's
 //!   `WHERE bitmask & M = 0` double-counting filter (Section 4.2.2);
 //! * **morsel-driven parallelism** — every scan is decomposed into
-//!   fixed-size morsels whose partial group maps are folded in morsel
+//!   fixed-size morsels whose partial group tables are folded in morsel
 //!   order ([`crate::parallel`]), so answers are bit-identical at any
 //!   thread count (std scoped threads, no dependencies).
 //!
@@ -22,27 +22,35 @@
 //! * the **scalar** reference loop ([`Scan::run_range`]) — row at a time,
 //!   simple enough to audit by eye; and
 //! * the **vectorised** kernels ([`crate::kernel`], the default) —
-//!   selection vectors, typed columnar filters, and a dense group-id fast
-//!   path, producing *bit-identical* partial maps several times faster.
+//!   selection vectors, typed columnar filters, and arithmetic group
+//!   ids, producing *bit-identical* partials several times faster.
+//!
+//! Either way a morsel's partial is a flat group table
+//! ([`crate::groups`]): the keys it touched, as codes, in first-touch
+//! order, and one state array. [`PreparedScan::finish`] folds a scan's
+//! partials in morsel order into one such table, still coded
+//! ([`ScanGroups`]); [`execute`] decodes it into a [`QueryOutput`], a
+//! plan of several scans folds the tables on codes first
+//! ([`crate::PlanGroups`]) and decodes each surviving key once.
 //!
 //! Because both paths share the same predicate leaves, the same
-//! [`AggState::update`] arithmetic in the same ascending row order, and
-//! the same morsel-order fold, their outputs are byte-for-byte equal —
-//! a property the differential suites force on every commit. Group maps
-//! use the deterministic [`crate::hash`] hasher, so even map iteration
-//! order is reproducible across runs, modes, and thread counts.
+//! [`AggState::update`] arithmetic in the same ascending row order, the
+//! same first-touch group order and the same morsel-order fold, their
+//! outputs are byte-for-byte equal, group order included — a property
+//! the differential suites force on every commit.
 
 use crate::cancel::CancelToken;
 use crate::error::{QueryError, QueryResult};
 use crate::expr::{compile, CompiledExpr};
-use crate::kernel::{run_morsel_vectorized, DensePlan, GroupKey, GroupMap, MAX_FAST_KEY};
-use crate::output::{AggState, GroupResult, QueryOutput};
-use crate::parallel::{merge_group_maps, run_round, MorselSchedule};
+use crate::groups::{fold_partials, GroupIndex, GroupKey, GroupTable, Groups, RadixPlan, ScanGroups};
+use crate::kernel::run_morsel_vectorized;
+use crate::output::{AggState, QueryOutput};
+use crate::parallel::{run_round, MorselSchedule};
 use crate::plan::Query;
 use crate::prune::{PruneDecision, PrunePlan};
 use crate::source::{DataSource, ResolvedColumn};
 use aqp_storage::morsel::{Morsel, MorselIter};
-use aqp_storage::{BitSet, Value, DEFAULT_MORSEL_ROWS};
+use aqp_storage::{BitSet, DEFAULT_MORSEL_ROWS};
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -247,7 +255,8 @@ impl Default for ExecOptions<'static> {
 }
 
 /// Execute `query` against `source`: prepare the scan, run its morsels
-/// in a round of their own, fold them in morsel order.
+/// in a round of their own, fold them in morsel order, decode the keys.
+/// Groups come out in first-touch order (ascending first row).
 pub fn execute(
     source: &DataSource<'_>,
     query: &Query,
@@ -255,7 +264,15 @@ pub fn execute(
 ) -> QueryResult<QueryOutput> {
     let scan = PreparedScan::new(source, query, opts)?;
     let mut partials = run_scans(std::slice::from_ref(&scan), opts.parallelism, opts.cancel)?;
-    Ok(scan.finish(partials.pop().expect("one scan in, one out")))
+    let folded = scan.finish(partials.pop().expect("one scan in, one out"));
+    let _finalize_span = aqp_obs::span("query.finalize");
+    Ok(QueryOutput {
+        group_names: query.group_by.clone(),
+        agg_aliases: query.aggregates.iter().map(|a| a.alias.clone()).collect(),
+        rows_scanned: folded.rows_scanned,
+        truncated: folded.truncated,
+        groups: folded.into_groups(),
+    })
 }
 
 /// One scan, planned: columns resolved, aggregates typed, predicate
@@ -272,14 +289,13 @@ pub struct PreparedScan<'a> {
     rows: usize,
     truncated: bool,
     morsel_rows: usize,
-    group_names: Vec<String>,
-    agg_aliases: Vec<String>,
+    num_aggs: usize,
 }
 
 /// What one morsel of a [`PreparedScan`] produced: plain data, so that
 /// all profiling bookkeeping happens on the control thread.
 struct MorselPartial {
-    map: GroupMap,
+    groups: Groups,
     /// Rows that survived the filters.
     matched: u64,
     elapsed: std::time::Duration,
@@ -437,11 +453,7 @@ impl<'a> PreparedScan<'a> {
 
         Ok(PreparedScan {
             scan: Scan {
-                dense: if vectorized {
-                    DensePlan::build(&group_cols)
-                } else {
-                    None
-                },
+                radix: RadixPlan::for_columns(&group_cols),
                 group_cols,
                 aggs,
                 predicate,
@@ -453,9 +465,16 @@ impl<'a> PreparedScan<'a> {
             rows,
             truncated: rows < total_rows,
             morsel_rows: opts.morsel_rows,
-            group_names: query.group_by.clone(),
-            agg_aliases: query.aggregates.iter().map(|a| a.alias.clone()).collect(),
+            num_aggs: query.aggregates.len(),
         })
+    }
+
+    pub(crate) fn group_cols(&self) -> &[ResolvedColumn<'a>] {
+        &self.scan.group_cols
+    }
+
+    pub(crate) fn num_aggs(&self) -> usize {
+        self.num_aggs
     }
 
     /// The scan's morsel decomposition: a function of its row count and
@@ -470,30 +489,27 @@ impl<'a> PreparedScan<'a> {
     /// determinism contract.
     fn run_morsel(&self, m: Morsel) -> MorselPartial {
         let started = Instant::now();
-        let num_aggs = self.agg_aliases.len();
+        let num_aggs = self.num_aggs;
         let (decision, blocks) = match &self.prune_plan {
             Some(p) => (p.decide(m.start, m.end), p.blocks(m.start, m.end) as u64),
             None => (PruneDecision::Scan, 0),
         };
-        let (map, matched) = match decision {
-            // No row can match: the empty partial map is exactly what
-            // either scan implementation returns for a fully-filtered
-            // morsel, so the merge fold is unchanged bit for bit.
-            PruneDecision::SkipAll => (GroupMap::default(), 0),
+        let (groups, matched) = match decision {
+            // No row can match: the empty partial is exactly what either
+            // scan implementation returns for a fully-filtered morsel, so
+            // the merge fold is unchanged bit for bit.
+            PruneDecision::SkipAll => (Groups::empty(self.scan.radix.is_some()), 0),
             other => {
                 let use_predicate = other != PruneDecision::TakeAll;
                 if self.vectorized {
                     run_morsel_vectorized(&self.scan, m.start, m.end, num_aggs, use_predicate)
                 } else {
-                    let mut map = GroupMap::default();
-                    let matched =
-                        self.scan.run_range(m.start, m.end, num_aggs, &mut map, use_predicate);
-                    (map, matched)
+                    self.scan.run_range(m.start, m.end, num_aggs, use_predicate)
                 }
             }
         };
         MorselPartial {
-            map,
+            groups,
             matched,
             elapsed: started.elapsed(),
             decision,
@@ -503,18 +519,16 @@ impl<'a> PreparedScan<'a> {
     }
 
     /// Fold the scan's partials in morsel order — which is what makes the
-    /// result bit-identical at every thread count — record the scan's
-    /// profile (under whatever [`aqp_obs::ScanContext`] is installed) and
-    /// decode the group keys.
-    pub fn finish(self, partials: ScanPartials) -> QueryOutput {
+    /// result bit-identical at every thread count — and record the scan's
+    /// profile (under whatever [`aqp_obs::ScanContext`] is installed). The
+    /// keys stay coded: see [`ScanGroups`].
+    pub fn finish(self, partials: ScanPartials) -> ScanGroups<'a> {
         let ScanPartials { partials, schedule } = partials;
-        let num_aggs = self.agg_aliases.len();
-        let kernel = if !self.vectorized {
-            "scalar"
-        } else if self.scan.dense.is_some() {
-            "vectorized-dense"
-        } else {
-            "vectorized-hash"
+        let num_aggs = self.num_aggs;
+        let kernel = match &self.scan.radix {
+            _ if !self.vectorized => "scalar",
+            Some(plan) if plan.direct() => "vectorized-dense",
+            _ => "vectorized-hash",
         };
         aqp_obs::counter("aqp_rows_scanned_total", &[]).inc_by(self.rows as u64);
         aqp_obs::counter("aqp_query_scans_total", &[]).inc();
@@ -525,12 +539,11 @@ impl<'a> PreparedScan<'a> {
         let mut blocks_taken = 0u64;
         let mut blocks_scanned = 0u64;
         let mut rows_pruned = 0u64;
-        let merge_span = aqp_obs::span("query.merge");
-        let mut groups = GroupMap::default();
+        let mut tables = Vec::with_capacity(partials.len());
         for partial in partials {
             rows_out += partial.matched;
             morsel_ns.push(u64::try_from(partial.elapsed.as_nanos()).unwrap_or(u64::MAX));
-            partial_bytes += map_bytes(partial.map.len(), num_aggs);
+            partial_bytes += partial.groups.bytes();
             match partial.decision {
                 PruneDecision::SkipAll => {
                     blocks_skipped += partial.blocks;
@@ -539,8 +552,10 @@ impl<'a> PreparedScan<'a> {
                 PruneDecision::TakeAll => blocks_taken += partial.blocks,
                 PruneDecision::Scan => blocks_scanned += partial.blocks,
             }
-            merge_group_maps(&mut groups, partial.map);
+            tables.push(partial.groups);
         }
+        let merge_span = aqp_obs::span("query.merge");
+        let (mut groups, fold_bytes) = fold_partials(tables, self.scan.radix.is_some(), num_aggs);
         drop(merge_span);
         if self.prune_plan.is_some() {
             // Register all three outcomes (even at zero) so one pruned query
@@ -553,79 +568,43 @@ impl<'a> PreparedScan<'a> {
                 aqp_obs::counter("aqp_prune_blocks_total", &[("outcome", outcome)]).inc_by(count);
             }
         }
-        // Logical memory: all per-morsel partial maps coexist before the fold,
-        // plus the merged table they fold into (see aqp_obs::mem).
-        let merged_bytes = map_bytes(groups.len(), num_aggs);
-        let _mem = aqp_obs::mem::reserve(partial_bytes + merged_bytes);
+        // Logical memory, from the flat vectors' real lengths: every
+        // per-morsel partial coexists with the table (and its key index)
+        // they fold into (see aqp_obs::mem). An estimate of what the
+        // operator asked for, not allocator truth (`unsafe` is denied, so
+        // there is no global-allocator hook to measure real allocations).
+        let _mem = aqp_obs::mem::reserve(partial_bytes + fold_bytes);
         aqp_obs::profile::record_scan(aqp_obs::ScanStats {
             rows_in: self.rows as u64,
             rows_out,
             claims: schedule.claims,
             morsel_ns,
-            mem_peak_bytes: partial_bytes + merged_bytes,
-            mem_current_bytes: merged_bytes,
-            kernel: kernel.to_string(),
+            mem_peak_bytes: partial_bytes + fold_bytes,
+            mem_current_bytes: groups.bytes(),
+            kernel,
             blocks_skipped,
             blocks_taken,
             blocks_scanned,
             rows_pruned,
         });
-        let _finalize_span = aqp_obs::span("query.finalize");
 
-        // Aggregation without GROUP BY always yields exactly one row.
-        if self.group_names.is_empty() && groups.is_empty() {
-            groups.insert(
-                GroupKey::Fast {
-                    codes: [0; MAX_FAST_KEY],
-                    nulls: 0,
-                    len: 0,
-                },
-                vec![AggState::new(); num_aggs],
-            );
-        }
-
-        // Decode keys.
-        let mut out_groups = Vec::with_capacity(groups.len());
-        for (key, aggs) in groups {
-            let key_values = decode_key(&key, &self.scan.group_cols);
-            out_groups.push(GroupResult {
-                key: key_values,
-                aggs,
+        // Aggregation without GROUP BY always yields exactly one row: the
+        // trivial radix plan's only key.
+        if self.scan.group_cols.is_empty() && groups.len() == 0 {
+            groups = Groups::Radix(GroupTable {
+                keys: vec![0],
+                states: vec![AggState::new(); num_aggs],
             });
         }
 
-        QueryOutput {
-            group_names: self.group_names,
-            agg_aliases: self.agg_aliases,
-            groups: out_groups,
+        ScanGroups {
+            group_cols: self.scan.group_cols,
+            radix: self.scan.radix,
+            groups,
+            stride: num_aggs,
             rows_scanned: self.rows,
             truncated: self.truncated,
         }
-    }
-}
-
-/// Logical working-set estimate for a group map: per-entry key + state
-/// vector + hash-table slot overhead. An estimator for the profiler and
-/// the `aqp_obs::mem` ledger, not allocator truth (`unsafe` is denied, so
-/// there is no global-allocator hook to measure real allocations).
-fn map_bytes(entries: usize, num_aggs: usize) -> u64 {
-    let per_entry = std::mem::size_of::<GroupKey>()
-        + std::mem::size_of::<Vec<AggState>>()
-        + num_aggs * std::mem::size_of::<AggState>()
-        + 16;
-    (entries * per_entry) as u64
-}
-
-fn decode_key(key: &GroupKey, group_cols: &[ResolvedColumn<'_>]) -> Vec<Value> {
-    match key {
-        GroupKey::Fast { codes, nulls, len } => (0..*len as usize)
-            .map(|i| group_cols[i].decode_key(codes[i], nulls & (1 << i) != 0))
-            .collect(),
-        GroupKey::Slow(parts) => parts
-            .iter()
-            .enumerate()
-            .map(|(i, (code, null))| group_cols[i].decode_key(*code, *null))
-            .collect(),
     }
 }
 
@@ -653,14 +632,15 @@ pub(crate) struct Scan<'a> {
     pub(crate) bitmask: Option<(&'a aqp_storage::BitmaskColumn, &'a BitSet)>,
     /// Row weighting.
     pub(crate) weight: Weighting<'a>,
-    /// Dense group-id plan; `Some` only when the vectorised path runs and
-    /// every group column is dictionary/bool-coded (see [`DensePlan`]).
-    pub(crate) dense: Option<DensePlan>,
+    /// The radix key space, when the group columns have one (see
+    /// [`RadixPlan`]); `None` keys the scan's groups by [`GroupKey`].
+    /// Chosen by the columns alone, so both kernel modes agree on it.
+    pub(crate) radix: Option<RadixPlan>,
 }
 
 impl Scan<'_> {
-    /// Scan `start..end` row at a time, accumulating into `groups`.
-    /// Returns the number of rows that survived the bitmask and predicate
+    /// Scan `start..end` row at a time. Returns the partial group table
+    /// and the number of rows that survived the bitmask and predicate
     /// filters (the operator's rows-out, for the profiler). With
     /// `use_predicate` false — a zone-map `TakeAll` morsel, every row
     /// proven to match — the per-row predicate test is skipped; the
@@ -674,12 +654,32 @@ impl Scan<'_> {
         start: usize,
         end: usize,
         num_aggs: usize,
-        groups: &mut GroupMap,
         use_predicate: bool,
-    ) -> u64 {
-        let fast = self.group_cols.len() <= MAX_FAST_KEY;
+    ) -> (Groups, u64) {
+        let digits = |row| self.group_cols.iter().map(move |c| c.key_code(row));
+        match &self.radix {
+            Some(plan) => {
+                let (t, n) = self.run_rows(start..end, num_aggs, use_predicate, |r| plan.key(digits(r)));
+                (Groups::Radix(t), n)
+            }
+            None => {
+                let (t, n) = self
+                    .run_rows(start..end, num_aggs, use_predicate, |r| GroupKey::from_digits(digits(r)));
+                (Groups::Wide(t), n)
+            }
+        }
+    }
+
+    fn run_rows<K: std::hash::Hash + Eq + Clone>(
+        &self,
+        rows: std::ops::Range<usize>,
+        num_aggs: usize,
+        use_predicate: bool,
+        key_of: impl Fn(usize) -> K,
+    ) -> (GroupTable<K>, u64) {
+        let mut groups = GroupIndex::<K>::default();
         let mut matched = 0u64;
-        for row in start..end {
+        for row in rows {
             if let Some((col, mask)) = self.bitmask {
                 if col.row_intersects(row, mask) {
                     continue;
@@ -693,29 +693,9 @@ impl Scan<'_> {
                 }
             }
             matched += 1;
-            let key = if fast {
-                let mut codes = [0u64; MAX_FAST_KEY];
-                let mut nulls = 0u8;
-                for (i, col) in self.group_cols.iter().enumerate() {
-                    let (code, is_null) = col.key_code(row);
-                    codes[i] = code;
-                    if is_null {
-                        nulls |= 1 << i;
-                    }
-                }
-                GroupKey::Fast {
-                    codes,
-                    nulls,
-                    len: self.group_cols.len() as u8,
-                }
-            } else {
-                GroupKey::Slow(self.group_cols.iter().map(|c| c.key_code(row)).collect())
-            };
-
             let w = self.weight.weight(row);
-            let states = groups
-                .entry(key)
-                .or_insert_with(|| vec![AggState::new(); num_aggs]);
+            let at = groups.touch(key_of(row), num_aggs) as usize * num_aggs;
+            let states = &mut groups.table.states[at..at + num_aggs];
             for (i, step) in self.aggs.iter().enumerate() {
                 match step {
                     AggStep::CountStar => states[i].update(1.0, w),
@@ -727,7 +707,7 @@ impl Scan<'_> {
                 }
             }
         }
-        matched
+        (groups.table, matched)
     }
 }
 
@@ -736,7 +716,7 @@ mod tests {
     use super::*;
     use crate::expr::{CmpOp, Expr};
     use crate::plan::AggExpr;
-    use aqp_storage::{DataType, SchemaBuilder, Table};
+    use aqp_storage::{DataType, SchemaBuilder, Table, Value};
     use std::sync::Arc;
 
     fn table() -> Table {

@@ -1,22 +1,22 @@
-//! Deterministic FxHash-style hashing for group maps.
+//! Deterministic FxHash-style hashing for group keys.
 //!
 //! `std::collections::HashMap` defaults to SipHash-1-3 with a **random
 //! per-process seed**. That is the right default against hash-flooding,
 //! but wrong for this executor twice over:
 //!
-//! * **determinism** — the executor's contract is that answers (and the
-//!   intermediate group maps they are folded from) are a pure function of
-//!   the data, the morsel size, and nothing else. A randomly seeded hasher
-//!   keeps the *values* deterministic but makes iteration order, resize
-//!   history, and therefore any order-sensitive downstream consumer vary
-//!   run to run. With [`FxHasher`] the whole map — layout included — is
-//!   reproducible across runs and across thread counts, which is what lets
-//!   the differential oracle compare scalar and vectorized executions
-//!   byte for byte without sorting first.
 //! * **speed** — SipHash runs a full ARX permutation per 8-byte block.
-//!   Group keys are hashed once per row on the scan hot path; the
-//!   Fx construction (rotate, xor, multiply per word) is a handful of
-//!   cycles and inlines into the probe loop.
+//!   Group keys are hashed once per row on the interning scan paths and
+//!   once per (morsel × group) in the folds; the Fx construction (rotate,
+//!   xor, multiply per word) is a handful of cycles — one multiply for
+//!   the eight-byte radix key most sampled plans use — and inlines into
+//!   the probe loop.
+//! * **determinism** — the executor's contract is that answers are a pure
+//!   function of the data, the morsel size, and nothing else. Group
+//!   *order* no longer rests on any hasher — the maps only find a key's
+//!   slot in a flat table kept in first-touch order (see
+//!   [`crate::groups`]) — but a seedless hasher also makes each map's
+//!   resize history, and so the executor's timing and memory profile,
+//!   reproducible run to run.
 //!
 //! Hash flooding is not a concern here: group keys come from the system's
 //! own dictionary codes and numeric bit patterns, not from untrusted

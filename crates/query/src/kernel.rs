@@ -1,9 +1,9 @@
 //! Vectorised morsel kernels: the batch-at-a-time scan executor.
 //!
 //! [`run_morsel_vectorized`] produces, for one morsel, *exactly* the
-//! partial group map the scalar [`crate::exec::Scan::run_range`] loop
-//! produces — same keys, bit-identical [`AggState`]s, even the same map
-//! layout — but computes it column-at-a-time:
+//! partial group table the scalar [`crate::exec::Scan::run_range`] loop
+//! produces — same keys in the same first-touch order, bit-identical
+//! [`AggState`]s — but computes it column-at-a-time:
 //!
 //! 1. **Selection** — [`crate::selection::build_selection`] turns the
 //!    bitmask exclusion filter and the compiled predicate into a dense
@@ -12,12 +12,15 @@
 //!    When *all* group-by columns are dictionary- or boolean-coded (the
 //!    small-group sampling case by construction: group-by columns are the
 //!    low-cardinality dimension attributes the strata were built over),
-//!    the [`DensePlan`] maps the composite key arithmetically — a
+//!    the scan's [`RadixPlan`] maps the composite key arithmetically — a
 //!    mixed-radix number over per-column digits `code` (or `cardinality`
-//!    for NULL) — and aggregation lands in a flat epoch-reset array with
-//!    **no hashing at all**. Otherwise keys are interned into a
-//!    [`FxHashMap`] once per distinct group per morsel, with the per-row
-//!    codes extracted by typed columnar kernels.
+//!    for NULL). Up to [`crate::groups::DENSE_SLOTS_MAX`] keys that
+//!    number indexes a flat epoch-reset accumulator directly, with **no
+//!    hashing at all**; above it the number — eight bytes, not a
+//!    per-column key — is interned once per row. Only plans the radix
+//!    cannot carry (an integer/float grouping column, seven or more
+//!    columns) intern a [`GroupKey`], its per-row codes extracted by
+//!    typed columnar kernels.
 //! 3. **Aggregation** — one monomorphised kernel per (aggregate input ×
 //!    column type × [`Weighting`]) accumulates over the selection with
 //!    the function match, `Option` unwrap, and weight dispatch hoisted
@@ -26,124 +29,30 @@
 //!    arithmetic (`w*(w-1)*x²` and friends) must round identically to the
 //!    scalar path for the bit-identical determinism contract to hold.
 //!
+//! The partial leaves the morsel as a [`Groups`] table — the touched
+//! keys and their states copied out of the thread's scratch into two
+//! exact-size vectors, nothing per group.
+//!
 //! Determinism argument, in full: the selection vector is the exact
 //! ascending row set the scalar loop visits; per (group, aggregate) the
 //! updates happen in the same ascending-row order (kernels iterate the
 //! selection in order, one aggregate at a time — reordering *across*
 //! aggregates is harmless because different `AggState`s never interact);
-//! morsel boundaries and the morsel-order fold in `exec` are untouched.
-//! Every float operation therefore sees the same operands in the same
-//! order as the scalar path, and the result is bit-identical — which the
-//! differential suites (`tests/diff_parallel.rs`, `tests/prop_kernels.rs`,
-//! and the 240-seed regression) verify end to end.
+//! group ids are handed out in first-touch order, which is the order the
+//! scalar loop first meets each key; morsel boundaries and the
+//! morsel-order fold in `exec` are untouched. Every float operation
+//! therefore sees the same operands in the same order as the scalar
+//! path, and the result is bit-identical — which the differential suites
+//! (`tests/diff_parallel.rs`, `tests/prop_kernels.rs`, and the 240-seed
+//! regression) verify end to end.
 
 use crate::exec::{AggStep, Scan, Weighting};
-use crate::hash::FxHashMap;
+use crate::groups::{GroupIndex, GroupKey, GroupTable, Groups, RadixPlan, MAX_FAST_KEY};
 use crate::output::AggState;
 use crate::selection::build_selection;
 use crate::source::{canonical_f64_bits, ResolvedColumn};
 use aqp_storage::{Column, NullMask};
 use std::cell::RefCell;
-
-/// Maximum grouping columns handled by the compact fixed-size key. Queries
-/// with more grouping columns still work via the heap-allocated fallback.
-pub(crate) const MAX_FAST_KEY: usize = 6;
-
-/// Cap on dense-path slots (flat accumulator entries = slots × aggregates).
-/// Beyond this the hash fallback wins on reset cost and cache footprint.
-const DENSE_SLOTS_MAX: usize = 1 << 13;
-
-/// Compact or heap-allocated group key.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub(crate) enum GroupKey {
-    /// Up to [`MAX_FAST_KEY`] per-column codes plus a null bitmap.
-    Fast {
-        /// Per-column codes from [`ResolvedColumn::key_code`].
-        codes: [u64; MAX_FAST_KEY],
-        /// Bit `i` set = column `i` is NULL in this key.
-        nulls: u8,
-        /// Number of live columns.
-        len: u8,
-    },
-    /// Arbitrary-arity fallback of `(code, is_null)` pairs.
-    Slow(Vec<(u64, bool)>),
-}
-
-/// A partial (or merged) group map. Keyed by the deterministic
-/// [`crate::hash::FxHasher`], so iteration order — not just content — is a
-/// pure function of the insertion sequence (see the `hash` module docs).
-pub(crate) type GroupMap = FxHashMap<GroupKey, Vec<AggState>>;
-
-/// Arithmetic composite-key → dense-group-id mapping.
-///
-/// Built once per scan when every group-by column is dictionary-encoded
-/// (`Utf8`) or boolean and the total slot count stays under
-/// [`DENSE_SLOTS_MAX`]. Column `i` contributes digit
-/// `code(row)` (or `cards[i]` for NULL — one extra digit per column) with
-/// place value `strides[i]`; the id is the mixed-radix sum. Ungrouped
-/// queries get the trivial plan with one slot.
-#[derive(Debug, Clone)]
-pub(crate) struct DensePlan {
-    /// Dictionary cardinality per group column; the NULL digit equals it.
-    cards: Vec<u32>,
-    /// Place value per group column (`∏ (cards[j]+1)` for `j < i`).
-    strides: Vec<u32>,
-    /// Total addressable group ids (`∏ (cards[i]+1)`).
-    pub(crate) slots: usize,
-}
-
-impl DensePlan {
-    /// Build a plan if every group column is dense-codable and the slot
-    /// product stays within bounds; `None` sends the scan down the
-    /// hash-interning fallback.
-    pub(crate) fn build(group_cols: &[ResolvedColumn<'_>]) -> Option<DensePlan> {
-        if group_cols.len() > MAX_FAST_KEY {
-            return None;
-        }
-        let mut cards = Vec::with_capacity(group_cols.len());
-        let mut strides = Vec::with_capacity(group_cols.len());
-        let mut slots: usize = 1;
-        for col in group_cols {
-            let card: u32 = match col.column {
-                Column::Utf8 { dict, .. } => u32::try_from(dict.len()).ok()?,
-                Column::Bool { .. } => 2,
-                _ => return None,
-            };
-            strides.push(slots as u32);
-            slots = slots.checked_mul(card as usize + 1)?;
-            if slots > DENSE_SLOTS_MAX {
-                return None;
-            }
-            cards.push(card);
-        }
-        Some(DensePlan {
-            cards,
-            strides,
-            slots,
-        })
-    }
-
-    /// Decode a dense group id back into the [`GroupKey`] the scalar path
-    /// would have built for the same row — digit `cards[i]` becomes the
-    /// NULL bit, any other digit is the dictionary/bool code verbatim.
-    fn decode_gid(&self, gid: u32) -> GroupKey {
-        let mut codes = [0u64; MAX_FAST_KEY];
-        let mut nulls = 0u8;
-        for (i, (&card, &stride)) in self.cards.iter().zip(&self.strides).enumerate() {
-            let digit = (gid / stride) % (card + 1);
-            if digit == card {
-                nulls |= 1 << i;
-            } else {
-                codes[i] = digit as u64;
-            }
-        }
-        GroupKey::Fast {
-            codes,
-            nulls,
-            len: self.cards.len() as u8,
-        }
-    }
-}
 
 /// Reusable per-thread buffers. Workers are scoped threads that process
 /// many morsels; keeping the selection vector, group-id lanes, and the
@@ -154,15 +63,16 @@ impl DensePlan {
 struct Scratch {
     sel: Vec<u32>,
     gids: Vec<u32>,
-    // Dense path: flat accumulator + epoch tags + first-touch list.
+    /// Radix key per selected row.
+    lanes: Vec<u64>,
+    // Direct-indexed radix: flat accumulator + epoch tags + first-touch list.
     dense_states: Vec<AggState>,
     dense_epoch: Vec<u64>,
-    touched: Vec<u32>,
+    touched: Vec<u64>,
     epoch: u64,
-    // Hash path: per-morsel key interning + flat state blocks.
-    intern: FxHashMap<GroupKey, u32>,
-    keys: Vec<GroupKey>,
-    flat: Vec<AggState>,
+    // Interned keys: the morsel's group table under construction.
+    radix: GroupIndex<u64>,
+    wide: GroupIndex<GroupKey>,
     // Column-major staging for batch key-code extraction.
     key_codes: Vec<u64>,
     key_nulls: Vec<u8>,
@@ -173,8 +83,8 @@ thread_local! {
 }
 
 /// Run one morsel through the vectorised pipeline. Returns the partial
-/// group map (identical to what the scalar loop builds for the same
-/// range, map layout included) and the number of rows that survived the
+/// group table (identical to what the scalar loop builds for the same
+/// range, group order included) and the number of rows that survived the
 /// filters. With `use_predicate` false — a zone-map `TakeAll` morsel,
 /// where every row is proven to satisfy the predicate — the selection is
 /// built from the bitmask stage alone, which by the prune contract keeps
@@ -185,68 +95,88 @@ pub(crate) fn run_morsel_vectorized(
     end: usize,
     num_aggs: usize,
     use_predicate: bool,
-) -> (GroupMap, u64) {
+) -> (Groups, u64) {
     SCRATCH.with(|cell| {
         let s = &mut *cell.borrow_mut();
         let predicate = if use_predicate { scan.predicate.as_ref() } else { None };
         build_selection(&mut s.sel, start, end, scan.bitmask, predicate);
         let matched = s.sel.len() as u64;
-        let map = match &scan.dense {
-            Some(plan) => run_dense(scan, plan, s, num_aggs),
-            None => run_hash(scan, s, num_aggs),
+        let groups = match &scan.radix {
+            Some(plan) if plan.direct() => Groups::Radix(run_direct(scan, plan, s, num_aggs)),
+            Some(plan) => Groups::Radix(run_radix(scan, plan, s, num_aggs)),
+            None => Groups::Wide(run_wide(scan, s, num_aggs)),
         };
-        (map, matched)
+        (groups, matched)
     })
 }
 
-/// Dense path: arithmetic group ids into a flat accumulator.
-fn run_dense(scan: &Scan<'_>, plan: &DensePlan, s: &mut Scratch, num_aggs: usize) -> GroupMap {
-    fill_gids_dense(plan, &scan.group_cols, &s.sel, &mut s.gids);
+/// Direct path: the radix key indexes a flat accumulator.
+fn run_direct(
+    scan: &Scan<'_>,
+    plan: &RadixPlan,
+    s: &mut Scratch,
+    num_aggs: usize,
+) -> GroupTable<u64> {
+    fill_lanes(plan, &scan.group_cols, &s.sel, &mut s.lanes);
 
     // Lazy per-slot reset: a slot whose epoch tag is stale was last used
     // by an earlier morsel; re-initialise it on first touch this morsel.
     s.epoch += 1;
     let epoch = s.epoch;
-    if s.dense_epoch.len() < plan.slots {
-        s.dense_epoch.resize(plan.slots, 0);
+    let slots = plan.slots as usize;
+    if s.dense_epoch.len() < slots {
+        s.dense_epoch.resize(slots, 0);
     }
-    if s.dense_states.len() < plan.slots * num_aggs {
-        s.dense_states.resize(plan.slots * num_aggs, AggState::new());
+    if s.dense_states.len() < slots * num_aggs {
+        s.dense_states.resize(slots * num_aggs, AggState::new());
     }
     s.touched.clear();
-    for &g in &s.gids {
-        let gi = g as usize;
+    s.gids.clear();
+    for &key in &s.lanes {
+        let gi = key as usize;
+        s.gids.push(key as u32);
         if s.dense_epoch[gi] != epoch {
             s.dense_epoch[gi] = epoch;
-            for st in &mut s.dense_states[gi * num_aggs..(gi + 1) * num_aggs] {
-                *st = AggState::new();
-            }
-            s.touched.push(g);
+            s.dense_states[gi * num_aggs..(gi + 1) * num_aggs].fill(AggState::new());
+            s.touched.push(key);
         }
     }
 
     accumulate_aggs(scan, &s.sel, &s.gids, &mut s.dense_states, num_aggs);
 
-    // Compact in first-touch (= ascending first-row) order: the exact
-    // insertion sequence the scalar path's `entry` calls produce, so even
-    // the partial map's iteration order matches.
-    let mut map = GroupMap::default();
+    // Compact in first-touch (= ascending first-row) order: the order
+    // the scalar path first meets each key.
+    let mut states = Vec::with_capacity(s.touched.len() * num_aggs);
     for &g in &s.touched {
         let gi = g as usize;
-        map.insert(
-            plan.decode_gid(g),
-            s.dense_states[gi * num_aggs..(gi + 1) * num_aggs].to_vec(),
-        );
+        states.extend_from_slice(&s.dense_states[gi * num_aggs..(gi + 1) * num_aggs]);
     }
-    map
+    GroupTable { keys: s.touched.clone(), states }
 }
 
-/// Hash fallback: batch key-code extraction + per-morsel interning, then
-/// the same flat-array aggregation kernels as the dense path.
-fn run_hash(scan: &Scan<'_>, s: &mut Scratch, num_aggs: usize) -> GroupMap {
-    s.intern.clear();
-    s.keys.clear();
-    s.flat.clear();
+/// Radix plan past the slot cap: intern the eight-byte radix key, then
+/// the same flat-array aggregation kernels as the direct path.
+fn run_radix(
+    scan: &Scan<'_>,
+    plan: &RadixPlan,
+    s: &mut Scratch,
+    num_aggs: usize,
+) -> GroupTable<u64> {
+    fill_lanes(plan, &scan.group_cols, &s.sel, &mut s.lanes);
+    s.radix.clear();
+    s.gids.clear();
+    for &key in &s.lanes {
+        let gid = s.radix.touch(key, num_aggs);
+        s.gids.push(gid);
+    }
+    accumulate_aggs(scan, &s.sel, &s.gids, &mut s.radix.table.states, num_aggs);
+    s.radix.table.clone()
+}
+
+/// Wide keys: batch key-code extraction + per-morsel interning, then the
+/// same flat-array aggregation kernels.
+fn run_wide(scan: &Scan<'_>, s: &mut Scratch, num_aggs: usize) -> GroupTable<GroupKey> {
+    s.wide.clear();
     s.gids.clear();
     let ncols = scan.group_cols.len();
     let n = s.sel.len();
@@ -275,63 +205,43 @@ fn run_hash(scan: &Scan<'_>, s: &mut Scratch, num_aggs: usize) -> GroupMap {
                 nulls: s.key_nulls[k],
                 len: ncols as u8,
             };
-            intern_key(s, key, num_aggs);
+            let gid = s.wide.touch(key, num_aggs);
+            s.gids.push(gid);
         }
     } else {
         for k in 0..n {
             let row = s.sel[k] as usize;
-            let key = GroupKey::Slow(scan.group_cols.iter().map(|c| c.key_code(row)).collect());
-            intern_key(s, key, num_aggs);
+            let key = GroupKey::from_digits(scan.group_cols.iter().map(|c| c.key_code(row)));
+            let gid = s.wide.touch(key, num_aggs);
+            s.gids.push(gid);
         }
     }
 
-    accumulate_aggs(scan, &s.sel, &s.gids, &mut s.flat, num_aggs);
-
-    let mut map = GroupMap::default();
-    for (j, key) in s.keys.drain(..).enumerate() {
-        map.insert(key, s.flat[j * num_aggs..(j + 1) * num_aggs].to_vec());
-    }
-    s.intern.clear();
-    map
+    accumulate_aggs(scan, &s.sel, &s.gids, &mut s.wide.table.states, num_aggs);
+    s.wide.table.clone()
 }
 
-/// Intern `key`, assigning dense ids in first-occurrence order, and push
-/// the id onto the group-id lane.
-fn intern_key(s: &mut Scratch, key: GroupKey, num_aggs: usize) {
-    let gid = match s.intern.get(&key) {
-        Some(&g) => g,
-        None => {
-            let g = s.keys.len() as u32;
-            s.intern.insert(key.clone(), g);
-            s.keys.push(key);
-            s.flat.extend((0..num_aggs).map(|_| AggState::new()));
-            g
-        }
-    };
-    s.gids.push(gid);
-}
-
-/// Compute dense group ids for the selection: `gids[k] = Σ digit·stride`.
-fn fill_gids_dense(
-    plan: &DensePlan,
+/// Compute the radix key of every selected row: `lanes[k] = Σ digit·stride`.
+fn fill_lanes(
+    plan: &RadixPlan,
     group_cols: &[ResolvedColumn<'_>],
     sel: &[u32],
-    gids: &mut Vec<u32>,
+    lanes: &mut Vec<u64>,
 ) {
-    gids.clear();
-    gids.resize(sel.len(), 0);
+    lanes.clear();
+    lanes.resize(sel.len(), 0);
     for (i, col) in group_cols.iter().enumerate() {
         let stride = plan.strides[i];
         let card = plan.cards[i];
         let nulls = col.column.nulls();
         match col.column {
             Column::Utf8 { codes, .. } => {
-                add_digits(sel, gids, stride, card, nulls, col.row_map, |p| codes[p])
+                add_digits(sel, lanes, stride, card, nulls, col.row_map, |p| codes[p] as u64)
             }
             Column::Bool { data, .. } => {
-                add_digits(sel, gids, stride, card, nulls, col.row_map, |p| data[p] as u32)
+                add_digits(sel, lanes, stride, card, nulls, col.row_map, |p| data[p] as u64)
             }
-            _ => unreachable!("dense plan only covers dictionary/bool columns"),
+            _ => unreachable!("radix plan only covers dictionary/bool columns"),
         }
     }
 }
@@ -341,33 +251,33 @@ fn fill_gids_dense(
 #[inline]
 fn add_digits(
     sel: &[u32],
-    gids: &mut [u32],
-    stride: u32,
-    null_digit: u32,
+    lanes: &mut [u64],
+    stride: u64,
+    null_digit: u64,
     nulls: Option<&NullMask>,
     row_map: Option<&[u32]>,
-    code_at: impl Fn(usize) -> u32,
+    code_at: impl Fn(usize) -> u64,
 ) {
     match (nulls, row_map) {
         (None, None) => {
-            for (g, &r) in gids.iter_mut().zip(sel) {
+            for (g, &r) in lanes.iter_mut().zip(sel) {
                 *g += code_at(r as usize) * stride;
             }
         }
         (Some(nm), None) => {
-            for (g, &r) in gids.iter_mut().zip(sel) {
+            for (g, &r) in lanes.iter_mut().zip(sel) {
                 let p = r as usize;
                 let d = if nm.is_null(p) { null_digit } else { code_at(p) };
                 *g += d * stride;
             }
         }
         (None, Some(map)) => {
-            for (g, &r) in gids.iter_mut().zip(sel) {
+            for (g, &r) in lanes.iter_mut().zip(sel) {
                 *g += code_at(map[r as usize] as usize) * stride;
             }
         }
         (Some(nm), Some(map)) => {
-            for (g, &r) in gids.iter_mut().zip(sel) {
+            for (g, &r) in lanes.iter_mut().zip(sel) {
                 let p = map[r as usize] as usize;
                 let d = if nm.is_null(p) { null_digit } else { code_at(p) };
                 *g += d * stride;
@@ -571,11 +481,11 @@ mod tests {
     use crate::source::DataSource;
     use aqp_storage::{DataType, SchemaBuilder, Table, Value};
 
-    fn table() -> Table {
+    #[test]
+    fn lanes_equal_the_row_at_a_time_radix_key() {
         let schema = SchemaBuilder::new()
             .field("t.s", DataType::Utf8)
             .field("t.b", DataType::Bool)
-            .field("t.i", DataType::Int64)
             .build()
             .unwrap();
         let mut t = Table::empty("t", schema);
@@ -585,68 +495,21 @@ mod tests {
             } else {
                 ["x", "y", "z"][(r % 3) as usize].into()
             };
-            t.push_row(&[s, (r % 2 == 0).into(), r.into()]).unwrap();
+            t.push_row(&[s, (r % 2 == 0).into()]).unwrap();
         }
-        t
-    }
-
-    #[test]
-    fn dense_plan_eligibility() {
-        let t = table();
-        let src = DataSource::Wide(&t);
-        let s = src.resolve("t.s").unwrap();
-        let b = src.resolve("t.b").unwrap();
-        let i = src.resolve("t.i").unwrap();
-
-        // Ungrouped: trivial single-slot plan.
-        let p = DensePlan::build(&[]).unwrap();
-        assert_eq!(p.slots, 1);
-        // Dict × bool: slots = (3+1) × (2+1).
-        let p = DensePlan::build(&[s, b]).unwrap();
-        assert_eq!(p.slots, 12);
-        // Any non-dense column disqualifies.
-        assert!(DensePlan::build(&[s, i]).is_none());
-        // Too many columns disqualify.
-        assert!(DensePlan::build(&[b; 7]).is_none());
-        // Slot blow-up disqualifies: 2^13 bool columns would fit, one more
-        // multiplication overflows the cap.
-        let many = vec![b; 6];
-        assert!(DensePlan::build(&many).is_some(), "3^6 = 729 slots fits");
-    }
-
-    #[test]
-    fn dense_gid_decodes_to_scalar_key() {
-        let t = table();
         let src = DataSource::Wide(&t);
         let cols = vec![src.resolve("t.s").unwrap(), src.resolve("t.b").unwrap()];
-        let plan = DensePlan::build(&cols).unwrap();
+        let plan = RadixPlan::for_columns(&cols).unwrap();
 
         let sel: Vec<u32> = (0..t.num_rows() as u32).collect();
-        let mut gids = Vec::new();
-        fill_gids_dense(&plan, &cols, &sel, &mut gids);
-        assert_eq!(gids.len(), sel.len());
-
-        for (&r, &g) in sel.iter().zip(&gids) {
-            let decoded = plan.decode_gid(g);
+        let mut lanes = Vec::new();
+        fill_lanes(&plan, &cols, &sel, &mut lanes);
+        assert_eq!(lanes.len(), sel.len());
+        for (&r, &lane) in sel.iter().zip(&lanes) {
             // The scalar path's key for the same row:
-            let mut codes = [0u64; MAX_FAST_KEY];
-            let mut nulls = 0u8;
-            for (i, c) in cols.iter().enumerate() {
-                let (code, is_null) = c.key_code(r as usize);
-                codes[i] = code;
-                if is_null {
-                    nulls |= 1 << i;
-                }
-            }
-            let scalar = GroupKey::Fast {
-                codes,
-                nulls,
-                len: 2,
-            };
-            assert_eq!(decoded, scalar, "row {r} gid {g}");
+            let scalar = plan.key(cols.iter().map(|c| c.key_code(r as usize)));
+            assert_eq!(lane, scalar, "row {r}");
+            assert!(lane < plan.slots);
         }
-        // Distinct rows with distinct keys get distinct gids.
-        let max_gid = *gids.iter().max().unwrap() as usize;
-        assert!(max_gid < plan.slots);
     }
 }

@@ -30,10 +30,11 @@
 //!   unweighted sums, sums of squares) from which the AQP layer forms
 //!   estimates and confidence intervals.
 //!
-//! Everything order-sensitive (group maps, their merge fold) hashes with
-//! the deterministic, seedless [`hash::FxHasher`], so whole query outputs
-//! — group order included — are reproducible across runs, thread counts,
-//! and kernel modes.
+//! Groups travel from morsel to answer as one flat, code-keyed table
+//! (keys in first-touch order plus one state array), folded in morsel
+//! order within a scan and in plan order across the scans of a UNION ALL
+//! ([`PlanGroups`]), so whole query outputs — group order included — are
+//! reproducible across runs, thread counts, and kernel modes.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -42,6 +43,7 @@ pub mod cancel;
 pub mod error;
 pub mod exec;
 pub mod expr;
+mod groups;
 pub mod hash;
 mod kernel;
 pub mod join;
@@ -59,9 +61,10 @@ pub use exec::{
     PruneMode, ScanPartials, Weighting,
 };
 pub use expr::{CmpOp, Expr};
+pub use groups::{PlanGroups, ScanGroups};
 pub use hash::{FxBuildHasher, FxHashMap, FxHasher};
 pub use join::{Dimension, StarSchema};
 pub use output::{AggState, GroupResult, QueryOutput};
-pub use parallel::{merge_group_maps, run_morsels, run_round, MorselSchedule, Round};
+pub use parallel::{run_morsels, run_round, MorselSchedule, Round};
 pub use plan::{AggExpr, AggFunc, Query};
 pub use source::DataSource;

@@ -9,7 +9,6 @@
 //! the source of inaccuracy to a single stratum (paper Section 4.2.2).
 
 use aqp_storage::Value;
-use std::collections::HashMap;
 
 /// Raw per-group tallies for one aggregate expression.
 ///
@@ -134,7 +133,8 @@ pub struct QueryOutput {
     pub group_names: Vec<String>,
     /// Aliases of the aggregate expressions.
     pub agg_aliases: Vec<String>,
-    /// The groups, in unspecified order.
+    /// The groups, in first-touch order: ascending first matching row,
+    /// the same at every thread count and in both kernel modes.
     pub groups: Vec<GroupResult>,
     /// Number of rows the scan actually visited (before predicates).
     pub rows_scanned: usize,
@@ -147,14 +147,6 @@ impl QueryOutput {
     /// Number of groups.
     pub fn num_groups(&self) -> usize {
         self.groups.len()
-    }
-
-    /// Consume into a key → tallies map (for merging across sample tables).
-    pub fn into_map(self) -> HashMap<Vec<Value>, Vec<AggState>> {
-        self.groups
-            .into_iter()
-            .map(|g| (g.key, g.aggs))
-            .collect()
     }
 
     /// Find a group by key.
@@ -219,7 +211,7 @@ mod tests {
     }
 
     #[test]
-    fn output_map_and_lookup() {
+    fn output_lookup() {
         let out = QueryOutput {
             group_names: vec!["g".into()],
             agg_aliases: vec!["cnt".into()],
@@ -232,8 +224,6 @@ mod tests {
         assert_eq!(out.num_groups(), 2);
         assert!(out.group(&[Value::Int64(2)]).is_some());
         assert!(out.group(&[Value::Int64(3)]).is_none());
-        let m = out.into_map();
-        assert_eq!(m.len(), 2);
     }
 
     #[test]

@@ -13,36 +13,40 @@
 //! per-morsel partials and combine them in the same order. The executor
 //! therefore routes *every* scan — including single-threaded ones —
 //! through the same morsel decomposition and the same in-order fold
-//! ([`merge_group_maps`]).
+//! ([`crate::PreparedScan::finish`]).
 //!
-//! The group maps themselves are keyed by the deterministic, seedless
-//! [`crate::hash::FxHasher`] (see that module's docs), so not only the
-//! merged *values* but the maps' layout and iteration order are pure
-//! functions of the data — two runs, at any two thread counts, produce
-//! byte-identical output without any sorting step.
+//! What a worker hands back per morsel is a flat group table
+//! ([`crate::groups`]): two exact-size vectors, so a helper thread's
+//! partials cost the control thread two frees each, not one per group.
+//! The folds append unseen groups in the order their inputs list them —
+//! first-touch order within a morsel, morsel order within a scan, plan
+//! order across scans — so group *order*, like every merged value, is a
+//! pure function of the data: two runs, at any two thread counts,
+//! produce byte-identical output without any sorting step, from the
+//! executor's [`crate::QueryOutput`] up to the plan layer's answers.
 
 use crate::cancel::CancelToken;
-use crate::output::AggState;
 use aqp_storage::morsel::{Morsel, MorselIter};
-use std::collections::HashMap;
-use std::hash::{BuildHasher, Hash};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A round of fewer morsels than this runs inline on the caller's thread.
 ///
 /// Measured on the 2-vCPU benchmark host (SALES 500k, 4096-row morsels,
-/// sample plans of 3 tables grown from 5 to 70 morsels by raising the
-/// sampling rate; inline and one-helper processes run in turn, medians of
-/// 301 queries, 3 turns each — DESIGN.md §9 has the table): plans of 6–12
-/// morsels answer 10–40 % faster inline, at 13 the two tie, from 14 up
-/// the helper wins by 20–30 %. One morsel of a sampled group-by costs
-/// 20–40 µs; spawning and joining one scoped worker costs 60–80 µs on the
-/// spot and more afterwards: the helper's partial maps come from another
-/// allocator arena and its stack is unmapped at exit, which slows the
-/// control thread's merge, and the kernels' thread-local scratch buffers
-/// are rebuilt by every new helper but stay warm on a connection thread
-/// that runs inline. Not a setting: the break-even moves with morsel
-/// cost and the host's spawn cost, not with anything a user knows.
+/// sample plans of 3 tables grown from 6 to 32 morsels by raising the
+/// sampling rate; inline and one-helper processes run in turn, p50 over
+/// the benchmark's narrow and wide templates — DESIGN.md §9 has the
+/// table): narrow plans (1–2 grouping columns) answer 10–20 % faster
+/// inline up to 14 morsels and 20 % faster with a helper from 16; wide
+/// plans (3–4 columns, hundreds of groups) stay faster inline up to 22
+/// and tie at 24. One morsel of a sampled group-by costs 20–40 µs;
+/// spawning and joining one scoped worker costs 60–80 µs on the spot and
+/// more afterwards: the kernels' thread-local scratch buffers — up to
+/// ~2 MB of direct-indexed accumulator on a wide plan — are rebuilt by
+/// every new helper but stay warm on a connection thread that runs
+/// inline. (A helper's partials are two buffers per morsel, so freeing
+/// them on the control thread no longer counts.) Not a setting: the
+/// break-even moves with morsel cost and the host's spawn cost, not with
+/// anything a user knows.
 const INLINE_BELOW_MORSELS: usize = 16;
 
 /// Run `work` over every morsel of `0..rows` on up to `threads` scoped
@@ -170,34 +174,6 @@ where
         results[scan].push(t);
     }
     Round { results, schedules, cancelled }
-}
-
-/// Fold one partial group map into an accumulator, merging the
-/// [`AggState`] vectors of keys present in both.
-///
-/// Called once per morsel in ascending morsel order: for any group key,
-/// the partial states are merged in the order the morsels cover the
-/// table, so the merged tallies are a pure function of the data and the
-/// morsel size — never of the thread count or schedule. Generic over the
-/// maps' hashers; the executor passes [`crate::hash::FxHashMap`]s on both
-/// sides so the fold's insertion order (and hence the accumulator's
-/// layout) is reproducible too.
-pub fn merge_group_maps<K: Eq + Hash, S: BuildHasher>(
-    acc: &mut HashMap<K, Vec<AggState>, S>,
-    part: HashMap<K, Vec<AggState>, impl BuildHasher>,
-) {
-    for (key, states) in part {
-        match acc.entry(key) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                for (a, b) in e.get_mut().iter_mut().zip(&states) {
-                    a.merge(b);
-                }
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(states);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -378,27 +354,5 @@ mod tests {
             assert!(round.cancelled);
             assert!(round.results[0].is_empty(), "no morsel claimed after a pre-tripped token");
         }
-    }
-
-    #[test]
-    fn merge_combines_states_per_key() {
-        let mut acc: HashMap<u32, Vec<AggState>> = HashMap::new();
-        let mut a = AggState::new();
-        a.update(2.0, 1.0);
-        let mut b = AggState::new();
-        b.update(5.0, 1.0);
-        acc.insert(1, vec![a]);
-        let mut part = HashMap::new();
-        part.insert(1, vec![b]);
-        let mut c = AggState::new();
-        c.update(7.0, 1.0);
-        part.insert(2, vec![c]);
-        merge_group_maps(&mut acc, part);
-        assert_eq!(acc.len(), 2);
-        assert_eq!(acc[&1][0].rows, 2);
-        assert_eq!(acc[&1][0].sum_x, 7.0);
-        assert_eq!(acc[&1][0].min, 2.0);
-        assert_eq!(acc[&1][0].max, 5.0);
-        assert_eq!(acc[&2][0].rows, 1);
     }
 }

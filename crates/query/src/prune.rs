@@ -6,7 +6,7 @@
 //! classify the morsel:
 //!
 //! * [`PruneDecision::SkipAll`] — **no** row of the morsel can satisfy
-//!   the predicate: the morsel contributes an empty partial map without
+//!   the predicate: the morsel contributes an empty partial table without
 //!   reading a single cell;
 //! * [`PruneDecision::TakeAll`] — **every** row satisfies the predicate:
 //!   the scan runs with per-row predicate evaluation suppressed (the
@@ -22,7 +22,7 @@
 //! holds for any subset of its rows. Pruned execution is therefore
 //! **bit-identical** to unpruned execution (the differential oracle in
 //! `tests/diff_prune.rs` enforces it): a `SkipAll` morsel returns exactly
-//! the empty partial map a filtered-out morsel returns, and a `TakeAll`
+//! the empty partial table a filtered-out morsel returns, and a `TakeAll`
 //! morsel selects exactly the rows the predicate would have kept.
 //!
 //! Decision algebra (`eval` is plain two-valued boolean here — NULL fails

@@ -122,6 +122,11 @@ impl BitmaskColumn {
         }
     }
 
+    /// The row-major mask words, [`Self::width`] per row.
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
     /// Words allocated per row.
     pub fn width(&self) -> usize {
         self.width

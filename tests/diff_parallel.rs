@@ -4,7 +4,9 @@
 //! arities (including past the fast-key limit), NULLs and predicates,
 //! plus the properties of the single scheduling round a UNION-ALL plan
 //! runs in (bit-identity on both sides of the inline cutoff, all-or-
-//! nothing cancellation, per-part profiles):
+//! nothing cancellation, per-part profiles) and of the code-keyed fold
+//! that merges the plan's tables (every key space, tables whose
+//! dictionaries disagree, group order):
 //!
 //! 1. **Determinism** — answers at 2/4/8 threads are *bit-identical* to
 //!    the 1-thread answer, for the exact executor and for the UNION-ALL
@@ -20,7 +22,9 @@
 
 use aqp::prelude::*;
 use aqp::query::plan::QueryBuilder;
-use aqp::query::{run_scans, AggState, CancelToken, PreparedScan, QueryError, Weighting};
+use aqp::query::{
+    run_scans, AggState, CancelToken, PlanGroups, PreparedScan, QueryError, Weighting,
+};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
@@ -392,7 +396,8 @@ fn scalar_and_vectorized_kernels_bit_identical() {
 fn union_all_rewrite_plan_identical_across_kernel_modes() {
     // The sampler's UNION ALL plan runs weighted, bitmask-filtered scans
     // through the same executor; forcing the process-wide kernel mode
-    // must not move a single bit of any estimate or interval. The global
+    // must not move a single bit of any estimate or interval, nor the
+    // order the groups come out in (nothing here sorts). The global
     // override is restored to Auto even on panic so concurrently running
     // tests (which are mode-agnostic by this very contract) see a clean
     // default afterwards.
@@ -426,11 +431,9 @@ fn union_all_rewrite_plan_identical_across_kernel_modes() {
     ];
     for (qi, q) in queries.iter().enumerate() {
         aqp::query::set_kernel_mode(KernelMode::Scalar);
-        let mut scalar = sampler.answer(q, 0.95).unwrap();
-        scalar.sort_by_key();
+        let scalar = sampler.answer(q, 0.95).unwrap();
         aqp::query::set_kernel_mode(KernelMode::Vectorized);
-        let mut vect = sampler.answer(q, 0.95).unwrap();
-        vect.sort_by_key();
+        let vect = sampler.answer(q, 0.95).unwrap();
         assert_eq!(scalar.groups.len(), vect.groups.len(), "query {qi}");
         for (a, b) in scalar.groups.iter().zip(&vect.groups) {
             assert_eq!(a.key, b.key, "query {qi}");
@@ -452,7 +455,8 @@ fn union_all_rewrite_plan_identical_across_kernel_modes() {
 fn union_all_rewrite_plan_bit_identical_across_threads() {
     // The sampler's answer path is the paper's UNION ALL over strata
     // (small-group tables + bitmask-filtered overall sample). Thread
-    // count must not perturb a single bit of estimate or interval.
+    // count must not perturb a single bit of estimate or interval, nor
+    // the order the groups come out in (nothing here sorts).
     let t = test_table(3_000, 3);
     let mut sampler = SmallGroupSampler::build(
         &t,
@@ -482,12 +486,10 @@ fn union_all_rewrite_plan_bit_identical_across_threads() {
 
     for (qi, q) in queries.iter().enumerate() {
         sampler.set_threads(1);
-        let mut base = sampler.answer(q, 0.95).unwrap();
-        base.sort_by_key();
+        let base = sampler.answer(q, 0.95).unwrap();
         for threads in [2, 4, 8] {
             sampler.set_threads(threads);
-            let mut par = sampler.answer(q, 0.95).unwrap();
-            par.sort_by_key();
+            let par = sampler.answer(q, 0.95).unwrap();
             assert_eq!(base.groups.len(), par.groups.len(), "query {qi} @ {threads}");
             for (a, b) in base.groups.iter().zip(&par.groups) {
                 assert_eq!(a.key, b.key, "query {qi} @ {threads}");
@@ -552,62 +554,80 @@ fn parallel_sgs_build_produces_identical_families() {
     }
 }
 
-fn part_opts(weight: f64, morsel_rows: usize) -> ExecOptions<'static> {
+fn part_opts(weight: f64, morsel_rows: usize, kernels: KernelMode) -> ExecOptions<'static> {
     ExecOptions {
         weight: Weighting::Constant(weight),
         morsel_rows,
+        kernels,
         ..ExecOptions::default()
     }
 }
 
+/// A plan's merged groups, in the order the fold produced them.
+type PlanAnswer = Vec<(Vec<Value>, Vec<AggState>)>;
+
 /// A UNION-ALL plan the way `answer_from_parts` runs it: every part
 /// prepared, the morsels of all parts in ONE scheduling round, then each
-/// part folded in morsel order and the parts merged in plan order.
+/// part folded in morsel order and the parts folded on group codes in
+/// plan order, each key decoded once at the end.
 fn union_all_in_one_round(
     parts: &[(Table, f64)],
     q: &Query,
     threads: usize,
     morsel_rows: usize,
-) -> Vec<(Vec<Value>, Vec<AggState>)> {
+    kernels: KernelMode,
+) -> PlanAnswer {
     let scans: Vec<PreparedScan<'_>> = parts
         .iter()
         .map(|(table, weight)| {
-            PreparedScan::new(&DataSource::Wide(table), q, &part_opts(*weight, morsel_rows)).unwrap()
+            let opts = part_opts(*weight, morsel_rows, kernels);
+            PreparedScan::new(&DataSource::Wide(table), q, &opts).unwrap()
         })
         .collect();
     let partials = run_scans(&scans, threads, None).unwrap();
-    plan_order_merge(scans.into_iter().zip(partials).map(|(scan, p)| scan.finish(p)))
+    let mut plan = PlanGroups::new(&scans).unwrap();
+    for (scan, partials) in scans.into_iter().zip(partials) {
+        plan.absorb(scan.finish(partials));
+    }
+    plan.groups().map(|(key, states)| (key, states.to_vec())).collect()
 }
 
-/// The same plan one `execute` (one round) per part: what the single
-/// round must reproduce bit for bit.
+/// The same plan one `execute` (one round) per part, merged on *decoded*
+/// keys — strings, not codes — first-seen in plan order: what the single
+/// round and the code-keyed fold must reproduce bit for bit, order
+/// included.
 fn union_all_round_per_part(
     parts: &[(Table, f64)],
     q: &Query,
     morsel_rows: usize,
-) -> Vec<(Vec<Value>, Vec<AggState>)> {
-    plan_order_merge(parts.iter().map(|(table, weight)| {
-        aqp::query::execute(&DataSource::Wide(table), q, &part_opts(*weight, morsel_rows)).unwrap()
-    }))
-}
-
-fn plan_order_merge(
-    outputs: impl Iterator<Item = aqp::query::QueryOutput>,
-) -> Vec<(Vec<Value>, Vec<AggState>)> {
-    let mut merged: HashMap<Vec<Value>, Vec<AggState>> = HashMap::new();
-    for out in outputs {
+    kernels: KernelMode,
+) -> PlanAnswer {
+    let mut slot_of: HashMap<Vec<Value>, usize> = HashMap::new();
+    let mut merged: PlanAnswer = Vec::new();
+    for (table, weight) in parts {
+        let opts = part_opts(*weight, morsel_rows, kernels);
+        let out = aqp::query::execute(&DataSource::Wide(table), q, &opts).unwrap();
         for g in out.groups {
-            match merged.get_mut(&g.key) {
-                Some(states) => states.iter_mut().zip(&g.aggs).for_each(|(a, b)| a.merge(b)),
+            match slot_of.get(&g.key) {
+                Some(&at) => merged[at].1.iter_mut().zip(&g.aggs).for_each(|(a, b)| a.merge(b)),
                 None => {
-                    merged.insert(g.key, g.aggs);
+                    slot_of.insert(g.key.clone(), merged.len());
+                    merged.push((g.key, g.aggs));
                 }
             }
         }
     }
-    let mut groups: Vec<_> = merged.into_iter().collect();
-    groups.sort_by(|a, b| a.0.cmp(&b.0));
-    groups
+    merged
+}
+
+fn assert_plans_bit_identical(want: &PlanAnswer, got: &PlanAnswer, ctx: &str) {
+    assert_eq!(want.len(), got.len(), "{ctx}: group count");
+    for ((ka, sa), (kb, sb)) in want.iter().zip(got) {
+        assert_eq!(ka, kb, "{ctx}: group order");
+        for (a, b) in sa.iter().zip(sb) {
+            assert_states_bit_identical(a, b, &format!("{ctx}, key {ka:?}"));
+        }
+    }
 }
 
 #[test]
@@ -631,20 +651,310 @@ fn union_all_single_round_bit_identical_on_both_sides_of_the_inline_cutoff() {
             (test_table(last * 64, 23), 10.0 / 3.0),
         ];
         for (qi, q) in queries.iter().enumerate() {
-            let want = union_all_round_per_part(&parts, q, 64);
+            let want = union_all_round_per_part(&parts, q, 64, KernelMode::Auto);
             for threads in [1, 2, 4, 8] {
-                let got = union_all_in_one_round(&parts, q, threads, 64);
+                let got = union_all_in_one_round(&parts, q, threads, 64, KernelMode::Auto);
                 let ctx = format!("{total_morsels} morsels, query {qi} @ {threads} threads");
-                assert_eq!(want.len(), got.len(), "{ctx}: group count");
-                for ((ka, sa), (kb, sb)) in want.iter().zip(&got) {
-                    assert_eq!(ka, kb, "{ctx}");
-                    for (a, b) in sa.iter().zip(sb) {
-                        assert_states_bit_identical(a, b, &format!("{ctx}, key {ka:?}"));
-                    }
-                }
+                assert_plans_bit_identical(&want, &got, &ctx);
             }
         }
     }
+}
+
+/// Dictionary-heavy table: `d0..d6` are strings (seven of them: past the
+/// fast-key width with columns whose codes need translating), `n` an
+/// integer, `amt` an integer-valued measure. Strings are `v<k>` for `k`
+/// in `vocab`, drawn in a seed-dependent order — so two tables built
+/// from different seeds give the *same* string different dictionary
+/// codes — and `d0..d2` are NULL about one row in `null_every`.
+fn dict_table(rows: usize, seed: u64, vocab: std::ops::Range<u64>, null_every: u64) -> Table {
+    let mut b = SchemaBuilder::new();
+    for i in 0..7 {
+        b = b.field(format!("d{i}"), DataType::Utf8);
+    }
+    let schema = b
+        .field("n", DataType::Int64)
+        .field("amt", DataType::Float64)
+        .build()
+        .unwrap();
+    let mut t = Table::empty("t", schema);
+    let mut s = seed.wrapping_mul(0x517cc1b727220a95).wrapping_add(1);
+    let span = vocab.end - vocab.start;
+    for _ in 0..rows {
+        let mut row: Vec<Value> = Vec::with_capacity(9);
+        for i in 0..7u64 {
+            let null = i < 3 && next(&mut s).is_multiple_of(null_every);
+            row.push(if null {
+                Value::Null
+            } else {
+                format!("v{}", vocab.start + next(&mut s) % span.min(i + 2)).into()
+            });
+        }
+        row.push(((next(&mut s) % 4) as i64).into());
+        row.push(((next(&mut s) % 101) as f64).into());
+        t.push_row(&row).unwrap();
+    }
+    t
+}
+
+/// Every part's rows in one table, in plan order.
+fn concatenated(parts: &[(Table, f64)]) -> Table {
+    let mut all = Table::empty("all", parts[0].0.schema().clone());
+    for (t, _) in parts {
+        for r in 0..t.num_rows() {
+            all.push_row(&t.row(r)).unwrap();
+        }
+    }
+    all
+}
+
+fn dict_queries() -> Vec<Query> {
+    let aggs = || Query::builder().count().sum("amt").aggregate(AggExpr::avg("amt", "avg_amt"));
+    let mut seven = aggs();
+    for i in 0..7 {
+        seven = seven.group_by(format!("d{i}"));
+    }
+    vec![
+        // One dictionary column, NULL keys.
+        aggs().group_by("d0").build().unwrap(),
+        // NULL keys in several columns at once.
+        aggs().group_by("d0").group_by("d1").group_by("d2").build().unwrap(),
+        // Dictionary + integer: a wide key with one translated column.
+        aggs().group_by("n").group_by("d1").build().unwrap(),
+        // Seven dictionary columns: heap keys, every column translated.
+        seven.build().unwrap(),
+        // Ungrouped: one row per table, one row across tables.
+        aggs().build().unwrap(),
+        // Ungrouped over a value only the later tables hold ...
+        aggs().filter(Expr::in_set("d6", vec!["v11".into()])).build().unwrap(),
+        // ... and over no row at all: still exactly one row.
+        aggs().filter(Expr::cmp("n", CmpOp::Gt, 99i64)).build().unwrap(),
+    ]
+}
+
+const KERNEL_MODES: [KernelMode; 2] = [KernelMode::Scalar, KernelMode::Vectorized];
+
+/// The fold of `parts` under `q` must be the same — every bit, and the
+/// group order — in both kernel modes, at 1/2/8 threads, with morsel
+/// sizes on both sides of the inline cutoff, and equal the merge on
+/// decoded keys of one `execute` per part.
+fn assert_code_keyed_fold_matches_decoded_merge(parts: &[(Table, f64)], q: &Query, ctx: &str) {
+    let rows: usize = parts.iter().map(|(t, _)| t.num_rows()).sum();
+    // ~9 morsels (inline), ~16 (the cutoff), ~70 (threaded).
+    for morsel_rows in [rows / 8, rows / 15, rows / 70] {
+        let want = union_all_round_per_part(parts, q, morsel_rows, KernelMode::Scalar);
+        for kernels in KERNEL_MODES {
+            for threads in [1, 2, 8] {
+                let got = union_all_in_one_round(parts, q, threads, morsel_rows, kernels);
+                let ctx = format!("{ctx}, {morsel_rows}-row morsels, {kernels:?} @ {threads} threads");
+                assert_plans_bit_identical(&want, &got, &ctx);
+            }
+        }
+    }
+}
+
+#[test]
+fn plan_fold_across_tables_whose_dictionaries_disagree() {
+    // Three tables over overlapping vocabularies (v0..v9, v4..v13,
+    // v8..v17): each holds strings the others lack, and shared strings
+    // sit at different codes in each. Unit weights and integer measures,
+    // so the naive evaluator over the concatenated rows is an exact
+    // oracle for the merged COUNT and SUM, whatever the codes were.
+    let parts = [
+        (dict_table(900, 41, 0..10, 6), 1.0),
+        (dict_table(1_400, 42, 4..14, 9), 1.0),
+        (dict_table(700, 43, 8..18, 4), 1.0),
+    ];
+    let all = concatenated(&parts);
+    for (qi, q) in dict_queries().iter().enumerate() {
+        assert_code_keyed_fold_matches_decoded_merge(&parts, q, &format!("query {qi}"));
+
+        let truth = reference(&all, q);
+        let got = union_all_in_one_round(&parts, q, 2, 128, KernelMode::Auto);
+        assert_eq!(got.len(), truth.len(), "query {qi}: group count against the naive evaluator");
+        for (key, states) in &got {
+            let want = truth.get(key).unwrap_or_else(|| panic!("query {qi}: spurious group {key:?}"));
+            assert_eq!(states[0].sum_w, want[0].sum, "query {qi}, {key:?}: COUNT");
+            assert_eq!(states[1].sum_wx, want[1].sum, "query {qi}, {key:?}: SUM");
+        }
+    }
+    // Fractional weights: the fold order is all that keeps this stable.
+    let weighted = [parts[0].clone(), (parts[1].0.clone(), 2.5), (parts[2].0.clone(), 10.0 / 3.0)];
+    for (qi, q) in dict_queries().iter().enumerate() {
+        assert_code_keyed_fold_matches_decoded_merge(&weighted, q, &format!("weighted query {qi}"));
+    }
+}
+
+/// String columns `h0..` of exactly `cards[i]` distinct values each
+/// (`h<shift>` .. `h<shift + card - 1>`; the first `card` rows list them
+/// all), three rows in four drawn from the first four values so groups
+/// recur within and across morsels, plus an integer-valued measure.
+fn card_table(rows: usize, cards: &[u64], seed: u64, shift: u64) -> Table {
+    let mut b = SchemaBuilder::new();
+    for i in 0..cards.len() {
+        b = b.field(format!("h{i}"), DataType::Utf8);
+    }
+    let schema = b.field("amt", DataType::Float64).build().unwrap();
+    let mut t = Table::empty("t", schema);
+    let mut s = seed.wrapping_mul(0x517cc1b727220a95).wrapping_add(1);
+    for r in 0..rows as u64 {
+        let mut row: Vec<Value> = Vec::with_capacity(cards.len() + 1);
+        for &card in cards {
+            let v = if r < card {
+                r
+            } else if !next(&mut s).is_multiple_of(4) {
+                next(&mut s) % card.min(4)
+            } else {
+                next(&mut s) % card
+            };
+            row.push(format!("h{}", v + shift).into());
+        }
+        row.push(((next(&mut s) % 101) as f64).into());
+        t.push_row(&row).unwrap();
+    }
+    t
+}
+
+fn group_by_all_h(columns: usize) -> Query {
+    let mut b = Query::builder().count().sum("amt");
+    for i in 0..columns {
+        b = b.group_by(format!("h{i}"));
+    }
+    b.build().unwrap()
+}
+
+/// The `kernel` label the vectorised executor reports for `q` over `t`.
+fn kernel_label(t: &Table, q: &Query) -> String {
+    assert!(aqp::obs::trace::begin("kernel label"));
+    let opts = ExecOptions { kernels: KernelMode::Vectorized, ..ExecOptions::default() };
+    aqp::query::execute(&DataSource::Wide(t), q, &opts).unwrap();
+    let trace = aqp::obs::trace::finish().expect("trace open");
+    trace.operators[0].kernel.clone()
+}
+
+#[test]
+fn plan_fold_around_the_dense_slot_cap_and_past_u64() {
+    // (89+1)·(90+1) = 8 190 keys: under the 8 192-slot cap, the radix key
+    // indexes the accumulator directly.
+    let below = [(card_table(1_200, &[89, 90], 51, 0), 1.0), (card_table(900, &[89, 90], 52, 40), 2.5)];
+    assert_eq!(kernel_label(&below[0].0, &group_by_all_h(2)), "vectorized-dense");
+    assert_code_keyed_fold_matches_decoded_merge(&below, &group_by_all_h(2), "below the cap");
+
+    // (90+1)·(90+1) = 8 281 keys: over it, the same number is interned.
+    let above = [(card_table(1_200, &[90, 90], 53, 0), 1.0), (card_table(900, &[90, 90], 54, 40), 2.5)];
+    assert_eq!(kernel_label(&above[0].0, &group_by_all_h(2)), "vectorized-hash");
+    assert_code_keyed_fold_matches_decoded_merge(&above, &group_by_all_h(2), "above the cap");
+
+    // 1 201⁶ ≈ 3.0e18 keys fit a u64 in each table, but the two tables'
+    // vocabularies are disjoint, so the plan's bound is 2 401⁶ ≈ 1.9e20:
+    // radix tables folded into a plan that must key on per-column codes.
+    let plan_past_u64 = [
+        (card_table(1_500, &[1_200; 6], 55, 0), 1.0),
+        (card_table(1_500, &[1_200; 6], 56, 5_000), 2.5),
+    ];
+    assert_code_keyed_fold_matches_decoded_merge(&plan_past_u64, &group_by_all_h(6), "plan past u64");
+
+    // 2 001⁶ ≈ 6.4e19 keys: past u64 within one table. The product must
+    // be caught, not wrapped — a wrapped radix would alias distinct keys
+    // and merge groups the decoded merge keeps apart.
+    let table_past_u64 = [
+        (card_table(2_400, &[2_000; 6], 57, 0), 1.0),
+        (card_table(2_100, &[2_000; 6], 58, 1_000), 2.5),
+    ];
+    assert_code_keyed_fold_matches_decoded_merge(&table_past_u64, &group_by_all_h(6), "table past u64");
+    let groups = union_all_in_one_round(&table_past_u64, &group_by_all_h(6), 1, 4_096, KernelMode::Auto);
+    let distinct: std::collections::HashSet<&Vec<Value>> = groups.iter().map(|(k, _)| k).collect();
+    assert_eq!(distinct.len(), groups.len(), "every group has a key of its own");
+    assert!(groups.len() > 2_000, "the 2 000 all-distinct rows of each table are groups: {}", groups.len());
+}
+
+#[test]
+fn answer_group_order_is_first_seen_in_plan_order_and_repeatable() {
+    // `ApproxAnswer::groups` used to come out in the iteration order of a
+    // randomly seeded map: two identical calls disagreed. Now the order is
+    // first-seen in plan order, so consecutive calls agree without sorting
+    // — and it is not key order either, or sorting would be a no-op.
+    let t = test_table(3_000, 3);
+    let sampler = SmallGroupSampler::build(
+        &t,
+        SmallGroupConfig { seed: 5, ..SmallGroupConfig::with_rates(0.1, 0.5) },
+    )
+    .unwrap();
+    let q = Query::builder().count().sum("amt").group_by("cat").group_by("sub").build().unwrap();
+    let first = sampler.answer(&q, 0.95).unwrap();
+    assert!(first.groups.len() > 10);
+    for _ in 0..5 {
+        let again = sampler.answer(&q, 0.95).unwrap();
+        let keys = |a: &ApproxAnswer| a.groups.iter().map(|g| g.key.clone()).collect::<Vec<_>>();
+        assert_eq!(keys(&first), keys(&again), "same call, same group order");
+    }
+    let mut sorted = first.clone();
+    sorted.sort_by_key();
+    assert_ne!(
+        first.groups.iter().map(|g| &g.key).collect::<Vec<_>>(),
+        sorted.groups.iter().map(|g| &g.key).collect::<Vec<_>>(),
+        "first-seen order, not key order"
+    );
+}
+
+#[test]
+fn fold_time_per_morsel_group_stays_flat_when_groups_per_morsel_grow_tenfold() {
+    // Two tables of 40 morsels each; every morsel holds every group twice.
+    // 200 groups a morsel against 2 000: ten times the (morsel × group)
+    // entries to build, fold per table and fold across tables, and — at a
+    // fixed two rows per entry — ten times the rows. A flat table does ten
+    // times the work; per-group allocations, or a map that re-hashes as it
+    // regrows from empty in every morsel, grow faster than that. 30x sits
+    // far from 10x, so host noise cannot flip the verdict.
+    let parts = |groups: u64| -> Vec<(Table, f64)> {
+        [61u64, 67]
+            .iter()
+            .map(|&seed| {
+                let schema = SchemaBuilder::new()
+                    .field("a", DataType::Utf8)
+                    .field("b", DataType::Utf8)
+                    .field("c", DataType::Utf8)
+                    .field("amt", DataType::Float64)
+                    .build()
+                    .unwrap();
+                let mut t = Table::empty("t", schema);
+                for r in 0..groups * 2 * 40 {
+                    // 21³ = 9 261 keys: past the dense cap at both sizes.
+                    let g = (r.wrapping_mul(seed)) % groups;
+                    let name = |p: &str, v: u64| -> Value { format!("{p}{v}").into() };
+                    t.push_row(&[
+                        name("a", g % 20),
+                        name("b", (g / 20) % 20),
+                        name("c", g / 400),
+                        ((r % 7) as f64).into(),
+                    ])
+                    .unwrap();
+                }
+                (t, 2.0)
+            })
+            .collect()
+    };
+    let q = Query::builder().count().sum("amt").group_by("a").group_by("b").group_by("c").build().unwrap();
+    // Best of several runs each: interference only ever adds time.
+    let best = |parts: &[(Table, f64)], morsel_rows: usize, runs: usize| {
+        (0..runs)
+            .map(|_| {
+                let started = Instant::now();
+                let answer = union_all_in_one_round(parts, &q, 1, morsel_rows, KernelMode::Vectorized);
+                let took = started.elapsed();
+                assert_eq!(answer.len() * 2 * 40, parts[0].0.num_rows());
+                took
+            })
+            .min()
+            .expect("at least one run")
+    };
+    let (small, large) = (parts(200), parts(2_000));
+    let (small_took, large_took) = (best(&small, 400, 20), best(&large, 4_000, 5));
+    let ratio = large_took.as_secs_f64() / small_took.as_secs_f64();
+    assert!(
+        ratio < 30.0,
+        "80 morsels x 2000 groups took {large_took:?}, x 200 groups {small_took:?}: {ratio:.0}x for 10x the entries"
+    );
 }
 
 #[test]
@@ -672,13 +982,11 @@ fn sampler_plan_past_the_inline_cutoff_bit_identical_across_threads() {
         .build()
         .unwrap();
     sampler.set_threads(1);
-    let mut base = sampler.answer(&q, 0.95).unwrap();
+    let base = sampler.answer(&q, 0.95).unwrap();
     assert!(base.rows_scanned > 16 * 4096, "plan of {} rows is past the cutoff", base.rows_scanned);
-    base.sort_by_key();
     for threads in [2, 4, 8] {
         sampler.set_threads(threads);
-        let mut par = sampler.answer(&q, 0.95).unwrap();
-        par.sort_by_key();
+        let par = sampler.answer(&q, 0.95).unwrap();
         assert_eq!(base.rows_scanned, par.rows_scanned);
         assert_eq!(base.groups.len(), par.groups.len(), "@ {threads}");
         for (a, b) in base.groups.iter().zip(&par.groups) {

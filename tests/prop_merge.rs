@@ -5,13 +5,17 @@
 //! `x`, small positive integers for `w`), so every tally field is an
 //! integer far below 2^53 and float addition is *exact*. Under exact
 //! arithmetic the merge must be associative and order-insensitive
-//! bit-for-bit; any structural mistake in [`AggState::merge`] or
-//! [`merge_group_maps`] (a missed field, a swapped min/max, a dropped
-//! empty state) shows up as a hard bit mismatch. The executor's
-//! determinism for *inexact* streams is covered separately by the fixed
-//! morsel-order fold (`tests/diff_parallel.rs`).
+//! bit-for-bit; any structural mistake in [`AggState::merge`] or in the
+//! executor's two folds of flat group tables — morsels into a scan
+//! (`PreparedScan::finish`), scans into a plan ([`PlanGroups`]) — (a
+//! missed field, a swapped min/max, a dropped empty state, a key merged
+//! into the wrong slot or decoded through the wrong dictionary) shows up
+//! as a hard bit mismatch. The executor's determinism for *inexact*
+//! streams is covered separately by the fixed morsel-order fold
+//! (`tests/diff_parallel.rs`).
 
-use aqp::query::{merge_group_maps, AggState};
+use aqp::prelude::*;
+use aqp::query::{execute, run_scans, AggState, PlanGroups, PreparedScan, Weighting};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -64,6 +68,60 @@ fn states_equal(a: &AggState, b: &AggState) -> bool {
         && a.var_acc_w.to_bits() == b.var_acc_w.to_bits()
         && a.min.to_bits() == b.min.to_bits()
         && a.max.to_bits() == b.max.to_bits()
+}
+
+/// A keyed update stream as a table the executor can scan — key column
+/// `k` (a string per key, so the scan's keys are radix numbers over a
+/// dictionary built in order of appearance, or the integer itself, so
+/// they are wide keys; key 0 is NULL), nullable measure `x` — plus the
+/// per-row weights.
+fn keyed_table(items: &[(u32, Update)], dict_keys: bool) -> (Table, Vec<f64>) {
+    let key_type = if dict_keys { DataType::Utf8 } else { DataType::Int64 };
+    let schema = SchemaBuilder::new()
+        .field("k", key_type)
+        .field("x", DataType::Float64)
+        .build()
+        .unwrap();
+    let mut t = Table::empty("t", schema);
+    for &(k, (x, _, is_null)) in items {
+        let key: Value = match (k, dict_keys) {
+            (0, _) => Value::Null,
+            (k, true) => format!("key{k}").into(),
+            (k, false) => (k as i64).into(),
+        };
+        let x: Value = if is_null { Value::Null } else { (x as f64).into() };
+        t.push_row(&[key, x]).unwrap();
+    }
+    (t, items.iter().map(|&(_, (_, w, _))| w as f64).collect())
+}
+
+fn keyed_query() -> Query {
+    Query::builder().count().sum("x").group_by("k").build().unwrap()
+}
+
+/// The reference: one pass over the stream, one state pair per key.
+fn keyed_reference(items: &[(u32, Update)], dict_keys: bool) -> HashMap<Vec<Value>, [AggState; 2]> {
+    let mut m: HashMap<Vec<Value>, [AggState; 2]> = HashMap::new();
+    for &(k, (x, w, is_null)) in items {
+        let key: Value = match (k, dict_keys) {
+            (0, _) => Value::Null,
+            (k, true) => format!("key{k}").into(),
+            (k, false) => (k as i64).into(),
+        };
+        let states = m.entry(vec![key]).or_insert_with(|| [AggState::new(); 2]);
+        states[0].update(1.0, w as f64);
+        if !is_null {
+            states[1].update(x as f64, w as f64);
+        }
+    }
+    m
+}
+
+fn keyed_items() -> impl Strategy<Value = Vec<(u32, Update)>> {
+    proptest::collection::vec(
+        (0u32..6, -50i64..50, 1u64..5, 0u32..4).prop_map(|(k, x, w, n)| (k, (x, w, n == 0))),
+        0..120,
+    )
 }
 
 /// Split `v` into chunks at positions derived from `cuts`.
@@ -154,38 +212,78 @@ proptest! {
         }
     }
 
-    /// `merge_group_maps` over keyed partials equals a map built from the
-    /// concatenated stream: groups union, shared keys merge per slot, and
-    /// keys seen in only one partial carry over untouched.
+    /// The per-scan fold: a keyed stream scanned in morsels of any size
+    /// — each morsel a flat partial table, folded in morsel order —
+    /// equals the one-pass reference: groups union, shared keys merge per
+    /// slot, keys seen in only one morsel carry over untouched; in both
+    /// key spaces and both kernel modes.
     #[test]
-    fn keyed_map_merge_matches_concatenation(
-        keyed in proptest::collection::vec(
-            (0u32..6, -50i64..50, 1u64..5, 0u32..4)
-                .prop_map(|(k, x, w, n)| (k, (x, w, n == 0))),
-            0..120,
-        ),
-        cut in 0usize..120,
+    fn morsel_fold_matches_concatenation(
+        keyed in keyed_items(),
+        morsel_rows in 1usize..130,
+        dict_keys in 0u32..2,
+        scalar in 0u32..2,
     ) {
-        let build = |items: &[(u32, Update)]| -> HashMap<u32, Vec<AggState>> {
-            let mut m: HashMap<u32, Vec<AggState>> = HashMap::new();
-            for &(k, (x, w, is_null)) in items {
-                let states = m.entry(k).or_insert_with(|| vec![AggState::new(); 2]);
-                states[0].update(1.0, w as f64);
-                if !is_null {
-                    states[1].update(x as f64, w as f64);
-                }
-            }
-            m
+        let dict_keys = dict_keys == 1;
+        let (table, weights) = keyed_table(&keyed, dict_keys);
+        let opts = ExecOptions {
+            weight: Weighting::PerRow(&weights),
+            morsel_rows,
+            kernels: if scalar == 1 { KernelMode::Scalar } else { KernelMode::Vectorized },
+            ..ExecOptions::default()
         };
-        let cut = cut % (keyed.len() + 1);
-        let whole = build(&keyed);
-        let mut folded = build(&keyed[..cut]);
-        merge_group_maps(&mut folded, build(&keyed[cut..]));
-        prop_assert_eq!(whole.len(), folded.len());
-        for (k, want) in &whole {
-            let got = folded.get(k).expect("missing group after merge");
-            for slot in 0..2 {
-                prop_assert!(states_equal(&want[slot], &got[slot]), "key {k}, slot {slot}");
+        let out = execute(&DataSource::Wide(&table), &keyed_query(), &opts).unwrap();
+        let whole = keyed_reference(&keyed, dict_keys);
+        prop_assert_eq!(whole.len(), out.num_groups());
+        for g in &out.groups {
+            let want = whole.get(&g.key).expect("spurious group after the fold");
+            for (slot, (want, got)) in want.iter().zip(&g.aggs).enumerate() {
+                prop_assert!(states_equal(want, got), "key {:?}, slot {slot}", g.key);
+            }
+        }
+    }
+
+    /// The cross-table fold: the stream cut into consecutive tables —
+    /// each with a dictionary of its own, so the same string has
+    /// different codes in different tables and some strings are missing
+    /// from some — scanned as one plan and folded on codes equals the
+    /// one-pass reference, and every key decodes to the right values.
+    #[test]
+    fn plan_fold_matches_concatenation(
+        keyed in keyed_items(),
+        cuts in proptest::collection::vec(0usize..120, 0..3),
+        morsel_rows in 1usize..130,
+        dict_keys in 0u32..2,
+    ) {
+        let dict_keys = dict_keys == 1;
+        let mut bounds: Vec<usize> = cuts.iter().map(|c| c % (keyed.len() + 1)).collect();
+        bounds.extend([0, keyed.len()]);
+        bounds.sort_unstable();
+        let parts: Vec<(Table, Vec<f64>)> =
+            bounds.windows(2).map(|w| keyed_table(&keyed[w[0]..w[1]], dict_keys)).collect();
+        let query = keyed_query();
+        let scans: Vec<PreparedScan<'_>> = parts
+            .iter()
+            .map(|(table, weights)| {
+                let opts = ExecOptions {
+                    weight: Weighting::PerRow(weights),
+                    morsel_rows,
+                    ..ExecOptions::default()
+                };
+                PreparedScan::new(&DataSource::Wide(table), &query, &opts).unwrap()
+            })
+            .collect();
+        let partials = run_scans(&scans, 1, None).unwrap();
+        let mut plan = PlanGroups::new(&scans).unwrap();
+        for (scan, partials) in scans.into_iter().zip(partials) {
+            plan.absorb(scan.finish(partials));
+        }
+        let whole = keyed_reference(&keyed, dict_keys);
+        prop_assert_eq!(whole.len(), plan.num_groups());
+        for (key, states) in plan.groups() {
+            let want = whole.get(&key).expect("spurious group after the fold");
+            for (slot, (want, got)) in want.iter().zip(states).enumerate() {
+                prop_assert!(states_equal(want, got), "key {key:?}, slot {slot}");
             }
         }
     }
