@@ -53,6 +53,7 @@
 
 pub mod answer;
 pub mod catalog;
+mod colscan;
 pub mod congress;
 pub mod contract;
 pub mod error;
@@ -67,6 +68,7 @@ pub mod uniform;
 
 pub use answer::{ApproxAnswer, ApproxGroup, ApproxValue, ServingTier};
 pub use catalog::{SampleCatalog, SampleColumnMeta};
+pub use colscan::{column_frequency, KeyCode};
 pub use congress::{BasicCongress, Congress};
 pub use contract::AnswerContract;
 pub use error::{AqpError, AqpResult};

@@ -18,12 +18,13 @@
 //! sampling. Strata with rate 1.0 yield exact answers.
 
 use crate::answer::ApproxAnswer;
+use crate::colscan::{classify_rows, column_frequency, sample_table, KeyCode};
 use crate::error::{AqpError, AqpResult};
 use crate::parts::{answer_from_parts, Part, PartWeight};
 use crate::system::AqpSystem;
 use aqp_query::{DataSource, Query};
-use aqp_sampling::{BernoulliSampler, ColumnFrequency, ReservoirSampler};
-use aqp_storage::{BitSet, Table, Value};
+use aqp_sampling::{BernoulliSampler, ReservoirSampler};
+use aqp_storage::{BitSet, BitmaskColumn, Table, Value};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{HashMap, HashSet};
@@ -132,43 +133,21 @@ impl MultiLevelSampler {
             .map(|c| src.resolve(c))
             .collect::<Result<Vec<_>, _>>()?;
 
-        // Pass 1: frequencies.
-        let mut freqs: Vec<ColumnFrequency<(u64, bool)>> = columns
-            .iter()
-            .map(|_| ColumnFrequency::new(config.tau))
-            .collect();
-        for row in 0..n {
-            for (f, a) in freqs.iter_mut().zip(&accessors) {
-                f.observe(&a.key_code(row));
-            }
-        }
-
-        // Assign values to levels: rank ascending by frequency, fill level
-        // buckets by cumulative row mass.
+        // Pass 1, one column at a time, then assign values to levels: rank
+        // ascending by frequency, fill level buckets by cumulative row mass.
         struct ColumnLevels {
             col_idx: usize,
             /// value code → level index.
-            assignment: HashMap<(u64, bool), usize>,
+            assignment: HashMap<KeyCode, usize>,
         }
         let mut leveled: Vec<ColumnLevels> = Vec::new();
-        for (ci, f) in freqs.iter().enumerate() {
-            if f.abandoned() {
+        for (ci, acc) in accessors.iter().enumerate() {
+            let freq = column_frequency(acc.column, config.tau);
+            let Some(counts) = freq.counts() else { continue };
+            let mut pairs: Vec<(KeyCode, u64)> = counts.map(|(code, count)| (*code, count)).collect();
+            if pairs.len() <= 1 {
                 continue;
             }
-            // Reconstruct (value, count) pairs via the distinct codes the
-            // level-0..k thresholds need; ColumnFrequency exposes counts
-            // through common_values only, so rank here directly.
-            let Some(distinct) = f.distinct() else { continue };
-            if distinct <= 1 {
-                continue;
-            }
-            // Gather counts by re-scanning this column (cheap: one typed
-            // pass; avoids widening ColumnFrequency's API surface).
-            let mut counts: HashMap<(u64, bool), u64> = HashMap::with_capacity(distinct);
-            for row in 0..n {
-                *counts.entry(accessors[ci].key_code(row)).or_insert(0) += 1;
-            }
-            let mut pairs: Vec<((u64, bool), u64)> = counts.into_iter().collect();
             pairs.sort_by(|a, b| a.1.cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
 
             let mut assignment = HashMap::new();
@@ -221,44 +200,38 @@ impl MultiLevelSampler {
             .map(|(u, &spec)| (spec, u))
             .collect();
 
-        // Pass 2: build level tables and the overall sample.
-        let mut tables: Vec<Table> = unit_specs
-            .iter()
-            .map(|&(li, level)| {
-                let name = format!("ml_{}_{}", columns[leveled[li].col_idx], level);
-                let mut t = Table::empty(name, view.schema().clone());
-                t.enable_bitmask(num_units.max(1));
-                t
-            })
-            .collect();
+        // Pass 2, one column at a time: tag every row with the strata its
+        // values belong to (at most one per column).
+        let width = num_units.max(1).div_ceil(64);
+        let mut mask_words = vec![0u64; n * width];
+        let mut tagged: Vec<(usize, usize)> = Vec::new(); // (row, unit)
+        for (li, cl) in leveled.iter().enumerate() {
+            let column = accessors[cl.col_idx].column;
+            for (row, level) in classify_rows(column, |code| cl.assignment.get(&code).copied()) {
+                let u = unit_of[&(li, level)];
+                mask_words[row * width + u / 64] |= 1u64 << (u % 64);
+                tagged.push((row, u));
+            }
+        }
+        let masks = BitmaskColumn::from_words(width, mask_words);
+        // Stable: a row's strata stay in column order.
+        tagged.sort_by_key(|&(row, _)| row);
+
+        // One random stream feeds the level samples and the overall
+        // reservoir, so draw in row order, a row's strata first.
         let samplers: Vec<BernoulliSampler> = unit_specs
             .iter()
             .map(|&(_, level)| BernoulliSampler::new(config.levels[level].1))
             .collect();
-
         let mut rng = StdRng::seed_from_u64(config.seed);
         let overall_target = ((n as f64 * config.base_rate).round() as usize).min(n);
         let mut reservoir = ReservoirSampler::new(overall_target);
-
-        let row_units = |row: usize| -> Vec<usize> {
-            let mut units = Vec::new();
-            for (li, cl) in leveled.iter().enumerate() {
-                let code = accessors[cl.col_idx].key_code(row);
-                if let Some(&level) = cl.assignment.get(&code) {
-                    units.push(unit_of[&(li, level)]);
-                }
-            }
-            units
-        };
-
+        let mut unit_rows: Vec<Vec<usize>> = vec![Vec::new(); num_units];
+        let mut tagged = tagged.into_iter().peekable();
         for row in 0..n {
-            let units = row_units(row);
-            if !units.is_empty() {
-                let mask = BitSet::from_bits(num_units, units.iter().copied());
-                for &u in &units {
-                    if samplers[u].include(&mut rng) {
-                        tables[u].push_row_from_with_mask(view, row, &mask)?;
-                    }
+            while let Some((_, u)) = tagged.next_if(|&(r, _)| r == row) {
+                if samplers[u].include(&mut rng) {
+                    unit_rows[u].push(row);
                 }
             }
             reservoir.observe(row, &mut rng);
@@ -268,13 +241,7 @@ impl MultiLevelSampler {
         let overall_rate = if n == 0 { 1.0 } else { (sampled as f64 / n as f64).min(1.0) };
         let mut indices = reservoir.into_items();
         indices.sort_unstable();
-        let mut overall = Table::empty("overall", view.schema().clone());
-        overall.enable_bitmask(num_units.max(1));
-        for &row in &indices {
-            let units = row_units(row);
-            let mask = BitSet::from_bits(num_units.max(1), units.iter().copied());
-            overall.push_row_from_with_mask(view, row, &mask)?;
-        }
+        let overall = sample_table(view, &masks, "overall", &indices);
 
         // Decode stratum values for runtime exactness tests.
         let mut entries = Vec::with_capacity(num_units);
@@ -291,9 +258,11 @@ impl MultiLevelSampler {
                 column: columns[cl.col_idx].clone(),
                 level,
                 rate: config.levels[level].1,
-                table: std::mem::replace(
-                    &mut tables[u],
-                    Table::empty("moved", view.schema().clone()),
+                table: sample_table(
+                    view,
+                    &masks,
+                    format!("ml_{}_{}", columns[cl.col_idx], level),
+                    &unit_rows[u],
                 ),
                 values,
             });

@@ -30,13 +30,14 @@
 
 use crate::answer::ApproxAnswer;
 use crate::catalog::{SampleCatalog, SampleColumnMeta};
+use crate::colscan::{classify_rows, column_frequency, per_unit, sample_table, KeyCode};
 use crate::error::{AqpError, AqpResult};
 use crate::outlier::select_outliers;
 use crate::parts::{answer_from_parts, Part, PartWeight};
 use crate::system::AqpSystem;
-use aqp_query::{run_morsels, DataSource, Query};
+use aqp_query::{DataSource, Query};
 use aqp_sampling::{ColumnFrequency, ReservoirSampler};
-use aqp_storage::{BitSet, Table, Value, DEFAULT_MORSEL_ROWS};
+use aqp_storage::{BitSet, BitmaskColumn, Table, Value};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{HashMap, HashSet};
@@ -79,8 +80,9 @@ pub struct SmallGroupConfig {
     /// Column-pair small group tables (Section 4.2.3): each pair gets a
     /// table of rows whose *joint* value combination is uncommon.
     pub column_pairs: Vec<(String, String)>,
-    /// Threads for the first preprocessing pass (per-unit frequency
-    /// counting is embarrassingly parallel). 1 = serial.
+    /// Threads for pre-processing: candidate units (columns and pairs) are
+    /// split across them in both passes and when their tables are written.
+    /// The family is byte-identical at any value. 1 = serial.
     pub preprocess_threads: usize,
     /// Runtime sample-table cap (Section 4.2.3): "for queries with a large
     /// number of grouping columns, using all relevant small group tables
@@ -281,17 +283,8 @@ impl SmallGroupSampler {
 
         // --- Pass 1: frequency counting with the τ cut-off ----------------
         enum Freq {
-            Single(ColumnFrequency<(u64, bool)>),
-            Pair(ColumnFrequency<((u64, bool), (u64, bool))>),
-        }
-        impl Freq {
-            fn merge(&mut self, other: Freq) {
-                match (self, other) {
-                    (Freq::Single(a), Freq::Single(b)) => a.merge(b),
-                    (Freq::Pair(a), Freq::Pair(b)) => a.merge(b),
-                    _ => unreachable!("unit kinds are positional and fixed"),
-                }
-            }
+            Single(ColumnFrequency<KeyCode>),
+            Pair(ColumnFrequency<(KeyCode, KeyCode)>),
         }
         // Resolve accessors once.
         let accessors: Vec<_> = units
@@ -302,50 +295,33 @@ impl SmallGroupSampler {
             })
             .collect::<AqpResult<Vec<_>>>()?;
 
-        let fresh_bank = |tau: usize| -> Vec<Freq> {
-            units
-                .iter()
-                .map(|unit| match unit {
-                    SgUnit::Single(_) => Freq::Single(ColumnFrequency::new(tau)),
-                    SgUnit::Pair(_, _) => Freq::Pair(ColumnFrequency::new(tau)),
-                })
-                .collect()
-        };
-
-        // Morsel-parallel histogram counting: each worker fills a private
-        // bank of per-unit counters over its morsels; the partial banks are
-        // merged in morsel order afterwards. Integer counts make the merge
-        // exact, so the resulting histograms — and everything downstream
-        // (L(C) sets, small group tables, reservoir) — are identical to a
-        // sequential scan at any thread count.
+        // One unit at a time: a unit's counter sees its whole column, so
+        // the τ cut-off ends that unit's scan, and units share nothing, so
+        // there is no merge and every thread count yields the same
+        // histograms — and with them the same L(C) sets, tables and
+        // reservoir.
         let threads = config.preprocess_threads.max(1);
         let freq_span = aqp_obs::span("sgs.frequency");
-        let partial_banks = run_morsels(n, DEFAULT_MORSEL_ROWS, threads, |m| {
-            let mut bank = fresh_bank(config.tau);
-            for row in m.start..m.end {
-                for (freq, acc) in bank.iter_mut().zip(&accessors) {
-                    match freq {
-                        Freq::Single(f) => f.observe(&acc[0].key_code(row)),
-                        Freq::Pair(f) => {
-                            f.observe(&(acc[0].key_code(row), acc[1].key_code(row)))
-                        }
+        let freqs = per_unit(units.len(), threads, |u| match &accessors[u][..] {
+            [col] => Freq::Single(column_frequency(col.column, config.tau)),
+            [a, b] => {
+                let mut f = ColumnFrequency::new(config.tau);
+                for row in 0..n {
+                    f.observe(&(a.key_code(row), b.key_code(row)));
+                    if f.abandoned() {
+                        break;
                     }
                 }
+                Freq::Pair(f)
             }
-            bank
+            _ => unreachable!("a unit has one column or two"),
         });
-        let mut freqs = fresh_bank(config.tau);
-        for bank in partial_banks {
-            for (acc, partial) in freqs.iter_mut().zip(bank) {
-                acc.merge(partial);
-            }
-        }
         drop(freq_span);
 
         // --- L(C) per unit; build the surviving set S ---------------------
         enum CommonCodes {
-            Single(HashSet<(u64, bool)>),
-            Pair(HashSet<((u64, bool), (u64, bool))>),
+            Single(HashSet<KeyCode>),
+            Pair(HashSet<(KeyCode, KeyCode)>),
         }
         let mut survivors: Vec<(SgUnit, CommonCodes, usize)> = Vec::new();
         let mut dropped_tau = Vec::new();
@@ -360,8 +336,7 @@ impl SmallGroupSampler {
                     match f.common_values(t) {
                         Some(cv) => {
                             let num_common = cv.num_common();
-                            let set: HashSet<(u64, bool)> =
-                                cv.iter_common().copied().collect();
+                            let set: HashSet<KeyCode> = cv.iter_common().copied().collect();
                             survivors.push((unit, CommonCodes::Single(set), num_common));
                         }
                         None => dropped_nsg.push(unit.name()),
@@ -375,7 +350,7 @@ impl SmallGroupSampler {
                     match f.common_values(t) {
                         Some(cv) => {
                             let num_common = cv.num_common();
-                            let set: HashSet<((u64, bool), (u64, bool))> =
+                            let set: HashSet<(KeyCode, KeyCode)> =
                                 cv.iter_common().copied().collect();
                             survivors.push((unit, CommonCodes::Pair(set), num_common));
                         }
@@ -395,48 +370,37 @@ impl SmallGroupSampler {
             })
             .collect::<AqpResult<Vec<_>>>()?;
 
-        let row_uncommon = |unit_idx: usize, row: usize| -> bool {
-            let acc = &survivor_accessors[unit_idx];
-            match &survivors[unit_idx].1 {
-                CommonCodes::Single(set) => !set.contains(&acc[0].key_code(row)),
-                CommonCodes::Pair(set) => {
-                    !set.contains(&(acc[0].key_code(row), acc[1].key_code(row)))
-                }
-            }
-        };
-
         // --- Pass 2: small group tables + overall sample ------------------
-        let mut sg_tables: Vec<Table> = survivors
-            .iter()
-            .map(|(u, _, _)| {
-                let mut t = Table::empty(format!("sg_{}", u.name()), view.schema().clone());
-                t.enable_bitmask(num_units.max(1));
-                t
-            })
-            .collect();
-
         let overall_target = ((n as f64 * config.base_rate).round() as usize).min(n);
         let mut rng = StdRng::seed_from_u64(config.seed);
 
-        // Morsel-parallel membership pass: the hash probes against the
-        // common-value sets dominate pass 2, and each row's bit list is
-        // independent, so compute them up front across threads. Table
-        // writes and the reservoir stay sequential so the family is
-        // byte-identical at any thread count.
+        // Per unit, the ascending list of view rows with an uncommon value
+        // — the rows of its small group table.
         let membership_span = aqp_obs::span("sgs.membership");
-        let row_bits: Vec<Vec<u32>> = run_morsels(n, DEFAULT_MORSEL_ROWS, threads, |m| {
-            (m.start..m.end)
-                .map(|row| {
-                    (0..num_units)
-                        .filter(|&u| row_uncommon(u, row))
-                        .map(|u| u as u32)
-                        .collect::<Vec<u32>>()
-                })
-                .collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect();
+        let unit_rows: Vec<Vec<usize>> = per_unit(num_units, threads, |u| {
+            let acc = &survivor_accessors[u];
+            match &survivors[u].1 {
+                CommonCodes::Single(common) => {
+                    classify_rows(acc[0].column, |key| (!common.contains(&key)).then_some(()))
+                        .into_iter()
+                        .map(|(row, ())| row)
+                        .collect()
+                }
+                CommonCodes::Pair(common) => (0..n)
+                    .filter(|&row| !common.contains(&(acc[0].key_code(row), acc[1].key_code(row))))
+                    .collect(),
+            }
+        });
+        // The bitmask of every view row: bit `u` set iff unit `u`'s table
+        // holds the row. Sample tables copy their rows' masks from here.
+        let width = num_units.max(1).div_ceil(64);
+        let mut mask_words = vec![0u64; n * width];
+        for (u, rows) in unit_rows.iter().enumerate() {
+            for &row in rows {
+                mask_words[row * width + u / 64] |= 1u64 << (u % 64);
+            }
+        }
+        let masks = BitmaskColumn::from_words(width, mask_words);
         drop(membership_span);
         let write_span = aqp_obs::span("sgs.write");
 
@@ -475,40 +439,15 @@ impl SmallGroupSampler {
                 }
             };
 
+        let sg_tables = per_unit(num_units, threads, |u| {
+            sample_table(view, &masks, format!("sg_{}", survivors[u].0.name()), &unit_rows[u])
+        });
+
         let reservoir_capacity = overall_target - outlier_rows.len();
         let mut reservoir = ReservoirSampler::<usize>::new(reservoir_capacity);
-        let row_mask = |row: usize| -> Option<BitSet> {
-            let bits = &row_bits[row];
-            if bits.is_empty() {
-                None
-            } else {
-                Some(BitSet::from_bits(num_units, bits.iter().map(|&u| u as usize)))
-            }
-        };
-
         match &reservoir_candidates {
-            None => {
-                for (row, bits) in row_bits.iter().enumerate() {
-                    if let Some(mask) = row_mask(row) {
-                        for &u in bits {
-                            sg_tables[u as usize].push_row_from_with_mask(view, row, &mask)?;
-                        }
-                    }
-                    reservoir.observe(row, &mut rng);
-                }
-            }
-            Some(rest) => {
-                for (row, bits) in row_bits.iter().enumerate() {
-                    if let Some(mask) = row_mask(row) {
-                        for &u in bits {
-                            sg_tables[u as usize].push_row_from_with_mask(view, row, &mask)?;
-                        }
-                    }
-                }
-                for &row in rest {
-                    reservoir.observe(row, &mut rng);
-                }
-            }
+            None => (0..n).for_each(|row| reservoir.observe(row, &mut rng)),
+            Some(rest) => rest.iter().for_each(|&row| reservoir.observe(row, &mut rng)),
         }
 
         // Materialise the overall part(s).
@@ -524,25 +463,13 @@ impl SmallGroupSampler {
         };
         let mut overall = Vec::new();
         if !outlier_rows.is_empty() {
-            let mut table = Table::empty("overall_outliers", view.schema().clone());
-            table.enable_bitmask(num_units.max(1));
-            for &row in &outlier_rows {
-                let mask = row_mask(row)
-                    .unwrap_or_else(|| BitSet::with_capacity(num_units.max(1)));
-                table.push_row_from_with_mask(view, row, &mask)?;
-            }
+            let table = sample_table(view, &masks, "overall_outliers", &outlier_rows);
             overall.push(OverallPart { table, weight: 1.0 });
         }
         {
             let mut indices = reservoir.into_items();
             indices.sort_unstable();
-            let mut table = Table::empty("overall", view.schema().clone());
-            table.enable_bitmask(num_units.max(1));
-            for &row in &indices {
-                let mask = row_mask(row)
-                    .unwrap_or_else(|| BitSet::with_capacity(num_units.max(1)));
-                table.push_row_from_with_mask(view, row, &mask)?;
-            }
+            let table = sample_table(view, &masks, "overall", &indices);
             let weight = if overall_rate > 0.0 { 1.0 / overall_rate } else { 1.0 };
             overall.push(OverallPart { table, weight });
         }
@@ -553,9 +480,10 @@ impl SmallGroupSampler {
         // --- Decode common codes into runtime value sets; catalog ---------
         let mut entries = Vec::with_capacity(num_units);
         let mut column_meta = Vec::with_capacity(num_units);
-        for (idx, ((unit, codes, num_common), acc)) in survivors
+        for (idx, (((unit, codes, num_common), acc), table)) in survivors
             .into_iter()
             .zip(survivor_accessors)
+            .zip(sg_tables)
             .enumerate()
         {
             let common = match codes {
@@ -575,10 +503,6 @@ impl SmallGroupSampler {
                     CommonValues::Pair(pairs)
                 }
             };
-            let table = std::mem::replace(
-                &mut sg_tables[idx],
-                Table::empty("moved", view.schema().clone()),
-            );
             column_meta.push(SampleColumnMeta {
                 name: unit.name(),
                 index: idx,
@@ -647,6 +571,12 @@ impl SmallGroupSampler {
     /// Rows in the source view.
     pub fn view_rows(&self) -> usize {
         self.view_rows
+    }
+
+    /// Every table of the family, in file order: the small group tables by
+    /// index, then the overall part(s).
+    pub fn tables(&self) -> impl Iterator<Item = &Table> {
+        (self.entries.iter().map(|e| &e.table)).chain(self.overall.iter().map(|p| &p.table))
     }
 
     /// Names of the columns (and pairs) in `S`, ordered by index.

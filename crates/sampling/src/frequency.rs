@@ -31,6 +31,30 @@ impl<T: Eq + Hash + Clone> ColumnFrequency<T> {
         }
     }
 
+    /// A counter holding exactly the given `(value, frequency)` pairs, for
+    /// callers that count by other means (a dense array indexed by
+    /// dictionary code). Equal to observing each value `frequency` times:
+    /// more than `distinct_cap` distinct values abandon the counter.
+    pub fn from_counts(counts: impl IntoIterator<Item = (T, u64)>, distinct_cap: usize) -> Self {
+        let mut map = HashMap::new();
+        let mut total = 0;
+        for (value, count) in counts {
+            total += count;
+            *map.entry(value).or_insert(0) += count;
+        }
+        ColumnFrequency {
+            counts: (map.len() <= distinct_cap).then_some(map),
+            total,
+            distinct_cap,
+        }
+    }
+
+    /// The `(value, frequency)` pairs in no particular order, unless
+    /// abandoned.
+    pub fn counts(&self) -> Option<impl Iterator<Item = (&T, u64)>> {
+        self.counts.as_ref().map(|m| m.iter().map(|(v, c)| (v, *c)))
+    }
+
     /// Observe one value.
     pub fn observe(&mut self, value: &T) {
         self.total += 1;
@@ -44,33 +68,6 @@ impl<T: Eq + Hash + Clone> ColumnFrequency<T> {
                 self.counts = None;
             } else {
                 map.insert(value.clone(), 1);
-            }
-        }
-    }
-
-    /// Absorb another counter over a disjoint slice of the same column.
-    ///
-    /// This is the reduction step of parallel pass-1 preprocessing: each
-    /// worker counts its own morsels into a private counter, then the
-    /// partials are merged. The result is exactly what one sequential scan
-    /// over the concatenated slices would have produced — counts are
-    /// integer-additive, and the merged counter is abandoned iff the union
-    /// of distinct values exceeds the cap (which is precisely when a
-    /// sequential scan, in any order, would have abandoned).
-    pub fn merge(&mut self, other: ColumnFrequency<T>) {
-        self.total += other.total;
-        let (Some(map), Some(other_map)) = (self.counts.as_mut(), other.counts) else {
-            self.counts = None;
-            return;
-        };
-        for (value, c) in other_map {
-            if let Some(existing) = map.get_mut(&value) {
-                *existing += c;
-            } else if map.len() >= self.distinct_cap {
-                self.counts = None;
-                return;
-            } else {
-                map.insert(value, c);
             }
         }
     }
@@ -307,80 +304,23 @@ mod tests {
     }
 
     #[test]
-    fn merge_matches_sequential_scan() {
-        // Splitting the stream at any point and merging must reproduce the
-        // sequential counts exactly.
-        let stream: Vec<&str> = ["a", "b", "a", "c", "a", "b", "d", "a"].into();
-        for split in 0..=stream.len() {
-            let mut seq: ColumnFrequency<String> = ColumnFrequency::new(1000);
-            for v in &stream {
-                seq.observe(&(*v).to_owned());
-            }
-            let mut left: ColumnFrequency<String> = ColumnFrequency::new(1000);
-            let mut right: ColumnFrequency<String> = ColumnFrequency::new(1000);
-            for v in &stream[..split] {
-                left.observe(&(*v).to_owned());
-            }
-            for v in &stream[split..] {
-                right.observe(&(*v).to_owned());
-            }
-            left.merge(right);
-            assert_eq!(left.total(), seq.total());
-            assert_eq!(left.distinct(), seq.distinct());
-            for v in ["a", "b", "c", "d", "zz"] {
-                assert_eq!(left.count(&v.to_owned()), seq.count(&v.to_owned()));
-            }
-        }
-    }
-
-    #[test]
-    fn merge_abandonment_matches_sequential() {
-        // Partials with ≤ cap distinct values each, but > cap in union:
-        // merging must abandon, exactly as the sequential scan does.
-        let mut a: ColumnFrequency<u64> = ColumnFrequency::new(4);
-        let mut b: ColumnFrequency<u64> = ColumnFrequency::new(4);
-        for i in 0..3u64 {
-            a.observe(&i);
-            b.observe(&(i + 3));
-        }
-        a.merge(b);
-        assert!(a.abandoned());
-        assert_eq!(a.total(), 6, "total keeps counting after abandonment");
-
-        // Exactly cap distinct values in union: not abandoned (matches
-        // observe(), which only gives up when value cap+1 arrives).
-        let mut a: ColumnFrequency<u64> = ColumnFrequency::new(4);
-        let mut b: ColumnFrequency<u64> = ColumnFrequency::new(4);
-        for i in 0..2u64 {
-            a.observe(&i);
-            b.observe(&(i + 2));
-        }
-        a.merge(b);
-        assert!(!a.abandoned());
-        assert_eq!(a.distinct(), Some(4));
-
-        // An already-abandoned partial poisons the merge.
-        let mut a: ColumnFrequency<u64> = ColumnFrequency::new(2);
-        let mut b: ColumnFrequency<u64> = ColumnFrequency::new(2);
-        for i in 0..5u64 {
-            b.observe(&i);
-        }
-        assert!(b.abandoned());
-        a.observe(&0);
-        a.merge(b);
-        assert!(a.abandoned());
-        assert_eq!(a.total(), 6);
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut c = counted(&[("a", 5), ("b", 3)]);
-        c.merge(ColumnFrequency::new(1000));
-        assert_eq!(c.total(), 8);
-        assert_eq!(c.distinct(), Some(2));
-        let mut empty: ColumnFrequency<String> = ColumnFrequency::new(1000);
-        empty.merge(counted(&[("a", 5), ("b", 3)]));
-        assert_eq!(empty.count(&"a".to_owned()), Some(5));
+    fn from_counts_equals_observing() {
+        let observed = counted(&[("a", 5), ("b", 3), ("c", 1)]);
+        let built = ColumnFrequency::from_counts(
+            [("b".to_owned(), 3), ("a".to_owned(), 5), ("c".to_owned(), 1)],
+            1000,
+        );
+        assert_eq!(built.total(), observed.total());
+        let sorted = |f: &ColumnFrequency<String>| {
+            let mut pairs: Vec<(String, u64)> =
+                f.counts().unwrap().map(|(v, c)| (v.clone(), c)).collect();
+            pairs.sort();
+            pairs
+        };
+        assert_eq!(sorted(&built), sorted(&observed));
+        // One value past the cap abandons, exactly the cap does not.
+        assert!(ColumnFrequency::from_counts((0..3u64).map(|v| (v, 1)), 2).abandoned());
+        assert!(!ColumnFrequency::from_counts((0..2u64).map(|v| (v, 1)), 2).abandoned());
     }
 
     #[test]

@@ -122,6 +122,26 @@ impl BitmaskColumn {
         }
     }
 
+    /// Build a column of `width` words per row straight from row-major
+    /// words. Panics if `words` is not a whole number of rows.
+    pub fn from_words(width: usize, words: Vec<u64>) -> Self {
+        let width = width.max(1);
+        assert!(words.len().is_multiple_of(width), "bitmask words are not whole rows");
+        BitmaskColumn { width, words }
+    }
+
+    /// A new column holding the rows at `indices`, in order.
+    pub fn gather(&self, indices: &[usize]) -> Self {
+        let mut words = Vec::with_capacity(indices.len() * self.width);
+        for &i in indices {
+            words.extend_from_slice(&self.words[i * self.width..(i + 1) * self.width]);
+        }
+        BitmaskColumn {
+            width: self.width,
+            words,
+        }
+    }
+
     /// The row-major mask words, [`Self::width`] per row.
     pub fn words(&self) -> &[u64] {
         &self.words
@@ -283,6 +303,25 @@ mod tests {
         assert!(!col.row_intersects(3, &m0));
         assert_eq!(col.rows_disjoint_from(&m0), vec![1, 3]);
         assert_eq!(col.row(2).iter_ones().collect::<Vec<_>>(), vec![0, 2]);
+    }
+
+    #[test]
+    fn gather_and_from_words_equal_pushes() {
+        let mut col = BitmaskColumn::new(130);
+        for r in 0..5usize {
+            col.push(&BitSet::from_bits(130, [r, 64 + r, 128]));
+        }
+        let picked = col.gather(&[4, 0, 0]);
+        let mut pushed = BitmaskColumn::new(130);
+        for r in [4usize, 0, 0] {
+            pushed.push(&col.row(r));
+        }
+        assert_eq!(picked.words(), pushed.words());
+        assert_eq!(picked.width(), 3);
+        let rebuilt = BitmaskColumn::from_words(3, col.words().to_vec());
+        assert_eq!(rebuilt.len(), 5);
+        assert_eq!(rebuilt.row(2), col.row(2));
+        assert!(col.gather(&[]).is_empty());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Typed columns and column builders.
 
-use crate::dictionary::Dictionary;
+use crate::dictionary::{CodeRemap, Dictionary};
 use crate::error::{StorageError, StorageResult};
 use crate::nulls::NullMask;
 use crate::value::{DataType, Value, ValueRef};
@@ -176,12 +176,41 @@ impl Column {
     }
 
     /// Build a new column containing only the rows at `indices` (in order).
+    ///
+    /// A typed copy per variant; string columns copy codes through a
+    /// [`CodeRemap`], so a string is hashed once per distinct value
+    /// gathered, never per row. The result equals pushing
+    /// `self.value(i)` for each index into an empty column: same
+    /// placeholders under NULLs, same dictionary order, and a null mask
+    /// only if some gathered row is NULL.
     pub fn gather(&self, indices: &[usize]) -> Column {
-        let mut out = Column::new(self.data_type());
-        for &i in indices {
-            out.push(self.value(i)).expect("gather preserves type");
+        match self {
+            Column::Int64 { data, nulls } => {
+                let (data, nulls) = gather_rows(data, nulls.as_ref(), indices, |v| v);
+                Column::Int64 { data, nulls }
+            }
+            Column::Float64 { data, nulls } => {
+                let (data, nulls) = gather_rows(data, nulls.as_ref(), indices, |v| v);
+                Column::Float64 { data, nulls }
+            }
+            Column::Utf8 { codes, dict, nulls } => {
+                // No more distinct strings can come out than rows go in.
+                let mut out_dict = Dictionary::with_capacity(dict.len().min(indices.len()));
+                let mut remap = CodeRemap::new(dict.len());
+                let (codes, nulls) = gather_rows(codes, nulls.as_ref(), indices, |code| {
+                    remap.remap(code, || out_dict.intern_shared(dict.shared(code)))
+                });
+                Column::Utf8 {
+                    codes,
+                    dict: out_dict,
+                    nulls,
+                }
+            }
+            Column::Bool { data, nulls } => {
+                let (data, nulls) = gather_rows(data, nulls.as_ref(), indices, |v| v);
+                Column::Bool { data, nulls }
+            }
         }
-        out
     }
 
     /// The column's null mask, if any null has ever been stored. `None`
@@ -231,7 +260,9 @@ impl Column {
     /// Approximate heap size of the column payload in bytes.
     ///
     /// Used by the experiment harness to report sample-table space overhead
-    /// (Section 5.4.2 of the paper).
+    /// (Section 5.4.2 of the paper). A dictionary entry counts its bytes
+    /// once plus 24 for its slots in the code vector and the index — the
+    /// [`Dictionary`] keeps one shared copy of each string.
     pub fn byte_size(&self) -> usize {
         match self {
             Column::Int64 { data, .. } => data.len() * 8,
@@ -242,6 +273,36 @@ impl Column {
             Column::Bool { data, .. } => data.len(),
         }
     }
+}
+
+/// `copy(data[i])` for each `i` in `indices`, with `T::default()` under
+/// NULL rows. The output mask is created at the first NULL gathered, so
+/// gathering only valid rows of a column that has NULLs yields `None`.
+fn gather_rows<T: Copy + Default>(
+    data: &[T],
+    nulls: Option<&NullMask>,
+    indices: &[usize],
+    mut copy: impl FnMut(T) -> T,
+) -> (Vec<T>, Option<NullMask>) {
+    let Some(mask) = nulls else {
+        return (indices.iter().map(|&i| copy(data[i])).collect(), None);
+    };
+    let mut out_nulls = None;
+    let out = indices
+        .iter()
+        .enumerate()
+        .map(|(j, &i)| {
+            if mask.is_null(i) {
+                out_nulls
+                    .get_or_insert_with(|| NullMask::all_valid(indices.len()))
+                    .set_null(j);
+                T::default()
+            } else {
+                copy(data[i])
+            }
+        })
+        .collect();
+    (out, out_nulls)
 }
 
 fn ensure_mask(nulls: &mut Option<NullMask>, current_len: usize) -> &mut NullMask {

@@ -36,8 +36,10 @@
 //!
 //! [`fault::write_file_atomic`]: crate::fault::write_file_atomic
 
-use crate::bitmask::{BitSet, BitmaskColumn};
+use crate::bitmask::BitmaskColumn;
 use crate::column::Column;
+use crate::dictionary::{CodeRemap, Dictionary};
+use crate::nulls::NullMask;
 use crate::crc::crc32c;
 use crate::error::{StorageError, StorageResult};
 use crate::fault;
@@ -72,6 +74,11 @@ fn put_str(buf: &mut BytesMut, s: &str) -> StorageResult<()> {
 }
 
 fn get_str(buf: &mut &[u8]) -> StorageResult<String> {
+    get_str_ref(buf).map(str::to_owned)
+}
+
+/// [`get_str`] without the copy: the string borrowed from the buffer.
+fn get_str_ref<'a>(buf: &mut &'a [u8]) -> StorageResult<&'a str> {
     if buf.remaining() < 4 {
         return Err(corrupt("truncated string length"));
     }
@@ -79,11 +86,30 @@ fn get_str(buf: &mut &[u8]) -> StorageResult<String> {
     if buf.remaining() < len {
         return Err(corrupt("truncated string payload"));
     }
-    let s = std::str::from_utf8(&buf[..len])
-        .map_err(|_| corrupt("invalid UTF-8 in string"))?
-        .to_owned();
-    buf.advance(len);
-    Ok(s)
+    let (head, tail) = buf.split_at(len);
+    *buf = tail;
+    std::str::from_utf8(head).map_err(|_| corrupt("invalid UTF-8 in string"))
+}
+
+/// Decode `n` little-endian `N`-byte elements in one pass. The caller has
+/// checked that `buf` holds them.
+fn take_le<T, const N: usize>(buf: &mut &[u8], n: usize, decode: fn([u8; N]) -> T) -> Vec<T> {
+    let (head, tail) = buf.split_at(n * N);
+    *buf = tail;
+    head.chunks_exact(N)
+        .map(|chunk| decode(chunk.try_into().expect("chunks_exact yields N bytes")))
+        .collect()
+}
+
+/// Overwrite the slots of NULL rows with the placeholder `push_null` stores.
+fn clear_nulls<T: Default>(data: &mut [T], nulls: Option<&NullMask>) {
+    if let Some(mask) = nulls {
+        for (row, slot) in data.iter_mut().enumerate() {
+            if mask.is_null(row) {
+                *slot = T::default();
+            }
+        }
+    }
 }
 
 fn type_tag(dt: DataType) -> u8 {
@@ -260,10 +286,8 @@ fn encode_core(table: &Table) -> StorageResult<Vec<u8>> {
         Some(bm) => {
             buf.put_u8(1);
             buf.put_u32_le(bm.width() as u32);
-            for row in 0..bm.len() {
-                for w in bm.row(row).words().iter().take(bm.width()) {
-                    buf.put_u64_le(*w);
-                }
+            for w in bm.words() {
+                buf.put_u64_le(*w);
             }
         }
         None => buf.put_u8(0),
@@ -498,52 +522,37 @@ fn decode_core(mut buf: &[u8]) -> StorageResult<Table> {
             )));
         }
         let has_nulls = buf.get_u8() != 0;
-        let null_words = if has_nulls {
+        // A mask with no bit set inside `rows` decodes to "fully valid",
+        // as it would had each row been pushed.
+        let nulls = if has_nulls {
             let n_words = rows.div_ceil(64);
             if n_words.checked_mul(8).is_none_or(|b| buf.remaining() < b) {
                 return Err(corrupt("truncated null mask"));
             }
-            let mut words = Vec::with_capacity(n_words);
-            for _ in 0..n_words {
-                words.push(buf.get_u64_le());
-            }
-            Some(words)
+            let words = take_le(&mut buf, n_words, u64::from_le_bytes);
+            Some(NullMask::from_words(words, rows)).filter(|m| m.null_count() > 0)
         } else {
             None
         };
-        let is_null = |row: usize| -> bool {
-            null_words
-                .as_ref()
-                .is_some_and(|w| (w[row / 64] >> (row % 64)) & 1 == 1)
-        };
 
-        let mut col = Column::new(dt);
-        match dt {
+        // Payloads are copied in bulk; NULL rows then get the placeholder
+        // a pushed NULL stores, whatever the file holds under them.
+        let col = match dt {
             DataType::Int64 => {
                 if rows.checked_mul(8).is_none_or(|b| buf.remaining() < b) {
                     return Err(corrupt("truncated int column"));
                 }
-                for row in 0..rows {
-                    let v = buf.get_i64_le();
-                    if is_null(row) {
-                        col.push_null();
-                    } else {
-                        col.push(crate::value::ValueRef::Int64(v))?;
-                    }
-                }
+                let mut data = take_le(&mut buf, rows, i64::from_le_bytes);
+                clear_nulls(&mut data, nulls.as_ref());
+                Column::Int64 { data, nulls }
             }
             DataType::Float64 => {
                 if rows.checked_mul(8).is_none_or(|b| buf.remaining() < b) {
                     return Err(corrupt("truncated float column"));
                 }
-                for row in 0..rows {
-                    let v = buf.get_f64_le();
-                    if is_null(row) {
-                        col.push_null();
-                    } else {
-                        col.push(crate::value::ValueRef::Float64(v))?;
-                    }
-                }
+                let mut data = take_le(&mut buf, rows, f64::from_le_bytes);
+                clear_nulls(&mut data, nulls.as_ref());
+                Column::Float64 { data, nulls }
             }
             DataType::Utf8 => {
                 if buf.remaining() < 4 {
@@ -552,37 +561,38 @@ fn decode_core(mut buf: &[u8]) -> StorageResult<Table> {
                 let dict_len = buf.get_u32_le() as usize;
                 let mut dict_strings = Vec::with_capacity(dict_len.min(buf.remaining()));
                 for _ in 0..dict_len {
-                    dict_strings.push(get_str(&mut buf)?);
+                    dict_strings.push(get_str_ref(&mut buf)?);
                 }
                 if rows.checked_mul(4).is_none_or(|b| buf.remaining() < b) {
                     return Err(corrupt("truncated codes"));
                 }
-                for row in 0..rows {
-                    let code = buf.get_u32_le() as usize;
-                    if is_null(row) {
-                        col.push_null();
-                    } else {
-                        let s = dict_strings
-                            .get(code)
-                            .ok_or_else(|| corrupt(format!("dictionary code {code} out of range")))?;
-                        col.push(crate::value::ValueRef::Utf8(s))?;
+                let mut codes = take_le(&mut buf, rows, u32::from_le_bytes);
+                // Re-code in first-appearance order: file entries no valid
+                // row uses drop out, so save -> load -> save is byte-equal.
+                let mut dict = Dictionary::new();
+                let mut remap = CodeRemap::new(dict_len);
+                for (row, code) in codes.iter_mut().enumerate() {
+                    if nulls.as_ref().is_some_and(|m| m.is_null(row)) {
+                        *code = 0;
+                        continue;
                     }
+                    if *code as usize >= dict_len {
+                        return Err(corrupt(format!("dictionary code {code} out of range")));
+                    }
+                    *code = remap.remap(*code, || dict.intern(dict_strings[*code as usize]));
                 }
+                Column::Utf8 { codes, dict, nulls }
             }
             DataType::Bool => {
                 if buf.remaining() < rows {
                     return Err(corrupt("truncated bool column"));
                 }
-                for row in 0..rows {
-                    let v = buf.get_u8() != 0;
-                    if is_null(row) {
-                        col.push_null();
-                    } else {
-                        col.push(crate::value::ValueRef::Bool(v))?;
-                    }
-                }
+                let mut data: Vec<bool> = buf[..rows].iter().map(|&b| b != 0).collect();
+                buf.advance(rows);
+                clear_nulls(&mut data, nulls.as_ref());
+                Column::Bool { data, nulls }
             }
-        }
+        };
         columns.push(col);
     }
 
@@ -597,6 +607,9 @@ fn decode_core(mut buf: &[u8]) -> StorageResult<Table> {
             return Err(corrupt("truncated bitmask width"));
         }
         let width = buf.get_u32_le() as usize;
+        if width == 0 {
+            return Err(corrupt("zero bitmask width"));
+        }
         if rows
             .checked_mul(width)
             .and_then(|w| w.checked_mul(8))
@@ -604,14 +617,7 @@ fn decode_core(mut buf: &[u8]) -> StorageResult<Table> {
         {
             return Err(corrupt("truncated bitmask words"));
         }
-        let mut bm = BitmaskColumn::new(width * 64);
-        for _ in 0..rows {
-            let mut words = Vec::with_capacity(width);
-            for _ in 0..width {
-                words.push(buf.get_u64_le());
-            }
-            bm.push(&BitSet::from_raw_words(words));
-        }
+        let bm = BitmaskColumn::from_words(width, take_le(&mut buf, rows * width, u64::from_le_bytes));
         table.attach_bitmask(bm)?;
     }
 
@@ -650,6 +656,7 @@ pub fn read_table_file(path: impl AsRef<std::path::Path>) -> StorageResult<Table
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bitmask::BitSet;
     use crate::schema::SchemaBuilder;
     use crate::value::Value;
 

@@ -27,6 +27,24 @@ impl NullMask {
         }
     }
 
+    /// Build a mask over `len` rows from packed words (bit `i % 64` of
+    /// word `i / 64` set means row `i` is null). Bits past `len` are
+    /// cleared. Panics unless exactly `len.div_ceil(64)` words are given.
+    pub fn from_words(mut words: Vec<u64>, len: usize) -> Self {
+        assert_eq!(words.len(), len.div_ceil(64), "null mask word count");
+        if !len.is_multiple_of(64) {
+            if let Some(last) = words.last_mut() {
+                *last &= (1u64 << (len % 64)) - 1;
+            }
+        }
+        let null_count = words.iter().map(|w| w.count_ones() as usize).sum();
+        NullMask {
+            words,
+            len,
+            null_count,
+        }
+    }
+
     /// Number of rows covered by this mask.
     pub fn len(&self) -> usize {
         self.len
@@ -101,6 +119,19 @@ mod tests {
         assert!(m.is_null(63));
         assert!(m.is_null(64));
         assert!(!m.is_null(65));
+    }
+
+    #[test]
+    fn from_words_equals_pushes_and_drops_tail_bits() {
+        let mut pushed = NullMask::new();
+        for i in 0..70 {
+            pushed.push(i == 3 || i == 69);
+        }
+        // Bit 70 of the file's last word is past the end and ignored.
+        let built = NullMask::from_words(vec![1 << 3, (1 << 5) | (1 << 6)], 70);
+        assert_eq!(built, pushed);
+        assert_eq!(built.null_count(), 2);
+        assert_eq!(NullMask::from_words(Vec::new(), 0), NullMask::new());
     }
 
     #[test]

@@ -155,6 +155,11 @@ impl Table {
     }
 
     /// Append a row copied from another table with an identical schema.
+    ///
+    /// One dynamically typed push per cell. Bulk construction goes through
+    /// [`Table::gather`]; this and [`Table::push_row_from_with_mask`] stay
+    /// as the row-at-a-time reference the differential tests
+    /// (`tests/diff_build.rs`) hold the columnar builders to.
     pub fn push_row_from(&mut self, src: &Table, src_row: usize) -> StorageResult<()> {
         if src.schema.len() != self.schema.len() {
             return Err(StorageError::SchemaMismatch(
@@ -237,13 +242,7 @@ impl Table {
     /// preserving bitmask rows when present.
     pub fn gather(&self, name: impl Into<String>, indices: &[usize]) -> Table {
         let columns = self.columns.iter().map(|c| c.gather(indices)).collect();
-        let bitmask = self.bitmask.as_ref().map(|bm| {
-            let mut out = BitmaskColumn::new(bm.width() * 64);
-            for &i in indices {
-                out.push(&bm.row(i));
-            }
-            out
-        });
+        let bitmask = self.bitmask.as_ref().map(|bm| bm.gather(indices));
         Table {
             name: name.into(),
             schema: Arc::clone(&self.schema),
