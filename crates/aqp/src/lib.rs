@@ -86,8 +86,8 @@ pub mod prelude {
     };
     pub use aqp_datagen::{gen_sales, gen_tpch, SalesConfig, TpchConfig};
     pub use aqp_query::{
-        execute, AggExpr, AggFunc, CmpOp, DataSource, Dimension, ExecOptions, Expr, KernelMode,
-        PruneMode, Query, StarSchema, Weighting,
+        execute, AggExpr, AggFunc, CmpOp, DataSource, Dimension, ExecOptions, Expr, PruneMode,
+        Query, StarSchema, Weighting,
     };
     pub use aqp_sampling::{ConfidenceInterval, Estimate};
     pub use aqp_sql::{parse_query, ParsedQuery};

@@ -94,13 +94,6 @@ USAGE:
   aqp-cli workload --family FILE --view FILE [--queries N] [--grouping N]
                    [--seed N] [--confidence F] [--row-budget N] [--threads N]
                    [--trace] [--stats] [--calibrate] [--obs-out PREFIX]
-  aqp-cli bench [--scale F] [--skew F] [--seed N] [--rate F] [--gamma F]
-                [--iters N] [--out FILE] [--stats]
-  aqp-cli bench kernels [--scale F] [--skew F] [--seed N] [--iters N]
-                        [--min-speedup F] [--out FILE]
-  aqp-cli bench pruning [--rows N] [--iters N] [--min-speedup F]
-                        [--out FILE] [--stats]
-  aqp-cli bench serving [--rows N] [--requests N] [--threads N] [--out FILE]
   aqp-cli serve --family FILE [--view FILE] [--addr HOST:PORT] [--threads N]
                 [--confidence F] [--row-budget N] [--default-deadline-ms N]
                 [--fixed-rate F] [--drain-timeout-ms N] [--metrics-out FILE]
@@ -137,33 +130,14 @@ PREFIX_report.json (default PREFIX: OBS). --stats prints a Prometheus
 text-format metrics snapshot after the command. validate-trace checks
 every line of a .jsonl trace file against the documented schema.
 
-bench measures scan/aggregate and sample-build throughput at 1/2/4/8
-threads on a generated skewed TPC-H view and writes the results as JSON
-(default BENCH_parallel.json), including a per-stage wall-time breakdown
-(scan vs merge vs finalize) from the span timers, plus an observability
-overhead report (metrics on vs off) next to it as BENCH_obs.json.
-
-bench kernels compares the scalar reference executor against the
-vectorized kernels (selection vectors, typed aggregation loops, dense
-group ids) on three workloads — a dictionary group-by, an integer
-group-by, and an ungrouped filter — at 1 and 4 threads, and writes
-BENCH_kernels.json. Answers are bit-identical across modes by contract;
---min-speedup F fails the command if the single-thread dictionary
-group-by speedup falls below F. AQP_KERNELS=scalar forces the scalar
-path process-wide for any command (explain --analyze shows which kernel
-each operator used).
-
-bench pruning measures zone-map block pruning on a clustered view:
-range predicates at ~1%/5%/100% selectivity and a dictionary equality,
-each timed pruned vs unpruned after a bit-identity check, written as
-BENCH_pruning.json. Scans consult per-block min/max/null/dictionary
+Zone-map pruning: scans consult per-block min/max/null/dictionary
 summaries persisted in .aqpt files (recomputed lazily for v2 files) to
-skip blocks no row can match and to drop per-row predicate evaluation
-on blocks every row matches; answers are bit-identical either way by
+skip blocks no row can match and to drop per-row predicate evaluation on
+blocks every row matches; answers are bit-identical either way by
 contract. AQP_PRUNE=off disables pruning process-wide; explain
---analyze and traces report blocks skipped/taken/scanned and rows
-pruned per operator, and aqp_prune_blocks_total{outcome=...} counts
-block outcomes whenever a prune plan is active.
+--analyze and traces report blocks skipped/taken/scanned and rows pruned
+per operator, and aqp_prune_blocks_total{outcome=...} counts block
+outcomes whenever a prune plan is active.
 
 serve runs a concurrent TCP query server (4-byte length-prefixed JSON
 frames) over the same degradation ladder: per-class admission control
@@ -172,9 +146,6 @@ step answers down to cheaper tiers instead of missing (the wire carries
 tier/partial/deadline_limited), and SIGTERM or a shutdown request drains
 in-flight work before exit. client sends one request with bounded
 retry + exponential backoff + jitter on shed and transport errors.
-bench serving measures end-to-end latency quantiles (with per-tier
-counts) and overload shed behaviour against an in-process server, plus
-semantic-cache cold-miss vs warm-hit p50 latency (BENCH_serving.json).
 AQP_FAULTS also accepts serving faults: accept-drop@N, write-stall@N,
 slow-read@N, exec-stall@N (comma-separated specs compose with storage
 faults).
@@ -235,7 +206,6 @@ pub fn run(args: Args, out: &mut dyn Write) -> Result<(), CliError> {
         "query" => query_command(&args, out),
         "explain" => explain_command(&args, out),
         "workload" => workload_command(&args, out),
-        "bench" => bench_command(&args, out),
         "serve" => crate::serve::serve_command(&args, out),
         "client" => crate::serve::client_command(&args, out),
         "top" => crate::serve::top_command(&args, out),
@@ -801,496 +771,6 @@ fn workload_command(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Thread counts measured by `bench`.
-const BENCH_THREADS: &[usize] = &[1, 2, 4, 8];
-
-/// Render one list of [`aqp::workload::BenchPoint`]s as a JSON array.
-fn bench_points_json(points: &[aqp::workload::BenchPoint]) -> String {
-    let entries: Vec<String> = points
-        .iter()
-        .map(|p| {
-            format!(
-                "    {{\"threads\": {}, \"elapsed_ms\": {:.3}, \"rows\": {}, \"rows_per_sec\": {:.1}}}",
-                p.threads, p.elapsed_ms, p.rows, p.rows_per_sec
-            )
-        })
-        .collect();
-    format!("[\n{}\n  ]", entries.join(",\n"))
-}
-
-/// Speedup of the `threads`-thread point over the 1-thread point, if both
-/// were measured.
-fn bench_speedup(points: &[aqp::workload::BenchPoint], threads: usize) -> Option<f64> {
-    let base = points.iter().find(|p| p.threads == 1)?;
-    let at = points.iter().find(|p| p.threads == threads)?;
-    (base.rows_per_sec > 0.0).then(|| at.rows_per_sec / base.rows_per_sec)
-}
-
-/// Measure morsel-driven throughput (sample build + query scan) at
-/// 1/2/4/8 threads over a generated skewed TPC-H view, and write
-/// `BENCH_parallel.json`.
-fn bench_command(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
-    match args.positionals().get(1).map(String::as_str) {
-        Some("kernels") => return bench_kernels_command(args, out),
-        Some("pruning") => return bench_pruning_command(args, out),
-        Some("serving") => return crate::serve::bench_serving_command(args, out),
-        Some(other) => {
-            return Err(CliError(format!(
-                "unknown bench target {other:?} (expected: kernels, pruning, serving, or no target)"
-            )))
-        }
-        None => {}
-    }
-    let scale = args.get_or("scale", 0.1f64)?;
-    let skew = args.get_or("skew", 2.0f64)?;
-    let seed = args.get_or("seed", 42u64)?;
-    let rate = args.get_or("rate", 0.05f64)?;
-    let gamma = args.get_or("gamma", 0.5f64)?;
-    let iters = args.get_or("iters", 3usize)?.max(1);
-    let stats = args.flag("stats");
-    let out_path = args
-        .optional("out")
-        .unwrap_or_else(|| "BENCH_parallel.json".to_owned());
-    args.finish()?;
-
-    let star = gen_tpch(&TpchConfig {
-        scale_factor: scale,
-        zipf_z: skew,
-        seed,
-    })
-    .map_err(boxed)?;
-    let view = star.denormalize("bench_view").map_err(boxed)?;
-    let host = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    writeln!(
-        out,
-        "bench: tpch scale {scale} (skew {skew}) -> {} rows, host parallelism {host}",
-        view.num_rows()
-    )?;
-
-    let config = SmallGroupConfig {
-        seed,
-        ..SmallGroupConfig::with_rates(rate, gamma)
-    };
-    let query = parse_query(
-        "SELECT lineitem.shipmode, COUNT(*), SUM(lineitem.extendedprice), \
-         AVG(lineitem.quantity) FROM v GROUP BY lineitem.shipmode",
-    )
-    .map_err(boxed)?
-    .query;
-    let source = DataSource::Wide(&view);
-
-    let mut build_points = Vec::new();
-    let mut query_points = Vec::new();
-    let mut stage_rows = Vec::new();
-    for &threads in BENCH_THREADS {
-        let build =
-            aqp::workload::bench_build_throughput(&view, &config, threads).map_err(boxed)?;
-        // Per-stage wall time from the span timers: the query runs emit
-        // `aqp_stage_seconds{stage=...}` observations, so the snapshot
-        // delta around the measurement window isolates this thread count.
-        let before = aqp::obs::global().snapshot();
-        let scan =
-            aqp::workload::bench_query_throughput(&source, &query, threads, iters).map_err(boxed)?;
-        let after = aqp::obs::global().snapshot();
-        let per_iter = |stage: &str| {
-            (stage_sum_ms(&after, stage) - stage_sum_ms(&before, stage)) / iters as f64
-        };
-        stage_rows.push(format!(
-            "    {{\"threads\": {threads}, \"scan_ms\": {:.3}, \"merge_ms\": {:.3}, \"finalize_ms\": {:.3}}}",
-            per_iter("query.scan"),
-            per_iter("query.merge"),
-            per_iter("query.finalize"),
-        ));
-        writeln!(
-            out,
-            "threads {threads}: build {:.0} rows/s ({:.1} ms), query {:.0} rows/s ({:.1} ms)",
-            build.rows_per_sec, build.elapsed_ms, scan.rows_per_sec, scan.elapsed_ms
-        )?;
-        build_points.push(build);
-        query_points.push(scan);
-    }
-
-    // Observability overhead: repeat the query measurement with metrics
-    // runtime-disabled and compare. Written next to the main report as
-    // BENCH_obs.json so the overhead of the instrumentation itself is a
-    // tracked artifact.
-    let mut obs_rows = Vec::new();
-    let mut max_overhead: f64 = 0.0;
-    for &threads in BENCH_THREADS {
-        let on =
-            aqp::workload::bench_query_throughput(&source, &query, threads, iters).map_err(boxed)?;
-        aqp::obs::set_enabled(false);
-        let off =
-            aqp::workload::bench_query_throughput(&source, &query, threads, iters).map_err(boxed)?;
-        aqp::obs::set_enabled(true);
-        let overhead_pct = if off.elapsed_ms > 0.0 {
-            (on.elapsed_ms - off.elapsed_ms) / off.elapsed_ms * 100.0
-        } else {
-            0.0
-        };
-        max_overhead = max_overhead.max(overhead_pct);
-        obs_rows.push(format!(
-            "    {{\"threads\": {threads}, \"metrics_on_ms\": {:.3}, \"metrics_off_ms\": {:.3}, \"metrics_on_rows_per_sec\": {:.1}, \"metrics_off_rows_per_sec\": {:.1}, \"overhead_pct\": {:.2}}}",
-            on.elapsed_ms, off.elapsed_ms, on.rows_per_sec, off.rows_per_sec, overhead_pct
-        ));
-    }
-    // Serving hot-path guard: the per-request observability commit —
-    // seven stage-timeline marks, one flight-recorder push, one SLO
-    // window update — measured standalone (ns/request, metrics on vs
-    // runtime-off), then expressed against the 1-thread query time as
-    // the worst-case serving overhead: even if every request were pure
-    // scan, the commit adds this fraction on top.
-    let commit_iters = 50_000u64;
-    let bench_commit = |iters: u64| {
-        let recorder = aqp::obs::FlightRecorder::new(256);
-        let mut slo =
-            aqp::obs::SloWindows::new(aqp::obs::SloConfig::default(), &["interactive", "batch"]);
-        let t0 = std::time::Instant::now();
-        for i in 0..iters {
-            let mut timeline = aqp::obs::Timeline::start();
-            for stage in ["read", "parse", "cache", "admission", "execute", "serialize", "write"] {
-                timeline.mark(stage);
-            }
-            let total = timeline.total_micros();
-            recorder.record(aqp::obs::RequestRecord {
-                trace_id: format!("bench-{i}"),
-                class: "interactive".into(),
-                outcome: "answer".into(),
-                tier: "primary".into(),
-                cache_hit: false,
-                rows_scanned: 0,
-                total_micros: total,
-                stages: timeline.into_stages(),
-            });
-            let _ = slo.record(
-                "interactive",
-                aqp::obs::SloOutcome::Answered { cache_hit: false },
-                std::time::Duration::from_micros(total),
-            );
-        }
-        t0.elapsed().as_nanos() as f64 / iters as f64
-    };
-    let commit_on_ns = bench_commit(commit_iters);
-    aqp::obs::set_enabled(false);
-    let commit_off_ns = bench_commit(commit_iters);
-    aqp::obs::set_enabled(true);
-    // Per-request scan wall time at 1 thread, from the throughput run.
-    let query_ms = query_points
-        .first()
-        .map(|p| view.num_rows() as f64 / p.rows_per_sec * 1e3)
-        .unwrap_or(0.0);
-    let serving_overhead_pct = if query_ms > 0.0 {
-        commit_on_ns / (query_ms * 1e6) * 100.0
-    } else {
-        0.0
-    };
-    max_overhead = max_overhead.max(serving_overhead_pct);
-
-    let obs_path = std::path::Path::new(&out_path)
-        .parent()
-        .filter(|p| !p.as_os_str().is_empty())
-        .map_or_else(
-            || "BENCH_obs.json".to_owned(),
-            |p| p.join("BENCH_obs.json").to_string_lossy().into_owned(),
-        );
-    let obs_json = format!(
-        "{{\n  \"iters\": {iters},\n  \"view_rows\": {},\n  \"query_overhead\": [\n{}\n  ],\n  \"serving_commit\": {{\"iters\": {commit_iters}, \"on_ns_per_request\": {commit_on_ns:.0}, \"off_ns_per_request\": {commit_off_ns:.0}, \"query_ms_1_thread\": {query_ms:.3}, \"overhead_pct\": {serving_overhead_pct:.3}}},\n  \"max_overhead_pct\": {max_overhead:.2}\n}}\n",
-        view.num_rows(),
-        obs_rows.join(",\n"),
-    );
-    std::fs::write(&obs_path, obs_json).map_err(at_path(&obs_path))?;
-    writeln!(
-        out,
-        "observability overhead: max {max_overhead:.2}% across thread counts (serving commit {commit_on_ns:.0} ns on / {commit_off_ns:.0} ns off = {serving_overhead_pct:.3}% of a 1-thread query) -> {obs_path}"
-    )?;
-
-    let build_speedup = bench_speedup(&build_points, 4).unwrap_or(1.0);
-    let query_speedup = bench_speedup(&query_points, 4).unwrap_or(1.0);
-    let json = format!(
-        "{{\n  \"dataset\": {{\"kind\": \"tpch\", \"scale_factor\": {scale}, \"zipf_z\": {skew}, \"seed\": {seed}}},\n  \"view_rows\": {},\n  \"host_parallelism\": {host},\n  \"build\": {},\n  \"query\": {},\n  \"query_stages\": [\n{}\n  ],\n  \"build_speedup_4_threads\": {build_speedup:.2},\n  \"query_speedup_4_threads\": {query_speedup:.2}\n}}\n",
-        view.num_rows(),
-        bench_points_json(&build_points),
-        bench_points_json(&query_points),
-        stage_rows.join(",\n"),
-    );
-    std::fs::write(&out_path, json).map_err(at_path(&out_path))?;
-    writeln!(
-        out,
-        "4-thread speedup: build {build_speedup:.2}x, query {query_speedup:.2}x -> {out_path}"
-    )?;
-    if stats {
-        write_metrics_snapshot(out)?;
-    }
-    Ok(())
-}
-
-/// `bench kernels` — compare the scalar reference executor against the
-/// vectorised kernels on the same generated view and write
-/// `BENCH_kernels.json`. Three workloads: a dictionary group-by (dense
-/// group-id path), an integer group-by (hash path), and an ungrouped
-/// selective filter, each at 1 and 4 threads. Answers are checked equal
-/// across modes before timing; `--min-speedup` gates on the
-/// single-thread dictionary group-by speedup.
-fn bench_kernels_command(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
-    let scale = args.get_or("scale", 0.1f64)?;
-    let skew = args.get_or("skew", 2.0f64)?;
-    let seed = args.get_or("seed", 42u64)?;
-    let iters = args.get_or("iters", 5usize)?.max(1);
-    let min_speedup = args.get_or("min-speedup", 0.0f64)?;
-    let out_path = args
-        .optional("out")
-        .unwrap_or_else(|| "BENCH_kernels.json".to_owned());
-    args.finish()?;
-
-    let star = gen_tpch(&TpchConfig {
-        scale_factor: scale,
-        zipf_z: skew,
-        seed,
-    })
-    .map_err(boxed)?;
-    let view = star.denormalize("bench_view").map_err(boxed)?;
-    let host = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    writeln!(
-        out,
-        "bench kernels: tpch scale {scale} (skew {skew}) -> {} rows, host parallelism {host}",
-        view.num_rows()
-    )?;
-    let source = DataSource::Wide(&view);
-
-    let workloads: &[(&str, &str)] = &[
-        (
-            "dict-group-by",
-            "SELECT lineitem.shipmode, COUNT(*), SUM(lineitem.extendedprice), \
-             AVG(lineitem.quantity) FROM v GROUP BY lineitem.shipmode",
-        ),
-        (
-            "int-group-by",
-            "SELECT lineitem.partkey, COUNT(*), SUM(lineitem.extendedprice) \
-             FROM v GROUP BY lineitem.partkey",
-        ),
-        (
-            "ungrouped-filter",
-            "SELECT COUNT(*), SUM(lineitem.extendedprice) FROM v \
-             WHERE lineitem.quantity >= 30",
-        ),
-    ];
-    const KERNEL_THREADS: &[usize] = &[1, 4];
-    let mut rows = Vec::new();
-    let mut dict_speedup_1t = 1.0f64;
-    for (name, sql) in workloads {
-        let query = parse_query(sql).map_err(boxed)?.query;
-        for &threads in KERNEL_THREADS {
-            let scalar_opts = ExecOptions {
-                parallelism: threads,
-                kernels: KernelMode::Scalar,
-                ..ExecOptions::default()
-            };
-            let vector_opts = ExecOptions {
-                kernels: KernelMode::Vectorized,
-                ..scalar_opts
-            };
-            // The determinism contract says the two paths agree on every
-            // group and every tally; check it on this workload before
-            // trusting the timing comparison.
-            let a = execute(&source, &query, &scalar_opts).map_err(boxed)?;
-            let b = execute(&source, &query, &vector_opts).map_err(boxed)?;
-            if a.groups != b.groups {
-                return Err(CliError(format!(
-                    "kernel mismatch: scalar and vectorized outputs differ on {name} at {threads} thread(s)"
-                )));
-            }
-            let scalar =
-                aqp::workload::bench_query_throughput_with(&source, &query, &scalar_opts, iters)
-                    .map_err(boxed)?;
-            let vect =
-                aqp::workload::bench_query_throughput_with(&source, &query, &vector_opts, iters)
-                    .map_err(boxed)?;
-            let speedup = if vect.elapsed_ms > 0.0 {
-                scalar.elapsed_ms / vect.elapsed_ms
-            } else {
-                1.0
-            };
-            if *name == "dict-group-by" && threads == 1 {
-                dict_speedup_1t = speedup;
-            }
-            writeln!(
-                out,
-                "{name} @ {threads} thread(s): scalar {:.0} rows/s, vectorized {:.0} rows/s -> {speedup:.2}x",
-                scalar.rows_per_sec, vect.rows_per_sec
-            )?;
-            rows.push(format!(
-                "    {{\"workload\": \"{name}\", \"threads\": {threads}, \"scalar_rows_per_sec\": {:.1}, \"vectorized_rows_per_sec\": {:.1}, \"scalar_ms\": {:.3}, \"vectorized_ms\": {:.3}, \"speedup\": {speedup:.3}}}",
-                scalar.rows_per_sec, vect.rows_per_sec, scalar.elapsed_ms, vect.elapsed_ms
-            ));
-        }
-    }
-    let json = format!(
-        "{{\n  \"dataset\": {{\"kind\": \"tpch\", \"scale_factor\": {scale}, \"zipf_z\": {skew}, \"seed\": {seed}}},\n  \"view_rows\": {},\n  \"host_parallelism\": {host},\n  \"iters\": {iters},\n  \"results\": [\n{}\n  ],\n  \"dict_group_by_speedup_1_thread\": {dict_speedup_1t:.3}\n}}\n",
-        view.num_rows(),
-        rows.join(",\n"),
-    );
-    std::fs::write(&out_path, json).map_err(at_path(&out_path))?;
-    writeln!(
-        out,
-        "dictionary group-by single-thread speedup {dict_speedup_1t:.2}x -> {out_path}"
-    )?;
-    if dict_speedup_1t < min_speedup {
-        return Err(CliError(format!(
-            "kernel speedup gate failed: dictionary group-by single-thread speedup \
-             {dict_speedup_1t:.2}x is below the required {min_speedup:.2}x"
-        )));
-    }
-    Ok(())
-}
-
-/// `bench pruning` — zone-map block pruning on a *clustered* view (rows
-/// sorted by the range column, dictionary values per block — the layout
-/// pruning exists for) and write `BENCH_pruning.json`. Four workloads:
-/// range predicates at ~1%, ~5%, and 100% selectivity plus a dictionary
-/// equality, each run pruned (`PruneMode::On`) and unpruned
-/// (`PruneMode::Off`) at 1 thread. Answers are checked bit-equal across
-/// modes before timing (which also pays the lazy zone-map computation
-/// outside the timed window); `--min-speedup` gates on the ~5%-selectivity
-/// range speedup.
-fn bench_pruning_command(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
-    const BLOCK: usize = aqp::storage::ZONE_BLOCK_ROWS;
-    let rows = args.get_or("rows", 2_000_000usize)?.max(BLOCK);
-    let iters = args.get_or("iters", 5usize)?.max(1);
-    let min_speedup = args.get_or("min-speedup", 0.0f64)?;
-    let stats = args.flag("stats");
-    let out_path = args
-        .optional("out")
-        .unwrap_or_else(|| "BENCH_pruning.json".to_owned());
-    args.finish()?;
-
-    // Clustered synthetic view: `k` ascends (disjoint per-block ranges),
-    // `cat` holds one dictionary value per block, measures carry noise.
-    let schema = SchemaBuilder::new()
-        .field("k", DataType::Int64)
-        .field("cat", DataType::Utf8)
-        .field("val", DataType::Float64)
-        .field("amt", DataType::Float64)
-        .build()
-        .map_err(boxed)?;
-    let mut view = Table::empty("bench_pruning", schema);
-    let cats = ["air", "rail", "ship", "truck"];
-    let mut state: u64 = 0x9e3779b97f4a7c15;
-    for r in 0..rows {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        let noise = (state >> 33) as f64 / (1u64 << 31) as f64;
-        view.push_row(&[
-            Value::Int64(r as i64),
-            cats[r / BLOCK % cats.len()].into(),
-            Value::Float64(noise * 100.0),
-            Value::Float64((r % 97) as f64),
-        ])
-        .map_err(boxed)?;
-    }
-    writeln!(
-        out,
-        "bench pruning: {} clustered rows ({} zone-map blocks of {BLOCK})",
-        rows,
-        rows.div_ceil(BLOCK)
-    )?;
-    let source = DataSource::Wide(&view);
-
-    // COUNT + SUM over a dict group-by: enough aggregation to be a real
-    // query, little enough that the scan (what pruning removes) is the
-    // dominant cost being measured.
-    let grouped = |pred: Expr| {
-        Query::builder()
-            .count()
-            .sum("val")
-            .group_by("cat")
-            .filter(pred)
-            .build()
-            .map_err(boxed)
-    };
-    let workloads: Vec<(&str, f64, Query)> = vec![
-        ("range-1pct", 1.0, grouped(Expr::cmp("k", CmpOp::Lt, (rows / 100) as i64))?),
-        ("range-5pct", 5.0, grouped(Expr::cmp("k", CmpOp::Lt, (rows / 20) as i64))?),
-        ("range-100pct", 100.0, grouped(Expr::cmp("k", CmpOp::Ge, 0i64))?),
-        ("dict-eq", 25.0, grouped(Expr::in_set("cat", vec!["rail".into()]))?),
-    ];
-
-    let mut rows_json = Vec::new();
-    let mut gate_speedup = 1.0f64;
-    let mut full_scan_overhead_pct = 0.0f64;
-    for (name, selectivity, query) in &workloads {
-        let off_opts = ExecOptions {
-            parallelism: 1,
-            pruning: PruneMode::Off,
-            ..ExecOptions::default()
-        };
-        let on_opts = ExecOptions {
-            pruning: PruneMode::On,
-            ..off_opts
-        };
-        // Bit-identity gate before timing; the pruned run also computes
-        // and caches the zone maps so the timed window measures pruning,
-        // not map construction.
-        let a = execute(&source, query, &off_opts).map_err(boxed)?;
-        let b = execute(&source, query, &on_opts).map_err(boxed)?;
-        if a.groups != b.groups {
-            return Err(CliError(format!(
-                "pruning mismatch: pruned and unpruned outputs differ on {name}"
-            )));
-        }
-        let off = aqp::workload::bench_query_throughput_with(&source, query, &off_opts, iters)
-            .map_err(boxed)?;
-        let on = aqp::workload::bench_query_throughput_with(&source, query, &on_opts, iters)
-            .map_err(boxed)?;
-        let speedup = if on.elapsed_ms > 0.0 {
-            off.elapsed_ms / on.elapsed_ms
-        } else {
-            1.0
-        };
-        if *name == "range-5pct" {
-            gate_speedup = speedup;
-        }
-        if *name == "range-100pct" && off.elapsed_ms > 0.0 {
-            full_scan_overhead_pct = (on.elapsed_ms - off.elapsed_ms) / off.elapsed_ms * 100.0;
-        }
-        writeln!(
-            out,
-            "{name} ({selectivity}% of rows): unpruned {:.0} rows/s, pruned {:.0} rows/s -> {speedup:.2}x",
-            off.rows_per_sec, on.rows_per_sec
-        )?;
-        rows_json.push(format!(
-            "    {{\"workload\": \"{name}\", \"selectivity_pct\": {selectivity}, \"unpruned_rows_per_sec\": {:.1}, \"pruned_rows_per_sec\": {:.1}, \"unpruned_ms\": {:.3}, \"pruned_ms\": {:.3}, \"speedup\": {speedup:.3}}}",
-            off.rows_per_sec, on.rows_per_sec, off.elapsed_ms, on.elapsed_ms
-        ));
-    }
-    let json = format!(
-        "{{\n  \"view_rows\": {rows},\n  \"zone_block_rows\": {BLOCK},\n  \"iters\": {iters},\n  \"results\": [\n{}\n  ],\n  \"range_5pct_speedup\": {gate_speedup:.3},\n  \"full_scan_overhead_pct\": {full_scan_overhead_pct:.3}\n}}\n",
-        rows_json.join(",\n"),
-    );
-    std::fs::write(&out_path, json).map_err(at_path(&out_path))?;
-    writeln!(
-        out,
-        "5%-selectivity range speedup {gate_speedup:.2}x, full-scan overhead {full_scan_overhead_pct:.2}% -> {out_path}"
-    )?;
-    if stats {
-        write_metrics_snapshot(out)?;
-    }
-    if gate_speedup < min_speedup {
-        return Err(CliError(format!(
-            "pruning speedup gate failed: 5%-selectivity range speedup {gate_speedup:.2}x \
-             is below the required {min_speedup:.2}x"
-        )));
-    }
-    Ok(())
-}
-
-/// Cumulative milliseconds recorded for one `aqp_stage_seconds` stage in
-/// a snapshot (0 when the stage has not fired yet).
-fn stage_sum_ms(snap: &aqp::obs::Snapshot, stage: &str) -> f64 {
-    snap.histogram("aqp_stage_seconds", &[("stage", stage)])
-        .map_or(0.0, |h| h.sum_seconds * 1e3)
-}
-
 /// `dashboard PREFIX` — combine the artifacts written under PREFIX
 /// (report, traces, calibration; whichever exist) into one
 /// dependency-free HTML file at `PREFIX_dashboard.html`.
@@ -1464,10 +944,8 @@ mod tests {
     use super::*;
     use crate::args::Args;
 
-    /// Serialises tests that either toggle the global metrics switch
-    /// (`bench`'s overhead measurement) or assert on global-registry
-    /// output, so a metrics-off window in one test cannot starve another
-    /// test's snapshot.
+    /// Serialises tests that assert on global-registry output, so one
+    /// test's metrics cannot leak into another test's snapshot.
     static METRICS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     fn metrics_lock() -> std::sync::MutexGuard<'static, ()> {
@@ -1847,149 +1325,6 @@ mod tests {
     }
 
     #[test]
-    fn bench_writes_json_report() {
-        let _guard = metrics_lock();
-        let dir = temp_dir();
-        let report = dir.join("BENCH_parallel.json");
-        let msg = run_cli(&[
-            "bench", "--scale", "0.02", "--iters", "1", "--out", report.to_str().unwrap(),
-        ])
-        .unwrap();
-        assert!(msg.contains("4-thread speedup"), "{msg}");
-        assert!(msg.contains("observability overhead"), "{msg}");
-        let json = std::fs::read_to_string(&report).unwrap();
-        for key in [
-            "\"build\"",
-            "\"query\"",
-            "\"rows_per_sec\"",
-            "\"host_parallelism\"",
-            "\"threads\": 8",
-            "\"build_speedup_4_threads\"",
-            "\"query_stages\"",
-            "\"scan_ms\"",
-            "\"merge_ms\"",
-            "\"finalize_ms\"",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
-        }
-        // The observability-overhead companion lands next to the report.
-        let obs = std::fs::read_to_string(dir.join("BENCH_obs.json")).unwrap();
-        for key in [
-            "\"query_overhead\"",
-            "\"metrics_on_ms\"",
-            "\"metrics_off_ms\"",
-            "\"metrics_on_rows_per_sec\"",
-            "\"metrics_off_rows_per_sec\"",
-            "\"overhead_pct\"",
-            "\"max_overhead_pct\"",
-            "\"threads\": 8",
-        ] {
-            assert!(obs.contains(key), "missing {key} in {obs}");
-        }
-        // The metrics switch is restored after the off-measurement.
-        assert!(aqp::obs::enabled());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn bench_kernels_writes_json_report() {
-        let dir = temp_dir();
-        let report = dir.join("BENCH_kernels.json");
-        let msg = run_cli(&[
-            "bench", "kernels", "--scale", "0.02", "--iters", "1", "--out",
-            report.to_str().unwrap(),
-        ])
-        .unwrap();
-        assert!(msg.contains("dict-group-by @ 1 thread(s)"), "{msg}");
-        assert!(msg.contains("int-group-by @ 4 thread(s)"), "{msg}");
-        assert!(msg.contains("ungrouped-filter"), "{msg}");
-        assert!(
-            msg.contains("dictionary group-by single-thread speedup"),
-            "{msg}"
-        );
-        let json = std::fs::read_to_string(&report).unwrap();
-        for key in [
-            "\"workload\": \"dict-group-by\"",
-            "\"workload\": \"int-group-by\"",
-            "\"workload\": \"ungrouped-filter\"",
-            "\"scalar_rows_per_sec\"",
-            "\"vectorized_rows_per_sec\"",
-            "\"speedup\"",
-            "\"threads\": 4",
-            "\"dict_group_by_speedup_1_thread\"",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn bench_kernels_min_speedup_gate_fails_when_unreachable() {
-        let dir = temp_dir();
-        let report = dir.join("gate.json");
-        // No implementation is 1000x faster; the gate must trip and the
-        // error must say why.
-        let err = run_cli(&[
-            "bench", "kernels", "--scale", "0.01", "--iters", "1", "--min-speedup",
-            "1000", "--out", report.to_str().unwrap(),
-        ])
-        .unwrap_err();
-        assert!(err.0.contains("kernel speedup gate failed"), "{err}");
-        // The report is still written so the numbers can be inspected.
-        assert!(report.exists());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn bench_pruning_writes_json_report() {
-        let _guard = metrics_lock();
-        let dir = temp_dir();
-        let report = dir.join("BENCH_pruning.json");
-        let msg = run_cli(&[
-            "bench", "pruning", "--rows", "20000", "--iters", "1", "--stats", "--out",
-            report.to_str().unwrap(),
-        ])
-        .unwrap();
-        assert!(msg.contains("range-1pct"), "{msg}");
-        assert!(msg.contains("dict-eq"), "{msg}");
-        assert!(msg.contains("full-scan overhead"), "{msg}");
-        // --stats exposes the block-outcome counters the bench just fed.
-        assert!(msg.contains("aqp_prune_blocks_total"), "{msg}");
-        let json = std::fs::read_to_string(&report).unwrap();
-        for key in [
-            "\"workload\": \"range-1pct\"",
-            "\"workload\": \"range-5pct\"",
-            "\"workload\": \"range-100pct\"",
-            "\"workload\": \"dict-eq\"",
-            "\"unpruned_rows_per_sec\"",
-            "\"pruned_rows_per_sec\"",
-            "\"speedup\"",
-            "\"range_5pct_speedup\"",
-            "\"full_scan_overhead_pct\"",
-            "\"zone_block_rows\"",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn bench_pruning_min_speedup_gate_fails_when_unreachable() {
-        let _guard = metrics_lock();
-        let dir = temp_dir();
-        let report = dir.join("gate.json");
-        let err = run_cli(&[
-            "bench", "pruning", "--rows", "20000", "--iters", "1", "--min-speedup",
-            "100000", "--out", report.to_str().unwrap(),
-        ])
-        .unwrap_err();
-        assert!(err.0.contains("pruning speedup gate failed"), "{err}");
-        // The report is still written so the numbers can be inspected.
-        assert!(report.exists());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn explain_static_plan_matches_golden() {
         let dir = temp_dir();
         let view = dir.join("g.aqpt");
@@ -2150,6 +1485,9 @@ mod tests {
     #[test]
     fn error_paths() {
         assert!(run_cli(&["frobnicate"]).is_err());
+        // No `bench`: BENCHMARK.json's e2e package is the benchmark.
+        let err = run_cli(&["bench"]).unwrap_err();
+        assert!(err.0.starts_with("unknown command \"bench\""), "{err}");
         assert!(run_cli(&["generate"]).is_err());
         assert!(run_cli(&["generate", "tpch"]).is_err(), "missing --out");
         assert!(run_cli(&["generate", "mars", "--out", "/tmp/x"]).is_err());

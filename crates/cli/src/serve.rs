@@ -1,21 +1,15 @@
-//! `serve`, `client`, `top`, and `bench serving` subcommands.
+//! `serve`, `client`, and `top` subcommands.
 //!
 //! `serve` turns the CLI into a long-running concurrent query server on
 //! the wire protocol from [`aqp::serving`]; `client` is the matching
 //! cooperative client (bounded retry with backoff on shed); `top` is a
 //! live terminal view over the server's `stats` verb (per-class SLO
-//! windows); `bench serving` measures end-to-end serving latency and
-//! overload behaviour against an in-process server and writes
-//! `BENCH_serving.json` (including per-stage timeline medians pulled
-//! from the flight recorder over the `dump` verb).
+//! windows).
 
 use crate::args::Args;
-use crate::commands::{
-    at_path, boxed, open_family, opt_usize, threads_arg, write_metrics_snapshot, CliError,
-};
+use crate::commands::{at_path, boxed, open_family, opt_usize, threads_arg, CliError};
 use aqp::obs::json::Value;
 use aqp::obs::SloConfig;
-use aqp::prelude::*;
 use aqp::serving::{
     AdmissionConfig, CacheConfig, Client, ClassLimits, ClientError, ContractClass, Request,
     Response, RetryPolicy, Server, ServerConfig, ShadowConfig, WireAnswer,
@@ -286,31 +280,6 @@ fn print_wire_answer(answer: &WireAnswer, out: &mut dyn Write) -> Result<(), Cli
     Ok(())
 }
 
-/// Median wall time per timeline stage across a flight-recorder JSONL
-/// dump, answered requests only, in first-seen stage order.
-fn stage_medians(jsonl: &str) -> Vec<(String, f64)> {
-    let mut by_stage: Vec<(String, Vec<u64>)> = Vec::new();
-    for line in jsonl.lines() {
-        let Ok(record) = aqp::obs::RequestRecord::from_json(line) else { continue };
-        if record.outcome != "answer" {
-            continue;
-        }
-        for stage in &record.stages {
-            match by_stage.iter_mut().find(|(n, _)| *n == stage.name) {
-                Some((_, v)) => v.push(stage.micros),
-                None => by_stage.push((stage.name.clone(), vec![stage.micros])),
-            }
-        }
-    }
-    by_stage
-        .into_iter()
-        .map(|(name, mut v)| {
-            v.sort_unstable();
-            (name, v[v.len() / 2] as f64)
-        })
-        .collect()
-}
-
 /// `top` — poll a running server's `stats` verb and render the SLO
 /// windows as a live table. `--iterations 0` polls until interrupted.
 pub fn top_command(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
@@ -391,278 +360,6 @@ fn render_top(text: &str, addr: &str, out: &mut dyn Write) -> Result<(), CliErro
                 if breach { "  << BREACH" } else { "" },
             )?;
         }
-    }
-    Ok(())
-}
-
-/// Latency percentile from a sorted sample (nearest-rank).
-fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
-    if sorted_ms.is_empty() {
-        return 0.0;
-    }
-    let rank = ((p / 100.0) * sorted_ms.len() as f64).ceil().max(1.0) as usize;
-    sorted_ms[rank.min(sorted_ms.len()) - 1]
-}
-
-/// `bench serving` — end-to-end serving benchmark against an in-process
-/// server: latency quantiles and throughput at 1/4/16 concurrent
-/// clients, then shed behaviour at 2x admission overload. Writes
-/// `BENCH_serving.json`.
-pub fn bench_serving_command(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
-    let rows = args.get_or("rows", 100_000usize)?;
-    let per_client = args.get_or("requests", 20usize)?.max(1);
-    let threads = threads_arg(args)?;
-    let stats = args.flag("stats");
-    let out_path = args
-        .optional("out")
-        .unwrap_or_else(|| "BENCH_serving.json".to_owned());
-    args.finish()?;
-
-    let star = gen_sales(&SalesConfig { fact_rows: rows, zipf_z: 1.5, seed: 42 }).map_err(boxed)?;
-    let view = star.denormalize("bench_view").map_err(boxed)?;
-    writeln!(out, "bench serving: sales view {} rows, {} executor threads", view.num_rows(), threads)?;
-    let sql = "SELECT store.region, COUNT(*) AS cnt, SUM(sales.revenue) AS rev \
-               FROM v GROUP BY store.region";
-
-    // Latency/throughput phase: admission opened wide so concurrency,
-    // not shedding, is what's being measured — and the cache disabled,
-    // so every request pays for a real scan (the cache gets its own
-    // phase below).
-    let mut level_rows = Vec::new();
-    let mut stage_dump = String::new();
-    for &clients in &[1usize, 4, 16] {
-        let system = ResilientSystem::exact_only(view.clone()).with_threads(threads);
-        let config = ServerConfig {
-            admission: AdmissionConfig {
-                interactive: ClassLimits { max_inflight: 16, max_queue: 64 },
-                batch: ClassLimits { max_inflight: 2, max_queue: 2 },
-            },
-            cache: CacheConfig::disabled(),
-            ..ServerConfig::default()
-        };
-        let server = Server::bind(system, config).map_err(boxed)?;
-        let addr = server.local_addr().map_err(boxed)?.to_string();
-        let handle = server.shutdown_handle();
-        let run = std::thread::spawn(move || server.run());
-
-        let t0 = Instant::now();
-        let mut results: Vec<(f64, String)> = std::thread::scope(|s| {
-            let workers: Vec<_> = (0..clients)
-                .map(|c| {
-                    let addr = addr.clone();
-                    s.spawn(move || {
-                        let mut client =
-                            Client::new(addr, RetryPolicy::with_seed(0xbe11c + c as u64));
-                        let mut got = Vec::with_capacity(per_client);
-                        for _ in 0..per_client {
-                            let t = Instant::now();
-                            if let Ok(Response::Answer(a)) = client.request(&Request::query(sql)) {
-                                got.push((t.elapsed().as_secs_f64() * 1e3, a.tier));
-                            }
-                        }
-                        got
-                    })
-                })
-                .collect();
-            workers.into_iter().flat_map(|w| w.join().unwrap_or_default()).collect()
-        });
-        let wall = t0.elapsed().as_secs_f64();
-        // Pull the flight recorder before shutdown: the per-stage
-        // timeline medians of the most recent requests at this level.
-        let mut dump_client = Client::new(addr.clone(), RetryPolicy::no_retry());
-        if let Ok(Response::Dump(text)) = dump_client.request(&Request::Dump) {
-            stage_dump = text;
-        }
-        handle.shutdown();
-        run.join().map_err(|_| CliError("server thread panicked".into()))?.map_err(boxed)?;
-
-        results.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let latencies: Vec<f64> = results.iter().map(|(ms, _)| *ms).collect();
-        let mut tier_counts: Vec<(String, usize)> = Vec::new();
-        for (_, tier) in &results {
-            match tier_counts.iter_mut().find(|(t, _)| t == tier) {
-                Some((_, n)) => *n += 1,
-                None => tier_counts.push((tier.clone(), 1)),
-            }
-        }
-        tier_counts.sort();
-        let completed = latencies.len();
-        let qps = if wall > 0.0 { completed as f64 / wall } else { 0.0 };
-        let (p50, p95, p99) = (
-            percentile(&latencies, 50.0),
-            percentile(&latencies, 95.0),
-            percentile(&latencies, 99.0),
-        );
-        let tiers_text = tier_counts
-            .iter()
-            .map(|(t, n)| format!("{t} {n}"))
-            .collect::<Vec<_>>()
-            .join(", ");
-        writeln!(
-            out,
-            "clients {clients}: {completed}/{} ok, {qps:.1} req/s, p50 {p50:.1} ms, p95 {p95:.1} ms, p99 {p99:.1} ms (tiers: {tiers_text})",
-            clients * per_client
-        )?;
-        let tiers_json = tier_counts
-            .iter()
-            .map(|(t, n)| format!("\"{t}\": {n}"))
-            .collect::<Vec<_>>()
-            .join(", ");
-        level_rows.push(format!(
-            "    {{\"clients\": {clients}, \"requests\": {}, \"completed\": {completed}, \"throughput_rps\": {qps:.2}, \"p50_ms\": {p50:.3}, \"p95_ms\": {p95:.3}, \"p99_ms\": {p99:.3}, \"tiers\": {{{tiers_json}}}}}",
-            clients * per_client
-        ));
-    }
-
-    // Per-stage timeline medians over the flight-recorder dump of the
-    // last (most concurrent) level: where a served request's wall time
-    // actually goes (read → parse → cache → admission → execute →
-    // serialize → write).
-    let stages = stage_medians(&stage_dump);
-    let stages_text = stages
-        .iter()
-        .map(|(name, us)| format!("{name} {:.0}us", us))
-        .collect::<Vec<_>>()
-        .join(", ");
-    writeln!(out, "stage medians (answered requests): {stages_text}")?;
-    let stages_json = stages
-        .iter()
-        .map(|(name, us)| format!("\"{name}\": {us:.1}"))
-        .collect::<Vec<_>>()
-        .join(", ");
-
-    // Cache phase: one server with the semantic cache on. Cold misses
-    // are forced by invalidating before each timed request (every scan
-    // is real); warm hits repeat the same query against a warmed cache.
-    // The probe is a dashboard-shaped query (predicate + several
-    // aggregates) so the cold side measures a representative scan, not
-    // the cheapest possible one; the warm side is scan-independent.
-    let cache_sql = "SELECT store.region, COUNT(*) AS cnt, SUM(sales.revenue) AS rev, \
-                     AVG(sales.revenue) AS avg_rev, SUM(sales.cost) AS cost, \
-                     MIN(sales.revenue) AS lo, MAX(sales.revenue) AS hi \
-                     FROM v WHERE sales.revenue > 10 AND sales.units >= 1 \
-                     AND sales.cost >= 0 GROUP BY store.region";
-    let cache_iters = per_client.max(10);
-    let system = ResilientSystem::exact_only(view.clone()).with_threads(threads);
-    let config = ServerConfig {
-        admission: AdmissionConfig {
-            interactive: ClassLimits { max_inflight: 16, max_queue: 64 },
-            batch: ClassLimits { max_inflight: 2, max_queue: 2 },
-        },
-        ..ServerConfig::default()
-    };
-    let server = Server::bind(system, config).map_err(boxed)?;
-    let addr = server.local_addr().map_err(boxed)?.to_string();
-    let handle = server.shutdown_handle();
-    let run = std::thread::spawn(move || server.run());
-    let mut client = Client::new(addr, RetryPolicy::with_seed(0xcac4e));
-    let mut cold_ms: Vec<f64> = Vec::with_capacity(cache_iters);
-    let mut warm_ms: Vec<f64> = Vec::with_capacity(cache_iters);
-    let mut hits = 0usize;
-    let mut misses = 0usize;
-    for _ in 0..cache_iters {
-        client.request(&Request::Invalidate).map_err(boxed)?;
-        let t = Instant::now();
-        match client.request(&Request::query(cache_sql)) {
-            Ok(Response::Answer(a)) => {
-                cold_ms.push(t.elapsed().as_secs_f64() * 1e3);
-                if a.cache_hit {
-                    hits += 1;
-                } else {
-                    misses += 1;
-                }
-            }
-            other => return Err(CliError(format!("cache bench cold request failed: {other:?}"))),
-        }
-    }
-    // Warm the cache once, then time pure hits.
-    client.request(&Request::query(cache_sql)).map_err(boxed)?;
-    for _ in 0..cache_iters {
-        let t = Instant::now();
-        match client.request(&Request::query(cache_sql)) {
-            Ok(Response::Answer(a)) => {
-                warm_ms.push(t.elapsed().as_secs_f64() * 1e3);
-                if a.cache_hit {
-                    hits += 1;
-                } else {
-                    misses += 1;
-                }
-            }
-            other => return Err(CliError(format!("cache bench warm request failed: {other:?}"))),
-        }
-    }
-    handle.shutdown();
-    run.join().map_err(|_| CliError("server thread panicked".into()))?.map_err(boxed)?;
-    cold_ms.sort_by(|a, b| a.total_cmp(b));
-    warm_ms.sort_by(|a, b| a.total_cmp(b));
-    let cold_p50 = percentile(&cold_ms, 50.0);
-    let warm_p50 = percentile(&warm_ms, 50.0);
-    let speedup = if warm_p50 > 0.0 { cold_p50 / warm_p50 } else { f64::INFINITY };
-    writeln!(
-        out,
-        "cache: cold-miss p50 {cold_p50:.2} ms, warm-hit p50 {warm_p50:.3} ms ({speedup:.0}x), {hits} hits / {misses} misses"
-    )?;
-
-    // Overload phase: 2x the admission capacity (inflight + queue) in
-    // simultaneous no-retry clients; the excess must shed, everything
-    // must get exactly one terminal response.
-    let cap = ClassLimits { max_inflight: 2, max_queue: 2 };
-    let overload_clients = 2 * (cap.max_inflight + cap.max_queue);
-    let system = ResilientSystem::exact_only(view.clone()).with_threads(threads);
-    let config = ServerConfig {
-        admission: AdmissionConfig { interactive: cap, batch: cap },
-        // Cache off: with it on, one leader would execute and everyone
-        // else would hit, and shedding would never be exercised.
-        cache: CacheConfig::disabled(),
-        ..ServerConfig::default()
-    };
-    let server = Server::bind(system, config).map_err(boxed)?;
-    let addr = server.local_addr().map_err(boxed)?.to_string();
-    let handle = server.shutdown_handle();
-    let run = std::thread::spawn(move || server.run());
-
-    let outcomes: Vec<&'static str> = std::thread::scope(|s| {
-        let workers: Vec<_> = (0..overload_clients)
-            .map(|_| {
-                let addr = addr.clone();
-                s.spawn(move || {
-                    let mut client = Client::new(addr, RetryPolicy::no_retry());
-                    match client.request(&Request::query(cache_sql)) {
-                        Ok(Response::Answer(_)) => "answered",
-                        Ok(Response::Timeout { .. }) => "timeout",
-                        Ok(_) => "other",
-                        Err(ClientError::Shed { .. }) => "shed",
-                        Err(_) => "transport",
-                    }
-                })
-            })
-            .collect();
-        workers.into_iter().map(|w| w.join().unwrap_or("transport")).collect()
-    });
-    handle.shutdown();
-    run.join().map_err(|_| CliError("server thread panicked".into()))?.map_err(boxed)?;
-    let count = |kind: &str| outcomes.iter().filter(|o| **o == kind).count();
-    let (answered, shed) = (count("answered"), count("shed"));
-    let shed_rate = shed as f64 / overload_clients as f64;
-    writeln!(
-        out,
-        "overload 2x (cap {}+{}, {overload_clients} clients): {answered} answered, {shed} shed ({:.0}% shed rate)",
-        cap.max_inflight,
-        cap.max_queue,
-        shed_rate * 100.0
-    )?;
-
-    let finite_speedup = if speedup.is_finite() { speedup } else { 0.0 };
-    let json = format!(
-        "{{\n  \"dataset\": {{\"kind\": \"sales\", \"rows\": {}, \"zipf_z\": 1.5, \"seed\": 42}},\n  \"executor_threads\": {threads},\n  \"requests_per_client\": {per_client},\n  \"levels\": [\n{}\n  ],\n  \"stage_medians_us\": {{{stages_json}}},\n  \"cache\": {{\"iterations\": {cache_iters}, \"cold_miss_p50_ms\": {cold_p50:.3}, \"warm_hit_p50_ms\": {warm_p50:.4}, \"speedup\": {finite_speedup:.1}, \"hits\": {hits}, \"misses\": {misses}}},\n  \"overload\": {{\"capacity\": {}, \"clients\": {overload_clients}, \"answered\": {answered}, \"shed\": {shed}, \"shed_rate\": {shed_rate:.3}}}\n}}\n",
-        view.num_rows(),
-        level_rows.join(",\n"),
-        cap.max_inflight + cap.max_queue,
-    );
-    std::fs::write(&out_path, json).map_err(at_path(&out_path))?;
-    writeln!(out, "wrote {out_path}")?;
-    if stats {
-        write_metrics_snapshot(out)?;
     }
     Ok(())
 }

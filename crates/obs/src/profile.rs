@@ -50,9 +50,9 @@ pub struct OpProfile {
     pub mem_peak_bytes: u64,
     /// Logical bytes still held at operator completion (merged table).
     pub mem_current_bytes: u64,
-    /// Scan implementation the executor chose: `scalar`,
-    /// `vectorized-hash`, or `vectorized-dense` (empty on traces recorded
-    /// before the field existed).
+    /// Group-id path the executor's kernels took: `vectorized-hash` or
+    /// `vectorized-dense` (empty on traces recorded before the field
+    /// existed).
     pub kernel: String,
     /// Zone-map blocks skipped wholesale (no row could match; the block's
     /// column data was never touched). Zero when pruning was inactive.
@@ -145,8 +145,7 @@ pub struct ScanStats {
     pub mem_peak_bytes: u64,
     /// Logical bytes held at completion.
     pub mem_current_bytes: u64,
-    /// Scan implementation label (`scalar`, `vectorized-hash`,
-    /// `vectorized-dense`).
+    /// Group-id path label (`vectorized-hash`, `vectorized-dense`).
     pub kernel: &'static str,
     /// Zone-map blocks skipped wholesale (pruning; 0 when inactive).
     pub blocks_skipped: u64,

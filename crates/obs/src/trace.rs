@@ -550,7 +550,7 @@ mod tests {
                     morsel_p99_ns: 140_000,
                     mem_peak_bytes: 65_536,
                     mem_current_bytes: 8_192,
-                    kernel: "scalar".into(),
+                    kernel: "vectorized-hash".into(),
                     blocks_skipped: 2,
                     blocks_taken: 1,
                     blocks_scanned: 0,
@@ -625,10 +625,10 @@ mod tests {
         assert!(validate_json(&bad).unwrap_err().contains("stratum"));
         let bad = good.replace("\"morsels_per_worker\":[1]", "\"morsels_per_worker\":[-1]");
         assert!(validate_json(&bad).is_err());
-        let bad = good.replace("\"kernel\":\"scalar\"", "\"kernel\":3");
+        let bad = good.replace("\"kernel\":\"vectorized-hash\"", "\"kernel\":3");
         assert!(validate_json(&bad).unwrap_err().contains("kernel"));
         // Operators without the kernel field (older v2 lines) still pass.
-        let old = good.replace(",\"kernel\":\"scalar\"", "").replace(",\"kernel\":\"vectorized-dense\"", "");
+        let old = good.replace(",\"kernel\":\"vectorized-hash\"", "").replace(",\"kernel\":\"vectorized-dense\"", "");
         assert!(validate_json(&old).is_ok());
         let bad = good.replace("\"schema_version\":3", "\"schema_version\":9");
         assert!(validate_json(&bad).unwrap_err().contains("schema_version"));

@@ -16,33 +16,26 @@
 //!   order ([`crate::parallel`]), so answers are bit-identical at any
 //!   thread count (std scoped threads, no dependencies).
 //!
-//! Each morsel runs through one of two interchangeable implementations,
-//! selected by [`KernelMode`]:
+//! Every morsel runs through the vectorised kernels ([`crate::kernel`]):
+//! selection vectors, typed columnar filters, and arithmetic group ids.
+//! A morsel's partial is a flat group table ([`crate::groups`]): the
+//! keys it touched, as codes, in first-touch order, and one state array.
+//! [`PreparedScan::finish`] folds a scan's partials in morsel order into
+//! one such table, still coded ([`ScanGroups`]); [`execute`] decodes it
+//! into a [`QueryOutput`], a plan of several scans folds the tables on
+//! codes first ([`crate::PlanGroups`]) and decodes each surviving key
+//! once.
 //!
-//! * the **scalar** reference loop ([`Scan::run_range`]) — row at a time,
-//!   simple enough to audit by eye; and
-//! * the **vectorised** kernels ([`crate::kernel`], the default) —
-//!   selection vectors, typed columnar filters, and arithmetic group
-//!   ids, producing *bit-identical* partials several times faster.
-//!
-//! Either way a morsel's partial is a flat group table
-//! ([`crate::groups`]): the keys it touched, as codes, in first-touch
-//! order, and one state array. [`PreparedScan::finish`] folds a scan's
-//! partials in morsel order into one such table, still coded
-//! ([`ScanGroups`]); [`execute`] decodes it into a [`QueryOutput`], a
-//! plan of several scans folds the tables on codes first
-//! ([`crate::PlanGroups`]) and decodes each surviving key once.
-//!
-//! Because both paths share the same predicate leaves, the same
-//! [`AggState::update`] arithmetic in the same ascending row order, the
-//! same first-touch group order and the same morsel-order fold, their
-//! outputs are byte-for-byte equal, group order included — a property
-//! the differential suites force on every commit.
+//! The answer is defined row at a time: per morsel, [`AggState::update`]
+//! in ascending row order with groups in first-touch order, then the
+//! morsel-order fold. The differential suites hold the executor to a
+//! row-at-a-time reference written that way (`tests/support/reference.rs`)
+//! bit for bit, group order included, on every commit.
 
 use crate::cancel::CancelToken;
 use crate::error::{QueryError, QueryResult};
 use crate::expr::{compile, CompiledExpr};
-use crate::groups::{fold_partials, GroupIndex, GroupKey, GroupTable, Groups, RadixPlan, ScanGroups};
+use crate::groups::{fold_partials, GroupTable, Groups, RadixPlan, ScanGroups};
 use crate::kernel::run_morsel_vectorized;
 use crate::output::{AggState, QueryOutput};
 use crate::parallel::{run_round, MorselSchedule};
@@ -66,88 +59,12 @@ pub enum Weighting<'a> {
     PerRow(&'a [f64]),
 }
 
-impl Weighting<'_> {
-    #[inline]
-    fn weight(&self, row: usize) -> f64 {
-        match self {
-            Weighting::Unweighted => 1.0,
-            Weighting::Constant(w) => *w,
-            Weighting::PerRow(ws) => ws[row],
-        }
-    }
-}
-
-/// Which per-morsel scan implementation [`execute`] runs.
-///
-/// Both produce byte-identical output (the differential oracle enforces
-/// it); the choice only affects speed. `Auto` — the default — resolves to
-/// the process-wide override set by [`set_kernel_mode`] if any, else the
-/// `AQP_KERNELS` environment variable (`scalar`/`off`/`0` force the
-/// reference loop; read once per process), else vectorised.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KernelMode {
-    /// Resolve from [`set_kernel_mode`] / `AQP_KERNELS`, default vectorised.
-    #[default]
-    Auto,
-    /// Force the row-at-a-time reference loop.
-    Scalar,
-    /// Force the batch kernels of the vectorised pipeline.
-    Vectorized,
-}
-
-/// Process-wide override consulted by [`KernelMode::Auto`]:
-/// 0 = none, 1 = scalar, 2 = vectorised.
-static KERNEL_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// Set the process-wide kernel mode that [`KernelMode::Auto`] resolves to.
-///
-/// Exists so differential tests (and operators chasing a suspected kernel
-/// bug) can flip every query in the process to one implementation without
-/// threading options through call sites. An explicit
-/// [`ExecOptions::kernels`] still wins. `KernelMode::Auto` clears the
-/// override, restoring the `AQP_KERNELS` / default behaviour.
-pub fn set_kernel_mode(mode: KernelMode) {
-    let v = match mode {
-        KernelMode::Auto => 0,
-        KernelMode::Scalar => 1,
-        KernelMode::Vectorized => 2,
-    };
-    KERNEL_OVERRIDE.store(v, Ordering::Relaxed);
-}
-
-/// The `AQP_KERNELS` environment default, read once per process.
-fn env_kernel_default() -> KernelMode {
-    static ENV: OnceLock<KernelMode> = OnceLock::new();
-    *ENV.get_or_init(|| match std::env::var("AQP_KERNELS") {
-        Ok(v) if matches!(v.to_ascii_lowercase().as_str(), "scalar" | "off" | "0") => {
-            KernelMode::Scalar
-        }
-        _ => KernelMode::Vectorized,
-    })
-}
-
-impl KernelMode {
-    /// Collapse `Auto` to a concrete choice: the [`set_kernel_mode`]
-    /// override first, then `AQP_KERNELS`, then vectorised. Explicit modes
-    /// return themselves.
-    pub fn resolve(self) -> KernelMode {
-        match self {
-            KernelMode::Auto => match KERNEL_OVERRIDE.load(Ordering::Relaxed) {
-                1 => KernelMode::Scalar,
-                2 => KernelMode::Vectorized,
-                _ => env_kernel_default(),
-            },
-            explicit => explicit,
-        }
-    }
-}
-
 /// Whether [`execute`] consults zone maps to skip (or take wholesale)
 /// morsels before touching column data.
 ///
-/// Pruning never changes the answer — only which work is avoided — by
-/// the same bit-identity contract as [`KernelMode`], and the differential
-/// oracle compares the two settings on every commit. `Auto` — the default
+/// Pruning never changes the answer — only which work is avoided — and
+/// the differential oracle compares the two settings, and each against
+/// the row-at-a-time reference, on every commit. `Auto` — the default
 /// — resolves to the process-wide override set by [`set_prune_mode`] if
 /// any, else the `AQP_PRUNE` environment variable (`off`/`0`/`false`
 /// disables; read once per process), else enabled.
@@ -166,11 +83,11 @@ pub enum PruneMode {
 /// 0 = none, 1 = on, 2 = off.
 static PRUNE_OVERRIDE: AtomicU8 = AtomicU8::new(0);
 
-/// Set the process-wide prune mode that [`PruneMode::Auto`] resolves to.
-/// The same escape hatch as [`set_kernel_mode`]: differential tests (and
-/// operators bisecting a suspected pruning bug) can disable pruning for
-/// every query in the process. An explicit [`ExecOptions::pruning`] still
-/// wins; `PruneMode::Auto` clears the override.
+/// Set the process-wide prune mode that [`PruneMode::Auto`] resolves to,
+/// so differential tests (and operators bisecting a suspected pruning
+/// bug) can disable pruning for every query in the process. An explicit
+/// [`ExecOptions::pruning`] still wins; `PruneMode::Auto` clears the
+/// override.
 pub fn set_prune_mode(mode: PruneMode) {
     let v = match mode {
         PruneMode::Auto => 0,
@@ -225,9 +142,6 @@ pub struct ExecOptions<'a> {
     /// changes float rounding in merged aggregates; it exists as a knob so
     /// tests can force many morsels on small tables. Clamped to ≥ 1.
     pub morsel_rows: usize,
-    /// Scan implementation (default [`KernelMode::Auto`]). Never affects
-    /// the answer, only how fast it is computed.
-    pub kernels: KernelMode,
     /// Zone-map block pruning (default [`PruneMode::Auto`]). Never
     /// affects the answer, only which morsels avoid work.
     pub pruning: PruneMode,
@@ -247,7 +161,6 @@ impl Default for ExecOptions<'static> {
             parallelism: 1,
             row_limit: None,
             morsel_rows: DEFAULT_MORSEL_ROWS,
-            kernels: KernelMode::Auto,
             pruning: PruneMode::Auto,
             cancel: None,
         }
@@ -284,7 +197,6 @@ pub fn execute(
 pub struct PreparedScan<'a> {
     scan: Scan<'a>,
     prune_plan: Option<PrunePlan>,
-    vectorized: bool,
     /// Rows the scan covers (the source's, cut by any row limit).
     rows: usize,
     truncated: bool,
@@ -435,7 +347,6 @@ impl<'a> PreparedScan<'a> {
             Some(limit) => total_rows.min(limit),
             None => total_rows,
         };
-        let vectorized = opts.kernels.resolve() == KernelMode::Vectorized;
 
         // Lower the predicate onto the source table's zone maps (computing
         // them lazily if the table was built before zone maps existed).
@@ -461,7 +372,6 @@ impl<'a> PreparedScan<'a> {
                 weight: opts.weight,
             },
             prune_plan,
-            vectorized,
             rows,
             truncated: rows < total_rows,
             morsel_rows: opts.morsel_rows,
@@ -495,18 +405,17 @@ impl<'a> PreparedScan<'a> {
             None => (PruneDecision::Scan, 0),
         };
         let (groups, matched) = match decision {
-            // No row can match: the empty partial is exactly what either
-            // scan implementation returns for a fully-filtered morsel, so
-            // the merge fold is unchanged bit for bit.
+            // No row can match: the empty partial is exactly what the
+            // kernels return for a fully-filtered morsel, so the merge
+            // fold is unchanged bit for bit.
             PruneDecision::SkipAll => (Groups::empty(self.scan.radix.is_some()), 0),
-            other => {
-                let use_predicate = other != PruneDecision::TakeAll;
-                if self.vectorized {
-                    run_morsel_vectorized(&self.scan, m.start, m.end, num_aggs, use_predicate)
-                } else {
-                    self.scan.run_range(m.start, m.end, num_aggs, use_predicate)
-                }
-            }
+            other => run_morsel_vectorized(
+                &self.scan,
+                m.start,
+                m.end,
+                num_aggs,
+                other != PruneDecision::TakeAll,
+            ),
         };
         MorselPartial {
             groups,
@@ -526,7 +435,6 @@ impl<'a> PreparedScan<'a> {
         let ScanPartials { partials, schedule } = partials;
         let num_aggs = self.num_aggs;
         let kernel = match &self.scan.radix {
-            _ if !self.vectorized => "scalar",
             Some(plan) if plan.direct() => "vectorized-dense",
             _ => "vectorized-hash",
         };
@@ -633,82 +541,9 @@ pub(crate) struct Scan<'a> {
     /// Row weighting.
     pub(crate) weight: Weighting<'a>,
     /// The radix key space, when the group columns have one (see
-    /// [`RadixPlan`]); `None` keys the scan's groups by [`GroupKey`].
-    /// Chosen by the columns alone, so both kernel modes agree on it.
+    /// [`RadixPlan`]); `None` keys the scan's groups by
+    /// [`crate::groups::GroupKey`]. Chosen by the columns alone.
     pub(crate) radix: Option<RadixPlan>,
-}
-
-impl Scan<'_> {
-    /// Scan `start..end` row at a time. Returns the partial group table
-    /// and the number of rows that survived the bitmask and predicate
-    /// filters (the operator's rows-out, for the profiler). With
-    /// `use_predicate` false — a zone-map `TakeAll` morsel, every row
-    /// proven to match — the per-row predicate test is skipped; the
-    /// bitmask filter still applies.
-    ///
-    /// This is the scalar **reference implementation**: the vectorised
-    /// kernels in [`crate::kernel`] must replicate its behaviour bit for
-    /// bit, and the differential suites compare the two on every commit.
-    pub(crate) fn run_range(
-        &self,
-        start: usize,
-        end: usize,
-        num_aggs: usize,
-        use_predicate: bool,
-    ) -> (Groups, u64) {
-        let digits = |row| self.group_cols.iter().map(move |c| c.key_code(row));
-        match &self.radix {
-            Some(plan) => {
-                let (t, n) = self.run_rows(start..end, num_aggs, use_predicate, |r| plan.key(digits(r)));
-                (Groups::Radix(t), n)
-            }
-            None => {
-                let (t, n) = self
-                    .run_rows(start..end, num_aggs, use_predicate, |r| GroupKey::from_digits(digits(r)));
-                (Groups::Wide(t), n)
-            }
-        }
-    }
-
-    fn run_rows<K: std::hash::Hash + Eq + Clone>(
-        &self,
-        rows: std::ops::Range<usize>,
-        num_aggs: usize,
-        use_predicate: bool,
-        key_of: impl Fn(usize) -> K,
-    ) -> (GroupTable<K>, u64) {
-        let mut groups = GroupIndex::<K>::default();
-        let mut matched = 0u64;
-        for row in rows {
-            if let Some((col, mask)) = self.bitmask {
-                if col.row_intersects(row, mask) {
-                    continue;
-                }
-            }
-            if use_predicate {
-                if let Some(p) = &self.predicate {
-                    if !p.eval(row) {
-                        continue;
-                    }
-                }
-            }
-            matched += 1;
-            let w = self.weight.weight(row);
-            let at = groups.touch(key_of(row), num_aggs) as usize * num_aggs;
-            let states = &mut groups.table.states[at..at + num_aggs];
-            for (i, step) in self.aggs.iter().enumerate() {
-                match step {
-                    AggStep::CountStar => states[i].update(1.0, w),
-                    AggStep::Column(col) => {
-                        if let Some(x) = col.numeric(row) {
-                            states[i].update(x, w);
-                        }
-                    }
-                }
-            }
-        }
-        (groups.table, matched)
-    }
 }
 
 #[cfg(test)]
@@ -1191,81 +1026,5 @@ mod tests {
             .unwrap();
         let out = execute(&DataSource::Star(&star), &q, &ExecOptions::default()).unwrap();
         assert_eq!(out.groups[0].aggs[0].rows, 2);
-    }
-
-    #[test]
-    fn kernel_mode_resolution() {
-        // Explicit modes resolve to themselves regardless of globals.
-        assert_eq!(KernelMode::Scalar.resolve(), KernelMode::Scalar);
-        assert_eq!(KernelMode::Vectorized.resolve(), KernelMode::Vectorized);
-        // The process override steers Auto. (Safe under parallel tests:
-        // both modes are bit-identical by contract, so concurrently
-        // running queries cannot observe the flip in their answers.)
-        set_kernel_mode(KernelMode::Scalar);
-        assert_eq!(KernelMode::Auto.resolve(), KernelMode::Scalar);
-        set_kernel_mode(KernelMode::Vectorized);
-        assert_eq!(KernelMode::Auto.resolve(), KernelMode::Vectorized);
-        set_kernel_mode(KernelMode::Auto);
-        // Back on Auto, the env default decides; either way it is concrete.
-        assert_ne!(KernelMode::Auto.resolve(), KernelMode::Auto);
-    }
-
-    #[test]
-    fn scalar_and_vectorized_bit_identical() {
-        // Dense path (dict group-by), hash path (int group-by), and an
-        // ungrouped query, each with a predicate + nulls in play, must be
-        // byte-identical between the two implementations — including the
-        // (unspecified) group output order, which the deterministic hasher
-        // makes a pure function of the data.
-        let schema = SchemaBuilder::new()
-            .field("g", DataType::Utf8)
-            .field("k", DataType::Int64)
-            .field("v", DataType::Float64)
-            .build()
-            .unwrap();
-        let mut t = Table::empty("t", schema);
-        for i in 0..10_000i64 {
-            let g: Value = if i % 13 == 0 {
-                Value::Null
-            } else {
-                ["p", "q", "r", "s"][(i % 4) as usize].into()
-            };
-            let v: Value = if i % 7 == 0 {
-                Value::Null
-            } else {
-                (0.1 + (i % 23) as f64 / 9.0).into()
-            };
-            t.push_row(&[g, (i % 331).into(), v]).unwrap();
-        }
-        for group in [vec!["g"], vec!["k"], vec![]] {
-            let mut b = Query::builder()
-                .count()
-                .sum("v")
-                .aggregate(AggExpr::min("v", "mn"))
-                .filter(Expr::cmp("v", CmpOp::Ge, 0.4f64));
-            for g in &group {
-                b = b.group_by(*g);
-            }
-            let q = b.build().unwrap();
-            let outs: Vec<QueryOutput> = [KernelMode::Scalar, KernelMode::Vectorized]
-                .iter()
-                .map(|&mode| {
-                    let opts = ExecOptions {
-                        kernels: mode,
-                        parallelism: 4,
-                        ..ExecOptions::default()
-                    };
-                    execute(&DataSource::Wide(&t), &q, &opts).unwrap()
-                })
-                .collect();
-            let (s, v) = (&outs[0], &outs[1]);
-            assert_eq!(s.num_groups(), v.num_groups(), "group {group:?}");
-            for (a, b) in s.groups.iter().zip(&v.groups) {
-                assert_eq!(a.key, b.key, "same groups in the same order");
-                assert_eq!(a.aggs[0].rows, b.aggs[0].rows);
-                assert_eq!(a.aggs[1].sum_wx.to_bits(), b.aggs[1].sum_wx.to_bits());
-                assert_eq!(a.aggs[2].min.to_bits(), b.aggs[2].min.to_bits());
-            }
-        }
     }
 }

@@ -1,9 +1,9 @@
 //! Vectorised morsel kernels: the batch-at-a-time scan executor.
 //!
 //! [`run_morsel_vectorized`] produces, for one morsel, *exactly* the
-//! partial group table the scalar [`crate::exec::Scan::run_range`] loop
-//! produces — same keys in the same first-touch order, bit-identical
-//! [`AggState`]s — but computes it column-at-a-time:
+//! partial group table a row-at-a-time loop would — same keys in the
+//! same first-touch order, bit-identical [`AggState`]s — but computes it
+//! column-at-a-time:
 //!
 //! 1. **Selection** — [`crate::selection::build_selection`] turns the
 //!    bitmask exclusion filter and the compiled predicate into a dense
@@ -26,25 +26,27 @@
 //!    the function match, `Option` unwrap, and weight dispatch hoisted
 //!    out of the loop. All kernels call the one [`AggState::update`]
 //!    routine — never a specialised w == 1 shortcut — because the update
-//!    arithmetic (`w*(w-1)*x²` and friends) must round identically to the
-//!    scalar path for the bit-identical determinism contract to hold.
+//!    arithmetic (`w*(w-1)*x²` and friends) must round identically to a
+//!    row-at-a-time update for the bit-identical determinism contract to
+//!    hold.
 //!
 //! The partial leaves the morsel as a [`Groups`] table — the touched
 //! keys and their states copied out of the thread's scratch into two
 //! exact-size vectors, nothing per group.
 //!
 //! Determinism argument, in full: the selection vector is the exact
-//! ascending row set the scalar loop visits; per (group, aggregate) the
+//! ascending row set a row loop visits; per (group, aggregate) the
 //! updates happen in the same ascending-row order (kernels iterate the
 //! selection in order, one aggregate at a time — reordering *across*
 //! aggregates is harmless because different `AggState`s never interact);
-//! group ids are handed out in first-touch order, which is the order the
-//! scalar loop first meets each key; morsel boundaries and the
-//! morsel-order fold in `exec` are untouched. Every float operation
-//! therefore sees the same operands in the same order as the scalar
-//! path, and the result is bit-identical — which the differential suites
-//! (`tests/diff_parallel.rs`, `tests/prop_kernels.rs`, and the 240-seed
-//! regression) verify end to end.
+//! group ids are handed out in first-touch order, which is the order a
+//! row loop first meets each key; morsel boundaries and the morsel-order
+//! fold in `exec` are fixed by the row count and morsel size. Every float
+//! operation therefore sees the same operands in the same order as the
+//! row-at-a-time reference in `tests/support/reference.rs`, and the
+//! differential suites (`tests/diff_parallel.rs`, `tests/prop_kernels.rs`,
+//! `tests/prop_merge.rs`, `tests/diff_prune.rs`) hold the result to it
+//! bit for bit.
 
 use crate::exec::{AggStep, Scan, Weighting};
 use crate::groups::{GroupIndex, GroupKey, GroupTable, Groups, RadixPlan, MAX_FAST_KEY};
@@ -83,9 +85,9 @@ thread_local! {
 }
 
 /// Run one morsel through the vectorised pipeline. Returns the partial
-/// group table (identical to what the scalar loop builds for the same
-/// range, group order included) and the number of rows that survived the
-/// filters. With `use_predicate` false — a zone-map `TakeAll` morsel,
+/// group table (identical to what a row-at-a-time loop builds for the
+/// same range, group order included) and the number of rows that
+/// survived the filters. With `use_predicate` false — a zone-map `TakeAll` morsel,
 /// where every row is proven to satisfy the predicate — the selection is
 /// built from the bitmask stage alone, which by the prune contract keeps
 /// exactly the rows the predicate stage would have kept.
@@ -145,7 +147,7 @@ fn run_direct(
     accumulate_aggs(scan, &s.sel, &s.gids, &mut s.dense_states, num_aggs);
 
     // Compact in first-touch (= ascending first-row) order: the order
-    // the scalar path first meets each key.
+    // a row loop first meets each key.
     let mut states = Vec::with_capacity(s.touched.len() * num_aggs);
     for &g in &s.touched {
         let gi = g as usize;
@@ -289,7 +291,7 @@ fn add_digits(
 /// Batch [`ResolvedColumn::key_code`]: write each selected row's code into
 /// `out` and OR `null_bit` into the row's null bitmap on NULL. Typed per
 /// column; float codes canonicalise through the same
-/// [`canonical_f64_bits`] as the scalar path.
+/// [`canonical_f64_bits`] as [`ResolvedColumn::key_code`].
 fn fill_key_codes(
     col: &ResolvedColumn<'_>,
     sel: &[u32],
@@ -412,8 +414,7 @@ fn accumulate_aggs(
 
 /// Typed slice aggregation: hoist the null/row-map dispatch, then hand a
 /// plain-load accessor to the weight-monomorphised inner loop. `to_f64`
-/// replicates the scalar path's `ValueRef::as_f64` conversion exactly
-/// (`i64 as f64` for integers), so inputs are bit-identical.
+/// replicates `ValueRef::as_f64` exactly (`i64 as f64` for integers).
 fn accum_slice<T: Copy>(
     lanes: Lanes<'_>,
     weight: Weighting<'_>,
@@ -444,7 +445,7 @@ fn accum_slice<T: Copy>(
 }
 
 /// Monomorphise the weight accessor. Per-row weights index the *logical*
-/// row, exactly like the scalar loop.
+/// row.
 fn with_weight(lanes: Lanes<'_>, weight: Weighting<'_>, x_at: impl Fn(usize) -> Option<f64>) {
     match weight {
         Weighting::Unweighted => accum(lanes, |_| 1.0, x_at),
@@ -455,7 +456,7 @@ fn with_weight(lanes: Lanes<'_>, weight: Weighting<'_>, x_at: impl Fn(usize) -> 
 
 /// The innermost loop every aggregation kernel monomorphises down to:
 /// slice load, null test, flat-array indexed [`AggState::update`]. The
-/// update arithmetic is shared with the scalar path verbatim — including
+/// update arithmetic is [`AggState::update`] verbatim — including
 /// for weight 1 — because e.g. specialising away `w*x` would turn
 /// `0.0 * NaN` (= NaN) into `x` and change bits.
 #[inline(always)]
@@ -506,9 +507,9 @@ mod tests {
         fill_lanes(&plan, &cols, &sel, &mut lanes);
         assert_eq!(lanes.len(), sel.len());
         for (&r, &lane) in sel.iter().zip(&lanes) {
-            // The scalar path's key for the same row:
-            let scalar = plan.key(cols.iter().map(|c| c.key_code(r as usize)));
-            assert_eq!(lane, scalar, "row {r}");
+            // The key composed from the row's own digits:
+            let want = plan.key(cols.iter().map(|c| c.key_code(r as usize)));
+            assert_eq!(lane, want, "row {r}");
             assert!(lane < plan.slots);
         }
     }

@@ -22,10 +22,10 @@
 //!   [`Weighting`]s (inverse sampling rates) and an optional bitmask
 //!   exclusion filter, which is exactly the shape of the rewritten sample
 //!   queries of paper Section 4.2.2 (`WHERE bitmask & M = 0`, aggregates
-//!   scaled by the inverse sampling rate). Each scan morsel runs either a
-//!   scalar reference loop or the vectorised kernels (selection vectors,
-//!   typed columnar filters, dense group ids — [`KernelMode`], default
-//!   vectorised); the two are bit-identical by contract;
+//!   scaled by the inverse sampling rate). Each scan morsel runs the
+//!   vectorised kernels (selection vectors, typed columnar filters, dense
+//!   group ids), held bit for bit to a row-at-a-time reference by the
+//!   differential tests;
 //! * [`QueryOutput`] / [`AggState`] — per-group raw tallies (weighted and
 //!   unweighted sums, sums of squares) from which the AQP layer forms
 //!   estimates and confidence intervals.
@@ -34,7 +34,7 @@
 //! (keys in first-touch order plus one state array), folded in morsel
 //! order within a scan and in plan order across the scans of a UNION ALL
 //! ([`PlanGroups`]), so whole query outputs — group order included — are
-//! reproducible across runs, thread counts, and kernel modes.
+//! reproducible across runs, thread counts, and prune modes.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -57,8 +57,8 @@ pub mod source;
 pub use cancel::{CancelCause, CancelToken};
 pub use error::{QueryError, QueryResult};
 pub use exec::{
-    execute, run_scans, set_kernel_mode, set_prune_mode, ExecOptions, KernelMode, PreparedScan,
-    PruneMode, ScanPartials, Weighting,
+    execute, run_scans, set_prune_mode, ExecOptions, PreparedScan, PruneMode, ScanPartials,
+    Weighting,
 };
 pub use expr::{CmpOp, Expr};
 pub use groups::{PlanGroups, ScanGroups};

@@ -19,17 +19,17 @@
 //!    dispatched **once per batch**; `And` applies its conjuncts
 //!    sequentially over the shrinking vector (cheapest-first would be a
 //!    planner concern; order does not affect the result). `Or`, `Not`,
-//!    and the generic leaves fall back to the scalar
-//!    [`CompiledExpr::eval`] per remaining row — rare in the paper's
+//!    and the generic leaves fall back to the per-row
+//!    [`CompiledExpr::eval`] for each remaining row — rare in the paper's
 //!    workload class, and trivially equivalent by construction.
 //!
-//! Equivalence with the scalar path is not an accident to be tested into
-//! existence but a structural property: both paths evaluate the same
-//! [`CompiledExpr`] tree with the same leaf semantics (floats compare via
-//! `total_cmp`, NULL fails every leaf), and a selection vector is just the
-//! set of rows the scalar loop would not have `continue`d past, in the
-//! same ascending order. The differential tests in `tests/diff_parallel.rs`
-//! and `tests/prop_kernels.rs` enforce it anyway.
+//! Equivalence with the per-row evaluator is not an accident to be
+//! tested into existence but a structural property: both evaluate the
+//! same [`CompiledExpr`] tree with the same leaf semantics (floats compare
+//! via `total_cmp`, NULL fails every leaf), and a selection vector is just
+//! the set of rows a row loop would keep, in ascending order. The unit
+//! tests below and the row-at-a-time reference in `tests/support/` hold
+//! it anyway.
 
 use crate::expr::{CmpOp, CompiledExpr};
 use aqp_storage::{BitSet, BitmaskColumn, NullMask};

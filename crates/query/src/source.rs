@@ -14,8 +14,8 @@ use aqp_storage::{BitmaskColumn, Column, DataType, Table, ValueRef};
 /// Canonical IEEE-754 bits for grouping floats: values SQL treats as one
 /// group collapse to one bit pattern (-0.0 folds into +0.0, every NaN
 /// payload into the canonical NaN). The single source of truth for float
-/// group codes — both the scalar [`ResolvedColumn::key_code`] and the
-/// vectorised key-extraction kernels call this, so the two paths cannot
+/// group codes — both the per-row [`ResolvedColumn::key_code`] and the
+/// vectorised key-extraction kernels call this, so the two cannot
 /// disagree on edge-of-IEEE rows.
 #[inline]
 pub(crate) fn canonical_f64_bits(v: f64) -> u64 {

@@ -190,33 +190,6 @@ impl BitmaskColumn {
             .any(|(a, b)| a & b != 0)
     }
 
-    /// Whether **any** row in `start..end` has a bitmask intersecting
-    /// `mask`.
-    ///
-    /// This is the word-level fast-skip behind the vectorised
-    /// `bitmask & M = 0` exclusion filter: a scan kernel tests a whole
-    /// 64-row block with one call and only falls back to per-row
-    /// [`Self::row_intersects`] probes when the block-wide OR of the
-    /// stored masks actually touches `mask`. Word positions where `mask`
-    /// has no bits set are skipped outright, so sparse masks over wide
-    /// bitmask columns cost one branch per word, not one scan per word.
-    pub fn range_intersects(&self, start: usize, end: usize, mask: &BitSet) -> bool {
-        debug_assert!(start <= end && end * self.width <= self.words.len());
-        for (i, &m) in mask.words().iter().take(self.width).enumerate() {
-            if m == 0 {
-                continue;
-            }
-            let mut acc = 0u64;
-            for row in start..end {
-                acc |= self.words[row * self.width + i];
-            }
-            if acc & m != 0 {
-                return true;
-            }
-        }
-        false
-    }
-
     /// The bitmask of `row` as an owned [`BitSet`].
     pub fn row(&self, row: usize) -> BitSet {
         let start = row * self.width;
@@ -333,55 +306,6 @@ mod tests {
         col.push(&BitSet::from_bits(130, [64]));
         let m = BitSet::from_bits(130, [129]);
         assert_eq!(col.rows_disjoint_from(&m), vec![1]);
-    }
-
-    #[test]
-    fn range_intersects_agrees_with_per_row_probes() {
-        // 130 bits => 3 words per row; rows tagged in varying words.
-        let mut col = BitmaskColumn::new(130);
-        for r in 0..200usize {
-            match r % 5 {
-                0 => col.push(&BitSet::from_bits(130, [r % 64])),
-                1 => col.push(&BitSet::from_bits(130, [64 + r % 64])),
-                2 => col.push(&BitSet::from_bits(130, [128 + r % 2])),
-                _ => col.push_empty(),
-            }
-        }
-        for mask in [
-            BitSet::from_bits(130, [3]),
-            BitSet::from_bits(130, [70]),
-            BitSet::from_bits(130, [128, 129]),
-            BitSet::with_capacity(130),
-        ] {
-            for start in [0, 1, 63, 64, 130] {
-                for end in [start, start + 1, start + 64, 200] {
-                    let end = end.min(200);
-                    if end < start {
-                        continue;
-                    }
-                    let expect = (start..end).any(|r| col.row_intersects(r, &mask));
-                    assert_eq!(
-                        col.range_intersects(start, end, &mask),
-                        expect,
-                        "range {start}..{end}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn range_intersects_narrow_and_wide_masks() {
-        let mut col = BitmaskColumn::new(8);
-        col.push(&BitSet::from_bits(8, [2]));
-        col.push_empty();
-        // A mask wider than the column only consults the column's words.
-        let wide = BitSet::from_bits(200, [2, 150]);
-        assert!(col.range_intersects(0, 2, &wide));
-        let wide_only = BitSet::from_bits(200, [150]);
-        assert!(!col.range_intersects(0, 2, &wide_only));
-        // Empty ranges never intersect.
-        assert!(!col.range_intersects(1, 1, &wide));
     }
 
     #[test]

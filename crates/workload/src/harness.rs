@@ -260,89 +260,6 @@ pub fn evaluate_queries_traced(
     Ok((summary, traces))
 }
 
-/// One throughput sample of the parallel scaling bench: a query scan or a
-/// sample-family build, at a given worker-thread count.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BenchPoint {
-    /// Worker threads used.
-    pub threads: usize,
-    /// Best-of-N wall-clock time in milliseconds.
-    pub elapsed_ms: f64,
-    /// Rows of input processed.
-    pub rows: usize,
-    /// Throughput in input rows per second.
-    pub rows_per_sec: f64,
-}
-
-impl BenchPoint {
-    fn from_elapsed(threads: usize, rows: usize, secs: f64) -> Self {
-        BenchPoint {
-            threads,
-            elapsed_ms: secs * 1e3,
-            rows,
-            rows_per_sec: if secs > 0.0 { rows as f64 / secs } else { f64::INFINITY },
-        }
-    }
-}
-
-/// Measure exact-scan throughput of `query` over `source` at `threads`
-/// workers: best wall-clock of `iters` runs (first run warms caches).
-pub fn bench_query_throughput(
-    source: &DataSource<'_>,
-    query: &Query,
-    threads: usize,
-    iters: usize,
-) -> aqp_query::QueryResult<BenchPoint> {
-    let opts = ExecOptions {
-        parallelism: threads.max(1),
-        ..ExecOptions::default()
-    };
-    bench_query_throughput_with(source, query, &opts, iters)
-}
-
-/// [`bench_query_throughput`] with caller-supplied [`ExecOptions`], so
-/// benchmarks can pin the kernel mode (scalar vs vectorised), weighting,
-/// or morsel size. Best wall-clock of `iters` runs.
-pub fn bench_query_throughput_with(
-    source: &DataSource<'_>,
-    query: &Query,
-    opts: &ExecOptions<'_>,
-    iters: usize,
-) -> aqp_query::QueryResult<BenchPoint> {
-    let mut best = f64::INFINITY;
-    for _ in 0..iters.max(1) {
-        let start = Instant::now();
-        let out = execute(source, query, opts)?;
-        let secs = start.elapsed().as_secs_f64();
-        std::hint::black_box(&out);
-        best = best.min(secs);
-    }
-    Ok(BenchPoint::from_elapsed(
-        opts.parallelism.max(1),
-        source.num_rows(),
-        best,
-    ))
-}
-
-/// Measure small-group-sample build throughput over `view` at `threads`
-/// preprocessing workers (the build scans the view twice; throughput is
-/// reported against the view's row count).
-pub fn bench_build_throughput(
-    view: &aqp_storage::Table,
-    config: &aqp_core::SmallGroupConfig,
-    threads: usize,
-) -> aqp_core::AqpResult<BenchPoint> {
-    let config = aqp_core::SmallGroupConfig {
-        preprocess_threads: threads.max(1),
-        ..config.clone()
-    };
-    let start = Instant::now();
-    let sampler = aqp_core::SmallGroupSampler::build(view, config)?;
-    let secs = start.elapsed().as_secs_f64();
-    std::hint::black_box(&sampler);
-    Ok(BenchPoint::from_elapsed(threads, view.num_rows(), secs))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

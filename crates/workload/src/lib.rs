@@ -36,9 +36,8 @@ pub use calibrate::{
 };
 pub use generator::{generate_queries, DatasetProfile, QueryGenConfig, WorkloadAggregate};
 pub use harness::{
-    bench_build_throughput, bench_query_throughput, bench_query_throughput_with, evaluate_queries,
-    evaluate_queries_traced,
-    exact_answer, exact_answer_threaded, BenchPoint, EvalSummary, ExactAnswer, QueryEval,
+    evaluate_queries, evaluate_queries_traced, exact_answer, exact_answer_threaded, EvalSummary,
+    ExactAnswer, QueryEval,
 };
 pub use metrics::{pct_groups, rel_err, sq_rel_err};
 pub use report::obs_report_json;

@@ -1,31 +1,31 @@
 //! Differential oracle for morsel-driven parallel execution.
 //!
-//! Two independent checks, combined across aggregate types, group-by
-//! arities (including past the fast-key limit), NULLs and predicates,
-//! plus the properties of the single scheduling round a UNION-ALL plan
-//! runs in (bit-identity on both sides of the inline cutoff, all-or-
-//! nothing cancellation, per-part profiles) and of the code-keyed fold
-//! that merges the plan's tables (every key space, tables whose
-//! dictionaries disagree, group order):
+//! Every answer here is held to the row-at-a-time reference in
+//! `tests/support/reference.rs`, bit for bit and in group order, across
+//! aggregate types, group-by arities (including past the fast-key limit),
+//! NULLs, predicates, weightings (unit, constant and per-row fractional
+//! weights), bitmask exclusion and row limits, at 1/2/4/8 threads and
+//! morsel sizes on both sides of the inline cutoff. Because the reference
+//! fixes the answer independently of the thread count, matching it at
+//! every count is the determinism contract: morsel boundaries and the
+//! merge order of partial states depend only on the row count, so
+//! scheduling can never leak into results.
 //!
-//! 1. **Determinism** — answers at 2/4/8 threads are *bit-identical* to
-//!    the 1-thread answer, for the exact executor and for the UNION-ALL
-//!    rewrite plan served by [`SmallGroupSampler`]. Morsel boundaries and
-//!    the merge order of partial states depend only on the row count, so
-//!    scheduling can never leak into results.
-//! 2. **Correctness** — the exact executor's parallel answers equal a
-//!    naive row-at-a-time reference evaluator written independently of
-//!    the morsel machinery (integer-valued measures compare exactly;
-//!    fractional sums within a tight relative tolerance, since a straight
-//!    left-to-right float sum legitimately rounds differently from the
-//!    morsel-ordered fold).
+//! The same holds for the single scheduling round a UNION-ALL plan runs
+//! in — part by part for the plan [`SmallGroupSampler`] serves, and for
+//! the code-keyed fold that merges the plan's tables (every key space,
+//! tables whose dictionaries disagree) — plus all-or-nothing
+//! cancellation and per-part profiles.
 
+#[path = "support/reference.rs"]
+mod reference;
+
+use aqp::core::answer::state_to_estimate;
 use aqp::prelude::*;
 use aqp::query::plan::QueryBuilder;
-use aqp::query::{
-    run_scans, AggState, CancelToken, PlanGroups, PreparedScan, QueryError, Weighting,
-};
-use std::collections::HashMap;
+use aqp::query::{run_scans, CancelToken, GroupResult, PlanGroups, PreparedScan, QueryError};
+use aqp::sampling::Estimate;
+use aqp::storage::{BitSet, BitmaskColumn};
 use std::time::{Duration, Instant};
 
 /// Deterministic splitmix-style generator: no rand dependency, stable
@@ -82,112 +82,6 @@ fn test_table(rows: usize, seed: u64) -> Table {
     t
 }
 
-/// Naive reference tally for one aggregate over one group.
-#[derive(Clone, Default)]
-struct RefAgg {
-    rows: u64,
-    non_null: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-/// Row-at-a-time reference evaluator: no morsels, no hashing tricks —
-/// a `Vec<Value>` per row and a linear predicate walk.
-fn reference(
-    table: &Table,
-    query: &Query,
-) -> HashMap<Vec<Value>, Vec<RefAgg>> {
-    let idx: HashMap<&str, usize> = table
-        .schema()
-        .fields()
-        .iter()
-        .enumerate()
-        .map(|(i, f)| (f.name.as_str(), i))
-        .collect();
-    let mut out: HashMap<Vec<Value>, Vec<RefAgg>> = HashMap::new();
-    for r in 0..table.num_rows() {
-        let row = table.row(r);
-        if let Some(p) = &query.predicate {
-            if !eval_pred(p, &row, &idx) {
-                continue;
-            }
-        }
-        let key: Vec<Value> = query.group_by.iter().map(|g| row[idx[g.as_str()]].clone()).collect();
-        let states = out.entry(key).or_insert_with(|| {
-            vec![
-                RefAgg {
-                    min: f64::INFINITY,
-                    max: f64::NEG_INFINITY,
-                    ..RefAgg::default()
-                };
-                query.aggregates.len()
-            ]
-        });
-        for (i, agg) in query.aggregates.iter().enumerate() {
-            let st = &mut states[i];
-            st.rows += 1;
-            match agg.func {
-                AggFunc::Count => {
-                    st.non_null += 1;
-                    st.sum += 1.0;
-                }
-                _ => {
-                    let col = agg.column.as_ref().unwrap();
-                    if let Some(x) = row[idx[col.as_str()]].as_f64() {
-                        st.non_null += 1;
-                        st.sum += x;
-                        st.min = st.min.min(x);
-                        st.max = st.max.max(x);
-                    }
-                }
-            }
-        }
-    }
-    // Ungrouped aggregation always yields one row, even over zero matches.
-    if query.group_by.is_empty() && out.is_empty() {
-        out.insert(
-            Vec::new(),
-            vec![
-                RefAgg {
-                    min: f64::INFINITY,
-                    max: f64::NEG_INFINITY,
-                    ..RefAgg::default()
-                };
-                query.aggregates.len()
-            ],
-        );
-    }
-    out
-}
-
-/// Reference predicate walk. Only the type pairings the queries below use
-/// are implemented; semantics mirror the executor (NULL at a leaf is
-/// false, `Not` is plain negation).
-fn eval_pred(e: &Expr, row: &[Value], idx: &HashMap<&str, usize>) -> bool {
-    match e {
-        Expr::Cmp { column, op, literal } => {
-            let v = &row[idx[column.as_str()]];
-            match (v, literal) {
-                (Value::Int64(a), Value::Int64(b)) => op.evaluate(a.cmp(b)),
-                (Value::Float64(a), lit) => match lit.as_f64() {
-                    Some(b) => op.evaluate(a.total_cmp(&b)),
-                    None => false,
-                },
-                (Value::Utf8(a), Value::Utf8(b)) => op.evaluate(a.as_str().cmp(b.as_str())),
-                _ => false,
-            }
-        }
-        Expr::InSet { column, values } => {
-            let v = &row[idx[column.as_str()]];
-            !v.is_null() && values.contains(v)
-        }
-        Expr::And(es) => es.iter().all(|e| eval_pred(e, row, idx)),
-        Expr::Or(es) => es.iter().any(|e| eval_pred(e, row, idx)),
-        Expr::Not(e) => !eval_pred(e, row, idx),
-    }
-}
-
 /// The query grid: every aggregate function, 0/1/2/7 grouping columns,
 /// and predicates over every compiled form (dict IN-list, int/float
 /// comparisons, AND/OR/NOT).
@@ -234,190 +128,96 @@ fn query_grid() -> Vec<Query> {
     queries
 }
 
-fn run_at(table: &Table, q: &Query, threads: usize, morsel_rows: usize) -> aqp::query::QueryOutput {
-    let opts = ExecOptions {
-        parallelism: threads,
-        morsel_rows,
-        ..ExecOptions::default()
-    };
-    let mut out = aqp::query::execute(&DataSource::Wide(table), q, &opts).unwrap();
-    out.sort_by_key();
-    out
+/// `t` with a bitmask column of three bits per row, each set on about a
+/// third of the rows.
+fn with_bitmask(mut t: Table, seed: u64) -> Table {
+    let mut s = seed;
+    let mut masks = BitmaskColumn::new(3);
+    for _ in 0..t.num_rows() {
+        masks.push(&BitSet::from_bits(3, (0..3).filter(|_| next(&mut s).is_multiple_of(3))));
+    }
+    t.attach_bitmask(masks).unwrap();
+    t
 }
 
-/// Run with an explicit kernel mode, *without* sorting, so group order —
-/// which the determinism contract also covers — is compared as produced.
-fn run_mode(
-    table: &Table,
-    q: &Query,
-    threads: usize,
-    morsel_rows: usize,
-    kernels: KernelMode,
-) -> aqp::query::QueryOutput {
-    let opts = ExecOptions {
-        parallelism: threads,
-        morsel_rows,
-        kernels,
-        ..ExecOptions::default()
-    };
-    aqp::query::execute(&DataSource::Wide(table), q, &opts).unwrap()
-}
-
-fn assert_states_bit_identical(a: &AggState, b: &AggState, ctx: &str) {
-    assert_eq!(a.rows, b.rows, "{ctx}: rows");
-    for (x, y, field) in [
-        (a.sum_w, b.sum_w, "sum_w"),
-        (a.sum_wx, b.sum_wx, "sum_wx"),
-        (a.sum_x, b.sum_x, "sum_x"),
-        (a.sum_x_sq, b.sum_x_sq, "sum_x_sq"),
-        (a.var_acc, b.var_acc, "var_acc"),
-        (a.var_acc_w, b.var_acc_w, "var_acc_w"),
-        (a.cov_acc, b.cov_acc, "cov_acc"),
-        (a.min, b.min, "min"),
-        (a.max, b.max, "max"),
-    ] {
-        assert_eq!(x.to_bits(), y.to_bits(), "{ctx}: {field} {x} vs {y}");
+#[test]
+fn parallel_exact_answers_match_naive_reference() {
+    // Fractional measures and fractional weights: every float tally
+    // depends on the order of its additions, and the reference fixes
+    // that order, so bit equality is the whole contract. 64-row morsels
+    // make ~40 of them (a threaded round), 1 024-row ones 3 (inline).
+    let t = with_bitmask(test_table(2_500, 11), 12);
+    let per_row: Vec<f64> = (0..t.num_rows()).map(|r| 0.5 + (r % 17) as f64 / 6.0).collect();
+    let mask = BitSet::from_bits(3, [1]);
+    let unweighted = ExecOptions::default();
+    let variants = [
+        ("unweighted", unweighted),
+        ("constant weight", ExecOptions { weight: Weighting::Constant(10.0 / 3.0), ..unweighted }),
+        ("per-row weights", ExecOptions { weight: Weighting::PerRow(&per_row), ..unweighted }),
+        (
+            "bitmask-excluded",
+            ExecOptions { weight: Weighting::Constant(2.5), bitmask_exclude: Some(&mask), ..unweighted },
+        ),
+        ("row limit", ExecOptions { row_limit: Some(1_777), ..unweighted }),
+    ];
+    for (qi, q) in query_grid().iter().enumerate() {
+        for (variant, opts) in &variants {
+            for morsel_rows in [64, 1_024] {
+                let opts = ExecOptions { morsel_rows, ..*opts };
+                let want = reference::evaluate(&t, q, &opts);
+                for threads in [1, 2, 4, 8] {
+                    let opts = ExecOptions { parallelism: threads, ..opts };
+                    let got = aqp::query::execute(&DataSource::Wide(&t), q, &opts).unwrap();
+                    let ctx = format!("query {qi}, {variant}, {morsel_rows}-row morsels @ {threads} threads");
+                    assert_eq!((got.rows_scanned, got.truncated), (want.rows_scanned, want.truncated), "{ctx}");
+                    reference::assert_same(&want.groups, &got.groups, &ctx);
+                }
+            }
+        }
     }
 }
 
 #[test]
 fn parallel_exact_answers_bit_identical_across_threads() {
-    // morsel_rows 64 forces ~40 morsels on 2500 rows, so any
-    // scheduling-dependent merge order would have every chance to show.
+    // The determinism contract stated directly, executor against itself:
+    // at 64-row morsels (~40 on 2 500 rows) any scheduling-dependent
+    // merge order would have every chance to show, in the fractional
+    // tallies and in the group order (nothing here sorts).
     let t = test_table(2_500, 7);
-    for (qi, q) in query_grid().iter().enumerate() {
-        let base = run_at(&t, q, 1, 64);
-        for threads in [2, 4, 8] {
-            let par = run_at(&t, q, threads, 64);
-            assert_eq!(base.num_groups(), par.num_groups(), "query {qi} @ {threads}");
-            for (a, b) in base.groups.iter().zip(&par.groups) {
-                assert_eq!(a.key, b.key, "query {qi} @ {threads}");
-                for (sa, sb) in a.aggs.iter().zip(&b.aggs) {
-                    assert_states_bit_identical(
-                        sa,
-                        sb,
-                        &format!("query {qi} @ {threads} threads, key {:?}", a.key),
-                    );
-                }
+    let per_row: Vec<f64> = (0..t.num_rows()).map(|r| 0.25 + (r % 11) as f64 / 7.0).collect();
+    for (variant, weight) in [("unweighted", Weighting::Unweighted), ("per-row weights", Weighting::PerRow(&per_row))] {
+        for (qi, q) in query_grid().iter().enumerate() {
+            let run = |threads| {
+                let opts = ExecOptions { parallelism: threads, morsel_rows: 64, weight, ..ExecOptions::default() };
+                aqp::query::execute(&DataSource::Wide(&t), q, &opts).unwrap()
+            };
+            let base = run(1);
+            for threads in [2, 4, 8] {
+                let par = run(threads);
+                let ctx = format!("query {qi}, {variant} @ {threads} threads");
+                assert_eq!(par.rows_scanned, base.rows_scanned, "{ctx}");
+                reference::assert_same(&base.groups, &par.groups, &ctx);
             }
         }
     }
 }
 
 #[test]
-fn parallel_exact_answers_match_naive_reference() {
-    let t = test_table(2_500, 11);
-    for (qi, q) in query_grid().iter().enumerate() {
-        let truth = reference(&t, q);
-        for threads in [1, 4] {
-            let out = run_at(&t, q, threads, 64);
-            assert_eq!(
-                out.num_groups(),
-                truth.len(),
-                "query {qi} @ {threads}: group count"
-            );
-            for g in &out.groups {
-                let ctx = format!("query {qi} @ {threads}, key {:?}", g.key);
-                let want = truth.get(&g.key).unwrap_or_else(|| panic!("{ctx}: spurious group"));
-                for ((agg, st), rf) in q.aggregates.iter().zip(&g.aggs).zip(want) {
-                    match agg.func {
-                        AggFunc::Count => {
-                            assert_eq!(st.rows, rf.rows, "{ctx}: COUNT rows");
-                            assert_eq!(st.sum_w, rf.sum, "{ctx}: COUNT");
-                        }
-                        AggFunc::Sum | AggFunc::Avg => {
-                            assert_eq!(st.rows, rf.non_null, "{ctx}: non-null rows");
-                            let got = if agg.func == AggFunc::Avg {
-                                if rf.non_null == 0 {
-                                    continue;
-                                }
-                                st.sum_wx / st.sum_w
-                            } else {
-                                st.sum_wx
-                            };
-                            let want = if agg.func == AggFunc::Avg {
-                                rf.sum / rf.non_null as f64
-                            } else {
-                                rf.sum
-                            };
-                            // Integer-valued "amt" sums are exact; the
-                            // fractional "val" sums may differ from the
-                            // left-to-right reference only in rounding.
-                            let tol = 1e-12 * want.abs().max(1.0);
-                            assert!(
-                                (got - want).abs() <= tol,
-                                "{ctx}: {} got {got} want {want}",
-                                agg.alias
-                            );
-                        }
-                        AggFunc::Min => {
-                            assert_eq!(st.min.to_bits(), rf.min.to_bits(), "{ctx}: MIN");
-                        }
-                        AggFunc::Max => {
-                            assert_eq!(st.max.to_bits(), rf.max.to_bits(), "{ctx}: MAX");
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn scalar_and_vectorized_kernels_bit_identical() {
-    // The vectorised kernels (selection vectors, typed aggregation loops,
-    // dense group ids) must reproduce the scalar reference loop exactly:
-    // same groups, in the same order, with every tally field agreeing to
-    // the last bit — at every thread count, across the whole query grid
-    // (which covers the dense path, the hash fast-key path, and the
-    // slow-key path past MAX_FAST_KEY).
-    let t = test_table(2_500, 13);
-    for (qi, q) in query_grid().iter().enumerate() {
-        for threads in [1, 4, 8] {
-            let scalar = run_mode(&t, q, threads, 64, KernelMode::Scalar);
-            let vect = run_mode(&t, q, threads, 64, KernelMode::Vectorized);
-            assert_eq!(scalar.rows_scanned, vect.rows_scanned, "query {qi} @ {threads}");
-            assert_eq!(scalar.num_groups(), vect.num_groups(), "query {qi} @ {threads}");
-            for (a, b) in scalar.groups.iter().zip(&vect.groups) {
-                assert_eq!(a.key, b.key, "query {qi} @ {threads}: group order");
-                for (sa, sb) in a.aggs.iter().zip(&b.aggs) {
-                    assert_states_bit_identical(
-                        sa,
-                        sb,
-                        &format!("query {qi} @ {threads} threads, key {:?}", a.key),
-                    );
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn union_all_rewrite_plan_identical_across_kernel_modes() {
-    // The sampler's UNION ALL plan runs weighted, bitmask-filtered scans
-    // through the same executor; forcing the process-wide kernel mode
-    // must not move a single bit of any estimate or interval, nor the
-    // order the groups come out in (nothing here sorts). The global
-    // override is restored to Auto even on panic so concurrently running
-    // tests (which are mode-agnostic by this very contract) see a clean
-    // default afterwards.
-    struct Restore;
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            aqp::query::set_kernel_mode(KernelMode::Auto);
-        }
-    }
-    let _restore = Restore;
-
+fn sampler_union_all_parts_match_the_reference_part_by_part() {
+    // The sampler answers with a UNION ALL of weighted, bitmask-filtered
+    // scans. Rebuild its plan from the public surface — `plan_tables` in
+    // plan order; each small group table at weight 1 excluding rows of
+    // the tables before it; the overall sample at weight 1/rate
+    // excluding all of them — and hold every part's scan to the
+    // reference, then the served estimates and intervals to the
+    // reference parts folded in plan order. Nothing here sorts.
     let t = test_table(3_000, 17);
-    let sampler = SmallGroupSampler::build(
+    let mut sampler = SmallGroupSampler::build(
         &t,
-        SmallGroupConfig {
-            seed: 5,
-            ..SmallGroupConfig::with_rates(0.1, 0.5)
-        },
+        SmallGroupConfig { seed: 5, ..SmallGroupConfig::with_rates(0.1, 0.5) },
     )
     .unwrap();
+    let units = sampler.sample_columns();
     let queries = [
         Query::builder().count().group_by("cat").build().unwrap(),
         Query::builder()
@@ -428,24 +228,60 @@ fn union_all_rewrite_plan_identical_across_kernel_modes() {
             .group_by("sub")
             .build()
             .unwrap(),
+        Query::builder()
+            .sum("val")
+            .filter(Expr::in_set("cat", vec!["a".into(), "b".into()]))
+            .build()
+            .unwrap(),
     ];
     for (qi, q) in queries.iter().enumerate() {
-        aqp::query::set_kernel_mode(KernelMode::Scalar);
-        let scalar = sampler.answer(q, 0.95).unwrap();
-        aqp::query::set_kernel_mode(KernelMode::Vectorized);
-        let vect = sampler.answer(q, 0.95).unwrap();
-        assert_eq!(scalar.groups.len(), vect.groups.len(), "query {qi}");
-        for (a, b) in scalar.groups.iter().zip(&vect.groups) {
-            assert_eq!(a.key, b.key, "query {qi}");
-            for (va, vb) in a.values.iter().zip(&b.values) {
-                assert_eq!(
-                    va.value().to_bits(),
-                    vb.value().to_bits(),
-                    "query {qi}: estimate for {:?}",
-                    a.key
-                );
-                assert_eq!(va.ci.lo.to_bits(), vb.ci.lo.to_bits(), "query {qi}: ci.lo");
-                assert_eq!(va.ci.hi.to_bits(), vb.ci.hi.to_bits(), "query {qi}: ci.hi");
+        let mut excluded = Vec::new();
+        let mut parts = Vec::new();
+        for name in sampler.plan_tables(q) {
+            let table = sampler.tables().find(|t| t.name() == name).unwrap().clone();
+            let mask = BitSet::from_bits(units.len().max(1), excluded.iter().copied());
+            match units.iter().position(|u| format!("sg_{u}") == name) {
+                Some(unit) => {
+                    excluded.push(unit);
+                    parts.push((table, mask, 1.0));
+                }
+                None => parts.push((table, mask, 1.0 / sampler.overall_rate())),
+            }
+        }
+        assert_eq!(parts.last().unwrap().0.name(), "overall", "query {qi}");
+        for threads in [1, 2, 4, 8] {
+            sampler.set_threads(threads);
+            let ctx = format!("query {qi} @ {threads} threads");
+            let mut want = Vec::new();
+            for (table, mask, weight) in &parts {
+                let opts = ExecOptions {
+                    weight: Weighting::Constant(*weight),
+                    bitmask_exclude: Some(mask),
+                    parallelism: threads,
+                    ..ExecOptions::default()
+                };
+                let part = reference::evaluate(table, q, &opts);
+                let got = aqp::query::execute(&DataSource::Wide(table), q, &opts).unwrap();
+                reference::assert_same(&part.groups, &got.groups, &format!("{ctx}, part {}", table.name()));
+                want.push(part.groups);
+            }
+            let want = reference::fold(want);
+            let answer = sampler.answer(q, 0.95).unwrap();
+            assert_eq!(answer.groups.len(), want.len(), "{ctx}: group count");
+            for (w, g) in want.iter().zip(&answer.groups) {
+                assert_eq!(w.key, g.key, "{ctx}: group order");
+                for ((agg, state), v) in q.aggregates.iter().zip(&w.aggs).zip(&g.values) {
+                    let estimate = state_to_estimate(agg.func, state, v.is_exact())
+                        .unwrap_or_else(|| Estimate::with_variance(0.0, f64::INFINITY));
+                    let ci = estimate.confidence_interval(0.95);
+                    assert_eq!(
+                        [estimate.value, ci.lo, ci.hi].map(f64::to_bits),
+                        [v.value(), v.ci.lo, v.ci.hi].map(f64::to_bits),
+                        "{ctx}: {} for {:?}",
+                        agg.alias,
+                        w.key
+                    );
+                }
             }
         }
     }
@@ -554,34 +390,23 @@ fn parallel_sgs_build_produces_identical_families() {
     }
 }
 
-fn part_opts(weight: f64, morsel_rows: usize, kernels: KernelMode) -> ExecOptions<'static> {
+fn part_opts(weight: f64, morsel_rows: usize) -> ExecOptions<'static> {
     ExecOptions {
         weight: Weighting::Constant(weight),
         morsel_rows,
-        kernels,
         ..ExecOptions::default()
     }
 }
-
-/// A plan's merged groups, in the order the fold produced them.
-type PlanAnswer = Vec<(Vec<Value>, Vec<AggState>)>;
 
 /// A UNION-ALL plan the way `answer_from_parts` runs it: every part
 /// prepared, the morsels of all parts in ONE scheduling round, then each
 /// part folded in morsel order and the parts folded on group codes in
 /// plan order, each key decoded once at the end.
-fn union_all_in_one_round(
-    parts: &[(Table, f64)],
-    q: &Query,
-    threads: usize,
-    morsel_rows: usize,
-    kernels: KernelMode,
-) -> PlanAnswer {
+fn union_all_in_one_round(parts: &[(Table, f64)], q: &Query, threads: usize, morsel_rows: usize) -> Vec<GroupResult> {
     let scans: Vec<PreparedScan<'_>> = parts
         .iter()
         .map(|(table, weight)| {
-            let opts = part_opts(*weight, morsel_rows, kernels);
-            PreparedScan::new(&DataSource::Wide(table), q, &opts).unwrap()
+            PreparedScan::new(&DataSource::Wide(table), q, &part_opts(*weight, morsel_rows)).unwrap()
         })
         .collect();
     let partials = run_scans(&scans, threads, None).unwrap();
@@ -589,45 +414,16 @@ fn union_all_in_one_round(
     for (scan, partials) in scans.into_iter().zip(partials) {
         plan.absorb(scan.finish(partials));
     }
-    plan.groups().map(|(key, states)| (key, states.to_vec())).collect()
+    plan.groups().map(|(key, states)| GroupResult { key, aggs: states.to_vec() }).collect()
 }
 
-/// The same plan one `execute` (one round) per part, merged on *decoded*
-/// keys — strings, not codes — first-seen in plan order: what the single
-/// round and the code-keyed fold must reproduce bit for bit, order
-/// included.
-fn union_all_round_per_part(
-    parts: &[(Table, f64)],
-    q: &Query,
-    morsel_rows: usize,
-    kernels: KernelMode,
-) -> PlanAnswer {
-    let mut slot_of: HashMap<Vec<Value>, usize> = HashMap::new();
-    let mut merged: PlanAnswer = Vec::new();
-    for (table, weight) in parts {
-        let opts = part_opts(*weight, morsel_rows, kernels);
-        let out = aqp::query::execute(&DataSource::Wide(table), q, &opts).unwrap();
-        for g in out.groups {
-            match slot_of.get(&g.key) {
-                Some(&at) => merged[at].1.iter_mut().zip(&g.aggs).for_each(|(a, b)| a.merge(b)),
-                None => {
-                    slot_of.insert(g.key.clone(), merged.len());
-                    merged.push((g.key, g.aggs));
-                }
-            }
-        }
-    }
-    merged
-}
-
-fn assert_plans_bit_identical(want: &PlanAnswer, got: &PlanAnswer, ctx: &str) {
-    assert_eq!(want.len(), got.len(), "{ctx}: group count");
-    for ((ka, sa), (kb, sb)) in want.iter().zip(got) {
-        assert_eq!(ka, kb, "{ctx}: group order");
-        for (a, b) in sa.iter().zip(sb) {
-            assert_states_bit_identical(a, b, &format!("{ctx}, key {ka:?}"));
-        }
-    }
+/// The same plan through the reference: each part evaluated row at a
+/// time on decoded values, folded in plan order — what the single round
+/// and the code-keyed fold must reproduce bit for bit, order included.
+fn union_all_reference(parts: &[(Table, f64)], q: &Query, morsel_rows: usize) -> Vec<GroupResult> {
+    reference::fold(
+        parts.iter().map(|(table, weight)| reference::evaluate(table, q, &part_opts(*weight, morsel_rows)).groups),
+    )
 }
 
 #[test]
@@ -637,7 +433,7 @@ fn union_all_single_round_bit_identical_on_both_sides_of_the_inline_cutoff() {
     // writing; the sweep covers 3..=40, so the cutoff may move): below it
     // the round runs on the caller's thread, from it on one scoped round
     // serves all three parts. Either way, and at every thread count, the
-    // fold must equal one-round-per-part execution to the last bit.
+    // fold must equal the reference's plan-order fold to the last bit.
     let queries = query_grid();
     for total_morsels in [3usize, 8, 14, 15, 16, 17, 18, 24, 40] {
         // Part sizes: a short first stratum, a ragged middle one (its
@@ -651,11 +447,11 @@ fn union_all_single_round_bit_identical_on_both_sides_of_the_inline_cutoff() {
             (test_table(last * 64, 23), 10.0 / 3.0),
         ];
         for (qi, q) in queries.iter().enumerate() {
-            let want = union_all_round_per_part(&parts, q, 64, KernelMode::Auto);
+            let want = union_all_reference(&parts, q, 64);
             for threads in [1, 2, 4, 8] {
-                let got = union_all_in_one_round(&parts, q, threads, 64, KernelMode::Auto);
+                let got = union_all_in_one_round(&parts, q, threads, 64);
                 let ctx = format!("{total_morsels} morsels, query {qi} @ {threads} threads");
-                assert_plans_bit_identical(&want, &got, &ctx);
+                reference::assert_same(&want, &got, &ctx);
             }
         }
     }
@@ -697,17 +493,6 @@ fn dict_table(rows: usize, seed: u64, vocab: std::ops::Range<u64>, null_every: u
     t
 }
 
-/// Every part's rows in one table, in plan order.
-fn concatenated(parts: &[(Table, f64)]) -> Table {
-    let mut all = Table::empty("all", parts[0].0.schema().clone());
-    for (t, _) in parts {
-        for r in 0..t.num_rows() {
-            all.push_row(&t.row(r)).unwrap();
-        }
-    }
-    all
-}
-
 fn dict_queries() -> Vec<Query> {
     let aggs = || Query::builder().count().sum("amt").aggregate(AggExpr::avg("amt", "avg_amt"));
     let mut seven = aggs();
@@ -732,23 +517,18 @@ fn dict_queries() -> Vec<Query> {
     ]
 }
 
-const KERNEL_MODES: [KernelMode; 2] = [KernelMode::Scalar, KernelMode::Vectorized];
-
-/// The fold of `parts` under `q` must be the same — every bit, and the
-/// group order — in both kernel modes, at 1/2/8 threads, with morsel
-/// sizes on both sides of the inline cutoff, and equal the merge on
-/// decoded keys of one `execute` per part.
-fn assert_code_keyed_fold_matches_decoded_merge(parts: &[(Table, f64)], q: &Query, ctx: &str) {
+/// The fold of `parts` under `q` must equal the reference's — every bit,
+/// and the group order — at 1/2/8 threads, with morsel sizes on both
+/// sides of the inline cutoff. The reference keys groups by decoded
+/// values, so this also proves every table's codes were translated.
+fn assert_code_keyed_fold_matches_reference(parts: &[(Table, f64)], q: &Query, ctx: &str) {
     let rows: usize = parts.iter().map(|(t, _)| t.num_rows()).sum();
     // ~9 morsels (inline), ~16 (the cutoff), ~70 (threaded).
     for morsel_rows in [rows / 8, rows / 15, rows / 70] {
-        let want = union_all_round_per_part(parts, q, morsel_rows, KernelMode::Scalar);
-        for kernels in KERNEL_MODES {
-            for threads in [1, 2, 8] {
-                let got = union_all_in_one_round(parts, q, threads, morsel_rows, kernels);
-                let ctx = format!("{ctx}, {morsel_rows}-row morsels, {kernels:?} @ {threads} threads");
-                assert_plans_bit_identical(&want, &got, &ctx);
-            }
+        let want = union_all_reference(parts, q, morsel_rows);
+        for threads in [1, 2, 8] {
+            let got = union_all_in_one_round(parts, q, threads, morsel_rows);
+            reference::assert_same(&want, &got, &format!("{ctx}, {morsel_rows}-row morsels @ {threads} threads"));
         }
     }
 }
@@ -757,31 +537,19 @@ fn assert_code_keyed_fold_matches_decoded_merge(parts: &[(Table, f64)], q: &Quer
 fn plan_fold_across_tables_whose_dictionaries_disagree() {
     // Three tables over overlapping vocabularies (v0..v9, v4..v13,
     // v8..v17): each holds strings the others lack, and shared strings
-    // sit at different codes in each. Unit weights and integer measures,
-    // so the naive evaluator over the concatenated rows is an exact
-    // oracle for the merged COUNT and SUM, whatever the codes were.
+    // sit at different codes in each.
     let parts = [
         (dict_table(900, 41, 0..10, 6), 1.0),
         (dict_table(1_400, 42, 4..14, 9), 1.0),
         (dict_table(700, 43, 8..18, 4), 1.0),
     ];
-    let all = concatenated(&parts);
     for (qi, q) in dict_queries().iter().enumerate() {
-        assert_code_keyed_fold_matches_decoded_merge(&parts, q, &format!("query {qi}"));
-
-        let truth = reference(&all, q);
-        let got = union_all_in_one_round(&parts, q, 2, 128, KernelMode::Auto);
-        assert_eq!(got.len(), truth.len(), "query {qi}: group count against the naive evaluator");
-        for (key, states) in &got {
-            let want = truth.get(key).unwrap_or_else(|| panic!("query {qi}: spurious group {key:?}"));
-            assert_eq!(states[0].sum_w, want[0].sum, "query {qi}, {key:?}: COUNT");
-            assert_eq!(states[1].sum_wx, want[1].sum, "query {qi}, {key:?}: SUM");
-        }
+        assert_code_keyed_fold_matches_reference(&parts, q, &format!("query {qi}"));
     }
     // Fractional weights: the fold order is all that keeps this stable.
     let weighted = [parts[0].clone(), (parts[1].0.clone(), 2.5), (parts[2].0.clone(), 10.0 / 3.0)];
     for (qi, q) in dict_queries().iter().enumerate() {
-        assert_code_keyed_fold_matches_decoded_merge(&weighted, q, &format!("weighted query {qi}"));
+        assert_code_keyed_fold_matches_reference(&weighted, q, &format!("weighted query {qi}"));
     }
 }
 
@@ -823,11 +591,10 @@ fn group_by_all_h(columns: usize) -> Query {
     b.build().unwrap()
 }
 
-/// The `kernel` label the vectorised executor reports for `q` over `t`.
+/// The `kernel` label the executor reports for `q` over `t`.
 fn kernel_label(t: &Table, q: &Query) -> String {
     assert!(aqp::obs::trace::begin("kernel label"));
-    let opts = ExecOptions { kernels: KernelMode::Vectorized, ..ExecOptions::default() };
-    aqp::query::execute(&DataSource::Wide(t), q, &opts).unwrap();
+    aqp::query::execute(&DataSource::Wide(t), q, &ExecOptions::default()).unwrap();
     let trace = aqp::obs::trace::finish().expect("trace open");
     trace.operators[0].kernel.clone()
 }
@@ -838,12 +605,12 @@ fn plan_fold_around_the_dense_slot_cap_and_past_u64() {
     // indexes the accumulator directly.
     let below = [(card_table(1_200, &[89, 90], 51, 0), 1.0), (card_table(900, &[89, 90], 52, 40), 2.5)];
     assert_eq!(kernel_label(&below[0].0, &group_by_all_h(2)), "vectorized-dense");
-    assert_code_keyed_fold_matches_decoded_merge(&below, &group_by_all_h(2), "below the cap");
+    assert_code_keyed_fold_matches_reference(&below, &group_by_all_h(2), "below the cap");
 
     // (90+1)·(90+1) = 8 281 keys: over it, the same number is interned.
     let above = [(card_table(1_200, &[90, 90], 53, 0), 1.0), (card_table(900, &[90, 90], 54, 40), 2.5)];
     assert_eq!(kernel_label(&above[0].0, &group_by_all_h(2)), "vectorized-hash");
-    assert_code_keyed_fold_matches_decoded_merge(&above, &group_by_all_h(2), "above the cap");
+    assert_code_keyed_fold_matches_reference(&above, &group_by_all_h(2), "above the cap");
 
     // 1 201⁶ ≈ 3.0e18 keys fit a u64 in each table, but the two tables'
     // vocabularies are disjoint, so the plan's bound is 2 401⁶ ≈ 1.9e20:
@@ -852,7 +619,7 @@ fn plan_fold_around_the_dense_slot_cap_and_past_u64() {
         (card_table(1_500, &[1_200; 6], 55, 0), 1.0),
         (card_table(1_500, &[1_200; 6], 56, 5_000), 2.5),
     ];
-    assert_code_keyed_fold_matches_decoded_merge(&plan_past_u64, &group_by_all_h(6), "plan past u64");
+    assert_code_keyed_fold_matches_reference(&plan_past_u64, &group_by_all_h(6), "plan past u64");
 
     // 2 001⁶ ≈ 6.4e19 keys: past u64 within one table. The product must
     // be caught, not wrapped — a wrapped radix would alias distinct keys
@@ -861,9 +628,9 @@ fn plan_fold_around_the_dense_slot_cap_and_past_u64() {
         (card_table(2_400, &[2_000; 6], 57, 0), 1.0),
         (card_table(2_100, &[2_000; 6], 58, 1_000), 2.5),
     ];
-    assert_code_keyed_fold_matches_decoded_merge(&table_past_u64, &group_by_all_h(6), "table past u64");
-    let groups = union_all_in_one_round(&table_past_u64, &group_by_all_h(6), 1, 4_096, KernelMode::Auto);
-    let distinct: std::collections::HashSet<&Vec<Value>> = groups.iter().map(|(k, _)| k).collect();
+    assert_code_keyed_fold_matches_reference(&table_past_u64, &group_by_all_h(6), "table past u64");
+    let groups = union_all_in_one_round(&table_past_u64, &group_by_all_h(6), 1, 4_096);
+    let distinct: std::collections::HashSet<&Vec<Value>> = groups.iter().map(|g| &g.key).collect();
     assert_eq!(distinct.len(), groups.len(), "every group has a key of its own");
     assert!(groups.len() > 2_000, "the 2 000 all-distinct rows of each table are groups: {}", groups.len());
 }
@@ -940,7 +707,7 @@ fn fold_time_per_morsel_group_stays_flat_when_groups_per_morsel_grow_tenfold() {
         (0..runs)
             .map(|_| {
                 let started = Instant::now();
-                let answer = union_all_in_one_round(parts, &q, 1, morsel_rows, KernelMode::Vectorized);
+                let answer = union_all_in_one_round(parts, &q, 1, morsel_rows);
                 let took = started.elapsed();
                 assert_eq!(answer.len() * 2 * 40, parts[0].0.num_rows());
                 took

@@ -2,18 +2,21 @@
 //!
 //! The pruning contract is absolute: with pruning **on**, every query
 //! answer — group order, every tally field, every estimate — is
-//! *bit-identical* to the same query with pruning **off**, at every
-//! thread count, in both kernel modes, at morsel sizes that do and do
-//! not align with the 4096-row zone-map blocks. Pruning may only change
-//! how much work the scan does, never what it answers.
+//! *bit-identical* to the same query with pruning **off**, and both to
+//! the row-at-a-time reference in `tests/support/reference.rs`, at every
+//! thread count, at morsel sizes that do and do not align with the
+//! 4096-row zone-map blocks. Pruning may only change how much work the
+//! scan does, never what it answers.
 //!
 //! The table is *clustered* (sorted by the range column, dictionary
 //! values per block) so that real `SkipAll`/`TakeAll` verdicts fire — a
 //! second trace-backed test asserts pruning actually engaged, so these
 //! oracles can never pass vacuously against a Scan-everything plan.
 
+#[path = "support/reference.rs"]
+mod reference;
+
 use aqp::prelude::*;
-use aqp::query::AggState;
 
 /// Zone-map block size (mirrors `aqp_storage::ZONE_BLOCK_ROWS`).
 const BLOCK: usize = 4096;
@@ -121,50 +124,16 @@ fn run(
     table: &Table,
     q: &Query,
     pruning: PruneMode,
-    kernels: KernelMode,
     threads: usize,
     morsel_rows: usize,
 ) -> aqp::query::QueryOutput {
     let opts = ExecOptions {
         parallelism: threads,
         morsel_rows,
-        kernels,
         pruning,
         ..ExecOptions::default()
     };
     aqp::query::execute(&DataSource::Wide(table), q, &opts).unwrap()
-}
-
-fn assert_bits(a: &AggState, b: &AggState, ctx: &str) {
-    assert_eq!(a.rows, b.rows, "{ctx}: rows");
-    for (x, y, field) in [
-        (a.sum_w, b.sum_w, "sum_w"),
-        (a.sum_wx, b.sum_wx, "sum_wx"),
-        (a.sum_x, b.sum_x, "sum_x"),
-        (a.sum_x_sq, b.sum_x_sq, "sum_x_sq"),
-        (a.var_acc, b.var_acc, "var_acc"),
-        (a.var_acc_w, b.var_acc_w, "var_acc_w"),
-        (a.cov_acc, b.cov_acc, "cov_acc"),
-        (a.min, b.min, "min"),
-        (a.max, b.max, "max"),
-    ] {
-        assert_eq!(x.to_bits(), y.to_bits(), "{ctx}: {field} {x} vs {y}");
-    }
-}
-
-fn assert_outputs_identical(
-    a: &aqp::query::QueryOutput,
-    b: &aqp::query::QueryOutput,
-    ctx: &str,
-) {
-    assert_eq!(a.rows_scanned, b.rows_scanned, "{ctx}: rows_scanned");
-    assert_eq!(a.num_groups(), b.num_groups(), "{ctx}: group count");
-    for (ga, gb) in a.groups.iter().zip(&b.groups) {
-        assert_eq!(ga.key, gb.key, "{ctx}: group order");
-        for (sa, sb) in ga.aggs.iter().zip(&gb.aggs) {
-            assert_bits(sa, sb, &format!("{ctx}, key {:?}", ga.key));
-        }
-    }
 }
 
 #[test]
@@ -174,18 +143,14 @@ fn pruned_answers_bit_identical_to_unpruned() {
     let rows = BLOCK * 3 + 777;
     let t = clustered_table(rows, 7);
     for (qi, q) in query_grid(rows).iter().enumerate() {
-        for kernels in [KernelMode::Scalar, KernelMode::Vectorized] {
+        for morsel_rows in [BLOCK, 1500] {
+            let want = reference::evaluate(&t, q, &ExecOptions { morsel_rows, ..ExecOptions::default() });
             for threads in [1, 2, 4, 8] {
-                for morsel_rows in [BLOCK, 1500] {
-                    let off = run(&t, q, PruneMode::Off, kernels, threads, morsel_rows);
-                    let on = run(&t, q, PruneMode::On, kernels, threads, morsel_rows);
-                    assert_outputs_identical(
-                        &off,
-                        &on,
-                        &format!(
-                            "query {qi} @ {threads} threads, {kernels:?}, morsel {morsel_rows}"
-                        ),
-                    );
+                for pruning in [PruneMode::Off, PruneMode::On] {
+                    let got = run(&t, q, pruning, threads, morsel_rows);
+                    let ctx = format!("query {qi} @ {threads} threads, pruning {pruning:?}, morsel {morsel_rows}");
+                    assert_eq!(got.rows_scanned, want.rows_scanned, "{ctx}: rows_scanned");
+                    reference::assert_same(&want.groups, &got.groups, &ctx);
                 }
             }
         }

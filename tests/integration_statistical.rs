@@ -315,30 +315,6 @@ fn answer_bits(v: &Table, q: &Query, trials: u64) -> Vec<u64> {
 }
 
 #[test]
-fn kernel_toggle_never_perturbs_answers() {
-    // The vectorised kernels are a pure execution-strategy change: the
-    // 240-seed statistical regression repeated with the scalar reference
-    // loop and with the vectorised kernels produces bit-identical
-    // estimates, confidence intervals and rows-scanned counts. The
-    // process-wide override is restored to Auto even on panic.
-    struct Restore;
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            aqp::query::set_kernel_mode(aqp::query::KernelMode::Auto);
-        }
-    }
-    let _restore = Restore;
-    let v = skewed_table();
-    let q = Query::builder().count().sum("x").build().unwrap();
-    let trials = 240;
-    aqp::query::set_kernel_mode(aqp::query::KernelMode::Scalar);
-    let scalar = answer_bits(&v, &q, trials);
-    aqp::query::set_kernel_mode(aqp::query::KernelMode::Vectorized);
-    let vectorized = answer_bits(&v, &q, trials);
-    assert_eq!(scalar, vectorized, "kernel toggle changed answers");
-}
-
-#[test]
 fn metrics_toggle_never_perturbs_answers() {
     // Observability must be pure bookkeeping: the 240-seed statistical
     // regression repeated with metric collection on and off produces

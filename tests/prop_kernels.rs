@@ -1,28 +1,18 @@
 //! Property tests for the vectorised scan kernels.
 //!
 //! Random tables (dictionary, boolean, integer, and float columns, each
-//! with NULLs), random predicates over every compiled kernel form, and
-//! random group-by subsets are executed three ways:
-//!
-//! 1. the **scalar** reference loop (`KernelMode::Scalar`),
-//! 2. the **vectorised** kernels (`KernelMode::Vectorized`) — which,
-//!    depending on the drawn group-by, take the dense group-id path, the
-//!    hash path, or the ungrouped path,
-//! 3. a naive row-at-a-time evaluator written here, independent of the
-//!    executor (selection by a plain `bool` per row, tallies by
-//!    `AggState::update` in row order).
-//!
-//! Scalar vs vectorised must agree *bit-for-bit*, group order included —
-//! that is the determinism contract. The naive evaluator pins both to
-//! ground truth: measures are small integers, so sums are exact and even
-//! the order-sensitive tally fields must match to the last bit (the
-//! naive loop feeds `update` in ascending row order, exactly the order
-//! the contract promises).
+//! with NULLs), random predicates over every compiled kernel form, random
+//! group-by subsets — which send the kernels down the dense group-id
+//! path, the hash path, or the ungrouped path — and random weightings
+//! are executed and held to the row-at-a-time reference in
+//! `tests/support/reference.rs`: bit for bit, group order included, in
+//! every field of every tally.
+
+#[path = "support/reference.rs"]
+mod reference;
 
 use aqp::prelude::*;
-use aqp::query::AggState;
 use proptest::prelude::*;
-use std::collections::HashMap;
 
 const CATS: [&str; 5] = ["alpha", "beta", "gamma", "delta", "epsilon"];
 
@@ -102,21 +92,6 @@ fn build_pred(kind: PredKind) -> Option<Expr> {
     }
 }
 
-/// Naive per-row predicate matching the executor's NULL-is-false leaves.
-fn naive_pred(kind: PredKind, r: &Row) -> bool {
-    match kind {
-        PredKind::None => true,
-        PredKind::DictIn => r.g.is_some_and(|g| CATS[g] == "alpha" || CATS[g] == "gamma"),
-        PredKind::IntCmp => r.k.is_some_and(|k| k >= 0),
-        PredKind::FloatCmp => r.y.is_some_and(|y| (y as f64) < 20.0),
-        PredKind::Combo => {
-            let left = r.x.is_some_and(|x| x > 0) && r.g.is_none_or(|g| CATS[g] != "beta");
-            let right = r.y.is_some_and(|y| (y as f64) <= 5.0);
-            left || right
-        }
-    }
-}
-
 /// Group-by subsets: ungrouped, all-dict/bool (dense path), and mixes
 /// that include the integer column (hash path).
 fn group_sets() -> impl Strategy<Value = Vec<&'static str>> {
@@ -157,72 +132,15 @@ fn to_table(rows: &[Row]) -> Table {
     t
 }
 
-/// Naive evaluation: filter with [`naive_pred`], group into a map keyed
-/// by the owned key values, and feed [`AggState::update`] in row order —
-/// the exact sequence the executor promises for both kernel modes.
-fn naive(rows: &[Row], kind: PredKind, groups: &[&str]) -> HashMap<Vec<Value>, [AggState; 3]> {
-    let mut out: HashMap<Vec<Value>, [AggState; 3]> = HashMap::new();
-    for r in rows.iter().filter(|r| naive_pred(kind, r)) {
-        let key: Vec<Value> = groups
-            .iter()
-            .map(|&g| match g {
-                "g" => r.g.map_or(Value::Null, |g| CATS[g].into()),
-                "b" => r.b.map_or(Value::Null, Value::Bool),
-                _ => r.k.map_or(Value::Null, Value::Int64),
-            })
-            .collect();
-        let states = out.entry(key).or_default();
-        states[0].update(1.0, 1.0);
-        if let Some(x) = r.x {
-            states[1].update(x as f64, 1.0);
-        }
-        if let Some(y) = r.y {
-            states[2].update(y as f64, 1.0);
-        }
-    }
-    if groups.is_empty() && out.is_empty() {
-        out.insert(Vec::new(), Default::default());
-    }
-    out
-}
-
-fn bits_equal(a: &AggState, b: &AggState) -> bool {
-    a.rows == b.rows
-        && a.sum_w.to_bits() == b.sum_w.to_bits()
-        && a.sum_wx.to_bits() == b.sum_wx.to_bits()
-        && a.sum_x.to_bits() == b.sum_x.to_bits()
-        && a.sum_x_sq.to_bits() == b.sum_x_sq.to_bits()
-        && a.var_acc.to_bits() == b.var_acc.to_bits()
-        && a.var_acc_w.to_bits() == b.var_acc_w.to_bits()
-        && a.cov_acc.to_bits() == b.cov_acc.to_bits()
-        && a.min.to_bits() == b.min.to_bits()
-        && a.max.to_bits() == b.max.to_bits()
-}
-
-fn run(
-    table: &Table,
-    q: &Query,
-    kernels: KernelMode,
-    threads: usize,
-    morsel_rows: usize,
-) -> aqp::query::QueryOutput {
-    let opts = ExecOptions {
-        parallelism: threads,
-        morsel_rows,
-        kernels,
-        ..ExecOptions::default()
-    };
-    aqp::query::execute(&DataSource::Wide(table), q, &opts).unwrap()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn kernels_match_scalar_and_naive_reference(
+    fn kernels_match_the_reference(
         rows in rows(),
         kind in pred_kind(),
         groups in group_sets(),
+        weighting in 0usize..3,
         threads in 1usize..4,
         morsel_rows in (0usize..3).prop_map(|i| [7usize, 64, 1024][i]),
     ) {
@@ -238,29 +156,17 @@ proptest! {
             b = b.filter(p);
         }
         let q = b.build().unwrap();
+        let per_row: Vec<f64> = (0..rows.len()).map(|r| 1.0 + (r % 5) as f64 / 4.0).collect();
+        let opts = ExecOptions {
+            weight: [Weighting::Unweighted, Weighting::Constant(2.5), Weighting::PerRow(&per_row)][weighting],
+            parallelism: threads,
+            morsel_rows,
+            ..ExecOptions::default()
+        };
 
-        let scalar = run(&table, &q, KernelMode::Scalar, threads, morsel_rows);
-        let vect = run(&table, &q, KernelMode::Vectorized, threads, morsel_rows);
-
-        // Scalar vs vectorised: bit-identical, group order included.
-        prop_assert_eq!(scalar.num_groups(), vect.num_groups());
-        for (a, b) in scalar.groups.iter().zip(&vect.groups) {
-            prop_assert_eq!(&a.key, &b.key, "group order diverged");
-            for (sa, sb) in a.aggs.iter().zip(&b.aggs) {
-                prop_assert!(bits_equal(sa, sb), "tally diverged at key {:?}: {:?} vs {:?}", a.key, sa, sb);
-            }
-        }
-
-        // Vectorised vs the naive row loop: exact ground truth (integer
-        // measures make every float tally exactly representable).
-        let truth = naive(&rows, kind, &groups);
-        prop_assert_eq!(vect.num_groups(), truth.len(), "group count vs naive");
-        for g in &vect.groups {
-            let want = truth.get(&g.key);
-            prop_assert!(want.is_some(), "spurious group {:?}", g.key);
-            for (sa, sb) in g.aggs.iter().zip(want.unwrap()) {
-                prop_assert!(bits_equal(sa, sb), "naive mismatch at key {:?}: {:?} vs {:?}", g.key, sa, sb);
-            }
-        }
+        let got = aqp::query::execute(&DataSource::Wide(&table), &q, &opts).unwrap();
+        let want = reference::evaluate(&table, &q, &opts);
+        let diff = reference::first_difference(&want.groups, &got.groups);
+        prop_assert!(diff.is_none(), "{}", diff.unwrap_or_default());
     }
 }

@@ -10,14 +10,19 @@
 //! (`PreparedScan::finish`), scans into a plan ([`PlanGroups`]) — (a
 //! missed field, a swapped min/max, a dropped empty state, a key merged
 //! into the wrong slot or decoded through the wrong dictionary) shows up
-//! as a hard bit mismatch. The executor's determinism for *inexact*
-//! streams is covered separately by the fixed morsel-order fold
-//! (`tests/diff_parallel.rs`).
+//! as a hard bit mismatch against the one-pass reference: the
+//! row-at-a-time evaluator of `tests/support/reference.rs` over the whole
+//! stream as a single morsel. The executor's determinism for *inexact*
+//! streams is the morsel-order reference comparison in
+//! `tests/diff_parallel.rs`.
+
+#[path = "support/reference.rs"]
+mod reference;
 
 use aqp::prelude::*;
-use aqp::query::{execute, run_scans, AggState, PlanGroups, PreparedScan, Weighting};
+use aqp::query::{execute, run_scans, AggState, GroupResult, PlanGroups, PreparedScan};
 use proptest::prelude::*;
-use std::collections::HashMap;
+use reference::same_bits;
 
 /// One update: measure value, weight, and whether the measure is NULL
 /// (a NULL still counts the row for COUNT(*) but must not touch the
@@ -56,20 +61,6 @@ fn merged(parts: &[&[Update]]) -> [AggState; 2] {
     acc
 }
 
-/// Bitwise equality over every tally field (so `+0.0` vs `-0.0` or an
-/// infinity mix-up in min/max cannot hide behind `==`).
-fn states_equal(a: &AggState, b: &AggState) -> bool {
-    a.rows == b.rows
-        && a.sum_w.to_bits() == b.sum_w.to_bits()
-        && a.sum_wx.to_bits() == b.sum_wx.to_bits()
-        && a.sum_x.to_bits() == b.sum_x.to_bits()
-        && a.sum_x_sq.to_bits() == b.sum_x_sq.to_bits()
-        && a.var_acc.to_bits() == b.var_acc.to_bits()
-        && a.var_acc_w.to_bits() == b.var_acc_w.to_bits()
-        && a.min.to_bits() == b.min.to_bits()
-        && a.max.to_bits() == b.max.to_bits()
-}
-
 /// A keyed update stream as a table the executor can scan — key column
 /// `k` (a string per key, so the scan's keys are radix numbers over a
 /// dictionary built in order of appearance, or the integer itself, so
@@ -99,22 +90,16 @@ fn keyed_query() -> Query {
     Query::builder().count().sum("x").group_by("k").build().unwrap()
 }
 
-/// The reference: one pass over the stream, one state pair per key.
-fn keyed_reference(items: &[(u32, Update)], dict_keys: bool) -> HashMap<Vec<Value>, [AggState; 2]> {
-    let mut m: HashMap<Vec<Value>, [AggState; 2]> = HashMap::new();
-    for &(k, (x, w, is_null)) in items {
-        let key: Value = match (k, dict_keys) {
-            (0, _) => Value::Null,
-            (k, true) => format!("key{k}").into(),
-            (k, false) => (k as i64).into(),
-        };
-        let states = m.entry(vec![key]).or_insert_with(|| [AggState::new(); 2]);
-        states[0].update(1.0, w as f64);
-        if !is_null {
-            states[1].update(x as f64, w as f64);
-        }
-    }
-    m
+/// The reference: the whole stream as one table scanned in one morsel —
+/// one pass, groups in order of first appearance.
+fn keyed_reference(items: &[(u32, Update)], dict_keys: bool) -> Vec<GroupResult> {
+    let (table, weights) = keyed_table(items, dict_keys);
+    let opts = ExecOptions {
+        weight: Weighting::PerRow(&weights),
+        morsel_rows: items.len(),
+        ..ExecOptions::default()
+    };
+    reference::evaluate(&table, &keyed_query(), &opts).groups
 }
 
 fn keyed_items() -> impl Strategy<Value = Vec<(u32, Update)>> {
@@ -147,8 +132,8 @@ proptest! {
         let sequential = apply(&ups);
         let parts = split(&ups, &cuts);
         let folded = merged(&parts);
-        prop_assert!(states_equal(&sequential[0], &folded[0]), "COUNT slot");
-        prop_assert!(states_equal(&sequential[1], &folded[1]), "SUM slot");
+        prop_assert!(same_bits(&sequential[0], &folded[0]), "COUNT slot");
+        prop_assert!(same_bits(&sequential[1], &folded[1]), "SUM slot");
     }
 
     /// Merge is associative: (a ⊕ b) ⊕ c == a ⊕ (b ⊕ c), per field,
@@ -168,7 +153,7 @@ proptest! {
             right_tail.merge(&sc);
             let mut right = sa;
             right.merge(&right_tail);
-            prop_assert!(states_equal(&left, &right), "slot {slot}");
+            prop_assert!(same_bits(&left, &right), "slot {slot}");
         }
     }
 
@@ -185,8 +170,8 @@ proptest! {
         let mut rotated = parts.clone();
         rotated.rotate_left(rot % parts.len().max(1));
         let other = merged(&rotated);
-        prop_assert!(states_equal(&base[0], &other[0]));
-        prop_assert!(states_equal(&base[1], &other[1]));
+        prop_assert!(same_bits(&base[0], &other[0]));
+        prop_assert!(same_bits(&base[1], &other[1]));
     }
 
     /// Empty morsels are identities: merging fresh states in anywhere —
@@ -202,52 +187,47 @@ proptest! {
                 acc.merge(&AggState::new());
             }
             acc.merge(state);
-            prop_assert!(states_equal(&acc, state), "prefix empties, slot {slot}");
+            prop_assert!(same_bits(&acc, state), "prefix empties, slot {slot}");
             // Empties after.
             let mut acc = *state;
             for _ in 0..n_empties {
                 acc.merge(&AggState::new());
             }
-            prop_assert!(states_equal(&acc, state), "suffix empties, slot {slot}");
+            prop_assert!(same_bits(&acc, state), "suffix empties, slot {slot}");
         }
     }
 
     /// The per-scan fold: a keyed stream scanned in morsels of any size
     /// — each morsel a flat partial table, folded in morsel order —
-    /// equals the one-pass reference: groups union, shared keys merge per
-    /// slot, keys seen in only one morsel carry over untouched; in both
-    /// key spaces and both kernel modes.
+    /// equals the one-pass reference: groups union in order of first
+    /// appearance, shared keys merge per slot, keys seen in only one
+    /// morsel carry over untouched; in both key spaces, at 1–4 threads.
     #[test]
     fn morsel_fold_matches_concatenation(
         keyed in keyed_items(),
         morsel_rows in 1usize..130,
         dict_keys in 0u32..2,
-        scalar in 0u32..2,
+        threads in 1usize..5,
     ) {
         let dict_keys = dict_keys == 1;
         let (table, weights) = keyed_table(&keyed, dict_keys);
         let opts = ExecOptions {
             weight: Weighting::PerRow(&weights),
             morsel_rows,
-            kernels: if scalar == 1 { KernelMode::Scalar } else { KernelMode::Vectorized },
+            parallelism: threads,
             ..ExecOptions::default()
         };
         let out = execute(&DataSource::Wide(&table), &keyed_query(), &opts).unwrap();
-        let whole = keyed_reference(&keyed, dict_keys);
-        prop_assert_eq!(whole.len(), out.num_groups());
-        for g in &out.groups {
-            let want = whole.get(&g.key).expect("spurious group after the fold");
-            for (slot, (want, got)) in want.iter().zip(&g.aggs).enumerate() {
-                prop_assert!(states_equal(want, got), "key {:?}, slot {slot}", g.key);
-            }
-        }
+        let diff = reference::first_difference(&keyed_reference(&keyed, dict_keys), &out.groups);
+        prop_assert!(diff.is_none(), "{}", diff.unwrap_or_default());
     }
 
     /// The cross-table fold: the stream cut into consecutive tables —
     /// each with a dictionary of its own, so the same string has
     /// different codes in different tables and some strings are missing
     /// from some — scanned as one plan and folded on codes equals the
-    /// one-pass reference, and every key decodes to the right values.
+    /// one-pass reference, group order included, and every key decodes
+    /// to the right values.
     #[test]
     fn plan_fold_matches_concatenation(
         keyed in keyed_items(),
@@ -278,13 +258,9 @@ proptest! {
         for (scan, partials) in scans.into_iter().zip(partials) {
             plan.absorb(scan.finish(partials));
         }
-        let whole = keyed_reference(&keyed, dict_keys);
-        prop_assert_eq!(whole.len(), plan.num_groups());
-        for (key, states) in plan.groups() {
-            let want = whole.get(&key).expect("spurious group after the fold");
-            for (slot, (want, got)) in want.iter().zip(states).enumerate() {
-                prop_assert!(states_equal(want, got), "key {key:?}, slot {slot}");
-            }
-        }
+        let got: Vec<GroupResult> =
+            plan.groups().map(|(key, states)| GroupResult { key, aggs: states.to_vec() }).collect();
+        let diff = reference::first_difference(&keyed_reference(&keyed, dict_keys), &got);
+        prop_assert!(diff.is_none(), "{}", diff.unwrap_or_default());
     }
 }
