@@ -12,7 +12,7 @@
 use aqp_query::run_morsels;
 use aqp_query::source::ResolvedColumn;
 use aqp_sampling::ColumnFrequency;
-use aqp_storage::{BitmaskColumn, Column, NullMask, Table};
+use aqp_storage::{BitmaskColumn, Codes, Column, NullMask, Table};
 
 /// A column value as `(code, is_null)`; see [`ResolvedColumn::key_code`].
 pub type KeyCode = (u64, bool);
@@ -30,7 +30,9 @@ const DENSE_INT_SPAN: usize = 1 << 16;
 /// the rows scanned until then.
 pub fn column_frequency(column: &Column, tau: usize) -> ColumnFrequency<KeyCode> {
     match dense_keys(column) {
-        Some(DenseKeys::Codes(d)) => d.count(tau),
+        Some(DenseKeys::U8(d)) => d.count(tau),
+        Some(DenseKeys::U16(d)) => d.count(tau),
+        Some(DenseKeys::U32(d)) => d.count(tau),
         Some(DenseKeys::Bools(d)) => d.count(tau),
         Some(DenseKeys::Ints(d)) => d.count(tau),
         None => {
@@ -57,7 +59,9 @@ pub(crate) fn classify_rows<T: Copy>(
     class_of: impl Fn(KeyCode) -> Option<T>,
 ) -> Vec<(usize, T)> {
     match dense_keys(column) {
-        Some(DenseKeys::Codes(d)) => d.pick(class_of),
+        Some(DenseKeys::U8(d)) => d.pick(class_of),
+        Some(DenseKeys::U16(d)) => d.pick(class_of),
+        Some(DenseKeys::U32(d)) => d.pick(class_of),
         Some(DenseKeys::Bools(d)) => d.pick(class_of),
         Some(DenseKeys::Ints(d)) => d.pick(class_of),
         None => {
@@ -78,19 +82,18 @@ trait DenseValue: Copy {
     fn slot(self, base: i64) -> usize;
 }
 
-impl DenseValue for u32 {
-    #[inline]
-    fn slot(self, _: i64) -> usize {
-        self as usize
-    }
+/// Dictionary codes (at each width) and booleans are their own slots.
+macro_rules! own_slot {
+    ($($t:ty),*) => {$(
+        impl DenseValue for $t {
+            #[inline]
+            fn slot(self, _: i64) -> usize {
+                self as usize
+            }
+        }
+    )*};
 }
-
-impl DenseValue for bool {
-    #[inline]
-    fn slot(self, _: i64) -> usize {
-        self as usize
-    }
-}
+own_slot!(u8, u16, u32, bool);
 
 impl DenseValue for i64 {
     #[inline]
@@ -110,7 +113,9 @@ struct Dense<'a, S> {
 }
 
 enum DenseKeys<'a> {
-    Codes(Dense<'a, u32>),
+    U8(Dense<'a, u8>),
+    U16(Dense<'a, u16>),
+    U32(Dense<'a, u32>),
     Bools(Dense<'a, bool>),
     Ints(Dense<'a, i64>),
 }
@@ -119,12 +124,14 @@ enum DenseKeys<'a> {
 /// `None` for floats and wide-range integers.
 fn dense_keys(column: &Column) -> Option<DenseKeys<'_>> {
     match column {
-        Column::Utf8 { codes, dict, nulls } => Some(DenseKeys::Codes(Dense {
-            data: codes,
-            slots: dict.len(),
-            base: 0,
-            nulls: nulls.as_ref(),
-        })),
+        Column::Utf8 { codes, dict, nulls } => {
+            let (slots, nulls) = (dict.len(), nulls.as_ref());
+            Some(match codes {
+                Codes::U8(data) => DenseKeys::U8(Dense { data, slots, base: 0, nulls }),
+                Codes::U16(data) => DenseKeys::U16(Dense { data, slots, base: 0, nulls }),
+                Codes::U32(data) => DenseKeys::U32(Dense { data, slots, base: 0, nulls }),
+            })
+        }
         Column::Bool { data, nulls } => Some(DenseKeys::Bools(Dense {
             data,
             slots: 2,
@@ -260,7 +267,7 @@ mod tests {
         // Four dictionary entries but only two occur in the rows.
         let (_, dict) = wide.as_utf8().unwrap();
         let sparse = Column::Utf8 {
-            codes: vec![0, 3, 0, 3],
+            codes: Codes::U8(vec![0, 3, 0, 3]),
             dict: dict.clone(),
             nulls: None,
         };

@@ -492,7 +492,7 @@ impl CompiledExpr<'_> {
                     return false;
                 }
                 match col.column.as_utf8() {
-                    Some((col_codes, _)) => codes.contains(col_codes[prow]),
+                    Some((col_codes, _)) => codes.contains(col_codes.get(prow)),
                     None => false,
                 }
             }

@@ -53,7 +53,7 @@ use crate::groups::{GroupIndex, GroupKey, GroupTable, Groups, RadixPlan, MAX_FAS
 use crate::output::AggState;
 use crate::selection::build_selection;
 use crate::source::{canonical_f64_bits, ResolvedColumn};
-use aqp_storage::{Column, NullMask};
+use aqp_storage::{with_codes, Column, NullMask};
 use std::cell::RefCell;
 
 /// Reusable per-thread buffers. Workers are scoped threads that process
@@ -237,9 +237,9 @@ fn fill_lanes(
         let card = plan.cards[i];
         let nulls = col.column.nulls();
         match col.column {
-            Column::Utf8 { codes, .. } => {
-                add_digits(sel, lanes, stride, card, nulls, col.row_map, |p| codes[p] as u64)
-            }
+            Column::Utf8 { codes, .. } => with_codes!(codes, c => {
+                add_digits(sel, lanes, stride, card, nulls, col.row_map, |p| u64::from(c[p]))
+            }),
             Column::Bool { data, .. } => {
                 add_digits(sel, lanes, stride, card, nulls, col.row_map, |p| data[p] as u64)
             }
@@ -308,9 +308,9 @@ fn fill_key_codes(
         Column::Float64 { data, .. } => fill_codes(sel, out, nulls_out, null_bit, nulls, map, |p| {
             canonical_f64_bits(data[p])
         }),
-        Column::Utf8 { codes, .. } => {
-            fill_codes(sel, out, nulls_out, null_bit, nulls, map, |p| codes[p] as u64)
-        }
+        Column::Utf8 { codes, .. } => with_codes!(codes, c => {
+            fill_codes(sel, out, nulls_out, null_bit, nulls, map, |p| u64::from(c[p]))
+        }),
         Column::Bool { data, .. } => {
             fill_codes(sel, out, nulls_out, null_bit, nulls, map, |p| data[p] as u64)
         }

@@ -32,7 +32,7 @@
 //! it anyway.
 
 use crate::expr::{CmpOp, CompiledExpr};
-use aqp_storage::{BitSet, BitmaskColumn, NullMask};
+use aqp_storage::{with_codes, BitSet, BitmaskColumn, NullMask};
 use std::cmp::Ordering;
 
 /// Fill `sel` with the logical rows of `start..end` that survive the
@@ -122,11 +122,11 @@ pub(crate) fn filter(e: &CompiledExpr<'_>, sel: &mut Vec<u32>) {
             None => retain_eval(e, sel),
         },
         CompiledExpr::DictInSet { col, codes } => match col.column.as_utf8() {
-            Some((col_codes, _)) => {
-                retain_valid(sel, col_codes, col.column.nulls(), col.row_map, |c| {
-                    codes.contains(c)
+            Some((col_codes, _)) => with_codes!(col_codes, c => {
+                retain_valid(sel, c, col.column.nulls(), col.row_map, |code| {
+                    codes.contains(code.into())
                 })
-            }
+            }),
             None => retain_eval(e, sel),
         },
         // Disjunctions, negations, and the generic dynamic-value leaves

@@ -125,7 +125,7 @@ impl<'a> ResolvedColumn<'a> {
         let code = match self.column {
             Column::Int64 { data, .. } => data[prow] as u64,
             Column::Float64 { data, .. } => canonical_f64_bits(data[prow]),
-            Column::Utf8 { codes, .. } => codes[prow] as u64,
+            Column::Utf8 { codes, .. } => u64::from(codes.get(prow)),
             Column::Bool { data, .. } => data[prow] as u64,
         };
         (code, false)

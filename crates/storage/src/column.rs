@@ -1,15 +1,18 @@
 //! Typed columns and column builders.
 
+use crate::codes::{codes_for, Codes};
 use crate::dictionary::{CodeRemap, Dictionary};
 use crate::error::{StorageError, StorageResult};
 use crate::nulls::NullMask;
 use crate::value::{DataType, Value, ValueRef};
+use crate::with_codes;
 
 /// A single typed column of data.
 ///
-/// String columns are dictionary-encoded: the column stores one `u32` code
-/// per row and a per-column [`Dictionary`]. Null rows carry an arbitrary
-/// placeholder in the data vector and are marked in the null mask.
+/// String columns are dictionary-encoded: the column stores one code per
+/// row, at the narrowest width that holds its [`Dictionary`] ([`Codes`]).
+/// Null rows carry a placeholder in the data vector (0, `0.0`, code 0,
+/// `false`) and are marked in the null mask.
 #[derive(Debug, Clone)]
 pub enum Column {
     /// 64-bit integers.
@@ -28,8 +31,9 @@ pub enum Column {
     },
     /// Dictionary-encoded UTF-8 strings.
     Utf8 {
-        /// Per-row dictionary codes (placeholder 0 for nulls).
-        codes: Vec<u32>,
+        /// Per-row dictionary codes (placeholder 0 for nulls), at the width
+        /// `dict.len()` needs.
+        codes: Codes,
         /// The shared dictionary for this column.
         dict: Dictionary,
         /// Optional null mask; `None` means fully valid.
@@ -51,7 +55,7 @@ impl Column {
             DataType::Int64 => Column::Int64 { data: Vec::new(), nulls: None },
             DataType::Float64 => Column::Float64 { data: Vec::new(), nulls: None },
             DataType::Utf8 => Column::Utf8 {
-                codes: Vec::new(),
+                codes: Codes::default(),
                 dict: Dictionary::new(),
                 nulls: None,
             },
@@ -113,12 +117,14 @@ impl Column {
         match self {
             Column::Int64 { data, .. } => ValueRef::Int64(data[row]),
             Column::Float64 { data, .. } => ValueRef::Float64(data[row]),
-            Column::Utf8 { codes, dict, .. } => ValueRef::Utf8(dict.value(codes[row])),
+            Column::Utf8 { codes, dict, .. } => ValueRef::Utf8(dict.value(codes.get(row))),
             Column::Bool { data, .. } => ValueRef::Bool(data[row]),
         }
     }
 
-    /// Append a dynamically-typed value, checking the type.
+    /// Append a dynamically-typed value, checking the type. A string new to
+    /// the dictionary that takes it past 256 or 65 536 entries widens the
+    /// column's codes in place.
     pub fn push(&mut self, value: ValueRef<'_>) -> StorageResult<()> {
         let mismatch = |col: &Column, v: ValueRef<'_>| StorageError::TypeMismatch {
             expected: col.data_type(),
@@ -194,16 +200,25 @@ impl Column {
                 Column::Float64 { data, nulls }
             }
             Column::Utf8 { codes, dict, nulls } => {
-                // No more distinct strings can come out than rows go in.
-                let mut out_dict = Dictionary::with_capacity(dict.len().min(indices.len()));
+                // No more distinct strings can come out than rows go in:
+                // codes are written at the width that bound needs, then
+                // narrowed once if the dictionary came out smaller.
+                let bound = dict.len().min(indices.len());
+                let mut out_dict = Dictionary::with_capacity(bound);
                 let mut remap = CodeRemap::new(dict.len());
-                let (codes, nulls) = gather_rows(codes, nulls.as_ref(), indices, |code| {
-                    remap.remap(code, || out_dict.intern_shared(dict.shared(code)))
-                });
+                let out_nulls;
+                let codes = with_codes!(codes, src => codes_for!(bound, T => {
+                    let (codes, nulls) = gather_rows(src, nulls.as_ref(), indices, |code| {
+                        let code = code.into();
+                        remap.remap(code, || out_dict.intern_shared(dict.shared(code))) as T
+                    });
+                    out_nulls = nulls;
+                    codes
+                }));
                 Column::Utf8 {
-                    codes,
+                    codes: codes.fit(out_dict.len()),
                     dict: out_dict,
-                    nulls,
+                    nulls: out_nulls,
                 }
             }
             Column::Bool { data, nulls } => {
@@ -242,7 +257,7 @@ impl Column {
     }
 
     /// Typed access to string codes and dictionary for vectorised paths.
-    pub fn as_utf8(&self) -> Option<(&[u32], &Dictionary)> {
+    pub fn as_utf8(&self) -> Option<(&Codes, &Dictionary)> {
         match self {
             Column::Utf8 { codes, dict, .. } => Some((codes, dict)),
             _ => None,
@@ -257,12 +272,15 @@ impl Column {
         }
     }
 
-    /// Approximate heap size of the column payload in bytes.
+    /// Logical size of the column payload in bytes.
     ///
     /// Used by the experiment harness to report sample-table space overhead
-    /// (Section 5.4.2 of the paper). A dictionary entry counts its bytes
-    /// once plus 24 for its slots in the code vector and the index — the
-    /// [`Dictionary`] keeps one shared copy of each string.
+    /// (Section 5.4.2 of the paper), and persisted as the family's total in
+    /// AQPS files. Dictionary codes count 4 bytes per row whatever width
+    /// they are stored at — the width they have in AQPT files — so the
+    /// figure is the same at every width. A dictionary entry counts its
+    /// bytes once plus 24 for its slots in the code vector and the index —
+    /// the [`Dictionary`] keeps one shared copy of each string.
     pub fn byte_size(&self) -> usize {
         match self {
             Column::Int64 { data, .. } => data.len() * 8,
@@ -275,15 +293,15 @@ impl Column {
     }
 }
 
-/// `copy(data[i])` for each `i` in `indices`, with `T::default()` under
+/// `copy(data[i])` for each `i` in `indices`, with `U::default()` under
 /// NULL rows. The output mask is created at the first NULL gathered, so
 /// gathering only valid rows of a column that has NULLs yields `None`.
-fn gather_rows<T: Copy + Default>(
+fn gather_rows<T: Copy, U: Default>(
     data: &[T],
     nulls: Option<&NullMask>,
     indices: &[usize],
-    mut copy: impl FnMut(T) -> T,
-) -> (Vec<T>, Option<NullMask>) {
+    mut copy: impl FnMut(T) -> U,
+) -> (Vec<U>, Option<NullMask>) {
     let Some(mask) = nulls else {
         return (indices.iter().map(|&i| copy(data[i])).collect(), None);
     };
@@ -296,7 +314,7 @@ fn gather_rows<T: Copy + Default>(
                 out_nulls
                     .get_or_insert_with(|| NullMask::all_valid(indices.len()))
                     .set_null(j);
-                T::default()
+                U::default()
             } else {
                 copy(data[i])
             }
@@ -361,7 +379,7 @@ mod tests {
         c.push(ValueRef::Utf8("a")).unwrap();
         assert_eq!(c.value(2).to_owned(), Value::Utf8("a".into()));
         let (codes, dict) = c.as_utf8().unwrap();
-        assert_eq!(codes, &[0, 1, 0]);
+        assert_eq!(codes, &Codes::U8(vec![0, 1, 0]));
         assert_eq!(dict.len(), 2);
 
         let mut c = Column::new(DataType::Bool);
@@ -423,6 +441,49 @@ mod tests {
         let mut c = Column::new(DataType::Int64);
         c.push(ValueRef::Int64(1)).unwrap();
         assert_eq!(c.byte_size(), 8);
+    }
+
+    #[test]
+    fn byte_size_counts_four_bytes_a_code_at_every_width() {
+        let mut c = Column::new(DataType::Utf8);
+        for s in ["tv", "radio", "tv", "phone"] {
+            c.push(ValueRef::Utf8(s)).unwrap();
+        }
+        c.push_null();
+        let Column::Utf8 { codes, dict, nulls } = &c else { unreachable!() };
+        assert!(matches!(codes, Codes::U8(_)));
+        let want = 5 * 4 + (2 + 24) + (5 + 24) + (5 + 24);
+        assert_eq!(c.byte_size(), want);
+        let u32s: Vec<u32> = (0..codes.len()).map(|r| codes.get(r)).collect();
+        let wider = [
+            Codes::U16(u32s.iter().map(|&x| x as u16).collect()),
+            Codes::U32(u32s),
+        ];
+        for codes in wider {
+            let same = Column::Utf8 { codes, dict: dict.clone(), nulls: nulls.clone() };
+            assert_eq!(same.byte_size(), want);
+        }
+    }
+
+    #[test]
+    fn gather_writes_the_width_of_the_dictionary_it_builds() {
+        // 300 distinct strings: u16 codes.
+        let mut c = Column::new(DataType::Utf8);
+        for i in 0..300 {
+            c.push(ValueRef::Utf8(&format!("s{i}"))).unwrap();
+        }
+        assert!(matches!(c.as_utf8().unwrap().0, Codes::U16(_)));
+        // 400 rows over 3 strings: written at u16 (the bound is 300), then
+        // narrowed to u8.
+        let few: Vec<usize> = (0..400).map(|i| i % 3 * 7).collect();
+        let g = c.gather(&few);
+        let (codes, dict) = g.as_utf8().unwrap();
+        assert_eq!(dict.len(), 3);
+        assert!(matches!(codes, Codes::U8(_)));
+        assert_eq!(g.value(2).to_owned(), Value::Utf8("s14".into()));
+        // Every row again: u16 stays.
+        let all: Vec<usize> = (0..300).rev().collect();
+        assert!(matches!(c.gather(&all).as_utf8().unwrap().0, Codes::U16(_)));
     }
 
     #[test]

@@ -5,10 +5,12 @@ use std::sync::Arc;
 
 /// An append-only mapping between strings and dense `u32` codes.
 ///
-/// Used by [`crate::Column::Utf8`] so that string columns store one `u32` per
+/// Used by [`crate::Column::Utf8`] so that string columns store one code per
 /// row plus a shared dictionary. Group-by and IN-list predicate evaluation on
 /// string columns then operate on integer codes, which is the main reason
-/// the AQP runtime stays fast on wide categorical schemas.
+/// the AQP runtime stays fast on wide categorical schemas. Codes are `u32`
+/// in this API; a column stores them at the narrowest width that holds
+/// [`Self::len`] entries ([`crate::Codes`]).
 ///
 /// Each string lives on the heap once: the code → string vector and the
 /// string → code index hold the same `Arc<str>`, which is what

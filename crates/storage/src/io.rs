@@ -20,7 +20,10 @@
 //! ```
 //!
 //! Strings are `u32` length + UTF-8 bytes; vectors are `u64` count +
-//! elements. The header checksum covers every core-payload byte, so any
+//! elements. Dictionary codes are `u32` whatever width the column holds
+//! them at in memory ([`crate::Codes`]); the loader narrows them again.
+//! Fixed-width payloads are encoded and decoded a column slice at a time.
+//! The header checksum covers every core-payload byte, so any
 //! core corruption — truncation, bit rot — is detected on load
 //! ([`StorageError::ChecksumMismatch`]) instead of misparsing. The zone
 //! section carries its **own** CRC because zone maps are derived data: a
@@ -37,6 +40,7 @@
 //! [`fault::write_file_atomic`]: crate::fault::write_file_atomic
 
 use crate::bitmask::BitmaskColumn;
+use crate::codes::codes_for;
 use crate::column::Column;
 use crate::dictionary::{CodeRemap, Dictionary};
 use crate::nulls::NullMask;
@@ -46,6 +50,7 @@ use crate::fault;
 use crate::schema::{Field, Schema};
 use crate::table::Table;
 use crate::value::DataType;
+use crate::with_codes;
 use crate::zonemap::{BlockBounds, BlockSummary, ColumnZoneMap, ZoneMaps};
 use bytes::{Buf, BufMut, BytesMut};
 use std::sync::Arc;
@@ -61,7 +66,7 @@ fn corrupt(msg: impl Into<String>) -> StorageError {
     StorageError::Codec(msg.into())
 }
 
-fn put_str(buf: &mut BytesMut, s: &str) -> StorageResult<()> {
+fn put_str(buf: &mut impl BufMut, s: &str) -> StorageResult<()> {
     let len = u32::try_from(s.len()).map_err(|_| {
         corrupt(format!(
             "string of {} bytes exceeds the 4 GiB codec limit",
@@ -99,6 +104,20 @@ fn take_le<T, const N: usize>(buf: &mut &[u8], n: usize, decode: fn([u8; N]) -> 
     head.chunks_exact(N)
         .map(|chunk| decode(chunk.try_into().expect("chunks_exact yields N bytes")))
         .collect()
+}
+
+/// Encode `values` in one pass, `N` little-endian bytes each: the inverse
+/// of [`take_le`].
+fn put_le<T: Copy, const N: usize>(
+    buf: &mut Vec<u8>,
+    values: &[T],
+    encode: impl Fn(T) -> [u8; N],
+) {
+    let start = buf.len();
+    buf.resize(start + values.len() * N, 0);
+    for (chunk, &v) in buf[start..].chunks_exact_mut(N).zip(values) {
+        chunk.copy_from_slice(&encode(v));
+    }
 }
 
 /// Overwrite the slots of NULL rows with the placeholder `push_null` stores.
@@ -220,7 +239,7 @@ pub fn encode_table(table: &Table) -> StorageResult<Vec<u8>> {
 /// Encode the core payload (name, schema, columns, bitmask) — the layout
 /// shared verbatim with format v2.
 fn encode_core(table: &Table) -> StorageResult<Vec<u8>> {
-    let mut buf = BytesMut::with_capacity(table.byte_size() + 1024);
+    let mut buf = Vec::with_capacity(table.byte_size() + 1024);
     put_str(&mut buf, table.name())?;
 
     // Schema.
@@ -232,52 +251,28 @@ fn encode_core(table: &Table) -> StorageResult<Vec<u8>> {
     let rows = table.num_rows();
     buf.put_u64_le(rows as u64);
 
-    // Columns.
+    // Columns, each payload in one pass.
     for col in table.columns() {
         buf.put_u8(type_tag(col.data_type()));
-        // Null mask: packed bits, omitted entirely when fully valid.
-        let has_nulls = col.null_count() > 0;
-        buf.put_u8(has_nulls as u8);
-        if has_nulls {
-            let mut word = 0u64;
-            for row in 0..rows {
-                if col.is_null(row) {
-                    word |= 1 << (row % 64);
-                }
-                if row % 64 == 63 {
-                    buf.put_u64_le(word);
-                    word = 0;
-                }
-            }
-            if !rows.is_multiple_of(64) {
-                buf.put_u64_le(word);
-            }
+        // Null mask: packed bits (none set past the last row), omitted
+        // entirely when fully valid.
+        let mask = col.nulls().filter(|m| m.null_count() > 0);
+        buf.put_u8(mask.is_some() as u8);
+        if let Some(mask) = mask {
+            put_le(&mut buf, mask.words(), u64::to_le_bytes);
         }
         match col {
-            Column::Int64 { data, .. } => {
-                for v in data {
-                    buf.put_i64_le(*v);
-                }
-            }
-            Column::Float64 { data, .. } => {
-                for v in data {
-                    buf.put_f64_le(*v);
-                }
-            }
+            Column::Int64 { data, .. } => put_le(&mut buf, data, i64::to_le_bytes),
+            Column::Float64 { data, .. } => put_le(&mut buf, data, f64::to_le_bytes),
             Column::Utf8 { codes, dict, .. } => {
                 buf.put_u32_le(dict.len() as u32);
                 for (_, s) in dict.iter() {
                     put_str(&mut buf, s)?;
                 }
-                for c in codes {
-                    buf.put_u32_le(*c);
-                }
+                // Files hold `u32` codes whatever the width in memory.
+                with_codes!(codes, c => put_le(&mut buf, c, |code| u32::from(code).to_le_bytes()));
             }
-            Column::Bool { data, .. } => {
-                for v in data {
-                    buf.put_u8(*v as u8);
-                }
-            }
+            Column::Bool { data, .. } => buf.extend(data.iter().map(|&v| v as u8)),
         }
     }
 
@@ -286,19 +281,17 @@ fn encode_core(table: &Table) -> StorageResult<Vec<u8>> {
         Some(bm) => {
             buf.put_u8(1);
             buf.put_u32_le(bm.width() as u32);
-            for w in bm.words() {
-                buf.put_u64_le(*w);
-            }
+            put_le(&mut buf, bm.words(), u64::to_le_bytes);
         }
         None => buf.put_u8(0),
     }
 
-    Ok(buf.to_vec())
+    Ok(buf)
 }
 
 /// Encode zone maps for the trailing file section.
 fn encode_zone_maps(maps: &ZoneMaps) -> Vec<u8> {
-    let mut buf = BytesMut::new();
+    let mut buf = Vec::new();
     buf.put_u32_le(maps.block_rows as u32);
     buf.put_u64_le(maps.rows as u64);
     buf.put_u32_le(maps.columns.len() as u32);
@@ -322,14 +315,12 @@ fn encode_zone_maps(maps: &ZoneMaps) -> Vec<u8> {
                 Some(BlockBounds::Dict { words }) => {
                     buf.put_u8(3);
                     buf.put_u32_le(words.len() as u32);
-                    for w in words {
-                        buf.put_u64_le(*w);
-                    }
+                    put_le(&mut buf, words, u64::to_le_bytes);
                 }
             }
         }
     }
-    buf.to_vec()
+    buf
 }
 
 /// Decode a zone section written by [`encode_zone_maps`]. Strict: any
@@ -382,11 +373,9 @@ fn decode_zone_maps(mut buf: &[u8]) -> StorageResult<ZoneMaps> {
                     if n.checked_mul(8).is_none_or(|b| buf.remaining() < b) {
                         return Err(corrupt("truncated dict bitmap"));
                     }
-                    let mut words = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        words.push(buf.get_u64_le());
-                    }
-                    Some(BlockBounds::Dict { words })
+                    Some(BlockBounds::Dict {
+                        words: take_le(&mut buf, n, u64::from_le_bytes),
+                    })
                 }
                 other => return Err(corrupt(format!("unknown bounds tag {other}"))),
             };
@@ -566,22 +555,36 @@ fn decode_core(mut buf: &[u8]) -> StorageResult<Table> {
                 if rows.checked_mul(4).is_none_or(|b| buf.remaining() < b) {
                     return Err(corrupt("truncated codes"));
                 }
-                let mut codes = take_le(&mut buf, rows, u32::from_le_bytes);
+                let (file_codes, rest) = buf.split_at(rows * 4);
+                buf = rest;
                 // Re-code in first-appearance order: file entries no valid
                 // row uses drop out, so save -> load -> save is byte-equal.
+                // The new dictionary has at most min(file entries, rows)
+                // entries: codes are written at the width that needs, then
+                // narrowed once if it came out smaller.
                 let mut dict = Dictionary::new();
                 let mut remap = CodeRemap::new(dict_len);
-                for (row, code) in codes.iter_mut().enumerate() {
-                    if nulls.as_ref().is_some_and(|m| m.is_null(row)) {
-                        *code = 0;
-                        continue;
+                let codes = codes_for!(dict_len.min(rows), T => {
+                    let mut codes = Vec::with_capacity(rows);
+                    for (row, bytes) in file_codes.chunks_exact(4).enumerate() {
+                        let code = u32::from_le_bytes(
+                            bytes.try_into().expect("chunks_exact yields 4 bytes"),
+                        );
+                        codes.push(if nulls.as_ref().is_some_and(|m| m.is_null(row)) {
+                            0
+                        } else if (code as usize) < dict_len {
+                            remap.remap(code, || dict.intern(dict_strings[code as usize])) as T
+                        } else {
+                            return Err(corrupt(format!("dictionary code {code} out of range")));
+                        });
                     }
-                    if *code as usize >= dict_len {
-                        return Err(corrupt(format!("dictionary code {code} out of range")));
-                    }
-                    *code = remap.remap(*code, || dict.intern(dict_strings[*code as usize]));
+                    codes
+                });
+                Column::Utf8 {
+                    codes: codes.fit(dict.len()),
+                    dict,
+                    nulls,
                 }
-                Column::Utf8 { codes, dict, nulls }
             }
             DataType::Bool => {
                 if buf.remaining() < rows {

@@ -6,7 +6,8 @@
 //! The engine provides:
 //!
 //! * typed columns ([`Column`]) over 64-bit integers, 64-bit floats, booleans
-//!   and dictionary-encoded UTF-8 strings, each with an optional null mask;
+//!   and dictionary-encoded UTF-8 strings ([`Codes`] sized to each
+//!   column's dictionary), each with an optional null mask;
 //! * [`Schema`]s and [`Table`]s with both row-at-a-time and columnar bulk
 //!   construction;
 //! * a variable-width per-row [`BitSet`] column ([`BitmaskColumn`]) used by
@@ -23,6 +24,7 @@
 #![deny(unsafe_code)]
 
 pub mod bitmask;
+pub mod codes;
 pub mod column;
 pub mod crc;
 pub mod csv;
@@ -39,6 +41,7 @@ pub mod value;
 pub mod zonemap;
 
 pub use bitmask::{BitSet, BitmaskColumn};
+pub use codes::Codes;
 pub use column::{Column, ColumnBuilder};
 pub use crc::crc32c;
 pub use csv::{read_csv_file, table_from_csv, table_to_csv, write_csv_file};

@@ -45,6 +45,12 @@ impl NullMask {
         }
     }
 
+    /// The packed words, `len().div_ceil(64)` of them, in the layout
+    /// [`Self::from_words`] takes; no bit past `len()` is set.
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.words
+    }
+
     /// Number of rows covered by this mask.
     pub fn len(&self) -> usize {
         self.len

@@ -25,7 +25,10 @@
 //! unpruned scans), never to a load failure.
 
 use crate::column::Column;
+use crate::nulls::NullMask;
 use crate::table::Table;
+use crate::with_codes;
+use std::ops::Range;
 
 /// Rows per zone-map block. Equal to [`crate::morsel::DEFAULT_MORSEL_ROWS`]
 /// so default-size morsels map 1:1 onto blocks.
@@ -171,18 +174,11 @@ fn block_summary(column: &Column, start: usize, end: usize) -> BlockSummary {
         }
         acc.map(|(min, max)| BlockBounds::Float { min, max })
     } else if let Some((codes, dict)) = column.as_utf8() {
+        // Bits are code values, so the words do not depend on the width.
         let mut words = vec![0u64; dict.len().div_ceil(64)];
-        let mut any = false;
-        for (off, &code) in codes[start..end].iter().enumerate() {
-            if column.is_null(start + off) {
-                null_count += 1;
-                continue;
-            }
-            let code = code as usize;
-            words[code / 64] |= 1u64 << (code % 64);
-            any = true;
-        }
-        any.then_some(BlockBounds::Dict { words })
+        let nulls = column.nulls();
+        null_count = with_codes!(codes, c => mark_codes(c, nulls, start..end, &mut words));
+        (null_count < rows).then_some(BlockBounds::Dict { words })
     } else {
         for row in start..end {
             if column.is_null(row) {
@@ -196,6 +192,26 @@ fn block_summary(column: &Column, start: usize, end: usize) -> BlockSummary {
         null_count,
         bounds,
     }
+}
+
+/// Set the bit of every non-NULL row's code among `rows` in `words`;
+/// returns the number of NULL rows.
+fn mark_codes<C: Copy + Into<u32>>(
+    codes: &[C],
+    nulls: Option<&NullMask>,
+    rows: Range<usize>,
+    words: &mut [u64],
+) -> u32 {
+    let mut null_count = 0;
+    for (row, &code) in rows.clone().zip(&codes[rows]) {
+        if nulls.is_some_and(|m| m.is_null(row)) {
+            null_count += 1;
+        } else {
+            let code = code.into() as usize;
+            words[code / 64] |= 1u64 << (code % 64);
+        }
+    }
+    null_count
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@ use aqp::core::persist::encode_sampler;
 use aqp::core::{column_frequency, select_outliers};
 use aqp::prelude::*;
 use aqp::sampling::{ColumnFrequency, ReservoirSampler};
-use aqp::storage::{crc32c, BitSet, Column, Dictionary, ValueRef};
+use aqp::storage::{crc32c, decode_table, encode_table, BitSet, Codes, Column, Dictionary, ValueRef};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashSet;
@@ -80,13 +80,11 @@ fn with_unused_entries(col: &Column) -> Column {
         wide.intern(&format!("ghost{code}"));
         wide.intern(s);
     }
-    let codes = codes
-        .iter()
-        .enumerate()
-        .map(|(row, &c)| if col.is_null(row) { 0 } else { 2 * c + 1 })
+    let codes = (0..codes.len())
+        .map(|row| if col.is_null(row) { 0 } else { 2 * codes.get(row) + 1 })
         .collect();
     Column::Utf8 {
-        codes,
+        codes: Codes::U32(codes).fit(wide.len()),
         dict: wide,
         nulls: nulls.clone(),
     }
@@ -124,10 +122,29 @@ fn assert_columns_identical(got: &Column, want: &Column, what: &str) {
             assert_eq!(a, b, "{what}: codes");
             let strings = |d: &Dictionary| d.iter().map(|(_, s)| s.to_owned()).collect::<Vec<_>>();
             assert_eq!(strings(da), strings(db), "{what}: dictionary order");
+            assert_narrowest(got, what);
+            assert_narrowest(want, what);
         }
         _ => panic!("{what}: column types differ"),
     }
     assert_eq!(got.nulls(), want.nulls(), "{what}: null mask");
+}
+
+/// The width invariant: a string column's codes are at the narrowest width
+/// that holds its dictionary.
+fn assert_narrowest(col: &Column, what: &str) {
+    if let Column::Utf8 { codes, dict, .. } = col {
+        let (width, entries) = match codes {
+            Codes::U8(_) => ("u8", 0..=256),
+            Codes::U16(_) => ("u16", 257..=65_536),
+            Codes::U32(_) => ("u32", 65_537..=usize::MAX),
+        };
+        assert!(
+            entries.contains(&dict.len()),
+            "{what}: {} dictionary entries stored as {width}",
+            dict.len()
+        );
+    }
 }
 
 fn assert_tables_identical(got: &Table, want: &Table) {
@@ -218,6 +235,115 @@ fn gather_drops_unused_dictionary_entries() {
     let (_, after) = gathered.as_utf8().unwrap();
     assert!(after.iter().all(|(_, s)| !s.starts_with("ghost")));
     assert!(after.len() <= 5);
+}
+
+/// A string column of `rows` rows, built by pushing, whose first `distinct`
+/// rows spell `distinct` different strings (so its dictionary has exactly
+/// that many entries); later rows repeat them, one in seven is NULL.
+fn distinct_column(distinct: usize, rows: usize, seed: u64) -> Column {
+    let mut s = seed;
+    let mut col = Column::new(DataType::Utf8);
+    for row in 0..rows {
+        if row >= distinct && next(&mut s).is_multiple_of(7) {
+            col.push_null();
+        } else {
+            let v = if row < distinct { row } else { skewed(&mut s, distinct) };
+            col.push(ValueRef::Utf8(&format!("w{v}"))).unwrap();
+        }
+    }
+    col
+}
+
+/// The same codes as `col`'s, stored at every width (the narrower ones
+/// only if every code fits).
+fn at_every_width(col: &Column) -> Vec<Column> {
+    let Column::Utf8 { codes, dict, nulls } = col else {
+        panic!("a string column")
+    };
+    let u32s: Vec<u32> = (0..codes.len()).map(|row| codes.get(row)).collect();
+    let max = u32s.iter().copied().max().unwrap_or(0);
+    let mut all = vec![Codes::U32(u32s.clone())];
+    if max <= u32::from(u16::MAX) {
+        all.push(Codes::U16(u32s.iter().map(|&c| c as u16).collect()));
+    }
+    if max <= u32::from(u8::MAX) {
+        all.push(Codes::U8(u32s.iter().map(|&c| c as u8).collect()));
+    }
+    all.into_iter()
+        .map(|codes| Column::Utf8 {
+            codes,
+            dict: dict.clone(),
+            nulls: nulls.clone(),
+        })
+        .collect()
+}
+
+#[test]
+fn code_widths_across_256_and_65_536_entries_match_the_push_reference() {
+    for (distinct, width) in [
+        (200, "u8"),
+        (256, "u8"),
+        (257, "u16"),
+        (65_536, "u16"),
+        (65_537, "u32"),
+    ] {
+        let rows = distinct + 3_000;
+        let pushed = distinct_column(distinct, rows, distinct as u64);
+        let what = format!("{distinct} entries");
+        // By push: the reference itself widens at each boundary.
+        assert_narrowest(&pushed, &what);
+        let (codes, _) = pushed.as_utf8().unwrap();
+        let got_width = match codes {
+            Codes::U8(_) => "u8",
+            Codes::U16(_) => "u16",
+            Codes::U32(_) => "u32",
+        };
+        assert_eq!(got_width, width, "{what}");
+
+        // By gather: onto 3 distinct values (written at the source's
+        // width, narrowed to u8), onto exactly 257 (u16), onto NULLs only,
+        // and every row reversed (the source's width).
+        let mut s = distinct as u64 + 1;
+        let three: Vec<usize> = (0..500).map(|_| [1, distinct / 2, distinct - 1][skewed(&mut s, 3)]).collect();
+        let head = distinct.min(257);
+        let some: Vec<usize> = (0..head).chain((0..900).map(|_| next(&mut s) as usize % head)).collect();
+        let null_rows: Vec<usize> = (distinct..rows).filter(|&r| pushed.is_null(r)).take(40).collect();
+        let reversed: Vec<usize> = (0..rows).rev().collect();
+        for (label, indices) in [("three", three), ("some", some), ("nulls", null_rows), ("reversed", reversed)] {
+            let want = reference_gather(&pushed, &indices);
+            assert_columns_identical(&pushed.gather(&indices), &want, &format!("{what}, gather {label}"));
+            // A source with unused entries gathers to the same column.
+            let ghosts = with_unused_entries(&pushed);
+            assert_columns_identical(&ghosts.gather(&indices), &want, &format!("{what}, ghosts, gather {label}"));
+        }
+
+        // By save -> load: re-coded at the loaded dictionary's width, also
+        // when half the file's entries are unused (the file dictionary
+        // needs the next width up; the loaded one does not).
+        let schema = SchemaBuilder::new()
+            .field("s", DataType::Utf8)
+            .field("ghosts", DataType::Utf8)
+            .build()
+            .unwrap();
+        let table = Table::from_columns("w", schema, vec![pushed.clone(), with_unused_entries(&pushed)]).unwrap();
+        let loaded = decode_table(&encode_table(&table).unwrap()).unwrap();
+        assert_columns_identical(loaded.column(0), &pushed, &format!("{what}, loaded"));
+        assert_columns_identical(loaded.column(1), &pushed, &format!("{what}, loaded with ghosts"));
+
+        // Zone maps and file bytes do not depend on the width.
+        let one = |col: Column| {
+            let schema = SchemaBuilder::new().field("s", DataType::Utf8).build().unwrap();
+            Table::from_columns("z", schema, vec![col]).unwrap()
+        };
+        let natural = one(pushed.clone());
+        let bytes = encode_table(&natural).unwrap();
+        assert_eq!(encode_table(&decode_table(&bytes).unwrap()).unwrap(), bytes, "{what}: save -> load -> save");
+        for wider in at_every_width(&pushed) {
+            let other = one(wider);
+            assert_eq!(**other.zone_maps(), **natural.zone_maps(), "{what}: zone maps");
+            assert_eq!(encode_table(&other).unwrap(), bytes, "{what}: file bytes");
+        }
+    }
 }
 
 /// A dimension table keyed by `pk = 100 + 7 * row`, with a string column

@@ -25,7 +25,7 @@ use aqp::prelude::*;
 use aqp::query::plan::QueryBuilder;
 use aqp::query::{run_scans, CancelToken, GroupResult, PlanGroups, PreparedScan, QueryError};
 use aqp::sampling::Estimate;
-use aqp::storage::{BitSet, BitmaskColumn};
+use aqp::storage::{BitSet, BitmaskColumn, Codes};
 use std::time::{Duration, Instant};
 
 /// Deterministic splitmix-style generator: no rand dependency, stable
@@ -633,6 +633,62 @@ fn plan_fold_around_the_dense_slot_cap_and_past_u64() {
     let distinct: std::collections::HashSet<&Vec<Value>> = groups.iter().map(|g| &g.key).collect();
     assert_eq!(distinct.len(), groups.len(), "every group has a key of its own");
     assert!(groups.len() > 2_000, "the 2 000 all-distinct rows of each table are groups: {}", groups.len());
+}
+
+/// A string column `g` of exactly `card` distinct values (`g<shift>` ..
+/// `g<shift + card - 1>`; the first `card` rows list them all, later ones
+/// redraw them, one in nine NULL), an integer `k` of three values and an
+/// integer-valued measure `amt`.
+fn width_table(rows: usize, card: u64, seed: u64, shift: u64) -> Table {
+    let schema = SchemaBuilder::new()
+        .field("g", DataType::Utf8)
+        .field("k", DataType::Int64)
+        .field("amt", DataType::Float64)
+        .build()
+        .unwrap();
+    let mut t = Table::empty("t", schema);
+    let mut s = seed.wrapping_mul(0x517cc1b727220a95).wrapping_add(1);
+    for r in 0..rows as u64 {
+        let g = if r >= card && next(&mut s).is_multiple_of(9) {
+            Value::Null
+        } else {
+            format!("g{}", shift + if r < card { r } else { next(&mut s) % card }).into()
+        };
+        t.push_row(&[g, ((next(&mut s) % 3) as i64).into(), ((next(&mut s) % 101) as f64).into()]).unwrap();
+    }
+    t
+}
+
+#[test]
+fn plan_fold_across_tables_that_store_one_column_at_different_widths() {
+    // `g` holds 200 strings in the first part (u8 codes) and 300 in the
+    // second (u16), 100 of them shared: one string, two codes, two widths.
+    let parts = [(width_table(1_500, 200, 61, 0), 1.0), (width_table(2_000, 300, 62, 100), 2.5)];
+    let codes = |t: &Table| t.column_by_name("g").unwrap().as_utf8().unwrap().0.clone();
+    assert!(matches!(codes(&parts[0].0), Codes::U8(_)));
+    assert!(matches!(codes(&parts[1].0), Codes::U16(_)));
+
+    let aggs = || Query::builder().count().sum("amt");
+    let in_list = || Expr::in_set("g", ["g5", "g150", "g250", "g399", "g999"].map(Value::from).to_vec());
+    let queries = [
+        ("radix key", "vectorized-dense", aggs().group_by("g").build().unwrap()),
+        ("hashed key", "vectorized-hash", aggs().group_by("g").group_by("k").build().unwrap()),
+        ("dictionary IN-list", "vectorized-dense", aggs().group_by("g").filter(in_list()).build().unwrap()),
+        ("IN-list, ungrouped", "vectorized-dense", aggs().filter(in_list()).build().unwrap()),
+    ];
+    for (label, kernel, q) in &queries {
+        for (t, _) in &parts {
+            assert_eq!(&kernel_label(t, q), kernel, "{label}");
+        }
+        for morsel_rows in [64, 1_000] {
+            let want = union_all_reference(&parts, q, morsel_rows);
+            assert!(want.len() > 1 || q.group_by.is_empty(), "{label}: groups from both parts");
+            for threads in [1, 2, 4, 8] {
+                let got = union_all_in_one_round(&parts, q, threads, morsel_rows);
+                reference::assert_same(&want, &got, &format!("{label}, {morsel_rows}-row morsels @ {threads} threads"));
+            }
+        }
+    }
 }
 
 #[test]
