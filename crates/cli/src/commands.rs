@@ -103,6 +103,7 @@ USAGE:
                 [--flight-recorder-cap N] [--flight-dump FILE]
                 [--shadow-rate F] [--shadow-seed N]
                 [--slo-availability F] [--slo-p99-ms N] [--slo-min-requests N]
+                [--faults SPEC[,SPEC]]
   aqp-cli client [--addr HOST:PORT] [--class interactive|batch]
                  [--deadline-ms N] [--row-budget N] [--confidence F]
                  [--max-rel-error F] [--attempts N] [--seed N]
@@ -134,10 +135,10 @@ Zone-map pruning: scans consult per-block min/max/null/dictionary
 summaries persisted in .aqpt files (recomputed lazily for v2 files) to
 skip blocks no row can match and to drop per-row predicate evaluation on
 blocks every row matches; answers are bit-identical either way by
-contract. AQP_PRUNE=off disables pruning process-wide; explain
---analyze and traces report blocks skipped/taken/scanned and rows pruned
-per operator, and aqp_prune_blocks_total{outcome=...} counts block
-outcomes whenever a prune plan is active.
+contract. explain --analyze and traces report blocks
+skipped/taken/scanned and rows pruned per operator, and
+aqp_prune_blocks_total{outcome=...} counts block outcomes whenever a
+prune plan is active.
 
 serve runs a concurrent TCP query server (4-byte length-prefixed JSON
 frames) over the same degradation ladder: per-class admission control
@@ -146,9 +147,9 @@ step answers down to cheaper tiers instead of missing (the wire carries
 tier/partial/deadline_limited), and SIGTERM or a shutdown request drains
 in-flight work before exit. client sends one request with bounded
 retry + exponential backoff + jitter on shed and transport errors.
-AQP_FAULTS also accepts serving faults: accept-drop@N, write-stall@N,
-slow-read@N, exec-stall@N (comma-separated specs compose with storage
-faults).
+--faults injects serving faults into this server: accept-drop@N,
+write-stall@N, slow-read@N, exec-stall@N (the (N+1)-th accept, write,
+read or execution; comma-separated). Any other spec is an error.
 
 The server keeps a semantic answer cache keyed on canonicalized plans:
 a repeated query (any whitespace/alias/predicate-order formatting) is
@@ -156,9 +157,8 @@ re-served from cache when the cached answer meets the request's
 confidence (and --max-rel-error) contract at equal-or-tighter bounds;
 concurrent identical misses execute once (single-flight). Answers served
 from cache carry cache_hit on the wire. --cache-capacity bounds entries
-(0 disables; LRU evicts beyond it), --cache-ttl-ms ages them out, the
-invalidate request drops everything after a table rebuild, and
-AQP_CACHE=off force-disables the cache regardless of flags.
+(0 disables; LRU evicts beyond it), --cache-ttl-ms ages them out, and
+the invalidate request drops everything after a table rebuild.
 
 Every query carries a trace id on the wire (client-supplied via
 --trace-id or server-generated) and gets it back on the answer, shed,
@@ -1501,6 +1501,79 @@ mod tests {
         assert!(run_cli(&["dashboard"]).is_err());
         // Help always works.
         assert!(run_cli(&["help"]).unwrap().contains("USAGE"));
+    }
+
+    #[test]
+    fn serve_rejects_a_bad_fault_spec_by_name() {
+        // A misspelled kind is an error, not a plan that injects nothing:
+        // a script forcing a timeout with it would fail later, elsewhere.
+        for (faults, named) in [
+            ("exec-stal@0", "exec-stal@0"),
+            ("exec-stall@x", "exec-stall@x"),
+            ("exec-stall", "exec-stall"),
+            ("exec-stall@0,slow-red@1", "slow-red@1"),
+        ] {
+            let err = run_cli(&["serve", "--family", "/nonexistent.aqps", "--faults", faults])
+                .unwrap_err();
+            let named = format!("bad fault spec {named:?}");
+            assert!(err.0.contains(&named), "--faults {faults}: {err}");
+        }
+    }
+
+    /// Forwards each complete line written to it down a channel.
+    struct Lines(std::sync::mpsc::Sender<String>, Vec<u8>);
+
+    impl Write for Lines {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.1.extend_from_slice(buf);
+            while let Some(end) = self.1.iter().position(|&b| b == b'\n') {
+                let line: Vec<u8> = self.1.drain(..=end).collect();
+                let _ = self.0.send(String::from_utf8_lossy(&line[..end]).into_owned());
+            }
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn serve_faults_reach_the_server_they_are_given_to() {
+        let dir = temp_dir();
+        let view = dir.join("served.aqpt");
+        let family = dir.join("served.aqps");
+        run_cli(&["generate", "sales", "--rows", "2000", "--out", view.to_str().unwrap()]).unwrap();
+        run_cli(&[
+            "preprocess", "--view", view.to_str().unwrap(), "--rate", "0.1", "--out",
+            family.to_str().unwrap(),
+        ])
+        .unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let family_arg = family.to_str().unwrap().to_owned();
+        let serve = std::thread::spawn(move || {
+            let family = family_arg.as_str();
+            let args = ["serve", "--family", family, "--addr", "127.0.0.1:0", "--faults", "exec-stall@0"];
+            let args = Args::parse(args.map(str::to_owned)).unwrap();
+            crate::serve::serve_command(&args, &mut Lines(tx, Vec::new()))
+        });
+        let addr = loop {
+            let line = rx.recv_timeout(std::time::Duration::from_secs(30)).expect("serve prints its address");
+            if let Some(rest) = line.strip_prefix("serving on ") {
+                break rest.split_whitespace().next().unwrap().to_owned();
+            }
+        };
+        let client = |request: &[&str]| {
+            run_cli(&[&["client", "--addr", addr.as_str(), "--attempts", "1"], request].concat())
+        };
+        let sql = "SELECT store.region, COUNT(*) AS cnt FROM v GROUP BY store.region";
+        // exec-stall@0 holds the first execution until its deadline trips.
+        let err = client(&["--deadline-ms", "150", sql]).unwrap_err();
+        assert!(err.0.starts_with("timeout"), "{err}");
+        assert!(client(&[sql]).unwrap().contains("cnt"), "the second execution runs");
+        client(&["shutdown"]).unwrap();
+        serve.join().unwrap().unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -12,7 +12,7 @@ use aqp::obs::json::Value;
 use aqp::obs::SloConfig;
 use aqp::serving::{
     AdmissionConfig, CacheConfig, Client, ClassLimits, ClientError, ContractClass, Request,
-    Response, RetryPolicy, Server, ServerConfig, ShadowConfig, WireAnswer,
+    Response, RetryPolicy, Server, ServerConfig, ServingFault, ShadowConfig, WireAnswer,
 };
 use aqp::storage::read_table_file;
 use std::io::Write;
@@ -34,8 +34,8 @@ pub fn serve_command(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     });
     let drain_ms = args.get_or("drain-timeout-ms", 10_000u64)?;
     let metrics_out = args.optional("metrics-out");
-    // Semantic answer cache: --cache-capacity 0 (or AQP_CACHE=off in the
-    // environment) disables it; --cache-ttl-ms 0 means no TTL.
+    // Semantic answer cache: --cache-capacity 0 disables it;
+    // --cache-ttl-ms 0 means no TTL.
     let cache_capacity = args.get_or("cache-capacity", 256usize)?;
     let cache_ttl_ms = args.get_or("cache-ttl-ms", 0u64)?;
     // Observability: flight-recorder ring size and anomaly-dump path,
@@ -48,6 +48,11 @@ pub fn serve_command(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let slo_availability = args.get_or("slo-availability", 0.99f64)?;
     let slo_p99_ms = opt_usize(args, "slo-p99-ms")?;
     let slo_min_requests = args.get_or("slo-min-requests", 10u64)?;
+    // Injected serving faults, e.g. `exec-stall@0,slow-read@2`.
+    let faults: Vec<ServingFault> = args
+        .optional("faults")
+        .map_or(Ok(Vec::new()), |specs| specs.split(',').map(str::parse).collect())
+        .map_err(CliError)?;
     let admission = AdmissionConfig {
         interactive: ClassLimits {
             max_inflight: args.get_or("interactive-inflight", 4usize)?.max(1),
@@ -95,6 +100,7 @@ pub fn serve_command(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             p99_limit: slo_p99_ms.map(|ms| Duration::from_millis(ms as u64)),
             min_requests: slo_min_requests,
         },
+        faults,
     };
     let shadow_on = config.shadow.rate > 0.0;
     let server = Server::bind(system, config).map_err(boxed)?;

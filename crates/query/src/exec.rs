@@ -44,8 +44,6 @@ use crate::prune::{PruneDecision, PrunePlan};
 use crate::source::{DataSource, ResolvedColumn};
 use aqp_storage::morsel::{Morsel, MorselIter};
 use aqp_storage::{BitSet, DEFAULT_MORSEL_ROWS};
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Per-row weighting applied during aggregation.
@@ -60,67 +58,20 @@ pub enum Weighting<'a> {
 }
 
 /// Whether [`execute`] consults zone maps to skip (or take wholesale)
-/// morsels before touching column data.
+/// morsels before touching column data. It is set per scan, through
+/// [`ExecOptions::pruning`], and by nothing else.
 ///
 /// Pruning never changes the answer — only which work is avoided — and
 /// the differential oracle compares the two settings, and each against
-/// the row-at-a-time reference, on every commit. `Auto` — the default
-/// — resolves to the process-wide override set by [`set_prune_mode`] if
-/// any, else the `AQP_PRUNE` environment variable (`off`/`0`/`false`
-/// disables; read once per process), else enabled.
+/// the row-at-a-time reference, on every commit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PruneMode {
-    /// Resolve from [`set_prune_mode`] / `AQP_PRUNE`, default enabled.
+    /// Skip or take whole blocks wherever the zone maps decide (the
+    /// default). A scan without a predicate has nothing to decide.
     #[default]
     Auto,
-    /// Force zone-map pruning on.
-    On,
-    /// Force every morsel down the ordinary scan path.
+    /// Every morsel down the ordinary scan path.
     Off,
-}
-
-/// Process-wide override consulted by [`PruneMode::Auto`]:
-/// 0 = none, 1 = on, 2 = off.
-static PRUNE_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// Set the process-wide prune mode that [`PruneMode::Auto`] resolves to,
-/// so differential tests (and operators bisecting a suspected pruning
-/// bug) can disable pruning for every query in the process. An explicit
-/// [`ExecOptions::pruning`] still wins; `PruneMode::Auto` clears the
-/// override.
-pub fn set_prune_mode(mode: PruneMode) {
-    let v = match mode {
-        PruneMode::Auto => 0,
-        PruneMode::On => 1,
-        PruneMode::Off => 2,
-    };
-    PRUNE_OVERRIDE.store(v, Ordering::Relaxed);
-}
-
-/// The `AQP_PRUNE` environment default, read once per process.
-fn env_prune_default() -> PruneMode {
-    static ENV: OnceLock<PruneMode> = OnceLock::new();
-    *ENV.get_or_init(|| match std::env::var("AQP_PRUNE") {
-        Ok(v) if matches!(v.to_ascii_lowercase().as_str(), "off" | "0" | "false") => {
-            PruneMode::Off
-        }
-        _ => PruneMode::On,
-    })
-}
-
-impl PruneMode {
-    /// Collapse `Auto` to a concrete choice: the [`set_prune_mode`]
-    /// override first, then `AQP_PRUNE`, then enabled.
-    pub fn resolve(self) -> PruneMode {
-        match self {
-            PruneMode::Auto => match PRUNE_OVERRIDE.load(Ordering::Relaxed) {
-                1 => PruneMode::On,
-                2 => PruneMode::Off,
-                _ => env_prune_default(),
-            },
-            explicit => explicit,
-        }
-    }
 }
 
 /// Execution options.
@@ -352,7 +303,7 @@ impl<'a> PreparedScan<'a> {
         // them lazily if the table was built before zone maps existed).
         // Pruning reasons about physical fact/wide-table blocks, so the fact
         // table anchors the star case; dimension-column leaves are opaque.
-        let prune_plan = if opts.pruning.resolve() == PruneMode::On {
+        let prune_plan = if opts.pruning == PruneMode::Auto {
             let table = match source {
                 DataSource::Wide(t) => *t,
                 DataSource::Star(s) => s.fact(),

@@ -57,8 +57,7 @@ pub mod source;
 pub use cancel::{CancelCause, CancelToken};
 pub use error::{QueryError, QueryResult};
 pub use exec::{
-    execute, run_scans, set_prune_mode, ExecOptions, PreparedScan, PruneMode, ScanPartials,
-    Weighting,
+    execute, run_scans, ExecOptions, PreparedScan, PruneMode, ScanPartials, Weighting,
 };
 pub use expr::{CmpOp, Expr};
 pub use groups::{PlanGroups, ScanGroups};

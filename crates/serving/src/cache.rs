@@ -58,8 +58,7 @@ pub struct CacheConfig {
     /// Entry time-to-live; `None` = entries live until evicted or
     /// invalidated.
     pub ttl: Option<Duration>,
-    /// Master switch; [`CacheConfig::env_enabled`] lets `AQP_CACHE=off`
-    /// force it off without touching flags.
+    /// Master switch; `false` bypasses the cache at any capacity.
     pub enabled: bool,
 }
 
@@ -73,16 +72,6 @@ impl CacheConfig {
     /// A configuration with the cache fully off.
     pub fn disabled() -> CacheConfig {
         CacheConfig { capacity: 0, ttl: None, enabled: false }
-    }
-
-    /// Whether the `AQP_CACHE` environment variable permits caching
-    /// (`off` or `0` force-disables; anything else — including unset —
-    /// leaves the config in charge).
-    pub fn env_enabled() -> bool {
-        match std::env::var("AQP_CACHE") {
-            Ok(v) => v != "off" && v != "0",
-            Err(_) => true,
-        }
     }
 }
 
@@ -195,10 +184,9 @@ impl std::fmt::Debug for SemanticCache {
 }
 
 impl SemanticCache {
-    /// Build a cache; `AQP_CACHE=off` (or capacity 0) disables it no
-    /// matter what the config says.
+    /// Build a cache; `enabled: false` or capacity 0 disables it.
     pub fn new(config: CacheConfig) -> SemanticCache {
-        let enabled = config.enabled && config.capacity > 0 && CacheConfig::env_enabled();
+        let enabled = config.enabled && config.capacity > 0;
         SemanticCache {
             config,
             enabled,

@@ -4,18 +4,19 @@
 //! module injects the *network and scheduling* faults a server meets in
 //! production: connections dropped at accept time, responses stalling
 //! mid-write, clients that trickle their request bytes, and executions
-//! that hang until the deadline reaps them. The spec grammar and the
-//! `AQP_FAULTS` environment variable are shared with the storage layer —
-//! each layer's parser ignores the other's kinds, so one variable can
-//! arm either (or, comma-separated, both):
+//! that hang until the deadline reaps them. A server's plan is its own
+//! ([`crate::ServerConfig::faults`], `aqp-cli serve --faults`), counted
+//! by that server's hooks alone, so two servers in one process never see
+//! each other's faults:
 //!
 //! | spec | effect |
 //! |---|---|
 //! | `accept-drop@N` | the (N+1)-th accepted connection is dropped before any read |
-//! | `write-stall@N` | the (N+1)-th response write stalls ~300ms first |
-//! | `slow-read@N` | the (N+1)-th request read stalls ~200ms (a slow client) |
+//! | `write-stall@N` | the (N+1)-th response write stalls ~250ms first |
+//! | `slow-read@N` | the (N+1)-th request read stalls ~250ms (a slow client) |
 //! | `exec-stall@N` | the (N+1)-th query execution blocks until its cancel token trips (or a 2s cap) |
 //!
+//! Any other kind, or an `@N` that is not a count, is a parse error.
 //! `exec-stall` is the CI recipe for a *forced, deterministic timeout*:
 //! a stalled execution with a deadline-carrying token returns as a
 //! timeout exactly when the deadline trips, regardless of machine speed.
@@ -23,14 +24,14 @@
 //! — the same metric the storage faults use — plus a warn event.
 
 use aqp_query::CancelToken;
+use std::str::FromStr;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 /// How long `write-stall` and `slow-read` pause.
 pub const STALL: Duration = Duration::from_millis(250);
 
-/// Upper bound on an `exec-stall` with no (or an un-tripped) token.
+/// Upper bound on an `exec-stall` whose token never trips.
 pub const EXEC_STALL_CAP: Duration = Duration::from_secs(2);
 
 /// One class of injected serving fault.
@@ -60,7 +61,7 @@ pub enum ServingFault {
 }
 
 impl ServingFault {
-    /// The spec keyword for this fault (as accepted by [`parse_spec`]).
+    /// The spec keyword for this fault.
     pub fn kind(&self) -> &'static str {
         match self {
             ServingFault::AcceptDrop { .. } => "accept-drop",
@@ -69,172 +70,105 @@ impl ServingFault {
             ServingFault::ExecStall { .. } => "exec-stall",
         }
     }
-}
 
-/// Parse one `kind@N` spec. Unknown kinds (including every storage
-/// fault kind) return `None`.
-pub fn parse_spec(spec: &str) -> Option<ServingFault> {
-    // Strip an optional `:substr` scope for grammar compatibility with
-    // the storage specs; serving faults are process-global.
-    let body = spec.split_once(':').map_or(spec, |(b, _)| b);
-    let (kind, arg) = body.split_once('@')?;
-    let nth = arg.parse::<usize>().ok()?;
-    match kind {
-        "accept-drop" => Some(ServingFault::AcceptDrop { nth }),
-        "write-stall" => Some(ServingFault::WriteStall { nth }),
-        "slow-read" => Some(ServingFault::SlowRead { nth }),
-        "exec-stall" => Some(ServingFault::ExecStall { nth }),
-        _ => None,
+    fn nth(&self) -> usize {
+        match *self {
+            ServingFault::AcceptDrop { nth }
+            | ServingFault::WriteStall { nth }
+            | ServingFault::SlowRead { nth }
+            | ServingFault::ExecStall { nth } => nth,
+        }
     }
 }
 
-/// The serving faults requested via `AQP_FAULTS` (parsed once per
-/// process; comma-separated specs allowed, non-serving kinds skipped).
-pub fn env_plan() -> Vec<ServingFault> {
-    static ENV: OnceLock<Vec<ServingFault>> = OnceLock::new();
-    ENV.get_or_init(|| {
-        std::env::var("AQP_FAULTS")
-            .map(|s| s.split(',').filter_map(parse_spec).collect())
-            .unwrap_or_default()
-    })
-    .clone()
+impl FromStr for ServingFault {
+    type Err = String;
+
+    /// Parse one `kind@N` spec; the error names the spec.
+    fn from_str(spec: &str) -> Result<ServingFault, String> {
+        let bad = || {
+            format!(
+                "bad fault spec {spec:?}: expected accept-drop@N, write-stall@N, \
+                 slow-read@N or exec-stall@N"
+            )
+        };
+        let (kind, arg) = spec.split_once('@').ok_or_else(bad)?;
+        let nth = arg.parse::<usize>().map_err(|_| bad())?;
+        match kind {
+            "accept-drop" => Ok(ServingFault::AcceptDrop { nth }),
+            "write-stall" => Ok(ServingFault::WriteStall { nth }),
+            "slow-read" => Ok(ServingFault::SlowRead { nth }),
+            "exec-stall" => Ok(ServingFault::ExecStall { nth }),
+            _ => Err(bad()),
+        }
+    }
 }
 
+/// One server's fault plan and the occurrence counters of its four hook
+/// points. With an empty plan every hook returns at once.
 #[derive(Debug, Default)]
-struct Counters {
+pub(crate) struct Faults {
+    plan: Vec<ServingFault>,
     accepts: AtomicUsize,
-    writes: AtomicUsize,
     reads: AtomicUsize,
+    writes: AtomicUsize,
     execs: AtomicUsize,
 }
 
-struct State {
-    plan: Vec<ServingFault>,
-    counters: Counters,
-}
-
-fn state() -> &'static Mutex<State> {
-    static STATE: OnceLock<Mutex<State>> = OnceLock::new();
-    STATE.get_or_init(|| {
-        Mutex::new(State {
-            plan: env_plan(),
-            counters: Counters::default(),
-        })
-    })
-}
-
-fn serial_lock() -> &'static Mutex<()> {
-    static SERIAL: Mutex<()> = Mutex::new(());
-    &SERIAL
-}
-
-/// Keeps installed faults active; dropping restores the env plan and
-/// releases the cross-test serialization lock.
-pub struct FaultGuard {
-    _serial: MutexGuard<'static, ()>,
-}
-
-impl Drop for FaultGuard {
-    fn drop(&mut self) {
-        let mut st = state().lock().expect("serving fault state poisoned");
-        st.plan = env_plan();
-        st.counters = Counters::default();
+impl Faults {
+    pub(crate) fn new(plan: Vec<ServingFault>) -> Faults {
+        Faults { plan, ..Faults::default() }
     }
-}
 
-/// Install `faults` until the returned guard drops. Serializes callers
-/// so parallel tests never observe each other's faults.
-pub fn install(faults: Vec<ServingFault>) -> FaultGuard {
-    let serial = match serial_lock().lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    let mut st = state().lock().expect("serving fault state poisoned");
-    st.plan = faults;
-    st.counters = Counters::default();
-    drop(st);
-    FaultGuard { _serial: serial }
-}
-
-fn fault_hit(kind: &'static str) {
-    aqp_obs::counter("aqp_fault_injected_total", &[("kind", kind)]).inc();
-    aqp_obs::event::warn("serving::fault", "injected serving fault fired", &[("kind", kind)]);
-}
-
-/// Consult the plan at one hook point; returns the matching fault if its
-/// occurrence index matches the running counter for that hook.
-fn check(select: impl Fn(&ServingFault) -> Option<usize>, counter: impl Fn(&Counters) -> &AtomicUsize) -> bool {
-    let st = state().lock().expect("serving fault state poisoned");
-    let seen = counter(&st.counters).fetch_add(1, Ordering::Relaxed);
-    st.plan.iter().any(|f| select(f) == Some(seen))
-}
-
-/// Accept-time hook: `true` means drop this connection now.
-pub fn accept_drop() -> bool {
-    let hit = check(
-        |f| match f {
-            ServingFault::AcceptDrop { nth } => Some(*nth),
-            _ => None,
-        },
-        |c| &c.accepts,
-    );
-    if hit {
-        fault_hit("accept-drop");
+    /// Count one occurrence of the hook `seen` counts; `true` when the
+    /// plan holds a `kind` fault for exactly that occurrence.
+    fn fires(&self, kind: &'static str, seen: &AtomicUsize) -> bool {
+        if self.plan.is_empty() {
+            return false;
+        }
+        let n = seen.fetch_add(1, Ordering::Relaxed);
+        let hit = self.plan.iter().any(|f| f.kind() == kind && f.nth() == n);
+        if hit {
+            aqp_obs::counter("aqp_fault_injected_total", &[("kind", kind)]).inc();
+            aqp_obs::event::warn(
+                "serving::fault",
+                "injected serving fault fired",
+                &[("kind", kind)],
+            );
+        }
+        hit
     }
-    hit
-}
 
-/// Response-write hook: stalls [`STALL`] when the fault fires.
-pub fn write_stall() {
-    let hit = check(
-        |f| match f {
-            ServingFault::WriteStall { nth } => Some(*nth),
-            _ => None,
-        },
-        |c| &c.writes,
-    );
-    if hit {
-        fault_hit("write-stall");
-        std::thread::sleep(STALL);
+    /// Accept-time hook: `true` means drop this connection now.
+    pub(crate) fn accept_drop(&self) -> bool {
+        self.fires("accept-drop", &self.accepts)
     }
-}
 
-/// Request-read hook: stalls [`STALL`] when the fault fires.
-pub fn slow_read() {
-    let hit = check(
-        |f| match f {
-            ServingFault::SlowRead { nth } => Some(*nth),
-            _ => None,
-        },
-        |c| &c.reads,
-    );
-    if hit {
-        fault_hit("slow-read");
-        std::thread::sleep(STALL);
+    /// Request-read hook: stalls [`STALL`] when the fault fires.
+    pub(crate) fn slow_read(&self) {
+        if self.fires("slow-read", &self.reads) {
+            std::thread::sleep(STALL);
+        }
     }
-}
 
-/// Execution hook: blocks until `token` trips (or [`EXEC_STALL_CAP`])
-/// when the fault fires. Placed before the ladder walk, it simulates a
-/// scan that will not finish in time.
-pub fn exec_stall(token: Option<&CancelToken>) {
-    let hit = check(
-        |f| match f {
-            ServingFault::ExecStall { nth } => Some(*nth),
-            _ => None,
-        },
-        |c| &c.execs,
-    );
-    if !hit {
-        return;
+    /// Response-write hook: stalls [`STALL`] when the fault fires.
+    pub(crate) fn write_stall(&self) {
+        if self.fires("write-stall", &self.writes) {
+            std::thread::sleep(STALL);
+        }
     }
-    fault_hit("exec-stall");
-    let cap = Instant::now() + EXEC_STALL_CAP;
-    while Instant::now() < cap {
-        if token.is_some_and(CancelToken::is_cancelled) {
+
+    /// Execution hook: blocks until `token` trips (or [`EXEC_STALL_CAP`])
+    /// when the fault fires. Placed before the ladder walk, it simulates a
+    /// scan that will not finish in time.
+    pub(crate) fn exec_stall(&self, token: &CancelToken) {
+        if !self.fires("exec-stall", &self.execs) {
             return;
         }
-        std::thread::sleep(Duration::from_millis(5));
+        let cap = Instant::now() + EXEC_STALL_CAP;
+        while Instant::now() < cap && !token.is_cancelled() {
+            std::thread::sleep(Duration::from_millis(5));
+        }
     }
 }
 
@@ -243,49 +177,58 @@ mod tests {
     use super::*;
 
     #[test]
-    fn spec_parsing_ignores_foreign_kinds() {
-        assert_eq!(parse_spec("accept-drop@0"), Some(ServingFault::AcceptDrop { nth: 0 }));
-        assert_eq!(parse_spec("write-stall@2"), Some(ServingFault::WriteStall { nth: 2 }));
-        assert_eq!(parse_spec("slow-read@1"), Some(ServingFault::SlowRead { nth: 1 }));
-        assert_eq!(parse_spec("exec-stall@0:scope"), Some(ServingFault::ExecStall { nth: 0 }));
-        assert_eq!(parse_spec("bitflip@700"), None, "storage kind skipped");
-        assert_eq!(parse_spec("missing"), None, "no @arg");
-        assert_eq!(parse_spec("exec-stall@x"), None, "bad arg");
+    fn spec_parsing_accepts_serving_kinds_and_rejects_everything_else() {
+        assert_eq!("accept-drop@0".parse(), Ok(ServingFault::AcceptDrop { nth: 0 }));
+        assert_eq!("write-stall@2".parse(), Ok(ServingFault::WriteStall { nth: 2 }));
+        assert_eq!("slow-read@1".parse(), Ok(ServingFault::SlowRead { nth: 1 }));
+        assert_eq!("exec-stall@3".parse(), Ok(ServingFault::ExecStall { nth: 3 }));
+        for bad in [
+            "exec-stal@0",         // misspelled kind
+            "exec-stall@x",        // not a count
+            "exec-stall@-1",       // not a count
+            "exec-stall@",         // no count
+            "exec-stall",          // no @N
+            "exec-stall@0:scope",  // no path scope on serving faults
+            "bitflip@700",         // a storage kind
+            "missing",             // a storage kind
+            "",
+        ] {
+            let err = bad.parse::<ServingFault>().unwrap_err();
+            assert!(err.contains(&format!("{bad:?}")), "{bad:?}: the error names the spec: {err}");
+        }
     }
 
     #[test]
     fn nth_occurrence_fires_once() {
-        let _g = install(vec![ServingFault::AcceptDrop { nth: 1 }]);
-        assert!(!accept_drop(), "occurrence 0 passes");
-        assert!(accept_drop(), "occurrence 1 drops");
-        assert!(!accept_drop(), "occurrence 2 passes");
+        let faults = Faults::new(vec![ServingFault::AcceptDrop { nth: 1 }]);
+        assert!(!faults.accept_drop(), "occurrence 0 passes");
+        assert!(faults.accept_drop(), "occurrence 1 drops");
+        assert!(!faults.accept_drop(), "occurrence 2 passes");
     }
 
     #[test]
     fn exec_stall_releases_on_cancel() {
-        let _g = install(vec![ServingFault::ExecStall { nth: 0 }]);
+        let faults = Faults::new(vec![ServingFault::ExecStall { nth: 0 }]);
         let token = CancelToken::new();
         token.cancel();
         let t0 = Instant::now();
-        exec_stall(Some(&token));
+        faults.exec_stall(&token);
         assert!(t0.elapsed() < Duration::from_millis(500), "released by tripped token");
         // Subsequent executions unaffected.
         let t0 = Instant::now();
-        exec_stall(Some(&token));
+        faults.exec_stall(&token);
         assert!(t0.elapsed() < Duration::from_millis(50));
     }
 
     #[test]
-    fn guard_restores_clean_state() {
-        {
-            let _g = install(vec![ServingFault::SlowRead { nth: 0 }]);
-            let t0 = Instant::now();
-            slow_read();
-            assert!(t0.elapsed() >= STALL);
-        }
-        let _g = install(vec![]);
+    fn each_plan_counts_its_own_hooks() {
+        let stalled = Faults::new(vec![ServingFault::SlowRead { nth: 0 }]);
+        let healthy = Faults::default();
         let t0 = Instant::now();
-        slow_read();
-        assert!(t0.elapsed() < Duration::from_millis(50), "no fault after guard drop");
+        healthy.slow_read();
+        assert!(t0.elapsed() < Duration::from_millis(50), "an empty plan never fires");
+        let t0 = Instant::now();
+        stalled.slow_read();
+        assert!(t0.elapsed() >= STALL, "the other plan's first read is still its own");
     }
 }

@@ -37,8 +37,8 @@
 //!   ladder understands;
 //! * [`fault`] — deterministic serving-fault injection (accept-time
 //!   connection drops, mid-response write stalls, slow-client reads,
-//!   execution stalls) sharing the `AQP_FAULTS` grammar with the
-//!   storage layer's fault plans.
+//!   execution stalls), planned per server through
+//!   [`ServerConfig::faults`].
 //!
 //! The invariant the whole crate is built around: **every admitted
 //! request gets exactly one terminal response** — an answer, a `shed`,
@@ -60,7 +60,7 @@ pub mod throughput;
 pub use admission::{AdmissionConfig, AdmissionController, AdmitOutcome, ClassLimits};
 pub use cache::{CacheConfig, CacheDecision, FlightGuard, PlanKey, SemanticCache};
 pub use client::{Client, ClientError, ClientStats, RetryPolicy};
-pub use fault::{FaultGuard, ServingFault};
+pub use fault::ServingFault;
 pub use protocol::{ContractClass, Request, Response, WireAnswer};
 pub use server::{Server, ServerConfig, ServerReport, ShutdownHandle};
 pub use shadow::{ShadowAuditor, ShadowConfig};

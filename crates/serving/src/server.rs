@@ -30,7 +30,7 @@
 
 use crate::admission::{AdmissionConfig, AdmissionController, AdmitOutcome};
 use crate::cache::{CacheConfig, CacheDecision, SemanticCache};
-use crate::fault;
+use crate::fault::{Faults, ServingFault};
 use crate::protocol::{
     write_frame, ContractClass, FrameRead, FrameReader, Request, Response, WireAnswer,
     RETAINED_BUFFER_BYTES,
@@ -115,6 +115,9 @@ pub struct ServerConfig {
     pub shadow: ShadowConfig,
     /// SLO watchdog thresholds.
     pub slo: SloConfig,
+    /// Injected serving faults, counted by this server's hooks alone
+    /// (empty: none).
+    pub faults: Vec<ServingFault>,
 }
 
 impl Default for ServerConfig {
@@ -133,6 +136,7 @@ impl Default for ServerConfig {
             flight_dump: None,
             shadow: ShadowConfig::default(),
             slo: SloConfig::default(),
+            faults: Vec::new(),
         }
     }
 }
@@ -215,6 +219,7 @@ struct Inner {
     /// Taken (and drained) exactly once at server drain.
     shadow: Mutex<Option<ShadowAuditor>>,
     trace_counter: AtomicU64,
+    faults: Faults,
 }
 
 /// A bound, ready-to-run query server.
@@ -251,6 +256,7 @@ impl Server {
         } else {
             None
         });
+        let faults = Faults::new(config.faults.clone());
         Ok(Server {
             inner: Arc::new(Inner {
                 system,
@@ -265,6 +271,7 @@ impl Server {
                 slo,
                 shadow,
                 trace_counter: AtomicU64::new(1),
+                faults,
             }),
             listener,
         })
@@ -296,7 +303,7 @@ impl Server {
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
                     self.inner.tallies.connections.fetch_add(1, Ordering::Relaxed);
-                    if fault::accept_drop() {
+                    if self.inner.faults.accept_drop() {
                         // Injected accept-time drop: close without a byte.
                         drop(stream);
                         continue;
@@ -436,7 +443,7 @@ fn handle_connection(inner: Arc<Inner>, stream: TcpStream) {
                 // `read` stage covers the whole reassembly; a frame that
                 // arrived within one tick reads as ~0.
                 let mut timeline = Timeline::start_at(frame_started.take().unwrap_or_else(Instant::now));
-                fault::slow_read();
+                inner.faults.slow_read();
                 timeline.mark("read");
                 let (response, meta) = match Request::from_json(&payload) {
                     Ok(request) => dispatch(&inner, request, &mut timeline),
@@ -453,7 +460,7 @@ fn handle_connection(inner: Arc<Inner>, stream: TcpStream) {
                     }
                 };
                 framer.recycle(payload);
-                fault::write_stall();
+                inner.faults.write_stall();
                 json.clear();
                 response.write_json(&mut json);
                 timeline.mark("serialize");
@@ -829,7 +836,7 @@ fn serve_query(
         None => CancelToken::new(),
     };
     // Injected execution stall (CI's deterministic forced timeout).
-    fault::exec_stall(Some(&token));
+    inner.faults.exec_stall(&token);
 
     // A deadline that expired before execution even began (queue wait,
     // an injected stall) is a miss, not a degradation opportunity — a

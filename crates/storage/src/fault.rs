@@ -1,42 +1,34 @@
 //! Deterministic fault injection for storage IO.
 //!
 //! Corruption, torn writes, and flaky disks are hard to reproduce with
-//! hand-crafted byte surgery. This failpoint-style layer lets tests (and CI
-//! fault-matrix jobs) inject storage faults deterministically: every file
-//! read and write performed by the persistence codecs goes through
-//! [`read_file`] / [`write_file_atomic`], which consult the currently
-//! installed [`FaultPlan`].
+//! hand-crafted byte surgery. This failpoint-style layer lets tests inject
+//! storage faults deterministically: every file read and write performed
+//! by the persistence codecs goes through [`read_file`] /
+//! [`write_file_atomic`], which consult the currently installed
+//! [`FaultPlan`].
 //!
-//! Faults are installed two ways:
+//! [`install`] returns a [`FaultGuard`]; the plan is active until the
+//! guard drops, and then there is no plan again. Installation also
+//! serializes tests through a global lock so concurrent tests cannot see
+//! each other's faults. Nothing outside a test installs a plan.
 //!
-//! * **Programmatically** — [`install`] returns a [`FaultGuard`]; the plan
-//!   is active until the guard drops. Installation also serializes tests
-//!   through a global lock so concurrent tests cannot see each other's
-//!   faults.
-//! * **Environment-driven** — the `AQP_FAULTS` variable is parsed once per
-//!   process, e.g. `AQP_FAULTS=bitflip@700:envfault`. This is how the CI
-//!   fault matrix runs the integration suite once per fault class without
-//!   code changes.
-//!
-//! The spec grammar is `kind[@arg][:path-substring]`:
-//!
-//! | spec | effect |
+//! | [`Fault`] | effect |
 //! |---|---|
-//! | `missing` | reads fail with `NotFound` |
-//! | `read-err@N` | the (N+1)-th matching read fails with an IO error |
-//! | `write-err@N` | the (N+1)-th matching write fails mid-write (torn temp file, destination untouched) |
-//! | `truncate@N` | reads observe only the first N bytes of the file |
-//! | `bitflip@N` | reads observe bit 0 of byte N (mod file length) flipped |
+//! | `Missing` | reads fail with `NotFound` |
+//! | `ReadErr { nth }` | the (nth+1)-th matching read fails with an IO error |
+//! | `WriteErr { nth }` | the (nth+1)-th matching write fails mid-write (torn temp file, destination untouched) |
+//! | `TruncateAt(n)` | reads observe only the first n bytes of the file |
+//! | `BitFlip(n)` | reads observe bit 0 of byte n (mod file length) flipped |
 //!
-//! The optional `:path-substring` scopes the fault to paths containing the
+//! [`FaultPlan::for_paths`] scopes the fault to paths containing a
 //! substring, so a fault aimed at one file cannot perturb unrelated IO.
-//! Read-side corruption (`truncate`, `bitflip`) never modifies the on-disk
-//! file — it simulates media corruption while keeping the original bytes
-//! available for post-mortem.
+//! Read-side corruption (`TruncateAt`, `BitFlip`) never modifies the
+//! on-disk file — it simulates media corruption while keeping the
+//! original bytes available for post-mortem.
 
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// One class of injected storage fault.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -98,66 +90,29 @@ struct State {
     writes: usize,
 }
 
-fn state() -> &'static Mutex<State> {
-    static STATE: OnceLock<Mutex<State>> = OnceLock::new();
-    STATE.get_or_init(|| {
-        Mutex::new(State {
-            plan: env_plan(),
-            reads: 0,
-            writes: 0,
-        })
-    })
+impl State {
+    const fn with(plan: Option<FaultPlan>) -> State {
+        State { plan, reads: 0, writes: 0 }
+    }
 }
 
-fn serial_lock() -> &'static Mutex<()> {
-    static SERIAL: Mutex<()> = Mutex::new(());
-    &SERIAL
+static STATE: Mutex<State> = Mutex::new(State::with(None));
+
+/// Every update of the state is one assignment, so a poisoned lock still
+/// guards a valid state (and [`FaultGuard`]'s `Drop` must not panic).
+fn state() -> MutexGuard<'static, State> {
+    STATE.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Parse a `kind[@arg][:substr]` spec. Returns `None` for malformed specs.
-pub fn parse_spec(spec: &str) -> Option<FaultPlan> {
-    let (body, substr) = match spec.split_once(':') {
-        Some((b, s)) => (b, Some(s.to_owned())),
-        None => (spec, None),
-    };
-    let (kind, arg) = match body.split_once('@') {
-        Some((k, a)) => (k, Some(a)),
-        None => (body, None),
-    };
-    let num = |a: Option<&str>| a.and_then(|s| s.parse::<usize>().ok());
-    let fault = match kind {
-        "missing" => Fault::Missing,
-        "truncate" => Fault::TruncateAt(num(arg)?),
-        "bitflip" => Fault::BitFlip(num(arg)?),
-        "read-err" => Fault::ReadErr { nth: num(arg)? },
-        "write-err" => Fault::WriteErr { nth: num(arg)? },
-        _ => return None,
-    };
-    Some(FaultPlan {
-        fault,
-        path_substr: substr,
-    })
-}
-
-/// The plan requested via `AQP_FAULTS`, if any (parsed once per process).
-pub fn env_plan() -> Option<FaultPlan> {
-    static ENV: OnceLock<Option<FaultPlan>> = OnceLock::new();
-    ENV.get_or_init(|| std::env::var("AQP_FAULTS").ok().and_then(|s| parse_spec(&s)))
-        .clone()
-}
-
-/// Keeps an installed plan active; dropping it restores the env-driven
-/// plan (or no plan) and releases the cross-test serialization lock.
+/// Keeps an installed plan active; dropping it restores "no plan" and
+/// releases the cross-test serialization lock.
 pub struct FaultGuard {
     _serial: MutexGuard<'static, ()>,
 }
 
 impl Drop for FaultGuard {
     fn drop(&mut self) {
-        let mut st = state().lock().expect("fault state poisoned");
-        st.plan = env_plan();
-        st.reads = 0;
-        st.writes = 0;
+        *state() = State::with(None);
     }
 }
 
@@ -165,15 +120,9 @@ impl Drop for FaultGuard {
 /// second `install` blocks until the first guard is dropped, so parallel
 /// tests never observe each other's faults.
 pub fn install(plan: FaultPlan) -> FaultGuard {
-    let serial = match serial_lock().lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    let mut st = state().lock().expect("fault state poisoned");
-    st.plan = Some(plan);
-    st.reads = 0;
-    st.writes = 0;
-    drop(st);
+    static SERIAL: Mutex<()> = Mutex::new(());
+    let serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    *state() = State::with(Some(plan));
     FaultGuard { _serial: serial }
 }
 
@@ -196,7 +145,7 @@ fn fault_hit(kind: &'static str, path: &Path) {
 /// Read a whole file, applying any installed read-side fault.
 pub fn read_file(path: &Path) -> io::Result<Vec<u8>> {
     let fault = {
-        let mut st = state().lock().expect("fault state poisoned");
+        let mut st = state();
         match &st.plan {
             Some(p) if p.matches(path) => match p.fault {
                 Fault::ReadErr { nth } => {
@@ -244,7 +193,7 @@ pub fn read_file(path: &Path) -> io::Result<Vec<u8>> {
 /// the new bytes, never a torn mix.
 pub fn write_file_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
     let write_fails = {
-        let mut st = state().lock().expect("fault state poisoned");
+        let mut st = state();
         match &st.plan {
             Some(p) if p.matches(path) => match p.fault {
                 Fault::WriteErr { nth } => {
@@ -300,32 +249,6 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("aqp_fault_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         dir.join(name)
-    }
-
-    #[test]
-    fn spec_parsing() {
-        assert_eq!(
-            parse_spec("missing"),
-            Some(FaultPlan::new(Fault::Missing))
-        );
-        assert_eq!(
-            parse_spec("truncate@64:family"),
-            Some(FaultPlan::new(Fault::TruncateAt(64)).for_paths("family"))
-        );
-        assert_eq!(
-            parse_spec("bitflip@7"),
-            Some(FaultPlan::new(Fault::BitFlip(7)))
-        );
-        assert_eq!(
-            parse_spec("read-err@0"),
-            Some(FaultPlan::new(Fault::ReadErr { nth: 0 }))
-        );
-        assert_eq!(
-            parse_spec("write-err@2:x"),
-            Some(FaultPlan::new(Fault::WriteErr { nth: 2 }).for_paths("x"))
-        );
-        assert_eq!(parse_spec("truncate"), None, "missing arg");
-        assert_eq!(parse_spec("gremlins@9"), None, "unknown kind");
     }
 
     #[test]

@@ -202,6 +202,48 @@ fn parallel_exact_answers_bit_identical_across_threads() {
     }
 }
 
+/// Zone-map block size (mirrors `aqp_storage::ZONE_BLOCK_ROWS`).
+const BLOCK: usize = 4096;
+
+/// A fact table clustered on `k` (ascending, so each block holds a
+/// disjoint range of it), as in `diff_prune.rs`: `f` mirrors `k` with
+/// noise, `cat` changes value per block, `nh` is ~90% NULL, and the two
+/// measures carry NULLs of their own.
+fn clustered_table(rows: usize, seed: u64) -> Table {
+    let schema = SchemaBuilder::new()
+        .field("k", DataType::Int64)
+        .field("f", DataType::Float64)
+        .field("cat", DataType::Utf8)
+        .field("nh", DataType::Int64)
+        .field("val", DataType::Float64)
+        .field("amt", DataType::Float64)
+        .build()
+        .unwrap();
+    let mut t = Table::empty("fact", schema);
+    let mut s = seed.wrapping_mul(0x517cc1b727220a95).wrapping_add(1);
+    let cats = ["aa", "bb", "cc", "dd"];
+    for r in 0..rows {
+        t.push_row(&[
+            Value::Int64(r as i64),
+            Value::Float64(r as f64 + (next(&mut s) % 7) as f64 / 8.0),
+            cats[r / BLOCK % cats.len()].into(),
+            if next(&mut s).is_multiple_of(10) {
+                Value::Int64((next(&mut s) % 5) as i64)
+            } else {
+                Value::Null
+            },
+            if next(&mut s).is_multiple_of(8) {
+                Value::Null
+            } else {
+                Value::Float64(0.01 + (next(&mut s) % 13) as f64 / 7.0)
+            },
+            Value::Float64((next(&mut s) % 101) as f64),
+        ])
+        .unwrap();
+    }
+    t
+}
+
 #[test]
 fn sampler_union_all_parts_match_the_reference_part_by_part() {
     // The sampler answers with a UNION ALL of weighted, bitmask-filtered
@@ -211,14 +253,13 @@ fn sampler_union_all_parts_match_the_reference_part_by_part() {
     // excluding all of them — and hold every part's scan to the
     // reference, then the served estimates and intervals to the
     // reference parts folded in plan order. Nothing here sorts.
-    let t = test_table(3_000, 17);
-    let mut sampler = SmallGroupSampler::build(
-        &t,
-        SmallGroupConfig { seed: 5, ..SmallGroupConfig::with_rates(0.1, 0.5) },
-    )
-    .unwrap();
-    let units = sampler.sample_columns();
-    let queries = [
+    //
+    // The second input is clustered over 40 zone-map blocks, so its
+    // overall sample spans four, and `k < 10 × 4096` lets the served plan
+    // skip some of them. The reference never prunes: bit equality with it
+    // is the identity of pruned and unpruned answers on the paper's
+    // UNION ALL, and the trace shows that pruning engaged.
+    let mixed_queries = [
         Query::builder().count().group_by("cat").build().unwrap(),
         Query::builder()
             .count()
@@ -234,6 +275,33 @@ fn sampler_union_all_parts_match_the_reference_part_by_part() {
             .build()
             .unwrap(),
     ];
+    let clustered_queries = [
+        Query::builder().count().group_by("cat").build().unwrap(),
+        Query::builder()
+            .count()
+            .sum("amt")
+            .aggregate(AggExpr::avg("val", "avg_val"))
+            .group_by("cat")
+            .filter(Expr::cmp("k", CmpOp::Lt, (10 * BLOCK) as i64))
+            .build()
+            .unwrap(),
+    ];
+    sampler_parts_match_the_reference(&test_table(3_000, 17), &mixed_queries, "mixed");
+    let clustered = clustered_table(40 * BLOCK, 17);
+    let skipped = sampler_parts_match_the_reference(&clustered, &clustered_queries, "clustered");
+    assert!(skipped > 0, "the clustered input's served plans skipped no block");
+}
+
+/// The test above for the sampler over `t`: returns the zone-map blocks
+/// the served answers skipped.
+fn sampler_parts_match_the_reference(t: &Table, queries: &[Query], input: &str) -> u64 {
+    let mut sampler = SmallGroupSampler::build(
+        t,
+        SmallGroupConfig { seed: 5, ..SmallGroupConfig::with_rates(0.1, 0.5) },
+    )
+    .unwrap();
+    let units = sampler.sample_columns();
+    let mut blocks_skipped = 0;
     for (qi, q) in queries.iter().enumerate() {
         let mut excluded = Vec::new();
         let mut parts = Vec::new();
@@ -248,10 +316,10 @@ fn sampler_union_all_parts_match_the_reference_part_by_part() {
                 None => parts.push((table, mask, 1.0 / sampler.overall_rate())),
             }
         }
-        assert_eq!(parts.last().unwrap().0.name(), "overall", "query {qi}");
+        assert_eq!(parts.last().unwrap().0.name(), "overall", "{input} query {qi}");
         for threads in [1, 2, 4, 8] {
             sampler.set_threads(threads);
-            let ctx = format!("query {qi} @ {threads} threads");
+            let ctx = format!("{input} query {qi} @ {threads} threads");
             let mut want = Vec::new();
             for (table, mask, weight) in &parts {
                 let opts = ExecOptions {
@@ -266,7 +334,10 @@ fn sampler_union_all_parts_match_the_reference_part_by_part() {
                 want.push(part.groups);
             }
             let want = reference::fold(want);
+            assert!(aqp::obs::trace::begin("sampler plan"));
             let answer = sampler.answer(q, 0.95).unwrap();
+            let trace = aqp::obs::trace::finish().expect("trace open");
+            blocks_skipped += trace.operators.iter().map(|op| op.blocks_skipped).sum::<u64>();
             assert_eq!(answer.groups.len(), want.len(), "{ctx}: group count");
             for (w, g) in want.iter().zip(&answer.groups) {
                 assert_eq!(w.key, g.key, "{ctx}: group order");
@@ -285,6 +356,7 @@ fn sampler_union_all_parts_match_the_reference_part_by_part() {
             }
         }
     }
+    blocks_skipped
 }
 
 #[test]

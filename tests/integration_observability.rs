@@ -8,8 +8,8 @@
 use aqp::obs::RequestRecord;
 use aqp::prelude::*;
 use aqp::serving::{
-    fault, CacheConfig, Client, ContractClass, Request, Response, RetryPolicy, Server,
-    ServerConfig, ServingFault, ShadowConfig,
+    CacheConfig, Client, ContractClass, Request, Response, RetryPolicy, Server, ServerConfig,
+    ServingFault, ShadowConfig,
 };
 use aqp::workload::CoverageBucket;
 use std::time::{Duration, Instant};
@@ -146,14 +146,14 @@ fn anomaly_dump_file_contains_the_timed_out_trace() {
     std::fs::create_dir_all(&dir).unwrap();
     let dump_path = dir.join("flight.jsonl");
 
-    // exec-stall@0 blocks the first execution until its deadline token
-    // trips: a deterministic timeout, which is an anomaly, which must
-    // dump the flight ring to the configured path.
-    let _guard = fault::install(vec![ServingFault::ExecStall { nth: 0 }]);
+    // exec-stall@0 blocks this server's first execution until its
+    // deadline token trips: a deterministic timeout, which is an anomaly,
+    // which must dump the flight ring to the configured path.
     let (addr, handle, join) = start_server(
         ResilientSystem::exact_only(sales_view(5_000)).with_threads(2),
         ServerConfig {
             flight_dump: Some(dump_path.clone()),
+            faults: vec![ServingFault::ExecStall { nth: 0 }],
             ..ServerConfig::default()
         },
     );

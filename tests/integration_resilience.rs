@@ -2,13 +2,10 @@
 //! degradation ladder keeps answering every workload query, tagged with
 //! the serving tier, with zero panics.
 //!
-//! Faults are injected two ways:
-//!
-//! * programmatically via `fault::install`, one fault class per test;
-//! * through the `AQP_FAULTS` environment variable, which the CI
-//!   fault-matrix job sets to one spec per run (scoped to paths containing
-//!   `envfault`, which only [`env_fault_matrix_still_answers_everything`]
-//!   uses).
+//! Each fault class is injected by its own test through `fault::install`
+//! (missing, bit flip, truncation, transient read error, torn write),
+//! scoped to that test's directory; one more test holds the healthy
+//! round trip to the primary tier.
 
 use aqp::prelude::*;
 use aqp::storage::fault::{self, Fault, FaultPlan};
@@ -266,41 +263,19 @@ fn min_max_only_served_by_exact_tier() {
     );
 }
 
-/// The CI fault-matrix entry point: `AQP_FAULTS=<spec>:envfault` injects
-/// one fault class for the whole process; with or without it, every
-/// workload query must be answered and tagged — zero panics.
+/// With no fault, a family saved and reopened serves every workload
+/// query from the primary tier.
 #[test]
-fn env_fault_matrix_still_answers_everything() {
+fn healthy_save_and_open_serves_every_query_primary() {
     let view = sales_view(4000);
-    let dir = scoped_dir("envfault");
+    let dir = scoped_dir("healthy");
     let path = dir.join("family.aqps");
-    let sampler = SmallGroupSampler::build(&view, SmallGroupConfig::with_rates(0.05, 0.5))
-        .expect("preprocessing");
-    // Under write faults the save itself may fail; the ladder must absorb
-    // that exactly like a missing file.
-    let saved = sampler.save(&path);
+    build_and_save(&view, &path);
     let queries = workload(&view);
 
     let (system, report) = ResilientSystem::open(&path);
-    let system = system.with_view(view.clone());
-    let counts = answer_all(&system, &queries);
-
-    match fault::env_plan() {
-        Some(plan) => {
-            assert!(
-                saved.is_err() || !report.primary_intact,
-                "injected fault {plan:?} must be observed (saved: {saved:?})"
-            );
-            let transient_read = matches!(plan.fault, Fault::ReadErr { .. });
-            assert!(
-                counts.degraded_total() > 0 || transient_read,
-                "fault {plan:?} must push answers below the primary tier: {counts}"
-            );
-        }
-        None => {
-            assert!(report.primary_intact, "healthy run: {report:?}");
-            assert_eq!(counts.primary, queries.len(), "{counts}");
-        }
-    }
+    assert!(report.primary_intact, "healthy run: {report:?}");
+    let counts = answer_all(&system.with_view(view.clone()), &queries);
+    assert_eq!(counts.primary, queries.len(), "{counts}");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -7,26 +7,16 @@
 //! The acceptance contract (mirrors the serving design doc): nothing
 //! panics, every request receives exactly one terminal response
 //! (answer / shed / timeout), and a deadline-bounded query comes back as
-//! a degraded-tier answer rather than a missed deadline.
+//! a degraded-tier answer rather than a missed deadline. Injected faults
+//! belong to the server they are configured on, so the tests here run
+//! side by side.
 
 use aqp::prelude::*;
 use aqp::serving::{
-    fault, AdmissionConfig, CacheConfig, ClassLimits, Client, ClientError, ContractClass,
-    Request, Response, RetryPolicy, Server, ServerConfig, ServingFault,
+    AdmissionConfig, CacheConfig, ClassLimits, Client, ClientError, ContractClass, Request,
+    Response, RetryPolicy, Server, ServerConfig, ServingFault,
 };
-use std::sync::{PoisonError, RwLock, RwLockReadGuard};
 use std::time::Duration;
-
-/// `exec_stall_fault_forces_deterministic_timeout` installs a fault that is
-/// process-global: it stalls the next execution in the process, whichever
-/// server runs it. That test takes this gate exclusively; every other
-/// test that executes queries shares it, so none of them can take the
-/// stall (and a timeout) meant for the other.
-static FAULT_GATE: RwLock<()> = RwLock::new(());
-
-fn no_fault_installed() -> RwLockReadGuard<'static, ()> {
-    FAULT_GATE.read().unwrap_or_else(PoisonError::into_inner)
-}
 
 fn sales_view(rows: usize) -> Table {
     let star = gen_sales(&SalesConfig { fact_rows: rows, zipf_z: 1.5, seed: 42 }).unwrap();
@@ -51,9 +41,20 @@ fn start_server(
 const SQL: &str = "SELECT store.region, COUNT(*) AS cnt, SUM(sales.revenue) AS rev \
                    FROM v GROUP BY store.region";
 
+fn query_with_deadline(deadline_ms: u64) -> Request {
+    Request::Query {
+        sql: SQL.into(),
+        class: ContractClass::Interactive,
+        deadline_ms: Some(deadline_ms),
+        row_budget: None,
+        confidence: None,
+        max_rel_error: None,
+        trace_id: None,
+    }
+}
+
 #[test]
 fn deadline_bounded_query_degrades_instead_of_missing() {
-    let _gate = no_fault_installed();
     // Pin throughput to 1 row/ms: a 150ms deadline converts to a ~120-row
     // budget against a 20k-row view, so the exact tier truncates — the
     // client gets a deadline-shaped answer, not a timeout.
@@ -66,18 +67,7 @@ fn deadline_bounded_query_degrades_instead_of_missing() {
         config,
     );
     let mut client = Client::new(addr, RetryPolicy::no_retry());
-    match client
-        .request(&Request::Query {
-            sql: SQL.into(),
-            class: ContractClass::Interactive,
-            deadline_ms: Some(150),
-            row_budget: None,
-            confidence: None,
-            max_rel_error: None,
-            trace_id: None,
-        })
-        .unwrap()
-    {
+    match client.request(&query_with_deadline(150)).unwrap() {
         Response::Answer(a) => {
             assert_eq!(a.tier, "exact");
             assert!(a.deadline_limited, "the deadline shaped this answer: {a:?}");
@@ -94,30 +84,22 @@ fn deadline_bounded_query_degrades_instead_of_missing() {
     join.join().unwrap().unwrap();
 }
 
+/// A server whose first execution stalls until its deadline trips.
+fn stalled_once() -> ServerConfig {
+    ServerConfig { faults: vec![ServingFault::ExecStall { nth: 0 }], ..ServerConfig::default() }
+}
+
 #[test]
 fn exec_stall_fault_forces_deterministic_timeout() {
-    let _gate = FAULT_GATE.write().unwrap_or_else(PoisonError::into_inner);
     // exec-stall@0 blocks the first execution until its deadline token
     // trips — the CI recipe for a machine-speed-independent timeout.
-    let _guard = fault::install(vec![ServingFault::ExecStall { nth: 0 }]);
     let before = aqp::obs::global().snapshot();
     let (addr, handle, join) = start_server(
         ResilientSystem::exact_only(sales_view(5_000)).with_threads(2),
-        ServerConfig::default(),
+        stalled_once(),
     );
     let mut client = Client::new(addr, RetryPolicy::no_retry());
-    match client
-        .request(&Request::Query {
-            sql: SQL.into(),
-            class: ContractClass::Interactive,
-            deadline_ms: Some(150),
-            row_budget: None,
-            confidence: None,
-            max_rel_error: None,
-            trace_id: None,
-        })
-        .unwrap()
-    {
+    match client.request(&query_with_deadline(150)).unwrap() {
         Response::Timeout { .. } => {}
         other => panic!("expected timeout, got {other:?}"),
     }
@@ -130,29 +112,51 @@ fn exec_stall_fault_forces_deterministic_timeout() {
     let report = join.join().unwrap().unwrap();
     assert_eq!(report.timeouts, 1);
     assert_eq!(report.answered, 1);
+    // The registry is process-wide, and other servers in this binary
+    // stall too: the tally grew, by how much is theirs to say.
+    let fired = |s: &aqp::obs::Snapshot| {
+        s.counter_value("aqp_fault_injected_total", &[("kind", "exec-stall")]).unwrap_or(0)
+    };
     let after = aqp::obs::global().snapshot();
-    let fired = after
-        .counter_value("aqp_fault_injected_total", &[("kind", "exec-stall")])
-        .unwrap_or(0)
-        - before
-            .counter_value("aqp_fault_injected_total", &[("kind", "exec-stall")])
-            .unwrap_or(0);
-    assert_eq!(fired, 1, "the injected stall was recorded");
+    assert!(fired(&after) > fired(&before), "the injected stall was recorded");
 }
 
 #[test]
-fn serving_faults_parse_from_shared_spec_grammar() {
-    // The AQP_FAULTS grammar is shared with the storage layer: serving
-    // kinds parse here, storage kinds are ignored here (and vice versa).
-    assert_eq!(fault::parse_spec("accept-drop@3"), Some(ServingFault::AcceptDrop { nth: 3 }));
-    assert_eq!(fault::parse_spec("exec-stall@0"), Some(ServingFault::ExecStall { nth: 0 }));
-    assert_eq!(fault::parse_spec("bitflip@700:family"), None);
-    assert_eq!(fault::parse_spec("read-err:catalog"), None);
+fn a_stall_planned_for_one_server_leaves_another_server_alone() {
+    // Two servers at once in one process; only the second plans a stall
+    // of its first execution. The healthy server's first query runs first
+    // and is answered, then the stalled server's first query times out:
+    // each server counts its own executions.
+    let (healthy_addr, healthy, healthy_join) = start_server(
+        ResilientSystem::exact_only(sales_view(5_000)).with_threads(2),
+        ServerConfig::default(),
+    );
+    let (stalled_addr, stalled, stalled_join) = start_server(
+        ResilientSystem::exact_only(sales_view(5_000)).with_threads(2),
+        stalled_once(),
+    );
+    let mut healthy_client = Client::new(healthy_addr, RetryPolicy::no_retry());
+    let mut stalled_client = Client::new(stalled_addr, RetryPolicy::no_retry());
+    // A deadline so that a stall taken here would show as a timeout
+    // rather than as a late answer.
+    match healthy_client.request(&query_with_deadline(2_000)).unwrap() {
+        Response::Answer(a) => assert_eq!(a.tier, "exact"),
+        other => panic!("the healthy server's first query: expected an answer, got {other:?}"),
+    }
+    match stalled_client.request(&query_with_deadline(150)).unwrap() {
+        Response::Timeout { .. } => {}
+        other => panic!("the stalled server's first query: expected a timeout, got {other:?}"),
+    }
+    healthy.shutdown();
+    stalled.shutdown();
+    let healthy = healthy_join.join().unwrap().unwrap();
+    let stalled = stalled_join.join().unwrap().unwrap();
+    assert_eq!((healthy.answered, healthy.timeouts), (1, 0));
+    assert_eq!((stalled.answered, stalled.timeouts), (0, 1));
 }
 
 #[test]
 fn graceful_drain_finishes_inflight_and_rejects_new() {
-    let _gate = no_fault_installed();
     let (addr, handle, join) = start_server(
         ResilientSystem::exact_only(sales_view(20_000)).with_threads(2),
         ServerConfig::default(),
@@ -177,7 +181,6 @@ fn graceful_drain_finishes_inflight_and_rejects_new() {
 
 #[test]
 fn deadline_tier_fallback_reason_reaches_metrics() {
-    let _gate = no_fault_installed();
     // A deadline that forces the ladder below the viable tier is tallied
     // as aqp_tier_fallback_total{reason="deadline"} — distinct from
     // budget- and degradation-driven fallbacks. Exercised end-to-end
@@ -199,18 +202,7 @@ fn deadline_tier_fallback_reason_reaches_metrics() {
         },
     );
     let mut client = Client::new(addr, RetryPolicy::no_retry());
-    match client
-        .request(&Request::Query {
-            sql: SQL.into(),
-            class: ContractClass::Interactive,
-            deadline_ms: Some(150),
-            row_budget: None,
-            confidence: None,
-            max_rel_error: None,
-            trace_id: None,
-        })
-        .unwrap()
-    {
+    match client.request(&query_with_deadline(150)).unwrap() {
         Response::Answer(a) => assert!(a.deadline_limited),
         other => panic!("{other:?}"),
     }
@@ -230,7 +222,6 @@ fn deadline_tier_fallback_reason_reaches_metrics() {
 /// with the request total.
 #[test]
 fn cache_soak_sixteen_clients_execute_each_distinct_key_once() {
-    let _gate = no_fault_installed();
     // Distinct plans: same shape, different predicate literal. Clients
     // also format them differently (whitespace/alias noise) — the
     // canonical key must see through that.
@@ -334,7 +325,6 @@ fn cache_soak_sixteen_clients_execute_each_distinct_key_once() {
 /// contract-violating hit all surface as hard mismatches.
 #[test]
 fn differential_oracle_cache_on_matches_cache_off_across_rebuild() {
-    let _gate = no_fault_installed();
     use aqp::serving::{CacheDecision, SemanticCache};
 
     let build = |seed: u64| -> ResilientSystem {

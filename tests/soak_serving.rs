@@ -7,14 +7,14 @@
 //! total.
 //!
 //! This file holds one test and must keep holding one: it reads deltas
-//! of `aqp_server_*` counters from the process-global registry and
-//! stalls "the first two executions of the process", both of which are
+//! of `aqp_server_*` counters from the process-global registry, which is
 //! only sound when no other server runs in the process. (An injectable
-//! per-server `Registry` is ROADMAP item 4c.)
+//! per-server `Registry` is ROADMAP item 6(c).) The stalls it plans are
+//! the first two executions of this server, whatever else runs.
 
 use aqp::prelude::*;
 use aqp::serving::{
-    fault, AdmissionConfig, CacheConfig, ClassLimits, Client, ClientError, ContractClass, Request,
+    AdmissionConfig, CacheConfig, ClassLimits, Client, ClientError, ContractClass, Request,
     Response, RetryPolicy, Server, ServerConfig, ServingFault,
 };
 
@@ -38,6 +38,13 @@ fn soak_overload_every_request_gets_exactly_one_terminal_response() {
         // cache on a single leader would execute while every identical
         // request coalesced behind it instead of being shed.
         cache: CacheConfig::disabled(),
+        // Overload must not depend on the machine's speed: the first two
+        // executions of this server stall (2 s, then run normally),
+        // holding both executor slots while the workers — connected
+        // beforehand with a ping each, then released together — send
+        // their opening burst. Of its other six requests two find a
+        // queue place and four are shed.
+        faults: vec![ServingFault::ExecStall { nth: 0 }, ServingFault::ExecStall { nth: 1 }],
         ..ServerConfig::default()
     };
     let before = aqp::obs::global().snapshot();
@@ -53,15 +60,6 @@ fn soak_overload_every_request_gets_exactly_one_terminal_response() {
     let handle = server.shutdown_handle();
     let join = std::thread::spawn(move || server.run());
 
-    // Overload must not depend on the machine's speed: the first two
-    // executions of the process stall (2 s, then run normally), holding
-    // both executor slots while the workers — connected beforehand with a
-    // ping each, then released together — send their opening burst. Of
-    // its other six requests two find a queue place and four are shed.
-    let _stall = fault::install(vec![
-        ServingFault::ExecStall { nth: 0 },
-        ServingFault::ExecStall { nth: 1 },
-    ]);
     let start = std::sync::Barrier::new(clients);
     // Each worker sends its requests with no client-side retry, so every
     // wire-level outcome is counted exactly once.
