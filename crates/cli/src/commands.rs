@@ -126,13 +126,15 @@ bit-identical at any thread count.
 
 --trace prints one JSON QueryTrace line per query (plan, sample tables
 consulted, serving tier, rows scanned, per-stage wall time); for
-workload it also writes PREFIX_traces.jsonl, PREFIX_metrics.prom and
-PREFIX_report.json (default PREFIX: OBS). --stats prints a Prometheus
-text-format metrics snapshot after the command. validate-trace checks
-every line of a .jsonl trace file against the documented schema.
+workload it also writes PREFIX_traces.jsonl (the traces),
+PREFIX_metrics.prom (the metrics snapshot) and PREFIX_report.json (the
+accuracy summary and tier counts only; default PREFIX: OBS). --stats
+prints a Prometheus text-format metrics snapshot after the command.
+validate-trace decodes every line of a .jsonl trace file strictly:
+schema_version 3 with every field present and typed.
 
 Zone-map pruning: scans consult per-block min/max/null/dictionary
-summaries persisted in .aqpt files (recomputed lazily for v2 files) to
+summaries persisted in .aqpt files (recomputed lazily when absent) to
 skip blocks no row can match and to drop per-row predicate evaluation on
 blocks every row matches; answers are bit-identical either way by
 contract. explain --analyze and traces report blocks
@@ -187,8 +189,10 @@ with the trace's rows_scanned. workload --calibrate runs the CI-coverage
 calibration audit (observed vs nominal interval coverage per aggregate
 function and per group-size decile, with Agresti-Coull under-coverage
 flagging) and writes PREFIX_calibration.json. dashboard combines
-PREFIX_report.json, PREFIX_traces.jsonl and PREFIX_calibration.json
-(whichever exist) into a single self-contained PREFIX_dashboard.html.";
+PREFIX_report.json (summary and tiers), PREFIX_traces.jsonl (explain
+profiles and stages, each line decoded strictly) and
+PREFIX_calibration.json, whichever exist, into a single self-contained
+PREFIX_dashboard.html.";
 
 /// Dispatch one CLI invocation. `out` receives user-facing output.
 pub fn run(args: Args, out: &mut dyn Write) -> Result<(), CliError> {
@@ -722,8 +726,7 @@ fn workload_command(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         std::fs::write(&metrics_path, aqp::obs::to_prometheus(&snapshot))
             .map_err(at_path(&metrics_path))?;
         let report_path = format!("{obs_prefix}_report.json");
-        std::fs::write(&report_path, obs_report_json(&summary, &traces, &snapshot))
-            .map_err(at_path(&report_path))?;
+        std::fs::write(&report_path, obs_report_json(&summary)).map_err(at_path(&report_path))?;
         writeln!(
             out,
             "observability: {} traces -> {traces_path}, metrics -> {metrics_path}, report -> {report_path}",
@@ -833,8 +836,8 @@ fn dashboard_command(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Validate a `.jsonl` trace file: every non-empty line must parse as a
-/// [`QueryTrace`] matching the documented schema.
+/// Validate a `.jsonl` trace file: every non-empty line must decode as a
+/// schema-version-3 [`QueryTrace`].
 fn validate_trace_command(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let path = args
         .positionals()
@@ -848,8 +851,7 @@ fn validate_trace_command(args: &Args, out: &mut dyn Write) -> Result<(), CliErr
         if line.trim().is_empty() {
             continue;
         }
-        aqp::obs::trace::validate_json(line)
-            .map_err(|e| CliError(format!("{path}:{}: {e}", lineno + 1)))?;
+        QueryTrace::from_json(line).map_err(|e| CliError(format!("{path}:{}: {e}", lineno + 1)))?;
         checked += 1;
     }
     if checked == 0 {
@@ -1241,7 +1243,6 @@ mod tests {
             .lines()
             .find(|l| l.starts_with('{'))
             .expect("trace JSON line present");
-        aqp::obs::trace::validate_json(trace_line).unwrap();
         let trace = aqp::obs::QueryTrace::from_json(trace_line).unwrap();
         assert_eq!(trace.serving_tier, "primary", "{msg}");
         assert!(trace.rows_scanned > 0, "{msg}");
@@ -1276,13 +1277,12 @@ mod tests {
         .unwrap();
         assert!(msg.contains("observability: 4 traces"), "{msg}");
 
-        // Traces: 4 lines, each schema-valid, tiers consistent with the
-        // run summary (healthy family -> all primary).
+        // Traces: 4 lines, each decoding strictly, tiers consistent with
+        // the run summary (healthy family -> all primary).
         let traces_path = format!("{prefix}_traces.jsonl");
         let jsonl = std::fs::read_to_string(&traces_path).unwrap();
         assert_eq!(jsonl.lines().count(), 4);
         for line in jsonl.lines() {
-            aqp::obs::trace::validate_json(line).unwrap();
             let t = aqp::obs::QueryTrace::from_json(line).unwrap();
             assert_eq!(t.serving_tier, "primary");
             assert!(t.rows_scanned > 0);
@@ -1298,14 +1298,18 @@ mod tests {
         assert!(prom.contains("aqp_serving_tier_total{tier=\"primary\"}"), "{prom}");
         assert!(prom.contains("aqp_rows_scanned_total"), "{prom}");
 
-        // Report: single JSON document tying summary + traces + metrics.
+        // Report: the run summary only; traces and metrics have their
+        // own files.
         let report = std::fs::read_to_string(format!("{prefix}_report.json")).unwrap();
         let v = aqp::obs::json::parse(&report).unwrap();
         assert_eq!(
             v.get("summary").unwrap().get("queries").unwrap().as_f64(),
             Some(4.0)
         );
-        assert_eq!(v.get("traces").unwrap().as_arr().unwrap().len(), 4);
+        assert!(
+            v.get("traces").is_none() && v.get("metrics").is_none(),
+            "{report}"
+        );
         let tiers = v.get("summary").unwrap().get("tiers").unwrap();
         assert_eq!(tiers.get("primary").unwrap().as_f64(), Some(4.0));
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1317,6 +1321,24 @@ mod tests {
         let bad = dir.join("bad.jsonl");
         std::fs::write(&bad, "{\"query\": \"q\"}\n").unwrap();
         assert!(run_cli(&["validate-trace", bad.to_str().unwrap()]).is_err());
+        // Only schema version 3 passes: a v2 line and a v1 line (no
+        // version) are rejected by name.
+        let v3 = QueryTrace {
+            serving_tier: "primary".into(),
+            ..QueryTrace::default()
+        }
+        .to_json();
+        let good = dir.join("good.jsonl");
+        std::fs::write(&good, format!("{v3}\n")).unwrap();
+        assert!(run_cli(&["validate-trace", good.to_str().unwrap()]).is_ok());
+        for old in [
+            v3.replace("\"schema_version\":3", "\"schema_version\":2"),
+            v3.replace(",\"schema_version\":3", ""),
+        ] {
+            std::fs::write(&bad, format!("{old}\n")).unwrap();
+            let err = run_cli(&["validate-trace", bad.to_str().unwrap()]).unwrap_err();
+            assert!(err.0.contains("schema_version"), "{err}");
+        }
         let empty = dir.join("empty.jsonl");
         std::fs::write(&empty, "\n").unwrap();
         assert!(run_cli(&["validate-trace", empty.to_str().unwrap()]).is_err());

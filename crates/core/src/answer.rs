@@ -62,15 +62,22 @@ pub enum ServingTier {
     Exact,
 }
 
-impl fmt::Display for ServingTier {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+impl ServingTier {
+    /// The tier's label: its `Display` form, the `tier` label of
+    /// `aqp_serving_tier_total`, and the wire's `tier` field.
+    pub fn as_str(self) -> &'static str {
+        match self {
             ServingTier::Primary => "primary",
             ServingTier::DegradedPrimary => "degraded",
             ServingTier::Overall => "overall",
             ServingTier::Exact => "exact",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for ServingTier {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
     }
 }
 

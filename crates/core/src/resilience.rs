@@ -358,16 +358,6 @@ pub struct BoundedAnswer {
     pub effective_budget: Option<usize>,
 }
 
-/// Prometheus label for a serving tier (matches `ServingTier`'s Display).
-fn tier_label(tier: ServingTier) -> &'static str {
-    match tier {
-        ServingTier::Primary => "primary",
-        ServingTier::DegradedPrimary => "degraded",
-        ServingTier::Overall => "overall",
-        ServingTier::Exact => "exact",
-    }
-}
-
 /// Tally a ladder step-down: the preferred rung was skipped for `reason`.
 fn record_fallback(reason: &'static str) {
     aqp_obs::counter("aqp_tier_fallback_total", &[("reason", reason)]).inc();
@@ -402,7 +392,7 @@ impl AqpSystem for ResilientSystem {
         if trace.query.is_empty() {
             trace.query = query.to_string();
         }
-        trace.serving_tier = tier_label(answer.tier).to_string();
+        trace.serving_tier = answer.tier.as_str().to_string();
         trace.partial = answer.partial;
         trace.rows_scanned = answer.rows_scanned as u64;
         trace.groups = answer.groups.len() as u64;
@@ -473,7 +463,7 @@ impl ResilientSystem {
         let _guard = bound.cancel.clone().map(aqp_query::cancel::install);
         let bounded = self.answer_untallied_bounded(query, confidence, bound)?;
         let answer = &bounded.answer;
-        aqp_obs::counter("aqp_serving_tier_total", &[("tier", tier_label(answer.tier))]).inc();
+        aqp_obs::counter("aqp_serving_tier_total", &[("tier", answer.tier.as_str())]).inc();
         if answer.partial {
             aqp_obs::counter("aqp_partial_answers_total", &[]).inc();
         }

@@ -27,7 +27,7 @@ pub enum Level {
 }
 
 impl Level {
-    /// Lowercase label used for metric labels and JSON.
+    /// Lowercase label used for the `aqp_events_total` metric label.
     pub fn as_str(self) -> &'static str {
         match self {
             Level::Debug => "debug",
@@ -51,43 +51,15 @@ pub struct Event {
     pub fields: Vec<(String, String)>,
 }
 
-impl Event {
-    /// Encode as one JSON line.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\"level\":");
-        crate::json::write_escaped(&mut out, self.level.as_str());
-        out.push_str(",\"target\":");
-        crate::json::write_escaped(&mut out, &self.target);
-        out.push_str(",\"message\":");
-        crate::json::write_escaped(&mut out, &self.message);
-        out.push_str(",\"fields\":{");
-        for (i, (k, v)) in self.fields.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            crate::json::write_escaped(&mut out, k);
-            out.push(':');
-            crate::json::write_escaped(&mut out, v);
-        }
-        out.push_str("}}");
-        out
-    }
-}
-
 fn ring() -> &'static Mutex<VecDeque<Event>> {
     static RING: Mutex<VecDeque<Event>> = Mutex::new(VecDeque::new());
     &RING
 }
 
-/// Record a structured event. No-op when the crate is built without the
-/// `metrics` feature. The ring buffer is kept even when the runtime
-/// [`crate::set_enabled`] toggle is off (degraded-mode warnings are
-/// never lost); only the `aqp_events_total` tally honours the toggle.
+/// Record a structured event. The ring buffer is kept even when the
+/// runtime [`crate::set_enabled`] toggle is off (degraded-mode warnings
+/// are never lost); only the `aqp_events_total` tally honours the toggle.
 pub fn record(level: Level, target: &str, message: &str, fields: &[(&str, &str)]) {
-    if cfg!(not(feature = "metrics")) {
-        return;
-    }
     crate::registry::counter("aqp_events_total", &[("level", level.as_str())]).inc();
     let event = Event {
         level,
@@ -130,7 +102,7 @@ pub fn clear() {
     ring().lock().expect("obs event ring poisoned").clear();
 }
 
-#[cfg(all(test, feature = "metrics"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -146,7 +118,6 @@ mod tests {
         let e = events.last().unwrap();
         assert_eq!(e.level, Level::Warn);
         assert_eq!(e.fields[0], ("path".to_string(), "/tmp/x.aqps".to_string()));
-        assert!(e.to_json().contains("\"level\":\"warn\""));
 
         for i in 0..(RING_CAPACITY + 10) {
             info("t", &format!("m{i}"), &[]);

@@ -1,6 +1,6 @@
-//! Snapshot exporters: Prometheus text-exposition format and JSON.
+//! Snapshot exporter: Prometheus text-exposition format.
 
-use crate::json::{write_escaped, write_f64};
+use crate::json::write_f64;
 use crate::registry::Snapshot;
 
 fn prom_labels(out: &mut String, labels: &[(String, String)], extra: Option<(&str, &str)>) {
@@ -102,76 +102,6 @@ pub fn to_prometheus(snap: &Snapshot) -> String {
     out
 }
 
-fn json_labels(out: &mut String, labels: &[(String, String)]) {
-    out.push('{');
-    for (i, (k, v)) in labels.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write_escaped(out, k);
-        out.push(':');
-        write_escaped(out, v);
-    }
-    out.push('}');
-}
-
-/// Render a snapshot as a JSON document:
-/// `{"counters": [...], "gauges": [...], "histograms": [...]}` with each
-/// entry carrying `name`, `labels`, and its values. Deterministic for a
-/// given snapshot.
-pub fn to_json(snap: &Snapshot) -> String {
-    let mut out = String::new();
-    out.push_str("{\"counters\":[");
-    for (i, c) in snap.counters.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"name\":");
-        write_escaped(&mut out, &c.name);
-        out.push_str(",\"labels\":");
-        json_labels(&mut out, &c.labels);
-        out.push_str(",\"value\":");
-        out.push_str(&c.value.to_string());
-        out.push('}');
-    }
-    out.push_str("],\"gauges\":[");
-    for (i, g) in snap.gauges.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"name\":");
-        write_escaped(&mut out, &g.name);
-        out.push_str(",\"labels\":");
-        json_labels(&mut out, &g.labels);
-        out.push_str(",\"value\":");
-        out.push_str(&g.value.to_string());
-        out.push('}');
-    }
-    out.push_str("],\"histograms\":[");
-    for (i, h) in snap.histograms.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"name\":");
-        write_escaped(&mut out, &h.name);
-        out.push_str(",\"labels\":");
-        json_labels(&mut out, &h.labels);
-        out.push_str(",\"count\":");
-        out.push_str(&h.count.to_string());
-        out.push_str(",\"sum_seconds\":");
-        write_f64(&mut out, h.sum_seconds);
-        out.push_str(",\"p50\":");
-        write_f64(&mut out, h.p50_seconds);
-        out.push_str(",\"p95\":");
-        write_f64(&mut out, h.p95_seconds);
-        out.push_str(",\"p99\":");
-        write_f64(&mut out, h.p99_seconds);
-        out.push('}');
-    }
-    out.push_str("]}");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,19 +141,5 @@ mod tests {
         assert!(text.contains("aqp_stage_seconds{stage=\"query.scan\",quantile=\"0.99\"} 0.1\n"));
         assert!(text.contains("aqp_stage_seconds_sum{stage=\"query.scan\"} 0.5\n"));
         assert!(text.contains("aqp_stage_seconds_count{stage=\"query.scan\"} 10\n"));
-    }
-
-    #[test]
-    fn json_rendering_parses_back() {
-        let doc = to_json(&fixed_snapshot());
-        let v = crate::json::parse(&doc).unwrap();
-        let counters = v.get("counters").unwrap().as_arr().unwrap();
-        assert_eq!(counters[0].get("value").unwrap().as_f64(), Some(4242.0));
-        let hist = &v.get("histograms").unwrap().as_arr().unwrap()[0];
-        assert_eq!(hist.get("p99").unwrap().as_f64(), Some(0.1));
-        assert_eq!(
-            hist.get("labels").unwrap().get("stage").unwrap().as_str(),
-            Some("query.scan")
-        );
     }
 }

@@ -109,58 +109,44 @@ pub struct RequestRecord {
 impl RequestRecord {
     /// Encode as one JSON line.
     pub fn to_json(&self) -> String {
-        let stages = self
-            .stages
-            .iter()
-            .map(|s| {
-                Value::Obj(vec![
-                    ("stage".into(), s.name.as_str().into()),
-                    ("micros".into(), s.micros.into()),
-                ])
-            })
-            .collect();
-        Value::Obj(vec![
-            ("trace_id".into(), self.trace_id.as_str().into()),
-            ("class".into(), self.class.as_str().into()),
-            ("outcome".into(), self.outcome.as_str().into()),
-            ("tier".into(), self.tier.as_str().into()),
-            ("cache_hit".into(), self.cache_hit.into()),
-            ("rows_scanned".into(), self.rows_scanned.into()),
-            ("total_micros".into(), self.total_micros.into()),
-            ("stages".into(), Value::Arr(stages)),
+        let stages = self.stages.iter().map(|s| {
+            Value::object([
+                ("stage", s.name.as_str().into()),
+                ("micros", s.micros.into()),
+            ])
+        });
+        Value::object([
+            ("trace_id", self.trace_id.as_str().into()),
+            ("class", self.class.as_str().into()),
+            ("outcome", self.outcome.as_str().into()),
+            ("tier", self.tier.as_str().into()),
+            ("cache_hit", self.cache_hit.into()),
+            ("rows_scanned", self.rows_scanned.into()),
+            ("total_micros", self.total_micros.into()),
+            ("stages", Value::Arr(stages.collect())),
         ])
         .to_json()
     }
 
     /// Decode one JSON line (losslessly inverse to [`Self::to_json`]).
+    /// Every field is required; the error names the first one missing or
+    /// of the wrong type.
     pub fn from_json(line: &str) -> Result<RequestRecord, String> {
         let v = json::parse(line)?;
-        let s = |k: &str| v.get(k).and_then(Value::as_str).unwrap_or("").to_string();
-        let stages = v
-            .get("stages")
-            .and_then(Value::as_arr)
-            .ok_or("record needs stages")?
-            .iter()
-            .map(|st| {
-                Ok(Stage {
-                    name: st
-                        .get("stage")
-                        .and_then(Value::as_str)
-                        .ok_or("stage needs a name")?
-                        .to_string(),
-                    micros: st.get("micros").and_then(Value::as_u64).unwrap_or(0),
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
         Ok(RequestRecord {
-            trace_id: s("trace_id"),
-            class: s("class"),
-            outcome: s("outcome"),
-            tier: s("tier"),
-            cache_hit: v.get("cache_hit").and_then(Value::as_bool).unwrap_or(false),
-            rows_scanned: v.get("rows_scanned").and_then(Value::as_u64).unwrap_or(0),
-            total_micros: v.get("total_micros").and_then(Value::as_u64).unwrap_or(0),
-            stages,
+            trace_id: v.str_field("trace_id")?.to_string(),
+            class: v.str_field("class")?.to_string(),
+            outcome: v.str_field("outcome")?.to_string(),
+            tier: v.str_field("tier")?.to_string(),
+            cache_hit: v.bool_field("cache_hit")?,
+            rows_scanned: v.u64_field("rows_scanned")?,
+            total_micros: v.u64_field("total_micros")?,
+            stages: v.items("stages", |s| {
+                Ok(Stage {
+                    name: s.str_field("stage")?.to_string(),
+                    micros: s.u64_field("micros")?,
+                })
+            })?,
         })
     }
 }
@@ -203,9 +189,8 @@ impl FlightRecorder {
         self.len() == 0
     }
 
-    /// Push one record, evicting the oldest past capacity. No-op when
-    /// collection is disabled — at runtime via [`crate::set_enabled`] or
-    /// at compile time without the `metrics` feature.
+    /// Push one record, evicting the oldest past capacity. No-op while
+    /// collection is disabled ([`crate::set_enabled`]).
     pub fn record(&self, record: RequestRecord) {
         if !crate::enabled() {
             return;
@@ -261,7 +246,7 @@ impl Default for FlightRecorder {
     }
 }
 
-#[cfg(all(test, feature = "metrics"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -286,8 +271,20 @@ mod tests {
         let r = rec(42);
         let back = RequestRecord::from_json(&r.to_json()).unwrap();
         assert_eq!(back, r);
-        assert!(RequestRecord::from_json("{}").is_err());
+        assert!(RequestRecord::from_json("{}")
+            .unwrap_err()
+            .contains("trace_id"));
         assert!(RequestRecord::from_json("not json").is_err());
+        let line = r.to_json();
+        for (from, to, field) in [
+            (",\"tier\":\"primary\"", "", "tier"),
+            ("\"cache_hit\":true", "\"cache_hit\":1", "cache_hit"),
+            ("\"micros\":21", "\"micros\":-21", "micros"),
+        ] {
+            assert!(line.contains(from), "{from}");
+            let err = RequestRecord::from_json(&line.replacen(from, to, 1)).unwrap_err();
+            assert!(err.contains(field), "{to}: {err}");
+        }
     }
 
     #[test]

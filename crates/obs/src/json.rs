@@ -77,6 +77,68 @@ impl Value {
         }
     }
 
+    /// An object with `members` in the given order.
+    pub fn object<const N: usize>(members: [(&str, Value); N]) -> Value {
+        Value::Obj(
+            members
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
+    }
+
+    /// Required member `key`, read by `read`: an `Err` naming the member
+    /// when it is missing or `read` finds it is not `kind`. The typed
+    /// accessors below are the record decoders' only way into a value.
+    fn field<'v, T>(
+        &'v self,
+        key: &str,
+        kind: &str,
+        read: impl FnOnce(&'v Value) -> Option<T>,
+    ) -> Result<T, String> {
+        let value = self
+            .get(key)
+            .ok_or_else(|| format!("missing field {key:?}"))?;
+        read(value).ok_or_else(|| format!("field {key:?} must be {kind}"))
+    }
+
+    /// Required string member.
+    pub(crate) fn str_field(&self, key: &str) -> Result<&str, String> {
+        self.field(key, "a string", Value::as_str)
+    }
+
+    /// Required boolean member.
+    pub(crate) fn bool_field(&self, key: &str) -> Result<bool, String> {
+        self.field(key, "a bool", Value::as_bool)
+    }
+
+    /// Required integer member (see [`Value::as_u64`]).
+    pub(crate) fn u64_field(&self, key: &str) -> Result<u64, String> {
+        self.field(key, "a non-negative integer", Value::as_u64)
+    }
+
+    /// Required non-negative number member.
+    pub(crate) fn f64_field(&self, key: &str) -> Result<f64, String> {
+        self.field(key, "a non-negative number", |v| {
+            v.as_f64().filter(|n| *n >= 0.0)
+        })
+    }
+
+    /// Required array member, every element decoded by `read`; an error
+    /// names the element (`key[i]: …`).
+    pub(crate) fn items<T>(
+        &self,
+        key: &str,
+        mut read: impl FnMut(&Value) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        let items = self.field(key, "an array", Value::as_arr)?;
+        items
+            .iter()
+            .enumerate()
+            .map(|(i, item)| read(item).map_err(|e| format!("{key}[{i}]: {e}")))
+            .collect()
+    }
+
     /// Serialize this value as a compact JSON document. Numbers use the
     /// same shortest round-trip formatting as [`write_f64`], so
     /// `parse(v.to_json()) == v` for any finite tree.

@@ -16,7 +16,7 @@
 //! * [`event`] — structured events (level + key/value fields) in a capped
 //!   ring buffer, replacing ad-hoc `eprintln!` warnings.
 //! * [`Registry`] — named-metric registry with consistent [`Snapshot`]s,
-//!   exported as Prometheus text-exposition format or JSON.
+//!   exported as Prometheus text-exposition format.
 //! * [`flight`] — an always-on flight recorder: a fixed-size ring of
 //!   per-request records (trace id, outcome, contiguous stage timeline)
 //!   dumped as JSONL on anomaly or on demand.
@@ -27,11 +27,10 @@
 //!   consulted, rows scanned vs. base rows, serving tier, per-stage wall
 //!   time. Serializes to one JSON line and parses back losslessly.
 //!
-//! Collection is controlled two ways: at runtime via [`set_enabled`]
-//! (default on), and at compile time via the default `metrics` cargo
-//! feature — with `--no-default-features` every record path is a no-op
-//! the optimizer deletes. Neither mode may perturb query answers; the
-//! statistical regression asserts bit-identical results either way.
+//! Every record is written through [`json::Value`] and read back by one
+//! strict decoder per record type. Collection is switched at runtime via
+//! [`set_enabled`] (default on); it may never perturb query answers, and
+//! the statistical regression asserts bit-identical results either way.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -49,9 +48,11 @@ pub mod slo;
 pub mod span;
 pub mod trace;
 
+use std::sync::atomic::{AtomicBool, Ordering};
+
 pub use event::{Event, Level};
 pub use flight::{FlightRecorder, RequestRecord, Stage, Timeline};
-pub use export::{to_json, to_prometheus};
+pub use export::to_prometheus;
 pub use metrics::{Counter, Gauge, Histogram};
 pub use profile::{OpProfile, ScanContext, ScanStats};
 pub use registry::{
@@ -61,42 +62,15 @@ pub use slo::{Breach, SloConfig, SloOutcome, SloWindows, WindowStats};
 pub use span::{span, Span};
 pub use trace::{QueryTrace, StageTime};
 
-#[cfg(feature = "metrics")]
-mod flag {
-    use std::sync::atomic::{AtomicBool, Ordering};
+static ENABLED: AtomicBool = AtomicBool::new(true);
 
-    static ENABLED: AtomicBool = AtomicBool::new(true);
-
-    pub fn enabled() -> bool {
-        ENABLED.load(Ordering::Relaxed)
-    }
-
-    pub fn set_enabled(on: bool) {
-        ENABLED.store(on, Ordering::Relaxed);
-    }
-}
-
-#[cfg(not(feature = "metrics"))]
-mod flag {
-    pub const fn enabled() -> bool {
-        false
-    }
-
-    pub fn set_enabled(_on: bool) {}
-}
-
-/// Whether metric collection is currently active.
-///
-/// `false` either because [`set_enabled`]`(false)` was called or because
-/// the crate was built with `--no-default-features` (in which case this
-/// is `const false` and instrumented call sites compile to nothing).
+/// Whether metric collection is currently active (see [`set_enabled`]).
 pub fn enabled() -> bool {
-    flag::enabled()
+    ENABLED.load(Ordering::Relaxed)
 }
 
-/// Turn metric collection on or off at runtime. No-op without the
-/// `metrics` feature. Disabling never changes query answers — only
-/// whether telemetry is recorded.
+/// Turn metric collection on or off at runtime. Disabling never changes
+/// query answers — only whether telemetry is recorded.
 pub fn set_enabled(on: bool) {
-    flag::set_enabled(on);
+    ENABLED.store(on, Ordering::Relaxed);
 }

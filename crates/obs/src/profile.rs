@@ -51,8 +51,7 @@ pub struct OpProfile {
     /// Logical bytes still held at operator completion (merged table).
     pub mem_current_bytes: u64,
     /// Group-id path the executor's kernels took: `vectorized-hash` or
-    /// `vectorized-dense` (empty on traces recorded before the field
-    /// existed).
+    /// `vectorized-dense`.
     pub kernel: String,
     /// Zone-map blocks skipped wholesale (no row could match; the block's
     /// column data was never touched). Zero when pruning was inactive.
@@ -240,7 +239,7 @@ mod tests {
     #[test]
     fn context_nesting_restores_outer() {
         // An open trace is a reader, so the labels are installed even
-        // when the crate is built without the `metrics` feature.
+        // while metric collection is off.
         assert!(crate::trace::begin("nesting"));
         let outer = scan_context(ScanContext {
             table: "outer",

@@ -234,7 +234,7 @@ pub fn histogram(name: &str, labels: &[(&str, &str)]) -> Arc<Histogram> {
     global().histogram(name, labels)
 }
 
-#[cfg(all(test, feature = "metrics"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

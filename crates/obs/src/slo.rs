@@ -372,7 +372,7 @@ impl std::fmt::Debug for SloWindows {
     }
 }
 
-#[cfg(all(test, feature = "metrics"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

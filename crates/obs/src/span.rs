@@ -46,7 +46,7 @@ impl Drop for Span {
     }
 }
 
-#[cfg(all(test, feature = "metrics"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -8,9 +8,10 @@
 //! stage timings, and [`finish`] closes it. Morsel workers never touch
 //! the collector, so scoped-thread execution is unaffected.
 //!
-//! The JSON schema (documented in DESIGN.md §10) is stable and validated
-//! by [`validate_json`]; `to_json` → [`QueryTrace::from_json`] is
-//! lossless, including `f64` bit patterns.
+//! The JSON schema (documented in DESIGN.md §10) has one version, 3.
+//! [`QueryTrace::to_json`] writes it through [`crate::json::Value`], and
+//! [`QueryTrace::from_json`] is both its decoder and its validator; the
+//! round trip is lossless, including `f64` bit patterns.
 
 use std::cell::RefCell;
 use std::time::{Duration, Instant};
@@ -18,11 +19,8 @@ use std::time::{Duration, Instant};
 use crate::json::{self, Value};
 use crate::profile::OpProfile;
 
-/// Version emitted in the `schema_version` field of new trace lines.
-/// v1 lines (no version field, no `operators`) still parse and validate;
-/// v2 adds the per-operator profile array; v3 adds the per-operator
-/// zone-map pruning counters (`blocks_skipped`/`blocks_taken`/
-/// `blocks_scanned`/`rows_pruned`).
+/// The `schema_version` every trace line carries, and the only one
+/// [`QueryTrace::from_json`] accepts.
 pub const TRACE_SCHEMA_VERSION: u64 = 3;
 
 /// Wall time spent in one named stage, possibly accumulated over several
@@ -59,342 +57,153 @@ pub struct QueryTrace {
     pub stages: Vec<StageTime>,
     /// End-to-end wall time in milliseconds.
     pub total_ms: f64,
-    /// Per-operator execution profiles (schema v2; empty for v1 traces).
+    /// Per-operator execution profiles, in plan (stratum) order.
     pub operators: Vec<OpProfile>,
-    /// Whether the answer was served from the semantic answer cache
-    /// (additive field; absent on older lines, defaulting to false).
+    /// Whether the answer was served from the semantic answer cache.
     pub cache_hit: bool,
 }
 
 impl QueryTrace {
     /// Encode as a single JSON line.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\"query\":");
-        json::write_escaped(&mut out, &self.query);
-        out.push_str(",\"plan\":");
-        json::write_escaped(&mut out, &self.plan);
-        out.push_str(",\"serving_tier\":");
-        json::write_escaped(&mut out, &self.serving_tier);
-        out.push_str(",\"partial\":");
-        out.push_str(if self.partial { "true" } else { "false" });
-        out.push_str(",\"sample_tables\":[");
-        for (i, t) in self.sample_tables.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json::write_escaped(&mut out, t);
-        }
-        out.push_str("],\"rows_scanned\":");
-        out.push_str(&self.rows_scanned.to_string());
-        out.push_str(",\"base_rows\":");
-        out.push_str(&self.base_rows.to_string());
-        out.push_str(",\"groups\":");
-        out.push_str(&self.groups.to_string());
-        out.push_str(",\"stages\":[");
-        for (i, s) in self.stages.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"stage\":");
-            json::write_escaped(&mut out, &s.stage);
-            out.push_str(",\"ms\":");
-            json::write_f64(&mut out, s.ms);
-            out.push('}');
-        }
-        out.push_str("],\"total_ms\":");
-        json::write_f64(&mut out, self.total_ms);
-        out.push_str(",\"cache_hit\":");
-        out.push_str(if self.cache_hit { "true" } else { "false" });
-        out.push_str(",\"schema_version\":");
-        out.push_str(&TRACE_SCHEMA_VERSION.to_string());
-        out.push_str(",\"operators\":[");
-        for (i, op) in self.operators.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"op\":");
-            json::write_escaped(&mut out, &op.op);
-            out.push_str(",\"table\":");
-            json::write_escaped(&mut out, &op.table);
-            out.push_str(",\"stratum\":");
-            json::write_escaped(&mut out, &op.stratum);
-            out.push_str(",\"weight\":");
-            json::write_f64(&mut out, op.weight);
-            out.push_str(",\"rows_in\":");
-            out.push_str(&op.rows_in.to_string());
-            out.push_str(",\"rows_out\":");
-            out.push_str(&op.rows_out.to_string());
-            out.push_str(",\"selectivity\":");
-            json::write_f64(&mut out, op.selectivity());
-            out.push_str(",\"morsels\":");
-            out.push_str(&op.morsels.to_string());
-            out.push_str(",\"morsels_per_worker\":[");
-            for (j, m) in op.morsels_per_worker.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&m.to_string());
-            }
-            out.push_str("],\"morsel_p50_ns\":");
-            out.push_str(&op.morsel_p50_ns.to_string());
-            out.push_str(",\"morsel_p95_ns\":");
-            out.push_str(&op.morsel_p95_ns.to_string());
-            out.push_str(",\"morsel_p99_ns\":");
-            out.push_str(&op.morsel_p99_ns.to_string());
-            out.push_str(",\"mem_peak_bytes\":");
-            out.push_str(&op.mem_peak_bytes.to_string());
-            out.push_str(",\"mem_current_bytes\":");
-            out.push_str(&op.mem_current_bytes.to_string());
-            out.push_str(",\"kernel\":");
-            json::write_escaped(&mut out, &op.kernel);
-            out.push_str(",\"blocks_skipped\":");
-            out.push_str(&op.blocks_skipped.to_string());
-            out.push_str(",\"blocks_taken\":");
-            out.push_str(&op.blocks_taken.to_string());
-            out.push_str(",\"blocks_scanned\":");
-            out.push_str(&op.blocks_scanned.to_string());
-            out.push_str(",\"rows_pruned\":");
-            out.push_str(&op.rows_pruned.to_string());
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
-    }
-
-    /// Parse a trace record back from its JSON line, validating the
-    /// schema along the way.
-    pub fn from_json(line: &str) -> Result<Self, String> {
-        let value = json::parse(line)?;
-        validate_value(&value)?;
-        let str_field = |k: &str| value.get(k).and_then(Value::as_str).unwrap_or("").to_string();
-        let num_field = |k: &str| value.get(k).and_then(Value::as_f64).unwrap_or(0.0);
-        let mut trace = QueryTrace {
-            query: str_field("query"),
-            plan: str_field("plan"),
-            serving_tier: str_field("serving_tier"),
-            partial: value.get("partial").and_then(Value::as_bool).unwrap_or(false),
-            sample_tables: value
-                .get("sample_tables")
-                .and_then(Value::as_arr)
-                .unwrap_or(&[])
-                .iter()
-                .filter_map(|v| v.as_str().map(str::to_string))
-                .collect(),
-            rows_scanned: num_field("rows_scanned") as u64,
-            base_rows: num_field("base_rows") as u64,
-            groups: num_field("groups") as u64,
-            stages: Vec::new(),
-            total_ms: num_field("total_ms"),
-            operators: Vec::new(),
-            cache_hit: value.get("cache_hit").and_then(Value::as_bool).unwrap_or(false),
-        };
-        if let Some(stages) = value.get("stages").and_then(Value::as_arr) {
-            for s in stages {
-                trace.stages.push(StageTime {
-                    stage: s.get("stage").and_then(Value::as_str).unwrap_or("").to_string(),
-                    ms: s.get("ms").and_then(Value::as_f64).unwrap_or(0.0),
-                });
-            }
-        }
-        if let Some(ops) = value.get("operators").and_then(Value::as_arr) {
-            for o in ops {
-                let s = |k: &str| o.get(k).and_then(Value::as_str).unwrap_or("").to_string();
-                let n = |k: &str| o.get(k).and_then(Value::as_f64).unwrap_or(0.0);
-                trace.operators.push(OpProfile {
-                    op: s("op"),
-                    table: s("table"),
-                    stratum: s("stratum"),
-                    weight: n("weight"),
-                    rows_in: n("rows_in") as u64,
-                    rows_out: n("rows_out") as u64,
-                    morsels: n("morsels") as u64,
-                    morsels_per_worker: o
-                        .get("morsels_per_worker")
-                        .and_then(Value::as_arr)
-                        .unwrap_or(&[])
+        let stages = self
+            .stages
+            .iter()
+            .map(|s| Value::object([("stage", s.stage.as_str().into()), ("ms", s.ms.into())]));
+        Value::object([
+            ("query", self.query.as_str().into()),
+            ("plan", self.plan.as_str().into()),
+            ("serving_tier", self.serving_tier.as_str().into()),
+            ("partial", self.partial.into()),
+            (
+                "sample_tables",
+                Value::Arr(
+                    self.sample_tables
                         .iter()
-                        .filter_map(|v| v.as_f64().map(|m| m as u64))
+                        .map(|t| t.as_str().into())
                         .collect(),
-                    morsel_p50_ns: n("morsel_p50_ns") as u64,
-                    morsel_p95_ns: n("morsel_p95_ns") as u64,
-                    morsel_p99_ns: n("morsel_p99_ns") as u64,
-                    mem_peak_bytes: n("mem_peak_bytes") as u64,
-                    mem_current_bytes: n("mem_current_bytes") as u64,
-                    kernel: s("kernel"),
-                    blocks_skipped: n("blocks_skipped") as u64,
-                    blocks_taken: n("blocks_taken") as u64,
-                    blocks_scanned: n("blocks_scanned") as u64,
-                    rows_pruned: n("rows_pruned") as u64,
-                });
-            }
+                ),
+            ),
+            ("rows_scanned", self.rows_scanned.into()),
+            ("base_rows", self.base_rows.into()),
+            ("groups", self.groups.into()),
+            ("stages", Value::Arr(stages.collect())),
+            ("total_ms", self.total_ms.into()),
+            ("cache_hit", self.cache_hit.into()),
+            ("schema_version", TRACE_SCHEMA_VERSION.into()),
+            (
+                "operators",
+                Value::Arr(self.operators.iter().map(operator_value).collect()),
+            ),
+        ])
+        .to_json()
+    }
+
+    /// Decode one trace line. Strict: the line must carry
+    /// `schema_version` 3 and every field [`Self::to_json`] writes, each
+    /// of its type; the error names the first field that does not.
+    pub fn from_json(line: &str) -> Result<Self, String> {
+        let v = json::parse(line)?;
+        if !matches!(v, Value::Obj(_)) {
+            return Err("trace record must be a JSON object".into());
         }
-        Ok(trace)
+        let version = v.u64_field("schema_version")?;
+        if version != TRACE_SCHEMA_VERSION {
+            return Err(format!(
+                "schema_version {version} is not {TRACE_SCHEMA_VERSION}"
+            ));
+        }
+        let serving_tier = v.str_field("serving_tier")?;
+        if !TIER_LABELS.contains(&serving_tier) {
+            return Err(format!(
+                "serving_tier {serving_tier:?} not in {TIER_LABELS:?}"
+            ));
+        }
+        Ok(QueryTrace {
+            query: v.str_field("query")?.to_string(),
+            plan: v.str_field("plan")?.to_string(),
+            serving_tier: serving_tier.to_string(),
+            partial: v.bool_field("partial")?,
+            sample_tables: v.items("sample_tables", |t| {
+                t.as_str()
+                    .map(str::to_string)
+                    .ok_or_else(|| "must be a string".to_string())
+            })?,
+            rows_scanned: v.u64_field("rows_scanned")?,
+            base_rows: v.u64_field("base_rows")?,
+            groups: v.u64_field("groups")?,
+            stages: v.items("stages", |s| {
+                Ok(StageTime {
+                    stage: s.str_field("stage")?.to_string(),
+                    ms: s.f64_field("ms")?,
+                })
+            })?,
+            total_ms: v.f64_field("total_ms")?,
+            operators: v.items("operators", operator_from_value)?,
+            cache_hit: v.bool_field("cache_hit")?,
+        })
     }
 }
 
-/// The serving-tier labels the schema accepts (matches
-/// `aqp_core::ServingTier`'s `Display` output, plus the trait-level
-/// `unknown` default).
+fn operator_value(op: &OpProfile) -> Value {
+    Value::object([
+        ("op", op.op.as_str().into()),
+        ("table", op.table.as_str().into()),
+        ("stratum", op.stratum.as_str().into()),
+        ("weight", op.weight.into()),
+        ("rows_in", op.rows_in.into()),
+        ("rows_out", op.rows_out.into()),
+        ("selectivity", op.selectivity().into()),
+        ("morsels", op.morsels.into()),
+        (
+            "morsels_per_worker",
+            Value::Arr(op.morsels_per_worker.iter().map(|&m| m.into()).collect()),
+        ),
+        ("morsel_p50_ns", op.morsel_p50_ns.into()),
+        ("morsel_p95_ns", op.morsel_p95_ns.into()),
+        ("morsel_p99_ns", op.morsel_p99_ns.into()),
+        ("mem_peak_bytes", op.mem_peak_bytes.into()),
+        ("mem_current_bytes", op.mem_current_bytes.into()),
+        ("kernel", op.kernel.as_str().into()),
+        ("blocks_skipped", op.blocks_skipped.into()),
+        ("blocks_taken", op.blocks_taken.into()),
+        ("blocks_scanned", op.blocks_scanned.into()),
+        ("rows_pruned", op.rows_pruned.into()),
+    ])
+}
+
+/// One `operators[]` entry. `selectivity` is required but derived, so
+/// only its type is checked.
+fn operator_from_value(o: &Value) -> Result<OpProfile, String> {
+    o.f64_field("selectivity")?;
+    Ok(OpProfile {
+        op: o.str_field("op")?.to_string(),
+        table: o.str_field("table")?.to_string(),
+        stratum: o.str_field("stratum")?.to_string(),
+        weight: o.f64_field("weight")?,
+        rows_in: o.u64_field("rows_in")?,
+        rows_out: o.u64_field("rows_out")?,
+        morsels: o.u64_field("morsels")?,
+        morsels_per_worker: o.items("morsels_per_worker", |m| {
+            m.as_u64()
+                .ok_or_else(|| "must be a non-negative integer".to_string())
+        })?,
+        morsel_p50_ns: o.u64_field("morsel_p50_ns")?,
+        morsel_p95_ns: o.u64_field("morsel_p95_ns")?,
+        morsel_p99_ns: o.u64_field("morsel_p99_ns")?,
+        mem_peak_bytes: o.u64_field("mem_peak_bytes")?,
+        mem_current_bytes: o.u64_field("mem_current_bytes")?,
+        kernel: o.str_field("kernel")?.to_string(),
+        blocks_skipped: o.u64_field("blocks_skipped")?,
+        blocks_taken: o.u64_field("blocks_taken")?,
+        blocks_scanned: o.u64_field("blocks_scanned")?,
+        rows_pruned: o.u64_field("rows_pruned")?,
+    })
+}
+
+/// The serving-tier labels the schema accepts (`aqp_core::ServingTier`'s
+/// labels, plus the trait-level `unknown` default).
 pub const TIER_LABELS: &[&str] = &["primary", "degraded", "overall", "exact", "unknown"];
-
-/// Validate one JSON line against the documented `QueryTrace` schema.
-/// Returns a description of the first violation.
-pub fn validate_json(line: &str) -> Result<(), String> {
-    let value = json::parse(line)?;
-    validate_value(&value)
-}
-
-fn validate_value(value: &Value) -> Result<(), String> {
-    let obj = match value {
-        Value::Obj(_) => value,
-        _ => return Err("trace record must be a JSON object".into()),
-    };
-    for key in ["query", "plan", "serving_tier"] {
-        match obj.get(key) {
-            Some(Value::Str(_)) => {}
-            Some(_) => return Err(format!("field {key:?} must be a string")),
-            None => return Err(format!("missing field {key:?}")),
-        }
-    }
-    let tier = obj.get("serving_tier").and_then(Value::as_str).unwrap_or("");
-    if !TIER_LABELS.contains(&tier) {
-        return Err(format!("serving_tier {tier:?} not in {TIER_LABELS:?}"));
-    }
-    match obj.get("partial") {
-        Some(Value::Bool(_)) => {}
-        Some(_) => return Err("field \"partial\" must be a bool".into()),
-        None => return Err("missing field \"partial\"".into()),
-    }
-    match obj.get("sample_tables") {
-        Some(Value::Arr(items)) => {
-            if items.iter().any(|v| v.as_str().is_none()) {
-                return Err("sample_tables entries must be strings".into());
-            }
-        }
-        Some(_) => return Err("field \"sample_tables\" must be an array".into()),
-        None => return Err("missing field \"sample_tables\"".into()),
-    }
-    for key in ["rows_scanned", "base_rows", "groups"] {
-        match obj.get(key).and_then(Value::as_f64) {
-            Some(n) if n >= 0.0 && n.fract() == 0.0 => {}
-            Some(_) => return Err(format!("field {key:?} must be a non-negative integer")),
-            None => return Err(format!("missing numeric field {key:?}")),
-        }
-    }
-    match obj.get("total_ms").and_then(Value::as_f64) {
-        Some(n) if n >= 0.0 => {}
-        _ => return Err("field \"total_ms\" must be a non-negative number".into()),
-    }
-    match obj.get("stages") {
-        Some(Value::Arr(items)) => {
-            for s in items {
-                match (s.get("stage").and_then(Value::as_str), s.get("ms").and_then(Value::as_f64))
-                {
-                    (Some(_), Some(ms)) if ms >= 0.0 => {}
-                    _ => {
-                        return Err(
-                            "stages entries must be {\"stage\": str, \"ms\": number>=0}".into()
-                        )
-                    }
-                }
-            }
-        }
-        Some(_) => return Err("field \"stages\" must be an array".into()),
-        None => return Err("missing field \"stages\"".into()),
-    }
-    // v2 fields are optional — a v1 line (no version, no operators) still
-    // validates — but when present they must be well-formed.
-    match obj.get("cache_hit") {
-        None | Some(Value::Bool(_)) => {}
-        Some(_) => return Err("field \"cache_hit\" must be a bool".into()),
-    }
-    match obj.get("schema_version").and_then(Value::as_f64) {
-        None => {}
-        Some(v) if v == 1.0 || v == 2.0 || v == 3.0 => {}
-        Some(v) => return Err(format!("unsupported schema_version {v}")),
-    }
-    match obj.get("operators") {
-        None => {}
-        Some(Value::Arr(items)) => {
-            for o in items {
-                validate_operator(o)?;
-            }
-        }
-        Some(_) => return Err("field \"operators\" must be an array".into()),
-    }
-    Ok(())
-}
-
-/// Validate one `operators[]` entry of a v2 trace line.
-fn validate_operator(o: &Value) -> Result<(), String> {
-    if !matches!(o, Value::Obj(_)) {
-        return Err("operators entries must be objects".into());
-    }
-    for key in ["op", "table", "stratum"] {
-        match o.get(key) {
-            Some(Value::Str(_)) => {}
-            _ => return Err(format!("operator field {key:?} must be a string")),
-        }
-    }
-    for key in [
-        "rows_in",
-        "rows_out",
-        "morsels",
-        "morsel_p50_ns",
-        "morsel_p95_ns",
-        "morsel_p99_ns",
-        "mem_peak_bytes",
-        "mem_current_bytes",
-    ] {
-        match o.get(key).and_then(Value::as_f64) {
-            Some(n) if n >= 0.0 && n.fract() == 0.0 => {}
-            _ => return Err(format!("operator field {key:?} must be a non-negative integer")),
-        }
-    }
-    for key in ["weight", "selectivity"] {
-        match o.get(key).and_then(Value::as_f64) {
-            Some(n) if n >= 0.0 => {}
-            _ => return Err(format!("operator field {key:?} must be a non-negative number")),
-        }
-    }
-    // Additive since the vectorised-kernel work: absent on older v2 lines.
-    match o.get("kernel") {
-        None | Some(Value::Str(_)) => {}
-        Some(_) => return Err("operator field \"kernel\" must be a string".into()),
-    }
-    // v3 pruning counters: absent on v1/v2 lines, non-negative integers
-    // when present.
-    for key in ["blocks_skipped", "blocks_taken", "blocks_scanned", "rows_pruned"] {
-        match o.get(key) {
-            None => {}
-            Some(v) => match v.as_f64() {
-                Some(n) if n >= 0.0 && n.fract() == 0.0 => {}
-                _ => {
-                    return Err(format!(
-                        "operator field {key:?} must be a non-negative integer"
-                    ))
-                }
-            },
-        }
-    }
-    match o.get("morsels_per_worker") {
-        Some(Value::Arr(items)) => {
-            for m in items {
-                match m.as_f64() {
-                    Some(n) if n >= 0.0 && n.fract() == 0.0 => {}
-                    _ => {
-                        return Err(
-                            "morsels_per_worker entries must be non-negative integers".into()
-                        )
-                    }
-                }
-            }
-        }
-        _ => return Err("operator field \"morsels_per_worker\" must be an array".into()),
-    }
-    Ok(())
-}
 
 struct TraceBuilder {
     query: String,
@@ -575,15 +384,96 @@ mod tests {
     #[test]
     fn validation_rejects_schema_violations() {
         let good = sample_trace().to_json();
-        assert!(validate_json(&good).is_ok());
-        assert!(validate_json("not json").is_err());
-        assert!(validate_json("[1,2]").is_err());
-        let missing = good.replacen("\"plan\"", "\"nalp\"", 1);
-        assert!(validate_json(&missing).unwrap_err().contains("plan"));
-        let bad_tier = good.replace("\"primary\"", "\"tier9\"");
-        assert!(validate_json(&bad_tier).unwrap_err().contains("serving_tier"));
-        let bad_rows = good.replace("\"rows_scanned\":12345", "\"rows_scanned\":-1");
-        assert!(validate_json(&bad_rows).is_err());
+        assert!(QueryTrace::from_json(&good).is_ok());
+        assert!(QueryTrace::from_json("not json").is_err());
+        assert!(QueryTrace::from_json("[1,2]")
+            .unwrap_err()
+            .contains("object"));
+        // A single-field edit of a good line, and the field the error names.
+        for (from, to, field) in [
+            (
+                "\"schema_version\":3",
+                "\"schema_version\":2",
+                "schema_version",
+            ),
+            ("\"primary\"", "\"tier9\"", "serving_tier"),
+            (
+                "\"rows_scanned\":12345",
+                "\"rows_scanned\":-1",
+                "rows_scanned",
+            ),
+            ("\"rows_in\":120", "\"rows_in\":1.5", "rows_in"),
+            ("\"ms\":0.25", "\"ms\":-0.25", "ms"),
+            ("[\"sg_a\"", "[7", "sample_tables"),
+            (
+                "\"morsels_per_worker\":[2,1]",
+                "\"morsels_per_worker\":[2,-1]",
+                "morsels_per_worker",
+            ),
+        ] {
+            assert!(good.contains(from), "{from}");
+            let err = QueryTrace::from_json(&good.replacen(from, to, 1)).unwrap_err();
+            assert!(err.contains(field), "{to}: {err}");
+        }
+    }
+
+    /// Each member of `members` removed, set to `null`, and set to a value
+    /// of another type: `(member, edited members)`.
+    fn member_edits(members: &[(String, Value)]) -> Vec<(String, Vec<(String, Value)>)> {
+        let mut edits = Vec::new();
+        for (i, (key, value)) in members.iter().enumerate() {
+            let other = match value {
+                Value::Str(_) => Value::Num(1.0),
+                _ => Value::Str("1".into()),
+            };
+            let mut removed = members.to_vec();
+            removed.remove(i);
+            edits.push((key.clone(), removed));
+            for replacement in [Value::Null, other] {
+                let mut edited = members.to_vec();
+                edited[i].1 = replacement;
+                edits.push((key.clone(), edited));
+            }
+        }
+        edits
+    }
+
+    #[test]
+    fn strict_decoder_rejects_each_missing_or_mistyped_field() {
+        let Value::Obj(good) = json::parse(&sample_trace().to_json()).unwrap() else {
+            unreachable!("a trace is an object")
+        };
+        let rejects = |doc: Vec<(String, Value)>, field: &str| {
+            let line = Value::Obj(doc).to_json();
+            let err = QueryTrace::from_json(&line).expect_err(&line);
+            assert!(err.contains(field), "{field}: {err}");
+        };
+        let mut tried = 0;
+        for (field, doc) in member_edits(&good) {
+            rejects(doc, &field);
+            tried += 1;
+        }
+        // Operator and stage fields, edited inside the second operator
+        // and the first stage of an otherwise good line.
+        for (array, index) in [("operators", 1), ("stages", 0)] {
+            let at = good.iter().position(|(k, _)| k == array).unwrap();
+            let Value::Arr(entries) = &good[at].1 else {
+                unreachable!("{array} is an array")
+            };
+            let Value::Obj(entry) = &entries[index] else {
+                unreachable!("entries are objects")
+            };
+            for (field, edited) in member_edits(entry) {
+                let mut doc = good.clone();
+                let mut entries = entries.clone();
+                entries[index] = Value::Obj(edited);
+                doc[at].1 = Value::Arr(entries);
+                rejects(doc, &field);
+                tried += 1;
+            }
+        }
+        // 13 top-level members, 19 operator members, 2 stage members.
+        assert_eq!(tried, 3 * (13 + 19 + 2));
     }
 
     #[test]
@@ -594,72 +484,13 @@ mod tests {
         assert!(line.contains("\"cache_hit\":true"));
         assert_eq!(QueryTrace::from_json(&line).unwrap(), trace);
         let bad = line.replace("\"cache_hit\":true", "\"cache_hit\":\"yes\"");
-        assert!(validate_json(&bad).unwrap_err().contains("cache_hit"));
-        // Older lines without the field parse as not-a-hit.
+        assert!(QueryTrace::from_json(&bad)
+            .unwrap_err()
+            .contains("cache_hit"));
         let absent = line.replace("\"cache_hit\":true,", "");
-        assert!(validate_json(&absent).is_ok());
-        assert!(!QueryTrace::from_json(&absent).unwrap().cache_hit);
-    }
-
-    #[test]
-    fn v1_lines_without_operators_still_validate() {
-        // A pre-versioning trace line: no schema_version, no operators.
-        let v1 = "{\"query\":\"q\",\"plan\":\"union-all(2)\",\"serving_tier\":\"primary\",\
-                  \"partial\":false,\"sample_tables\":[\"sg_a\"],\"rows_scanned\":10,\
-                  \"base_rows\":100,\"groups\":3,\"stages\":[{\"stage\":\"query.scan\",\
-                  \"ms\":0.5}],\"total_ms\":0.7}";
-        assert!(validate_json(v1).is_ok());
-        let trace = QueryTrace::from_json(v1).unwrap();
-        assert!(trace.operators.is_empty());
-        // Re-serialized it becomes the current version and still validates.
-        assert!(validate_json(&trace.to_json()).is_ok());
-    }
-
-    #[test]
-    fn v2_operator_fields_are_validated() {
-        let good = sample_trace().to_json();
-        assert!(good.contains("\"schema_version\":3"));
-        let bad = good.replace("\"rows_in\":120", "\"rows_in\":-5");
-        assert!(validate_json(&bad).unwrap_err().contains("rows_in"));
-        let bad = good.replace("\"stratum\":\"small-group\"", "\"stratum\":7");
-        assert!(validate_json(&bad).unwrap_err().contains("stratum"));
-        let bad = good.replace("\"morsels_per_worker\":[1]", "\"morsels_per_worker\":[-1]");
-        assert!(validate_json(&bad).is_err());
-        let bad = good.replace("\"kernel\":\"vectorized-hash\"", "\"kernel\":3");
-        assert!(validate_json(&bad).unwrap_err().contains("kernel"));
-        // Operators without the kernel field (older v2 lines) still pass.
-        let old = good.replace(",\"kernel\":\"vectorized-hash\"", "").replace(",\"kernel\":\"vectorized-dense\"", "");
-        assert!(validate_json(&old).is_ok());
-        let bad = good.replace("\"schema_version\":3", "\"schema_version\":9");
-        assert!(validate_json(&bad).unwrap_err().contains("schema_version"));
-        let bad = good.replace("\"operators\":[", "\"operators\":[{\"op\":\"x\"},");
-        assert!(validate_json(&bad).is_err(), "operator missing fields rejected");
-    }
-
-    #[test]
-    fn v3_prune_fields_round_trip_and_validate() {
-        let trace = sample_trace();
-        let line = trace.to_json();
-        assert!(line.contains("\"blocks_skipped\":2"));
-        assert!(line.contains("\"rows_pruned\":8192"));
-        let back = QueryTrace::from_json(&line).unwrap();
-        assert_eq!(back.operators[1].blocks_skipped, 2);
-        assert_eq!(back.operators[1].blocks_taken, 1);
-        assert_eq!(back.operators[1].rows_pruned, 8_192);
-        // Negative or fractional prune counters are rejected.
-        let bad = line.replace("\"blocks_skipped\":2", "\"blocks_skipped\":-2");
-        assert!(validate_json(&bad).unwrap_err().contains("blocks_skipped"));
-        let bad = line.replace("\"rows_pruned\":8192", "\"rows_pruned\":1.5");
-        assert!(validate_json(&bad).unwrap_err().contains("rows_pruned"));
-        // v2 lines without the counters still validate and parse as zero.
-        let v2 = line
-            .replace(",\"blocks_skipped\":2,\"blocks_taken\":1,\"blocks_scanned\":0,\"rows_pruned\":8192", "")
-            .replace(",\"blocks_skipped\":0,\"blocks_taken\":0,\"blocks_scanned\":1,\"rows_pruned\":0", "")
-            .replace("\"schema_version\":3", "\"schema_version\":2");
-        assert!(validate_json(&v2).is_ok());
-        let old = QueryTrace::from_json(&v2).unwrap();
-        assert_eq!(old.operators[1].blocks_skipped, 0);
-        assert_eq!(old.operators[1].rows_pruned, 0);
+        assert!(QueryTrace::from_json(&absent)
+            .unwrap_err()
+            .contains("cache_hit"));
     }
 
     #[test]

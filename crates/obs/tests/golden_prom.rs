@@ -5,8 +5,6 @@
 //! The histogram quantiles come from the log-linear bucket midpoints, so
 //! the output is fully deterministic.
 
-#![cfg(feature = "metrics")]
-
 use aqp_obs::{to_prometheus, Registry};
 
 #[test]

@@ -11,14 +11,14 @@
 //! read straight off the tokenizer, with no tree in between.
 //!
 //! Degradation is a *first-class wire concept*: an `ok` response carries
-//! the [`ServingTier`] that produced the answer, whether the scan was
-//! truncated (`partial`), and whether the deadline forced a cheaper tier
-//! (`deadline_limited`); an overloaded server answers `shed` with a
-//! `retry_after_ms` hint instead of stalling the client; a missed
-//! deadline answers `timeout`. Clients can react to load without any
-//! out-of-band channel.
+//! the [`aqp_core::ServingTier`] that produced the answer, whether the
+//! scan was truncated (`partial`), and whether the deadline forced a
+//! cheaper tier (`deadline_limited`); an overloaded server answers
+//! `shed` with a `retry_after_ms` hint instead of stalling the client; a
+//! missed deadline answers `timeout`. Clients can react to load without
+//! any out-of-band channel.
 
-use aqp_core::{ApproxAnswer, ApproxGroup, ServingTier};
+use aqp_core::{ApproxAnswer, ApproxGroup};
 use aqp_obs::json::{self, write_escaped, write_f64, Reader, Value};
 use aqp_storage::Value as Datum;
 use std::io::{self, IoSlice, Read, Write};
@@ -454,7 +454,7 @@ impl WireAnswer {
         order.sort_by(|a, b| a.key.cmp(&b.key));
         WireAnswer {
             trace_id,
-            tier: tier_str(answer.tier).to_string(),
+            tier: answer.tier.as_str().to_string(),
             partial: answer.partial,
             deadline_limited,
             cache_hit,
@@ -607,15 +607,6 @@ impl WireAnswer {
             hi: hi.unwrap_or(f64::NAN),
             exact: exact.unwrap_or(false),
         })
-    }
-}
-
-fn tier_str(tier: ServingTier) -> &'static str {
-    match tier {
-        ServingTier::Primary => "primary",
-        ServingTier::DegradedPrimary => "degraded",
-        ServingTier::Overall => "overall",
-        ServingTier::Exact => "exact",
     }
 }
 

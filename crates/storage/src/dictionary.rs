@@ -138,6 +138,14 @@ impl CodeRemap {
         }
         *slot
     }
+
+    /// Whether any source code seen so far maps to a different code.
+    pub(crate) fn moved(&self) -> bool {
+        self.new_codes
+            .iter()
+            .enumerate()
+            .any(|(old, &new)| new != UNMAPPED && new as usize != old)
+    }
 }
 
 #[cfg(test)]

@@ -29,13 +29,19 @@
 //! section carries its **own** CRC because zone maps are derived data: a
 //! corrupt zone section silently degrades to "no persisted maps" (the
 //! table recomputes them on demand) instead of failing the load, while
-//! corruption anywhere in the actual data still hard-fails. Version-2
-//! files (no zone section, checksum over the whole remaining payload)
-//! decode unchanged and recompute their summaries lazily.
+//! corruption anywhere in the actual data still hard-fails. The loader
+//! re-codes each dictionary in first-appearance order; when that moves
+//! any code (an entry no row uses, or entries in another order), the
+//! persisted `Dict` bitmaps are in the file's code space, so they are
+//! dropped and recomputed lazily too.
+//!
+//! Version 3 is the only version read: any other header, the retired v2
+//! layout included, is a [`StorageError::Version`].
 //!
 //! File writes go through [`fault::write_file_atomic`] (temp file +
 //! rename), and corrupt files are quarantined to `<path>.corrupt` on load
-//! so a bad file is never re-read in a loop.
+//! (version-mismatched ones are left in place) so a bad file is never
+//! re-read in a loop.
 //!
 //! [`fault::write_file_atomic`]: crate::fault::write_file_atomic
 
@@ -57,8 +63,6 @@ use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"AQPT";
 const VERSION: u16 = 3;
-/// The previous format: no zone section, header crc over all remaining bytes.
-const VERSION_V2: u16 = 2;
 /// magic (4) + version (2) + crc32c (4).
 const HEADER_LEN: usize = 10;
 
@@ -397,10 +401,10 @@ fn decode_zone_maps(mut buf: &[u8]) -> StorageResult<ZoneMaps> {
     })
 }
 
-/// Decode a table from bytes produced by [`encode_table`] (v3) or by the
-/// previous v2 encoder, verifying the header checksum first. A corrupt
-/// zone section never fails the load — the table simply arrives without
-/// persisted summaries and recomputes them on first use.
+/// Decode a table from bytes produced by [`encode_table`], verifying the
+/// header checksum first. A corrupt zone section never fails the load —
+/// the table simply arrives without persisted summaries and recomputes
+/// them on first use, as it does when the loader re-coded a dictionary.
 pub fn decode_table(bytes: &[u8]) -> StorageResult<Table> {
     let mut buf = bytes;
     if buf.remaining() < 4 || &buf[..4] != MAGIC {
@@ -411,7 +415,7 @@ pub fn decode_table(bytes: &[u8]) -> StorageResult<Table> {
         return Err(corrupt("truncated version"));
     }
     let version = buf.get_u16_le();
-    if version != VERSION && version != VERSION_V2 {
+    if version != VERSION {
         return Err(StorageError::Version {
             found: version,
             supported: VERSION,
@@ -422,16 +426,7 @@ pub fn decode_table(bytes: &[u8]) -> StorageResult<Table> {
     }
     let expected = buf.get_u32_le();
 
-    if version == VERSION_V2 {
-        // v2: checksum over everything after the header, no zone section.
-        let actual = crc32c(buf);
-        if actual != expected {
-            return Err(StorageError::ChecksumMismatch { expected, actual });
-        }
-        return decode_core(buf);
-    }
-
-    // v3: checksum over the length-prefixed core payload only.
+    // The checksum covers the length-prefixed core payload only.
     if buf.remaining() < 8 {
         return Err(corrupt("truncated core length"));
     }
@@ -444,8 +439,8 @@ pub fn decode_table(bytes: &[u8]) -> StorageResult<Table> {
     if actual != expected {
         return Err(StorageError::ChecksumMismatch { expected, actual });
     }
-    let mut table = decode_core(core)?;
-    if let Some(maps) = decode_zone_section(zone_section) {
+    let (mut table, recoded) = decode_core(core)?;
+    if let Some(maps) = decode_zone_section(zone_section).filter(|_| !recoded) {
         // Geometry mismatch is corruption too: fall back to lazy recompute.
         let _ = table.set_zone_maps(Arc::new(maps));
     }
@@ -469,9 +464,9 @@ fn decode_zone_section(mut buf: &[u8]) -> Option<ZoneMaps> {
     decode_zone_maps(buf).ok()
 }
 
-/// Decode a core payload (the v2 whole-payload layout). Errors on any
-/// malformed or trailing bytes.
-fn decode_core(mut buf: &[u8]) -> StorageResult<Table> {
+/// Decode a core payload, and whether re-coding a dictionary moved any
+/// code. Errors on any malformed or trailing bytes.
+fn decode_core(mut buf: &[u8]) -> StorageResult<(Table, bool)> {
     let name = get_str(&mut buf)?;
 
     // Schema.
@@ -499,6 +494,7 @@ fn decode_core(mut buf: &[u8]) -> StorageResult<Table> {
 
     // Columns.
     let mut columns = Vec::with_capacity(num_fields);
+    let mut recoded = false;
     for field in schema.fields() {
         if buf.remaining() < 2 {
             return Err(corrupt("truncated column header"));
@@ -580,6 +576,7 @@ fn decode_core(mut buf: &[u8]) -> StorageResult<Table> {
                     }
                     codes
                 });
+                recoded |= remap.moved();
                 Column::Utf8 {
                     codes: codes.fit(dict.len()),
                     dict,
@@ -627,7 +624,7 @@ fn decode_core(mut buf: &[u8]) -> StorageResult<Table> {
     if buf.has_remaining() {
         return Err(corrupt(format!("{} trailing bytes", buf.remaining())));
     }
-    Ok(table)
+    Ok((table, recoded))
 }
 
 /// Write a table to a file atomically (temp file + rename): a crash
@@ -820,30 +817,32 @@ mod tests {
     }
 
     #[test]
-    fn v2_files_decode_and_recompute_zone_maps_lazily() {
-        // Frame the shared core payload the way the v2 encoder did:
-        // whole-payload checksum, no zone section.
-        let t = sample_table();
-        let core = encode_core(&t).unwrap();
+    fn v2_header_is_a_version_error_and_the_file_stays() {
+        // The retired v2 framing: whole-payload checksum, no zone section.
+        let core = encode_core(&sample_table()).unwrap();
         let mut v2 = Vec::with_capacity(HEADER_LEN + core.len());
         v2.put_slice(MAGIC);
-        v2.put_u16_le(VERSION_V2);
+        v2.put_u16_le(2);
         v2.put_u32_le(crc32c(&core));
         v2.extend_from_slice(&core);
-
-        let back = decode_table(&v2).unwrap();
-        assert_tables_equal(&t, &back);
-        assert!(back.zone_maps_if_present().is_none(), "no maps persisted");
-        // Lazy recompute yields exactly what a fresh build computes.
-        assert_eq!(**back.zone_maps(), **t.zone_maps());
-
-        // v2 corruption discipline is unchanged: any payload flip fails.
-        let mut bad = v2.clone();
-        bad[HEADER_LEN + 3] ^= 1;
         assert!(matches!(
-            decode_table(&bad),
-            Err(StorageError::ChecksumMismatch { .. })
+            decode_table(&v2),
+            Err(StorageError::Version {
+                found: 2,
+                supported: 3
+            })
         ));
+
+        let dir = std::env::temp_dir().join(format!("aqp_io_v2_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("old.aqpt");
+        std::fs::write(&path, &v2).unwrap();
+        assert!(matches!(
+            read_table_file(&path),
+            Err(StorageError::Version { found: 2, .. })
+        ));
+        assert!(path.exists(), "a version mismatch is not quarantined");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -33,7 +33,7 @@ use std::fmt;
 use crate::generator::{generate_queries, DatasetProfile, QueryGenConfig, WorkloadAggregate};
 use crate::harness::{exact_answer_threaded, ExactAnswer};
 use aqp_core::{ApproxAnswer, AqpSystem};
-use aqp_obs::json::{write_escaped, write_f64};
+use aqp_obs::json::Value;
 use aqp_query::{AggFunc, DataSource, Query};
 use aqp_sampling::{agresti_coull, ConfidenceInterval};
 
@@ -234,52 +234,37 @@ impl CalibrationReport {
             .collect()
     }
 
-    /// Serialise as a single JSON object (hand-rolled, matching the shape
+    /// Serialise as a single JSON object (the shape
     /// [`aqp_obs::dashboard`] consumes).
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        out.push_str("{\"nominal\":");
-        write_f64(&mut out, self.nominal);
-        out.push_str(&format!(
-            ",\"queries\":{},\"cells\":{},\"exact_cells\":{},\"unbounded_cells\":{}",
-            self.queries, self.overall.cells, self.exact_cells, self.unbounded_cells
-        ));
-        out.push_str(",\"overall\":");
-        write_bucket(&mut out, &self.overall, self.nominal);
-        out.push_str(",\"per_function\":[");
-        for (i, b) in self.per_function.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            write_bucket(&mut out, b, self.nominal);
-        }
-        out.push_str("],\"per_decile\":[");
-        for (i, b) in self.per_decile.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            write_bucket(&mut out, b, self.nominal);
-        }
-        out.push_str("]}");
-        out
+        let buckets = |list: &[CoverageBucket]| {
+            Value::Arr(list.iter().map(|b| bucket_value(b, self.nominal)).collect())
+        };
+        Value::object([
+            ("nominal", self.nominal.into()),
+            ("queries", self.queries.into()),
+            ("cells", self.overall.cells.into()),
+            ("exact_cells", self.exact_cells.into()),
+            ("unbounded_cells", self.unbounded_cells.into()),
+            ("overall", bucket_value(&self.overall, self.nominal)),
+            ("per_function", buckets(&self.per_function)),
+            ("per_decile", buckets(&self.per_decile)),
+        ])
+        .to_json()
     }
 }
 
-fn write_bucket(out: &mut String, bucket: &CoverageBucket, nominal: f64) {
+fn bucket_value(bucket: &CoverageBucket, nominal: f64) -> Value {
     let ci = bucket.interval();
-    out.push('{');
-    out.push_str("\"label\":");
-    write_escaped(out, &bucket.label);
-    out.push_str(&format!(
-        ",\"cells\":{},\"covered\":{},\"observed\":",
-        bucket.cells, bucket.covered
-    ));
-    write_f64(out, bucket.observed());
-    out.push_str(",\"ci_lo\":");
-    write_f64(out, ci.lo);
-    out.push_str(",\"ci_hi\":");
-    write_f64(out, ci.hi);
-    out.push_str(&format!(",\"flagged\":{}}}", bucket.flagged(nominal)));
+    Value::object([
+        ("label", bucket.label.as_str().into()),
+        ("cells", bucket.cells.into()),
+        ("covered", bucket.covered.into()),
+        ("observed", bucket.observed().into()),
+        ("ci_lo", ci.lo.into()),
+        ("ci_hi", ci.hi.into()),
+        ("flagged", bucket.flagged(nominal).into()),
+    ])
 }
 
 impl fmt::Display for CalibrationReport {

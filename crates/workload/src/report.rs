@@ -1,57 +1,33 @@
-//! Per-run observability report: one JSON document combining the
-//! accuracy summary, every per-query [`aqp_obs::QueryTrace`], and a
-//! metrics [`aqp_obs::Snapshot`] — the artifact the CLI `workload
-//! --trace` run writes next to its accuracy report.
+//! Per-run observability report: the accuracy summary of a CLI
+//! `workload --trace` run, as one JSON document. The run's traces and
+//! metrics snapshot go to their own files beside it.
 
 use crate::harness::EvalSummary;
-use aqp_obs::json::write_f64;
-use aqp_obs::{QueryTrace, Snapshot};
-use std::fmt::Write as _;
+use aqp_obs::json::Value;
 
 /// Render the observability report for one workload run as a JSON
-/// document: `{"summary": {...}, "traces": [...], "metrics": {...}}`.
-///
-/// * `summary` — the averaged accuracy/timing metrics of the run;
-/// * `traces` — one [`QueryTrace`] per evaluated query, in run order;
-/// * `snapshot` — a registry snapshot taken after the run (global
-///   registry, so counters include everything since process start).
-pub fn obs_report_json(
-    summary: &EvalSummary,
-    traces: &[QueryTrace],
-    snapshot: &Snapshot,
-) -> String {
-    let mut out = String::new();
-    out.push_str("{\"summary\":{");
-    let _ = write!(out, "\"queries\":{},", summary.queries);
-    out.push_str("\"rel_err\":");
-    write_f64(&mut out, summary.rel_err);
-    out.push_str(",\"pct_groups\":");
-    write_f64(&mut out, summary.pct_groups);
-    out.push_str(",\"sq_rel_err\":");
-    write_f64(&mut out, summary.sq_rel_err);
-    out.push_str(",\"speedup\":");
-    write_f64(&mut out, summary.speedup);
-    out.push_str(",\"approx_ms\":");
-    write_f64(&mut out, summary.approx_ms);
-    out.push_str(",\"exact_ms\":");
-    write_f64(&mut out, summary.exact_ms);
+/// document, `{"summary": {...}}`: the averaged accuracy and timing
+/// metrics of the run and its per-tier answer counts.
+pub fn obs_report_json(summary: &EvalSummary) -> String {
     let t = &summary.tiers;
-    let _ = write!(
-        out,
-        ",\"tiers\":{{\"primary\":{},\"degraded\":{},\"overall\":{},\"exact\":{},\"partial\":{}}}",
-        t.primary, t.degraded, t.overall, t.exact, t.partial
-    );
-    out.push_str("},\"traces\":[");
-    for (i, trace) in traces.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&trace.to_json());
-    }
-    out.push_str("],\"metrics\":");
-    out.push_str(&aqp_obs::to_json(snapshot));
-    out.push('}');
-    out
+    let tiers = Value::object([
+        ("primary", t.primary.into()),
+        ("degraded", t.degraded.into()),
+        ("overall", t.overall.into()),
+        ("exact", t.exact.into()),
+        ("partial", t.partial.into()),
+    ]);
+    let summary = Value::object([
+        ("queries", summary.queries.into()),
+        ("rel_err", summary.rel_err.into()),
+        ("pct_groups", summary.pct_groups.into()),
+        ("sq_rel_err", summary.sq_rel_err.into()),
+        ("speedup", summary.speedup.into()),
+        ("approx_ms", summary.approx_ms.into()),
+        ("exact_ms", summary.exact_ms.into()),
+        ("tiers", tiers),
+    ]);
+    Value::object([("summary", summary)]).to_json()
 }
 
 #[cfg(test)]
@@ -59,7 +35,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn report_is_valid_json_with_consistent_tiers() {
+    fn report_holds_the_summary_only() {
         let summary = EvalSummary {
             queries: 2,
             rel_err: 0.125,
@@ -70,39 +46,11 @@ mod tests {
             },
             ..Default::default()
         };
-        let traces = vec![
-            QueryTrace {
-                query: "SELECT COUNT(*)".into(),
-                serving_tier: "primary".into(),
-                rows_scanned: 10,
-                ..Default::default()
-            },
-            QueryTrace {
-                query: "SELECT SUM(x)".into(),
-                serving_tier: "exact".into(),
-                rows_scanned: 100,
-                ..Default::default()
-            },
-        ];
-        let snapshot = Snapshot::default();
-        let doc = obs_report_json(&summary, &traces, &snapshot);
-        let v = aqp_obs::json::parse(&doc).expect("report parses");
         assert_eq!(
-            v.get("summary").unwrap().get("queries").unwrap().as_f64(),
-            Some(2.0)
+            obs_report_json(&summary),
+            "{\"summary\":{\"queries\":2,\"rel_err\":0.125,\"pct_groups\":0,\"sq_rel_err\":0,\
+             \"speedup\":0,\"approx_ms\":0,\"exact_ms\":0,\"tiers\":{\"primary\":1,\
+             \"degraded\":0,\"overall\":0,\"exact\":1,\"partial\":0}}}"
         );
-        let traces_v = v.get("traces").unwrap().as_arr().unwrap();
-        assert_eq!(traces_v.len(), 2);
-        // Traces and TierCounts tell one story: per-tier trace counts
-        // match the summary's tier tallies.
-        let count_tier = |tier: &str| {
-            traces_v
-                .iter()
-                .filter(|t| t.get("serving_tier").and_then(|s| s.as_str()) == Some(tier))
-                .count()
-        };
-        assert_eq!(count_tier("primary"), summary.tiers.primary);
-        assert_eq!(count_tier("exact"), summary.tiers.exact);
-        assert!(v.get("metrics").is_some());
     }
 }

@@ -42,6 +42,13 @@ echo "== TPC-H 0.05: traced workload, prune counters, trace schema"
 "$CLI" preprocess --view tpch.aqpt --rate 0.05 --out tpch.aqps
 "$CLI" workload --family tpch.aqps --view tpch.aqpt --queries 10 --threads 4 --trace --obs-out OBS
 "$CLI" validate-trace OBS_traces.jsonl
+# Only trace schema version 3 decodes: a schema_version 2 line must fail.
+head -n 1 OBS_traces.jsonl | sed 's/"schema_version":3/"schema_version":2/' > v2_trace.jsonl
+grep -q '"schema_version":2' v2_trace.jsonl
+if "$CLI" validate-trace v2_trace.jsonl; then
+  echo "validate-trace accepted a schema_version 2 line"
+  exit 1
+fi
 grep -q 'aqp_prune_blocks_total{outcome="skip"}' OBS_metrics.prom
 grep -q 'aqp_prune_blocks_total{outcome="scan"}' OBS_metrics.prom
 grep -q 'aqp_stage_seconds{stage="query.scan",quantile="0.99"}' OBS_metrics.prom

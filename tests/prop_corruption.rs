@@ -10,7 +10,7 @@
 
 use aqp::core::persist::{decode_sampler, decode_sampler_salvage, encode_sampler};
 use aqp::prelude::*;
-use aqp::storage::{decode_table, encode_table};
+use aqp::storage::{decode_table, encode_table, ZoneMaps};
 use proptest::prelude::*;
 
 fn small_table(rows: usize, seed: u64) -> Table {
@@ -105,6 +105,43 @@ fn every_single_bit_flip_in_family_file_is_detected() {
             );
         }
     }
+}
+
+/// The loader re-codes each dictionary in first-appearance order. A file
+/// whose dictionary is in another order (here `["b", "a"]`, its first
+/// entry used by no row) must not keep its persisted zone maps: their
+/// `Dict` bitmaps are in the file's code space, and `DictInSet` pruning
+/// would then skip blocks that match.
+#[test]
+fn recoded_dictionary_drops_persisted_zone_maps() {
+    use aqp::storage::{Codes, Column, Dictionary};
+    let rows = 3 * 4096 + 5;
+    let mut dict = Dictionary::new();
+    dict.intern("b");
+    let a = dict.intern("a") as u8;
+    let schema = SchemaBuilder::new()
+        .field("c", DataType::Utf8)
+        .build()
+        .unwrap();
+    let column = Column::Utf8 {
+        codes: Codes::U8(vec![a; rows]),
+        dict,
+        nulls: None,
+    };
+    let table = Table::from_columns("unordered", schema, vec![column]).unwrap();
+
+    let loaded = decode_table(&encode_table(&table).unwrap()).unwrap();
+    let q = Query::builder()
+        .count()
+        .filter(Expr::in_set("c", vec!["a".into()]))
+        .build()
+        .unwrap();
+    let out = execute(&DataSource::Wide(&loaded), &q, &ExecOptions::default()).unwrap();
+    assert_eq!(
+        out.groups[0].aggs[0].rows, rows as u64,
+        "COUNT(*) WHERE c IN ('a')"
+    );
+    assert_eq!(**loaded.zone_maps(), ZoneMaps::compute(&loaded));
 }
 
 proptest! {
