@@ -52,6 +52,23 @@ pub fn column_frequency(column: &Column, tau: usize) -> ColumnFrequency<KeyCode>
     }
 }
 
+/// The order count ties between `column`'s key codes are broken in (see
+/// [`ColumnFrequency::common_values_by`]). A dictionary code ranks by the
+/// row that first uses it — the code a numbering in first-use order gives
+/// it — so that the outcome does not depend on how the column's shared
+/// dictionary is numbered. NULL and every other key (no rank table: not a
+/// dictionary column) rank as themselves.
+pub(crate) fn tie_rank(column: &Column) -> impl Fn(&KeyCode) -> KeyCode {
+    let mut rank = vec![0; column.as_utf8().map_or(0, |(_, dict)| dict.len())];
+    for (i, code) in column.codes_by_first_use().into_iter().enumerate() {
+        rank[code as usize] = i as u64;
+    }
+    move |&(code, is_null)| match rank.get(code as usize) {
+        Some(&rank) if !is_null => (rank, false),
+        _ => (code, is_null),
+    }
+}
+
 /// Pass 2 over one column: the rows whose key code `class_of` puts in a
 /// class, ascending, each with its class.
 pub(crate) fn classify_rows<T: Copy>(
@@ -241,6 +258,7 @@ pub(crate) fn sample_table(
 mod tests {
     use super::*;
     use aqp_storage::{DataType, ValueRef};
+    use std::sync::Arc;
 
     fn strings(values: &[Option<&str>]) -> Column {
         let mut c = Column::new(DataType::Utf8);
@@ -268,12 +286,39 @@ mod tests {
         let (_, dict) = wide.as_utf8().unwrap();
         let sparse = Column::Utf8 {
             codes: Codes::U8(vec![0, 3, 0, 3]),
-            dict: dict.clone(),
+            dict: Arc::new(dict.clone()),
             nulls: None,
         };
         assert!(!column_frequency(&sparse, 2).abandoned());
         assert!(column_frequency(&wide, 3).abandoned());
         assert!(!column_frequency(&wide, 4).abandoned());
+    }
+
+    #[test]
+    fn ties_rank_dictionary_codes_by_first_use() {
+        let c = strings(&[Some("a"), Some("b"), None, Some("c")]);
+        // The same rows on a dictionary numbered c, b, a (and one unused).
+        let (_, dict) = c.as_utf8().unwrap();
+        let reversed = Column::Utf8 {
+            codes: Codes::U8(vec![3, 2, 0, 1]),
+            dict: Arc::new(["x", "c", "b", "a"].iter().fold(
+                aqp_storage::Dictionary::new(),
+                |mut d, s| {
+                    d.intern(s);
+                    d
+                },
+            )),
+            nulls: c.nulls().cloned(),
+        };
+        assert_eq!(dict.len(), 3);
+        let (natural, reversed) = (tie_rank(&c), tie_rank(&reversed));
+        for (code, rev) in [(0, 3), (1, 2), (2, 1)] {
+            assert_eq!(natural(&(code, false)), reversed(&(rev, false)));
+        }
+        assert_eq!(reversed(&NULL_KEY), NULL_KEY);
+        let mut ints = Column::new(DataType::Int64);
+        ints.push(ValueRef::Int64(9)).unwrap();
+        assert_eq!(tie_rank(&ints)(&(9, false)), (9, false));
     }
 
     #[test]

@@ -36,7 +36,7 @@ use std::collections::HashMap;
 /// A basic-congress stratified sampling AQP system.
 #[derive(Debug, Clone)]
 pub struct BasicCongress {
-    sample: Table,
+    pub(crate) sample: Table,
     weights: Vec<f64>,
     view_rows: usize,
     num_strata: usize,
@@ -202,7 +202,7 @@ impl AqpSystem for BasicCongress {
 /// had 245 candidate columns ⇒ 2²⁴⁵ combinations).
 #[derive(Debug, Clone)]
 pub struct Congress {
-    sample: Table,
+    pub(crate) sample: Table,
     weights: Vec<f64>,
     view_rows: usize,
     num_strata: usize,

@@ -18,7 +18,7 @@
 //! sampling. Strata with rate 1.0 yield exact answers.
 
 use crate::answer::ApproxAnswer;
-use crate::colscan::{classify_rows, column_frequency, sample_table, KeyCode};
+use crate::colscan::{classify_rows, column_frequency, sample_table, tie_rank, KeyCode};
 use crate::error::{AqpError, AqpResult};
 use crate::parts::{answer_from_parts, Part, PartWeight};
 use crate::system::AqpSystem;
@@ -92,11 +92,11 @@ impl MultiLevelConfig {
 
 /// One (column, level) stratum: its table, rate, and member values.
 #[derive(Debug, Clone)]
-struct LevelEntry {
+pub(crate) struct LevelEntry {
     column: String,
     level: usize,
     rate: f64,
-    table: Table,
+    pub(crate) table: Table,
     /// Decoded values belonging to this stratum (for exactness tests).
     values: HashSet<Value>,
 }
@@ -106,8 +106,8 @@ struct LevelEntry {
 pub struct MultiLevelSampler {
     config: MultiLevelConfig,
     view_rows: usize,
-    entries: Vec<LevelEntry>,
-    overall: Table,
+    pub(crate) entries: Vec<LevelEntry>,
+    pub(crate) overall: Table,
     overall_weight: f64,
 }
 
@@ -148,7 +148,8 @@ impl MultiLevelSampler {
             if pairs.len() <= 1 {
                 continue;
             }
-            pairs.sort_by(|a, b| a.1.cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
+            let rank = tie_rank(acc.column);
+            pairs.sort_by_cached_key(|&(code, count)| (count, rank(&code)));
 
             let mut assignment = HashMap::new();
             let mut covered = 0u64;

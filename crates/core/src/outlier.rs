@@ -76,8 +76,8 @@ pub fn select_outliers(values: &[f64], k: usize) -> Vec<usize> {
 #[derive(Debug, Clone)]
 pub struct OutlierIndex {
     column: String,
-    outliers: Table,
-    sample: Table,
+    pub(crate) outliers: Table,
+    pub(crate) sample: Table,
     sample_weight: f64,
     view_rows: usize,
 }

@@ -65,7 +65,7 @@ pub(crate) fn answer_from_parts(
         .collect::<Result<Vec<_>, _>>()?;
     let partials = run_scans(&scans, threads.max(1), None)?;
 
-    let mut merged = PlanGroups::new(&scans)?;
+    let mut merged = PlanGroups::new(query, &scans)?;
     let mut rows_scanned = 0usize;
     for ((part, scan), partials) in parts.iter().zip(scans).zip(partials) {
         rows_scanned += part.table.num_rows();
@@ -114,4 +114,80 @@ pub(crate) fn answer_from_parts(
         rows_scanned,
         ..ApproxAnswer::default()
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::congress::{BasicCongress, Congress};
+    use crate::multilevel::{MultiLevelConfig, MultiLevelSampler};
+    use crate::outlier::OutlierIndex;
+    use crate::smallgroup::{SmallGroupConfig, SmallGroupSampler};
+    use crate::uniform::UniformAqp;
+    use aqp_storage::{DataType, SchemaBuilder, Table, Value};
+
+    fn view() -> Table {
+        let schema = SchemaBuilder::new()
+            .field("g", DataType::Utf8)
+            .field("h", DataType::Utf8)
+            .field("x", DataType::Float64)
+            .build()
+            .unwrap();
+        let mut t = Table::empty("v", schema);
+        for i in 0..600 {
+            let g: Value = if i % 50 == 0 {
+                format!("rare{i}").into()
+            } else {
+                ["a", "b"][i % 2].into()
+            };
+            t.push_row(&[g, format!("h{}", i % 7).into(), (i as f64).into()])
+                .unwrap();
+        }
+        t
+    }
+
+    /// Every string column of `tables` holds `view`'s dictionary.
+    fn assert_shared<'t>(view: &Table, tables: impl IntoIterator<Item = &'t Table>, what: &str) {
+        for table in tables {
+            for (col, view_col) in table.columns().iter().zip(view.columns()) {
+                if let (Some((_, a)), Some((_, b))) = (col.as_utf8(), view_col.as_utf8()) {
+                    assert!(std::ptr::eq(a, b), "{what}: {}", table.name());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_sampler_plans_on_its_views_dictionaries() {
+        let v = view();
+        let cols = ["g".to_owned(), "h".to_owned()];
+        let sgs = SmallGroupSampler::build(&v, SmallGroupConfig::with_rates(0.1, 0.5)).unwrap();
+        assert_shared(&v, sgs.tables(), "small group");
+        assert_shared(
+            &v,
+            [&UniformAqp::build(&v, 0.1, 1).unwrap().sample],
+            "uniform",
+        );
+        assert_shared(
+            &v,
+            [&BasicCongress::build(&v, &cols, 60, 1).unwrap().sample],
+            "basic congress",
+        );
+        assert_shared(
+            &v,
+            [&Congress::build(&v, &cols, 60, 1).unwrap().sample],
+            "congress",
+        );
+        let outlier = OutlierIndex::build(&v, "x", 10, 0.1, 1).unwrap();
+        assert_shared(&v, [&outlier.outliers, &outlier.sample], "outlier");
+        let multi = MultiLevelSampler::build(&v, MultiLevelConfig::default()).unwrap();
+        assert_shared(
+            &v,
+            multi
+                .entries
+                .iter()
+                .map(|e| &e.table)
+                .chain([&multi.overall]),
+            "multilevel",
+        );
+    }
 }

@@ -30,7 +30,7 @@
 
 use crate::answer::ApproxAnswer;
 use crate::catalog::{SampleCatalog, SampleColumnMeta};
-use crate::colscan::{classify_rows, column_frequency, per_unit, sample_table, KeyCode};
+use crate::colscan::{classify_rows, column_frequency, per_unit, sample_table, tie_rank, KeyCode};
 use crate::error::{AqpError, AqpResult};
 use crate::outlier::select_outliers;
 use crate::parts::{answer_from_parts, Part, PartWeight};
@@ -326,14 +326,14 @@ impl SmallGroupSampler {
         let mut survivors: Vec<(SgUnit, CommonCodes, usize)> = Vec::new();
         let mut dropped_tau = Vec::new();
         let mut dropped_nsg = Vec::new();
-        for ((unit, freq), _) in units.into_iter().zip(freqs).zip(&accessors) {
+        for ((unit, freq), acc) in units.into_iter().zip(freqs).zip(&accessors) {
             match freq {
                 Freq::Single(f) => {
                     if f.abandoned() {
                         dropped_tau.push(unit.name());
                         continue;
                     }
-                    match f.common_values(t) {
+                    match f.common_values_by(t, tie_rank(acc[0].column)) {
                         Some(cv) => {
                             let num_common = cv.num_common();
                             let set: HashSet<KeyCode> = cv.iter_common().copied().collect();
@@ -347,7 +347,8 @@ impl SmallGroupSampler {
                         dropped_tau.push(unit.name());
                         continue;
                     }
-                    match f.common_values(t) {
+                    let (rank_a, rank_b) = (tie_rank(acc[0].column), tie_rank(acc[1].column));
+                    match f.common_values_by(t, |(a, b)| (rank_a(a), rank_b(b))) {
                         Some(cv) => {
                             let num_common = cv.num_common();
                             let set: HashSet<(KeyCode, KeyCode)> =

@@ -22,7 +22,7 @@ use rand::SeedableRng;
 /// A uniform-sampling AQP system.
 #[derive(Debug, Clone)]
 pub struct UniformAqp {
-    sample: Table,
+    pub(crate) sample: Table,
     weight: f64,
     rate: f64,
     view_rows: usize,

@@ -503,7 +503,6 @@ mod tests {
     use crate::expr::{CmpOp, Expr};
     use crate::plan::AggExpr;
     use aqp_storage::{DataType, SchemaBuilder, Table, Value};
-    use std::sync::Arc;
 
     fn table() -> Table {
         let schema = SchemaBuilder::new()
@@ -684,11 +683,12 @@ mod tests {
     #[test]
     fn bitmask_exclusion() {
         let src = table();
-        let mut t = Table::empty("s", Arc::clone(src.schema()));
-        t.enable_bitmask(2);
-        t.push_row_from_with_mask(&src, 0, &BitSet::from_bits(2, [0])).unwrap();
-        t.push_row_from_with_mask(&src, 1, &BitSet::from_bits(2, [1])).unwrap();
-        t.push_row_from_with_mask(&src, 2, &BitSet::with_capacity(2)).unwrap();
+        let mut t = src.gather("s", &[0, 1, 2]);
+        let mut masks = aqp_storage::BitmaskColumn::new(2);
+        for mask in [BitSet::from_bits(2, [0]), BitSet::from_bits(2, [1]), BitSet::with_capacity(2)] {
+            masks.push(&mask);
+        }
+        t.attach_bitmask(masks).unwrap();
 
         let q = count_query(&[]);
         let mask = BitSet::from_bits(2, [0]);

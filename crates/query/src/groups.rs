@@ -21,12 +21,13 @@
 //!   more columns, a product past `u64`) the key is a [`GroupKey`] of
 //!   per-column codes.
 //!
-//! Dictionary codes are local to a table — every sample table of a
-//! family builds its own dictionary — so [`PlanGroups`] translates each
-//! table's keys into a plan-wide code space through a lazily filled
-//! remap: one dictionary lookup per distinct code a table actually
-//! produced, never one per group, and no string is cloned before
-//! [`PlanGroups::groups`] decodes the finished groups.
+//! A plan's tables share one dictionary per string column — every sample
+//! table is gathered from one view, and a loaded family is decoded onto
+//! one dictionary per column — so a code means the same string in every
+//! scan, and every scan of a plan has the same [`RadixPlan`]. The plan
+//! fold ([`PlanGroups`]) therefore merges the scans' keys as they are; no
+//! string is touched before [`PlanGroups::groups`] decodes the finished
+//! groups.
 //!
 //! Determinism: every fold appends unseen keys and merges seen ones in
 //! the order its input lists them, so group order — first seen in morsel
@@ -38,10 +39,12 @@ use crate::error::{QueryError, QueryResult};
 use crate::exec::PreparedScan;
 use crate::hash::FxHashMap;
 use crate::output::{AggState, GroupResult};
+use crate::plan::Query;
 use crate::source::ResolvedColumn;
 use aqp_storage::{Column, Value};
 use std::collections::hash_map::Entry;
 use std::hash::Hash;
+use std::sync::Arc;
 
 /// Maximum grouping columns handled by the radix key and the compact
 /// fixed-size [`GroupKey::Fast`]. Queries with more grouping columns
@@ -150,7 +153,9 @@ impl RadixPlan {
         self.slots <= DENSE_SLOTS_MAX
     }
 
-    /// Compose a key from one digit per column.
+    /// Compose a key from one digit per column: the kernels' lanes, one
+    /// row at a time (the tests' oracle for them).
+    #[cfg(test)]
     pub(crate) fn key(&self, digits: impl Iterator<Item = Digit>) -> u64 {
         digits
             .zip(self.cards.iter().zip(&self.strides))
@@ -405,9 +410,7 @@ impl ScanGroups<'_> {
             .map(|(g, states)| {
                 self.digits(g, &mut digits);
                 GroupResult {
-                    key: (self.group_cols.iter().zip(&digits))
-                        .map(|(col, &(code, is_null))| col.decode_key(code, is_null))
-                        .collect(),
+                    key: decode(&self.group_cols, &digits),
                     aggs: states.to_vec(),
                 }
             })
@@ -415,34 +418,28 @@ impl ScanGroups<'_> {
     }
 }
 
-/// One group column of a plan: how its codes translate across tables.
-enum PlanColumn<'a> {
-    /// Codes are value bit patterns (integer, float, bool): the same in
-    /// every table, decoded through any table's column.
-    Verbatim(ResolvedColumn<'a>),
-    /// Dictionary codes, local to each table: the plan assigns its own
-    /// in first-seen order.
-    Dict {
-        codes: FxHashMap<&'a str, u32>,
-        values: Vec<&'a str>,
-    },
+/// A key's digits decoded through its group columns.
+fn decode(cols: &[ResolvedColumn<'_>], digits: &[Digit]) -> Vec<Value> {
+    (cols.iter().zip(digits))
+        .map(|(col, &(code, is_null))| col.decode_key(code, is_null))
+        .collect()
 }
 
 /// The cross-table fold of a UNION-ALL plan: the scans' group tables
-/// merged in plan order on plan-wide codes.
+/// merged in plan order, keys as the scans produced them.
 ///
 /// Group order is first-seen: the first scan's groups in its first-touch
 /// order, then each later scan's unseen groups in its own — the same on
 /// every call.
 pub struct PlanGroups<'a> {
-    cols: Vec<PlanColumn<'a>>,
+    /// The first scan's group columns; they decode every scan's codes.
+    cols: Vec<ResolvedColumn<'a>>,
     index: PlanIndex,
     stride: usize,
 }
 
-/// The plan's group table in its key space.
+/// The plan's group table in the key space every scan of the plan shares.
 enum PlanIndex {
-    /// Radix keys over upper bounds on the plan dictionaries' sizes.
     Radix(RadixPlan, GroupIndex<u64>),
     Wide(GroupIndex<GroupKey>),
 }
@@ -457,10 +454,11 @@ impl PlanIndex {
 }
 
 impl<'a> PlanGroups<'a> {
-    /// The empty fold for `scans`, which must all run the same query.
-    /// Fails when the scans' tables disagree on a group column's type —
-    /// their codes would not be comparable.
-    pub fn new(scans: &[PreparedScan<'a>]) -> QueryResult<PlanGroups<'a>> {
+    /// The empty fold for `scans`, which must all run `query`. Fails,
+    /// naming the column, when two scans' tables disagree on a group
+    /// column's type or hold a string group column on different
+    /// dictionaries: their codes would not be comparable.
+    pub fn new(query: &Query, scans: &[PreparedScan<'a>]) -> QueryResult<PlanGroups<'a>> {
         let Some(first) = scans.first() else {
             return Ok(PlanGroups {
                 cols: Vec::new(),
@@ -468,36 +466,34 @@ impl<'a> PlanGroups<'a> {
                 stride: 1,
             });
         };
-        let per_scan = || scans.iter().map(PreparedScan::group_cols);
-        for cols in per_scan() {
-            if let Some((a, b)) =
-                (first.group_cols().iter().zip(cols)).find(|(a, b)| a.data_type() != b.data_type())
+        for scan in &scans[1..] {
+            for ((a, b), name) in first
+                .group_cols()
+                .iter()
+                .zip(scan.group_cols())
+                .zip(&query.group_by)
             {
-                return Err(QueryError::InvalidQuery(format!(
-                    "plan tables disagree on a group column's type: {} vs {}",
-                    a.data_type(),
-                    b.data_type()
-                )));
+                if a.data_type() != b.data_type() {
+                    return Err(QueryError::InvalidQuery(format!(
+                        "plan tables disagree on group column {name}'s type: {} vs {}",
+                        a.data_type(),
+                        b.data_type()
+                    )));
+                }
+                if let (Column::Utf8 { dict: x, .. }, Column::Utf8 { dict: y, .. }) =
+                    (a.column, b.column)
+                {
+                    if !Arc::ptr_eq(x, y) {
+                        return Err(QueryError::InvalidQuery(format!(
+                            "plan tables hold group column {name} on different dictionaries"
+                        )));
+                    }
+                }
             }
         }
-        // A plan dictionary can grow to at most the sum of the tables'.
-        let radix = RadixPlan::build((0..first.group_cols().len()).map(|i| {
-            per_scan().try_fold(0u64, |sum, cols| match cols[i].column {
-                Column::Bool { .. } => Some(2),
-                other => sum.checked_add(dense_cardinality(other)?),
-            })
-        }));
         Ok(PlanGroups {
-            cols: (first.group_cols().iter())
-                .map(|col| match col.column {
-                    Column::Utf8 { .. } => PlanColumn::Dict {
-                        codes: FxHashMap::default(),
-                        values: Vec::new(),
-                    },
-                    _ => PlanColumn::Verbatim(*col),
-                })
-                .collect(),
-            index: match radix {
+            cols: first.group_cols().to_vec(),
+            index: match RadixPlan::for_columns(first.group_cols()) {
                 Some(plan) => PlanIndex::Radix(plan, GroupIndex::default()),
                 None => PlanIndex::Wide(GroupIndex::default()),
             },
@@ -507,42 +503,10 @@ impl<'a> PlanGroups<'a> {
 
     /// Fold the next scan of the plan in.
     pub fn absorb(&mut self, scan: ScanGroups<'a>) {
-        // Local dictionary code → plan code, filled on first sight.
-        const UNSEEN: u32 = u32::MAX;
-        let mut remaps: Vec<Vec<u32>> = (scan.group_cols.iter())
-            .map(|col| match col.column {
-                Column::Utf8 { dict, .. } => vec![UNSEEN; dict.len()],
-                _ => Vec::new(),
-            })
-            .collect();
-        let mut digits = Vec::with_capacity(self.cols.len());
-        for (g, states) in scan.groups.states().chunks_exact(self.stride).enumerate() {
-            scan.digits(g, &mut digits);
-            for (i, (code, is_null)) in digits.iter_mut().enumerate() {
-                let (PlanColumn::Dict { codes, values }, Column::Utf8 { dict, .. }, false) =
-                    (&mut self.cols[i], scan.group_cols[i].column, *is_null)
-                else {
-                    continue;
-                };
-                let plan_code = &mut remaps[i][*code as usize];
-                if *plan_code == UNSEEN {
-                    *plan_code = *codes
-                        .entry(dict.value(*code as u32))
-                        .or_insert_with_key(|s| {
-                            values.push(s);
-                            values.len() as u32 - 1
-                        });
-                }
-                *code = *plan_code as u64;
-            }
-            match &mut self.index {
-                PlanIndex::Radix(plan, index) => {
-                    index.merge(plan.key(digits.iter().copied()), states)
-                }
-                PlanIndex::Wide(index) => {
-                    index.merge(GroupKey::from_digits(digits.iter().copied()), states)
-                }
-            }
+        match (&mut self.index, &scan.groups) {
+            (PlanIndex::Radix(_, index), Groups::Radix(t)) => index.merge_table(t, self.stride),
+            (PlanIndex::Wide(index), Groups::Wide(t)) => index.merge_table(t, self.stride),
+            _ => unreachable!("scans on shared dictionaries share one key space"),
         }
     }
 
@@ -562,16 +526,7 @@ impl<'a> PlanGroups<'a> {
                 PlanIndex::Radix(plan, index) => plan.digits(index.table.keys[g], &mut digits),
                 PlanIndex::Wide(index) => index.table.keys[g].digits(&mut digits),
             }
-            let key = (self.cols.iter().zip(&digits))
-                .map(|(col, &(code, is_null))| match col {
-                    _ if is_null => Value::Null,
-                    PlanColumn::Dict { values, .. } => {
-                        Value::Utf8(values[code as usize].to_owned())
-                    }
-                    PlanColumn::Verbatim(col) => col.decode_key(code, false),
-                })
-                .collect();
-            (key, states)
+            (decode(&self.cols, &digits), states)
         })
     }
 }

@@ -94,26 +94,41 @@ impl<T: Eq + Hash + Clone> ColumnFrequency<T> {
             .map(|m| m.get(value).copied().unwrap_or(0))
     }
 
+    /// Compute `L(C)` for small-group fraction `t`, breaking count ties by
+    /// value ([`Self::common_values_by`] with the value itself).
+    pub fn common_values(&self, t: f64) -> Option<CommonValues<T>>
+    where
+        T: Ord,
+    {
+        self.common_values_by(t, T::clone)
+    }
+
     /// Compute `L(C)` for small-group fraction `t`.
+    ///
+    /// Values are taken by descending frequency; ties go to the value with
+    /// the smaller `rank`, so the result is deterministic regardless of
+    /// hash order. A tie at the `N(1−t)` threshold decides which value
+    /// becomes a small group, so `rank` must not depend on an arbitrary
+    /// numbering — a dictionary code, say — when the value it stands for
+    /// has a natural order.
     ///
     /// Returns `None` when the column was abandoned (τ exceeded) **or** when
     /// the column has no small groups (every value must be declared common to
     /// reach the `N(1−t)` threshold minus nothing left over) — in both cases
     /// the paper removes the column from `S`.
-    pub fn common_values(&self, t: f64) -> Option<CommonValues<T>>
-    where
-        T: Ord,
-    {
+    pub fn common_values_by<K: Ord>(
+        &self,
+        t: f64,
+        rank: impl Fn(&T) -> K,
+    ) -> Option<CommonValues<T>> {
         assert!((0.0..1.0).contains(&t), "small group fraction t must be in [0,1), got {t}");
         let counts = self.counts.as_ref()?;
         if counts.is_empty() {
             return None;
         }
         let threshold = self.total as f64 * (1.0 - t);
-        // Sort by descending frequency; ties broken by value so the result
-        // is deterministic regardless of hash order.
         let mut pairs: Vec<(&T, u64)> = counts.iter().map(|(v, c)| (v, *c)).collect();
-        pairs.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
+        pairs.sort_by_cached_key(|&(v, c)| (std::cmp::Reverse(c), rank(v)));
 
         let mut common: HashSet<T> = HashSet::new();
         let mut covered = 0u64;
@@ -301,6 +316,17 @@ mod tests {
         assert_eq!(lc.num_common(), 3);
         assert!(!lc.is_common(&"d".to_owned()));
         assert_eq!(lc.uncommon_rows(), 25);
+    }
+
+    #[test]
+    fn ties_go_to_the_smaller_rank() {
+        // The tie_breaking_is_deterministic column, ranked in reverse.
+        let c = counted(&[("d", 25), ("b", 25), ("c", 25), ("a", 25)]);
+        let lc = c
+            .common_values_by(0.45, |v| std::cmp::Reverse(v.clone()))
+            .unwrap();
+        assert!(!lc.is_common(&"a".to_owned()));
+        assert!(lc.is_common(&"d".to_owned()));
     }
 
     #[test]

@@ -198,20 +198,6 @@ impl BitmaskColumn {
         }
     }
 
-    /// Overwrite the bitmask stored for `row`. Narrower bitsets are
-    /// zero-extended; bits beyond the column width must be clear.
-    pub fn overwrite_row(&mut self, row: usize, mask: &BitSet) {
-        let mw = mask.words();
-        assert!(
-            mw.len() <= self.width || mw[self.width..].iter().all(|w| *w == 0),
-            "bitmask wider than column"
-        );
-        let start = row * self.width;
-        for i in 0..self.width {
-            self.words[start + i] = mw.get(i).copied().unwrap_or(0);
-        }
-    }
-
     /// Select the subset of rows whose bitmask does **not** intersect
     /// `mask` — the paper's `WHERE bitmask & M = 0` filter.
     pub fn rows_disjoint_from(&self, mask: &BitSet) -> Vec<usize> {

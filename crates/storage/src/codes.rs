@@ -6,12 +6,12 @@
 ///
 /// **Invariant:** a column's codes are always at the width its dictionary's
 /// length calls for. [`crate::Column::push`] widens them in place when an
-/// intern crosses 256 or 65 536 entries; `gather` and the AQPT loader
-/// write the width a bound on the output dictionary allows and narrow once
-/// at the end if the dictionary came out smaller. The width is storage
-/// only: code values — and so dictionaries, group keys, zone-map bitmaps,
-/// [`crate::Column::byte_size`] and the AQPT file, which always stores
-/// `u32` — are the same at every width.
+/// intern crosses 256 or 65 536 entries; `gather` copies codes at the
+/// source's width, since it shares the source's dictionary; the AQPT
+/// loader fits them to the dictionary its tables share once every table
+/// is decoded. The width is storage only: code values — and so group keys,
+/// zone-map bitmaps, [`crate::Column::byte_size`] and the AQPT file, which
+/// always stores `u32` — are the same at every width.
 ///
 /// Readers either take one code at a time ([`Codes::get`]) or dispatch on
 /// the width once per column with [`with_codes!`](crate::with_codes) and

@@ -1,16 +1,19 @@
 //! Typed columns and column builders.
 
-use crate::codes::{codes_for, Codes};
-use crate::dictionary::{CodeRemap, Dictionary};
+use crate::codes::Codes;
+use crate::dictionary::Dictionary;
 use crate::error::{StorageError, StorageResult};
 use crate::nulls::NullMask;
 use crate::value::{DataType, Value, ValueRef};
 use crate::with_codes;
+use std::sync::Arc;
 
 /// A single typed column of data.
 ///
 /// String columns are dictionary-encoded: the column stores one code per
 /// row, at the narrowest width that holds its [`Dictionary`] ([`Codes`]).
+/// The dictionary is shared: every column gathered from this one holds the
+/// same `Arc`, so its codes are this column's codes.
 /// Null rows carry a placeholder in the data vector (0, `0.0`, code 0,
 /// `false`) and are marked in the null mask.
 #[derive(Debug, Clone)]
@@ -34,8 +37,8 @@ pub enum Column {
         /// Per-row dictionary codes (placeholder 0 for nulls), at the width
         /// `dict.len()` needs.
         codes: Codes,
-        /// The shared dictionary for this column.
-        dict: Dictionary,
+        /// The dictionary, shared with every column gathered from this one.
+        dict: Arc<Dictionary>,
         /// Optional null mask; `None` means fully valid.
         nulls: Option<NullMask>,
     },
@@ -56,7 +59,7 @@ impl Column {
             DataType::Float64 => Column::Float64 { data: Vec::new(), nulls: None },
             DataType::Utf8 => Column::Utf8 {
                 codes: Codes::default(),
-                dict: Dictionary::new(),
+                dict: Arc::default(),
                 nulls: None,
             },
             DataType::Bool => Column::Bool { data: Vec::new(), nulls: None },
@@ -124,7 +127,9 @@ impl Column {
 
     /// Append a dynamically-typed value, checking the type. A string new to
     /// the dictionary that takes it past 256 or 65 536 entries widens the
-    /// column's codes in place.
+    /// column's codes in place. A string goes through [`Arc::make_mut`]: a
+    /// dictionary other columns share is copied first, so they never see a
+    /// new entry.
     pub fn push(&mut self, value: ValueRef<'_>) -> StorageResult<()> {
         let mismatch = |col: &Column, v: ValueRef<'_>| StorageError::TypeMismatch {
             expected: col.data_type(),
@@ -146,7 +151,7 @@ impl Column {
             }
             (Column::Utf8 { codes, dict, nulls }, ValueRef::Utf8(s)) => {
                 push_valid(nulls, codes.len());
-                let code = dict.intern(s);
+                let code = Arc::make_mut(dict).intern(s);
                 codes.push(code);
             }
             (Column::Bool { data, nulls }, ValueRef::Bool(v)) => {
@@ -183,49 +188,73 @@ impl Column {
 
     /// Build a new column containing only the rows at `indices` (in order).
     ///
-    /// A typed copy per variant; string columns copy codes through a
-    /// [`CodeRemap`], so a string is hashed once per distinct value
-    /// gathered, never per row. The result equals pushing
-    /// `self.value(i)` for each index into an empty column: same
-    /// placeholders under NULLs, same dictionary order, and a null mask
+    /// A typed copy per variant. String columns copy their codes at the
+    /// source's width and share the source's dictionary, so no string is
+    /// hashed. The values equal pushing `self.value(i)` for each index into
+    /// an empty column, with the placeholder under NULLs and a null mask
     /// only if some gathered row is NULL.
     pub fn gather(&self, indices: &[usize]) -> Column {
         match self {
             Column::Int64 { data, nulls } => {
-                let (data, nulls) = gather_rows(data, nulls.as_ref(), indices, |v| v);
+                let (data, nulls) = gather_rows(data, nulls.as_ref(), indices);
                 Column::Int64 { data, nulls }
             }
             Column::Float64 { data, nulls } => {
-                let (data, nulls) = gather_rows(data, nulls.as_ref(), indices, |v| v);
+                let (data, nulls) = gather_rows(data, nulls.as_ref(), indices);
                 Column::Float64 { data, nulls }
             }
             Column::Utf8 { codes, dict, nulls } => {
-                // No more distinct strings can come out than rows go in:
-                // codes are written at the width that bound needs, then
-                // narrowed once if the dictionary came out smaller.
-                let bound = dict.len().min(indices.len());
-                let mut out_dict = Dictionary::with_capacity(bound);
-                let mut remap = CodeRemap::new(dict.len());
-                let out_nulls;
-                let codes = with_codes!(codes, src => codes_for!(bound, T => {
-                    let (codes, nulls) = gather_rows(src, nulls.as_ref(), indices, |code| {
-                        let code = code.into();
-                        remap.remap(code, || out_dict.intern_shared(dict.shared(code))) as T
-                    });
-                    out_nulls = nulls;
-                    codes
-                }));
+                let nulls = nulls.as_ref();
+                let (codes, nulls) = match codes {
+                    Codes::U8(c) => {
+                        let (c, n) = gather_rows(c, nulls, indices);
+                        (Codes::U8(c), n)
+                    }
+                    Codes::U16(c) => {
+                        let (c, n) = gather_rows(c, nulls, indices);
+                        (Codes::U16(c), n)
+                    }
+                    Codes::U32(c) => {
+                        let (c, n) = gather_rows(c, nulls, indices);
+                        (Codes::U32(c), n)
+                    }
+                };
                 Column::Utf8 {
-                    codes: codes.fit(out_dict.len()),
-                    dict: out_dict,
-                    nulls: out_nulls,
+                    codes,
+                    dict: Arc::clone(dict),
+                    nulls,
                 }
             }
             Column::Bool { data, nulls } => {
-                let (data, nulls) = gather_rows(data, nulls.as_ref(), indices, |v| v);
+                let (data, nulls) = gather_rows(data, nulls.as_ref(), indices);
                 Column::Bool { data, nulls }
             }
         }
+    }
+
+    /// The dictionary codes the column's non-NULL rows use, each once, in
+    /// the order the rows first use them; empty for other column types.
+    ///
+    /// This is the order a file stores a column's dictionary in, and the
+    /// order the sampler breaks frequency ties in, so that neither depends
+    /// on how the shared dictionary happens to be numbered.
+    pub fn codes_by_first_use(&self) -> Vec<u32> {
+        let Column::Utf8 { codes, dict, nulls } = self else {
+            return Vec::new();
+        };
+        let mut seen = vec![false; dict.len()];
+        let mut order = Vec::new();
+        with_codes!(codes, c => {
+            for (row, &code) in c.iter().enumerate() {
+                // NULL rows hold the placeholder 0, an entry or none.
+                let code = u32::from(code);
+                if !nulls.as_ref().is_some_and(|m| m.is_null(row)) && !seen[code as usize] {
+                    seen[code as usize] = true;
+                    order.push(code);
+                }
+            }
+        });
+        order
     }
 
     /// The column's null mask, if any null has ever been stored. `None`
@@ -278,32 +307,35 @@ impl Column {
     /// (Section 5.4.2 of the paper), and persisted as the family's total in
     /// AQPS files. Dictionary codes count 4 bytes per row whatever width
     /// they are stored at — the width they have in AQPT files — so the
-    /// figure is the same at every width. A dictionary entry counts its
-    /// bytes once plus 24 for its slots in the code vector and the index —
-    /// the [`Dictionary`] keeps one shared copy of each string.
+    /// figure is the same at every width. Each dictionary entry some row
+    /// uses counts its bytes once plus 24 for its slots in the code vector
+    /// and the index: the entries a file of this column would store, not
+    /// the whole shared [`Dictionary`].
     pub fn byte_size(&self) -> usize {
         match self {
             Column::Int64 { data, .. } => data.len() * 8,
             Column::Float64 { data, .. } => data.len() * 8,
             Column::Utf8 { codes, dict, .. } => {
-                codes.len() * 4 + dict.iter().map(|(_, s)| s.len() + 24).sum::<usize>()
+                let entries: usize = (self.codes_by_first_use().into_iter())
+                    .map(|code| dict.value(code).len() + 24)
+                    .sum();
+                codes.len() * 4 + entries
             }
             Column::Bool { data, .. } => data.len(),
         }
     }
 }
 
-/// `copy(data[i])` for each `i` in `indices`, with `U::default()` under
-/// NULL rows. The output mask is created at the first NULL gathered, so
+/// `data[i]` for each `i` in `indices`, with `T::default()` under NULL
+/// rows. The output mask is created at the first NULL gathered, so
 /// gathering only valid rows of a column that has NULLs yields `None`.
-fn gather_rows<T: Copy, U: Default>(
+fn gather_rows<T: Copy + Default>(
     data: &[T],
     nulls: Option<&NullMask>,
     indices: &[usize],
-    mut copy: impl FnMut(T) -> U,
-) -> (Vec<U>, Option<NullMask>) {
+) -> (Vec<T>, Option<NullMask>) {
     let Some(mask) = nulls else {
-        return (indices.iter().map(|&i| copy(data[i])).collect(), None);
+        return (indices.iter().map(|&i| data[i]).collect(), None);
     };
     let mut out_nulls = None;
     let out = indices
@@ -314,9 +346,9 @@ fn gather_rows<T: Copy, U: Default>(
                 out_nulls
                     .get_or_insert_with(|| NullMask::all_valid(indices.len()))
                     .set_null(j);
-                U::default()
+                T::default()
             } else {
-                copy(data[i])
+                data[i]
             }
         })
         .collect();
@@ -466,24 +498,40 @@ mod tests {
     }
 
     #[test]
-    fn gather_writes_the_width_of_the_dictionary_it_builds() {
+    fn gather_copies_codes_and_shares_the_dictionary() {
         // 300 distinct strings: u16 codes.
         let mut c = Column::new(DataType::Utf8);
         for i in 0..300 {
             c.push(ValueRef::Utf8(&format!("s{i}"))).unwrap();
         }
-        assert!(matches!(c.as_utf8().unwrap().0, Codes::U16(_)));
-        // 400 rows over 3 strings: written at u16 (the bound is 300), then
-        // narrowed to u8.
+        // 400 rows over 3 strings: still the source's codes and width.
         let few: Vec<usize> = (0..400).map(|i| i % 3 * 7).collect();
         let g = c.gather(&few);
         let (codes, dict) = g.as_utf8().unwrap();
-        assert_eq!(dict.len(), 3);
-        assert!(matches!(codes, Codes::U8(_)));
+        assert!(std::ptr::eq(dict, c.as_utf8().unwrap().1), "one dictionary");
+        assert_eq!(codes, &Codes::U16(few.iter().map(|&i| i as u16).collect()));
         assert_eq!(g.value(2).to_owned(), Value::Utf8("s14".into()));
-        // Every row again: u16 stays.
-        let all: Vec<usize> = (0..300).rev().collect();
-        assert!(matches!(c.gather(&all).as_utf8().unwrap().0, Codes::U16(_)));
+        assert_eq!(g.codes_by_first_use(), vec![0, 7, 14]);
+
+        // A string pushed into the gathered column copies the dictionary
+        // first; the source never sees it.
+        let mut g = g;
+        g.push(ValueRef::Utf8("new")).unwrap();
+        assert_eq!(g.as_utf8().unwrap().1.len(), 301);
+        assert_eq!(c.as_utf8().unwrap().1.len(), 300);
+    }
+
+    #[test]
+    fn byte_size_counts_only_the_entries_rows_use() {
+        let mut c = Column::new(DataType::Utf8);
+        for s in ["tv", "radio", "phone"] {
+            c.push(ValueRef::Utf8(s)).unwrap();
+        }
+        c.push_null();
+        // Rows 1 and 3: "radio" and NULL.
+        let g = c.gather(&[1, 3, 1]);
+        assert_eq!(g.codes_by_first_use(), vec![1]);
+        assert_eq!(g.byte_size(), 3 * 4 + (5 + 24));
     }
 
     #[test]

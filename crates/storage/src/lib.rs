@@ -45,10 +45,10 @@ pub use codes::Codes;
 pub use column::{Column, ColumnBuilder};
 pub use crc::crc32c;
 pub use csv::{read_csv_file, table_from_csv, table_to_csv, write_csv_file};
-pub use dictionary::{CodeRemap, Dictionary};
+pub use dictionary::Dictionary;
 pub use error::{StorageError, StorageResult};
 pub use fault::{Fault, FaultGuard, FaultPlan};
-pub use io::{decode_table, encode_table, read_table_file, write_table_file};
+pub use io::{decode_table, encode_table, read_table_file, write_table_file, TableDecoder};
 pub use morsel::{morsels, Morsel, MorselIter, DEFAULT_MORSEL_ROWS};
 pub use nulls::NullMask;
 pub use schema::{Field, Schema, SchemaBuilder};

@@ -1,6 +1,6 @@
 //! Tables: a schema plus equal-length columns, with optional bitmask column.
 
-use crate::bitmask::{BitSet, BitmaskColumn};
+use crate::bitmask::BitmaskColumn;
 use crate::column::Column;
 use crate::error::{StorageError, StorageResult};
 use crate::schema::Schema;
@@ -12,7 +12,8 @@ use std::sync::{Arc, OnceLock};
 ///
 /// A table optionally carries a [`BitmaskColumn`]: sample tables produced by
 /// small group sampling tag every row with the set of small group tables
-/// containing it (paper Section 4.2.1); base tables have no bitmask.
+/// containing it (paper Section 4.2.1), attached whole when the table is
+/// gathered or decoded; base tables have no bitmask.
 #[derive(Debug, Clone)]
 pub struct Table {
     name: String,
@@ -125,6 +126,13 @@ impl Table {
         &self.columns[i]
     }
 
+    /// The columns, to change how they are stored without changing a
+    /// value (the file decoder re-points string columns at their shared
+    /// dictionary).
+    pub(crate) fn columns_mut(&mut self) -> &mut [Column] {
+        &mut self.columns
+    }
+
     /// Column by name.
     pub fn column_by_name(&self, name: &str) -> StorageResult<&Column> {
         Ok(&self.columns[self.schema.index_of(name)?])
@@ -154,55 +162,6 @@ impl Table {
         Ok(())
     }
 
-    /// Append a row copied from another table with an identical schema.
-    ///
-    /// One dynamically typed push per cell. Bulk construction goes through
-    /// [`Table::gather`]; this and [`Table::push_row_from_with_mask`] stay
-    /// as the row-at-a-time reference the differential tests
-    /// (`tests/diff_build.rs`) hold the columnar builders to.
-    pub fn push_row_from(&mut self, src: &Table, src_row: usize) -> StorageResult<()> {
-        if src.schema.len() != self.schema.len() {
-            return Err(StorageError::SchemaMismatch(
-                "push_row_from: schemas differ in arity".into(),
-            ));
-        }
-        for (dst, src_col) in self.columns.iter_mut().zip(&src.columns) {
-            dst.push(src_col.value(src_row))?;
-        }
-        if let Some(bm) = self.bitmask.as_mut() {
-            bm.push_empty();
-        }
-        self.num_rows += 1;
-        self.zone_maps.take();
-        Ok(())
-    }
-
-    /// Append a row with an explicit bitmask (sample-table construction).
-    pub fn push_row_from_with_mask(
-        &mut self,
-        src: &Table,
-        src_row: usize,
-        mask: &BitSet,
-    ) -> StorageResult<()> {
-        for (dst, src_col) in self.columns.iter_mut().zip(&src.columns) {
-            dst.push(src_col.value(src_row))?;
-        }
-        self.bitmask
-            .as_mut()
-            .expect("table has no bitmask column; call enable_bitmask first")
-            .push(mask);
-        self.num_rows += 1;
-        self.zone_maps.take();
-        Ok(())
-    }
-
-    /// Attach an (initially empty) bitmask column wide enough for `num_bits`
-    /// sample-table indexes. Must be called while the table is empty.
-    pub fn enable_bitmask(&mut self, num_bits: usize) {
-        assert!(self.num_rows == 0, "enable_bitmask on non-empty table");
-        self.bitmask = Some(BitmaskColumn::new(num_bits));
-    }
-
     /// The bitmask column, if present.
     pub fn bitmask(&self) -> Option<&BitmaskColumn> {
         self.bitmask.as_ref()
@@ -219,22 +178,6 @@ impl Table {
             )));
         }
         self.bitmask = Some(bitmask);
-        Ok(())
-    }
-
-    /// Overwrite the bitmask of an existing row (used when a row is later
-    /// discovered to belong to additional sample tables).
-    pub fn set_row_bitmask(&mut self, row: usize, mask: &BitSet) -> StorageResult<()> {
-        let bm = self
-            .bitmask
-            .as_mut()
-            .ok_or_else(|| StorageError::SchemaMismatch("table has no bitmask column".into()))?;
-        if row >= bm.len() {
-            return Err(StorageError::RowOutOfBounds { row, len: bm.len() });
-        }
-        // BitmaskColumn has no in-place set; rebuild the row via push into a
-        // scratch column would be O(n). Instead expose via words copy:
-        bm.overwrite_row(row, mask);
         Ok(())
     }
 
@@ -342,6 +285,7 @@ impl TableBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bitmask::BitSet;
     use crate::schema::SchemaBuilder;
     use crate::value::DataType;
 
@@ -418,13 +362,21 @@ mod tests {
         assert!(Table::from_columns("t", schema, cols).is_err());
     }
 
+    /// The rows of `src` at `rows`, each tagged with its mask.
+    fn tagged(src: &Table, rows: &[usize], width: usize, masks: &[BitSet]) -> Table {
+        let mut t = src.gather("sample", rows);
+        let mut bm = BitmaskColumn::new(width);
+        for mask in masks {
+            bm.push(mask);
+        }
+        t.attach_bitmask(bm).unwrap();
+        t
+    }
+
     #[test]
     fn bitmask_rows() {
         let src = demo_table();
-        let mut t = Table::empty("sample", demo_schema());
-        t.enable_bitmask(3);
-        t.push_row_from_with_mask(&src, 0, &BitSet::from_bits(3, [0])).unwrap();
-        t.push_row_from_with_mask(&src, 2, &BitSet::from_bits(3, [1, 2])).unwrap();
+        let t = tagged(&src, &[0, 2], 3, &[BitSet::from_bits(3, [0]), BitSet::from_bits(3, [1, 2])]);
         assert_eq!(t.num_rows(), 2);
         let bm = t.bitmask().unwrap();
         assert!(bm.row_intersects(1, &BitSet::from_bits(3, [2])));
@@ -432,19 +384,9 @@ mod tests {
         // Values came across.
         assert_eq!(t.value(0, 0).to_owned(), Value::Int64(1));
         assert!(t.value(1, 1).is_null());
-    }
-
-    #[test]
-    fn set_row_bitmask_overwrites() {
-        let src = demo_table();
-        let mut t = Table::empty("sample", demo_schema());
-        t.enable_bitmask(4);
-        t.push_row_from_with_mask(&src, 0, &BitSet::from_bits(4, [0])).unwrap();
-        t.set_row_bitmask(0, &BitSet::from_bits(4, [3])).unwrap();
-        let bm = t.bitmask().unwrap();
-        assert!(!bm.row_intersects(0, &BitSet::from_bits(4, [0])));
-        assert!(bm.row_intersects(0, &BitSet::from_bits(4, [3])));
-        assert!(t.set_row_bitmask(5, &BitSet::with_capacity(4)).is_err());
+        // One mask row per table row, or no bitmask.
+        let mut short = src.gather("short", &[0, 1]);
+        assert!(short.attach_bitmask(BitmaskColumn::new(3)).is_err());
     }
 
     #[test]
@@ -458,25 +400,21 @@ mod tests {
     }
 
     #[test]
-    fn mixed_plain_and_masked_pushes_keep_bitmask_aligned() {
+    fn pushed_rows_keep_the_bitmask_aligned() {
         let src = demo_table();
         let mut t = Table::empty("s", demo_schema());
-        t.enable_bitmask(2);
-        t.push_row_from(&src, 0).unwrap(); // empty mask
-        t.push_row_from_with_mask(&src, 1, &BitSet::from_bits(2, [1])).unwrap();
+        t.attach_bitmask(BitmaskColumn::new(2)).unwrap();
+        t.push_row(&src.row(0)).unwrap(); // empty mask
+        t.push_row(&src.row(1)).unwrap();
         let bm = t.bitmask().unwrap();
         assert_eq!(bm.len(), 2);
-        assert!(!bm.row_intersects(0, &BitSet::from_bits(2, [0, 1])));
-        assert!(bm.row_intersects(1, &BitSet::from_bits(2, [1])));
+        assert!(!bm.row_intersects(1, &BitSet::from_bits(2, [0, 1])));
     }
 
     #[test]
     fn byte_size_accounts_for_bitmask() {
-        let src = demo_table();
-        let mut t = Table::empty("s", demo_schema());
-        t.enable_bitmask(2);
-        t.push_row_from(&src, 0).unwrap();
-        assert!(t.byte_size() >= 8 + 4 + 8 + 8);
+        let t = tagged(&demo_table(), &[0], 2, &[BitSet::with_capacity(2)]);
+        assert_eq!(t.byte_size(), 8 + (4 + 2 + 24) + 8 + 8);
     }
 
     #[test]

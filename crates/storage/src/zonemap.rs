@@ -13,9 +13,11 @@
 //!   and a bounds check can never disagree with the row-at-a-time
 //!   predicate;
 //! * `Utf8` — a presence bitmap over the dictionary codes that occur in
-//!   the block (dictionary order is value order only per-table, but
-//!   set-membership predicates compile to code sets, so presence is the
-//!   useful summary);
+//!   the block, one bit per entry of the column's dictionary — the one a
+//!   sample table shares with its view, so a code is the same bit in the
+//!   view's maps and in every sample table's (dictionary order is not
+//!   value order, but set-membership predicates compile to code sets, so
+//!   presence is the useful summary);
 //! * `Bool` — no bounds (blocks are never pruned by bounds; an all-null
 //!   block can still be skipped via the null count).
 //!

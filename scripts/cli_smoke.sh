@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# End-to-end smoke of the release aqp-cli binary. On a TPC-H view: a
-# traced workload with its metric export and trace validation, explain
-# (static and --analyze) and the calibration dashboard. On a SALES view,
+# End-to-end smoke of the release aqp-cli binary. The TPC-H and SALES
+# files it writes are pinned by SHA-256. On a TPC-H view: a traced
+# workload with its metric export and trace validation, explain (static
+# and --analyze) and the calibration dashboard. On a SALES view,
 # three live servers: a forced shed and a forced timeout, a cache cycle
 # (warm, hit, invalidate, LRU eviction), and trace ids with the flight
 # recorder, the SLO watchdog and the shadow auditor.
@@ -23,6 +24,13 @@ WORK=$(mktemp -d)
 trap 'kill $(jobs -p) 2>/dev/null || true; rm -rf "$WORK"' EXIT
 cd "$WORK"
 
+# Fail unless file $1 has SHA-256 $2. The pins were recorded from the
+# build before sample tables shared their view's dictionaries: what
+# `generate` and `preprocess` write must not drift unless a change says so.
+pin() {
+  echo "$2  $1" | sha256sum --check --quiet || { echo "$1: bytes drifted from the pin"; exit 1; }
+}
+
 # Wait until the server with pid $1 answers a ping on $2; fail if it exits.
 wait_for_server() {
   for _ in $(seq 300); do
@@ -40,6 +48,8 @@ wait_for_server() {
 echo "== TPC-H 0.05: traced workload, prune counters, trace schema"
 "$CLI" generate tpch --scale 0.05 --out tpch.aqpt
 "$CLI" preprocess --view tpch.aqpt --rate 0.05 --out tpch.aqps
+pin tpch.aqpt 6899fe77a0e50f3c97235f5a8bf05ff09a4686a660682a087e306b8c9ce527d3
+pin tpch.aqps 1a63f1f59c85f361ca2dfcad2af130fb340012f5a6d2ba5aa7fea8b008b2bf4a
 "$CLI" workload --family tpch.aqps --view tpch.aqpt --queries 10 --threads 4 --trace --obs-out OBS
 "$CLI" validate-trace OBS_traces.jsonl
 # Only trace schema version 3 decodes: a schema_version 2 line must fail.
@@ -71,6 +81,8 @@ grep -q 'id="stages"' CAL_dashboard.html
 
 "$CLI" generate sales --rows 20000 --out sales.aqpt
 "$CLI" preprocess --view sales.aqpt --rate 0.05 --out sales.aqps
+pin sales.aqpt a3463335f89b33defb16f15753063a33787777933d8017d1c7f2a64fd0469d6c
+pin sales.aqps a0f462645e96693d7e063b28545fcdabcc893a43ddbdaf7c6b305b10ddee05cf
 
 echo "== serve: one forced shed, one forced timeout (--faults $FAULTS)"
 ADDR=127.0.0.1:7979

@@ -4,22 +4,30 @@
 //! table writes and its pass-1 histograms all run column-at-a-time on
 //! dictionary codes. Each is checked here against the row-at-a-time code
 //! it replaced, kept in this file as the reference: values pushed one
-//! `ValueRef` at a time, rows appended with `push_row_from_with_mask`, one
-//! hash-map observation per row. "Equal" means identical in every way a
+//! `ValueRef` at a time, sample rows pushed by [`push_rows_with_masks`],
+//! one hash-map observation per row. "Equal" means identical in every way a
 //! later stage can see: data vectors (placeholders under NULLs included),
-//! dictionary order, whether `nulls()` is `None` (the vectorised kernels
-//! branch on it), bitmask words, and therefore the persisted bytes — which
-//! are also pinned to checksums recorded from the commit before the
-//! rewrite.
+//! decoded strings, whether `nulls()` is `None` (the vectorised kernels
+//! branch on it), bitmask words, and the persisted bytes — which are also
+//! pinned to checksums recorded from the commit before the rewrite.
+//!
+//! A gathered string column shares its source's dictionary, so its codes
+//! are the source's, where the reference re-interns every string into a
+//! dictionary of its own in first-appearance order. The file is where the
+//! two must meet: it stores only the entries a column's rows use, in the
+//! order the rows first use them, so both write the same bytes.
 
 use aqp::core::persist::encode_sampler;
 use aqp::core::{column_frequency, select_outliers};
 use aqp::prelude::*;
 use aqp::sampling::{ColumnFrequency, ReservoirSampler};
-use aqp::storage::{crc32c, decode_table, encode_table, BitSet, Codes, Column, Dictionary, ValueRef};
+use aqp::storage::{
+    crc32c, decode_table, encode_table, BitSet, Codes, Column, Dictionary, ValueRef,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashSet;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Deterministic splitmix-style generator, stable across platforms.
@@ -81,11 +89,17 @@ fn with_unused_entries(col: &Column) -> Column {
         wide.intern(s);
     }
     let codes = (0..codes.len())
-        .map(|row| if col.is_null(row) { 0 } else { 2 * codes.get(row) + 1 })
+        .map(|row| {
+            if col.is_null(row) {
+                0
+            } else {
+                2 * codes.get(row) + 1
+            }
+        })
         .collect();
     Column::Utf8 {
         codes: Codes::U32(codes).fit(wide.len()),
-        dict: wide,
+        dict: Arc::new(wide),
         nulls: nulls.clone(),
     }
 }
@@ -111,23 +125,36 @@ fn assert_columns_identical(got: &Column, want: &Column, what: &str) {
         (Column::Bool { data: a, .. }, Column::Bool { data: b, .. }) => {
             assert_eq!(a, b, "{what}: data")
         }
-        (
-            Column::Utf8 {
-                codes: a, dict: da, ..
-            },
-            Column::Utf8 {
-                codes: b, dict: db, ..
-            },
-        ) => {
-            assert_eq!(a, b, "{what}: codes");
-            let strings = |d: &Dictionary| d.iter().map(|(_, s)| s.to_owned()).collect::<Vec<_>>();
-            assert_eq!(strings(da), strings(db), "{what}: dictionary order");
+        (Column::Utf8 { .. }, Column::Utf8 { .. }) => {
+            assert_eq!(got.len(), want.len(), "{what}: rows");
+            for row in 0..want.len() {
+                assert_eq!(
+                    got.value(row).to_owned(),
+                    want.value(row).to_owned(),
+                    "{what}: row {row}"
+                );
+            }
+            assert_eq!(column_file(got), column_file(want), "{what}: file bytes");
             assert_narrowest(got, what);
             assert_narrowest(want, what);
         }
         _ => panic!("{what}: column types differ"),
     }
     assert_eq!(got.nulls(), want.nulls(), "{what}: null mask");
+}
+
+/// The file of a table holding only `col`.
+fn column_file(col: &Column) -> Vec<u8> {
+    let schema = SchemaBuilder::new()
+        .field("c", col.data_type())
+        .build()
+        .unwrap();
+    encode_table(&Table::from_columns("c", schema, vec![col.clone()]).unwrap()).unwrap()
+}
+
+/// The dictionary a string column holds its codes in.
+fn dictionary(col: &Column) -> &Dictionary {
+    col.as_utf8().expect("a string column").1
 }
 
 /// The width invariant: a string column's codes are at the narrowest width
@@ -212,6 +239,21 @@ fn gather_equals_row_at_a_time_reference() {
                         indices.len()
                     );
                     assert_columns_identical(&got, &want, &what);
+                    if let (Some((codes, dict)), Some((src_codes, src_dict))) =
+                        (got.as_utf8(), col.as_utf8())
+                    {
+                        // The source's dictionary, and its codes at its width.
+                        assert!(std::ptr::eq(dict, src_dict), "{what}: one dictionary");
+                        let want_codes: Vec<u32> = indices
+                            .iter()
+                            .map(|&i| if col.is_null(i) { 0 } else { src_codes.get(i) })
+                            .collect();
+                        assert_eq!(
+                            codes,
+                            &Codes::U32(want_codes).fit(src_dict.len()),
+                            "{what}: codes"
+                        );
+                    }
                     if col.nulls().is_some() && !indices.is_empty() && got.nulls().is_none() {
                         some_valid_only_gather_lost_its_mask = true;
                     }
@@ -226,15 +268,33 @@ fn gather_equals_row_at_a_time_reference() {
 }
 
 #[test]
-fn gather_drops_unused_dictionary_entries() {
+fn a_file_drops_unused_entries_and_orders_the_rest_by_first_use() {
     let col = with_unused_entries(&random_column(DataType::Utf8, 50, 5, 10, 3));
-    let (_, before) = col.as_utf8().unwrap();
-    assert!(before.iter().any(|(_, s)| s.starts_with("ghost")));
-    let all: Vec<usize> = (0..50).collect();
-    let gathered = col.gather(&all);
-    let (_, after) = gathered.as_utf8().unwrap();
-    assert!(after.iter().all(|(_, s)| !s.starts_with("ghost")));
-    assert!(after.len() <= 5);
+    assert!(dictionary(&col).iter().any(|(_, s)| s.starts_with("ghost")));
+    // Every row reversed: the gathered column keeps every entry, in the
+    // source's order; its file keeps the used ones, in the rows' order.
+    let reversed: Vec<usize> = (0..50).rev().collect();
+    let gathered = col.gather(&reversed);
+    assert_eq!(dictionary(&gathered).len(), dictionary(&col).len());
+    let loaded = decode_table(&column_file(&gathered)).unwrap();
+    let entries: Vec<String> = dictionary(loaded.column(0))
+        .iter()
+        .map(|(_, s)| s.to_owned())
+        .collect();
+    let mut first_use: Vec<String> = Vec::new();
+    for row in 0..gathered.len() {
+        if let ValueRef::Utf8(s) = gathered.value(row) {
+            if !first_use.iter().any(|e| e == s) {
+                first_use.push(s.to_owned());
+            }
+        }
+    }
+    assert!(first_use.len() <= 5);
+    assert_eq!(entries, first_use);
+    assert_eq!(
+        column_file(&gathered),
+        column_file(&reference_gather(&col, &reversed))
+    );
 }
 
 /// A string column of `rows` rows, built by pushing, whose first `distinct`
@@ -247,7 +307,11 @@ fn distinct_column(distinct: usize, rows: usize, seed: u64) -> Column {
         if row >= distinct && next(&mut s).is_multiple_of(7) {
             col.push_null();
         } else {
-            let v = if row < distinct { row } else { skewed(&mut s, distinct) };
+            let v = if row < distinct {
+                row
+            } else {
+                skewed(&mut s, distinct)
+            };
             col.push(ValueRef::Utf8(&format!("w{v}"))).unwrap();
         }
     }
@@ -300,47 +364,88 @@ fn code_widths_across_256_and_65_536_entries_match_the_push_reference() {
         };
         assert_eq!(got_width, width, "{what}");
 
-        // By gather: onto 3 distinct values (written at the source's
-        // width, narrowed to u8), onto exactly 257 (u16), onto NULLs only,
-        // and every row reversed (the source's width).
+        // By gather — at the source's width, onto the source's dictionary
+        // — onto 3 distinct values, onto exactly 257, onto NULLs only, and
+        // every row reversed: the reference's values and file bytes.
         let mut s = distinct as u64 + 1;
-        let three: Vec<usize> = (0..500).map(|_| [1, distinct / 2, distinct - 1][skewed(&mut s, 3)]).collect();
+        let three: Vec<usize> = (0..500)
+            .map(|_| [1, distinct / 2, distinct - 1][skewed(&mut s, 3)])
+            .collect();
         let head = distinct.min(257);
-        let some: Vec<usize> = (0..head).chain((0..900).map(|_| next(&mut s) as usize % head)).collect();
-        let null_rows: Vec<usize> = (distinct..rows).filter(|&r| pushed.is_null(r)).take(40).collect();
+        let some: Vec<usize> = (0..head)
+            .chain((0..900).map(|_| next(&mut s) as usize % head))
+            .collect();
+        let null_rows: Vec<usize> = (distinct..rows)
+            .filter(|&r| pushed.is_null(r))
+            .take(40)
+            .collect();
         let reversed: Vec<usize> = (0..rows).rev().collect();
-        for (label, indices) in [("three", three), ("some", some), ("nulls", null_rows), ("reversed", reversed)] {
+        for (label, indices) in [
+            ("three", three),
+            ("some", some),
+            ("nulls", null_rows),
+            ("reversed", reversed),
+        ] {
             let want = reference_gather(&pushed, &indices);
-            assert_columns_identical(&pushed.gather(&indices), &want, &format!("{what}, gather {label}"));
-            // A source with unused entries gathers to the same column.
+            assert_columns_identical(
+                &pushed.gather(&indices),
+                &want,
+                &format!("{what}, gather {label}"),
+            );
+            // A source with unused entries gathers to the same values and
+            // file.
             let ghosts = with_unused_entries(&pushed);
-            assert_columns_identical(&ghosts.gather(&indices), &want, &format!("{what}, ghosts, gather {label}"));
+            assert_columns_identical(
+                &ghosts.gather(&indices),
+                &want,
+                &format!("{what}, ghosts, gather {label}"),
+            );
         }
 
-        // By save -> load: re-coded at the loaded dictionary's width, also
-        // when half the file's entries are unused (the file dictionary
-        // needs the next width up; the loaded one does not).
+        // By save -> load: the file holds the used entries only, so the
+        // loaded column is the pushed one, also from a source whose
+        // dictionary is half unused entries (and needs the next width up).
         let schema = SchemaBuilder::new()
             .field("s", DataType::Utf8)
             .field("ghosts", DataType::Utf8)
             .build()
             .unwrap();
-        let table = Table::from_columns("w", schema, vec![pushed.clone(), with_unused_entries(&pushed)]).unwrap();
+        let table = Table::from_columns(
+            "w",
+            schema,
+            vec![pushed.clone(), with_unused_entries(&pushed)],
+        )
+        .unwrap();
         let loaded = decode_table(&encode_table(&table).unwrap()).unwrap();
         assert_columns_identical(loaded.column(0), &pushed, &format!("{what}, loaded"));
-        assert_columns_identical(loaded.column(1), &pushed, &format!("{what}, loaded with ghosts"));
+        assert_columns_identical(
+            loaded.column(1),
+            &pushed,
+            &format!("{what}, loaded with ghosts"),
+        );
 
         // Zone maps and file bytes do not depend on the width.
         let one = |col: Column| {
-            let schema = SchemaBuilder::new().field("s", DataType::Utf8).build().unwrap();
+            let schema = SchemaBuilder::new()
+                .field("s", DataType::Utf8)
+                .build()
+                .unwrap();
             Table::from_columns("z", schema, vec![col]).unwrap()
         };
         let natural = one(pushed.clone());
         let bytes = encode_table(&natural).unwrap();
-        assert_eq!(encode_table(&decode_table(&bytes).unwrap()).unwrap(), bytes, "{what}: save -> load -> save");
+        assert_eq!(
+            encode_table(&decode_table(&bytes).unwrap()).unwrap(),
+            bytes,
+            "{what}: save -> load -> save"
+        );
         for wider in at_every_width(&pushed) {
             let other = one(wider);
-            assert_eq!(**other.zone_maps(), **natural.zone_maps(), "{what}: zone maps");
+            assert_eq!(
+                **other.zone_maps(),
+                **natural.zone_maps(),
+                "{what}: zone maps"
+            );
             assert_eq!(encode_table(&other).unwrap(), bytes, "{what}: file bytes");
         }
     }
@@ -434,6 +539,12 @@ fn denormalize_equals_row_at_a_time_reference() {
                 want.push_row(&row).unwrap();
             }
             assert_tables_identical(&got, &want);
+            // Dimension columns hold their dimension's dictionary.
+            let label = got.column_by_name("d1.label").unwrap();
+            assert!(std::ptr::eq(
+                dictionary(label),
+                dictionary(dim_tables[0].column(1))
+            ));
         }
         if fact_rows > 0 {
             assert_tables_identical(
@@ -557,9 +668,28 @@ fn view_configs() -> Vec<(&'static str, SmallGroupConfig)> {
 
 type Key = (u64, bool);
 
+/// A sample table holding `rows` of `view`, each tagged with its mask: one
+/// dynamically typed push per cell, the way sample tables were written
+/// before they were gathered, then the masks attached.
+fn push_rows_with_masks(
+    name: String,
+    view: &Table,
+    rows: &[(usize, BitSet)],
+    width: usize,
+) -> Table {
+    let mut table = Table::empty(name, view.schema().clone());
+    let mut masks = aqp::storage::BitmaskColumn::new(width);
+    for (row, mask) in rows {
+        table.push_row(&view.row(*row)).unwrap();
+        masks.push(mask);
+    }
+    table.attach_bitmask(masks).unwrap();
+    table
+}
+
 /// The family's tables as `SmallGroupSampler::build` wrote them before it
 /// went columnar: a hash-map observation per row and unit, one bit list
-/// per row, every sample row appended with `push_row_from_with_mask`.
+/// per row, every sample table written by [`push_rows_with_masks`].
 fn reference_family(view: &Table, config: &SmallGroupConfig) -> Vec<Table> {
     let n = view.num_rows();
     let src = DataSource::Wide(view);
@@ -595,25 +725,19 @@ fn reference_family(view: &Table, config: &SmallGroupConfig) -> Vec<Table> {
             .filter(|&u| !survivors[u].1.contains(&keys_of(&survivors[u].0, row)))
             .collect()
     };
-    let new_table = |name: String| {
-        let mut t = Table::empty(name, view.schema().clone());
-        t.enable_bitmask(num_units.max(1));
-        t
-    };
-
-    let mut sg_tables: Vec<Table> = survivors
-        .iter()
-        .map(|(unit, _)| new_table(format!("sg_{}", unit.join("+"))))
-        .collect();
+    let width = num_units.max(1);
+    let mut sg_rows: Vec<Vec<(usize, BitSet)>> = vec![Vec::new(); num_units];
     for row in 0..n {
         let bits = bits_of(row);
-        let mask = BitSet::from_bits(num_units, bits.iter().copied());
         for &u in &bits {
-            sg_tables[u]
-                .push_row_from_with_mask(view, row, &mask)
-                .unwrap();
+            sg_rows[u].push((row, BitSet::from_bits(num_units, bits.iter().copied())));
         }
     }
+    let sg_tables: Vec<Table> = (survivors.iter().zip(&sg_rows))
+        .map(|((unit, _), rows)| {
+            push_rows_with_masks(format!("sg_{}", unit.join("+")), view, rows, width)
+        })
+        .collect();
 
     let overall_target = ((n as f64 * config.base_rate).round() as usize).min(n);
     let (outliers, candidates): (Vec<usize>, Vec<usize>) = match &config.overall {
@@ -644,12 +768,11 @@ fn reference_family(view: &Table, config: &SmallGroupConfig) -> Vec<Table> {
         if name == "overall_outliers" && rows.is_empty() {
             continue;
         }
-        let mut table = new_table(name.into());
-        for row in rows {
-            let mask = BitSet::from_bits(num_units.max(1), bits_of(row));
-            table.push_row_from_with_mask(view, row, &mask).unwrap();
-        }
-        tables.push(table);
+        let tagged: Vec<(usize, BitSet)> = rows
+            .into_iter()
+            .map(|row| (row, BitSet::from_bits(width, bits_of(row))))
+            .collect();
+        tables.push(push_rows_with_masks(name.into(), view, &tagged, width));
     }
     tables
 }
@@ -670,6 +793,16 @@ fn sample_tables_equal_row_at_a_time_reference() {
             );
             for (g, w) in got.iter().zip(&want) {
                 assert_tables_identical(g, w);
+                // Every string column holds its view column's dictionary.
+                for (col, view_col) in g.columns().iter().zip(view.columns()) {
+                    if let (Some((_, a)), Some((_, b))) = (col.as_utf8(), view_col.as_utf8()) {
+                        assert!(
+                            std::ptr::eq(a, b),
+                            "{}: shares the view's dictionary",
+                            g.name()
+                        );
+                    }
+                }
             }
 
             // The three kinds of table are all there, and τ cut both ways.
@@ -722,6 +855,147 @@ fn sample_tables_equal_row_at_a_time_reference() {
     }
 }
 
+/// `table` with every string column's dictionary numbered in reverse:
+/// the same rows and values on other codes.
+fn renumbered_in_reverse(table: &Table) -> Table {
+    let columns = (table.columns().iter())
+        .map(|col| {
+            let Column::Utf8 { codes, dict, nulls } = col else {
+                return col.clone();
+            };
+            let last = dict.len() as u32 - 1;
+            let mut reversed = Dictionary::new();
+            for code in (0..=last).rev() {
+                reversed.intern(dict.value(code));
+            }
+            let codes = (0..codes.len())
+                .map(|row| {
+                    if col.is_null(row) {
+                        0
+                    } else {
+                        last - codes.get(row)
+                    }
+                })
+                .collect();
+            Column::Utf8 {
+                codes: Codes::U32(codes).fit(reversed.len()),
+                dict: Arc::new(reversed),
+                nulls: nulls.clone(),
+            }
+        })
+        .collect();
+    Table::from_columns(table.name(), Arc::clone(table.schema()), columns).unwrap()
+}
+
+#[test]
+fn l_of_c_does_not_depend_on_how_a_dictionary_is_numbered() {
+    // `g`: 60 "big", 15 "b", 15 "a", 10 "c" in a scrambled order. At
+    // t = 0.3 the threshold is N(1−t) = 70: "big" covers 60, and either
+    // 15 reaches it — a count tie exactly at the threshold. `h` ties too,
+    // and the pair (g, h) is a unit of its own.
+    let g: Vec<&str> = [("b", 15), ("big", 60), ("a", 15), ("c", 10)]
+        .iter()
+        .flat_map(|&(v, n)| std::iter::repeat_n(v, n))
+        .collect();
+    let h = |i: usize| ["p", "q", "p", "q", "r"][i % 5];
+    let schema = SchemaBuilder::new()
+        .field("g", DataType::Utf8)
+        .field("h", DataType::Utf8)
+        .field("x", DataType::Float64)
+        .build()
+        .unwrap();
+    let mut view = Table::empty("v", schema);
+    for i in 0..100 {
+        view.push_row(&[
+            g[i * 37 % 100].into(),
+            h(i * 13 % 100).into(),
+            (i as f64).into(),
+        ])
+        .unwrap();
+    }
+    let other = renumbered_in_reverse(&view);
+    assert_ne!(
+        view.column(0).as_utf8().unwrap().0,
+        other.column(0).as_utf8().unwrap().0,
+        "other codes"
+    );
+    let config = SmallGroupConfig {
+        base_rate: 0.2,
+        small_group_fraction: 0.3,
+        seed: 4,
+        column_pairs: vec![("g".into(), "h".into())],
+        exclude_columns: vec!["x".into()],
+        ..SmallGroupConfig::default()
+    };
+    let (a, b) = (
+        SmallGroupSampler::build(&view, config.clone()).unwrap(),
+        SmallGroupSampler::build(&other, config).unwrap(),
+    );
+    let g_meta = a
+        .catalog()
+        .columns
+        .iter()
+        .find(|c| c.name == "g")
+        .expect("g has small groups");
+    assert_eq!(g_meta.num_common, 2, "big and one of the tied values");
+
+    // The same L(C) sets (they are in the family file), the same rows and
+    // bitmasks in every table.
+    assert!(
+        encode_sampler(&a).unwrap() == encode_sampler(&b).unwrap(),
+        "family files differ"
+    );
+    for (ta, tb) in a.tables().zip(b.tables()) {
+        assert_eq!(ta.name(), tb.name());
+        let rows = |t: &Table| (0..t.num_rows()).map(|r| t.row(r)).collect::<Vec<_>>();
+        assert_eq!(rows(ta), rows(tb), "{}: rows", ta.name());
+        assert_eq!(
+            ta.bitmask().unwrap().words(),
+            tb.bitmask().unwrap().words(),
+            "{}",
+            ta.name()
+        );
+    }
+
+    // Bit-identical answers.
+    let queries = [
+        Query::builder().count().group_by("g").build().unwrap(),
+        Query::builder()
+            .count()
+            .sum("x")
+            .group_by("g")
+            .group_by("h")
+            .build()
+            .unwrap(),
+        Query::builder()
+            .aggregate(AggExpr::avg("x", "avg_x"))
+            .group_by("h")
+            .filter(Expr::in_set("g", vec!["a".into(), "b".into(), "c".into()]))
+            .build()
+            .unwrap(),
+    ];
+    for q in &queries {
+        let (mut x, mut y) = (a.answer(q, 0.95).unwrap(), b.answer(q, 0.95).unwrap());
+        x.sort_by_key();
+        y.sort_by_key();
+        assert_eq!(x.groups.len(), y.groups.len());
+        for (gx, gy) in x.groups.iter().zip(&y.groups) {
+            assert_eq!(gx.key, gy.key);
+            for (vx, vy) in gx.values.iter().zip(&gy.values) {
+                let bits = |v: &ApproxValue| {
+                    (
+                        v.value().to_bits(),
+                        v.ci.lo.to_bits(),
+                        v.ci.hi.to_bits(),
+                        v.is_exact(),
+                    )
+                };
+                assert_eq!(bits(vx), bits(vy), "{:?}", gx.key);
+            }
+        }
+    }
+}
+
 /// Every table of the family as it is persisted, in file order.
 fn table_bytes(family: &SmallGroupSampler) -> Vec<u8> {
     family
@@ -753,7 +1027,8 @@ fn sales_family_bytes_equal_the_recorded_checksums() {
         SALES_VIEW,
         "denormalised view"
     );
-    // Loading re-codes every dictionary; saving the result is byte-equal.
+    // The file orders each dictionary by first use and drops what no row
+    // uses; loading it and saving again is byte-equal.
     let reloaded = aqp::storage::decode_table(&view_bytes).unwrap();
     assert_eq!(
         aqp::storage::encode_table(&reloaded).unwrap(),
@@ -855,9 +1130,8 @@ fn pass_one_histograms_equal_hash_map_counts() {
 #[test]
 fn gather_time_does_not_grow_with_string_length() {
     // Re-interning every row hashes every row's string: 16x the bytes took
-    // 2.6x as long (debug and release alike). A code remap hashes each
-    // distinct string once — 50 of them against 20 000 rows — and reads
-    // 1.0-1.15x. 2x sits far from both.
+    // 2.6x as long (debug and release alike). A code copy hashes none and
+    // reads 1.0-1.15x. 2x sits far from both.
     let column = |len: usize| {
         let mut col = Column::new(DataType::Utf8);
         let mut s = 5u64;

@@ -14,8 +14,9 @@
 //! The same holds for the single scheduling round a UNION-ALL plan runs
 //! in — part by part for the plan [`SmallGroupSampler`] serves, and for
 //! the code-keyed fold that merges the plan's tables (every key space,
-//! tables whose dictionaries disagree) — plus all-or-nothing
-//! cancellation and per-part profiles.
+//! parts cut from one table with different vocabularies, as a view's
+//! sample tables are) — plus all-or-nothing cancellation and per-part
+//! profiles.
 
 #[path = "support/reference.rs"]
 mod reference;
@@ -26,6 +27,7 @@ use aqp::query::plan::QueryBuilder;
 use aqp::query::{run_scans, CancelToken, GroupResult, PlanGroups, PreparedScan, QueryError};
 use aqp::sampling::Estimate;
 use aqp::storage::{BitSet, BitmaskColumn, Codes};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Deterministic splitmix-style generator: no rand dependency, stable
@@ -482,11 +484,33 @@ fn union_all_in_one_round(parts: &[(Table, f64)], q: &Query, threads: usize, mor
         })
         .collect();
     let partials = run_scans(&scans, threads, None).unwrap();
-    let mut plan = PlanGroups::new(&scans).unwrap();
+    let Ok(mut plan) = PlanGroups::new(q, &scans) else {
+        panic!("parts on one dictionary")
+    };
     for (scan, partials) in scans.into_iter().zip(partials) {
         plan.absorb(scan.finish(partials));
     }
     plan.groups().map(|(key, states)| GroupResult { key, aggs: states.to_vec() }).collect()
+}
+
+/// `parts` cut back out of one table of all their rows — row ranges
+/// gathered in plan order — so that they share one dictionary per column,
+/// as the sample tables of one view do.
+fn cut_from_one_table(parts: Vec<(Table, f64)>) -> Vec<(Table, f64)> {
+    let mut whole = Table::empty("whole", Arc::clone(parts[0].0.schema()));
+    for (t, _) in &parts {
+        for row in 0..t.num_rows() {
+            whole.push_row(&t.row(row)).unwrap();
+        }
+    }
+    let mut start = 0;
+    (parts.iter())
+        .map(|(t, weight)| {
+            let rows: Vec<usize> = (start..start + t.num_rows()).collect();
+            start += t.num_rows();
+            (whole.gather(t.name(), &rows), *weight)
+        })
+        .collect()
 }
 
 /// The same plan through the reference: each part evaluated row at a
@@ -513,11 +537,11 @@ fn union_all_single_round_bit_identical_on_both_sides_of_the_inline_cutoff() {
         let first = 1;
         let middle = (total_morsels - 1) / 2;
         let last = total_morsels - first - middle;
-        let parts = [
+        let parts = cut_from_one_table(vec![
             (test_table(first * 64, 21), 1.0),
             (test_table(middle * 64 - 17, 22), 2.5),
             (test_table(last * 64, 23), 10.0 / 3.0),
-        ];
+        ]);
         for (qi, q) in queries.iter().enumerate() {
             let want = union_all_reference(&parts, q, 64);
             for threads in [1, 2, 4, 8] {
@@ -530,11 +554,9 @@ fn union_all_single_round_bit_identical_on_both_sides_of_the_inline_cutoff() {
 }
 
 /// Dictionary-heavy table: `d0..d6` are strings (seven of them: past the
-/// fast-key width with columns whose codes need translating), `n` an
-/// integer, `amt` an integer-valued measure. Strings are `v<k>` for `k`
-/// in `vocab`, drawn in a seed-dependent order — so two tables built
-/// from different seeds give the *same* string different dictionary
-/// codes — and `d0..d2` are NULL about one row in `null_every`.
+/// fast-key width), `n` an integer, `amt` an integer-valued measure.
+/// Strings are `v<k>` for `k` in `vocab`, drawn in a seed-dependent
+/// order, and `d0..d2` are NULL about one row in `null_every`.
 fn dict_table(rows: usize, seed: u64, vocab: std::ops::Range<u64>, null_every: u64) -> Table {
     let mut b = SchemaBuilder::new();
     for i in 0..7 {
@@ -576,9 +598,9 @@ fn dict_queries() -> Vec<Query> {
         aggs().group_by("d0").build().unwrap(),
         // NULL keys in several columns at once.
         aggs().group_by("d0").group_by("d1").group_by("d2").build().unwrap(),
-        // Dictionary + integer: a wide key with one translated column.
+        // Dictionary + integer: a wide key.
         aggs().group_by("n").group_by("d1").build().unwrap(),
-        // Seven dictionary columns: heap keys, every column translated.
+        // Seven dictionary columns: heap keys.
         seven.build().unwrap(),
         // Ungrouped: one row per table, one row across tables.
         aggs().build().unwrap(),
@@ -592,7 +614,8 @@ fn dict_queries() -> Vec<Query> {
 /// The fold of `parts` under `q` must equal the reference's — every bit,
 /// and the group order — at 1/2/8 threads, with morsel sizes on both
 /// sides of the inline cutoff. The reference keys groups by decoded
-/// values, so this also proves every table's codes were translated.
+/// values, so this also proves every part's codes decode through the one
+/// dictionary the parts share.
 fn assert_code_keyed_fold_matches_reference(parts: &[(Table, f64)], q: &Query, ctx: &str) {
     let rows: usize = parts.iter().map(|(t, _)| t.num_rows()).sum();
     // ~9 morsels (inline), ~16 (the cutoff), ~70 (threaded).
@@ -606,15 +629,15 @@ fn assert_code_keyed_fold_matches_reference(parts: &[(Table, f64)], q: &Query, c
 }
 
 #[test]
-fn plan_fold_across_tables_whose_dictionaries_disagree() {
-    // Three tables over overlapping vocabularies (v0..v9, v4..v13,
-    // v8..v17): each holds strings the others lack, and shared strings
-    // sit at different codes in each.
-    let parts = [
+fn plan_fold_across_parts_whose_vocabularies_differ() {
+    // Three parts over overlapping vocabularies (v0..v9, v4..v13,
+    // v8..v17): each holds strings the others lack, so each uses a
+    // different slice of the dictionary they share.
+    let parts = cut_from_one_table(vec![
         (dict_table(900, 41, 0..10, 6), 1.0),
         (dict_table(1_400, 42, 4..14, 9), 1.0),
         (dict_table(700, 43, 8..18, 4), 1.0),
-    ];
+    ]);
     for (qi, q) in dict_queries().iter().enumerate() {
         assert_code_keyed_fold_matches_reference(&parts, q, &format!("query {qi}"));
     }
@@ -675,33 +698,40 @@ fn kernel_label(t: &Table, q: &Query) -> String {
 fn plan_fold_around_the_dense_slot_cap_and_past_u64() {
     // (89+1)·(90+1) = 8 190 keys: under the 8 192-slot cap, the radix key
     // indexes the accumulator directly.
-    let below = [(card_table(1_200, &[89, 90], 51, 0), 1.0), (card_table(900, &[89, 90], 52, 40), 2.5)];
+    let below = cut_from_one_table(vec![
+        (card_table(1_200, &[89, 90], 51, 0), 1.0),
+        (card_table(900, &[89, 90], 52, 0), 2.5),
+    ]);
     assert_eq!(kernel_label(&below[0].0, &group_by_all_h(2)), "vectorized-dense");
     assert_code_keyed_fold_matches_reference(&below, &group_by_all_h(2), "below the cap");
 
     // (90+1)·(90+1) = 8 281 keys: over it, the same number is interned.
-    let above = [(card_table(1_200, &[90, 90], 53, 0), 1.0), (card_table(900, &[90, 90], 54, 40), 2.5)];
+    let above = cut_from_one_table(vec![
+        (card_table(1_200, &[90, 90], 53, 0), 1.0),
+        (card_table(900, &[90, 90], 54, 0), 2.5),
+    ]);
     assert_eq!(kernel_label(&above[0].0, &group_by_all_h(2)), "vectorized-hash");
     assert_code_keyed_fold_matches_reference(&above, &group_by_all_h(2), "above the cap");
 
-    // 1 201⁶ ≈ 3.0e18 keys fit a u64 in each table, but the two tables'
-    // vocabularies are disjoint, so the plan's bound is 2 401⁶ ≈ 1.9e20:
-    // radix tables folded into a plan that must key on per-column codes.
-    let plan_past_u64 = [
-        (card_table(1_500, &[1_200; 6], 55, 0), 1.0),
-        (card_table(1_500, &[1_200; 6], 56, 5_000), 2.5),
-    ];
-    assert_code_keyed_fold_matches_reference(&plan_past_u64, &group_by_all_h(6), "plan past u64");
+    // A part's key space is its shared dictionary's, not its own rows':
+    // the first part uses 89 × 90 strings, but the second's shift makes
+    // the dictionaries 129 × 130, past the cap for both.
+    let shifted = cut_from_one_table(vec![
+        (card_table(1_200, &[89, 90], 51, 0), 1.0),
+        (card_table(900, &[89, 90], 52, 40), 2.5),
+    ]);
+    assert_eq!(kernel_label(&shifted[0].0, &group_by_all_h(2)), "vectorized-hash");
+    assert_code_keyed_fold_matches_reference(&shifted, &group_by_all_h(2), "shifted past the cap");
 
-    // 2 001⁶ ≈ 6.4e19 keys: past u64 within one table. The product must
-    // be caught, not wrapped — a wrapped radix would alias distinct keys
-    // and merge groups the decoded merge keeps apart.
-    let table_past_u64 = [
+    // 3 001⁶ ≈ 7.3e20 keys: past u64. The product must be caught, not
+    // wrapped — a wrapped radix would alias distinct keys and merge groups
+    // the decoded merge keeps apart.
+    let past_u64 = cut_from_one_table(vec![
         (card_table(2_400, &[2_000; 6], 57, 0), 1.0),
         (card_table(2_100, &[2_000; 6], 58, 1_000), 2.5),
-    ];
-    assert_code_keyed_fold_matches_reference(&table_past_u64, &group_by_all_h(6), "table past u64");
-    let groups = union_all_in_one_round(&table_past_u64, &group_by_all_h(6), 1, 4_096);
+    ]);
+    assert_code_keyed_fold_matches_reference(&past_u64, &group_by_all_h(6), "past u64");
+    let groups = union_all_in_one_round(&past_u64, &group_by_all_h(6), 1, 4_096);
     let distinct: std::collections::HashSet<&Vec<Value>> = groups.iter().map(|g| &g.key).collect();
     assert_eq!(distinct.len(), groups.len(), "every group has a key of its own");
     assert!(groups.len() > 2_000, "the 2 000 all-distinct rows of each table are groups: {}", groups.len());
@@ -732,12 +762,17 @@ fn width_table(rows: usize, card: u64, seed: u64, shift: u64) -> Table {
 }
 
 #[test]
-fn plan_fold_across_tables_that_store_one_column_at_different_widths() {
-    // `g` holds 200 strings in the first part (u8 codes) and 300 in the
-    // second (u16), 100 of them shared: one string, two codes, two widths.
-    let parts = [(width_table(1_500, 200, 61, 0), 1.0), (width_table(2_000, 300, 62, 100), 2.5)];
+fn plan_fold_across_parts_at_their_shared_dictionarys_width() {
+    // `g` holds 200 strings in the first part (u8 codes on a dictionary
+    // of its own) and 300 in the second, 100 of them shared: cut from one
+    // table, both parts store u16 codes into its 400-entry dictionary.
+    let parts = cut_from_one_table(vec![
+        (width_table(1_500, 200, 61, 0), 1.0),
+        (width_table(2_000, 300, 62, 100), 2.5),
+    ]);
     let codes = |t: &Table| t.column_by_name("g").unwrap().as_utf8().unwrap().0.clone();
-    assert!(matches!(codes(&parts[0].0), Codes::U8(_)));
+    assert!(matches!(codes(&width_table(1_500, 200, 61, 0)), Codes::U8(_)));
+    assert!(matches!(codes(&parts[0].0), Codes::U16(_)));
     assert!(matches!(codes(&parts[1].0), Codes::U16(_)));
 
     let aggs = || Query::builder().count().sum("amt");
@@ -802,7 +837,7 @@ fn fold_time_per_morsel_group_stays_flat_when_groups_per_morsel_grow_tenfold() {
     // regrows from empty in every morsel, grow faster than that. 30x sits
     // far from 10x, so host noise cannot flip the verdict.
     let parts = |groups: u64| -> Vec<(Table, f64)> {
-        [61u64, 67]
+        let parts = [61u64, 67]
             .iter()
             .map(|&seed| {
                 let schema = SchemaBuilder::new()
@@ -827,7 +862,8 @@ fn fold_time_per_morsel_group_stays_flat_when_groups_per_morsel_grow_tenfold() {
                 }
                 (t, 2.0)
             })
-            .collect()
+            .collect();
+        cut_from_one_table(parts)
     };
     let q = Query::builder().count().sum("amt").group_by("a").group_by("b").group_by("c").build().unwrap();
     // Best of several runs each: interference only ever adds time.

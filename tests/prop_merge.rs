@@ -20,7 +20,7 @@
 mod reference;
 
 use aqp::prelude::*;
-use aqp::query::{execute, run_scans, AggState, GroupResult, PlanGroups, PreparedScan};
+use aqp::query::{execute, run_scans, AggState, GroupResult, PlanGroups, PreparedScan, QueryError};
 use proptest::prelude::*;
 use reference::same_bits;
 
@@ -223,9 +223,9 @@ proptest! {
     }
 
     /// The cross-table fold: the stream cut into consecutive tables —
-    /// each with a dictionary of its own, so the same string has
-    /// different codes in different tables and some strings are missing
-    /// from some — scanned as one plan and folded on codes equals the
+    /// row ranges gathered from one table, so they share its dictionary
+    /// and some strings are missing from some, as sample tables cut from
+    /// one view — scanned as one plan and folded on codes equals the
     /// one-pass reference, group order included, and every key decodes
     /// to the right values.
     #[test]
@@ -239,12 +239,15 @@ proptest! {
         let mut bounds: Vec<usize> = cuts.iter().map(|c| c % (keyed.len() + 1)).collect();
         bounds.extend([0, keyed.len()]);
         bounds.sort_unstable();
-        let parts: Vec<(Table, Vec<f64>)> =
-            bounds.windows(2).map(|w| keyed_table(&keyed[w[0]..w[1]], dict_keys)).collect();
+        let (whole, weights) = keyed_table(&keyed, dict_keys);
+        let parts: Vec<(Table, &[f64])> = bounds
+            .windows(2)
+            .map(|w| (whole.gather("part", &(w[0]..w[1]).collect::<Vec<_>>()), &weights[w[0]..w[1]]))
+            .collect();
         let query = keyed_query();
         let scans: Vec<PreparedScan<'_>> = parts
             .iter()
-            .map(|(table, weights)| {
+            .map(|&(ref table, weights)| {
                 let opts = ExecOptions {
                     weight: Weighting::PerRow(weights),
                     morsel_rows,
@@ -254,7 +257,7 @@ proptest! {
             })
             .collect();
         let partials = run_scans(&scans, 1, None).unwrap();
-        let mut plan = PlanGroups::new(&scans).unwrap();
+        let Ok(mut plan) = PlanGroups::new(&query, &scans) else { panic!("one dictionary") };
         for (scan, partials) in scans.into_iter().zip(partials) {
             plan.absorb(scan.finish(partials));
         }
@@ -263,4 +266,28 @@ proptest! {
         let diff = reference::first_difference(&keyed_reference(&keyed, dict_keys), &got);
         prop_assert!(diff.is_none(), "{}", diff.unwrap_or_default());
     }
+}
+
+/// A plan whose tables hold a string group column on two dictionaries —
+/// so one code could name two strings — is refused with a typed error
+/// naming the column; the same rows gathered from one table fold.
+#[test]
+fn plan_fold_refuses_tables_on_separate_dictionaries() {
+    let items = [(1, (1, 1, false)), (2, (2, 1, false)), (1, (3, 1, false))];
+    let (a, _) = keyed_table(&items, true);
+    let (b, _) = keyed_table(&items[1..], true);
+    let query = keyed_query();
+    let scan =
+        |t| PreparedScan::new(&DataSource::Wide(t), &query, &ExecOptions::default()).unwrap();
+    match PlanGroups::new(&query, &[scan(&a), scan(&b)]) {
+        Err(QueryError::InvalidQuery(msg)) => assert!(msg.contains("group column k "), "{msg}"),
+        Err(other) => panic!("expected InvalidQuery, got {other:?}"),
+        Ok(_) => panic!("tables on separate dictionaries folded"),
+    }
+    let gathered = a.gather("tail", &[1, 2]);
+    assert!(PlanGroups::new(&query, &[scan(&a), scan(&gathered)]).is_ok());
+    // Integer keys are their own values: separate tables fold.
+    let (c, _) = keyed_table(&items, false);
+    let (d, _) = keyed_table(&items[1..], false);
+    assert!(PlanGroups::new(&query, &[scan(&c), scan(&d)]).is_ok());
 }

@@ -285,11 +285,13 @@ fn morsel_size_fixes_the_float_fold_order() {
 
 #[test]
 fn fold_copies_a_key_first_state_and_merges_later_ones_in_plan_order() {
-    let part = |g: &[&str], x: &[f64]| {
-        let rows: Vec<Vec<Value>> = g.iter().zip(x).map(|(&g, &x)| vec![g.into(), x.into()]).collect();
-        table(&[("g", DataType::Utf8), ("x", DataType::Float64)], &rows)
-    };
-    let parts = [(part(&["b", "a"], &[1.0, 2.0]), 1.0), (part(&["c", "a", "b"], &[4.0, 8.0, 16.0]), 2.0)];
+    // Two parts gathered from one table, so they share its dictionary, as
+    // the sample tables of one view do.
+    let g = ["b", "a", "c", "a", "b"];
+    let x = [1.0, 2.0, 4.0, 8.0, 16.0];
+    let rows: Vec<Vec<Value>> = g.iter().zip(x).map(|(&g, x)| vec![g.into(), x.into()]).collect();
+    let whole = table(&[("g", DataType::Utf8), ("x", DataType::Float64)], &rows);
+    let parts = [(whole.gather("p0", &[0, 1]), 1.0), (whole.gather("p1", &[2, 3, 4]), 2.0)];
     let q = Query::builder().count().sum("x").group_by("g").build().unwrap();
     let opts = |w| ExecOptions { weight: Weighting::Constant(w), morsel_rows: 2, ..ExecOptions::default() };
 
@@ -304,7 +306,7 @@ fn fold_copies_a_key_first_state_and_merges_later_ones_in_plan_order() {
         let scans: Vec<PreparedScan<'_>> =
             parts.iter().map(|(t, w)| PreparedScan::new(&DataSource::Wide(t), &q, &opts(*w)).unwrap()).collect();
         let partials = run_scans(&scans, threads, None).unwrap();
-        let mut plan = PlanGroups::new(&scans).unwrap();
+        let Ok(mut plan) = PlanGroups::new(&q, &scans) else { panic!("one dictionary") };
         for (scan, partials) in scans.into_iter().zip(partials) {
             plan.absorb(scan.finish(partials));
         }
