@@ -8,7 +8,6 @@
 use aqp_query::{AggFunc, AggState};
 use aqp_sampling::{ConfidenceInterval, Estimate};
 use aqp_storage::Value;
-use std::collections::HashMap;
 use std::fmt;
 
 /// One estimated aggregate value within a group.
@@ -117,14 +116,6 @@ impl ApproxAnswer {
     /// Sort groups by key for deterministic display.
     pub fn sort_by_key(&mut self) {
         self.groups.sort_by(|a, b| a.key.cmp(&b.key));
-    }
-
-    /// View as a key → values map.
-    pub fn to_map(&self) -> HashMap<&[Value], &[ApproxValue]> {
-        self.groups
-            .iter()
-            .map(|g| (g.key.as_slice(), g.values.as_slice()))
-            .collect()
     }
 }
 
@@ -265,6 +256,5 @@ mod tests {
         assert_eq!(g.values[0].value(), 5.0);
         let rendered = ans.to_string();
         assert!(rendered.contains("exact"));
-        assert_eq!(ans.to_map().len(), 1);
     }
 }

@@ -25,9 +25,9 @@
 
 use crate::answer::ApproxAnswer;
 use crate::error::{AqpError, AqpResult};
-use crate::parts::{answer_from_parts, Part, PartWeight};
+use crate::parts::{answer_from_parts, Part};
 use crate::system::AqpSystem;
-use aqp_query::{DataSource, Query};
+use aqp_query::{DataSource, Query, Weighting};
 use aqp_sampling::{sample_without_replacement, water_fill, StratifiedAllocation};
 use aqp_storage::Table;
 use rand::{RngExt, SeedableRng};
@@ -174,12 +174,7 @@ impl AqpSystem for BasicCongress {
             ));
         }
         let exact = self.sample.num_rows() == self.view_rows;
-        let parts = [Part {
-            table: &self.sample,
-            mask: None,
-            weighting: PartWeight::PerRow(&self.weights),
-            stratum: "stratified",
-        }];
+        let parts = [Part::new(&self.sample, None, Weighting::PerRow(&self.weights), "stratified")];
         answer_from_parts(query, &parts, confidence, 1, &|_| exact)
     }
 
@@ -302,12 +297,7 @@ impl AqpSystem for Congress {
             ));
         }
         let exact = self.sample.num_rows() == self.view_rows;
-        let parts = [Part {
-            table: &self.sample,
-            mask: None,
-            weighting: PartWeight::PerRow(&self.weights),
-            stratum: "stratified",
-        }];
+        let parts = [Part::new(&self.sample, None, Weighting::PerRow(&self.weights), "stratified")];
         answer_from_parts(query, &parts, confidence, 1, &|_| exact)
     }
 

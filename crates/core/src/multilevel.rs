@@ -20,11 +20,11 @@
 use crate::answer::ApproxAnswer;
 use crate::colscan::{classify_rows, column_frequency, sample_table, tie_rank, KeyCode};
 use crate::error::{AqpError, AqpResult};
-use crate::parts::{answer_from_parts, Part, PartWeight};
+use crate::parts::{answer_from_parts, Part};
 use crate::system::AqpSystem;
-use aqp_query::{DataSource, Query};
+use aqp_query::{DataSource, Query, Weighting};
 use aqp_sampling::{BernoulliSampler, ReservoirSampler};
-use aqp_storage::{BitSet, BitmaskColumn, Table, Value};
+use aqp_storage::{BitSet, BitmaskColumn, Table};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{HashMap, HashSet};
@@ -97,8 +97,10 @@ pub(crate) struct LevelEntry {
     level: usize,
     rate: f64,
     pub(crate) table: Table,
-    /// Decoded values belonging to this stratum (for exactness tests).
-    values: HashSet<Value>,
+    /// Key codes of the values belonging to this stratum, for exactness
+    /// tests on the group keys' digits (the tables share the view's
+    /// dictionaries, so a code means the same value in every one).
+    codes: HashSet<KeyCode>,
 }
 
 /// A multi-level sample family.
@@ -244,16 +246,12 @@ impl MultiLevelSampler {
         indices.sort_unstable();
         let overall = sample_table(view, &masks, "overall", &indices);
 
-        // Decode stratum values for runtime exactness tests.
         let mut entries = Vec::with_capacity(num_units);
         for (u, &(li, level)) in unit_specs.iter().enumerate() {
             let cl = &leveled[li];
-            let acc = &accessors[cl.col_idx];
-            let values: HashSet<Value> = cl
-                .assignment
-                .iter()
+            let codes = (cl.assignment.iter())
                 .filter(|(_, &l)| l == level)
-                .map(|(&(code, null), _)| acc.decode_key(code, null))
+                .map(|(&code, _)| code)
                 .collect();
             entries.push(LevelEntry {
                 column: columns[cl.col_idx].clone(),
@@ -265,7 +263,7 @@ impl MultiLevelSampler {
                     format!("ml_{}_{}", columns[cl.col_idx], level),
                     &unit_rows[u],
                 ),
-                values,
+                codes,
             });
         }
 
@@ -335,23 +333,18 @@ impl AqpSystem for MultiLevelSampler {
 
         let mut parts: Vec<Part<'_>> = Vec::new();
         for (j, &u) in applicable.iter().enumerate() {
-            parts.push(Part {
-                table: &self.entries[u].table,
-                mask: Some(BitSet::from_bits(width, applicable[..j].iter().copied())),
-                weighting: PartWeight::Constant(1.0 / self.entries[u].rate),
-                stratum: "small-group",
-            });
+            let entry = &self.entries[u];
+            let mask = BitSet::from_bits(width, applicable[..j].iter().copied());
+            let weighting = Weighting::Constant(1.0 / entry.rate);
+            parts.push(Part::new(&entry.table, Some(mask), weighting, "small-group"));
         }
-        parts.push(Part {
-            table: &self.overall,
-            mask: Some(BitSet::from_bits(width, applicable.iter().copied())),
-            weighting: PartWeight::Constant(self.overall_weight),
-            stratum: "overall",
-        });
+        let mask = BitSet::from_bits(width, applicable.iter().copied());
+        let weighting = Weighting::Constant(self.overall_weight);
+        parts.push(Part::new(&self.overall, Some(mask), weighting, "overall"));
 
         // The fully sampled applicable levels, each with its column's
         // position in the group key (resolved once, not per group).
-        let exact_levels: Vec<(&HashSet<Value>, usize)> = applicable
+        let exact_levels: Vec<(&HashSet<KeyCode>, usize)> = applicable
             .iter()
             .map(|&u| &self.entries[u])
             .filter(|e| e.rate >= 1.0)
@@ -359,11 +352,12 @@ impl AqpSystem for MultiLevelSampler {
                 let pos = (query.group_by.iter())
                     .position(|g| *g == e.column)
                     .expect("applicable implies present");
-                (&e.values, pos)
+                (&e.codes, pos)
             })
             .collect();
-        let is_exact =
-            |key: &[Value]| exact_levels.iter().any(|(values, pos)| values.contains(&key[*pos]));
+        let is_exact = |digits: &[KeyCode]| {
+            exact_levels.iter().any(|(codes, pos)| codes.contains(&digits[*pos]))
+        };
         answer_from_parts(query, &parts, confidence, 1, &is_exact)
     }
 
@@ -384,7 +378,7 @@ impl AqpSystem for MultiLevelSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aqp_storage::{DataType, SchemaBuilder};
+    use aqp_storage::{DataType, SchemaBuilder, Value};
 
     /// 10 000 rows: one value with 9 000 rows, one with 800, ten with 15,
     /// fifty with 1 — a three-tier size distribution.

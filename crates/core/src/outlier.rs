@@ -15,9 +15,9 @@
 
 use crate::answer::ApproxAnswer;
 use crate::error::{AqpError, AqpResult};
-use crate::parts::{answer_from_parts, Part, PartWeight};
+use crate::parts::{answer_from_parts, Part};
 use crate::system::AqpSystem;
-use aqp_query::{DataSource, Query};
+use aqp_query::{DataSource, Query, Weighting};
 use aqp_sampling::ReservoirSampler;
 use aqp_storage::Table;
 use rand::rngs::StdRng;
@@ -184,23 +184,13 @@ impl AqpSystem for OutlierIndex {
         }
         let exact = self.sample_weight <= 1.0 + 1e-12;
         let parts = [
-            Part {
-                table: &self.outliers,
-                mask: None,
-                weighting: PartWeight::Constant(1.0),
-                stratum: "outlier",
-            },
+            Part::new(&self.outliers, None, Weighting::Constant(1.0), "outlier"),
             // The remainder is a fixed-size WOR sample but is scored with
             // the Bernoulli HT variance (no finite-population correction),
             // consistently with every other stratum in this crate and with
             // the paper's Bernoulli analysis — a conservative (wider-CI)
             // choice documented in DESIGN.md.
-            Part {
-                table: &self.sample,
-                mask: None,
-                weighting: PartWeight::Constant(self.sample_weight),
-                stratum: "overall",
-            },
+            Part::new(&self.sample, None, Weighting::Constant(self.sample_weight), "overall"),
         ];
         answer_from_parts(query, &parts, confidence, 1, &|_| exact)
     }

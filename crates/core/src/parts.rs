@@ -4,13 +4,17 @@
 //! Every AQP system in this crate reduces to this shape at runtime — a
 //! UNION ALL over differently-weighted strata (paper Section 4.2.2) —
 //! differing only in which strata they assemble and how exactness is
-//! decided per group.
+//! decided per group. The resilience ladder's exact rung is one more: a
+//! single part over the base view, cut by the row budget.
 
 use crate::answer::{state_to_estimate, ApproxAnswer, ApproxGroup, ApproxValue};
+use crate::colscan::KeyCode;
 use crate::error::AqpResult;
-use aqp_query::{run_scans, DataSource, ExecOptions, PlanGroups, PreparedScan, Query, Weighting};
+use aqp_query::{
+    run_scans, AggFunc, DataSource, ExecOptions, PlanGroups, PreparedScan, Query, Weighting,
+};
 use aqp_sampling::Estimate;
-use aqp_storage::{BitSet, Table, Value};
+use aqp_storage::{BitSet, Table};
 
 /// One stratum of a rewritten query plan.
 pub(crate) struct Part<'a> {
@@ -20,44 +24,60 @@ pub(crate) struct Part<'a> {
     /// valid for tables carrying a bitmask column.
     pub mask: Option<BitSet>,
     /// Row weighting for this stratum.
-    pub weighting: PartWeight<'a>,
+    pub weighting: Weighting<'a>,
+    /// Scan at most this many rows (the exact rung's row budget).
+    pub row_limit: Option<usize>,
     /// Stratum kind for per-operator attribution (`small-group`,
     /// `overall`, `outlier`, `stratified`, or `base`).
     pub stratum: &'static str,
 }
 
-/// Stratum weighting: a constant inverse rate, or per-row weights.
-pub(crate) enum PartWeight<'a> {
-    Constant(f64),
-    PerRow(&'a [f64]),
+impl<'a> Part<'a> {
+    /// A whole-table stratum at `weighting`, optionally masked.
+    pub(crate) fn new(
+        table: &'a Table,
+        mask: Option<BitSet>,
+        weighting: Weighting<'a>,
+        stratum: &'static str,
+    ) -> Self {
+        Part {
+            table,
+            mask,
+            weighting,
+            row_limit: None,
+            stratum,
+        }
+    }
 }
 
 /// Execute every part and merge the tallies per group, forming estimates
-/// and confidence intervals. `is_exact` decides, per decoded group key,
-/// whether the answer for that group is exact. The morsels of all parts
-/// run in one scheduling round on up to `threads` workers; the answer is
-/// bit-identical at any value (each part folds its own morsels in morsel
-/// order, see `aqp_query::parallel`), and strata are always merged in
-/// plan order — on group *codes* ([`PlanGroups`]); a key is decoded once,
-/// here, when its group is finalised. Groups come out first-seen in plan
-/// order (the first part's groups in ascending first row, then each
-/// later part's new ones), the same on every call.
+/// and confidence intervals: the one place any system turns scans into an
+/// [`ApproxAnswer`]. `is_exact` decides, per group key given as one
+/// `(code, is_null)` digit per group column (the plan's shared codes, see
+/// [`PlanGroups::for_each_group`]), whether the answer for that group is
+/// exact. The morsels of all parts run in one scheduling round on up to
+/// `threads` workers; the answer is bit-identical at any value (each part
+/// folds its own morsels in morsel order, see `aqp_query::parallel`), and
+/// strata are always merged in plan order — on group *codes*
+/// ([`PlanGroups`]); a key is decoded once, here, when its group is
+/// finalised. Groups come out first-seen in plan order (the first part's
+/// groups in ascending first row, then each later part's new ones), the
+/// same on every call. `rows_scanned` and `partial` come from the scans:
+/// a part cut short by its row limit makes the answer partial.
 pub(crate) fn answer_from_parts(
     query: &Query,
     parts: &[Part<'_>],
     confidence: f64,
     threads: usize,
-    is_exact: &dyn Fn(&[Value]) -> bool,
+    is_exact: &dyn Fn(&[KeyCode]) -> bool,
 ) -> AqpResult<ApproxAnswer> {
     let scans = parts
         .iter()
         .map(|part| {
             let opts = ExecOptions {
-                weight: match part.weighting {
-                    PartWeight::Constant(w) => Weighting::Constant(w),
-                    PartWeight::PerRow(ws) => Weighting::PerRow(ws),
-                },
+                weight: part.weighting,
                 bitmask_exclude: part.mask.as_ref(),
+                row_limit: part.row_limit,
                 ..ExecOptions::default()
             };
             PreparedScan::new(&DataSource::Wide(part.table), query, &opts)
@@ -66,38 +86,54 @@ pub(crate) fn answer_from_parts(
     let partials = run_scans(&scans, threads.max(1), None)?;
 
     let mut merged = PlanGroups::new(query, &scans)?;
-    let mut rows_scanned = 0usize;
+    let (mut rows_scanned, mut partial) = (0usize, false);
     for ((part, scan), partials) in parts.iter().zip(scans).zip(partials) {
-        rows_scanned += part.table.num_rows();
-        // Label the scan's profile with this stratum's plan position;
-        // every part scans table.num_rows() rows, so the per-operator
-        // rows_in reconcile with `rows_scanned` by construction.
+        // Label the scan's profile with this stratum's plan position; its
+        // rows_in is the scan's rows_scanned, so the per-operator rows
+        // reconcile with the answer's by construction.
         let _ctx = aqp_obs::profile::scan_context(aqp_obs::ScanContext {
             table: part.table.name(),
             stratum: part.stratum,
             weight: match part.weighting {
-                PartWeight::Constant(w) => w,
-                PartWeight::PerRow(_) => 0.0,
+                Weighting::Unweighted => 1.0,
+                Weighting::Constant(w) => w,
+                Weighting::PerRow(_) => 0.0,
             },
         });
-        merged.absorb(scan.finish(partials));
+        let scanned = scan.finish(partials);
+        rows_scanned += scanned.rows_scanned;
+        partial |= scanned.truncated;
+        merged.absorb(scanned);
     }
 
     let _finalize_span = aqp_obs::span("plan.finalize");
     let mut groups = Vec::with_capacity(merged.num_groups());
-    for (key, states) in merged.groups() {
-        let exact = is_exact(&key);
+    merged.for_each_group(|digits, key, states| {
+        let exact = is_exact(digits);
         let values = query
             .aggregates
             .iter()
             .zip(states)
             .map(|(agg, state)| {
-                // No estimate (e.g. AVG over a group whose sampled rows
-                // were all NULL): report value 0 with infinite variance so
-                // the interval is honest about knowing nothing, instead of
-                // a confidently-zero answer.
-                let estimate = state_to_estimate(agg.func, state, exact)
-                    .unwrap_or_else(|| Estimate::with_variance(0.0, f64::INFINITY));
+                let estimate = match agg.func {
+                    // Only the exact rung serves MIN/MAX. An extremum over
+                    // a truncated scan bounds nothing about the unseen
+                    // rows: infinite variance keeps the interval honest.
+                    AggFunc::Min | AggFunc::Max => {
+                        let v = if agg.func == AggFunc::Min { state.min } else { state.max };
+                        if exact {
+                            Estimate::exact(v)
+                        } else {
+                            Estimate::with_variance(v, f64::INFINITY)
+                        }
+                    }
+                    // No estimate (e.g. AVG over a group whose sampled rows
+                    // were all NULL): report value 0 with infinite variance
+                    // so the interval is honest about knowing nothing,
+                    // instead of a confidently-zero answer.
+                    func => state_to_estimate(func, state, exact)
+                        .unwrap_or_else(|| Estimate::with_variance(0.0, f64::INFINITY)),
+                };
                 ApproxValue {
                     estimate,
                     ci: estimate.confidence_interval(confidence),
@@ -105,13 +141,14 @@ pub(crate) fn answer_from_parts(
             })
             .collect();
         groups.push(ApproxGroup { key, values });
-    }
+    });
 
     Ok(ApproxAnswer {
         group_names: query.group_by.clone(),
         agg_aliases: query.aggregates.iter().map(|a| a.alias.clone()).collect(),
         groups,
         rows_scanned,
+        partial,
         ..ApproxAnswer::default()
     })
 }

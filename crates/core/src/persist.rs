@@ -36,15 +36,17 @@
 //! unrecoverable and yields [`AqpError::Corrupt`].
 
 use crate::catalog::{SampleCatalog, SampleColumnMeta};
+use crate::colscan::KeyCode;
 use crate::error::{AqpError, AqpResult};
 use crate::smallgroup::{
-    CommonValues, OverallKind, OverallPart, SgEntry, SgUnit, SmallGroupConfig,
-    SmallGroupSampler,
+    CommonCodes, OverallKind, OverallPart, SgEntry, SgUnit, SmallGroupConfig, SmallGroupSampler,
 };
+use aqp_query::source::ResolvedColumn;
+use aqp_query::DataSource;
 use aqp_storage::io::{encode_table, get_string, get_value, put_string, put_value, TableDecoder};
 use aqp_storage::{crc32c, fault, Table, Value};
 use bytes::{Buf, BufMut, BytesMut};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 const MAGIC: &[u8; 4] = b"AQPS";
 // v3: checksummed header + segregated metadata section + self-checksummed
@@ -81,6 +83,51 @@ fn put_string_list(buf: &mut BytesMut, list: &[String]) -> AqpResult<()> {
         put_string(buf, s).map_err(AqpError::from)?;
     }
     Ok(())
+}
+
+/// The columns whose key codes `unit`'s `L(C)` holds, resolved in the
+/// family's overall sample. Every table of a family shares one dictionary
+/// per column, and the overall sample is intact in any loaded family,
+/// salvaged ones included.
+fn unit_columns<'a>(
+    unit: &SgUnit,
+    overall: &'a [OverallPart],
+) -> AqpResult<Vec<ResolvedColumn<'a>>> {
+    let part = (overall.first())
+        .ok_or_else(|| corrupt("small group tables without an overall sample"))?;
+    let names = match unit {
+        SgUnit::Single(c) => vec![c],
+        SgUnit::Pair(a, b) => vec![a, b],
+    };
+    (names.into_iter())
+        .map(|c| {
+            DataSource::Wide(&part.table)
+                .resolve(c)
+                .map_err(|_| corrupt(format!("unit column {c:?} is not in the overall sample")))
+        })
+        .collect()
+}
+
+/// `unit`'s `L(C)`, persisted as values (one per unit column, a pair's
+/// two in a row), as key codes of the loaded family. A value no row of
+/// the family holds — a string outside its dictionary — is dropped: no
+/// group key can carry it.
+fn common_codes(
+    unit: &SgUnit,
+    values: &[Value],
+    overall: &[OverallPart],
+) -> AqpResult<CommonCodes> {
+    let cols = unit_columns(unit, overall)?;
+    Ok(match unit {
+        SgUnit::Single(_) => {
+            CommonCodes::Single(values.iter().filter_map(|v| cols[0].encode_key(v)).collect())
+        }
+        SgUnit::Pair(..) => CommonCodes::Pair(
+            (values.chunks_exact(2))
+                .filter_map(|ab| Some((cols[0].encode_key(&ab[0])?, cols[1].encode_key(&ab[1])?)))
+                .collect(),
+        ),
+    })
 }
 
 fn get_string_list(buf: &mut &[u8]) -> AqpResult<Vec<String>> {
@@ -153,25 +200,26 @@ fn encode_meta(sampler: &SmallGroupSampler) -> AqpResult<Vec<u8>> {
                 put_string(&mut buf, b).map_err(AqpError::from)?;
             }
         }
+        // L(C) is written as values, sorted for determinism.
+        let cols = unit_columns(&entry.unit, &sampler.overall)?;
+        let decode = |col: usize, &(code, is_null): &KeyCode| cols[col].decode_key(code, is_null);
         match &entry.common {
-            CommonValues::Single(set) => {
+            CommonCodes::Single(set) => {
                 buf.put_u8(0);
-                let mut values: Vec<&Value> = set.iter().collect();
-                values.sort(); // determinism
+                let mut values: Vec<Value> = set.iter().map(|k| decode(0, k)).collect();
+                values.sort();
                 buf.put_u64_le(values.len() as u64);
-                for v in values {
+                for v in &values {
                     put_value(&mut buf, v).map_err(AqpError::from)?;
                 }
             }
-            CommonValues::Pair(pairs) => {
+            CommonCodes::Pair(set) => {
                 buf.put_u8(1);
-                let mut values: Vec<(&Value, &Value)> = pairs
-                    .iter()
-                    .flat_map(|(a, seconds)| seconds.iter().map(move |b| (a, b)))
-                    .collect();
+                let mut values: Vec<(Value, Value)> =
+                    set.iter().map(|(a, b)| (decode(0, a), decode(1, b))).collect();
                 values.sort();
                 buf.put_u64_le(values.len() as u64);
-                for (a, b) in values {
+                for (a, b) in &values {
                     put_value(&mut buf, a).map_err(AqpError::from)?;
                     put_value(&mut buf, b).map_err(AqpError::from)?;
                 }
@@ -209,7 +257,8 @@ struct Meta {
     config: SmallGroupConfig,
     view_rows: usize,
     overall_rate: f64,
-    units: Vec<(SgUnit, CommonValues)>,
+    /// Each unit with its `L(C)` values, a pair's two in a row.
+    units: Vec<(SgUnit, Vec<Value>)>,
     part_weights: Vec<f64>,
     catalog: SampleCatalog,
 }
@@ -307,28 +356,17 @@ fn decode_meta(meta: &[u8]) -> AqpResult<Meta> {
         if buf.remaining() < 1 + 8 {
             return Err(corrupt("truncated common values"));
         }
-        let common = match buf.get_u8() {
-            0 => {
-                let n = buf.get_u64_le() as usize;
-                let mut set = HashSet::with_capacity(n.min(buf.remaining()));
-                for _ in 0..n {
-                    set.insert(get_value(&mut buf).map_err(AqpError::from)?);
-                }
-                CommonValues::Single(set)
-            }
-            1 => {
-                let n = buf.get_u64_le() as usize;
-                let mut pairs: HashMap<Value, HashSet<Value>> = HashMap::new();
-                for _ in 0..n {
-                    let a = get_value(&mut buf).map_err(AqpError::from)?;
-                    let b = get_value(&mut buf).map_err(AqpError::from)?;
-                    pairs.entry(a).or_default().insert(b);
-                }
-                CommonValues::Pair(pairs)
-            }
-            other => return Err(corrupt(format!("unknown common tag {other}"))),
+        let arity = match (&unit, buf.get_u8()) {
+            (SgUnit::Single(_), 0) => 1,
+            (SgUnit::Pair(..), 1) => 2,
+            (_, other) => return Err(corrupt(format!("common tag {other} does not fit its unit"))),
         };
-        units.push((unit, common));
+        let n = (buf.get_u64_le() as usize).saturating_mul(arity);
+        let mut values = Vec::with_capacity(n.min(buf.remaining()));
+        for _ in 0..n {
+            values.push(get_value(&mut buf).map_err(AqpError::from)?);
+        }
+        units.push((unit, values));
     }
 
     // --- Overall part weights ---
@@ -434,28 +472,33 @@ fn check_header(bytes: &[u8]) -> AqpResult<(&[u8], u32)> {
 /// Assemble a sampler from decoded metadata plus per-slot tables.
 /// `tables[i] = None` means slot `i`'s table was corrupt (salvage mode);
 /// the slot is kept with an empty placeholder and marked disabled.
-fn assemble(meta: Meta, tables: Vec<Option<Table>>, parts: Vec<Table>) -> SmallGroupSampler {
-    let mut disabled = HashSet::new();
-    let entries: Vec<SgEntry> = meta
-        .units
-        .into_iter()
-        .zip(tables)
-        .enumerate()
-        .map(|(i, ((unit, common), table))| {
-            let table = table.unwrap_or_else(|| {
-                disabled.insert(i);
-                let schema = aqp_storage::Schema::new(Vec::new()).expect("empty schema");
-                Table::empty(format!("sg_{} (unavailable)", unit.name()), schema)
-            });
-            SgEntry { unit, table, common }
-        })
-        .collect();
+fn assemble(
+    meta: Meta,
+    tables: Vec<Option<Table>>,
+    parts: Vec<Table>,
+) -> AqpResult<SmallGroupSampler> {
     let overall: Vec<OverallPart> = parts
         .into_iter()
         .zip(meta.part_weights)
         .map(|(table, weight)| OverallPart { table, weight })
         .collect();
-    SmallGroupSampler {
+    let mut disabled = HashSet::new();
+    let entries = meta
+        .units
+        .into_iter()
+        .zip(tables)
+        .enumerate()
+        .map(|(i, ((unit, values), table))| {
+            let common = common_codes(&unit, &values, &overall)?;
+            let table = table.unwrap_or_else(|| {
+                disabled.insert(i);
+                let schema = aqp_storage::Schema::new(Vec::new()).expect("empty schema");
+                Table::empty(format!("sg_{} (unavailable)", unit.name()), schema)
+            });
+            Ok(SgEntry { unit, table, common })
+        })
+        .collect::<AqpResult<Vec<_>>>()?;
+    Ok(SmallGroupSampler {
         config: meta.config,
         view_rows: meta.view_rows,
         entries,
@@ -464,7 +507,7 @@ fn assemble(meta: Meta, tables: Vec<Option<Table>>, parts: Vec<Table>) -> SmallG
         catalog: meta.catalog,
         disabled,
         runtime_threads: 1,
-    }
+    })
 }
 
 /// Split the body into (metadata section, table blocks) and verify the
@@ -562,7 +605,7 @@ fn decode_tables(
     let entries: Vec<Option<Table>> = (decoded.into_iter())
         .map(|ok| ok.then(|| tables.next().expect("one table per decoded block")))
         .collect();
-    Ok(assemble(meta, entries, tables.collect()))
+    assemble(meta, entries, tables.collect())
 }
 
 impl SmallGroupSampler {
@@ -848,6 +891,148 @@ mod tests {
         let (salvaged, lost) = decode_sampler_salvage(&bad).unwrap();
         assert_eq!(lost.len(), 1);
         assert_one_dictionary_per_column(&salvaged);
+    }
+
+    /// 2 000 rows. Every column's common values cover exactly N(1−t) at
+    /// t = 0.05 — NULL is one of `i`'s, and `f`'s zero is stored as both
+    /// signs — and all rare values sit on the last 100 rows: NULL in `s`
+    /// and `b`, NaN in `f`. So each unit's small group table holds rare
+    /// rows only, and the 20 common strings of `s` reach a file only
+    /// through the overall sample, whose 4 rows hold at most 4 of them.
+    fn typed_view() -> Table {
+        let schema = SchemaBuilder::new()
+            .field("s", DataType::Utf8)
+            .field("i", DataType::Int64)
+            .field("b", DataType::Bool)
+            .field("f", DataType::Float64)
+            .field("x", DataType::Float64)
+            .build()
+            .unwrap();
+        let mut t = Table::empty("v", schema);
+        for r in 0..2000i64 {
+            let row: [Value; 5] = if r < 1900 {
+                [
+                    format!("c{:02}", r % 20).into(),
+                    if r % 2 == 0 { 0.into() } else { Value::Null },
+                    true.into(),
+                    [0.0, -0.0, 2.5, 2.5][r as usize % 4].into(),
+                    (r as f64).into(),
+                ]
+            } else {
+                let k = r - 1900;
+                let null_or = |v: Value| if k % 9 == 0 { Value::Null } else { v };
+                [
+                    null_or(format!("r{k:03}").into()),
+                    (1000 + k % 7).into(),
+                    null_or(false.into()),
+                    [7.25, 8.5, f64::NAN][k as usize % 3].into(),
+                    (r as f64).into(),
+                ]
+            };
+            t.push_row(&row).unwrap();
+        }
+        t
+    }
+
+    /// Every answer of `a` and `b` to `queries`: the same keys in the same
+    /// order, and every cell's value, variance and exactness to the bit.
+    /// Returns how many cells were exact and how many were not.
+    fn assert_same_answers(
+        a: &SmallGroupSampler,
+        b: &SmallGroupSampler,
+        queries: &[Query],
+        what: &str,
+    ) -> (usize, usize) {
+        let cells = |sampler: &SmallGroupSampler, q: &Query| {
+            let answer = sampler.answer(q, 0.95).unwrap();
+            (answer.groups.into_iter())
+                .map(|g| {
+                    let values = (g.values.iter())
+                        .map(|v| (v.value().to_bits(), v.estimate.variance.to_bits(), v.is_exact()))
+                        .collect::<Vec<_>>();
+                    (g.key, values)
+                })
+                .collect::<Vec<_>>()
+        };
+        let mut exact = (0, 0);
+        for q in queries {
+            let got = cells(a, q);
+            assert_eq!(got, cells(b, q), "{what}: {q}");
+            for (_, values) in &got {
+                for &(_, _, is_exact) in values {
+                    if is_exact {
+                        exact.0 += 1;
+                    } else {
+                        exact.1 += 1;
+                    }
+                }
+            }
+        }
+        exact
+    }
+
+    #[test]
+    fn loaded_and_salvaged_families_keep_every_exact_flag() {
+        let view = typed_view();
+        let sampler = SmallGroupSampler::build(
+            &view,
+            SmallGroupConfig {
+                base_rate: 0.002,
+                small_group_fraction: 0.05,
+                seed: 5,
+                exclude_columns: vec!["x".into()],
+                column_pairs: vec![("i".into(), "b".into()), ("s".into(), "f".into())],
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let units = sampler.sample_columns();
+        assert_eq!(units, ["s", "i", "b", "f", "i+b", "s+f"]);
+        let query = |cols: &[&str]| {
+            let mut q = Query::builder().count().sum("x");
+            for c in cols {
+                q = q.group_by(*c);
+            }
+            q.build().unwrap()
+        };
+        let queries = [
+            query(&["s"]),
+            query(&["i"]),
+            query(&["b"]),
+            query(&["f"]),
+            query(&["i", "b"]),
+            query(&["s", "f"]),
+            query(&["b", "s"]),
+            query(&["s", "i", "b", "f"]),
+            query(&[]),
+        ];
+
+        // The loaded family holds fewer than all 20 common strings of `s`:
+        // the others are dropped from its L(s), which no key can miss.
+        let bytes = encode_sampler(&sampler).unwrap();
+        let back = decode_sampler(&bytes).unwrap();
+        let common_len = |s: &SmallGroupSampler| match &s.entries[0].common {
+            CommonCodes::Single(set) => set.len(),
+            CommonCodes::Pair(_) => unreachable!("unit s is a single column"),
+        };
+        assert_eq!(common_len(&sampler), 20);
+        assert!(common_len(&back) < 20, "{} common strings in a sample row", common_len(&back));
+        let (exact, sampled) = assert_same_answers(&sampler, &back, &queries, "loaded");
+        assert!(exact > 0 && sampled > 0, "{exact} exact cells, {sampled} sampled");
+        let again = decode_sampler(&encode_sampler(&back).unwrap()).unwrap();
+        assert_same_answers(&sampler, &again, &queries, "saved again");
+
+        // Salvage each unit in turn; the built family with the same unit
+        // disabled answers alike.
+        for (u, name) in units.iter().enumerate() {
+            let mut bad = bytes.clone();
+            corrupt_table_block(&mut bad, u);
+            let (salvaged, lost) = decode_sampler_salvage(&bad).unwrap();
+            assert_eq!(lost, std::slice::from_ref(name));
+            let mut disabled = sampler.clone();
+            disabled.disabled.insert(u);
+            assert_same_answers(&disabled, &salvaged, &queries, &format!("without {name}"));
+        }
     }
 
     #[test]

@@ -31,12 +31,12 @@
 //! ones (`reason="budget"`), so operators can tell "the contract asked
 //! for less" apart from "we were about to blow the deadline".
 
-use crate::answer::{state_to_estimate, ApproxAnswer, ApproxGroup, ApproxValue, ServingTier};
+use crate::answer::{ApproxAnswer, ServingTier};
 use crate::error::{AqpError, AqpResult};
+use crate::parts::{answer_from_parts, Part};
 use crate::smallgroup::SmallGroupSampler;
 use crate::system::AqpSystem;
-use aqp_query::{execute, AggFunc, CancelToken, DataSource, ExecOptions, Query, Weighting};
-use aqp_sampling::Estimate;
+use aqp_query::{CancelToken, Query, Weighting};
 use aqp_storage::Table;
 use std::fmt;
 use std::path::Path;
@@ -207,7 +207,8 @@ impl ResilientSystem {
     /// The exact rung: scan the base view, optionally budget-capped with
     /// `N/k` weight inflation. The only rung that can serve MIN/MAX.
     /// `budget` is the effective per-query cap (the static system budget
-    /// folded with any [`QueryBound`] limits by the caller).
+    /// folded with any [`QueryBound`] limits by the caller). One [`Part`]
+    /// through [`answer_from_parts`], like every sampled rung.
     fn answer_exact(
         &self,
         query: &Query,
@@ -223,70 +224,24 @@ impl ResilientSystem {
         })?;
         let n = view.num_rows();
         let limit = budget.filter(|&b| b < n);
-        let weight = match limit {
+        let weighting = match limit {
             // A truncated scan stands in for the whole view: inflate each
             // row by N/k so estimates stay centred, and let the w(w−1)
             // accumulators widen the intervals honestly.
             Some(k) if k > 0 => Weighting::Constant(n as f64 / k as f64),
             _ => Weighting::Unweighted,
         };
-        let opts = ExecOptions {
-            weight,
+        let part = Part {
+            table: view,
+            mask: None,
+            weighting,
             row_limit: limit,
-            parallelism: self.threads,
-            ..ExecOptions::default()
-        };
-        let ctx = aqp_obs::profile::scan_context(aqp_obs::ScanContext {
-            table: view.name(),
             stratum: "base",
-            weight: match weight {
-                Weighting::Constant(w) => w,
-                _ => 1.0,
-            },
-        });
-        let out = execute(&DataSource::Wide(view), query, &opts)?;
-        drop(ctx);
-        let truncated = out.truncated;
-        let exact = !truncated;
-
-        let mut groups = Vec::with_capacity(out.groups.len());
-        for g in out.groups {
-            let values = query
-                .aggregates
-                .iter()
-                .zip(&g.aggs)
-                .map(|(agg, state)| {
-                    let estimate = match agg.func {
-                        AggFunc::Min | AggFunc::Max => {
-                            let v = if agg.func == AggFunc::Min { state.min } else { state.max };
-                            if exact {
-                                Estimate::exact(v)
-                            } else {
-                                // Extrema over a prefix bound nothing about
-                                // the unseen rows: infinite variance keeps
-                                // the interval honest.
-                                Estimate::with_variance(v, f64::INFINITY)
-                            }
-                        }
-                        _ => state_to_estimate(agg.func, state, exact)
-                            .unwrap_or_else(|| Estimate::with_variance(0.0, f64::INFINITY)),
-                    };
-                    ApproxValue {
-                        estimate,
-                        ci: estimate.confidence_interval(confidence),
-                    }
-                })
-                .collect();
-            groups.push(ApproxGroup { key: g.key, values });
-        }
-        Ok(ApproxAnswer {
-            group_names: query.group_by.clone(),
-            agg_aliases: query.aggregates.iter().map(|a| a.alias.clone()).collect(),
-            groups,
-            rows_scanned: out.rows_scanned,
-            tier: ServingTier::Exact,
-            partial: truncated,
-        })
+        };
+        let exact = limit.is_none();
+        let mut answer = answer_from_parts(query, &[part], confidence, self.threads, &|_| exact)?;
+        answer.tier = ServingTier::Exact;
+        Ok(answer)
     }
 
     /// Run `query` on the exact rung with no budget cap — a ground-truth
@@ -429,21 +384,22 @@ impl AqpSystem for ResilientSystem {
         self.primary.as_ref().map_or(0, |p| p.sample_bytes())
     }
 
+    /// The rows the ladder walk scans for `query`, rung chosen as
+    /// [`AqpSystem::answer`] chooses it (a rung that fails at plan time is
+    /// not foreseen).
     fn runtime_rows(&self, query: &Query) -> usize {
-        match &self.primary {
-            Some(p) => {
-                let rows = p.runtime_rows(query);
-                if self.fits(rows) {
-                    rows
-                } else {
-                    p.catalog().overall_rows
-                }
+        if let Some(p) = self.primary.as_ref().filter(|_| query.estimable()) {
+            let rows = p.runtime_rows(query);
+            let overall = p.catalog().overall_rows;
+            if self.fits(rows) {
+                return rows;
             }
-            None => {
-                let n = self.view.as_ref().map_or(0, |v| v.num_rows());
-                self.row_budget.map_or(n, |b| n.min(b))
+            if self.fits(overall) || self.view.is_none() {
+                return overall;
             }
         }
+        let n = self.view.as_ref().map_or(0, |v| v.num_rows());
+        self.row_budget.map_or(n, |b| n.min(b))
     }
 }
 
@@ -795,6 +751,41 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn runtime_rows_is_what_the_ladder_scans() {
+        let _gate = ladder_gate();
+        let count = Query::builder().count().group_by("g").build().unwrap();
+        let min_max = Query::builder()
+            .aggregate(AggExpr::min("x", "mn"))
+            .aggregate(AggExpr::max("x", "mx"))
+            .group_by("g")
+            .build()
+            .unwrap();
+        let overall = sampler().catalog().overall_rows;
+        let primary = || ResilientSystem::from_sampler(sampler());
+        let mut salvaged = sampler();
+        salvaged.disabled.insert(0);
+        use ServingTier::{DegradedPrimary, Exact, Overall, Primary};
+        let with_view = || primary().with_view(view());
+        let exact_only = || ResilientSystem::exact_only(view());
+        let cases = [
+            ("primary", primary(), &count, Primary),
+            ("degraded", ResilientSystem::from_sampler(salvaged), &count, DegradedPrimary),
+            ("overall", primary().with_row_budget(overall), &count, Overall),
+            ("overall, no view", primary().with_row_budget(overall - 1), &count, Overall),
+            ("exact, over budget", with_view().with_row_budget(overall - 1), &count, Exact),
+            ("min/max", with_view(), &min_max, Exact),
+            ("min/max, budget", with_view().with_row_budget(50), &min_max, Exact),
+            ("exact only", exact_only(), &count, Exact),
+            ("exact only, budget", exact_only().with_row_budget(50), &count, Exact),
+        ];
+        for (what, sys, q, tier) in cases {
+            let ans = sys.answer(q, 0.95).unwrap();
+            assert_eq!(ans.tier, tier, "{what}");
+            assert_eq!(sys.runtime_rows(q), ans.rows_scanned, "{what}");
         }
     }
 

@@ -33,14 +33,14 @@ use crate::catalog::{SampleCatalog, SampleColumnMeta};
 use crate::colscan::{classify_rows, column_frequency, per_unit, sample_table, tie_rank, KeyCode};
 use crate::error::{AqpError, AqpResult};
 use crate::outlier::select_outliers;
-use crate::parts::{answer_from_parts, Part, PartWeight};
+use crate::parts::{answer_from_parts, Part};
 use crate::system::AqpSystem;
-use aqp_query::{DataSource, Query};
+use aqp_query::{DataSource, Query, Weighting};
 use aqp_sampling::{ColumnFrequency, ReservoirSampler};
-use aqp_storage::{BitSet, BitmaskColumn, Table, Value};
+use aqp_storage::{BitSet, BitmaskColumn, Table};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// How the overall sample is constructed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -168,14 +168,15 @@ impl SgUnit {
     }
 }
 
-/// The common-value set of one unit, in decoded-value form for runtime
-/// exactness tests.
+/// The common-value set `L(C)` of one unit as key codes (see
+/// [`KeyCode`]): pass 1 computes it, pass 2 splits the view's rows with
+/// it, and at runtime it tests the group keys' digits, which are codes of
+/// the same columns — every table of a family shares its view's (or, once
+/// loaded, its file's) dictionary per column.
 #[derive(Debug, Clone)]
-pub(crate) enum CommonValues {
-    Single(HashSet<Value>),
-    /// First value → the second values it is common with: two probes by
-    /// reference instead of one by a freshly built `(Value, Value)`.
-    Pair(HashMap<Value, HashSet<Value>>),
+pub(crate) enum CommonCodes {
+    Single(HashSet<KeyCode>),
+    Pair(HashSet<(KeyCode, KeyCode)>),
 }
 
 /// One member of `S`: its unit, its small group table, and its `L(C)`.
@@ -183,7 +184,7 @@ pub(crate) enum CommonValues {
 pub(crate) struct SgEntry {
     pub(crate) unit: SgUnit,
     pub(crate) table: Table,
-    pub(crate) common: CommonValues,
+    pub(crate) common: CommonCodes,
 }
 
 impl SgEntry {
@@ -192,10 +193,10 @@ impl SgEntry {
     fn uncommon_probe(&self, group_by: &[String]) -> UncommonProbe<'_> {
         let pos = |c: &String| group_by.iter().position(|g| g == c).expect("applies() checked");
         match (&self.unit, &self.common) {
-            (SgUnit::Single(c), CommonValues::Single(common)) => {
+            (SgUnit::Single(c), CommonCodes::Single(common)) => {
                 UncommonProbe::Single(common, pos(c))
             }
-            (SgUnit::Pair(a, b), CommonValues::Pair(common)) => {
+            (SgUnit::Pair(a, b), CommonCodes::Pair(common)) => {
                 UncommonProbe::Pair(common, pos(a), pos(b))
             }
             _ => unreachable!("unit/common variants always match"),
@@ -206,20 +207,18 @@ impl SgEntry {
 /// One applicable unit's common-value set with the key position(s) it
 /// tests.
 enum UncommonProbe<'a> {
-    Single(&'a HashSet<Value>, usize),
-    Pair(&'a HashMap<Value, HashSet<Value>>, usize, usize),
+    Single(&'a HashSet<KeyCode>, usize),
+    Pair(&'a HashSet<(KeyCode, KeyCode)>, usize, usize),
 }
 
 impl UncommonProbe<'_> {
-    /// Whether the group identified by `key` has an uncommon value for
+    /// Whether the group whose key is `digits` has an uncommon value for
     /// this unit — i.e. every row of the group is in the unit's small
     /// group table, so the group is answered exactly.
-    fn key_is_uncommon(&self, key: &[Value]) -> bool {
+    fn key_is_uncommon(&self, digits: &[KeyCode]) -> bool {
         match self {
-            UncommonProbe::Single(common, pos) => !common.contains(&key[*pos]),
-            UncommonProbe::Pair(common, pa, pb) => {
-                !common.get(&key[*pa]).is_some_and(|seconds| seconds.contains(&key[*pb]))
-            }
+            UncommonProbe::Single(common, pos) => !common.contains(&digits[*pos]),
+            UncommonProbe::Pair(common, pa, pb) => !common.contains(&(digits[*pa], digits[*pb])),
         }
     }
 }
@@ -319,10 +318,6 @@ impl SmallGroupSampler {
         drop(freq_span);
 
         // --- L(C) per unit; build the surviving set S ---------------------
-        enum CommonCodes {
-            Single(HashSet<KeyCode>),
-            Pair(HashSet<(KeyCode, KeyCode)>),
-        }
         let mut survivors: Vec<(SgUnit, CommonCodes, usize)> = Vec::new();
         let mut dropped_tau = Vec::new();
         let mut dropped_nsg = Vec::new();
@@ -335,9 +330,8 @@ impl SmallGroupSampler {
                     }
                     match f.common_values_by(t, tie_rank(acc[0].column)) {
                         Some(cv) => {
-                            let num_common = cv.num_common();
-                            let set: HashSet<KeyCode> = cv.iter_common().copied().collect();
-                            survivors.push((unit, CommonCodes::Single(set), num_common));
+                            let set = cv.iter_common().copied().collect();
+                            survivors.push((unit, CommonCodes::Single(set), cv.num_common()));
                         }
                         None => dropped_nsg.push(unit.name()),
                     }
@@ -350,10 +344,8 @@ impl SmallGroupSampler {
                     let (rank_a, rank_b) = (tie_rank(acc[0].column), tie_rank(acc[1].column));
                     match f.common_values_by(t, |(a, b)| (rank_a(a), rank_b(b))) {
                         Some(cv) => {
-                            let num_common = cv.num_common();
-                            let set: HashSet<(KeyCode, KeyCode)> =
-                                cv.iter_common().copied().collect();
-                            survivors.push((unit, CommonCodes::Pair(set), num_common));
+                            let set = cv.iter_common().copied().collect();
+                            survivors.push((unit, CommonCodes::Pair(set), cv.num_common()));
                         }
                         None => dropped_nsg.push(unit.name()),
                     }
@@ -478,32 +470,12 @@ impl SmallGroupSampler {
         aqp_obs::counter("aqp_sgs_builds_total", &[]).inc();
         aqp_obs::counter("aqp_sgs_build_rows_total", &[]).inc_by(n as u64);
 
-        // --- Decode common codes into runtime value sets; catalog ---------
+        // --- Entries and catalog -------------------------------------------
         let mut entries = Vec::with_capacity(num_units);
         let mut column_meta = Vec::with_capacity(num_units);
-        for (idx, (((unit, codes, num_common), acc), table)) in survivors
-            .into_iter()
-            .zip(survivor_accessors)
-            .zip(sg_tables)
-            .enumerate()
+        for (idx, ((unit, common, num_common), table)) in
+            survivors.into_iter().zip(sg_tables).enumerate()
         {
-            let common = match codes {
-                CommonCodes::Single(set) => CommonValues::Single(
-                    set.iter()
-                        .map(|(code, null)| acc[0].decode_key(*code, *null))
-                        .collect(),
-                ),
-                CommonCodes::Pair(set) => {
-                    let mut pairs: HashMap<Value, HashSet<Value>> = HashMap::new();
-                    for (ka, kb) in &set {
-                        pairs
-                            .entry(acc[0].decode_key(ka.0, ka.1))
-                            .or_default()
-                            .insert(acc[1].decode_key(kb.0, kb.1));
-                    }
-                    CommonValues::Pair(pairs)
-                }
-            };
             column_meta.push(SampleColumnMeta {
                 name: unit.name(),
                 index: idx,
@@ -726,15 +698,8 @@ impl SmallGroupSampler {
                 "MIN/MAX aggregates cannot be estimated from samples".into(),
             ));
         }
-        let parts: Vec<Part<'_>> = self
-            .overall
-            .iter()
-            .map(|p| Part {
-                table: &p.table,
-                mask: None,
-                weighting: PartWeight::Constant(p.weight),
-                stratum: "overall",
-            })
+        let parts: Vec<Part<'_>> = (self.overall.iter())
+            .map(|p| Part::new(&p.table, None, Weighting::Constant(p.weight), "overall"))
             .collect();
         let exact = self.overall_rate >= 1.0;
         answer_from_parts(query, &parts, confidence, self.runtime_threads, &|_| exact)
@@ -759,15 +724,18 @@ impl AqpSystem for SmallGroupSampler {
         let applicable = self.applicable_units(query);
         let width = self.entries.len().max(1);
 
-        // Assemble the UNION ALL plan: (table, exclusion mask, weight).
-        let mut parts: Vec<(&Table, BitSet, f64, &'static str)> = Vec::new();
+        // Assemble the UNION ALL plan: each small group table masked by the
+        // earlier ones, the overall part(s) by all of them.
+        let mut parts: Vec<Part<'_>> = Vec::new();
         for (j, &u) in applicable.iter().enumerate() {
             let mask = BitSet::from_bits(width, applicable[..j].iter().copied());
-            parts.push((&self.entries[u].table, mask, 1.0, "small-group"));
+            let table = &self.entries[u].table;
+            parts.push(Part::new(table, Some(mask), Weighting::Constant(1.0), "small-group"));
         }
         let all_mask = BitSet::from_bits(width, applicable.iter().copied());
         for p in &self.overall {
-            parts.push((&p.table, all_mask.clone(), p.weight, "overall"));
+            let weighting = Weighting::Constant(p.weight);
+            parts.push(Part::new(&p.table, Some(all_mask.clone()), weighting, "overall"));
         }
         drop(rewrite_span);
 
@@ -775,20 +743,11 @@ impl AqpSystem for SmallGroupSampler {
         // (Equation 2's indicator): a group is exact iff its key carries an
         // uncommon value for some queried sample column, because then every
         // one of its rows lives in that small group table.
-        let parts: Vec<Part<'_>> = parts
-            .into_iter()
-            .map(|(table, mask, weight, stratum)| Part {
-                table,
-                mask: Some(mask),
-                weighting: PartWeight::Constant(weight),
-                stratum,
-            })
-            .collect();
         let probes: Vec<UncommonProbe<'_>> = applicable
             .iter()
             .map(|&u| self.entries[u].uncommon_probe(&query.group_by))
             .collect();
-        let is_exact = |key: &[Value]| probes.iter().any(|p| p.key_is_uncommon(key));
+        let is_exact = |digits: &[KeyCode]| probes.iter().any(|p| p.key_is_uncommon(digits));
         answer_from_parts(query, &parts, confidence, self.runtime_threads, &is_exact)
     }
 
@@ -811,7 +770,7 @@ impl AqpSystem for SmallGroupSampler {
 mod tests {
     use super::*;
     use aqp_query::Expr;
-    use aqp_storage::{DataType, SchemaBuilder};
+    use aqp_storage::{DataType, SchemaBuilder, Value};
 
     /// The paper's Example 3.1 database: 90 Stereo rows, 10 TV rows.
     fn example_3_1() -> Table {

@@ -11,9 +11,9 @@
 
 use crate::answer::ApproxAnswer;
 use crate::error::{AqpError, AqpResult};
-use crate::parts::{answer_from_parts, Part, PartWeight};
+use crate::parts::{answer_from_parts, Part};
 use crate::system::AqpSystem;
-use aqp_query::Query;
+use aqp_query::{Query, Weighting};
 use aqp_sampling::sample_without_replacement;
 use aqp_storage::Table;
 use rand::rngs::StdRng;
@@ -87,12 +87,7 @@ impl AqpSystem for UniformAqp {
             ));
         }
         let exact_everything = self.rate >= 1.0;
-        let parts = [Part {
-            table: &self.sample,
-            mask: None,
-            weighting: PartWeight::Constant(self.weight),
-            stratum: "overall",
-        }];
+        let parts = [Part::new(&self.sample, None, Weighting::Constant(self.weight), "overall")];
         answer_from_parts(query, &parts, confidence, 1, &|_| exact_everything)
     }
 

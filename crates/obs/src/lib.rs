@@ -9,7 +9,7 @@
 //! * [`Histogram`] — log-linear latency histogram (16 linear buckets then
 //!   4 sub-buckets per power of two, ≤12.5% relative error) with
 //!   p50/p95/p99 extraction.
-//! * [`span`] — scoped stage timers that record into the global registry
+//! * [`span()`] — scoped stage timers that record into the global registry
 //!   and the thread-local active [`QueryTrace`]. Spans are created and
 //!   dropped on the control thread only, so they are safe under the
 //!   scoped-thread morsel executor (workers touch nothing but atomics).

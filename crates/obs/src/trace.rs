@@ -4,7 +4,7 @@
 //! the plan chosen, which sample tables were consulted, rows scanned vs.
 //! base rows, the serving tier, and wall time per stage. Traces are built
 //! on the control thread via a thread-local collector: [`begin`] opens
-//! one, [`span`](crate::span) timers dropped while it is open append
+//! one, [`span`](fn@crate::span) timers dropped while it is open append
 //! stage timings, and [`finish`] closes it. Morsel workers never touch
 //! the collector, so scoped-thread execution is unaffected.
 //!

@@ -16,9 +16,9 @@
 //!   order ([`crate::parallel`]), so answers are bit-identical at any
 //!   thread count (std scoped threads, no dependencies).
 //!
-//! Every morsel runs through the vectorised kernels ([`crate::kernel`]):
+//! Every morsel runs through the vectorised kernels (`kernel`):
 //! selection vectors, typed columnar filters, and arithmetic group ids.
-//! A morsel's partial is a flat group table ([`crate::groups`]): the
+//! A morsel's partial is a flat group table (`groups`): the
 //! keys it touched, as codes, in first-touch order, and one state array.
 //! [`PreparedScan::finish`] folds a scan's partials in morsel order into
 //! one such table, still coded ([`ScanGroups`]); [`execute`] decodes it

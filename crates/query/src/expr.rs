@@ -6,12 +6,12 @@
 //! covers that plus ordinary comparisons and boolean combinators, which is
 //! everything the select–project–join–group-by class needs.
 //!
-//! [`CompiledExpr`] is the executable form: an [`Expr`] bound to a concrete
+//! `CompiledExpr` is the executable form: an [`Expr`] bound to a concrete
 //! [`DataSource`], with names resolved to column accessors and literals
 //! pre-coerced into the column's native domain (dictionary codes for
 //! strings, sorted `i64` lists for integer IN-lists). Both the scalar
-//! per-row [`CompiledExpr::eval`] and the vectorised batch filters in
-//! [`crate::selection`] run over this one representation, so the two paths
+//! per-row `CompiledExpr::eval` and the vectorised batch filters in
+//! `selection` run over this one representation, so the two paths
 //! cannot disagree about predicate semantics.
 
 use crate::error::QueryResult;

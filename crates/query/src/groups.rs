@@ -25,9 +25,11 @@
 //! table is gathered from one view, and a loaded family is decoded onto
 //! one dictionary per column — so a code means the same string in every
 //! scan, and every scan of a plan has the same [`RadixPlan`]. The plan
-//! fold ([`PlanGroups`]) therefore merges the scans' keys as they are; no
-//! string is touched before [`PlanGroups::groups`] decodes the finished
-//! groups.
+//! fold ([`PlanGroups`]) therefore merges the scans' keys as they are —
+//! taking the first scan's table over whole, so a lone scan costs no fold
+//! — and no string is touched before [`PlanGroups::for_each_group`]
+//! decodes the finished groups. It hands each group's digits out beside
+//! the decoded key, so a caller can test a key on codes.
 //!
 //! Determinism: every fold appends unseen keys and merges seen ones in
 //! the order its input lists them, so group order — first seen in morsel
@@ -275,6 +277,22 @@ impl<K: Hash + Eq + Clone> GroupIndex<K> {
         }
     }
 
+    /// Fold a whole table in, taking it over as it is when nothing has
+    /// been folded yet: [`Self::merge`] would copy every state of a first
+    /// table verbatim anyway, and its keys are distinct. The slot index is
+    /// built only if a later table arrives.
+    fn absorb(&mut self, part: GroupTable<K>, stride: usize) {
+        if self.table.keys.is_empty() {
+            self.slots.clear();
+            self.table = part;
+            return;
+        }
+        if self.slots.len() < self.table.keys.len() {
+            self.slots = self.table.keys.iter().cloned().zip(0..).collect();
+        }
+        self.merge_table(&part, stride);
+    }
+
     /// Fold a whole table in, group by group in its own order.
     fn merge_table(&mut self, part: &GroupTable<K>, stride: usize) {
         self.slots
@@ -503,9 +521,9 @@ impl<'a> PlanGroups<'a> {
 
     /// Fold the next scan of the plan in.
     pub fn absorb(&mut self, scan: ScanGroups<'a>) {
-        match (&mut self.index, &scan.groups) {
-            (PlanIndex::Radix(_, index), Groups::Radix(t)) => index.merge_table(t, self.stride),
-            (PlanIndex::Wide(index), Groups::Wide(t)) => index.merge_table(t, self.stride),
+        match (&mut self.index, scan.groups) {
+            (PlanIndex::Radix(_, index), Groups::Radix(t)) => index.absorb(t, self.stride),
+            (PlanIndex::Wide(index), Groups::Wide(t)) => index.absorb(t, self.stride),
             _ => unreachable!("scans on shared dictionaries share one key space"),
         }
     }
@@ -515,19 +533,36 @@ impl<'a> PlanGroups<'a> {
         self.index.states().len() / self.stride
     }
 
+    /// Group `g`'s key as one digit per group column.
+    fn digits(&self, g: usize, out: &mut Vec<Digit>) {
+        out.clear();
+        match &self.index {
+            PlanIndex::Radix(plan, index) => plan.digits(index.table.keys[g], out),
+            PlanIndex::Wide(index) => index.table.keys[g].digits(out),
+        }
+    }
+
     /// Every group, in first-seen order: its key decoded — the one place
     /// a plan's keys become values — and its merged states, one per
     /// aggregate.
     pub fn groups(&self) -> impl Iterator<Item = (Vec<Value>, &[AggState])> + '_ {
         let mut digits = Vec::with_capacity(self.cols.len());
         (self.index.states().chunks_exact(self.stride).enumerate()).map(move |(g, states)| {
-            digits.clear();
-            match &self.index {
-                PlanIndex::Radix(plan, index) => plan.digits(index.table.keys[g], &mut digits),
-                PlanIndex::Wide(index) => index.table.keys[g].digits(&mut digits),
-            }
+            self.digits(g, &mut digits);
             (decode(&self.cols, &digits), states)
         })
+    }
+
+    /// [`Self::groups`], each group handed to `visit` with its key also as
+    /// one `(code, is_null)` digit per group column
+    /// ([`ResolvedColumn::key_code`]'s codes, which every scan of the plan
+    /// shares), so a caller can test the key on codes.
+    pub fn for_each_group(&self, mut visit: impl FnMut(&[(u64, bool)], Vec<Value>, &[AggState])) {
+        let mut digits = Vec::with_capacity(self.cols.len());
+        for (g, states) in self.index.states().chunks_exact(self.stride).enumerate() {
+            self.digits(g, &mut digits);
+            visit(&digits, decode(&self.cols, &digits), states);
+        }
     }
 }
 

@@ -14,7 +14,7 @@
 //!   function of the data, the morsel size, and nothing else. Group
 //!   *order* no longer rests on any hasher — the maps only find a key's
 //!   slot in a flat table kept in first-touch order (see
-//!   [`crate::groups`]) — but a seedless hasher also makes each map's
+//!   `groups`) — but a seedless hasher also makes each map's
 //!   resize history, and so the executor's timing and memory profile,
 //!   reproducible run to run.
 //!

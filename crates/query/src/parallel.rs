@@ -16,7 +16,7 @@
 //! ([`crate::PreparedScan::finish`]).
 //!
 //! What a worker hands back per morsel is a flat group table
-//! ([`crate::groups`]): two exact-size vectors, so a helper thread's
+//! (`groups`): two exact-size vectors, so a helper thread's
 //! partials cost the control thread two frees each, not one per group.
 //! The folds append unseen groups in the order their inputs list them —
 //! first-touch order within a morsel, morsel order within a scan, plan
@@ -98,7 +98,7 @@ pub struct Round<T> {
 /// nondeterministic; the result is not: slot `i` of `results[s]` always
 /// holds the result for morsel `i` of scan `s`, and `work` receives
 /// identical morsels no matter how many threads run. With `threads <= 1`,
-/// or fewer than [`INLINE_BELOW_MORSELS`] morsels in the whole round, no
+/// or fewer than `INLINE_BELOW_MORSELS` morsels in the whole round, no
 /// thread is spawned.
 ///
 /// A [`CancelToken`] is checked at every morsel **claim point**: a worker

@@ -146,6 +146,23 @@ impl<'a> ResolvedColumn<'a> {
         }
     }
 
+    /// The inverse of [`Self::decode_key`]: the `(code, is_null)` pair
+    /// [`Self::key_code`] gives a row holding `value`. `None` when no row
+    /// of the column can hold it: a string outside the column's
+    /// dictionary, or a value of another type.
+    pub fn encode_key(&self, value: &aqp_storage::Value) -> Option<(u64, bool)> {
+        use aqp_storage::Value;
+        let code = match (self.column, value) {
+            (_, Value::Null) => return Some((0, true)),
+            (Column::Int64 { .. }, Value::Int64(v)) => *v as u64,
+            (Column::Float64 { .. }, Value::Float64(v)) => canonical_f64_bits(*v),
+            (Column::Utf8 { dict, .. }, Value::Utf8(s)) => u64::from(dict.code(s)?),
+            (Column::Bool { .. }, Value::Bool(b)) => u64::from(*b),
+            _ => return None,
+        };
+        Some((code, false))
+    }
+
     /// The numeric value at `row`, or `None` for null/non-numeric.
     #[inline]
     pub fn numeric(&self, row: usize) -> Option<f64> {
@@ -200,6 +217,25 @@ mod tests {
                 assert_eq!(decoded, c.value(row).to_owned(), "{name} row {row}");
             }
         }
+    }
+
+    #[test]
+    fn encode_key_inverts_decode_key() {
+        let t = table();
+        let src = DataSource::Wide(&t);
+        for name in ["t.i", "t.f", "t.s", "t.b"] {
+            let c = src.resolve(name).unwrap();
+            for row in 0..2 {
+                let (code, null) = c.key_code(row);
+                let value = c.decode_key(code, null);
+                assert_eq!(c.encode_key(&value), Some((code, null)), "{name} row {row}");
+            }
+        }
+        let s = src.resolve("t.s").unwrap();
+        assert_eq!(s.encode_key(&"absent".into()), None, "not in the dictionary");
+        assert_eq!(s.encode_key(&Value::Int64(1)), None, "another type");
+        let f = src.resolve("t.f").unwrap();
+        assert_eq!(f.encode_key(&(-0.0f64).into()), f.encode_key(&0.0f64.into()), "one group");
     }
 
     #[test]

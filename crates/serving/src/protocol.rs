@@ -117,7 +117,7 @@ impl FrameReader {
 
     /// Give a payload this reader returned back once it has been decoded,
     /// so a connection's frames share one buffer (an oversized one is
-    /// dropped: see [`RETAINED_BUFFER_BYTES`]).
+    /// dropped: see `RETAINED_BUFFER_BYTES`).
     pub fn recycle(&mut self, payload: String) {
         if payload.capacity() <= RETAINED_BUFFER_BYTES {
             self.spare = payload.into_bytes();
@@ -813,13 +813,6 @@ impl Response {
             other => Err(format!("unknown status {other:?}")),
         }
     }
-
-    /// Whether this response ends the request (all current variants do;
-    /// the method exists so streaming extensions keep the invariant
-    /// explicit).
-    pub fn is_terminal(&self) -> bool {
-        true
-    }
 }
 
 #[cfg(test)]
@@ -1033,7 +1026,6 @@ mod tests {
         for resp in resps {
             let back = Response::from_json(&resp.to_json()).unwrap();
             assert_eq!(back, resp);
-            assert!(resp.is_terminal());
         }
     }
 

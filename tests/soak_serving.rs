@@ -9,7 +9,7 @@
 //! This file holds one test and must keep holding one: it reads deltas
 //! of `aqp_server_*` counters from the process-global registry, which is
 //! only sound when no other server runs in the process. (An injectable
-//! per-server `Registry` is ROADMAP item 6(c).) The stalls it plans are
+//! per-server `Registry` is ROADMAP item 9(a).) The stalls it plans are
 //! the first two executions of this server, whatever else runs.
 
 use aqp::prelude::*;
