@@ -448,14 +448,13 @@ fn answer_one(
 ) -> Result<(), CliError> {
     let parsed = parse_query(sql).map_err(boxed)?;
     let t0 = Instant::now();
-    let (mut answer, query_trace) = if trace {
+    let (answer, query_trace) = if trace {
         let (a, t) = system.answer_traced(&parsed.query, confidence).map_err(boxed)?;
         (a, Some(t))
     } else {
         (system.answer(&parsed.query, confidence).map_err(boxed)?, None)
     };
     let approx_time = t0.elapsed();
-    answer.sort_by_key();
 
     let exact = if want_exact {
         let view = view.ok_or_else(|| CliError("exact comparison needs a view".into()))?;

@@ -87,10 +87,10 @@ pub struct ApproxAnswer {
     pub group_names: Vec<String>,
     /// Aliases of the aggregate expressions.
     pub agg_aliases: Vec<String>,
-    /// The estimated groups, first-seen in plan order: the first sample
-    /// table's groups in ascending order of first matching row, then each
-    /// later table's new ones. The same on every call and at every thread
-    /// count; [`ApproxAnswer::sort_by_key`] gives key order.
+    /// The estimated groups in key order: ascending `key` under `Value`'s
+    /// `Ord`. A computed answer is built in this order, decided on key
+    /// codes as its plan is finalized; it is the same on every call and
+    /// at every thread count.
     pub groups: Vec<ApproxGroup>,
     /// Total sample rows scanned to produce this answer (the runtime cost
     /// the paper's fairness rule equalises across AQP systems).
@@ -113,7 +113,8 @@ impl ApproxAnswer {
         self.groups.iter().find(|g| g.key == key)
     }
 
-    /// Sort groups by key for deterministic display.
+    /// Put the groups in key order. Computed answers already are; this is
+    /// for answers built or edited by hand.
     pub fn sort_by_key(&mut self) {
         self.groups.sort_by(|a, b| a.key.cmp(&b.key));
     }
@@ -128,9 +129,7 @@ impl fmt::Display for ApproxAnswer {
             write!(f, "{alias}\t")?;
         }
         writeln!(f)?;
-        let mut sorted = self.groups.clone();
-        sorted.sort_by(|a, b| a.key.cmp(&b.key));
-        for g in &sorted {
+        for g in &self.groups {
             for k in &g.key {
                 write!(f, "{k}\t")?;
             }

@@ -60,10 +60,11 @@ impl<'a> Part<'a> {
 /// folds its own morsels in morsel order, see `aqp_query::parallel`), and
 /// strata are always merged in plan order — on group *codes*
 /// ([`PlanGroups`]); a key is decoded once, here, when its group is
-/// finalised. Groups come out first-seen in plan order (the first part's
-/// groups in ascending first row, then each later part's new ones), the
-/// same on every call. `rows_scanned` and `partial` come from the scans:
-/// a part cut short by its row limit makes the answer partial.
+/// finalised. Groups come out in key order (`Value`'s `Ord` on the keys),
+/// decided on the codes before any key is decoded
+/// ([`PlanGroups::for_each_group`]), so the wire writes an answer as it
+/// stands. `rows_scanned` and `partial` come from the scans: a part cut
+/// short by its row limit makes the answer partial.
 pub(crate) fn answer_from_parts(
     query: &Query,
     parts: &[Part<'_>],

@@ -249,8 +249,15 @@ pub fn write_escaped(out: &mut String, s: &str) {
 
 /// Format an `f64` so it parses back bit-identically (shortest
 /// round-trip `Display`); non-finite values become `null` per JSON.
+///
+/// An integral value below 10^15 in magnitude (counts, row totals, every
+/// exact COUNT) goes through the cheaper integer formatter, which prints
+/// the same digits: `f64`'s `Display` never uses an exponent. `-0.0`
+/// keeps the float path, which writes `-0`.
 pub fn write_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
+    if v.abs() < 1e15 && v.trunc() == v && !(v == 0.0 && v.is_sign_negative()) {
+        let _ = write!(out, "{}", v as i64);
+    } else if v.is_finite() {
         let _ = write!(out, "{v}");
     } else {
         out.push_str("null");
@@ -686,6 +693,66 @@ mod tests {
             write_f64(&mut s, v);
             let back = parse(&s).unwrap().as_f64().unwrap();
             assert_eq!(back.to_bits(), v.to_bits(), "{v} -> {s} -> {back}");
+        }
+    }
+
+    #[test]
+    fn integral_shortcut_writes_what_display_writes() {
+        let two53 = 9_007_199_254_740_992.0;
+        let mut cases = vec![
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            1e15,
+            -1e15,
+            1e15 - 1.0,
+            1e15 + 1.0,
+            -(1e15 - 1.0),
+            1e15 - 0.5,
+            two53 - 1.0,
+            -(two53 - 1.0),
+            two53,
+            -two53,
+            1e16,
+            1e21,
+            -1e21,
+            5e-324,
+            -5e-324,
+            2.225_073_858_507_201e-308,
+            f64::MIN_POSITIVE,
+            0.5,
+            -0.5,
+            f64::MAX,
+            f64::MIN,
+        ];
+        // xorshift64*: integers of every magnitude below 2^53, and fractions.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = || {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            state.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        };
+        for _ in 0..20_000 {
+            let bits = next();
+            let magnitude = (bits % 54) as u32;
+            let int = (next() >> (64 - magnitude.max(1))) as f64;
+            let sign = if bits & (1 << 63) != 0 { -1.0 } else { 1.0 };
+            cases.push(sign * int);
+            cases.push(sign * int / 1024.0);
+            cases.push(f64::from_bits(next()));
+        }
+        for v in cases.into_iter().filter(|v| v.is_finite()) {
+            let mut s = String::new();
+            write_f64(&mut s, v);
+            assert_eq!(s, format!("{v}"), "{v:e}");
+        }
+        let mut s = String::new();
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            s.clear();
+            write_f64(&mut s, v);
+            assert_eq!(s, "null");
         }
     }
 }

@@ -28,14 +28,16 @@
 //! fold ([`PlanGroups`]) therefore merges the scans' keys as they are —
 //! taking the first scan's table over whole, so a lone scan costs no fold
 //! — and no string is touched before [`PlanGroups::for_each_group`]
-//! decodes the finished groups. It hands each group's digits out beside
-//! the decoded key, so a caller can test a key on codes.
+//! decodes the finished groups, in key order decided on their codes. It
+//! hands each group's digits out beside the decoded key, so a caller can
+//! test a key on codes.
 //!
 //! Determinism: every fold appends unseen keys and merges seen ones in
-//! the order its input lists them, so group order — first seen in morsel
+//! the order its input lists them, so table order — first seen in morsel
 //! order within a table, in plan order across tables — and every
 //! [`AggState::merge`] sequence are pure functions of the data and the
-//! morsel size.
+//! morsel size. The order a plan's groups are finalized in is key order,
+//! a function of the keys alone.
 
 use crate::error::{QueryError, QueryResult};
 use crate::exec::PreparedScan;
@@ -446,9 +448,10 @@ fn decode(cols: &[ResolvedColumn<'_>], digits: &[Digit]) -> Vec<Value> {
 /// The cross-table fold of a UNION-ALL plan: the scans' group tables
 /// merged in plan order, keys as the scans produced them.
 ///
-/// Group order is first-seen: the first scan's groups in its first-touch
-/// order, then each later scan's unseen groups in its own — the same on
-/// every call.
+/// The fold's table is in first-seen order — the first scan's groups in
+/// its first-touch order, then each later scan's unseen groups in its own
+/// — which [`PlanGroups::groups`] lists; [`PlanGroups::for_each_group`]
+/// finalizes the groups in key order. Both are the same on every call.
 pub struct PlanGroups<'a> {
     /// The first scan's group columns; they decode every scan's codes.
     cols: Vec<ResolvedColumn<'a>>,
@@ -542,9 +545,9 @@ impl<'a> PlanGroups<'a> {
         }
     }
 
-    /// Every group, in first-seen order: its key decoded — the one place
-    /// a plan's keys become values — and its merged states, one per
-    /// aggregate.
+    /// Every group, in first-seen order: its key decoded and its merged
+    /// states, one per aggregate. The order the fold built, for holding
+    /// the fold itself to a reference.
     pub fn groups(&self) -> impl Iterator<Item = (Vec<Value>, &[AggState])> + '_ {
         let mut digits = Vec::with_capacity(self.cols.len());
         (self.index.states().chunks_exact(self.stride).enumerate()).map(move |(g, states)| {
@@ -553,15 +556,137 @@ impl<'a> PlanGroups<'a> {
         })
     }
 
-    /// [`Self::groups`], each group handed to `visit` with its key also as
-    /// one `(code, is_null)` digit per group column
+    /// Every group in key order — the order [`Value`]'s `Ord` gives the
+    /// decoded keys, column by column — handed to `visit` with its key
+    /// both decoded and as one `(code, is_null)` digit per group column
     /// ([`ResolvedColumn::key_code`]'s codes, which every scan of the plan
     /// shares), so a caller can test the key on codes.
+    ///
+    /// The order is decided on the digits before any key is decoded: each
+    /// column's distinct codes are ranked by value and the groups sorted
+    /// on their rank tuples. No two groups share a key value (floats are
+    /// keyed on canonical bits, and a dictionary spells each string
+    /// once), so the order is total.
     pub fn for_each_group(&self, mut visit: impl FnMut(&[(u64, bool)], Vec<Value>, &[AggState])) {
-        let mut digits = Vec::with_capacity(self.cols.len());
-        for (g, states) in self.index.states().chunks_exact(self.stride).enumerate() {
-            self.digits(g, &mut digits);
-            visit(&digits, decode(&self.cols, &digits), states);
+        let width = self.cols.len();
+        let num_groups = self.num_groups();
+        let mut digits = Vec::with_capacity(width * num_groups);
+        let mut key = Vec::with_capacity(width);
+        for g in 0..num_groups {
+            self.digits(g, &mut key);
+            digits.extend_from_slice(&key);
+        }
+        let states = self.index.states();
+        for g in key_order(&self.cols, &digits, num_groups) {
+            let key = &digits[g * width..(g + 1) * width];
+            visit(
+                key,
+                decode(&self.cols, key),
+                &states[g * self.stride..(g + 1) * self.stride],
+            );
+        }
+    }
+}
+
+/// The permutation that puts `num_groups` keys — `digits`, one row of
+/// `cols.len()` digits per group — in key order, ties (if any) in
+/// first-seen order.
+fn key_order(cols: &[ResolvedColumn<'_>], digits: &[Digit], num_groups: usize) -> Vec<usize> {
+    let width = cols.len();
+    if width == 0 || num_groups < 2 {
+        return (0..num_groups).collect();
+    }
+    let mut ranks = vec![0u32; digits.len()];
+    let radices: Vec<u64> = (cols.iter().enumerate())
+        .map(|(c, col)| {
+            let top = column_ranks(col, digits.iter().skip(c).step_by(width), |g, rank| {
+                ranks[g * width + c] = rank
+            });
+            u64::from(top) + 1
+        })
+        .collect();
+    // The rank tuple as one mixed-radix number above the group index,
+    // which the sorted words hand back and which breaks any tie.
+    let index_bits = usize::BITS - (num_groups - 1).leading_zeros();
+    let tuples = radices
+        .iter()
+        .try_fold(1u64, |product, &radix| product.checked_mul(radix));
+    if tuples.is_some_and(|t| t <= 1 << (64 - index_bits)) {
+        let mut words: Vec<u64> = (ranks.chunks_exact(width).enumerate())
+            .map(|(g, row)| {
+                let tuple = (row.iter().zip(&radices))
+                    .fold(0, |word, (&rank, &radix)| word * radix + u64::from(rank));
+                tuple << index_bits | g as u64
+            })
+            .collect();
+        words.sort_unstable();
+        let index = (1 << index_bits) - 1;
+        words
+            .into_iter()
+            .map(|word| (word & index) as usize)
+            .collect()
+    } else {
+        let mut order: Vec<usize> = (0..num_groups).collect();
+        let row = |g: usize| &ranks[g * width..(g + 1) * width];
+        order.sort_by(|&a, &b| row(a).cmp(row(b)));
+        order
+    }
+}
+
+/// Rank one group column's digits in value order: `set(g, rank)` for the
+/// `g`-th digit that is not NULL, `1..=top` over its distinct values
+/// (NULL's rank is 0). Returns `top`.
+///
+/// Strings rank as their dictionary strings, compared as `&str`; a
+/// dictionary spells each string once, so distinct codes are distinct
+/// values. Other columns rank as an order-preserving map of their codes:
+/// signed order for integers, `f64::total_cmp` of the canonical bits for
+/// floats, `false` before `true`.
+fn column_ranks<'d>(
+    col: &ResolvedColumn<'_>,
+    digits: impl Iterator<Item = &'d Digit> + Clone,
+    mut set: impl FnMut(usize, u32),
+) -> u32 {
+    let present = || {
+        (digits.clone().enumerate())
+            .filter_map(|(g, &(code, is_null))| (!is_null).then_some((g, code)))
+    };
+    match col.column {
+        Column::Utf8 { dict, .. } => {
+            let mut rank = vec![0u32; dict.len()];
+            let mut distinct = Vec::new();
+            for (_, code) in present() {
+                if rank[code as usize] == 0 {
+                    rank[code as usize] = 1;
+                    distinct.push(code as u32);
+                }
+            }
+            let mut by_text: Vec<(&str, u32)> = distinct
+                .iter()
+                .map(|&code| (dict.value(code), code))
+                .collect();
+            by_text.sort_unstable();
+            for (at, &(_, code)) in by_text.iter().enumerate() {
+                rank[code as usize] = at as u32 + 1;
+            }
+            present().for_each(|(g, code)| set(g, rank[code as usize]));
+            distinct.len() as u32
+        }
+        _ => {
+            let word = |code: u64| match col.column {
+                Column::Int64 { .. } => code ^ (1 << 63),
+                Column::Float64 { .. } if code >> 63 == 1 => !code,
+                Column::Float64 { .. } => code | (1 << 63),
+                _ => code,
+            };
+            let mut words: Vec<u64> = present().map(|(_, code)| word(code)).collect();
+            words.sort_unstable();
+            words.dedup();
+            present().for_each(|(g, code)| {
+                let at = words.binary_search(&word(code)).expect("a present word");
+                set(g, at as u32 + 1)
+            });
+            words.len() as u32
         }
     }
 }
@@ -642,6 +767,122 @@ mod tests {
             GroupKey::from_digits(want.iter().copied()).digits(&mut digits);
             assert_eq!(digits, want, "row {row}");
         }
+    }
+
+    /// `key_order` against a stable sort of the decoded keys, for every
+    /// column of `t` grouped alone and for `sets` of columns.
+    fn assert_key_order(t: &Table, sets: &[&[&str]]) {
+        let src = DataSource::Wide(t);
+        let names: Vec<String> = t.schema().fields().iter().map(|f| f.name.clone()).collect();
+        let singles: Vec<Vec<&str>> = names.iter().map(|n| vec![n.as_str()]).collect();
+        for set in singles
+            .iter()
+            .map(Vec::as_slice)
+            .chain(sets.iter().copied())
+        {
+            let cols: Vec<_> = set.iter().map(|n| src.resolve(n).unwrap()).collect();
+            // One group per distinct key, in first-touch order.
+            let mut index = GroupIndex::<GroupKey>::default();
+            for row in 0..t.num_rows() {
+                index.touch(
+                    GroupKey::from_digits(cols.iter().map(|c| c.key_code(row))),
+                    0,
+                );
+            }
+            let mut digits = Vec::new();
+            for key in &index.table.keys {
+                key.digits(&mut digits);
+            }
+            let n = index.table.keys.len();
+            let keys: Vec<Vec<Value>> = digits
+                .chunks(cols.len())
+                .map(|d| decode(&cols, d))
+                .collect();
+            let mut want: Vec<usize> = (0..n).collect();
+            want.sort_by(|&a, &b| keys[a].cmp(&keys[b]));
+            assert_ne!(
+                want,
+                (0..n).collect::<Vec<_>>(),
+                "{set:?}: first touch is key order"
+            );
+            assert_eq!(key_order(&cols, &digits, n), want, "{set:?}");
+        }
+    }
+
+    #[test]
+    fn key_order_is_value_order_decided_on_codes() {
+        let schema = SchemaBuilder::new()
+            .field("s", DataType::Utf8)
+            .field("i", DataType::Int64)
+            .field("f", DataType::Float64)
+            .field("b", DataType::Bool)
+            .build()
+            .unwrap();
+        let mut t = Table::empty("t", schema);
+        let strings = ["z", "a", "m", "", "ab", "Z", "é"];
+        let floats = [
+            1.5,
+            -0.0,
+            f64::NAN,
+            -2.25,
+            0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -f64::NAN,
+            5e-324,
+        ];
+        let ints = [7, -3, i64::MIN, 0, i64::MAX, -1];
+        for r in 0..60usize {
+            let null = |every: usize| r % every == every - 1;
+            t.push_row(&[
+                if null(5) {
+                    Value::Null
+                } else {
+                    strings[r % strings.len()].into()
+                },
+                if null(7) {
+                    Value::Null
+                } else {
+                    ints[r % ints.len()].into()
+                },
+                if null(4) {
+                    Value::Null
+                } else {
+                    floats[r % floats.len()].into()
+                },
+                if null(6) {
+                    Value::Null
+                } else {
+                    (r % 3 == 0).into()
+                },
+            ])
+            .unwrap();
+        }
+        assert_key_order(&t, &[&["s", "b"], &["b", "f", "s"], &["i", "s", "f", "b"]]);
+    }
+
+    #[test]
+    fn key_order_past_a_u64_rank_tuple() {
+        // 2000 groups of five columns of 2000 distinct values each:
+        // 2001^5 × 2000 rank tuples do not fit a u64.
+        let mut b = SchemaBuilder::new();
+        for c in 0..5 {
+            b = b.field(format!("c{c}"), DataType::Int64);
+        }
+        let mut t = Table::empty("t", b.build().unwrap());
+        for r in 0..2000i64 {
+            let row: Vec<Value> = (0..5)
+                .map(|c| ((r * 7919 + c * 104_729) % 2000 - 1000).into())
+                .collect();
+            t.push_row(&row).unwrap();
+        }
+        assert_key_order(
+            &t,
+            &[
+                &["c0", "c1", "c2", "c3", "c4"],
+                &["c4", "c3", "c2", "c1", "c0"],
+            ],
+        );
     }
 
     #[test]

@@ -19,9 +19,12 @@
 //!   answer serves a request at equal-or-lower confidence (its intervals
 //!   cover with at least the demanded probability) and within any
 //!   relative-error bound; exact answers satisfy any contract; partial
-//!   answers are never cached. Aliases are re-skinned from the incoming
-//!   query, so `COUNT(*) AS n` hits an answer cached as `COUNT(*) AS c`
-//!   yet comes back labelled `n`.
+//!   answers are never cached. A hit shares the cached answer
+//!   (`Arc<ApproxAnswer>`), copying nothing, when the incoming query
+//!   spells its group names and aliases as the cached one did; otherwise
+//!   the copy it gets is re-skinned from the incoming query, so
+//!   `COUNT(*) AS n` hits an answer cached as `COUNT(*) AS c` yet comes
+//!   back labelled `n`.
 //! * **Single-flight**: N concurrent misses on one key execute once. The
 //!   first miss becomes the *leader* (returns [`CacheDecision::Execute`]
 //!   with a [`FlightGuard`]); followers block — bounded by their own
@@ -42,7 +45,7 @@ use aqp_query::{FxHashMap, Query};
 use std::collections::HashMap;
 use std::hash::Hasher;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// How often a waiting follower re-checks its deadline while parked on
@@ -97,7 +100,7 @@ impl PlanKey {
 }
 
 struct Entry {
-    answer: ApproxAnswer,
+    answer: Arc<ApproxAnswer>,
     confidence: f64,
     inserted: Instant,
     /// LRU clock value at last touch.
@@ -109,10 +112,11 @@ pub enum CacheDecision<'a> {
     /// Caching is disabled for this request; execute normally, do not
     /// insert.
     Bypass,
-    /// Contract-satisfying answer served from cache (aliases already
-    /// re-skinned to the incoming query). The `f64` is the confidence
-    /// the cached intervals were computed at.
-    Hit(Box<ApproxAnswer>, f64),
+    /// Contract-satisfying answer served from cache, named as the
+    /// incoming query names its columns: the cached answer itself when
+    /// the names agree, a re-skinned copy when they do not. The `f64` is
+    /// the confidence the cached intervals were computed at.
+    Hit(Arc<ApproxAnswer>, f64),
     /// Miss: the caller must execute and then [`FlightGuard::complete`]
     /// (or drop the guard to abandon the flight).
     Execute(FlightGuard<'a>),
@@ -143,7 +147,7 @@ impl FlightGuard<'_> {
     /// the data.
     pub fn complete(self, answer: &ApproxAnswer, confidence: f64, insertable: bool) {
         if insertable && !answer.partial {
-            self.cache.insert(&self.key, answer.clone(), confidence);
+            self.cache.insert(&self.key, Arc::new(answer.clone()), confidence);
         }
         // Drop releases the flight and wakes followers.
     }
@@ -250,7 +254,7 @@ impl SemanticCache {
         loop {
             if let Some((answer, confidence)) = self.lookup(&key, contract, query) {
                 aqp_obs::counter("aqp_cache_hit_total", &[]).inc();
-                return CacheDecision::Hit(Box::new(answer), confidence);
+                return CacheDecision::Hit(answer, confidence);
             }
             let mut flights = self.flights.lock().expect("cache flights poisoned");
             if !flights.contains(&key.text) {
@@ -261,7 +265,7 @@ impl SemanticCache {
                 if let Some((answer, confidence)) = self.lookup(&key, contract, query) {
                     drop(flights);
                     aqp_obs::counter("aqp_cache_hit_total", &[]).inc();
-                    return CacheDecision::Hit(Box::new(answer), confidence);
+                    return CacheDecision::Hit(answer, confidence);
                 }
                 flights.insert(key.text.clone());
                 drop(flights);
@@ -299,7 +303,7 @@ impl SemanticCache {
         key: &PlanKey,
         contract: &AnswerContract,
         query: &Query,
-    ) -> Option<(ApproxAnswer, f64)> {
+    ) -> Option<(Arc<ApproxAnswer>, f64)> {
         let mut state = self.state.lock().expect("cache state poisoned");
         let entry = state.get_mut(&key.text)?;
         if self.config.ttl.is_some_and(|ttl| entry.inserted.elapsed() >= ttl) {
@@ -312,19 +316,24 @@ impl SemanticCache {
             return None;
         }
         entry.used = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut answer = entry.answer.clone();
+        let answer = Arc::clone(&entry.answer);
         let confidence = entry.confidence;
         drop(state);
-        // Re-skin output names from the incoming query: the key erases
-        // aliases, so the cached ones may differ.
+        // The key erases aliases, so the cached names may differ from the
+        // incoming query's; only then is the answer copied, to re-skin it.
+        let aliases = query.aggregates.iter().map(|a| &a.alias);
+        if answer.group_names == query.group_by && answer.agg_aliases.iter().eq(aliases) {
+            return Some((answer, confidence));
+        }
+        let mut answer = ApproxAnswer::clone(&answer);
         answer.agg_aliases = query.aggregates.iter().map(|a| a.alias.clone()).collect();
         answer.group_names = query.group_by.clone();
-        Some((answer, confidence))
+        Some((Arc::new(answer), confidence))
     }
 
     /// Insert an answer (used by [`FlightGuard::complete`]). Evicts LRU
     /// entries down to capacity.
-    fn insert(&self, key: &PlanKey, answer: ApproxAnswer, confidence: f64) {
+    fn insert(&self, key: &PlanKey, answer: Arc<ApproxAnswer>, confidence: f64) {
         if answer.partial || !self.enabled {
             return;
         }
@@ -429,6 +438,22 @@ mod tests {
             }
             _ => panic!("expected a hit"),
         };
+    }
+
+    #[test]
+    fn a_hit_under_the_cached_names_shares_the_entry() {
+        let c = cache(8);
+        run_miss(&c, "v", &query("cached_name"), &answer(100.0, 5.0, false));
+        let hit = |alias: &str| match c.decide("v", &query(alias), &AnswerContract::at_confidence(0.95), None) {
+            CacheDecision::Hit(a, _) => a,
+            _ => panic!("expected a hit"),
+        };
+        let (first, second) = (hit("cached_name"), hit("cached_name"));
+        assert!(Arc::ptr_eq(&first, &second), "both hits hold the cached answer");
+        let reskinned = hit("fresh_name");
+        assert!(!Arc::ptr_eq(&first, &reskinned), "a re-aliased hit is a copy");
+        assert_eq!(reskinned.groups, first.groups);
+        assert_eq!(first.agg_aliases, vec!["cached_name".to_owned()], "the entry is not re-skinned");
     }
 
     #[test]

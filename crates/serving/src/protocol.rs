@@ -8,7 +8,10 @@
 //! pipeline uses — so the serving layer stays zero-dependency. Control
 //! frames go through its [`Value`] tree; an answer, whose size is set by
 //! its group count, is streamed: written straight into one string and
-//! read straight off the tokenizer, with no tree in between.
+//! read straight off the tokenizer, with no tree in between. The server
+//! writes an answer frame from the [`ApproxAnswer`] it computed or shares
+//! with the cache ([`ServedAnswer`]); a client decodes it into a
+//! [`WireAnswer`]. One function lays out the bytes for both.
 //!
 //! Degradation is a *first-class wire concept*: an `ok` response carries
 //! the [`aqp_core::ServingTier`] that produced the answer, whether the
@@ -22,6 +25,7 @@ use aqp_core::{ApproxAnswer, ApproxGroup};
 use aqp_obs::json::{self, write_escaped, write_f64, Reader, Value};
 use aqp_storage::Value as Datum;
 use std::io::{self, IoSlice, Read, Write};
+use std::sync::Arc;
 
 /// Frames larger than this are rejected before allocation — a corrupt
 /// or hostile length prefix must not OOM the server.
@@ -61,8 +65,11 @@ pub fn write_frame(w: &mut impl Write, payload: &str) -> io::Result<()> {
 
 /// Read one frame from a blocking stream. Returns `Ok(None)` on clean
 /// EOF at a frame boundary (the peer closed between messages); mid-frame
-/// EOF is an error. On a stream with a read timeout, use [`FrameReader`]
-/// instead — this function discards partial progress on `WouldBlock`.
+/// EOF is an error. A read timeout does not lose bytes, but this function
+/// does not return on one either: it keeps what it read and waits for the
+/// rest ([`FrameReader::read_blocking`]). To see timeouts, as a server
+/// polling for shutdown must, drive a [`FrameReader`] with
+/// [`FrameReader::read`].
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<String>> {
     FrameReader::new().read_blocking(r)
 }
@@ -437,9 +444,11 @@ fn datum_to_json(d: &Datum) -> Value {
 }
 
 impl WireAnswer {
-    /// Flatten an [`ApproxAnswer`] (plus bound metadata) for the wire.
-    /// Groups are key-sorted first so the wire order is deterministic —
-    /// the in-memory merge order is not a protocol guarantee.
+    /// Flatten an [`ApproxAnswer`] (plus bound metadata) into what a
+    /// client decodes from its frame. Groups are key-sorted first, a
+    /// stable sort, so a hand-built answer comes out in wire order too; a
+    /// computed answer already is in it. The server does not call this: it
+    /// writes the frame from the answer ([`ServedAnswer`]), to the byte.
     pub fn from_answer(
         answer: &ApproxAnswer,
         deadline_limited: bool,
@@ -484,69 +493,22 @@ impl WireAnswer {
 
     /// Append this answer's frame payload to `out`.
     fn write_json(&self, out: &mut String) {
-        // Typical widths: ~12 bytes a key, ~100 a value object; the
-        // string grows if an answer is wider.
-        let per_group = 24 + 12 * self.group_names.len() + 100 * self.agg_aliases.len();
-        out.reserve(256 + self.groups.len() * per_group);
-        let bool_str = |b: bool| if b { "true" } else { "false" };
-        let write_strings = |out: &mut String, items: &[String]| {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_escaped(out, item);
-            }
-            out.push(']');
-        };
-        out.push_str("{\"status\":\"ok\",\"trace_id\":");
-        write_escaped(out, &self.trace_id);
-        out.push_str(",\"tier\":");
-        write_escaped(out, &self.tier);
-        out.push_str(",\"partial\":");
-        out.push_str(bool_str(self.partial));
-        out.push_str(",\"deadline_limited\":");
-        out.push_str(bool_str(self.deadline_limited));
-        out.push_str(",\"cache_hit\":");
-        out.push_str(bool_str(self.cache_hit));
-        // Integers travel as JSON numbers formatted from an f64, like
-        // every number a `Value` holds.
-        if let Some(budget) = self.effective_budget {
-            out.push_str(",\"effective_budget\":");
-            write_f64(out, budget as f64);
-        }
-        out.push_str(",\"rows_scanned\":");
-        write_f64(out, self.rows_scanned as f64);
-        out.push_str(",\"elapsed_ms\":");
-        write_f64(out, self.elapsed_ms);
-        out.push_str(",\"group_names\":");
-        write_strings(out, &self.group_names);
-        out.push_str(",\"agg_aliases\":");
-        write_strings(out, &self.agg_aliases);
-        out.push_str(",\"groups\":[");
-        for (i, group) in self.groups.iter().enumerate() {
-            out.push_str(if i > 0 { ",{\"key\":[" } else { "{\"key\":[" });
-            for (j, key) in group.key.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                key.write(out);
-            }
-            out.push_str("],\"values\":[");
-            for (j, v) in group.values.iter().enumerate() {
-                out.push_str(if j > 0 { ",{\"estimate\":" } else { "{\"estimate\":" });
-                write_f64(out, v.estimate);
-                out.push_str(",\"lo\":");
-                write_f64(out, v.lo);
-                out.push_str(",\"hi\":");
-                write_f64(out, v.hi);
-                out.push_str(",\"exact\":");
-                out.push_str(bool_str(v.exact));
-                out.push('}');
-            }
-            out.push_str("]}");
-        }
-        out.push_str("]}");
+        write_answer_frame(
+            out,
+            &FrameHead {
+                trace_id: &self.trace_id,
+                tier: &self.tier,
+                partial: self.partial,
+                deadline_limited: self.deadline_limited,
+                cache_hit: self.cache_hit,
+                effective_budget: self.effective_budget,
+                rows_scanned: self.rows_scanned,
+                elapsed_ms: self.elapsed_ms,
+                group_names: &self.group_names,
+                agg_aliases: &self.agg_aliases,
+            },
+            &self.groups,
+        );
     }
 
     /// Read the `groups` array of an answer frame off the tokenizer.
@@ -608,6 +570,191 @@ impl WireAnswer {
             exact: exact.unwrap_or(false),
         })
     }
+}
+
+/// An answer as the server frames it: the [`ApproxAnswer`] it computed,
+/// or the one a cache hit shares with the cache, plus the request's
+/// envelope. [`ServedAnswer::write_json`] writes the bytes
+/// `Response::Answer(WireAnswer::from_answer(..))` would, without copying
+/// or re-sorting the answer.
+#[derive(Debug)]
+pub struct ServedAnswer {
+    /// The answer, in key order (every computed answer is).
+    pub answer: Arc<ApproxAnswer>,
+    /// The request's trace id.
+    pub trace_id: String,
+    /// True when the deadline forced a cheaper tier or truncated the
+    /// exact rung.
+    pub deadline_limited: bool,
+    /// The row cap the ladder walked under, if any.
+    pub effective_budget: Option<usize>,
+    /// Server-side wall time, milliseconds.
+    pub elapsed_ms: f64,
+    /// True when the answer was re-served from the semantic cache.
+    pub cache_hit: bool,
+}
+
+impl ServedAnswer {
+    /// Append the answer frame's payload to `out`.
+    pub fn write_json(&self, out: &mut String) {
+        let answer = &*self.answer;
+        debug_assert!(
+            answer.groups.is_sorted_by(|a, b| a.key <= b.key),
+            "a served answer is in key order"
+        );
+        write_answer_frame(
+            out,
+            &FrameHead {
+                trace_id: &self.trace_id,
+                tier: answer.tier.as_str(),
+                partial: answer.partial,
+                deadline_limited: self.deadline_limited,
+                cache_hit: self.cache_hit,
+                effective_budget: self.effective_budget.map(|b| b as u64),
+                rows_scanned: answer.rows_scanned as u64,
+                elapsed_ms: self.elapsed_ms,
+                group_names: &answer.group_names,
+                agg_aliases: &answer.agg_aliases,
+            },
+            &answer.groups,
+        );
+    }
+}
+
+/// An answer frame's members besides `groups`.
+struct FrameHead<'a> {
+    trace_id: &'a str,
+    tier: &'a str,
+    partial: bool,
+    deadline_limited: bool,
+    cache_hit: bool,
+    effective_budget: Option<u64>,
+    rows_scanned: u64,
+    elapsed_ms: f64,
+    group_names: &'a [String],
+    agg_aliases: &'a [String],
+}
+
+/// A group as an answer frame writes it: a [`WireGroup`] a client
+/// decoded, or an [`ApproxGroup`] the server computed.
+trait FrameGroup {
+    /// Append the key's JSON scalars, comma-separated.
+    fn write_key(&self, out: &mut String);
+    /// The group's cells, one per aggregate.
+    fn cells(&self) -> impl Iterator<Item = WireValue> + '_;
+}
+
+impl FrameGroup for WireGroup {
+    fn write_key(&self, out: &mut String) {
+        for (j, key) in self.key.iter().enumerate() {
+            if j > 0 {
+                out.push(',');
+            }
+            key.write(out);
+        }
+    }
+
+    fn cells(&self) -> impl Iterator<Item = WireValue> + '_ {
+        self.values.iter().cloned()
+    }
+}
+
+impl FrameGroup for ApproxGroup {
+    /// The bytes [`datum_to_json`] and `Value::write` give each datum.
+    fn write_key(&self, out: &mut String) {
+        for (j, key) in self.key.iter().enumerate() {
+            if j > 0 {
+                out.push(',');
+            }
+            match key {
+                Datum::Null => out.push_str("null"),
+                Datum::Int64(i) => write_f64(out, *i as f64),
+                Datum::Float64(f) => write_f64(out, *f),
+                Datum::Utf8(s) => write_escaped(out, s),
+                Datum::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            }
+        }
+    }
+
+    fn cells(&self) -> impl Iterator<Item = WireValue> + '_ {
+        self.values.iter().map(|v| WireValue {
+            estimate: v.value(),
+            lo: v.ci.lo,
+            hi: v.ci.hi,
+            exact: v.is_exact(),
+        })
+    }
+}
+
+/// The one layout of an answer frame's payload, appended to `out`.
+fn write_answer_frame<G: FrameGroup>(out: &mut String, head: &FrameHead<'_>, groups: &[G]) {
+    // Typical widths: ~12 bytes a key, ~100 a value object; the
+    // string grows if an answer is wider.
+    let per_group = 24 + 12 * head.group_names.len() + 100 * head.agg_aliases.len();
+    out.reserve(256 + groups.len() * per_group);
+    let bool_str = |b: bool| if b { "true" } else { "false" };
+    let write_strings = |out: &mut String, items: &[String]| {
+        out.push('[');
+        for (i, item) in items.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            write_escaped(out, item);
+        }
+        out.push(']');
+    };
+    out.push_str("{\"status\":\"ok\",\"trace_id\":");
+    write_escaped(out, head.trace_id);
+    out.push_str(",\"tier\":");
+    write_escaped(out, head.tier);
+    out.push_str(",\"partial\":");
+    out.push_str(bool_str(head.partial));
+    out.push_str(",\"deadline_limited\":");
+    out.push_str(bool_str(head.deadline_limited));
+    out.push_str(",\"cache_hit\":");
+    out.push_str(bool_str(head.cache_hit));
+    // Integers travel as JSON numbers formatted from an f64, like
+    // every number a `Value` holds.
+    if let Some(budget) = head.effective_budget {
+        out.push_str(",\"effective_budget\":");
+        write_f64(out, budget as f64);
+    }
+    out.push_str(",\"rows_scanned\":");
+    write_f64(out, head.rows_scanned as f64);
+    out.push_str(",\"elapsed_ms\":");
+    write_f64(out, head.elapsed_ms);
+    out.push_str(",\"group_names\":");
+    write_strings(out, head.group_names);
+    out.push_str(",\"agg_aliases\":");
+    write_strings(out, head.agg_aliases);
+    out.push_str(",\"groups\":[");
+    // An estimate's text, kept for a bound with the same bits: every
+    // exact cell's interval is its estimate twice.
+    let mut estimate = String::new();
+    for (i, group) in groups.iter().enumerate() {
+        out.push_str(if i > 0 { ",{\"key\":[" } else { "{\"key\":[" });
+        group.write_key(out);
+        out.push_str("],\"values\":[");
+        for (j, v) in group.cells().enumerate() {
+            out.push_str(if j > 0 { ",{\"estimate\":" } else { "{\"estimate\":" });
+            estimate.clear();
+            write_f64(&mut estimate, v.estimate);
+            out.push_str(&estimate);
+            for (name, bound) in [(",\"lo\":", v.lo), (",\"hi\":", v.hi)] {
+                out.push_str(name);
+                if bound.to_bits() == v.estimate.to_bits() {
+                    out.push_str(&estimate);
+                } else {
+                    write_f64(out, bound);
+                }
+            }
+            out.push_str(",\"exact\":");
+            out.push_str(bool_str(v.exact));
+            out.push('}');
+        }
+        out.push_str("]}");
+    }
+    out.push_str("]}");
 }
 
 /// One server response. Every request receives exactly one of these.

@@ -32,7 +32,7 @@ use crate::admission::{AdmissionConfig, AdmissionController, AdmitOutcome};
 use crate::cache::{CacheConfig, CacheDecision, SemanticCache};
 use crate::fault::{Faults, ServingFault};
 use crate::protocol::{
-    write_frame, ContractClass, FrameRead, FrameReader, Request, Response, WireAnswer,
+    write_frame, ContractClass, FrameRead, FrameReader, Request, Response, ServedAnswer,
     RETAINED_BUFFER_BYTES,
 };
 use crate::shadow::{ShadowAuditor, ShadowConfig};
@@ -445,24 +445,19 @@ fn handle_connection(inner: Arc<Inner>, stream: TcpStream) {
                 let mut timeline = Timeline::start_at(frame_started.take().unwrap_or_else(Instant::now));
                 inner.faults.slow_read();
                 timeline.mark("read");
-                let (response, meta) = match Request::from_json(&payload) {
+                let (reply, meta) = match Request::from_json(&payload) {
                     Ok(request) => dispatch(&inner, request, &mut timeline),
                     Err(e) => {
                         inner.tallies.errors.fetch_add(1, Ordering::Relaxed);
                         tally_request(&inner, ContractClass::Interactive, "error");
-                        (
-                            Response::Error {
-                                message: format!("bad request: {e}"),
-                                trace_id: String::new(),
-                            },
-                            None,
-                        )
+                        let message = format!("bad request: {e}");
+                        (Response::Error { message, trace_id: String::new() }.into(), None)
                     }
                 };
                 framer.recycle(payload);
                 inner.faults.write_stall();
                 json.clear();
-                response.write_json(&mut json);
+                reply.write_json(&mut json);
                 timeline.mark("serialize");
                 let wrote = write_frame(&mut writer, &json);
                 timeline.mark("write");
@@ -476,7 +471,7 @@ fn handle_connection(inner: Arc<Inner>, stream: TcpStream) {
                     // Peer gone mid-response; nothing more to say to it.
                     return;
                 }
-                if matches!(response, Response::ShuttingDown | Response::Draining) {
+                if matches!(reply, Reply::Other(Response::ShuttingDown | Response::Draining)) {
                     return;
                 }
             }
@@ -502,6 +497,29 @@ fn handle_connection(inner: Arc<Inner>, stream: TcpStream) {
                 }
             }
             Err(_) => return, // torn frame or transport error
+        }
+    }
+}
+
+/// What a request is answered with: an answer, framed straight from the
+/// answer the server computed or shares with the cache, or any other
+/// [`Response`].
+enum Reply {
+    Answer(ServedAnswer),
+    Other(Response),
+}
+
+impl From<Response> for Reply {
+    fn from(response: Response) -> Reply {
+        Reply::Other(response)
+    }
+}
+
+impl Reply {
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Reply::Answer(answer) => answer.write_json(out),
+            Reply::Other(response) => response.write_json(out),
         }
     }
 }
@@ -650,40 +668,37 @@ fn render_stats(inner: &Inner) -> String {
     .to_json()
 }
 
-fn dispatch(inner: &Inner, request: Request, timeline: &mut Timeline) -> (Response, Option<RequestMeta>) {
-    match request {
+fn dispatch(inner: &Inner, request: Request, timeline: &mut Timeline) -> (Reply, Option<RequestMeta>) {
+    let response = match request {
         Request::Ping => {
             tally_request(inner, ContractClass::Interactive, "ping");
-            (Response::Pong, None)
+            Response::Pong
         }
         Request::Metrics => {
             tally_request(inner, ContractClass::Interactive, "metrics");
             // Refresh the aqp_slo_* gauges so every metrics pull carries
             // the watchdog's current windows.
             inner.slo.lock().expect("slo poisoned").export_to_registry();
-            (
-                Response::Metrics(aqp_obs::to_prometheus(&aqp_obs::global().snapshot())),
-                None,
-            )
+            Response::Metrics(aqp_obs::to_prometheus(&aqp_obs::global().snapshot()))
         }
         Request::Stats => {
             tally_request(inner, ContractClass::Interactive, "stats");
             inner.slo.lock().expect("slo poisoned").export_to_registry();
-            (Response::Stats(render_stats(inner)), None)
+            Response::Stats(render_stats(inner))
         }
         Request::Dump => {
             tally_request(inner, ContractClass::Interactive, "dump");
             aqp_obs::counter("aqp_flight_dump_total", &[("trigger", "request")]).inc();
-            (Response::Dump(inner.flight.to_jsonl()), None)
+            Response::Dump(inner.flight.to_jsonl())
         }
         Request::Shutdown => {
             tally_request(inner, ContractClass::Interactive, "shutdown");
             inner.shutdown.store(true, Ordering::SeqCst);
-            (Response::ShuttingDown, None)
+            Response::ShuttingDown
         }
         Request::Invalidate => {
             tally_request(inner, ContractClass::Interactive, "invalidate");
-            (Response::Invalidated { epoch: inner.cache.invalidate() }, None)
+            Response::Invalidated { epoch: inner.cache.invalidate() }
         }
         Request::Query {
             sql,
@@ -697,12 +712,13 @@ fn dispatch(inner: &Inner, request: Request, timeline: &mut Timeline) -> (Respon
             let trace_id = trace_id
                 .filter(|t| !t.is_empty())
                 .unwrap_or_else(|| gen_trace_id(inner));
-            serve_query(
+            return serve_query(
                 inner, timeline, trace_id, sql, class, deadline_ms, row_budget, confidence,
                 max_rel_error,
-            )
+            );
         }
-    }
+    };
+    (response.into(), None)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -716,7 +732,7 @@ fn serve_query(
     row_budget: Option<usize>,
     confidence: Option<f64>,
     max_rel_error: Option<f64>,
-) -> (Response, Option<RequestMeta>) {
+) -> (Reply, Option<RequestMeta>) {
     // Builds the meta alongside each terminal response so every exit of
     // this function leaves one flight record with a consistent outcome.
     let meta = |outcome: &'static str, tier: &str, cache_hit: bool, rows: u64| {
@@ -733,7 +749,7 @@ fn serve_query(
     if inner.draining.load(Ordering::SeqCst) || inner.shutdown.load(Ordering::SeqCst) {
         inner.tallies.drained_rejects.fetch_add(1, Ordering::Relaxed);
         tally_request(inner, class, "draining");
-        return (Response::Draining, meta("draining", "", false, 0));
+        return (Response::Draining.into(), meta("draining", "", false, 0));
     }
 
     let deadline = deadline_ms
@@ -754,7 +770,8 @@ fn serve_query(
                 Response::Error {
                     message: format!("parse error: {e}"),
                     trace_id: trace_id.clone(),
-                },
+                }
+                .into(),
                 meta("error", "", false, 0),
             );
         }
@@ -778,16 +795,16 @@ fn serve_query(
             let elapsed = t0.elapsed();
             aqp_obs::histogram("aqp_server_latency_seconds", &[("class", class.as_str())])
                 .observe(elapsed.as_nanos() as u64);
-            let wire = WireAnswer::from_answer(
-                &answer,
-                false,
-                None,
-                elapsed.as_secs_f64() * 1e3,
-                true,
-                trace_id.clone(),
-            );
-            let m = meta("answer", &wire.tier, true, wire.rows_scanned);
-            return (Response::Answer(wire), m);
+            let m = meta("answer", answer.tier.as_str(), true, answer.rows_scanned as u64);
+            let served = ServedAnswer {
+                answer,
+                trace_id: trace_id.clone(),
+                deadline_limited: false,
+                effective_budget: None,
+                elapsed_ms: elapsed.as_secs_f64() * 1e3,
+                cache_hit: true,
+            };
+            return (Reply::Answer(served), m);
         }
         CacheDecision::Bypass => {
             inner.tallies.cache_bypass.fetch_add(1, Ordering::Relaxed);
@@ -813,7 +830,8 @@ fn serve_query(
                     retry_after_ms,
                     class: class.as_str().to_string(),
                     trace_id: trace_id.clone(),
-                },
+                }
+                .into(),
                 meta("shed", "", false, 0),
             );
         }
@@ -825,7 +843,8 @@ fn serve_query(
                 Response::Timeout {
                     message: "deadline expired in admission queue".into(),
                     trace_id: trace_id.clone(),
-                },
+                }
+                .into(),
                 meta("timeout", "", false, 0),
             );
         }
@@ -851,7 +870,8 @@ fn serve_query(
             Response::Timeout {
                 message: "deadline expired before execution".into(),
                 trace_id: trace_id.clone(),
-            },
+            }
+            .into(),
             meta("timeout", "", false, 0),
         );
     }
@@ -867,7 +887,7 @@ fn serve_query(
     };
     let executed = inner.system.answer_bounded(&parsed.query, conf, &bound);
     timeline.mark("execute");
-    let (response, meta) = match executed {
+    let (reply, meta) = match executed {
         Ok(bounded) => {
             let elapsed = t0.elapsed();
             // Teach the estimator only from exact-tier scans:
@@ -899,16 +919,17 @@ fn serve_query(
             if let Some(shadow) = inner.shadow.lock().expect("shadow slot poisoned").as_ref() {
                 shadow.maybe_submit(&parsed.query, &bounded.answer, conf, &trace_id);
             }
-            let wire = WireAnswer::from_answer(
-                &bounded.answer,
-                bounded.deadline_limited,
-                bounded.effective_budget,
-                elapsed.as_secs_f64() * 1e3,
-                false,
-                trace_id.clone(),
-            );
-            let m = meta("answer", &wire.tier, false, wire.rows_scanned);
-            (Response::Answer(wire), m)
+            let answer = bounded.answer;
+            let m = meta("answer", answer.tier.as_str(), false, answer.rows_scanned as u64);
+            let served = ServedAnswer {
+                answer: Arc::new(answer),
+                trace_id: trace_id.clone(),
+                deadline_limited: bounded.deadline_limited,
+                effective_budget: bounded.effective_budget,
+                elapsed_ms: elapsed.as_secs_f64() * 1e3,
+                cache_hit: false,
+            };
+            (Reply::Answer(served), m)
         }
         Err(AqpError::Cancelled { deadline: true }) => {
             inner.tallies.timeouts.fetch_add(1, Ordering::Relaxed);
@@ -919,7 +940,8 @@ fn serve_query(
                 Response::Timeout {
                     message: "deadline exceeded mid-scan; no tier could finish".into(),
                     trace_id: trace_id.clone(),
-                },
+                }
+                .into(),
                 meta("timeout", "", false, 0),
             )
         }
@@ -930,7 +952,8 @@ fn serve_query(
                 Response::Error {
                     message: "query cancelled".into(),
                     trace_id: trace_id.clone(),
-                },
+                }
+                .into(),
                 meta("error", "", false, 0),
             )
         }
@@ -938,13 +961,13 @@ fn serve_query(
             inner.tallies.errors.fetch_add(1, Ordering::Relaxed);
             tally_request(inner, class, "error");
             (
-                Response::Error { message: e.to_string(), trace_id: trace_id.clone() },
+                Response::Error { message: e.to_string(), trace_id: trace_id.clone() }.into(),
                 meta("error", "", false, 0),
             )
         }
     };
     drop(permit);
-    (response, meta)
+    (reply, meta)
 }
 
 #[cfg(test)]

@@ -8,10 +8,11 @@
 
 use aqp::obs::json::{self, Value as Json};
 use aqp::prelude::*;
-use aqp::serving::protocol::{WireGroup, WireValue};
-use aqp::serving::{Response, WireAnswer};
+use aqp::serving::protocol::{ServedAnswer, WireGroup, WireValue};
+use aqp::serving::{CacheConfig, CacheDecision, Response, SemanticCache, WireAnswer};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// The encoder as it was before answers were streamed: build the whole
@@ -306,6 +307,140 @@ fn from_answer_orders_groups_like_sort_by_key() {
                 );
             }
         }
+    }
+}
+
+/// What the server writes for `answer` (in key order) against what
+/// `Response::Answer(WireAnswer::from_answer(..))` writes through the
+/// tree encoder, under a random envelope.
+fn assert_served_bytes(
+    answer: Arc<ApproxAnswer>,
+    cache_hit: bool,
+    rng: &mut StdRng,
+    ctx: &str,
+) -> String {
+    let budget = rng
+        .random_bool(0.5)
+        .then(|| rng.random_range(0..5_000_000usize));
+    let (deadline_limited, elapsed_ms) = (rng.random(), pick_float(rng).abs());
+    let trace_id = STRINGS[rng.random_range(0..STRINGS.len())].to_string();
+    let wire = WireAnswer::from_answer(
+        &answer,
+        deadline_limited,
+        budget,
+        elapsed_ms,
+        cache_hit,
+        trace_id.clone(),
+    );
+    let served = ServedAnswer {
+        answer,
+        trace_id,
+        deadline_limited,
+        effective_budget: budget,
+        elapsed_ms,
+        cache_hit,
+    };
+    let mut json = String::new();
+    served.write_json(&mut json);
+    assert_eq!(
+        json,
+        reference_to_json(&wire),
+        "{ctx}: bytes differ from the tree encoder"
+    );
+    json
+}
+
+#[test]
+fn served_answers_write_the_bytes_of_from_answer() {
+    let mut rng = StdRng::seed_from_u64(0x5E2FED);
+    let (mut exact_cells, mut null_bounds) = (0, 0);
+    let mut key_kinds = [0usize; 5];
+    for case in 0..400 {
+        let mut answer = random_answer(&mut rng);
+        answer.sort_by_key();
+        for g in &answer.groups {
+            exact_cells += g.values.iter().filter(|v| v.is_exact()).count();
+            null_bounds += g
+                .values
+                .iter()
+                .filter(|v| !v.ci.lo.is_finite() || !v.ci.hi.is_finite())
+                .count();
+            for k in &g.key {
+                key_kinds[match k {
+                    Value::Null => 0,
+                    Value::Int64(_) => 1,
+                    Value::Float64(_) => 2,
+                    Value::Bool(_) => 3,
+                    Value::Utf8(_) => 4,
+                }] += 1;
+            }
+        }
+        let cache_hit = rng.random();
+        assert_served_bytes(
+            Arc::new(answer),
+            cache_hit,
+            &mut rng,
+            &format!("case {case}"),
+        );
+    }
+    assert!(
+        exact_cells > 100 && null_bounds > 100,
+        "{exact_cells} {null_bounds}"
+    );
+    assert!(key_kinds.iter().all(|&n| n > 50), "{key_kinds:?}");
+}
+
+#[test]
+fn cache_hits_write_the_bytes_of_from_answer_under_either_name() {
+    let cache = SemanticCache::new(CacheConfig::default());
+    let query = |group: &str, alias: &str| {
+        Query::builder()
+            .aggregate(AggExpr::count(alias))
+            .group_by(group)
+            .build()
+            .unwrap()
+    };
+    let contract = AnswerContract::at_confidence(0.95);
+    let mut rng = StdRng::seed_from_u64(0xCAC4E);
+    let mut cases = 0;
+    while cases < 40 {
+        let mut answer = random_answer(&mut rng);
+        if answer.group_names.len() != 1 || answer.agg_aliases.len() != 1 {
+            continue;
+        }
+        answer.sort_by_key();
+        answer.partial = false;
+        answer.group_names = vec![format!("g{cases}")];
+        answer.agg_aliases = vec!["cached".into()];
+        let decide =
+            |alias: &str| cache.decide("v", &query(&format!("g{cases}"), alias), &contract, None);
+        match decide("cached") {
+            CacheDecision::Execute(flight) => flight.complete(&answer, 0.95, true),
+            _ => panic!("case {cases}: a fresh key misses"),
+        }
+        let hit = |alias: &str| match decide(alias) {
+            CacheDecision::Hit(hit, _) => hit,
+            _ => panic!("case {cases}: expected a hit"),
+        };
+        let shared = hit("cached");
+        assert!(
+            Arc::ptr_eq(&shared, &hit("cached")),
+            "case {cases}: a hit under the cached names shares"
+        );
+        let json = assert_served_bytes(shared, true, &mut rng, &format!("case {cases}, shared"));
+        assert!(
+            json.contains("\"agg_aliases\":[\"cached\"]"),
+            "case {cases}"
+        );
+        let reskinned = hit("fresh");
+        let json = assert_served_bytes(
+            reskinned,
+            true,
+            &mut rng,
+            &format!("case {cases}, re-aliased"),
+        );
+        assert!(json.contains("\"agg_aliases\":[\"fresh\"]"), "case {cases}");
+        cases += 1;
     }
 }
 

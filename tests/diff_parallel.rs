@@ -254,7 +254,8 @@ fn sampler_union_all_parts_match_the_reference_part_by_part() {
     // the tables before it; the overall sample at weight 1/rate
     // excluding all of them — and hold every part's scan to the
     // reference, then the served estimates and intervals to the
-    // reference parts folded in plan order. Nothing here sorts.
+    // reference parts folded in plan order and then sorted by key, the
+    // order the served answer is in.
     //
     // The second input is clustered over 40 zone-map blocks, so its
     // overall sample spans four, and `k < 10 × 4096` lets the served plan
@@ -335,7 +336,8 @@ fn sampler_parts_match_the_reference(t: &Table, queries: &[Query], input: &str) 
                 reference::assert_same(&part.groups, &got.groups, &format!("{ctx}, part {}", table.name()));
                 want.push(part.groups);
             }
-            let want = reference::fold(want);
+            let mut want = reference::fold(want);
+            want.sort_by(|a, b| a.key.cmp(&b.key));
             assert!(aqp::obs::trace::begin("sampler plan"));
             let answer = sampler.answer(q, 0.95).unwrap();
             let trace = aqp::obs::trace::finish().expect("trace open");
@@ -799,18 +801,27 @@ fn plan_fold_across_parts_at_their_shared_dictionarys_width() {
 }
 
 #[test]
-fn answer_group_order_is_first_seen_in_plan_order_and_repeatable() {
+fn answer_group_order_is_key_order_and_repeatable() {
     // `ApproxAnswer::groups` used to come out in the iteration order of a
-    // randomly seeded map: two identical calls disagreed. Now the order is
-    // first-seen in plan order, so consecutive calls agree without sorting
-    // — and it is not key order either, or sorting would be a no-op.
+    // randomly seeded map: two identical calls disagreed. Then it was
+    // first-seen in plan order. Now it is key order, decided on the
+    // plan's codes: consecutive calls agree, and sorting changes nothing.
     let t = test_table(3_000, 3);
     let sampler = SmallGroupSampler::build(
         &t,
-        SmallGroupConfig { seed: 5, ..SmallGroupConfig::with_rates(0.1, 0.5) },
+        SmallGroupConfig {
+            seed: 5,
+            ..SmallGroupConfig::with_rates(0.1, 0.5)
+        },
     )
     .unwrap();
-    let q = Query::builder().count().sum("amt").group_by("cat").group_by("sub").build().unwrap();
+    let q = Query::builder()
+        .count()
+        .sum("amt")
+        .group_by("cat")
+        .group_by("sub")
+        .build()
+        .unwrap();
     let first = sampler.answer(&q, 0.95).unwrap();
     assert!(first.groups.len() > 10);
     for _ in 0..5 {
@@ -820,11 +831,180 @@ fn answer_group_order_is_first_seen_in_plan_order_and_repeatable() {
     }
     let mut sorted = first.clone();
     sorted.sort_by_key();
-    assert_ne!(
+    assert_eq!(
         first.groups.iter().map(|g| &g.key).collect::<Vec<_>>(),
         sorted.groups.iter().map(|g| &g.key).collect::<Vec<_>>(),
-        "first-seen order, not key order"
+        "key order"
     );
+}
+
+/// A view whose group columns' first-seen orders are not their value
+/// orders: strings first seen as `"z"`, `"a"`, `"m"`; negative integers
+/// after positive ones; `-0.0` (one group with `0.0`), NaN and negative
+/// floats; `true` before `false`; NULL in every group column.
+fn code_order_table(rows: usize) -> Table {
+    let schema = SchemaBuilder::new()
+        .field("s", DataType::Utf8)
+        .field("i", DataType::Int64)
+        .field("f", DataType::Float64)
+        .field("b", DataType::Bool)
+        .field("x", DataType::Float64)
+        .build()
+        .unwrap();
+    let mut t = Table::empty("v", schema);
+    let strings = ["z", "a", "m", "b", "y"];
+    let ints = [3i64, -2, 0, -40, 17];
+    let floats = [2.5, -0.0, f64::NAN, -1.25, 0.0, 1e300];
+    let mut s = 11u64;
+    for r in 0..rows {
+        // The first rows list every value in the orders above; later rows
+        // draw skewed (value 0 common), so the samplers' rare-value tables
+        // have something to hold.
+        let pick = |n: usize, s: &mut u64| {
+            if r < 30 {
+                r % n
+            } else {
+                (next(s) % 64).min(n as u64 * 2) as usize % n
+            }
+        };
+        let null = |every: u64, s: &mut u64| r > 0 && next(s).is_multiple_of(every);
+        let row = [
+            if null(9, &mut s) {
+                Value::Null
+            } else {
+                strings[pick(strings.len(), &mut s)].into()
+            },
+            if null(11, &mut s) {
+                Value::Null
+            } else {
+                ints[pick(ints.len(), &mut s)].into()
+            },
+            if null(13, &mut s) {
+                Value::Null
+            } else {
+                floats[pick(floats.len(), &mut s)].into()
+            },
+            if null(7, &mut s) {
+                Value::Null
+            } else {
+                (pick(2, &mut s) == 0).into()
+            },
+            ((next(&mut s) % 100) as f64 + 0.5).into(),
+        ];
+        t.push_row(&row).unwrap();
+    }
+    t
+}
+
+#[test]
+fn every_system_answers_in_key_order_where_code_order_differs() {
+    let t = code_order_table(4_000);
+    let queries: Vec<Query> = [
+        &["s"][..],
+        &["i"],
+        &["f"],
+        &["b"],
+        &["s", "b"],
+        &["b", "f", "s"],
+        &["i", "s", "f", "b"],
+    ]
+    .iter()
+    .map(|cols| {
+        let mut q = Query::builder().count().sum("x");
+        for c in *cols {
+            q = q.group_by(*c);
+        }
+        q.build().unwrap()
+    })
+    .collect();
+    // The input bites: first-seen order is not key order for any query.
+    for q in &queries {
+        let first_seen = reference::evaluate(&t, q, &ExecOptions::default()).groups;
+        assert!(
+            !first_seen.is_sorted_by(|a, b| a.key <= b.key),
+            "first-seen order of {:?} is key order",
+            q.group_by
+        );
+    }
+    let cols = [
+        "s".to_owned(),
+        "i".to_owned(),
+        "f".to_owned(),
+        "b".to_owned(),
+    ];
+    let mut sgs = SmallGroupSampler::build(
+        &t,
+        SmallGroupConfig {
+            seed: 5,
+            ..SmallGroupConfig::with_rates(0.05, 0.5)
+        },
+    )
+    .unwrap();
+    let uniform = UniformAqp::build(&t, 0.1, 1).unwrap();
+    let basic = BasicCongress::build(&t, &cols, 400, 1).unwrap();
+    let congress = Congress::build(&t, &cols, 400, 1).unwrap();
+    let outlier = OutlierIndex::build(&t, "x", 40, 0.1, 1).unwrap();
+    let multi = MultiLevelSampler::build(&t, MultiLevelConfig::default()).unwrap();
+    let in_key_order = |what: &str, q: &Query, a: &ApproxAnswer| {
+        assert!(!a.groups.is_empty(), "{what} {:?}: no groups", q.group_by);
+        // Strictly ascending: sorted, and no two groups share a key.
+        assert!(
+            a.groups.is_sorted_by(|x, y| x.key < y.key),
+            "{what} {:?}: not in key order",
+            q.group_by
+        );
+    };
+    for q in &queries {
+        for (what, system) in [
+            ("uniform", &uniform as &dyn AqpSystem),
+            ("basic congress", &basic),
+            ("congress", &congress),
+            ("outlier", &outlier),
+            ("multilevel", &multi),
+        ] {
+            in_key_order(what, q, &system.answer(q, 0.95).unwrap());
+        }
+        for threads in [1, 4] {
+            sgs.set_threads(threads);
+            in_key_order(
+                &format!("small group @ {threads}"),
+                q,
+                &sgs.answer(q, 0.95).unwrap(),
+            );
+            // The exact rung against the reference over the whole view,
+            // sorted by key: same keys in the same order, same estimates.
+            let exact = ResilientSystem::exact_only(t.clone())
+                .with_threads(threads)
+                .answer_bounded(q, 0.95, &QueryBound::none())
+                .unwrap()
+                .answer;
+            assert_eq!(exact.tier, ServingTier::Exact);
+            in_key_order(&format!("exact @ {threads}"), q, &exact);
+            let mut want = reference::evaluate(&t, q, &ExecOptions::default()).groups;
+            want.sort_by(|a, b| a.key.cmp(&b.key));
+            assert_eq!(
+                want.len(),
+                exact.groups.len(),
+                "exact @ {threads} {:?}",
+                q.group_by
+            );
+            for (w, g) in want.iter().zip(&exact.groups) {
+                assert_eq!(w.key, g.key, "exact @ {threads} {:?}", q.group_by);
+                assert_eq!(
+                    w.aggs[0].sum_w,
+                    g.values[0].value(),
+                    "exact @ {threads} {:?}",
+                    q.group_by
+                );
+                assert_eq!(
+                    w.aggs[1].sum_wx.to_bits(),
+                    g.values[1].value().to_bits(),
+                    "exact @ {threads} {:?}",
+                    q.group_by
+                );
+            }
+        }
+    }
 }
 
 #[test]

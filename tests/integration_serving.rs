@@ -386,7 +386,7 @@ fn differential_oracle_cache_on_matches_cache_off_across_rebuild() {
             match cache.decide(&parsed.table, &parsed.query, &contract, None) {
                 CacheDecision::Hit(a, conf) => {
                     hits += 1;
-                    (*a, conf)
+                    (ApproxAnswer::clone(&a), conf)
                 }
                 CacheDecision::Execute(guard) => {
                     let bounded = system
