@@ -230,7 +230,7 @@ impl<S: DenseValue> Dense<'_, S> {
 
 /// `work(unit)` for every unit in `0..units`, on up to `threads` threads,
 /// results in unit order. Units never share state, so the results are the
-/// same at any thread count. (The executor runs fewer than 16 units inline.)
+/// same at any thread count.
 pub(crate) fn per_unit<T: Send>(
     units: usize,
     threads: usize,

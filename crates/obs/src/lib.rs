@@ -12,7 +12,7 @@
 //! * [`span()`] — scoped stage timers that record into the global registry
 //!   and the thread-local active [`QueryTrace`]. Spans are created and
 //!   dropped on the control thread only, so they are safe under the
-//!   scoped-thread morsel executor (workers touch nothing but atomics).
+//!   multi-threaded morsel executor (workers touch nothing but atomics).
 //! * [`event`] — structured events (level + key/value fields) in a capped
 //!   ring buffer, replacing ad-hoc `eprintln!` warnings.
 //! * [`Registry`] — named-metric registry with consistent [`Snapshot`]s,

@@ -6,7 +6,7 @@
 //! on the control thread via a thread-local collector: [`begin`] opens
 //! one, [`span`](fn@crate::span) timers dropped while it is open append
 //! stage timings, and [`finish`] closes it. Morsel workers never touch
-//! the collector, so scoped-thread execution is unaffected.
+//! the collector, so multi-threaded execution is unaffected.
 //!
 //! The JSON schema (documented in DESIGN.md §10) has one version, 3.
 //! [`QueryTrace::to_json`] writes it through [`crate::json::Value`], and

@@ -14,7 +14,8 @@
 //! * **morsel-driven parallelism** — every scan is decomposed into
 //!   fixed-size morsels whose partial group tables are folded in morsel
 //!   order ([`crate::parallel`]), so answers are bit-identical at any
-//!   thread count (std scoped threads, no dependencies).
+//!   thread count (the caller's thread plus a process-wide pool of parked
+//!   helper threads; std only).
 //!
 //! Every morsel runs through the vectorised kernels (`kernel`):
 //! selection vectors, typed columnar filters, and arithmetic group ids.
@@ -81,9 +82,11 @@ pub struct ExecOptions<'a> {
     pub weight: Weighting<'a>,
     /// Skip rows whose bitmask intersects this mask (sample tables only).
     pub bitmask_exclude: Option<&'a BitSet>,
-    /// Worker threads for the scan (1 = run morsels inline). The answer is
-    /// bit-identical at every value: morsel boundaries and the merge order
-    /// of partial states depend only on the row count and `morsel_rows`.
+    /// Workers for the scan, the caller's thread included (1 = the caller
+    /// alone); the scan gets only the pool's idle helpers, so values above
+    /// the core count add no threads. The answer is bit-identical at every
+    /// value: morsel boundaries and the merge order of partial states
+    /// depend only on the row count and `morsel_rows`.
     pub parallelism: usize,
     /// Stop the scan after this many rows (a per-query budget used by
     /// degraded serving). [`QueryOutput::truncated`] reports whether the

@@ -56,11 +56,12 @@ use crate::source::{canonical_f64_bits, ResolvedColumn};
 use aqp_storage::{with_codes, Column, NullMask};
 use std::cell::RefCell;
 
-/// Reusable per-thread buffers. Workers are scoped threads that process
-/// many morsels; keeping the selection vector, group-id lanes, and the
-/// dense accumulator (with its epoch-based lazy reset) across morsels is
-/// what makes the dense path cheap — the flat state array is only
-/// re-initialised slot-by-slot on first touch, never bulk-zeroed.
+/// Reusable per-thread buffers. Workers — a round's caller and the morsel
+/// pool's long-lived helpers — process many morsels; keeping the
+/// selection vector, group-id lanes, and the dense accumulator (with its
+/// epoch-based lazy reset) across morsels is what makes the dense path
+/// cheap — the flat state array is only re-initialised slot-by-slot on
+/// first touch, never bulk-zeroed.
 #[derive(Default)]
 struct Scratch {
     sel: Vec<u32>,

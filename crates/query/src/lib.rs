@@ -50,6 +50,8 @@ pub mod join;
 pub mod output;
 pub mod parallel;
 pub mod plan;
+#[allow(unsafe_code)]
+mod pool;
 mod prune;
 mod selection;
 pub mod source;

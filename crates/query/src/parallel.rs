@@ -1,16 +1,16 @@
 //! Morsel-driven parallel scan scheduling with deterministic merge.
 //!
-//! [`run_round`] fans the morsels of one *or several* scans out to a
-//! scoped thread pool: workers claim morsels from a shared atomic counter
-//! (morsel-driven parallelism, Leis et al.), so a slow morsel never
-//! stalls the others. A plan that is a UNION ALL over sample tables puts
-//! all of its scans into one round — one spawn/join for the plan, not one
-//! per table — and a round too small to repay a spawn runs on the
-//! caller's thread. The per-morsel results come back **per scan, in
-//! morsel order**, which makes downstream folds deterministic: float
-//! aggregate merges are not associative, so the only way `--threads 8`
-//! can be bit-identical to `--threads 1` is for both to compute the same
-//! per-morsel partials and combine them in the same order. The executor
+//! [`run_round`] fans the morsels of one *or several* scans out to the
+//! caller's thread and the process's morsel pool: workers claim morsels
+//! from a shared atomic counter (morsel-driven parallelism, Leis et al.),
+//! so a slow morsel never stalls the others. A plan that is a UNION ALL
+//! over sample tables puts all of its scans into one round — one post to
+//! the pool's parked helpers for the plan, not one per table. The
+//! per-morsel results come back **per scan, in morsel order**, which
+//! makes downstream folds deterministic: float aggregate merges are not
+//! associative, so the only way `--threads 8` can be bit-identical to
+//! `--threads 1` is for both to compute the same per-morsel partials and
+//! combine them in the same order. The executor
 //! therefore routes *every* scan — including single-threaded ones —
 //! through the same morsel decomposition and the same in-order fold
 //! ([`crate::PreparedScan::finish`]).
@@ -26,32 +26,14 @@
 //! executor's [`crate::QueryOutput`] up to the plan layer's answers.
 
 use crate::cancel::CancelToken;
+use crate::pool::Pool;
 use aqp_storage::morsel::{Morsel, MorselIter};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Mutex;
 
-/// A round of fewer morsels than this runs inline on the caller's thread.
-///
-/// Measured on the 2-vCPU benchmark host (SALES 500k, 4096-row morsels,
-/// sample plans of 3 tables grown from 6 to 32 morsels by raising the
-/// sampling rate; inline and one-helper processes run in turn, p50 over
-/// the benchmark's narrow and wide templates — DESIGN.md §9 has the
-/// table): narrow plans (1–2 grouping columns) answer 10–20 % faster
-/// inline up to 14 morsels and 20 % faster with a helper from 16; wide
-/// plans (3–4 columns, hundreds of groups) stay faster inline up to 22
-/// and tie at 24. One morsel of a sampled group-by costs 20–40 µs;
-/// spawning and joining one scoped worker costs 60–80 µs on the spot and
-/// more afterwards: the kernels' thread-local scratch buffers — up to
-/// ~2 MB of direct-indexed accumulator on a wide plan — are rebuilt by
-/// every new helper but stay warm on a connection thread that runs
-/// inline. (A helper's partials are two buffers per morsel, so freeing
-/// them on the control thread no longer counts.) Not a setting: the
-/// break-even moves with morsel cost and the host's spawn cost, not with
-/// anything a user knows.
-const INLINE_BELOW_MORSELS: usize = 16;
-
-/// Run `work` over every morsel of `0..rows` on up to `threads` scoped
-/// worker threads, returning the per-morsel results in morsel order: a
-/// [`run_round`] of one scan, without a cancellation token.
+/// Run `work` over every morsel of `0..rows` on up to `threads` workers,
+/// returning the per-morsel results in morsel order: a [`run_round`] of
+/// one scan, without a cancellation token.
 pub fn run_morsels<T, F>(rows: usize, morsel_rows: usize, threads: usize, work: F) -> Vec<T>
 where
     T: Send,
@@ -97,15 +79,38 @@ pub struct Round<T> {
 /// morsel order. The schedule (which thread runs which morsel) is
 /// nondeterministic; the result is not: slot `i` of `results[s]` always
 /// holds the result for morsel `i` of scan `s`, and `work` receives
-/// identical morsels no matter how many threads run. With `threads <= 1`,
-/// or fewer than `INLINE_BELOW_MORSELS` morsels in the whole round, no
-/// thread is spawned.
+/// identical morsels no matter how many threads run.
+///
+/// The other workers are helpers of the process's morsel pool (one per
+/// core beyond the caller's), lent to the round only while idle: a round
+/// never waits for a helper to start, so with every helper busy it runs
+/// on the caller alone, and `threads` above the core count adds none.
+/// While another thread's query stream interleaves with this thread's
+/// rounds, a round takes no helper at all (the streams already keep the
+/// cores busy). `threads <= 1` always runs on the caller.
 ///
 /// A [`CancelToken`] is checked at every morsel **claim point**: a worker
 /// about to claim its next morsel first checks the token and stops
 /// claiming once it has tripped (explicit cancel or deadline), so a
-/// timed-out query frees its threads within one morsel.
+/// timed-out query frees its threads within one morsel. A panic in `work`
+/// stops the other workers at their next claim too, and is raised on the
+/// caller once they have (a helper's as "morsel worker panicked").
 pub fn run_round<T, F>(
+    scans: &[MorselIter],
+    threads: usize,
+    cancel: Option<&CancelToken>,
+    work: F,
+) -> Round<T>
+where
+    T: Send,
+    F: Fn(usize, Morsel) -> T + Sync,
+{
+    run_round_in(Pool::global(), scans, threads, cancel, work)
+}
+
+/// [`run_round`] on the helpers of `pool`.
+fn run_round_in<T, F>(
+    pool: &Pool,
     scans: &[MorselIter],
     threads: usize,
     cancel: Option<&CancelToken>,
@@ -117,7 +122,6 @@ where
 {
     let counts: Vec<usize> = scans.iter().map(MorselIter::count_total).collect();
     let total: usize = counts.iter().sum();
-    let workers = if total < INLINE_BELOW_MORSELS { 1 } else { threads.clamp(1, total) };
 
     // Position `i` of the round's queue, as (scan, morsel of that scan).
     let locate = |mut i: usize| {
@@ -130,9 +134,11 @@ where
         None
     };
     let next = AtomicUsize::new(0);
+    let abandoned = AtomicBool::new(false);
     let claim_loop = || {
+        let _stop_others = AbandonOnUnwind(&abandoned);
         let mut mine = Vec::new();
-        while !cancel.is_some_and(CancelToken::is_cancelled) {
+        while !abandoned.load(Ordering::Relaxed) && !cancel.is_some_and(CancelToken::is_cancelled) {
             let i = next.fetch_add(1, Ordering::Relaxed);
             match locate(i) {
                 Some((scan, m)) => mine.push((i, scan, work(scan, m))),
@@ -141,16 +147,16 @@ where
         }
         mine
     };
-    let per_worker: Vec<Vec<(usize, usize, T)>> = if workers == 1 {
-        vec![claim_loop()]
-    } else {
-        std::thread::scope(|s| {
-            let spawned: Vec<_> = (1..workers).map(|_| s.spawn(claim_loop)).collect();
-            let mut all = vec![claim_loop()];
-            all.extend(spawned.into_iter().map(|h| h.join().expect("morsel worker panicked")));
-            all
-        })
+    let lent = Mutex::new(Vec::new());
+    let helper_job = || {
+        let mine = claim_loop();
+        if !mine.is_empty() {
+            lent.lock().expect("a helper panicked while handing in its morsels").push(mine);
+        }
     };
+    let helpers = threads.min(total).saturating_sub(1);
+    let mut per_worker = vec![pool.run(helpers, &helper_job, claim_loop)];
+    per_worker.extend(lent.into_inner().expect("a helper panicked while handing in its morsels"));
 
     let mut schedules = vec![MorselSchedule::default(); scans.len()];
     let mut tagged = Vec::with_capacity(total);
@@ -176,9 +182,24 @@ where
     Round { results, schedules, cancelled }
 }
 
+/// Stops a round's other workers at their next claim when the worker
+/// holding it unwinds out of `work`.
+struct AbandonOnUnwind<'a>(&'a AtomicBool);
+
+impl Drop for AbandonOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.store(true, Ordering::Relaxed);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::AssertUnwindSafe;
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     fn one(rows: usize, morsel_rows: usize) -> [MorselIter; 1] {
         [MorselIter::new(rows, morsel_rows)]
@@ -254,41 +275,250 @@ mod tests {
         }
     }
 
-    #[test]
-    fn small_rounds_spawn_no_thread() {
-        let caller = std::thread::current().id();
-        let ran_on = |total_morsels: usize, threads: usize| {
-            let scans = [MorselIter::new(total_morsels - 1, 1), MorselIter::new(1, 1)];
-            let round = run_round(&scans, threads, None, |_, _| std::thread::current().id());
-            round.results.concat()
-        };
-        assert!(ran_on(INLINE_BELOW_MORSELS - 1, 8).iter().all(|&id| id == caller));
-        assert!(ran_on(64, 1).iter().all(|&id| id == caller));
-        // At the cutoff the round has a helper. Each of the two threads, on
-        // its first morsel, waits until the other has claimed one too, so
-        // the check does not depend on which thread the schedule favours
-        // (and times out, rather than hangs, if there is no helper).
-        use std::sync::atomic::AtomicBool;
-        use std::sync::{mpsc, Mutex};
-        let (to_helper, from_caller) = mpsc::channel();
-        let (to_caller, from_helper) = mpsc::channel();
-        let (from_caller, from_helper) = (Mutex::new(from_caller), Mutex::new(from_helper));
-        let arrived = [AtomicBool::new(false), AtomicBool::new(false)];
-        let round = run_round(&one(INLINE_BELOW_MORSELS, 1), 2, None, |_, _| {
-            let (me, tell, hear) = if std::thread::current().id() == caller {
-                (0, &to_helper, &from_helper)
-            } else {
-                (1, &to_caller, &from_caller)
-            };
-            if arrived[me].swap(true, Ordering::SeqCst) {
-                return true;
+    /// Patience for a handshake that a correct pool always completes: a
+    /// broken one fails the test instead of hanging it.
+    const PATIENCE: Duration = Duration::from_secs(10);
+
+    /// A one-shot signal from one worker (or thread) to another.
+    struct Signal {
+        tx: mpsc::Sender<()>,
+        rx: Mutex<mpsc::Receiver<()>>,
+    }
+
+    impl Signal {
+        fn new() -> Signal {
+            let (tx, rx) = mpsc::channel();
+            Signal { tx, rx: Mutex::new(rx) }
+        }
+        fn send(&self) {
+            let _ = self.tx.send(());
+        }
+        /// False if nothing was sent within [`PATIENCE`].
+        fn wait(&self) -> bool {
+            self.rx.lock().unwrap().recv_timeout(PATIENCE).is_ok()
+        }
+    }
+
+    /// Sends its signal when dropped: the caller's morsel is unwinding.
+    struct SendOnDrop<'a>(&'a Signal);
+
+    impl Drop for SendOnDrop<'_> {
+        fn drop(&mut self) {
+            self.0.send();
+        }
+    }
+
+    /// A private pool of one running helper: rounds of concurrently
+    /// running tests never reach it, and with a zero window no two
+    /// threads' rounds count as interleaved streams.
+    fn private_pool() -> &'static Pool {
+        let pool = Pool::unstarted(1, Duration::ZERO);
+        pool.start_helper(0);
+        pool
+    }
+
+    /// Which side of a round the current morsel runs on, and whether it is
+    /// that side's first morsel.
+    struct Sides {
+        caller: std::thread::ThreadId,
+        caller_started: AtomicBool,
+        helper_started: AtomicBool,
+    }
+
+    impl Sides {
+        fn new() -> Sides {
+            let caller = std::thread::current().id();
+            Sides { caller, caller_started: AtomicBool::new(false), helper_started: AtomicBool::new(false) }
+        }
+        /// `(on the caller, first morsel of this side)`.
+        fn here(&self) -> (bool, bool) {
+            let on_caller = std::thread::current().id() == self.caller;
+            let started = if on_caller { &self.caller_started } else { &self.helper_started };
+            (on_caller, !started.swap(true, Ordering::SeqCst))
+        }
+    }
+
+    /// Claims of a round of `morsels` one-row morsels at 2 threads on
+    /// `pool` in which the caller and a helper, each on its first morsel,
+    /// wait until the other has claimed one too — so either side may start
+    /// first, and a round no helper joins fails the test.
+    fn claims_with_a_helper(pool: &Pool, morsels: usize) -> Vec<u64> {
+        let sides = Sides::new();
+        let (caller_in, helper_in) = (Signal::new(), Signal::new());
+        let round = run_round_in(pool, &one(morsels, 1), 2, None, |_, _| match sides.here() {
+            (true, true) => {
+                caller_in.send();
+                assert!(helper_in.wait(), "no helper joined the round");
             }
-            let _ = tell.send(());
-            let patience = std::time::Duration::from_secs(10);
-            hear.lock().unwrap().recv_timeout(patience).is_ok()
+            (false, true) => {
+                helper_in.send();
+                assert!(caller_in.wait(), "the caller claimed no morsel");
+            }
+            _ => {}
         });
-        assert!(round.results[0].iter().all(|&met| met), "caller and helper never met");
-        assert_eq!(round.schedules[0].claims.len(), 2, "the caller and one helper");
+        round.schedules[0].claims.clone()
+    }
+
+    /// Run a round of `morsels` one-row morsels at 2 threads on another
+    /// thread; its claims, or `None` if it did not finish in time.
+    fn claims_on_another_thread(pool: &'static Pool, morsels: usize) -> Option<Vec<u64>> {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let round = run_round_in(pool, &one(morsels, 1), 2, None, |_, m| m.index);
+            let _ = tx.send(round.schedules[0].claims.clone());
+        });
+        rx.recv_timeout(PATIENCE).ok()
+    }
+
+    #[test]
+    fn an_idle_helper_joins_even_a_two_morsel_round() {
+        let pool = private_pool();
+        assert_eq!(claims_with_a_helper(pool, 2), vec![1, 1]);
+        // One thread keeps every morsel on the caller.
+        let caller = std::thread::current().id();
+        let round = run_round_in(pool, &one(64, 1), 1, None, |_, _| std::thread::current().id());
+        assert!(round.results[0].iter().all(|&id| id == caller));
+        assert_eq!(round.schedules[0].claims, vec![64]);
+    }
+
+    #[test]
+    fn a_busy_helper_leaves_the_round_to_its_caller() {
+        // Round A holds the helper mid-morsel while round B runs on another
+        // thread: B must neither wait for the helper nor get it.
+        let pool = private_pool();
+        let (sides, helper_in, release) = (Sides::new(), Signal::new(), Signal::new());
+        let round = run_round_in(pool, &one(4, 1), 2, None, |_, _| match sides.here() {
+            (true, true) => {
+                assert!(helper_in.wait(), "no helper joined round A");
+                let other = claims_on_another_thread(pool, 8);
+                release.send();
+                other
+            }
+            (false, true) => {
+                helper_in.send();
+                assert!(release.wait(), "round A's caller never released its helper");
+                None
+            }
+            _ => None,
+        });
+        let other: Vec<_> = round.results[0].iter().flatten().collect();
+        assert_eq!(other, vec![&vec![8]], "round B ran on its caller alone, without waiting");
+        assert_eq!(round.schedules[0].claims.len(), 2);
+    }
+
+    #[test]
+    fn a_post_no_helper_picked_up_is_recalled_and_left_alone_by_other_rounds() {
+        // A slot whose helper is not running yet: round A's post is never
+        // picked up. Round B, run while A's post is out, finds no idle slot
+        // and finishes on its caller without touching or awaiting it.
+        let pool = Pool::unstarted(1, Duration::ZERO);
+        let sides = Sides::new();
+        let round = run_round_in(pool, &one(4, 1), 2, None, |_, _| match sides.here() {
+            (true, true) => claims_on_another_thread(pool, 8),
+            _ => None,
+        });
+        let other: Vec<_> = round.results[0].iter().flatten().collect();
+        assert_eq!(other, vec![&vec![8]], "round B ran on its caller alone, without waiting");
+        assert_eq!(round.schedules[0].claims, vec![4], "round A's post was taken back unrun");
+        // The recall left the slot idle: once its helper runs, it is lent.
+        pool.start_helper(0);
+        assert_eq!(claims_with_a_helper(pool, 4).len(), 2);
+    }
+
+    #[test]
+    fn a_helper_panic_is_raised_on_the_caller_and_the_helper_survives() {
+        let pool = private_pool();
+        let (sides, helper_in) = (Sides::new(), Signal::new());
+        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            run_round_in(pool, &one(4, 1), 2, None, |_, _| match sides.here() {
+                (true, true) => assert!(helper_in.wait(), "no helper joined the round"),
+                (false, true) => {
+                    helper_in.send();
+                    panic!("a helper's morsel failed");
+                }
+                _ => {}
+            })
+        }));
+        let payload = outcome.expect_err("the helper's panic reached the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"morsel worker panicked"));
+        assert_eq!(claims_with_a_helper(pool, 4).len(), 2, "the next round still gets the helper");
+    }
+
+    #[test]
+    fn a_caller_panic_unwinds_only_after_its_helper_has_finished() {
+        let pool = private_pool();
+        let (sides, helper_in, unwinding) = (Sides::new(), Signal::new(), Signal::new());
+        let helper_finished = AtomicBool::new(false);
+        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            run_round_in(pool, &one(4, 1), 2, None, |_, _| match sides.here() {
+                (true, true) => {
+                    assert!(helper_in.wait(), "no helper joined the round");
+                    let _tell = SendOnDrop(&unwinding);
+                    panic!("the caller's morsel failed");
+                }
+                (false, true) => {
+                    helper_in.send();
+                    // Finish the morsel only once the caller is unwinding.
+                    assert!(unwinding.wait(), "the caller never unwound");
+                    helper_finished.store(true, Ordering::SeqCst);
+                }
+                _ => {}
+            })
+        }));
+        let payload = outcome.expect_err("the caller's panic propagates");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"the caller's morsel failed"));
+        assert!(helper_finished.load(Ordering::SeqCst), "run_round returned while its helper ran");
+        assert_eq!(claims_with_a_helper(pool, 4).len(), 2, "the helper is lent again");
+    }
+
+    #[test]
+    fn a_morsel_can_run_a_nested_round() {
+        let pool = private_pool();
+        let round = run_round_in(pool, &one(8, 1), 2, None, |_, _| {
+            let nested = run_round_in(pool, &one(16, 1), 2, None, |_, m| m.index);
+            nested.results[0].clone()
+        });
+        let want: Vec<usize> = (0..16).collect();
+        assert!(round.results[0].iter().all(|got| *got == want));
+    }
+
+    #[test]
+    fn a_round_takes_no_helper_while_another_stream_interleaves() {
+        // X, Y, X, X, then Z twice: Y ran within X's burst, so X and Y are
+        // two live streams, and stay so while Y's round is in the window
+        // (a stream whose answers come from a cache runs no round for a
+        // while); Z's burst began after X's and Y's last rounds, so Z is
+        // alone, as a connection that replaced two closed ones would be.
+        let pool = Pool::unstarted(1, Duration::from_secs(3600));
+        let (x_done, y_done, x_again) = (Signal::new(), Signal::new(), Signal::new());
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                assert_eq!(pool.grant(1), 1, "a first round is alone");
+                x_done.send();
+                assert!(y_done.wait());
+                assert_eq!(pool.grant(1), 0, "Y ran during X's burst");
+                assert_eq!(pool.grant(1), 0, "Y's round is still in the window");
+                x_again.send();
+            });
+            s.spawn(|| {
+                assert!(x_done.wait());
+                assert_eq!(pool.grant(1), 1, "Y had run no round before");
+                y_done.send();
+            });
+            s.spawn(|| {
+                assert!(x_again.wait());
+                assert_eq!(pool.grant(1), 1, "Z's first round is alone");
+                assert_eq!(pool.grant(1), 1, "no round of another stream since Z's burst began");
+                assert_eq!(pool.grant(3), 1, "no more helpers than the pool has");
+            });
+        });
+        // Outside the window a thread's earlier round no longer counts.
+        let pool = Pool::unstarted(1, Duration::ZERO);
+        assert_eq!(pool.grant(1), 1);
+        std::thread::scope(|s| {
+            s.spawn(|| pool.grant(1));
+        });
+        assert_eq!(pool.grant(1), 1, "this thread's last round is past the window");
     }
 
     #[test]
@@ -349,7 +579,7 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         for rows in [10_000, 1_000] {
-            // 40 morsels (threaded) and 4 (inline).
+            // 40 morsels and 4.
             let round = run_round(&one(rows, 256), 4, Some(&token), |_, m| m.index);
             assert!(round.cancelled);
             assert!(round.results[0].is_empty(), "no morsel claimed after a pre-tripped token");

@@ -204,7 +204,8 @@ impl std::fmt::Debug for ShutdownHandle {
 }
 
 struct Inner {
-    system: ResilientSystem,
+    /// Shared with the shadow auditor, which re-executes on the same data.
+    system: Arc<ResilientSystem>,
     config: ServerConfig,
     admission: AdmissionController,
     throughput: Throughput,
@@ -248,11 +249,12 @@ impl Server {
                 ContractClass::Batch.as_str(),
             ],
         ));
-        // The auditor gets its own clone of the system (shared Arcs
-        // inside): exact re-execution runs beside serving, never through
-        // admission.
+        // The auditor shares the system, not a copy of it (a `Table`
+        // clone copies every column): exact re-execution runs beside
+        // serving, never through admission.
+        let system = Arc::new(system);
         let shadow = Mutex::new(if config.shadow.rate > 0.0 {
-            Some(ShadowAuditor::start(config.shadow.clone(), system.clone()))
+            Some(ShadowAuditor::start(config.shadow.clone(), Arc::clone(&system)))
         } else {
             None
         });
@@ -998,6 +1000,15 @@ mod tests {
         let handle = server.shutdown_handle();
         let join = std::thread::spawn(move || server.run().unwrap());
         (addr, handle, join)
+    }
+
+    #[test]
+    fn the_shadow_auditor_shares_the_servers_system() {
+        let config = ServerConfig { shadow: ShadowConfig { rate: 1.0, ..ShadowConfig::default() }, ..ServerConfig::default() };
+        let server = Server::bind(ResilientSystem::exact_only(view(100)), config).unwrap();
+        assert_eq!(Arc::strong_count(&server.inner.system), 2, "the server's handle and the auditor's");
+        server.inner.shadow.lock().unwrap().take().expect("shadow rate > 0 starts an auditor").shutdown();
+        assert_eq!(Arc::strong_count(&server.inner.system), 1, "the auditor's handle was to the same system");
     }
 
     #[test]

@@ -76,11 +76,10 @@ pub struct ShadowAuditor {
 }
 
 impl ShadowAuditor {
-    /// Spawn the audit worker over its own handle to the system. The
-    /// clone shares the loaded samplers/views (cheap: `Arc`s inside), so
-    /// the worker reads the same data serving reads without holding any
-    /// serving lock.
-    pub fn start(config: ShadowConfig, system: ResilientSystem) -> ShadowAuditor {
+    /// Spawn the audit worker over a shared handle to the system: the
+    /// worker reads the very view and sample tables serving reads (no
+    /// second copy) without holding any serving lock.
+    pub fn start(config: ShadowConfig, system: Arc<ResilientSystem>) -> ShadowAuditor {
         let shared = Arc::new(Shared {
             queue: Mutex::new(VecDeque::new()),
             available: Condvar::new(),

@@ -5,7 +5,7 @@
 //! aggregate types, group-by arities (including past the fast-key limit),
 //! NULLs, predicates, weightings (unit, constant and per-row fractional
 //! weights), bitmask exclusion and row limits, at 1/2/4/8 threads and
-//! morsel sizes on both sides of the inline cutoff. Because the reference
+//! morsel sizes from a few morsels to dozens. Because the reference
 //! fixes the answer independently of the thread count, matching it at
 //! every count is the determinism contract: morsel boundaries and the
 //! merge order of partial states depend only on the row count, so
@@ -147,7 +147,7 @@ fn parallel_exact_answers_match_naive_reference() {
     // Fractional measures and fractional weights: every float tally
     // depends on the order of its additions, and the reference fixes
     // that order, so bit equality is the whole contract. 64-row morsels
-    // make ~40 of them (a threaded round), 1 024-row ones 3 (inline).
+    // make ~40 of them, 1 024-row ones 3.
     let t = with_bitmask(test_table(2_500, 11), 12);
     let per_row: Vec<f64> = (0..t.num_rows()).map(|r| 0.5 + (r % 17) as f64 / 6.0).collect();
     let mask = BitSet::from_bits(3, [1]);
@@ -525,13 +525,11 @@ fn union_all_reference(parts: &[(Table, f64)], q: &Query, morsel_rows: usize) ->
 }
 
 #[test]
-fn union_all_single_round_bit_identical_on_both_sides_of_the_inline_cutoff() {
-    // Three strata of 64-row morsels whose total morsel count walks
-    // across the executor's inline cutoff (16 morsels at the time of
-    // writing; the sweep covers 3..=40, so the cutoff may move): below it
-    // the round runs on the caller's thread, from it on one scoped round
-    // serves all three parts. Either way, and at every thread count, the
-    // fold must equal the reference's plan-order fold to the last bit.
+fn union_all_single_round_bit_identical_from_3_to_40_morsels() {
+    // Three strata of 64-row morsels, 3 to 40 of them in all, served by
+    // one round whose morsels the caller and any helper it gets split
+    // between them. At every size and thread count the fold must equal
+    // the reference's plan-order fold to the last bit.
     let queries = query_grid();
     for total_morsels in [3usize, 8, 14, 15, 16, 17, 18, 24, 40] {
         // Part sizes: a short first stratum, a ragged middle one (its
@@ -614,13 +612,13 @@ fn dict_queries() -> Vec<Query> {
 }
 
 /// The fold of `parts` under `q` must equal the reference's — every bit,
-/// and the group order — at 1/2/8 threads, with morsel sizes on both
-/// sides of the inline cutoff. The reference keys groups by decoded
+/// and the group order — at 1/2/8 threads, with rounds of ~9, ~16 and
+/// ~70 morsels. The reference keys groups by decoded
 /// values, so this also proves every part's codes decode through the one
 /// dictionary the parts share.
 fn assert_code_keyed_fold_matches_reference(parts: &[(Table, f64)], q: &Query, ctx: &str) {
     let rows: usize = parts.iter().map(|(t, _)| t.num_rows()).sum();
-    // ~9 morsels (inline), ~16 (the cutoff), ~70 (threaded).
+    // ~9 morsels (a sampled plan's size), ~16, ~70 (a full scan's order).
     for morsel_rows in [rows / 8, rows / 15, rows / 70] {
         let want = union_all_reference(parts, q, morsel_rows);
         for threads in [1, 2, 8] {
@@ -1069,11 +1067,11 @@ fn fold_time_per_morsel_group_stays_flat_when_groups_per_morsel_grow_tenfold() {
 }
 
 #[test]
-fn sampler_plan_past_the_inline_cutoff_bit_identical_across_threads() {
+fn sampler_plan_of_many_morsels_bit_identical_across_threads() {
     // `union_all_rewrite_plan_bit_identical_across_threads` runs plans of
-    // a few hundred sample rows — a handful of morsels, always inline. A
-    // 90 % sample of 80k rows is ~18 default-size morsels plus the small
-    // group tables: the sampler's own plan through a threaded round.
+    // a few hundred sample rows — a handful of morsels. A 90 % sample of
+    // 80k rows is ~18 default-size morsels plus the small group tables:
+    // the sampler's own plan through a round with work for every worker.
     let t = test_table(80_000, 29);
     let mut sampler = SmallGroupSampler::build(
         &t,
@@ -1094,7 +1092,7 @@ fn sampler_plan_past_the_inline_cutoff_bit_identical_across_threads() {
         .unwrap();
     sampler.set_threads(1);
     let base = sampler.answer(&q, 0.95).unwrap();
-    assert!(base.rows_scanned > 16 * 4096, "plan of {} rows is past the cutoff", base.rows_scanned);
+    assert!(base.rows_scanned > 16 * 4096, "plan of {} rows spans over 16 morsels", base.rows_scanned);
     for threads in [2, 4, 8] {
         sampler.set_threads(threads);
         let par = sampler.answer(&q, 0.95).unwrap();
