@@ -311,11 +311,10 @@ pub struct BoundedAnswer {
     /// The effective row cap the ladder walked under: the minimum of the
     /// system budget and both [`QueryBound`] budgets.
     pub effective_budget: Option<usize>,
-}
-
-/// Tally a ladder step-down: the preferred rung was skipped for `reason`.
-fn record_fallback(reason: &'static str) {
-    aqp_obs::counter("aqp_tier_fallback_total", &[("reason", reason)]).inc();
+    /// Why the preferred rung was skipped, if it was: `minmax`,
+    /// `plan-error`, `budget` or `deadline` — the
+    /// `aqp_tier_fallback_total{reason}` label.
+    pub fallback: Option<&'static str>,
 }
 
 fn quarantine_path(path: &Path) -> std::path::PathBuf {
@@ -420,6 +419,9 @@ impl ResilientSystem {
         let bounded = self.answer_untallied_bounded(query, confidence, bound)?;
         let answer = &bounded.answer;
         aqp_obs::counter("aqp_serving_tier_total", &[("tier", answer.tier.as_str())]).inc();
+        if let Some(reason) = bounded.fallback {
+            aqp_obs::counter("aqp_tier_fallback_total", &[("reason", reason)]).inc();
+        }
         if answer.partial {
             aqp_obs::counter("aqp_partial_answers_total", &[]).inc();
         }
@@ -447,7 +449,7 @@ impl ResilientSystem {
         }
     }
 
-    /// The ladder walk itself, with fallback counters at each step-down.
+    /// The ladder walk itself, noting why the preferred rung was skipped.
     fn answer_untallied_bounded(
         &self,
         query: &Query,
@@ -464,47 +466,43 @@ impl ResilientSystem {
                 .min()
                 .is_none_or(|s| d < s)
         });
-        let mut deadline_limited = false;
-        let finish = |answer: ApproxAnswer, deadline_limited: bool| BoundedAnswer {
-            deadline_limited: deadline_limited || (answer.partial && deadline_binding),
+        let finish = |answer: ApproxAnswer, fallback: Option<&'static str>| BoundedAnswer {
+            deadline_limited: fallback == Some("deadline") || (answer.partial && deadline_binding),
             answer,
             effective_budget,
+            fallback,
         };
 
         // MIN/MAX can only be served exactly.
         if !query.estimable() {
-            if self.primary.is_some() {
-                record_fallback("minmax");
-            }
+            let fallback = self.primary.as_ref().map(|_| "minmax");
             let ans = self.answer_exact(query, confidence, effective_budget)?;
-            return Ok(finish(ans, deadline_limited));
+            return Ok(finish(ans, fallback));
         }
 
+        let mut fallback = None;
         if let Some(primary) = &self.primary {
             // Rung 1/2: the full small-group plan, tagged degraded when a
             // disabled table's rows are being covered by the overall sample.
-            match self.budget_reason(primary.runtime_rows(query), bound) {
-                None => match primary.answer(query, confidence) {
+            fallback = self.budget_reason(primary.runtime_rows(query), bound);
+            if fallback.is_none() {
+                match primary.answer(query, confidence) {
                     Ok(mut ans) => {
                         ans.tier = if primary.query_touches_disabled(query) {
                             ServingTier::DegradedPrimary
                         } else {
                             ServingTier::Primary
                         };
-                        return Ok(finish(ans, deadline_limited));
+                        return Ok(finish(ans, None));
                     }
                     Err(AqpError::Query(_)) | Err(AqpError::Unsupported(_)) => {
                         // Fall through to the next rung; any operator
                         // profiles the abandoned plan collected must not
                         // pollute the final trace.
                         aqp_obs::trace::discard_operators();
-                        record_fallback("plan-error");
+                        fallback = Some("plan-error");
                     }
                     Err(e) => return Err(e),
-                },
-                Some(reason) => {
-                    deadline_limited |= reason == "deadline";
-                    record_fallback(reason);
                 }
             }
             // Rung 3: overall sample only.
@@ -514,7 +512,7 @@ impl ResilientSystem {
                     ans.tier = ServingTier::Overall;
                     // Over budget with nowhere cheaper to go: serve it
                     // anyway rather than refuse — degradation, not denial.
-                    return Ok(finish(ans, deadline_limited));
+                    return Ok(finish(ans, fallback));
                 }
                 aqp_obs::trace::discard_operators();
             }
@@ -522,7 +520,7 @@ impl ResilientSystem {
 
         // Rung 4: exact scan of the base view (budget-capped if needed).
         let ans = self.answer_exact(query, confidence, effective_budget)?;
-        Ok(finish(ans, deadline_limited))
+        Ok(finish(ans, fallback))
     }
 }
 
@@ -582,17 +580,6 @@ mod tests {
     use crate::smallgroup::SmallGroupConfig;
     use aqp_query::AggExpr;
     use aqp_storage::{DataType, SchemaBuilder, Value};
-    use std::sync::{Mutex, MutexGuard, PoisonError};
-
-    /// `aqp_tier_fallback_total` lives in the process-global registry, and
-    /// two tests below assert exact deltas of it. Every test whose ladder
-    /// walk tallies a `budget` or `deadline` step-down holds this gate, so
-    /// none of them counts inside another's before/after window.
-    static LADDER_GATE: Mutex<()> = Mutex::new(());
-
-    fn ladder_gate() -> MutexGuard<'static, ()> {
-        LADDER_GATE.lock().unwrap_or_else(PoisonError::into_inner)
-    }
 
     fn view() -> Table {
         let schema = SchemaBuilder::new()
@@ -654,7 +641,6 @@ mod tests {
 
     #[test]
     fn budget_steps_down_to_overall() {
-        let _gate = ladder_gate();
         let s = sampler();
         let q = Query::builder().count().group_by("g").build().unwrap();
         let primary_cost = s.runtime_rows(&q);
@@ -721,7 +707,6 @@ mod tests {
 
     #[test]
     fn threads_never_change_answers_across_tiers() {
-        let _gate = ladder_gate();
         let q = Query::builder().count().sum("x").group_by("g").build().unwrap();
         // Primary tier and budget-capped exact tier, serial vs threaded.
         for budget in [None, Some(50)] {
@@ -756,7 +741,6 @@ mod tests {
 
     #[test]
     fn runtime_rows_is_what_the_ladder_scans() {
-        let _gate = ladder_gate();
         let count = Query::builder().count().group_by("g").build().unwrap();
         let min_max = Query::builder()
             .aggregate(AggExpr::min("x", "mn"))
@@ -791,20 +775,12 @@ mod tests {
 
     #[test]
     fn deadline_budget_steps_down_with_deadline_reason() {
-        let _gate = ladder_gate();
         let s = sampler();
         let q = Query::builder().count().group_by("g").build().unwrap();
         let primary_cost = s.runtime_rows(&q);
         let overall_cost = s.catalog().overall_rows;
         assert!(overall_cost < primary_cost);
 
-        let read = || {
-            aqp_obs::global()
-                .snapshot()
-                .counter_value("aqp_tier_fallback_total", &[("reason", "deadline")])
-                .unwrap_or(0)
-        };
-        let before = read();
         let sys = ResilientSystem::from_sampler(s);
         let bound = QueryBound::for_deadline(overall_cost, CancelToken::new());
         let out = sys.answer_bounded(&q, 0.95, &bound).unwrap();
@@ -812,29 +788,20 @@ mod tests {
         assert!(out.deadline_limited, "tier fell because of the deadline");
         assert!(!out.answer.partial, "overall-tier answer is complete, not truncated");
         assert_eq!(out.effective_budget, Some(overall_cost));
-        assert_eq!(read(), before + 1, "step-down tallied under reason=deadline");
+        assert_eq!(out.fallback, Some("deadline"), "step-down tallied under reason=deadline");
     }
 
     #[test]
     fn client_row_budget_keeps_budget_reason() {
-        let _gate = ladder_gate();
         let s = sampler();
         let q = Query::builder().count().group_by("g").build().unwrap();
         let overall_cost = s.catalog().overall_rows;
-        let read = |reason: &str| {
-            aqp_obs::global()
-                .snapshot()
-                .counter_value("aqp_tier_fallback_total", &[("reason", reason)])
-                .unwrap_or(0)
-        };
-        let (bud, dead) = (read("budget"), read("deadline"));
         let sys = ResilientSystem::from_sampler(s);
         let bound = QueryBound { row_budget: Some(overall_cost), ..QueryBound::none() };
         let out = sys.answer_bounded(&q, 0.95, &bound).unwrap();
         assert_eq!(out.answer.tier, ServingTier::Overall);
         assert!(!out.deadline_limited);
-        assert_eq!(read("budget"), bud + 1, "client cap tallies reason=budget");
-        assert_eq!(read("deadline"), dead, "no deadline fallback recorded");
+        assert_eq!(out.fallback, Some("budget"), "client cap tallies reason=budget");
     }
 
     #[test]

@@ -16,7 +16,10 @@
 //! * [`event`] — structured events (level + key/value fields) in a capped
 //!   ring buffer, replacing ad-hoc `eprintln!` warnings.
 //! * [`Registry`] — named-metric registry with consistent [`Snapshot`]s,
-//!   exported as Prometheus text-exposition format.
+//!   exported as Prometheus text-exposition format. [`global`] holds what
+//!   belongs to the process (executor, ladder, storage, memory, events);
+//!   a server records its requests into a registry of its own, and its
+//!   export merges the two ([`Snapshot::merge`]).
 //! * [`flight`] — an always-on flight recorder: a fixed-size ring of
 //!   per-request records (trace id, outcome, contiguous stage timeline)
 //!   dumped as JSONL on anomaly or on demand.

@@ -34,11 +34,6 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
     }
-
-    /// Reset to zero (used by [`crate::Registry::reset`]).
-    pub(crate) fn reset(&self) {
-        self.value.store(0, Ordering::Relaxed);
-    }
 }
 
 /// Instantaneous signed value (e.g. number of disabled sample-table units).
@@ -70,10 +65,6 @@ impl Gauge {
     /// Current value.
     pub fn get(&self) -> i64 {
         self.value.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn reset(&self) {
-        self.value.store(0, Ordering::Relaxed);
     }
 }
 
@@ -181,14 +172,6 @@ impl Histogram {
         }
         bucket_mid(NUM_BUCKETS - 1)
     }
-
-    pub(crate) fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.sum.store(0, Ordering::Relaxed);
-        self.count.store(0, Ordering::Relaxed);
-    }
 }
 
 #[cfg(test)]
@@ -201,8 +184,6 @@ mod tests {
         c.inc();
         c.inc_by(41);
         assert_eq!(c.get(), 42);
-        c.reset();
-        assert_eq!(c.get(), 0);
 
         let g = Gauge::new();
         g.set(7);

@@ -18,8 +18,10 @@ enum Metric {
     Histogram(Arc<Histogram>),
 }
 
-/// A registry of named metrics. Most code uses the process-wide
-/// [`global`] instance; tests may build private ones for determinism.
+/// A registry of named metrics. What belongs to the process (executor,
+/// ladder, storage, memory, events) records into [`global`]; a server
+/// owns one of its own for its requests, and tests build private ones
+/// for determinism.
 #[derive(Debug, Default)]
 pub struct Registry {
     inner: Mutex<BTreeMap<MetricId, Metric>>,
@@ -119,19 +121,6 @@ impl Registry {
         }
         snap
     }
-
-    /// Zero every metric while keeping registrations (handles held by
-    /// call sites stay valid). Used between bench measurement windows.
-    pub fn reset(&self) {
-        let map = self.inner.lock().expect("obs registry poisoned");
-        for metric in map.values() {
-            match metric {
-                Metric::Counter(c) => c.reset(),
-                Metric::Gauge(g) => g.reset(),
-                Metric::Histogram(h) => h.reset(),
-            }
-        }
-    }
 }
 
 /// One scalar metric in a [`Snapshot`].
@@ -177,6 +166,20 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
+    /// Both snapshots in one, sorted by `(name, labels)` as a registry's
+    /// own snapshot is, so each family stays contiguous and exports under
+    /// one `# TYPE` line. The two are expected to hold disjoint series
+    /// (a server's registry and the process's).
+    pub fn merge(mut self, other: Snapshot) -> Snapshot {
+        self.counters.extend(other.counters);
+        self.gauges.extend(other.gauges);
+        self.histograms.extend(other.histograms);
+        self.counters.sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
+        self.gauges.sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
+        self.histograms.sort_by(|a, b| (&a.name, &a.labels).cmp(&(&b.name, &b.labels)));
+        self
+    }
+
     /// Sum of a counter across all its label sets (0 if absent).
     pub fn counter_total(&self, name: &str) -> u64 {
         self.counters
@@ -213,7 +216,10 @@ impl Snapshot {
     }
 }
 
-/// The process-wide registry all instrumented crates record into.
+/// The process-wide registry: executor scan and prune counters, the
+/// degradation ladder's tier tallies, storage faults, memory gauges and
+/// events. A server's request, cache, admission, shadow and SLO series
+/// live in the server's own registry instead.
 pub fn global() -> &'static Registry {
     static GLOBAL: OnceLock<Registry> = OnceLock::new();
     GLOBAL.get_or_init(Registry::new)
@@ -262,7 +268,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_is_sorted_and_reset_zeroes() {
+    fn snapshot_is_sorted() {
         let r = Registry::new();
         r.counter("z_total", &[]).inc_by(9);
         r.counter("a_total", &[]).inc();
@@ -277,14 +283,22 @@ mod tests {
         let h = snap.histogram("lat_seconds", &[("stage", "scan")]).unwrap();
         assert_eq!(h.count, 1);
         assert!(h.sum_seconds > 0.0);
-        r.reset();
-        let snap = r.snapshot();
-        assert_eq!(snap.counter_total("z_total"), 0);
-        assert_eq!(
-            snap.histogram("lat_seconds", &[("stage", "scan")])
-                .unwrap()
-                .count,
-            0
-        );
+    }
+
+    #[test]
+    fn merged_snapshots_stay_sorted() {
+        let server = Registry::new();
+        let process = Registry::new();
+        server.counter("b_total", &[("k", "2")]).inc();
+        process.counter("b_total", &[("k", "1")]).inc_by(5);
+        process.counter("a_total", &[]).inc();
+        server.counter("c_total", &[]).inc();
+        process.gauge("g", &[]).set(3);
+        let merged = server.snapshot().merge(process.snapshot());
+        let ids: Vec<_> = merged.counters.iter().map(|c| (c.name.as_str(), c.labels.clone())).collect();
+        let k = |v: &str| vec![("k".to_string(), v.to_string())];
+        assert_eq!(ids, [("a_total", vec![]), ("b_total", k("1")), ("b_total", k("2")), ("c_total", vec![])]);
+        assert_eq!(merged.counter_total("b_total"), 6);
+        assert_eq!(merged.gauge_value("g", &[]), Some(3));
     }
 }

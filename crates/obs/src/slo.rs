@@ -14,6 +14,7 @@
 use std::time::{Duration, Instant};
 
 use crate::metrics::{bucket_index, bucket_mid, NUM_BUCKETS};
+use crate::registry::Registry;
 
 /// Ring length in seconds: long enough for the 5m window plus one slot
 /// of slack for the in-progress second.
@@ -333,10 +334,11 @@ impl SloWindows {
         }
     }
 
-    /// Export every class × window as `aqp_slo_*` gauges in the global
-    /// registry. Rates are exported in permille (integer gauges),
-    /// latencies in microseconds.
-    pub fn export_to_registry(&self) {
+    /// Export every class × window as `aqp_slo_*` gauges into `registry`
+    /// (the serving registry of the server that owns the watchdog). Rates
+    /// are exported in permille (integer gauges), latencies in
+    /// microseconds.
+    pub fn export_to_registry(&self, registry: &Registry) {
         if !crate::enabled() {
             return;
         }
@@ -344,21 +346,18 @@ impl SloWindows {
             for (name, seconds) in WINDOWS {
                 let w = self.window(&ring.label, seconds);
                 let labels: &[(&str, &str)] = &[("class", &ring.label), ("window", name)];
+                let set = |name: &str, value: i64| registry.gauge(name, labels).set(value);
                 let permille = |x: f64| (x * 1000.0).round() as i64;
-                crate::gauge("aqp_slo_requests", labels).set(w.requests as i64);
-                crate::gauge("aqp_slo_availability_permille", labels)
-                    .set(permille(w.availability));
-                crate::gauge("aqp_slo_shed_rate_permille", labels).set(permille(w.shed_rate()));
-                crate::gauge("aqp_slo_timeout_rate_permille", labels)
-                    .set(permille(w.timeout_rate()));
-                crate::gauge("aqp_slo_cache_hit_rate_permille", labels)
-                    .set(permille(w.cache_hit_rate()));
-                crate::gauge("aqp_slo_p50_micros", labels).set(w.p50_micros as i64);
-                crate::gauge("aqp_slo_p95_micros", labels).set(w.p95_micros as i64);
-                crate::gauge("aqp_slo_p99_micros", labels).set(w.p99_micros as i64);
+                set("aqp_slo_requests", w.requests as i64);
+                set("aqp_slo_availability_permille", permille(w.availability));
+                set("aqp_slo_shed_rate_permille", permille(w.shed_rate()));
+                set("aqp_slo_timeout_rate_permille", permille(w.timeout_rate()));
+                set("aqp_slo_cache_hit_rate_permille", permille(w.cache_hit_rate()));
+                set("aqp_slo_p50_micros", w.p50_micros as i64);
+                set("aqp_slo_p95_micros", w.p95_micros as i64);
+                set("aqp_slo_p99_micros", w.p99_micros as i64);
             }
-            crate::gauge("aqp_slo_in_breach", &[("class", &ring.label)])
-                .set(ring.in_breach as i64);
+            registry.gauge("aqp_slo_in_breach", &[("class", &ring.label)]).set(ring.in_breach as i64);
         }
     }
 }
@@ -481,11 +480,13 @@ mod tests {
             SloOutcome::Answered { cache_hit: false },
             Duration::from_micros(250),
         );
-        slo.export_to_registry();
-        let snap = crate::global().snapshot();
+        let registry = Registry::new();
+        slo.export_to_registry(&registry);
+        let snap = registry.snapshot();
         let labels: &[(&str, &str)] = &[("class", "interactive"), ("window", "10s")];
-        let g = snap.gauge_value("aqp_slo_requests", labels).unwrap_or(0);
-        assert!(g >= 1);
+        assert_eq!(snap.gauge_value("aqp_slo_requests", labels), Some(1));
+        assert_eq!(snap.gauge_value("aqp_slo_requests", &[("class", "batch"), ("window", "5m")]), Some(0));
+        assert_eq!(snap.gauge_value("aqp_slo_in_breach", &[("class", "interactive")]), Some(0));
         assert_eq!(
             snap.gauge_value("aqp_slo_availability_permille", labels),
             Some(1000)

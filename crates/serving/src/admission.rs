@@ -15,8 +15,14 @@
 //! per-class execution latency times the number of waiters ahead of the
 //! retrying client, clamped to a sane range. Under steady overload the
 //! hints spread retries instead of synchronizing them.
+//!
+//! The controller records `aqp_server_{admitted,queue_timeout}_total`
+//! and the `aqp_server_{inflight,queue_depth}` gauges per class into the
+//! registry it is built with; a shed is counted once, by the server, as
+//! `aqp_server_requests_total{outcome="shed"}`.
 
 use crate::protocol::ContractClass;
+use aqp_obs::Registry;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -57,6 +63,7 @@ struct ClassState {
 #[derive(Debug)]
 struct Shared {
     cfg: AdmissionConfig,
+    registry: Arc<Registry>,
     state: Mutex<[ClassState; 2]>,
     freed: Condvar,
     /// EWMA of service time per class, milliseconds, stored as f64 bits.
@@ -98,19 +105,19 @@ impl Drop for Permit {
         self.shared.observe_service_ms(self.class, elapsed_ms);
         let mut st = self.shared.state.lock().expect("admission state poisoned");
         st[idx(self.class)].inflight -= 1;
-        gauges(self.class, &st[idx(self.class)]);
+        self.shared.gauges(self.class, &st[idx(self.class)]);
         drop(st);
         self.shared.freed.notify_all();
     }
 }
 
-fn gauges(class: ContractClass, st: &ClassState) {
-    let label = &[("class", class.as_str())][..];
-    aqp_obs::gauge("aqp_server_inflight", label).set(st.inflight as i64);
-    aqp_obs::gauge("aqp_server_queue_depth", label).set(st.queued as i64);
-}
-
 impl Shared {
+    fn gauges(&self, class: ContractClass, st: &ClassState) {
+        let label = &[("class", class.as_str())][..];
+        self.registry.gauge("aqp_server_inflight", label).set(st.inflight as i64);
+        self.registry.gauge("aqp_server_queue_depth", label).set(st.queued as i64);
+    }
+
     fn observe_service_ms(&self, class: ContractClass, ms: f64) {
         // Racy read-modify-write is fine: the EWMA feeds a retry *hint*.
         let cell = &self.ewma_ms[idx(class)];
@@ -141,11 +148,18 @@ pub struct AdmissionController {
 }
 
 impl AdmissionController {
-    /// Build a controller with the given limits.
+    /// Build a controller with the given limits, recording into a
+    /// registry of its own.
     pub fn new(cfg: AdmissionConfig) -> Self {
+        Self::with_registry(cfg, Arc::default())
+    }
+
+    /// Build a controller that records into `registry` (a server's).
+    pub fn with_registry(cfg: AdmissionConfig, registry: Arc<Registry>) -> Self {
         AdmissionController {
             shared: Arc::new(Shared {
                 cfg,
+                registry,
                 state: Mutex::new([ClassState::default(), ClassState::default()]),
                 freed: Condvar::new(),
                 ewma_ms: [AtomicU64::new(0), AtomicU64::new(0)],
@@ -162,30 +176,29 @@ impl AdmissionController {
 
         if st[idx(class)].inflight < limits.max_inflight {
             st[idx(class)].inflight += 1;
-            gauges(class, &st[idx(class)]);
+            self.shared.gauges(class, &st[idx(class)]);
             drop(st);
-            aqp_obs::counter("aqp_server_admitted_total", label).inc();
+            self.shared.registry.counter("aqp_server_admitted_total", label).inc();
             return AdmitOutcome::Admitted(self.permit(class));
         }
 
         if st[idx(class)].queued >= limits.max_queue {
             let waiters = st[idx(class)].queued;
             drop(st);
-            aqp_obs::counter("aqp_server_shed_total", label).inc();
             return AdmitOutcome::Shed {
                 retry_after_ms: self.shared.retry_hint_ms(class, waiters),
             };
         }
 
         st[idx(class)].queued += 1;
-        gauges(class, &st[idx(class)]);
+        self.shared.gauges(class, &st[idx(class)]);
         loop {
             if st[idx(class)].inflight < limits.max_inflight {
                 st[idx(class)].queued -= 1;
                 st[idx(class)].inflight += 1;
-                gauges(class, &st[idx(class)]);
+                self.shared.gauges(class, &st[idx(class)]);
                 drop(st);
-                aqp_obs::counter("aqp_server_admitted_total", label).inc();
+                self.shared.registry.counter("aqp_server_admitted_total", label).inc();
                 return AdmitOutcome::Admitted(self.permit(class));
             }
             let wait = match deadline {
@@ -194,9 +207,9 @@ impl AdmissionController {
                     Some(left) => left.min(Duration::from_millis(100)),
                     None => {
                         st[idx(class)].queued -= 1;
-                        gauges(class, &st[idx(class)]);
+                        self.shared.gauges(class, &st[idx(class)]);
                         drop(st);
-                        aqp_obs::counter("aqp_server_queue_timeout_total", label).inc();
+                        self.shared.registry.counter("aqp_server_queue_timeout_total", label).inc();
                         return AdmitOutcome::QueueTimeout;
                     }
                 },

@@ -38,9 +38,12 @@
 //!
 //! Observability: `aqp_cache_{hit,miss,insert,evict,bypass}_total`
 //! counters (`evict` labelled by reason: `lru`, `ttl`, `invalidate`) and
-//! an `aqp_cache_size` gauge.
+//! an `aqp_cache_size` gauge, in the registry the cache is built with.
+//! Every [`SemanticCache::decide`] counts exactly one of hit, miss or
+//! bypass, so the server reads its cache tallies from these counters.
 
 use aqp_core::{AnswerContract, ApproxAnswer};
+use aqp_obs::Registry;
 use aqp_query::{FxHashMap, Query};
 use std::collections::HashMap;
 use std::hash::Hasher;
@@ -169,6 +172,7 @@ impl Drop for FlightGuard<'_> {
 pub struct SemanticCache {
     config: CacheConfig,
     enabled: bool,
+    registry: Arc<Registry>,
     epoch: AtomicU64,
     clock: AtomicU64,
     state: Mutex<FxHashMap<String, Entry>>,
@@ -188,12 +192,19 @@ impl std::fmt::Debug for SemanticCache {
 }
 
 impl SemanticCache {
-    /// Build a cache; `enabled: false` or capacity 0 disables it.
+    /// Build a cache that records into a registry of its own;
+    /// `enabled: false` or capacity 0 disables it.
     pub fn new(config: CacheConfig) -> SemanticCache {
+        Self::with_registry(config, Arc::default())
+    }
+
+    /// Build a cache that records into `registry` (a server's).
+    pub fn with_registry(config: CacheConfig, registry: Arc<Registry>) -> SemanticCache {
         let enabled = config.enabled && config.capacity > 0;
         SemanticCache {
             config,
             enabled,
+            registry,
             epoch: AtomicU64::new(0),
             clock: AtomicU64::new(0),
             state: Mutex::new(HashMap::default()),
@@ -247,13 +258,13 @@ impl SemanticCache {
         deadline: Option<Instant>,
     ) -> CacheDecision<'a> {
         if !self.enabled {
-            aqp_obs::counter("aqp_cache_bypass_total", &[]).inc();
+            self.registry.counter("aqp_cache_bypass_total", &[]).inc();
             return CacheDecision::Bypass;
         }
         let key = self.key(table, query);
         loop {
             if let Some((answer, confidence)) = self.lookup(&key, contract, query) {
-                aqp_obs::counter("aqp_cache_hit_total", &[]).inc();
+                self.registry.counter("aqp_cache_hit_total", &[]).inc();
                 return CacheDecision::Hit(answer, confidence);
             }
             let mut flights = self.flights.lock().expect("cache flights poisoned");
@@ -264,19 +275,19 @@ impl SemanticCache {
                 // the two locks) rather than execute the key a second time.
                 if let Some((answer, confidence)) = self.lookup(&key, contract, query) {
                     drop(flights);
-                    aqp_obs::counter("aqp_cache_hit_total", &[]).inc();
+                    self.registry.counter("aqp_cache_hit_total", &[]).inc();
                     return CacheDecision::Hit(answer, confidence);
                 }
                 flights.insert(key.text.clone());
                 drop(flights);
-                aqp_obs::counter("aqp_cache_miss_total", &[]).inc();
+                self.registry.counter("aqp_cache_miss_total", &[]).inc();
                 return CacheDecision::Execute(FlightGuard { cache: self, key, owns_flight: true });
             }
             // Follower: park until the leader finishes or our deadline
             // nears, then re-check the cache from the top.
             if deadline.is_some_and(|d| Instant::now() >= d) {
                 drop(flights);
-                aqp_obs::counter("aqp_cache_miss_total", &[]).inc();
+                self.registry.counter("aqp_cache_miss_total", &[]).inc();
                 return CacheDecision::Execute(FlightGuard {
                     cache: self,
                     key,
@@ -308,8 +319,8 @@ impl SemanticCache {
         let entry = state.get_mut(&key.text)?;
         if self.config.ttl.is_some_and(|ttl| entry.inserted.elapsed() >= ttl) {
             state.remove(&key.text);
-            aqp_obs::counter("aqp_cache_evict_total", &[("reason", "ttl")]).inc();
-            aqp_obs::gauge("aqp_cache_size", &[]).set(state.len() as i64);
+            self.registry.counter("aqp_cache_evict_total", &[("reason", "ttl")]).inc();
+            self.registry.gauge("aqp_cache_size", &[]).set(state.len() as i64);
             return None;
         }
         if !contract.satisfied_by(&entry.answer, entry.confidence) {
@@ -343,7 +354,7 @@ impl SemanticCache {
             key.text.clone(),
             Entry { answer, confidence, inserted: Instant::now(), used },
         );
-        aqp_obs::counter("aqp_cache_insert_total", &[]).inc();
+        self.registry.counter("aqp_cache_insert_total", &[]).inc();
         while state.len() > self.config.capacity {
             let coldest = state
                 .iter()
@@ -351,9 +362,9 @@ impl SemanticCache {
                 .map(|(k, _)| k.clone())
                 .expect("non-empty over-capacity map");
             state.remove(&coldest);
-            aqp_obs::counter("aqp_cache_evict_total", &[("reason", "lru")]).inc();
+            self.registry.counter("aqp_cache_evict_total", &[("reason", "lru")]).inc();
         }
-        aqp_obs::gauge("aqp_cache_size", &[]).set(state.len() as i64);
+        self.registry.gauge("aqp_cache_size", &[]).set(state.len() as i64);
     }
 
     /// Explicit invalidation on table rebuild: bump the epoch (so a key
@@ -367,10 +378,11 @@ impl SemanticCache {
         let dropped = state.len();
         state.clear();
         if dropped > 0 {
-            aqp_obs::counter("aqp_cache_evict_total", &[("reason", "invalidate")])
+            self.registry
+                .counter("aqp_cache_evict_total", &[("reason", "invalidate")])
                 .inc_by(dropped as u64);
         }
-        aqp_obs::gauge("aqp_cache_size", &[]).set(0);
+        self.registry.gauge("aqp_cache_size", &[]).set(0);
         epoch
     }
 }

@@ -20,12 +20,15 @@
 //! `exec-stall` is the CI recipe for a *forced, deterministic timeout*:
 //! a stalled execution with a deadline-carrying token returns as a
 //! timeout exactly when the deadline trips, regardless of machine speed.
-//! Faults that fire are tallied in `aqp_fault_injected_total{kind=...}`
-//! — the same metric the storage faults use — plus a warn event.
+//! Faults that fire are tallied in the server's registry as
+//! `aqp_fault_injected_total{kind=...}` — the name the storage faults use
+//! in the process's registry — plus a warn event.
 
+use aqp_obs::Registry;
 use aqp_query::CancelToken;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How long `write-stall` and `slow-read` pause.
@@ -104,11 +107,13 @@ impl FromStr for ServingFault {
     }
 }
 
-/// One server's fault plan and the occurrence counters of its four hook
-/// points. With an empty plan every hook returns at once.
+/// One server's fault plan, the occurrence counters of its four hook
+/// points, and the registry that tallies the faults that fire. With an
+/// empty plan every hook returns at once.
 #[derive(Debug, Default)]
 pub(crate) struct Faults {
     plan: Vec<ServingFault>,
+    registry: Arc<Registry>,
     accepts: AtomicUsize,
     reads: AtomicUsize,
     writes: AtomicUsize,
@@ -116,8 +121,8 @@ pub(crate) struct Faults {
 }
 
 impl Faults {
-    pub(crate) fn new(plan: Vec<ServingFault>) -> Faults {
-        Faults { plan, ..Faults::default() }
+    pub(crate) fn new(plan: Vec<ServingFault>, registry: Arc<Registry>) -> Faults {
+        Faults { plan, registry, ..Faults::default() }
     }
 
     /// Count one occurrence of the hook `seen` counts; `true` when the
@@ -129,7 +134,7 @@ impl Faults {
         let n = seen.fetch_add(1, Ordering::Relaxed);
         let hit = self.plan.iter().any(|f| f.kind() == kind && f.nth() == n);
         if hit {
-            aqp_obs::counter("aqp_fault_injected_total", &[("kind", kind)]).inc();
+            self.registry.counter("aqp_fault_injected_total", &[("kind", kind)]).inc();
             aqp_obs::event::warn(
                 "serving::fault",
                 "injected serving fault fired",
@@ -200,15 +205,18 @@ mod tests {
 
     #[test]
     fn nth_occurrence_fires_once() {
-        let faults = Faults::new(vec![ServingFault::AcceptDrop { nth: 1 }]);
+        let registry = Arc::new(Registry::new());
+        let faults = Faults::new(vec![ServingFault::AcceptDrop { nth: 1 }], Arc::clone(&registry));
         assert!(!faults.accept_drop(), "occurrence 0 passes");
         assert!(faults.accept_drop(), "occurrence 1 drops");
         assert!(!faults.accept_drop(), "occurrence 2 passes");
+        let fired = registry.snapshot().counter_value("aqp_fault_injected_total", &[("kind", "accept-drop")]);
+        assert_eq!(fired, Some(1), "the plan's registry tallies the one fault that fired");
     }
 
     #[test]
     fn exec_stall_releases_on_cancel() {
-        let faults = Faults::new(vec![ServingFault::ExecStall { nth: 0 }]);
+        let faults = Faults::new(vec![ServingFault::ExecStall { nth: 0 }], Arc::default());
         let token = CancelToken::new();
         token.cancel();
         let t0 = Instant::now();
@@ -222,7 +230,7 @@ mod tests {
 
     #[test]
     fn each_plan_counts_its_own_hooks() {
-        let stalled = Faults::new(vec![ServingFault::SlowRead { nth: 0 }]);
+        let stalled = Faults::new(vec![ServingFault::SlowRead { nth: 0 }], Arc::default());
         let healthy = Faults::default();
         let t0 = Instant::now();
         healthy.slow_read();

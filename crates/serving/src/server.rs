@@ -27,6 +27,18 @@
 //! connections receive a `draining` frame. The process exits once every
 //! connection thread has been joined — no response is ever torn by
 //! shutdown.
+//!
+//! Metrics: [`Server::bind`] makes one [`Registry`] for the server and
+//! hands it to the admission controller, the cache, the shadow auditor
+//! and the fault hooks, so every `aqp_server_*`, `aqp_cache_*`,
+//! `aqp_shadow_*`, `aqp_slo_*`, `aqp_flight_dump_total` and serving
+//! `aqp_fault_injected_total` series is this server's alone. Each request
+//! outcome is counted once, as `aqp_server_requests_total{class,outcome}`;
+//! the [`ServerReport`] and the `stats` verb's tallies are read off that
+//! registry. The `metrics` verb and `metrics_out` export it merged with
+//! the process-wide registry (`global()` in `aqp-obs`), which keeps what
+//! belongs to the process: tier and fallback tallies, scan and prune
+//! counters, storage faults, memory gauges, events.
 
 use crate::admission::{AdmissionConfig, AdmissionController, AdmitOutcome};
 use crate::cache::{CacheConfig, CacheDecision, SemanticCache};
@@ -41,6 +53,7 @@ use aqp_core::{AnswerContract, AqpError, QueryBound, ResilientSystem, ServingTie
 use aqp_obs::flight::{FlightRecorder, RequestRecord, Timeline, DEFAULT_FLIGHT_CAPACITY};
 use aqp_obs::json::Value;
 use aqp_obs::slo::{SloConfig, SloOutcome, SloWindows, WINDOWS};
+use aqp_obs::Registry;
 use aqp_query::CancelToken;
 use std::io;
 use std::net::{TcpListener, TcpStream};
@@ -141,7 +154,9 @@ impl Default for ServerConfig {
     }
 }
 
-/// What one server run did, for operator logs and tests.
+/// What one server run did, for operator logs and tests: read off the
+/// server's registry, so it counts what that registry counted (nothing
+/// while collection is off, [`aqp_obs::set_enabled`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServerReport {
     /// Total requests that received a terminal response.
@@ -167,18 +182,34 @@ pub struct ServerReport {
     pub cache_bypass: u64,
 }
 
-#[derive(Debug, Default)]
-struct Tallies {
-    requests: AtomicU64,
-    answered: AtomicU64,
-    shed: AtomicU64,
-    timeouts: AtomicU64,
-    drained_rejects: AtomicU64,
-    errors: AtomicU64,
-    connections: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    cache_bypass: AtomicU64,
+const REQUESTS: &str = "aqp_server_requests_total";
+
+impl ServerReport {
+    /// The report a server's registry holds: each outcome is its
+    /// `aqp_server_requests_total{outcome}` series summed over classes,
+    /// the cache tallies are the cache's own counters.
+    fn read(registry: &Registry) -> ServerReport {
+        let snap = registry.snapshot();
+        let outcome = |want: &str| {
+            snap.counters
+                .iter()
+                .filter(|c| c.name == REQUESTS && c.labels.iter().any(|(k, v)| k == "outcome" && v == want))
+                .map(|c| c.value)
+                .sum()
+        };
+        ServerReport {
+            requests: snap.counter_total(REQUESTS),
+            answered: outcome("answer"),
+            shed: outcome("shed"),
+            timeouts: outcome("timeout"),
+            drained_rejects: outcome("draining"),
+            errors: outcome("error"),
+            connections: snap.counter_total("aqp_server_connections_total"),
+            cache_hits: snap.counter_total("aqp_cache_hit_total"),
+            cache_misses: snap.counter_total("aqp_cache_miss_total"),
+            cache_bypass: snap.counter_total("aqp_cache_bypass_total"),
+        }
+    }
 }
 
 /// Handle for asking a running server to shut down gracefully from
@@ -212,7 +243,8 @@ struct Inner {
     cache: SemanticCache,
     shutdown: AtomicBool,
     draining: AtomicBool,
-    tallies: Tallies,
+    /// This server's metrics: every request it served, and nothing else.
+    registry: Arc<Registry>,
     /// Per-instance (not global) so concurrent test servers never see
     /// each other's requests.
     flight: FlightRecorder,
@@ -239,8 +271,9 @@ impl Server {
             Some(rate) => Throughput::fixed(rate),
             None => Throughput::new(),
         };
-        let admission = AdmissionController::new(config.admission);
-        let cache = SemanticCache::new(config.cache.clone());
+        let registry = Arc::new(Registry::new());
+        let admission = AdmissionController::with_registry(config.admission, Arc::clone(&registry));
+        let cache = SemanticCache::with_registry(config.cache.clone(), Arc::clone(&registry));
         let flight = FlightRecorder::new(config.flight_recorder_cap);
         let slo = Mutex::new(SloWindows::new(
             config.slo.clone(),
@@ -254,11 +287,11 @@ impl Server {
         // serving, never through admission.
         let system = Arc::new(system);
         let shadow = Mutex::new(if config.shadow.rate > 0.0 {
-            Some(ShadowAuditor::start(config.shadow.clone(), Arc::clone(&system)))
+            Some(ShadowAuditor::start(config.shadow.clone(), Arc::clone(&system), Arc::clone(&registry)))
         } else {
             None
         });
-        let faults = Faults::new(config.faults.clone());
+        let faults = Faults::new(config.faults.clone(), Arc::clone(&registry));
         Ok(Server {
             inner: Arc::new(Inner {
                 system,
@@ -268,7 +301,7 @@ impl Server {
                 cache,
                 shutdown: AtomicBool::new(false),
                 draining: AtomicBool::new(false),
-                tallies: Tallies::default(),
+                registry,
                 flight,
                 slo,
                 shadow,
@@ -289,6 +322,12 @@ impl Server {
         ShutdownHandle { inner: Arc::clone(&self.inner) }
     }
 
+    /// This server's registry: its request, admission, cache, shadow,
+    /// SLO, flight-dump and injected-fault series, and no other server's.
+    pub fn registry(&self) -> Arc<Registry> {
+        Arc::clone(&self.inner.registry)
+    }
+
     /// Run the accept loop until shutdown is requested (signal, handle,
     /// or `shutdown` request), then drain and return the report.
     pub fn run(self) -> io::Result<ServerReport> {
@@ -304,7 +343,7 @@ impl Server {
         while !self.stop_requested() {
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
-                    self.inner.tallies.connections.fetch_add(1, Ordering::Relaxed);
+                    self.inner.count("aqp_server_connections_total", &[]);
                     if self.inner.faults.accept_drop() {
                         // Injected accept-time drop: close without a byte.
                         drop(stream);
@@ -327,7 +366,7 @@ impl Server {
         // connection (e.g. a peer applying TCP backpressure mid-write)
         // cannot stall shutdown past `drain_timeout`.
         self.inner.draining.store(true, Ordering::SeqCst);
-        aqp_obs::counter("aqp_server_drain_total", &[]).inc();
+        self.inner.count("aqp_server_drain_total", &[]);
         let drain_deadline = Instant::now() + self.inner.config.drain_timeout;
         let mut workers = workers;
         loop {
@@ -358,11 +397,11 @@ impl Server {
         if let Some(shadow) = self.inner.shadow.lock().expect("shadow slot poisoned").take() {
             shadow.shutdown();
         }
-        self.inner.slo.lock().expect("slo poisoned").export_to_registry();
+        self.inner.slo.lock().expect("slo poisoned").export_to_registry(&self.inner.registry);
         if let Some(path) = &self.inner.config.flight_dump {
             if !self.inner.flight.is_empty() {
                 if let Ok(records) = self.inner.flight.dump_to(path) {
-                    aqp_obs::counter("aqp_flight_dump_total", &[("trigger", "exit")]).inc();
+                    self.inner.count("aqp_flight_dump_total", &[("trigger", "exit")]);
                     aqp_obs::event::info(
                         "serving::server",
                         "flight recorder dumped at exit",
@@ -372,22 +411,9 @@ impl Server {
             }
         }
         if let Some(path) = &self.inner.config.metrics_out {
-            let text = aqp_obs::to_prometheus(&aqp_obs::global().snapshot());
-            std::fs::write(path, text)?;
+            std::fs::write(path, metrics_text(&self.inner))?;
         }
-        let t = &self.inner.tallies;
-        let report = ServerReport {
-            requests: t.requests.load(Ordering::Relaxed),
-            answered: t.answered.load(Ordering::Relaxed),
-            shed: t.shed.load(Ordering::Relaxed),
-            timeouts: t.timeouts.load(Ordering::Relaxed),
-            drained_rejects: t.drained_rejects.load(Ordering::Relaxed),
-            errors: t.errors.load(Ordering::Relaxed),
-            connections: t.connections.load(Ordering::Relaxed),
-            cache_hits: t.cache_hits.load(Ordering::Relaxed),
-            cache_misses: t.cache_misses.load(Ordering::Relaxed),
-            cache_bypass: t.cache_bypass.load(Ordering::Relaxed),
-        };
+        let report = ServerReport::read(&self.inner.registry);
         aqp_obs::event::info(
             "serving::server",
             "server drained and stopped",
@@ -450,7 +476,6 @@ fn handle_connection(inner: Arc<Inner>, stream: TcpStream) {
                 let (reply, meta) = match Request::from_json(&payload) {
                     Ok(request) => dispatch(&inner, request, &mut timeline),
                     Err(e) => {
-                        inner.tallies.errors.fetch_add(1, Ordering::Relaxed);
                         tally_request(&inner, ContractClass::Interactive, "error");
                         let message = format!("bad request: {e}");
                         (Response::Error { message, trace_id: String::new() }.into(), None)
@@ -494,7 +519,7 @@ fn handle_connection(inner: Arc<Inner>, stream: TcpStream) {
                 // not forever.
                 let started = *frame_started.get_or_insert_with(Instant::now);
                 if started.elapsed() >= MID_FRAME_STALL_LIMIT {
-                    aqp_obs::counter("aqp_server_stalled_conn_total", &[]).inc();
+                    inner.count("aqp_server_stalled_conn_total", &[]);
                     return;
                 }
             }
@@ -526,13 +551,27 @@ impl Reply {
     }
 }
 
+impl Inner {
+    fn count(&self, name: &str, labels: &[(&str, &str)]) {
+        self.registry.counter(name, labels).inc();
+    }
+
+    fn observe_latency(&self, class: ContractClass, elapsed: Duration) {
+        let labels = &[("class", class.as_str())];
+        self.registry.histogram("aqp_server_latency_seconds", labels).observe_duration(elapsed);
+    }
+}
+
+/// Count one terminal response: the only count of request outcomes.
 fn tally_request(inner: &Inner, class: ContractClass, outcome: &'static str) {
-    inner.tallies.requests.fetch_add(1, Ordering::Relaxed);
-    aqp_obs::counter(
-        "aqp_server_requests_total",
-        &[("class", class.as_str()), ("outcome", outcome)],
-    )
-    .inc();
+    inner.count(REQUESTS, &[("class", class.as_str()), ("outcome", outcome)]);
+}
+
+/// The `metrics` verb's and `metrics_out`'s export: this server's
+/// registry merged with the process's, one `# TYPE` line per family.
+fn metrics_text(inner: &Inner) -> String {
+    let merged = inner.registry.snapshot().merge(aqp_obs::global().snapshot());
+    aqp_obs::to_prometheus(&merged)
 }
 
 /// Per-query facts the connection loop needs after the response is
@@ -591,8 +630,7 @@ fn commit_request(inner: &Inner, meta: RequestMeta, timeline: Timeline) {
         )
     });
     if let Some(breach) = &breach {
-        aqp_obs::counter("aqp_slo_breach_total", &[("class", &breach.class), ("rule", breach.rule)])
-            .inc();
+        inner.count("aqp_slo_breach_total", &[("class", &breach.class), ("rule", breach.rule)]);
         aqp_obs::event::warn(
             "serving::slo",
             "SLO burn-rate breach",
@@ -613,7 +651,7 @@ fn commit_request(inner: &Inner, meta: RequestMeta, timeline: Timeline) {
         let trigger = if breach.is_some() { "slo-breach" } else { meta.outcome };
         if let Some(path) = &inner.config.flight_dump {
             if inner.flight.dump_to(path).is_ok() {
-                aqp_obs::counter("aqp_flight_dump_total", &[("trigger", trigger)]).inc();
+                inner.count("aqp_flight_dump_total", &[("trigger", trigger)]);
             }
         }
     }
@@ -652,15 +690,15 @@ fn render_stats(inner: &Inner) -> String {
         })
         .collect();
     drop(slo);
-    let t = &inner.tallies;
+    let t = ServerReport::read(&inner.registry);
     let tallies = Value::Obj(vec![
-        ("requests".into(), t.requests.load(Ordering::Relaxed).into()),
-        ("answered".into(), t.answered.load(Ordering::Relaxed).into()),
-        ("shed".into(), t.shed.load(Ordering::Relaxed).into()),
-        ("timeouts".into(), t.timeouts.load(Ordering::Relaxed).into()),
-        ("errors".into(), t.errors.load(Ordering::Relaxed).into()),
-        ("cache_hits".into(), t.cache_hits.load(Ordering::Relaxed).into()),
-        ("connections".into(), t.connections.load(Ordering::Relaxed).into()),
+        ("requests".into(), t.requests.into()),
+        ("answered".into(), t.answered.into()),
+        ("shed".into(), t.shed.into()),
+        ("timeouts".into(), t.timeouts.into()),
+        ("errors".into(), t.errors.into()),
+        ("cache_hits".into(), t.cache_hits.into()),
+        ("connections".into(), t.connections.into()),
     ]);
     Value::Obj(vec![
         ("classes".into(), Value::Arr(classes)),
@@ -680,17 +718,17 @@ fn dispatch(inner: &Inner, request: Request, timeline: &mut Timeline) -> (Reply,
             tally_request(inner, ContractClass::Interactive, "metrics");
             // Refresh the aqp_slo_* gauges so every metrics pull carries
             // the watchdog's current windows.
-            inner.slo.lock().expect("slo poisoned").export_to_registry();
-            Response::Metrics(aqp_obs::to_prometheus(&aqp_obs::global().snapshot()))
+            inner.slo.lock().expect("slo poisoned").export_to_registry(&inner.registry);
+            Response::Metrics(metrics_text(inner))
         }
         Request::Stats => {
             tally_request(inner, ContractClass::Interactive, "stats");
-            inner.slo.lock().expect("slo poisoned").export_to_registry();
+            inner.slo.lock().expect("slo poisoned").export_to_registry(&inner.registry);
             Response::Stats(render_stats(inner))
         }
         Request::Dump => {
             tally_request(inner, ContractClass::Interactive, "dump");
-            aqp_obs::counter("aqp_flight_dump_total", &[("trigger", "request")]).inc();
+            inner.count("aqp_flight_dump_total", &[("trigger", "request")]);
             Response::Dump(inner.flight.to_jsonl())
         }
         Request::Shutdown => {
@@ -749,7 +787,6 @@ fn serve_query(
     };
 
     if inner.draining.load(Ordering::SeqCst) || inner.shutdown.load(Ordering::SeqCst) {
-        inner.tallies.drained_rejects.fetch_add(1, Ordering::Relaxed);
         tally_request(inner, class, "draining");
         return (Response::Draining.into(), meta("draining", "", false, 0));
     }
@@ -766,7 +803,6 @@ fn serve_query(
         Ok(p) => p,
         Err(e) => {
             timeline.mark("parse");
-            inner.tallies.errors.fetch_add(1, Ordering::Relaxed);
             tally_request(inner, class, "error");
             return (
                 Response::Error {
@@ -791,12 +827,9 @@ fn serve_query(
     timeline.mark("cache");
     let flight = match decision {
         CacheDecision::Hit(answer, _) => {
-            inner.tallies.cache_hits.fetch_add(1, Ordering::Relaxed);
-            inner.tallies.answered.fetch_add(1, Ordering::Relaxed);
             tally_request(inner, class, "answer");
             let elapsed = t0.elapsed();
-            aqp_obs::histogram("aqp_server_latency_seconds", &[("class", class.as_str())])
-                .observe(elapsed.as_nanos() as u64);
+            inner.observe_latency(class, elapsed);
             let m = meta("answer", answer.tier.as_str(), true, answer.rows_scanned as u64);
             let served = ServedAnswer {
                 answer,
@@ -808,14 +841,8 @@ fn serve_query(
             };
             return (Reply::Answer(served), m);
         }
-        CacheDecision::Bypass => {
-            inner.tallies.cache_bypass.fetch_add(1, Ordering::Relaxed);
-            None
-        }
-        CacheDecision::Execute(guard) => {
-            inner.tallies.cache_misses.fetch_add(1, Ordering::Relaxed);
-            Some(guard)
-        }
+        CacheDecision::Bypass => None,
+        CacheDecision::Execute(guard) => Some(guard),
     };
 
     // Admission: the queue wait is bounded by the query's own deadline —
@@ -825,7 +852,6 @@ fn serve_query(
     let permit = match admitted {
         AdmitOutcome::Admitted(p) => p,
         AdmitOutcome::Shed { retry_after_ms } => {
-            inner.tallies.shed.fetch_add(1, Ordering::Relaxed);
             tally_request(inner, class, "shed");
             return (
                 Response::Shed {
@@ -838,8 +864,6 @@ fn serve_query(
             );
         }
         AdmitOutcome::QueueTimeout => {
-            inner.tallies.timeouts.fetch_add(1, Ordering::Relaxed);
-            aqp_obs::counter("aqp_server_timeout_total", &[("class", class.as_str())]).inc();
             tally_request(inner, class, "timeout");
             return (
                 Response::Timeout {
@@ -864,8 +888,6 @@ fn serve_query(
     // 0-row "answer" would be vacuous. Report the timeout honestly.
     if deadline.is_some_and(|d| Instant::now() >= d) {
         timeline.mark("execute");
-        inner.tallies.timeouts.fetch_add(1, Ordering::Relaxed);
-        aqp_obs::counter("aqp_server_timeout_total", &[("class", class.as_str())]).inc();
         tally_request(inner, class, "timeout");
         drop(permit);
         return (
@@ -901,13 +923,8 @@ fn serve_query(
             if bounded.answer.tier == ServingTier::Exact {
                 inner.throughput.observe(bounded.answer.rows_scanned, elapsed);
             }
-            inner.tallies.answered.fetch_add(1, Ordering::Relaxed);
             tally_request(inner, class, "answer");
-            aqp_obs::histogram(
-                "aqp_server_latency_seconds",
-                &[("class", class.as_str())],
-            )
-            .observe(elapsed.as_nanos() as u64);
+            inner.observe_latency(class, elapsed);
             // Publish to the cache: deadline-shaped answers are an
             // artifact of this request's time budget, not a reusable
             // statement about the data — complete() skips them (and any
@@ -934,9 +951,6 @@ fn serve_query(
             (Reply::Answer(served), m)
         }
         Err(AqpError::Cancelled { deadline: true }) => {
-            inner.tallies.timeouts.fetch_add(1, Ordering::Relaxed);
-            aqp_obs::counter("aqp_server_timeout_total", &[("class", class.as_str())])
-                .inc();
             tally_request(inner, class, "timeout");
             (
                 Response::Timeout {
@@ -948,7 +962,6 @@ fn serve_query(
             )
         }
         Err(AqpError::Cancelled { deadline: false }) => {
-            inner.tallies.errors.fetch_add(1, Ordering::Relaxed);
             tally_request(inner, class, "error");
             (
                 Response::Error {
@@ -960,7 +973,6 @@ fn serve_query(
             )
         }
         Err(e) => {
-            inner.tallies.errors.fetch_add(1, Ordering::Relaxed);
             tally_request(inner, class, "error");
             (
                 Response::Error { message: e.to_string(), trace_id: trace_id.clone() }.into(),

@@ -6,7 +6,8 @@
 //! exact rung ([`aqp_core::ResilientSystem::answer_exact_oracle`], which
 //! bypasses the ladder, admission control, and every per-request bound)
 //! and compares the realized error of every aggregate cell against the
-//! CI the answer promised:
+//! CI the answer promised, recording into the registry of the server
+//! that started it:
 //!
 //! * `aqp_shadow_queries_total` / `aqp_shadow_cells_total` — audited
 //!   volume.
@@ -31,6 +32,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 
 use aqp_core::{ApproxAnswer, ResilientSystem, ServingTier};
+use aqp_obs::Registry;
 use aqp_query::Query;
 
 /// Shadow auditing knobs.
@@ -63,6 +65,7 @@ struct Shared {
     queue: Mutex<VecDeque<Job>>,
     available: Condvar,
     stop: AtomicBool,
+    registry: Arc<Registry>,
 }
 
 /// Background auditor; owns the worker thread. Dropping without
@@ -78,12 +81,18 @@ pub struct ShadowAuditor {
 impl ShadowAuditor {
     /// Spawn the audit worker over a shared handle to the system: the
     /// worker reads the very view and sample tables serving reads (no
-    /// second copy) without holding any serving lock.
-    pub fn start(config: ShadowConfig, system: Arc<ResilientSystem>) -> ShadowAuditor {
+    /// second copy) without holding any serving lock. `aqp_shadow_*`
+    /// series go to `registry`.
+    pub fn start(
+        config: ShadowConfig,
+        system: Arc<ResilientSystem>,
+        registry: Arc<Registry>,
+    ) -> ShadowAuditor {
         let shared = Arc::new(Shared {
             queue: Mutex::new(VecDeque::new()),
             available: Condvar::new(),
             stop: AtomicBool::new(false),
+            registry,
         });
         let worker_shared = Arc::clone(&shared);
         let worker = thread::Builder::new()
@@ -129,7 +138,7 @@ impl ShadowAuditor {
         let mut queue = self.shared.queue.lock().expect("shadow queue poisoned");
         if queue.len() >= self.config.queue_cap {
             drop(queue);
-            aqp_obs::counter("aqp_shadow_dropped_total", &[]).inc();
+            self.shared.registry.counter("aqp_shadow_dropped_total", &[]).inc();
             return;
         }
         queue.push_back(Job {
@@ -138,7 +147,7 @@ impl ShadowAuditor {
             confidence,
             trace_id: trace_id.to_string(),
         });
-        aqp_obs::gauge("aqp_shadow_queue_depth", &[]).set(queue.len() as i64);
+        self.shared.registry.gauge("aqp_shadow_queue_depth", &[]).set(queue.len() as i64);
         drop(queue);
         self.shared.available.notify_one();
     }
@@ -161,7 +170,7 @@ fn worker_loop(shared: &Shared, system: &ResilientSystem) {
             let mut queue = shared.queue.lock().expect("shadow queue poisoned");
             loop {
                 if let Some(job) = queue.pop_front() {
-                    aqp_obs::gauge("aqp_shadow_queue_depth", &[]).set(queue.len() as i64);
+                    shared.registry.gauge("aqp_shadow_queue_depth", &[]).set(queue.len() as i64);
                     break Some(job);
                 }
                 if shared.stop.load(Ordering::SeqCst) {
@@ -176,16 +185,17 @@ fn worker_loop(shared: &Shared, system: &ResilientSystem) {
         // Stop only fires on an empty queue: every accepted job is
         // audited before the thread exits.
         let Some(job) = job else { return };
-        audit(system, &job);
+        audit(system, &job, &shared.registry);
     }
 }
 
 /// Re-execute one answer exactly and score every eligible cell.
-fn audit(system: &ResilientSystem, job: &Job) {
+fn audit(system: &ResilientSystem, job: &Job, registry: &Registry) {
+    let count = |name: &str| registry.counter(name, &[]).inc();
     let exact = match system.answer_exact_oracle(&job.query, job.confidence) {
         Ok(answer) => answer,
         Err(e) => {
-            aqp_obs::counter("aqp_shadow_error_total", &[]).inc();
+            count("aqp_shadow_error_total");
             aqp_obs::event::record(
                 aqp_obs::Level::Warn,
                 "shadow",
@@ -195,7 +205,7 @@ fn audit(system: &ResilientSystem, job: &Job) {
             return;
         }
     };
-    aqp_obs::counter("aqp_shadow_queries_total", &[]).inc();
+    count("aqp_shadow_queries_total");
 
     for group in &job.answer.groups {
         // A linear find keeps this robust to groups the truncated/sampled
@@ -213,20 +223,19 @@ fn audit(system: &ResilientSystem, job: &Job) {
             if !truth_v.is_finite() {
                 continue;
             }
-            aqp_obs::counter("aqp_shadow_cells_total", &[]).inc();
-            let within = value.ci.contains(truth_v);
-            if within {
-                aqp_obs::counter("aqp_shadow_within_ci_total", &[]).inc();
+            count("aqp_shadow_cells_total");
+            count(if value.ci.contains(truth_v) {
+                "aqp_shadow_within_ci_total"
             } else {
-                aqp_obs::counter("aqp_shadow_miss_total", &[]).inc();
-            }
+                "aqp_shadow_miss_total"
+            });
             let err = (value.value() - truth_v).abs();
             if truth_v != 0.0 {
-                observe_ratio("aqp_shadow_rel_error", err / truth_v.abs());
+                observe_ratio(registry, "aqp_shadow_rel_error", err / truth_v.abs());
             }
             let half_width = value.ci.width() / 2.0;
             if half_width > 0.0 {
-                observe_ratio("aqp_shadow_ci_ratio", err / half_width);
+                observe_ratio(registry, "aqp_shadow_ci_ratio", err / half_width);
             }
         }
     }
@@ -234,7 +243,7 @@ fn audit(system: &ResilientSystem, job: &Job) {
 
 /// Record a unit ratio into a latency histogram: scaled ×1e9 so the
 /// exporter's nanoseconds→seconds digestion yields the ratio back.
-fn observe_ratio(name: &str, ratio: f64) {
+fn observe_ratio(registry: &Registry, name: &str, ratio: f64) {
     let scaled = (ratio * 1e9).min(u64::MAX as f64 / 2.0);
-    aqp_obs::histogram(name, &[]).observe(scaled as u64);
+    registry.histogram(name, &[]).observe(scaled as u64);
 }

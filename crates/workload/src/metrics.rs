@@ -30,7 +30,10 @@ pub struct MetricReport {
 ///
 /// Relative error for a group with exact value `x` and estimate `x'` is
 /// `|x − x'| / x`; when `x = 0` (possible for SUM over signed measures)
-/// the group contributes 0 if `x' = 0` and 1 otherwise.
+/// the group contributes 0 if `x' = 0` and 1 otherwise. The per-group
+/// errors are summed in ascending order, not in `HashMap` order (which
+/// each process's `RandomState` picks), so the same maps give the same
+/// bits in every run.
 pub fn metric_report(
     exact: &HashMap<Vec<Value>, f64>,
     approx: &HashMap<Vec<Value>, f64>,
@@ -48,30 +51,27 @@ pub fn metric_report(
         };
     }
     let mut matched = 0usize;
-    let mut err_sum = 0.0f64;
-    let mut sq_sum = 0.0f64;
-    for (key, &x) in exact {
-        match approx.get(key) {
+    let mut rels: Vec<f64> = exact
+        .iter()
+        .map(|(key, &x)| match approx.get(key) {
             Some(&x_hat) => {
                 matched += 1;
-                let rel = if x.abs() > f64::EPSILON {
+                if x.abs() > f64::EPSILON {
                     (x - x_hat).abs() / x.abs()
                 } else if x_hat.abs() > f64::EPSILON {
                     1.0
                 } else {
                     0.0
-                };
-                err_sum += rel;
-                sq_sum += rel * rel;
+                }
             }
-            None => {
-                // "taking the relative error for each of the n − m groups
-                // omitted from the approximate answer A to be 100%".
-                err_sum += 1.0;
-                sq_sum += 1.0;
-            }
-        }
-    }
+            // "taking the relative error for each of the n − m groups
+            // omitted from the approximate answer A to be 100%".
+            None => 1.0,
+        })
+        .collect();
+    rels.sort_by(f64::total_cmp);
+    let err_sum: f64 = rels.iter().sum();
+    let sq_sum: f64 = rels.iter().map(|rel| rel * rel).sum();
     let spurious = approx.keys().filter(|k| !exact.contains_key(*k)).count();
     MetricReport {
         exact_groups: n,
@@ -108,6 +108,42 @@ mod tests {
             .iter()
             .map(|&(k, v)| (vec![Value::Int64(k)], v))
             .collect()
+    }
+
+    #[test]
+    fn sums_do_not_depend_on_map_order() {
+        // 1 000 groups whose errors span fifteen orders of magnitude, so
+        // adding them in another order moves the last bits of the sums.
+        let entries: Vec<(i64, f64, f64)> = (0..1_000i64)
+            .map(|k| {
+                let x = 1.0 + (k * 7_919 % 1_009) as f64;
+                let rel = 10f64.powi(-((k * 31 % 16) as i32)) * (1.0 + k as f64 / 997.0);
+                (k, x, x * (1.0 + rel))
+            })
+            .collect();
+        let build = |order: &[usize]| {
+            let exact: HashMap<Vec<Value>, f64> =
+                order.iter().map(|&i| (vec![Value::Int64(entries[i].0)], entries[i].1)).collect();
+            // Every 10th group missing: the 1.0 terms interleave too.
+            let approx: HashMap<Vec<Value>, f64> = order
+                .iter()
+                .filter(|&&i| i % 10 != 3)
+                .map(|&i| (vec![Value::Int64(entries[i].0)], entries[i].2))
+                .collect();
+            metric_report(&exact, &approx)
+        };
+        let forward: Vec<usize> = (0..entries.len()).collect();
+        let reverse: Vec<usize> = forward.iter().rev().copied().collect();
+        let strided: Vec<usize> = (0..entries.len()).map(|i| i * 337 % entries.len()).collect();
+        let first = build(&forward);
+        assert_eq!(first.matched_groups, 900);
+        for order in [&forward, &reverse, &strided] {
+            for _ in 0..3 {
+                let again = build(order);
+                assert_eq!(again.rel_err.to_bits(), first.rel_err.to_bits());
+                assert_eq!(again.sq_rel_err.to_bits(), first.sq_rel_err.to_bits());
+            }
+        }
     }
 
     #[test]

@@ -113,9 +113,8 @@ grep -qi timeout stalled.out
 # Graceful shutdown: drain completes and the server exits 0.
 "$CLI" client --addr $ADDR shutdown
 wait $SERVER
-grep 'aqp_server_shed_total' serve_metrics.prom
-grep 'aqp_server_timeout_total' serve_metrics.prom
-grep 'aqp_server_requests_total' serve_metrics.prom
+grep 'aqp_server_requests_total{class="interactive",outcome="shed"}' serve_metrics.prom
+grep 'aqp_server_requests_total{class="interactive",outcome="timeout"}' serve_metrics.prom
 grep 'aqp_fault_injected_total{kind="exec-stall"}' serve_metrics.prom
 
 echo "== serve: cache warm, hit, invalidate, forced LRU eviction"

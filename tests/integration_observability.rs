@@ -5,13 +5,14 @@
 //! mixed workload — including the proof that shadow re-execution never
 //! consumes an admission slot.
 
-use aqp::obs::RequestRecord;
+use aqp::obs::{Registry, RequestRecord};
 use aqp::prelude::*;
 use aqp::serving::{
     CacheConfig, Client, ContractClass, Request, Response, RetryPolicy, Server, ServerConfig,
     ServingFault, ShadowConfig,
 };
 use aqp::workload::CoverageBucket;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn sales_view(rows: usize) -> Table {
@@ -26,12 +27,14 @@ fn start_server(
     String,
     aqp::serving::ShutdownHandle,
     std::thread::JoinHandle<std::io::Result<aqp::serving::ServerReport>>,
+    Arc<Registry>,
 ) {
     let server = Server::bind(system, config).unwrap();
     let addr = server.local_addr().unwrap().to_string();
     let handle = server.shutdown_handle();
+    let registry = server.registry();
     let join = std::thread::spawn(move || server.run());
-    (addr, handle, join)
+    (addr, handle, join, registry)
 }
 
 const SQL: &str = "SELECT store.region, COUNT(*) AS cnt, SUM(sales.revenue) AS rev \
@@ -78,7 +81,7 @@ fn assert_timeline_well_formed(record: &RequestRecord) {
 
 #[test]
 fn trace_id_round_trips_and_dump_has_contiguous_timelines() {
-    let (addr, handle, join) = start_server(
+    let (addr, handle, join, _) = start_server(
         ResilientSystem::exact_only(sales_view(5_000)).with_threads(2),
         ServerConfig::default(),
     );
@@ -149,7 +152,7 @@ fn anomaly_dump_file_contains_the_timed_out_trace() {
     // exec-stall@0 blocks this server's first execution until its
     // deadline token trips: a deterministic timeout, which is an anomaly,
     // which must dump the flight ring to the configured path.
-    let (addr, handle, join) = start_server(
+    let (addr, handle, join, _) = start_server(
         ResilientSystem::exact_only(sales_view(5_000)).with_threads(2),
         ServerConfig {
             flight_dump: Some(dump_path.clone()),
@@ -222,8 +225,7 @@ fn shadow_audit_holds_promised_coverage_without_admission_slots() {
     .unwrap();
     let system = ResilientSystem::from_sampler(sampler).with_view(view).with_threads(2);
 
-    let before = aqp::obs::global().snapshot();
-    let (addr, handle, join) = start_server(
+    let (addr, handle, join, registry) = start_server(
         system,
         ServerConfig {
             // Cache off so all ~216 queries really execute on the
@@ -235,9 +237,7 @@ fn shadow_audit_holds_promised_coverage_without_admission_slots() {
     );
 
     // ≥200-query mixed workload: 3 grouping columns x 3 aggregate sets
-    // x 24 predicate thresholds, sent on the batch class so the
-    // admission ledger below is isolated from other tests in this
-    // binary (which use the interactive class).
+    // x 24 predicate thresholds, sent on the batch class.
     let groups = ["store.region", "product.category", "customer.segment"];
     let aggs =
         ["COUNT(*) AS c", "SUM(sales.revenue) AS r", "COUNT(*) AS c, SUM(sales.units) AS u"];
@@ -282,24 +282,22 @@ fn shadow_audit_holds_promised_coverage_without_admission_slots() {
     handle.shutdown();
     join.join().unwrap().unwrap();
 
-    let after = aqp::obs::global().snapshot();
-    let delta = |name: &str| {
-        after.counter_total(name).saturating_sub(before.counter_total(name))
-    };
-    assert_eq!(delta("aqp_shadow_dropped_total"), 0, "queue never overflowed");
-    assert_eq!(delta("aqp_shadow_error_total"), 0, "exact oracle never failed");
+    let after = registry.snapshot();
+    let total = |name: &str| after.counter_total(name);
+    assert_eq!(total("aqp_shadow_dropped_total"), 0, "queue never overflowed");
+    assert_eq!(total("aqp_shadow_error_total"), 0, "exact oracle never failed");
     assert_eq!(
-        delta("aqp_shadow_queries_total"),
+        total("aqp_shadow_queries_total"),
         sampled_tier,
         "every sampled-tier answer was audited exactly once"
     );
 
     // Realized coverage vs the promised 95% CIs, judged by the same
     // Agresti–Coull under-coverage rule as `workload --calibrate`.
-    let cells = delta("aqp_shadow_cells_total");
-    let covered = delta("aqp_shadow_within_ci_total");
+    let cells = total("aqp_shadow_cells_total");
+    let covered = total("aqp_shadow_within_ci_total");
     assert!(cells >= 200, "need a real cell population, got {cells}");
-    assert_eq!(cells, covered + delta("aqp_shadow_miss_total"), "cells partition");
+    assert_eq!(cells, covered + total("aqp_shadow_miss_total"), "cells partition");
     let bucket = CoverageBucket { label: "shadow".into(), cells, covered };
     assert!(
         !bucket.flagged(0.95),
@@ -308,14 +306,53 @@ fn shadow_audit_holds_promised_coverage_without_admission_slots() {
     );
 
     // Admission-slot proof: the ledger admitted exactly one slot per
-    // served batch query — the ~216 shadow re-executions took none.
-    let batch = &[("class", "batch")];
-    let admitted = after
-        .counter_value("aqp_server_admitted_total", batch)
-        .unwrap_or(0)
-        .saturating_sub(before.counter_value("aqp_server_admitted_total", batch).unwrap_or(0));
+    // served query — the ~216 shadow re-executions took none.
     assert_eq!(
-        admitted, answered,
+        total("aqp_server_admitted_total"),
+        answered,
         "shadow re-execution must never consume an admission slot"
     );
+    assert_eq!(
+        after.counter_value("aqp_server_admitted_total", &[("class", "batch")]),
+        Some(answered)
+    );
+}
+
+/// A `metrics` pull exports the server's registry merged with the
+/// process's: every family typed once, its samples right under its
+/// `# TYPE` line, a server series beside a process series.
+#[test]
+fn metrics_pull_merges_server_and_process_registries() {
+    let (addr, handle, join, _) = start_server(
+        ResilientSystem::exact_only(sales_view(2_000)).with_threads(2),
+        ServerConfig::default(),
+    );
+    let mut client = Client::new(addr, RetryPolicy::no_retry());
+    assert!(matches!(client.request(&Request::query(SQL)).unwrap(), Response::Answer(_)));
+    let text = match client.request(&Request::Metrics).unwrap() {
+        Response::Metrics(text) => text,
+        other => panic!("expected metrics, got {other:?}"),
+    };
+    handle.shutdown();
+    join.join().unwrap().unwrap();
+
+    let mut families: Vec<&str> = Vec::new();
+    for line in text.lines() {
+        if let Some(typed) = line.strip_prefix("# TYPE ") {
+            let family = typed.split(' ').next().unwrap();
+            assert!(!families.contains(&family), "{family} typed twice:\n{text}");
+            families.push(family);
+            continue;
+        }
+        let name = line.split(['{', ' ']).next().unwrap();
+        let last = *families.last().expect("a sample before any # TYPE line");
+        let base = name.strip_suffix("_sum").or(name.strip_suffix("_count")).unwrap_or(name);
+        assert!(name == last || base == last, "{name} sampled under {last}'s # TYPE line");
+    }
+    // This server's answer, counted in its registry, and the scan behind
+    // it, counted in the process's.
+    let served = r#"aqp_server_requests_total{class="interactive",outcome="answer"} 1"#;
+    assert!(text.lines().any(|l| l == served), "{text}");
+    assert!(families.contains(&"aqp_server_latency_seconds"), "{text}");
+    assert!(families.contains(&"aqp_rows_scanned_total"), "{text}");
 }

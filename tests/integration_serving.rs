@@ -1,21 +1,22 @@
 //! Integration tests for the concurrent query server: deadline-driven
-//! degradation on the wire, forced timeouts via fault injection, and
-//! graceful drain under load. (The overload soak, which reconciles the
-//! process-global metrics registry against one server's traffic, has a
-//! test binary to itself: `soak_serving.rs`.)
+//! degradation on the wire, forced timeouts via fault injection, graceful
+//! drain under load, and a 2x-overload soak.
 //!
 //! The acceptance contract (mirrors the serving design doc): nothing
 //! panics, every request receives exactly one terminal response
 //! (answer / shed / timeout), and a deadline-bounded query comes back as
 //! a degraded-tier answer rather than a missed deadline. Injected faults
-//! belong to the server they are configured on, so the tests here run
-//! side by side.
+//! and metrics belong to the server they are configured on (each server
+//! records into its own registry), so the tests here run side by side
+//! and reconcile exact counts.
 
+use aqp::obs::Registry;
 use aqp::prelude::*;
 use aqp::serving::{
     AdmissionConfig, CacheConfig, ClassLimits, Client, ClientError, ContractClass, Request,
-    Response, RetryPolicy, Server, ServerConfig, ServingFault,
+    Response, RetryPolicy, Server, ServerConfig, ServerReport, ServingFault,
 };
+use std::sync::Arc;
 use std::time::Duration;
 
 fn sales_view(rows: usize) -> Table {
@@ -29,13 +30,15 @@ fn start_server(
 ) -> (
     String,
     aqp::serving::ShutdownHandle,
-    std::thread::JoinHandle<std::io::Result<aqp::serving::ServerReport>>,
+    std::thread::JoinHandle<std::io::Result<ServerReport>>,
+    Arc<Registry>,
 ) {
     let server = Server::bind(system, config).unwrap();
     let addr = server.local_addr().unwrap().to_string();
     let handle = server.shutdown_handle();
+    let registry = server.registry();
     let join = std::thread::spawn(move || server.run());
-    (addr, handle, join)
+    (addr, handle, join, registry)
 }
 
 const SQL: &str = "SELECT store.region, COUNT(*) AS cnt, SUM(sales.revenue) AS rev \
@@ -62,7 +65,7 @@ fn deadline_bounded_query_degrades_instead_of_missing() {
         fixed_rows_per_ms: Some(1.0),
         ..ServerConfig::default()
     };
-    let (addr, handle, join) = start_server(
+    let (addr, handle, join, _) = start_server(
         ResilientSystem::exact_only(sales_view(20_000)).with_threads(2),
         config,
     );
@@ -93,8 +96,7 @@ fn stalled_once() -> ServerConfig {
 fn exec_stall_fault_forces_deterministic_timeout() {
     // exec-stall@0 blocks the first execution until its deadline token
     // trips — the CI recipe for a machine-speed-independent timeout.
-    let before = aqp::obs::global().snapshot();
-    let (addr, handle, join) = start_server(
+    let (addr, handle, join, registry) = start_server(
         ResilientSystem::exact_only(sales_view(5_000)).with_threads(2),
         stalled_once(),
     );
@@ -112,13 +114,10 @@ fn exec_stall_fault_forces_deterministic_timeout() {
     let report = join.join().unwrap().unwrap();
     assert_eq!(report.timeouts, 1);
     assert_eq!(report.answered, 1);
-    // The registry is process-wide, and other servers in this binary
-    // stall too: the tally grew, by how much is theirs to say.
-    let fired = |s: &aqp::obs::Snapshot| {
-        s.counter_value("aqp_fault_injected_total", &[("kind", "exec-stall")]).unwrap_or(0)
-    };
-    let after = aqp::obs::global().snapshot();
-    assert!(fired(&after) > fired(&before), "the injected stall was recorded");
+    let fired = registry
+        .snapshot()
+        .counter_value("aqp_fault_injected_total", &[("kind", "exec-stall")]);
+    assert_eq!(fired, Some(1), "this server's one injected stall, and no other server's");
 }
 
 #[test]
@@ -127,11 +126,11 @@ fn a_stall_planned_for_one_server_leaves_another_server_alone() {
     // of its first execution. The healthy server's first query runs first
     // and is answered, then the stalled server's first query times out:
     // each server counts its own executions.
-    let (healthy_addr, healthy, healthy_join) = start_server(
+    let (healthy_addr, healthy, healthy_join, _) = start_server(
         ResilientSystem::exact_only(sales_view(5_000)).with_threads(2),
         ServerConfig::default(),
     );
-    let (stalled_addr, stalled, stalled_join) = start_server(
+    let (stalled_addr, stalled, stalled_join, _) = start_server(
         ResilientSystem::exact_only(sales_view(5_000)).with_threads(2),
         stalled_once(),
     );
@@ -157,7 +156,7 @@ fn a_stall_planned_for_one_server_leaves_another_server_alone() {
 
 #[test]
 fn graceful_drain_finishes_inflight_and_rejects_new() {
-    let (addr, handle, join) = start_server(
+    let (addr, handle, join, _) = start_server(
         ResilientSystem::exact_only(sales_view(20_000)).with_threads(2),
         ServerConfig::default(),
     );
@@ -194,7 +193,7 @@ fn deadline_tier_fallback_reason_reaches_metrics() {
     let view = sales_view(20_000);
     let sampler = SmallGroupSampler::build(&view, SmallGroupConfig::with_rates(0.05, 0.5))
         .expect("preprocessing");
-    let (addr, handle, join) = start_server(
+    let (addr, handle, join, _) = start_server(
         ResilientSystem::from_sampler(sampler).with_view(view).with_threads(2),
         ServerConfig {
             fixed_rows_per_ms: Some(1.0),
@@ -253,7 +252,7 @@ fn cache_soak_sixteen_clients_execute_each_distinct_key_once() {
         },
         ..ServerConfig::default()
     };
-    let (addr, handle, join) = start_server(
+    let (addr, handle, join, _) = start_server(
         ResilientSystem::exact_only(sales_view(20_000)).with_threads(2),
         config,
     );
@@ -308,12 +307,115 @@ fn cache_soak_sixteen_clients_execute_each_distinct_key_once() {
     assert_eq!(report.cache_hits as usize, total - distinct_keys);
     assert_eq!(report.cache_bypass, 0);
     assert_eq!(report.cache_misses as usize, wire_misses, "wire flags agree with tallies");
-    assert_eq!(report.answered as usize, total);
     assert_eq!(
-        (report.cache_hits + report.cache_misses + report.cache_bypass) as usize,
-        report.answered as usize,
-        "hit + miss + bypass covers every answered query"
+        report,
+        ServerReport {
+            requests: total as u64,
+            answered: total as u64,
+            connections: clients as u64,
+            cache_hits: wire_hits as u64,
+            cache_misses: wire_misses as u64,
+            ..ServerReport::default()
+        },
+        "hit + miss covers every answered query, and nothing else happened"
     );
+}
+
+/// 2x overload: the server sheds deterministically, nothing panics, every
+/// request receives exactly one terminal response (answer / shed /
+/// timeout), and the server's report and registry reconcile exactly with
+/// what the clients saw.
+#[test]
+fn soak_overload_every_request_gets_exactly_one_terminal_response() {
+    let cap = ClassLimits { max_inflight: 2, max_queue: 2 };
+    let clients = 2 * (cap.max_inflight + cap.max_queue); // 2x admission capacity
+    let per_client = 5usize;
+    let config = ServerConfig {
+        admission: AdmissionConfig { interactive: cap, batch: cap },
+        // Cache off: the soak measures admission control, and with the
+        // cache on a single leader would execute while every identical
+        // request coalesced behind it instead of being shed.
+        cache: CacheConfig::disabled(),
+        // Overload must not depend on the machine's speed: the first two
+        // executions of this server stall (2 s, then run normally),
+        // holding both executor slots while the workers — connected
+        // beforehand with a ping each, then released together — send
+        // their opening burst. Of its other six requests two find a
+        // queue place and four are shed.
+        faults: vec![ServingFault::ExecStall { nth: 0 }, ServingFault::ExecStall { nth: 1 }],
+        ..ServerConfig::default()
+    };
+    let (addr, handle, join, registry) = start_server(
+        ResilientSystem::exact_only(sales_view(20_000)).with_threads(2),
+        config,
+    );
+
+    let start = std::sync::Barrier::new(clients);
+    // Each worker sends its requests with no client-side retry, so every
+    // wire-level outcome is counted exactly once.
+    let outcomes: Vec<&'static str> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..clients)
+            .map(|c| {
+                let addr = addr.clone();
+                let start = &start;
+                s.spawn(move || {
+                    let mut client = Client::new(addr, RetryPolicy::no_retry());
+                    assert!(matches!(client.request(&Request::Ping), Ok(Response::Pong)));
+                    start.wait();
+                    (0..per_client)
+                        .map(|_| match client.request(&Request::query(SQL)) {
+                            Ok(Response::Answer(_)) => "answered",
+                            Ok(Response::Timeout { .. }) => "timeout",
+                            Ok(Response::Error { .. }) => "error",
+                            Ok(other) => panic!("unexpected response for client {c}: {other:?}"),
+                            Err(ClientError::Shed { .. }) => "shed",
+                            Err(e) => panic!("transport failure for client {c}: {e}"),
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        workers.into_iter().flat_map(|w| w.join().expect("client thread panicked")).collect()
+    });
+    handle.shutdown();
+    let report = join.join().expect("server thread panicked").unwrap();
+
+    // Exactly one terminal response per request, and under 2x overload
+    // with no-retry clients at least one request must have been shed.
+    let total_requests = clients * per_client;
+    assert_eq!(outcomes.len(), total_requests);
+    let count = |k: &str| outcomes.iter().filter(|o| **o == k).count() as u64;
+    let (answered, shed, timeout) = (count("answered"), count("shed"), count("timeout"));
+    assert_eq!(answered + shed + timeout, total_requests as u64, "no parse or execution errors");
+    assert!(shed >= 4, "2x overload with a bounded queue must shed: {shed}");
+    assert!(answered > 0, "admitted requests still get answers under overload");
+
+    // The report is the clients' view, field for field (each worker also
+    // pinged once, and every query bypassed the disabled cache).
+    assert_eq!(
+        report,
+        ServerReport {
+            requests: (total_requests + clients) as u64,
+            answered,
+            shed,
+            timeouts: timeout,
+            connections: clients as u64,
+            cache_bypass: total_requests as u64,
+            ..ServerReport::default()
+        }
+    );
+    let snap = registry.snapshot();
+    let interactive = |outcome: &str| {
+        snap.counter_value("aqp_server_requests_total", &[("class", "interactive"), ("outcome", outcome)])
+    };
+    assert_eq!(interactive("shed"), Some(shed));
+    assert_eq!(interactive("ping"), Some(clients as u64));
+    assert_eq!(
+        snap.counter_value("aqp_server_admitted_total", &[("class", "interactive")]),
+        Some(answered + timeout),
+        "every non-shed request passed admission exactly once"
+    );
+    assert_eq!(snap.counter_value("aqp_fault_injected_total", &[("kind", "exec-stall")]), Some(2));
 }
 
 /// Differential oracle: over a 240-query seeded workload (interleaved

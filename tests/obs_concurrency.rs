@@ -204,9 +204,9 @@ fn event_ring_wraps_concurrently_without_tearing() {
     assert!(ours >= obs::event::RING_CAPACITY / 2, "only {ours} stress events retained");
 }
 
-/// Registry snapshots taken while a live server is answering stay
-/// internally consistent — counters are monotone across snapshots and
-/// the final totals reconcile with what the clients saw.
+/// Snapshots of a server's registry taken while it is answering stay
+/// internally consistent — counters are monotone across snapshots — and
+/// the final totals equal what the clients saw.
 #[test]
 fn registry_snapshot_consistent_while_server_answers() {
     obs::set_enabled(true);
@@ -216,10 +216,9 @@ fn registry_snapshot_consistent_while_server_answers() {
     let server = Server::bind(system, ServerConfig::default()).unwrap();
     let addr = server.local_addr().unwrap().to_string();
     let handle = server.shutdown_handle();
+    let registry = server.registry();
     let join = std::thread::spawn(move || server.run());
 
-    let before = obs::global().snapshot();
-    let base = before.counter_total("aqp_server_requests_total");
     let clients = 4usize;
     let per_client = 10usize;
     let answered: usize = std::thread::scope(|s| {
@@ -240,11 +239,11 @@ fn registry_snapshot_consistent_while_server_answers() {
                 })
             })
             .collect();
-        // Snapshot the global registry while the workers hammer the
-        // server: monotone counters, no torn reads.
-        let mut last = base;
+        // Snapshot the server's registry while the workers hammer it:
+        // monotone counters, no torn reads.
+        let mut last = 0;
         while workers.iter().any(|w| !w.is_finished()) {
-            let snap = obs::global().snapshot();
+            let snap = registry.snapshot();
             let v = snap.counter_total("aqp_server_requests_total");
             assert!(v >= last, "server request counter went backwards: {last} -> {v}");
             last = v;
@@ -256,11 +255,13 @@ fn registry_snapshot_consistent_while_server_answers() {
     join.join().unwrap().unwrap();
 
     assert_eq!(answered, clients * per_client, "every request answered");
-    let after = obs::global().snapshot();
-    let total = after.counter_total("aqp_server_requests_total") - base;
-    assert!(
-        total >= (clients * per_client) as u64,
-        "snapshot missed increments: {total} < {}",
-        clients * per_client
+    let after = registry.snapshot();
+    let total = (clients * per_client) as u64;
+    assert_eq!(after.counter_total("aqp_server_requests_total"), total, "one count per request");
+    assert_eq!(
+        after.counter_value("aqp_server_requests_total", &[("class", "interactive"), ("outcome", "answer")]),
+        Some(total)
     );
+    let cache = after.counter_total("aqp_cache_hit_total") + after.counter_total("aqp_cache_miss_total");
+    assert_eq!(cache, total, "each query decided once by the cache");
 }
