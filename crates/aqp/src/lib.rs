@@ -89,7 +89,7 @@ pub mod prelude {
         execute, AggExpr, AggFunc, CmpOp, DataSource, Dimension, ExecOptions, Expr, PruneMode,
         Query, StarSchema, Weighting,
     };
-    pub use aqp_sampling::{ConfidenceInterval, Estimate};
+    pub use aqp_sampling::{ConfidenceInterval, Design, Estimate};
     pub use aqp_sql::{parse_query, ParsedQuery};
     pub use aqp_storage::{DataType, Schema, SchemaBuilder, Table, Value};
     pub use aqp_obs::QueryTrace;

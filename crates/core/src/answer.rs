@@ -1,19 +1,20 @@
 //! Approximate query answers.
 //!
 //! The runtime phase merges per-sample-table tallies into one answer per
-//! group, carrying a point estimate, a confidence interval, and an
-//! exactness flag ("Answers for groups that result from querying small
-//! group tables are marked as being exact" — paper Section 4.2.2).
+//! group, carrying a point estimate, a confidence interval, and the
+//! estimate's design, exact or sampled ("Answers for groups that result
+//! from querying small group tables are marked as being exact" — paper
+//! Section 4.2.2).
 
 use aqp_query::{AggFunc, AggState};
-use aqp_sampling::{ConfidenceInterval, Estimate};
+use aqp_sampling::{ConfidenceInterval, Design, Estimate};
 use aqp_storage::Value;
 use std::fmt;
 
 /// One estimated aggregate value within a group.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ApproxValue {
-    /// The point estimate (with variance and exactness).
+    /// The point estimate (with variance, design and sampled rows).
     pub estimate: Estimate,
     /// A two-sided confidence interval for the true value.
     pub ci: ConfidenceInterval,
@@ -27,7 +28,7 @@ impl ApproxValue {
 
     /// Whether this value is exact.
     pub fn is_exact(&self) -> bool {
-        self.estimate.exact
+        self.estimate.is_exact()
     }
 }
 
@@ -146,38 +147,21 @@ impl fmt::Display for ApproxAnswer {
     }
 }
 
-/// Turn one merged [`AggState`] into an [`Estimate`] for a given aggregate
-/// function, using the Horvitz–Thompson accumulators.
+/// Turn one merged [`AggState`] into an [`Estimate`] of `design` for a
+/// given aggregate function, using the Horvitz–Thompson accumulators; the
+/// estimate's `rows` is the state's `sampled_rows`.
 ///
 /// Returns `None` for MIN/MAX, which sampling cannot bound.
-pub fn state_to_estimate(func: AggFunc, state: &AggState, exact: bool) -> Option<Estimate> {
-    let est = match func {
-        AggFunc::Count => Estimate {
-            value: state.sum_w,
-            variance: state.var_acc_w.max(0.0),
-            exact,
-        },
-        AggFunc::Sum => Estimate {
-            value: state.sum_wx,
-            variance: state.var_acc.max(0.0),
-            exact,
-        },
-        AggFunc::Avg => {
-            let sum = Estimate {
-                value: state.sum_wx,
-                variance: state.var_acc.max(0.0),
-                exact,
-            };
-            let count = Estimate {
-                value: state.sum_w,
-                variance: state.var_acc_w.max(0.0),
-                exact,
-            };
-            sum.ratio_with_cov(count, state.cov_acc)?
-        }
-        AggFunc::Min | AggFunc::Max => return None,
-    };
-    Some(est)
+pub fn state_to_estimate(func: AggFunc, state: &AggState, design: Design) -> Option<Estimate> {
+    let estimate = |value, variance| Estimate::new(value, variance, design, state.sampled_rows);
+    let count = estimate(state.sum_w, state.var_acc_w);
+    let sum = estimate(state.sum_wx, state.var_acc);
+    match func {
+        AggFunc::Count => Some(count),
+        AggFunc::Sum => Some(sum),
+        AggFunc::Avg => sum.ratio_with_cov(count, state.cov_acc),
+        AggFunc::Min | AggFunc::Max => None,
+    }
 }
 
 #[cfg(test)]
@@ -187,10 +171,9 @@ mod tests {
     fn state(sum_w: f64, sum_wx: f64, var_acc: f64, var_acc_w: f64) -> AggState {
         AggState {
             rows: 1,
+            sampled_rows: 1,
             sum_w,
             sum_wx,
-            sum_x: 0.0,
-            sum_x_sq: 0.0,
             var_acc,
             var_acc_w,
             cov_acc: 0.0,
@@ -201,33 +184,38 @@ mod tests {
 
     #[test]
     fn count_estimate() {
-        let e = state_to_estimate(AggFunc::Count, &state(100.0, 100.0, 0.0, 90.0), false)
+        let e = state_to_estimate(AggFunc::Count, &state(100.0, 100.0, 0.0, 90.0), Design::Scaled)
             .unwrap();
         assert_eq!(e.value, 100.0);
         assert_eq!(e.variance, 90.0);
-        assert!(!e.exact);
+        assert_eq!((e.design, e.rows), (Design::Scaled, 1));
     }
 
     #[test]
     fn sum_estimate() {
-        let e = state_to_estimate(AggFunc::Sum, &state(10.0, 55.0, 20.0, 9.0), false).unwrap();
+        let e = state_to_estimate(AggFunc::Sum, &state(10.0, 55.0, 20.0, 9.0), Design::Prefix)
+            .unwrap();
         assert_eq!(e.value, 55.0);
         assert_eq!(e.variance, 20.0);
+        assert_eq!(e.design, Design::Prefix);
     }
 
     #[test]
     fn avg_is_ratio() {
-        let e = state_to_estimate(AggFunc::Avg, &state(4.0, 100.0, 0.0, 0.0), true).unwrap();
+        let e = state_to_estimate(AggFunc::Avg, &state(4.0, 100.0, 0.0, 0.0), Design::Exact)
+            .unwrap();
         assert_eq!(e.value, 25.0);
-        assert!(e.exact);
+        assert!(e.is_exact());
         // Zero count → no AVG.
-        assert!(state_to_estimate(AggFunc::Avg, &state(0.0, 0.0, 0.0, 0.0), true).is_none());
+        let empty = state(0.0, 0.0, 0.0, 0.0);
+        assert!(state_to_estimate(AggFunc::Avg, &empty, Design::Exact).is_none());
     }
 
     #[test]
     fn min_max_unsupported() {
-        assert!(state_to_estimate(AggFunc::Min, &state(1.0, 1.0, 0.0, 0.0), true).is_none());
-        assert!(state_to_estimate(AggFunc::Max, &state(1.0, 1.0, 0.0, 0.0), true).is_none());
+        for func in [AggFunc::Min, AggFunc::Max] {
+            assert!(state_to_estimate(func, &state(1.0, 1.0, 0.0, 0.0), Design::Exact).is_none());
+        }
     }
 
     #[test]
@@ -255,5 +243,31 @@ mod tests {
         assert_eq!(g.values[0].value(), 5.0);
         let rendered = ans.to_string();
         assert!(rendered.contains("exact"));
+    }
+
+    /// Statistical CI coverage check on the product path: Bernoulli(p)
+    /// draws of `n` rows, each kept row tallied at weight `1/p`, should
+    /// give COUNT intervals that cover the true count at roughly the
+    /// nominal rate.
+    #[test]
+    fn ci_coverage_near_nominal() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(17);
+        let (n, p, trials) = (20_000u64, 0.05f64, 400usize);
+        let mut covered = 0usize;
+        for _ in 0..trials {
+            let mut tally = AggState::new();
+            for _ in (0..n).filter(|_| rng.random::<f64>() < p) {
+                tally.update(1.0, 1.0 / p);
+            }
+            let est = state_to_estimate(AggFunc::Count, &tally, Design::Scaled).unwrap();
+            assert_eq!(est.rows, tally.rows);
+            if est.confidence_interval(0.95).contains(n as f64) {
+                covered += 1;
+            }
+        }
+        let rate = covered as f64 / trials as f64;
+        assert!((0.90..=0.99).contains(&rate), "coverage {rate}");
     }
 }

@@ -28,7 +28,7 @@ use crate::error::{AqpError, AqpResult};
 use crate::parts::{answer_from_parts, Part};
 use crate::system::AqpSystem;
 use aqp_query::{DataSource, Query, Weighting};
-use aqp_sampling::{sample_without_replacement, water_fill, StratifiedAllocation};
+use aqp_sampling::{sample_without_replacement, water_fill, Design, StratifiedAllocation};
 use aqp_storage::Table;
 use rand::{RngExt, SeedableRng};
 use std::collections::HashMap;
@@ -174,8 +174,9 @@ impl AqpSystem for BasicCongress {
             ));
         }
         let exact = self.sample.num_rows() == self.view_rows;
+        let design = if exact { Design::Exact } else { Design::Scaled };
         let parts = [Part::new(&self.sample, None, Weighting::PerRow(&self.weights), "stratified")];
-        answer_from_parts(query, &parts, confidence, 1, &|_| exact)
+        answer_from_parts(query, &parts, confidence, 1, &|_| design)
     }
 
     fn sample_bytes(&self) -> usize {
@@ -297,8 +298,9 @@ impl AqpSystem for Congress {
             ));
         }
         let exact = self.sample.num_rows() == self.view_rows;
+        let design = if exact { Design::Exact } else { Design::Scaled };
         let parts = [Part::new(&self.sample, None, Weighting::PerRow(&self.weights), "stratified")];
-        answer_from_parts(query, &parts, confidence, 1, &|_| exact)
+        answer_from_parts(query, &parts, confidence, 1, &|_| design)
     }
 
     fn sample_bytes(&self) -> usize {

@@ -78,7 +78,7 @@ impl AnswerContract {
 mod tests {
     use super::*;
     use crate::answer::{ApproxGroup, ApproxValue, ServingTier};
-    use aqp_sampling::{ConfidenceInterval, Estimate};
+    use aqp_sampling::{ConfidenceInterval, Design, Estimate};
     use aqp_storage::Value;
 
     fn answer(value: f64, half: f64, exact: bool, partial: bool) -> ApproxAnswer {
@@ -88,7 +88,12 @@ mod tests {
             groups: vec![ApproxGroup {
                 key: vec![Value::Utf8("x".into())],
                 values: vec![ApproxValue {
-                    estimate: Estimate { value, variance: 1.0, exact },
+                    estimate: Estimate::new(
+                        value,
+                        1.0,
+                        if exact { Design::Exact } else { Design::Scaled },
+                        0,
+                    ),
                     ci: ConfidenceInterval { lo: value - half, hi: value + half, confidence: 0.95 },
                 }],
             }],

@@ -23,7 +23,7 @@ use crate::error::{AqpError, AqpResult};
 use crate::parts::{answer_from_parts, Part};
 use crate::system::AqpSystem;
 use aqp_query::{DataSource, Query, Weighting};
-use aqp_sampling::{BernoulliSampler, ReservoirSampler};
+use aqp_sampling::{BernoulliSampler, Design, ReservoirSampler};
 use aqp_storage::{BitSet, BitmaskColumn, Table};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -358,7 +358,9 @@ impl AqpSystem for MultiLevelSampler {
         let is_exact = |digits: &[KeyCode]| {
             exact_levels.iter().any(|(codes, pos)| codes.contains(&digits[*pos]))
         };
-        answer_from_parts(query, &parts, confidence, 1, &is_exact)
+        let design =
+            |digits: &[KeyCode]| if is_exact(digits) { Design::Exact } else { Design::Scaled };
+        answer_from_parts(query, &parts, confidence, 1, &design)
     }
 
     fn sample_bytes(&self) -> usize {

@@ -18,7 +18,7 @@ use crate::error::{AqpError, AqpResult};
 use crate::parts::{answer_from_parts, Part};
 use crate::system::AqpSystem;
 use aqp_query::{DataSource, Query, Weighting};
-use aqp_sampling::ReservoirSampler;
+use aqp_sampling::{Design, ReservoirSampler};
 use aqp_storage::Table;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -182,17 +182,17 @@ impl AqpSystem for OutlierIndex {
                 "MIN/MAX aggregates cannot be estimated from samples".into(),
             ));
         }
-        let exact = self.sample_weight <= 1.0 + 1e-12;
+        let design = if self.sample_weight <= 1.0 + 1e-12 { Design::Exact } else { Design::Scaled };
         let parts = [
             Part::new(&self.outliers, None, Weighting::Constant(1.0), "outlier"),
             // The remainder is a fixed-size WOR sample but is scored with
             // the Bernoulli HT variance (no finite-population correction),
             // consistently with every other stratum in this crate and with
             // the paper's Bernoulli analysis — a conservative (wider-CI)
-            // choice documented in DESIGN.md.
+            // choice documented in DESIGN.md §1.
             Part::new(&self.sample, None, Weighting::Constant(self.sample_weight), "overall"),
         ];
-        answer_from_parts(query, &parts, confidence, 1, &|_| exact)
+        answer_from_parts(query, &parts, confidence, 1, &|_| design)
     }
 
     fn sample_bytes(&self) -> usize {

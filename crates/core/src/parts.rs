@@ -3,8 +3,8 @@
 //!
 //! Every AQP system in this crate reduces to this shape at runtime — a
 //! UNION ALL over differently-weighted strata (paper Section 4.2.2) —
-//! differing only in which strata they assemble and how exactness is
-//! decided per group. The resilience ladder's exact rung is one more: a
+//! differing only in which strata they assemble and which [`Design`] each
+//! group's answer has. The resilience ladder's exact rung is one more: a
 //! single part over the base view, cut by the row budget.
 
 use crate::answer::{state_to_estimate, ApproxAnswer, ApproxGroup, ApproxValue};
@@ -13,7 +13,7 @@ use crate::error::AqpResult;
 use aqp_query::{
     run_scans, AggFunc, DataSource, ExecOptions, PlanGroups, PreparedScan, Query, Weighting,
 };
-use aqp_sampling::Estimate;
+use aqp_sampling::{Design, Estimate};
 use aqp_storage::{BitSet, Table};
 
 /// One stratum of a rewritten query plan.
@@ -52,13 +52,15 @@ impl<'a> Part<'a> {
 
 /// Execute every part and merge the tallies per group, forming estimates
 /// and confidence intervals: the one place any system turns scans into an
-/// [`ApproxAnswer`]. `is_exact` decides, per group key given as one
+/// [`ApproxAnswer`]. `design` names, per group key given as one
 /// `(code, is_null)` digit per group column (the plan's shared codes, see
-/// [`PlanGroups::for_each_group`]), whether the answer for that group is
-/// exact. The morsels of all parts run in one scheduling round on up to
-/// `threads` workers; the answer is bit-identical at any value (each part
-/// folds its own morsels in morsel order, see `aqp_query::parallel`), and
-/// strata are always merged in plan order — on group *codes*
+/// [`PlanGroups::for_each_group`]), the [`Design`] of that group's answer:
+/// [`Design::Exact`] where every row of the group comes from a weight-1
+/// part, the plan's sampled design otherwise. The morsels of all parts run
+/// in one scheduling round on up to `threads` workers; the answer is
+/// bit-identical at any value (each part folds its own morsels in morsel
+/// order, see `aqp_query::parallel`), and strata are always merged in
+/// plan order — on group *codes*
 /// ([`PlanGroups`]); a key is decoded once, here, when its group is
 /// finalised. Groups come out in key order (`Value`'s `Ord` on the keys),
 /// decided on the codes before any key is decoded
@@ -70,7 +72,7 @@ pub(crate) fn answer_from_parts(
     parts: &[Part<'_>],
     confidence: f64,
     threads: usize,
-    is_exact: &dyn Fn(&[KeyCode]) -> bool,
+    design: &dyn Fn(&[KeyCode]) -> Design,
 ) -> AqpResult<ApproxAnswer> {
     let scans = parts
         .iter()
@@ -110,7 +112,7 @@ pub(crate) fn answer_from_parts(
     let _finalize_span = aqp_obs::span("plan.finalize");
     let mut groups = Vec::with_capacity(merged.num_groups());
     merged.for_each_group(|digits, key, states| {
-        let exact = is_exact(digits);
+        let design = design(digits);
         let values = query
             .aggregates
             .iter()
@@ -122,17 +124,14 @@ pub(crate) fn answer_from_parts(
                     // rows: infinite variance keeps the interval honest.
                     AggFunc::Min | AggFunc::Max => {
                         let v = if agg.func == AggFunc::Min { state.min } else { state.max };
-                        if exact {
-                            Estimate::exact(v)
-                        } else {
-                            Estimate::with_variance(v, f64::INFINITY)
-                        }
+                        let variance = if design == Design::Exact { 0.0 } else { f64::INFINITY };
+                        Estimate::new(v, variance, design, state.sampled_rows)
                     }
                     // No estimate (e.g. AVG over a group whose sampled rows
                     // were all NULL): report value 0 with infinite variance
                     // so the interval is honest about knowing nothing,
                     // instead of a confidently-zero answer.
-                    func => state_to_estimate(func, state, exact)
+                    func => state_to_estimate(func, state, design)
                         .unwrap_or_else(|| Estimate::with_variance(0.0, f64::INFINITY)),
                 };
                 ApproxValue {
@@ -159,8 +158,12 @@ mod tests {
     use crate::congress::{BasicCongress, Congress};
     use crate::multilevel::{MultiLevelConfig, MultiLevelSampler};
     use crate::outlier::OutlierIndex;
+    use crate::resilience::ResilientSystem;
     use crate::smallgroup::{SmallGroupConfig, SmallGroupSampler};
+    use crate::system::AqpSystem;
     use crate::uniform::UniformAqp;
+    use aqp_query::{execute, AggExpr, DataSource, ExecOptions, Query};
+    use aqp_sampling::Design;
     use aqp_storage::{DataType, SchemaBuilder, Table, Value};
 
     fn view() -> Table {
@@ -227,5 +230,54 @@ mod tests {
                 .chain([&multi.overall]),
             "multilevel",
         );
+    }
+
+    /// Every estimate carries its design and n: an SGS answer's exact cells
+    /// have no sampled rows, a sampled cell's n is its group's row count in
+    /// the overall sample, and a budget-capped scan of the view is a
+    /// prefix whose n is the rows it read.
+    #[test]
+    fn estimates_carry_their_design_and_sampled_rows() {
+        let v = view();
+        let q = Query::builder()
+            .count()
+            .sum("x")
+            .aggregate(AggExpr::avg("x", "avg_x"))
+            .group_by("g")
+            .build()
+            .unwrap();
+        let sgs = SmallGroupSampler::build(&v, SmallGroupConfig::with_rates(0.1, 0.5)).unwrap();
+        let [overall] = &sgs.overall[..] else { panic!("one overall part") };
+        let count_by_g = Query::builder().count().group_by("g").build().unwrap();
+        let opts = ExecOptions::default();
+        let in_overall = execute(&DataSource::Wide(&overall.table), &count_by_g, &opts).unwrap();
+        let ans = sgs.answer(&q, 0.95).unwrap();
+        let (mut exact, mut sampled) = (0, 0);
+        for g in &ans.groups {
+            for value in &g.values {
+                let e = value.estimate;
+                if value.is_exact() {
+                    exact += 1;
+                    assert_eq!((e.design, e.rows), (Design::Exact, 0), "{:?}", g.key);
+                } else {
+                    sampled += 1;
+                    let n = in_overall.group(&g.key).map_or(0, |o| o.aggs[0].rows);
+                    assert_eq!((e.design, e.rows), (Design::Scaled, n), "{:?}", g.key);
+                }
+            }
+        }
+        assert!(exact > 0 && sampled > 0, "{exact} exact and {sampled} sampled cells");
+
+        let count = Query::builder().count().group_by("g").build().unwrap();
+        let capped = ResilientSystem::exact_only(v.clone()).with_row_budget(100);
+        let ans = capped.answer(&count, 0.95).unwrap();
+        assert!(ans.partial);
+        let cells = ans.groups.iter().map(|g| g.values[0].estimate);
+        assert!(cells.clone().all(|e| e.design == Design::Prefix));
+        assert_eq!(cells.map(|e| e.rows).sum::<u64>(), 100);
+
+        let full = ResilientSystem::exact_only(v).answer(&count, 0.95).unwrap();
+        let cells = full.groups.iter().map(|g| g.values[0].estimate);
+        assert!(cells.clone().all(|e| (e.design, e.rows) == (Design::Exact, 0)));
     }
 }

@@ -37,6 +37,7 @@ use crate::parts::{answer_from_parts, Part};
 use crate::smallgroup::SmallGroupSampler;
 use crate::system::AqpSystem;
 use aqp_query::{CancelToken, Query, Weighting};
+use aqp_sampling::Design;
 use aqp_storage::Table;
 use std::fmt;
 use std::path::Path;
@@ -238,8 +239,8 @@ impl ResilientSystem {
             row_limit: limit,
             stratum: "base",
         };
-        let exact = limit.is_none();
-        let mut answer = answer_from_parts(query, &[part], confidence, self.threads, &|_| exact)?;
+        let design = if limit.is_none() { Design::Exact } else { Design::Prefix };
+        let mut answer = answer_from_parts(query, &[part], confidence, self.threads, &|_| design)?;
         answer.tier = ServingTier::Exact;
         Ok(answer)
     }

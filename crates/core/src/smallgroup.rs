@@ -36,7 +36,7 @@ use crate::outlier::select_outliers;
 use crate::parts::{answer_from_parts, Part};
 use crate::system::AqpSystem;
 use aqp_query::{DataSource, Query, Weighting};
-use aqp_sampling::{ColumnFrequency, ReservoirSampler};
+use aqp_sampling::{ColumnFrequency, Design, ReservoirSampler};
 use aqp_storage::{BitSet, BitmaskColumn, Table};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -701,8 +701,8 @@ impl SmallGroupSampler {
         let parts: Vec<Part<'_>> = (self.overall.iter())
             .map(|p| Part::new(&p.table, None, Weighting::Constant(p.weight), "overall"))
             .collect();
-        let exact = self.overall_rate >= 1.0;
-        answer_from_parts(query, &parts, confidence, self.runtime_threads, &|_| exact)
+        let design = if self.overall_rate >= 1.0 { Design::Exact } else { Design::Scaled };
+        answer_from_parts(query, &parts, confidence, self.runtime_threads, &|_| design)
     }
 }
 
@@ -748,7 +748,9 @@ impl AqpSystem for SmallGroupSampler {
             .map(|&u| self.entries[u].uncommon_probe(&query.group_by))
             .collect();
         let is_exact = |digits: &[KeyCode]| probes.iter().any(|p| p.key_is_uncommon(digits));
-        answer_from_parts(query, &parts, confidence, self.runtime_threads, &is_exact)
+        let design =
+            |digits: &[KeyCode]| if is_exact(digits) { Design::Exact } else { Design::Scaled };
+        answer_from_parts(query, &parts, confidence, self.runtime_threads, &design)
     }
 
     fn sample_bytes(&self) -> usize {

@@ -14,7 +14,7 @@ use crate::error::{AqpError, AqpResult};
 use crate::parts::{answer_from_parts, Part};
 use crate::system::AqpSystem;
 use aqp_query::{Query, Weighting};
-use aqp_sampling::sample_without_replacement;
+use aqp_sampling::{sample_without_replacement, Design};
 use aqp_storage::Table;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -86,9 +86,9 @@ impl AqpSystem for UniformAqp {
                 "MIN/MAX aggregates cannot be estimated from samples".into(),
             ));
         }
-        let exact_everything = self.rate >= 1.0;
+        let design = if self.rate >= 1.0 { Design::Exact } else { Design::Scaled };
         let parts = [Part::new(&self.sample, None, Weighting::Constant(self.weight), "overall")];
-        answer_from_parts(query, &parts, confidence, 1, &|_| exact_everything)
+        answer_from_parts(query, &parts, confidence, 1, &|_| design)
     }
 
     fn sample_bytes(&self) -> usize {

@@ -889,7 +889,7 @@ mod tests {
     fn index_copies_first_sight_and_merges_later_ones() {
         let a = AggState {
             rows: 1,
-            sum_x: -0.0,
+            sum_wx: -0.0,
             ..AggState::new()
         };
         let mut b = AggState::new();
@@ -897,7 +897,7 @@ mod tests {
         let mut index = GroupIndex::<u64>::default();
         index.merge(7, &[a]);
         assert_eq!(
-            index.table.states[0].sum_x.to_bits(),
+            index.table.states[0].sum_wx.to_bits(),
             (-0.0f64).to_bits(),
             "copied, not merged"
         );

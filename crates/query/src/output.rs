@@ -1,8 +1,8 @@
 //! Per-group aggregation output.
 //!
-//! The executor reports *raw tallies* per group and aggregate — weighted and
-//! unweighted sums, sums of squares, and the Horvitz–Thompson variance
-//! accumulator — rather than finished scalar answers. The AQP layer in
+//! The executor reports *raw tallies* per group and aggregate — row
+//! counts, weighted sums and the Horvitz–Thompson variance accumulators —
+//! rather than finished scalar answers. The AQP layer in
 //! `aqp-core` merges tallies from several sample tables (small group tables
 //! plus the overall sample) and only then forms point estimates and
 //! confidence intervals, which is what lets small group sampling confine
@@ -18,10 +18,11 @@ use aqp_storage::Value;
 /// stratum the row came from) updates:
 ///
 /// * `rows`     — number of contributing rows,
+/// * `sampled_rows` — number of contributing rows with `wᵢ ≠ 1`: the rows
+///   that carry variance (every `wᵢ·(wᵢ−1)` term below is zero at
+///   `wᵢ = 1`), so the sampled stratum's n; zero when every weight is 1,
 /// * `sum_w`    — `Σ wᵢ` (the weighted COUNT estimate),
 /// * `sum_wx`   — `Σ wᵢ·xᵢ` (the weighted SUM estimate),
-/// * `sum_x`    — `Σ xᵢ`,
-/// * `sum_x_sq` — `Σ xᵢ²`,
 /// * `var_acc`  — `Σ wᵢ·(wᵢ−1)·xᵢ²`, the Horvitz–Thompson variance
 ///   estimate for independent (Bernoulli/Poisson) sampling; exactly zero
 ///   when every weight is 1 (exact evaluation),
@@ -38,14 +39,12 @@ use aqp_storage::Value;
 pub struct AggState {
     /// Number of contributing (non-null-input) rows.
     pub rows: u64,
+    /// Number of contributing rows whose weight is not 1.
+    pub sampled_rows: u64,
     /// Σ wᵢ.
     pub sum_w: f64,
     /// Σ wᵢ·xᵢ.
     pub sum_wx: f64,
-    /// Σ xᵢ.
-    pub sum_x: f64,
-    /// Σ xᵢ².
-    pub sum_x_sq: f64,
     /// Σ wᵢ·(wᵢ−1)·xᵢ².
     pub var_acc: f64,
     /// Σ wᵢ·(wᵢ−1).
@@ -62,10 +61,9 @@ impl Default for AggState {
     fn default() -> Self {
         AggState {
             rows: 0,
+            sampled_rows: 0,
             sum_w: 0.0,
             sum_wx: 0.0,
-            sum_x: 0.0,
-            sum_x_sq: 0.0,
             var_acc: 0.0,
             var_acc_w: 0.0,
             cov_acc: 0.0,
@@ -85,10 +83,9 @@ impl AggState {
     #[inline]
     pub fn update(&mut self, x: f64, w: f64) {
         self.rows += 1;
+        self.sampled_rows += u64::from(w != 1.0);
         self.sum_w += w;
         self.sum_wx += w * x;
-        self.sum_x += x;
-        self.sum_x_sq += x * x;
         self.var_acc += w * (w - 1.0) * x * x;
         self.var_acc_w += w * (w - 1.0);
         self.cov_acc += w * (w - 1.0) * x;
@@ -104,10 +101,9 @@ impl AggState {
     /// sample table) into this one.
     pub fn merge(&mut self, other: &AggState) {
         self.rows += other.rows;
+        self.sampled_rows += other.sampled_rows;
         self.sum_w += other.sum_w;
         self.sum_wx += other.sum_wx;
-        self.sum_x += other.sum_x;
-        self.sum_x_sq += other.sum_x_sq;
         self.var_acc += other.var_acc;
         self.var_acc_w += other.var_acc_w;
         self.cov_acc += other.cov_acc;
@@ -172,7 +168,7 @@ mod tests {
         assert_eq!(s.rows, 2);
         assert_eq!(s.sum_w, 2.0);
         assert_eq!(s.sum_wx, 7.0);
-        assert_eq!(s.sum_x_sq, 29.0);
+        assert_eq!(s.sampled_rows, 0, "weight 1 is exact");
         assert_eq!(s.var_acc, 0.0, "weight 1 is exact");
         assert_eq!(s.min, 2.0);
         assert_eq!(s.max, 5.0);
@@ -182,6 +178,7 @@ mod tests {
     fn update_weighted() {
         let mut s = AggState::new();
         s.update(3.0, 10.0); // w(w-1)x² = 10·9·9 = 810
+        assert_eq!(s.sampled_rows, 1);
         assert_eq!(s.sum_w, 10.0);
         assert_eq!(s.sum_wx, 30.0);
         assert_eq!(s.var_acc, 810.0);

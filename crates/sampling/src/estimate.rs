@@ -1,17 +1,36 @@
 //! Estimators and confidence intervals.
 //!
 //! Approximate answers produced by the AQP runtime carry an estimate, its
-//! variance, and an exactness flag. Small group sampling restricts the
-//! source of inaccuracy to a single stratum (the overall sample — paper
-//! Section 4.2.2), so variances from the sampled stratum add directly and
-//! groups served entirely by small group tables are flagged exact.
+//! variance, the [`Design`] that produced it, and the number of sampled
+//! rows behind it. Small group sampling restricts the source of
+//! inaccuracy to a single stratum (the overall sample — paper Section
+//! 4.2.2), so variances from the sampled stratum add directly and groups
+//! served entirely by small group tables are flagged exact.
 //!
-//! Confidence intervals use standard statistical methods as the paper
-//! prescribes: a normal (CLT) interval for general aggregates, and the
-//! Agresti–Coull interval \[5, 7\] for proportions/counts with small
-//! sample support.
+//! Intervals use standard statistical methods as the paper prescribes:
+//! every sampled answer gets a normal (CLT) interval
+//! ([`Estimate::confidence_interval`]). The Agresti–Coull interval
+//! \[5, 7\] ([`agresti_coull`]) is for proportions; the coverage
+//! calibrator uses it to decide whether a bucket of cells under-covers,
+//! and no answer's interval comes from it.
 
 use serde::{Deserialize, Serialize};
+
+/// How the rows behind an estimate were drawn — the choice
+/// [`Estimate::confidence_interval`] makes its interval by.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum Design {
+    /// Every row came from a weight-1 stratum (a small group table, a
+    /// 100 %-rate level, a whole table): the value is the answer.
+    Exact,
+    /// Rows of a sample scaled by constant or per-row Horvitz–Thompson
+    /// weights (the overall sample, a uniform, outlier-remainder, congress
+    /// or multi-level sample).
+    Scaled,
+    /// The first `k` rows of a budget-capped scan of `N` rows, each scaled
+    /// by `N/k`.
+    Prefix,
+}
 
 /// An estimated aggregate value with variance bookkeeping.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -20,103 +39,65 @@ pub struct Estimate {
     pub value: f64,
     /// Variance of the point estimate. Zero for exact answers.
     pub variance: f64,
-    /// Whether the answer is exact (came entirely from 100 %-rate strata).
-    pub exact: bool,
+    /// The design the estimate's rows were drawn by.
+    pub design: Design,
+    /// Contributing rows whose weight is not 1 — the sampled stratum's n,
+    /// the rows that carry the variance. 0 when every weight is 1.
+    pub rows: u64,
 }
 
 impl Estimate {
-    /// An exact value (zero variance).
-    pub fn exact(value: f64) -> Self {
-        Estimate {
-            value,
-            variance: 0.0,
-            exact: true,
-        }
-    }
-
-    /// An estimate with explicit variance.
-    pub fn with_variance(value: f64, variance: f64) -> Self {
+    /// An estimate of `design` over `rows` sampled rows. A negative
+    /// `variance` (rounding in the accumulators) reads as zero.
+    pub fn new(value: f64, variance: f64, design: Design, rows: u64) -> Self {
         Estimate {
             value,
             variance: variance.max(0.0),
-            exact: false,
+            design,
+            rows,
         }
     }
 
-    /// Horvitz–Thompson count estimate from a Bernoulli(p) sample in which
-    /// `k` sample rows matched: estimate `k/p`, variance `k·(1−p)/p²`.
-    pub fn from_bernoulli_count(k: u64, p: f64) -> Self {
-        assert!(p > 0.0 && p <= 1.0, "sampling rate must be in (0,1], got {p}");
-        if p >= 1.0 {
-            return Estimate::exact(k as f64);
-        }
-        Estimate {
-            value: k as f64 / p,
-            variance: k as f64 * (1.0 - p) / (p * p),
-            exact: false,
-        }
+    /// An exact value (zero variance).
+    pub fn exact(value: f64) -> Self {
+        Estimate::new(value, 0.0, Design::Exact, 0)
     }
 
-    /// Horvitz–Thompson sum estimate from a Bernoulli(p) sample:
-    /// estimate `Σxᵢ/p`, variance `Σxᵢ²·(1−p)/p²`.
-    pub fn from_bernoulli_sum(sum: f64, sum_sq: f64, p: f64) -> Self {
-        assert!(p > 0.0 && p <= 1.0, "sampling rate must be in (0,1], got {p}");
-        if p >= 1.0 {
-            return Estimate::exact(sum);
-        }
-        Estimate {
-            value: sum / p,
-            variance: sum_sq.max(0.0) * (1.0 - p) / (p * p),
-            exact: false,
-        }
+    /// A [`Design::Scaled`] estimate with explicit variance and no row
+    /// count.
+    pub fn with_variance(value: f64, variance: f64) -> Self {
+        Estimate::new(value, variance, Design::Scaled, 0)
     }
 
-    /// Sum of two contributions from independent (or disjoint) strata:
-    /// values add, variances add, exactness requires both sides exact.
-    pub fn combine(self, other: Estimate) -> Estimate {
-        Estimate {
-            value: self.value + other.value,
-            variance: self.variance + other.variance,
-            exact: self.exact && other.exact,
-        }
+    /// Whether the answer is exact (came entirely from weight-1 strata).
+    pub fn is_exact(&self) -> bool {
+        self.design == Design::Exact
     }
 
-    /// Ratio estimate `self / other` (used for AVG = SUM/COUNT) with the
-    /// first-order delta-method variance, assuming numerator and
-    /// denominator are independent (covariance zero).
-    ///
-    /// For AVG over one sample the two are strongly positively correlated —
-    /// prefer [`Estimate::ratio_with_cov`], which the coverage calibration
-    /// audit shows is needed for the intervals to hit their nominal level.
-    pub fn ratio(self, other: Estimate) -> Option<Estimate> {
-        self.ratio_with_cov(other, 0.0)
-    }
-
-    /// Ratio estimate `self / other` with the full first-order delta-method
-    /// variance, given `cov = Cov(numerator, denominator)`:
+    /// Ratio estimate `self / other` (AVG = SUM/COUNT) with the full
+    /// first-order delta-method variance, given
+    /// `cov = Cov(numerator, denominator)`:
     ///
     /// `Var(X/Y) ≈ (1/Y²)·Var(X) − 2·(X/Y³)·Cov(X,Y) + (X²/Y⁴)·Var(Y)`
     ///
     /// The result is clamped at zero: with estimated moments the expression
-    /// can go slightly negative.
+    /// can go slightly negative. It is exact when both sides are; otherwise
+    /// it takes the design of a sampled side (the numerator's first) and
+    /// the larger row count.
     pub fn ratio_with_cov(self, other: Estimate, cov: f64) -> Option<Estimate> {
         if other.value == 0.0 {
             return None;
         }
         let r = self.value / other.value;
-        let variance = if self.exact && other.exact {
+        let design = if self.is_exact() { other.design } else { self.design };
+        let variance = if design == Design::Exact {
             0.0
         } else {
             let y2 = other.value * other.value;
-            (self.variance / y2 - 2.0 * self.value * cov / (y2 * other.value)
-                + (self.value * self.value) * other.variance / (y2 * y2))
-                .max(0.0)
+            self.variance / y2 - 2.0 * self.value * cov / (y2 * other.value)
+                + (self.value * self.value) * other.variance / (y2 * y2)
         };
-        Some(Estimate {
-            value: r,
-            variance,
-            exact: self.exact && other.exact,
-        })
+        Some(Estimate::new(r, variance, design, self.rows.max(other.rows)))
     }
 
     /// Standard error.
@@ -124,23 +105,18 @@ impl Estimate {
         self.variance.sqrt()
     }
 
-    /// Normal-theory confidence interval at the given confidence level
-    /// (e.g. `0.95`).
+    /// The two-sided interval at the given confidence level (e.g. `0.95`),
+    /// by design: zero width for [`Design::Exact`], the normal-theory
+    /// interval `value ± z·se` for the sampled designs.
     pub fn confidence_interval(&self, confidence: f64) -> ConfidenceInterval {
-        if self.exact {
-            return ConfidenceInterval {
-                lo: self.value,
-                hi: self.value,
-                confidence,
-            };
-        }
-        let z = normal_quantile(0.5 + confidence / 2.0);
-        let half = z * self.std_error();
-        ConfidenceInterval {
-            lo: self.value - half,
-            hi: self.value + half,
-            confidence,
-        }
+        let (lo, hi) = match self.design {
+            Design::Exact => (self.value, self.value),
+            Design::Scaled | Design::Prefix => {
+                let half = normal_quantile(0.5 + confidence / 2.0) * self.std_error();
+                (self.value - half, self.value + half)
+            }
+        };
+        ConfidenceInterval { lo, hi, confidence }
     }
 }
 
@@ -266,7 +242,7 @@ mod tests {
     #[test]
     fn exact_estimates() {
         let e = Estimate::exact(42.0);
-        assert!(e.exact);
+        assert!(e.is_exact());
         assert_eq!(e.std_error(), 0.0);
         let ci = e.confidence_interval(0.95);
         assert_eq!(ci.lo, 42.0);
@@ -276,57 +252,26 @@ mod tests {
     }
 
     #[test]
-    fn bernoulli_count_estimator() {
-        let e = Estimate::from_bernoulli_count(10, 0.01);
-        assert!((e.value - 1000.0).abs() < 1e-9);
-        assert!((e.variance - 10.0 * 0.99 / 0.0001).abs() < 1e-6);
-        assert!(!e.exact);
-        // p = 1 is exact.
-        let e = Estimate::from_bernoulli_count(7, 1.0);
-        assert!(e.exact);
-        assert_eq!(e.value, 7.0);
-    }
-
-    #[test]
-    fn bernoulli_sum_estimator() {
-        let e = Estimate::from_bernoulli_sum(50.0, 600.0, 0.1);
-        assert!((e.value - 500.0).abs() < 1e-9);
-        assert!((e.variance - 600.0 * 0.9 / 0.01).abs() < 1e-6);
-    }
-
-    #[test]
-    fn combine_adds() {
-        let a = Estimate::exact(10.0);
-        let b = Estimate::with_variance(90.0, 25.0);
-        let c = a.combine(b);
-        assert_eq!(c.value, 100.0);
-        assert_eq!(c.variance, 25.0);
-        assert!(!c.exact);
-        let d = Estimate::exact(1.0).combine(Estimate::exact(2.0));
-        assert!(d.exact);
-    }
-
-    #[test]
     fn ratio_for_avg() {
         let sum = Estimate::exact(100.0);
         let count = Estimate::exact(4.0);
-        let avg = sum.ratio(count).unwrap();
+        let avg = sum.ratio_with_cov(count, 0.0).unwrap();
         assert_eq!(avg.value, 25.0);
-        assert!(avg.exact);
-        assert!(Estimate::exact(1.0).ratio(Estimate::exact(0.0)).is_none());
+        assert!(avg.is_exact());
+        assert!(Estimate::exact(1.0).ratio_with_cov(Estimate::exact(0.0), 0.0).is_none());
 
         let sum = Estimate::with_variance(100.0, 16.0);
         let count = Estimate::with_variance(4.0, 0.25);
-        let avg = sum.ratio(count).unwrap();
+        let avg = sum.ratio_with_cov(count, 0.0).unwrap();
         assert_eq!(avg.value, 25.0);
-        assert!(avg.variance > 0.0 && !avg.exact);
+        assert!(avg.variance > 0.0 && !avg.is_exact());
     }
 
     #[test]
     fn ratio_covariance_tightens_variance() {
         let sum = Estimate::with_variance(100.0, 16.0);
         let count = Estimate::with_variance(4.0, 0.25);
-        let independent = sum.ratio(count).unwrap();
+        let independent = sum.ratio_with_cov(count, 0.0).unwrap();
         // Positive covariance (the AVG = SUM/COUNT case) shrinks the
         // delta-method variance relative to the independence approximation.
         let correlated = sum.ratio_with_cov(count, 1.5).unwrap();
@@ -367,25 +312,5 @@ mod tests {
         let wide = agresti_coull(5, 10, 0.95);
         let narrow = agresti_coull(500, 1000, 0.95);
         assert!(narrow.width() < wide.width());
-    }
-
-    /// Statistical CI coverage check: Bernoulli count CIs should cover the
-    /// true count at roughly the nominal rate.
-    #[test]
-    fn ci_coverage_near_nominal() {
-        use rand::rngs::StdRng;
-        use rand::{RngExt, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(17);
-        let (n, p, trials) = (20_000u64, 0.05f64, 400usize);
-        let mut covered = 0usize;
-        for _ in 0..trials {
-            let k = (0..n).filter(|_| rng.random::<f64>() < p).count() as u64;
-            let est = Estimate::from_bernoulli_count(k, p);
-            if est.confidence_interval(0.95).contains(n as f64) {
-                covered += 1;
-            }
-        }
-        let rate = covered as f64 / trials as f64;
-        assert!((0.90..=0.99).contains(&rate), "coverage {rate}");
     }
 }

@@ -188,36 +188,6 @@ impl<T: Eq + Hash> CommonValues<T> {
     }
 }
 
-/// A bank of per-column frequency counters sharing one τ.
-#[derive(Debug, Clone)]
-pub struct FrequencyCounter<T: Eq + Hash> {
-    columns: Vec<ColumnFrequency<T>>,
-}
-
-impl<T: Eq + Hash + Clone> FrequencyCounter<T> {
-    /// Create counters for `num_columns` columns with distinct cut-off τ.
-    pub fn new(num_columns: usize, tau: usize) -> Self {
-        FrequencyCounter {
-            columns: (0..num_columns).map(|_| ColumnFrequency::new(tau)).collect(),
-        }
-    }
-
-    /// Observe a value in column `col`.
-    pub fn observe(&mut self, col: usize, value: &T) {
-        self.columns[col].observe(value);
-    }
-
-    /// The counter for column `col`.
-    pub fn column(&self, col: usize) -> &ColumnFrequency<T> {
-        &self.columns[col]
-    }
-
-    /// Number of columns tracked.
-    pub fn num_columns(&self) -> usize {
-        self.columns.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -347,17 +317,5 @@ mod tests {
         // One value past the cap abandons, exactly the cap does not.
         assert!(ColumnFrequency::from_counts((0..3u64).map(|v| (v, 1)), 2).abandoned());
         assert!(!ColumnFrequency::from_counts((0..2u64).map(|v| (v, 1)), 2).abandoned());
-    }
-
-    #[test]
-    fn bank_of_counters() {
-        let mut f: FrequencyCounter<u64> = FrequencyCounter::new(3, 100);
-        f.observe(0, &1);
-        f.observe(0, &1);
-        f.observe(2, &9);
-        assert_eq!(f.num_columns(), 3);
-        assert_eq!(f.column(0).total(), 2);
-        assert_eq!(f.column(1).total(), 0);
-        assert_eq!(f.column(2).count(&9), Some(1));
     }
 }

@@ -11,13 +11,14 @@
 //! * [`StratifiedAllocation`] — per-stratum sample-size allocation rules
 //!   (proportional / "house", equal / "senate", and the basic-congress
 //!   max-combination of the two, after \[2\]);
-//! * [`FrequencyCounter`] — the per-column hashtable of value counts with the
-//!   τ distinct-value cut-off from the first preprocessing pass, and the
-//!   L(C) common-value computation;
+//! * [`ColumnFrequency`] — the per-column hashtable of value counts with
+//!   the τ distinct-value cut-off from the first preprocessing pass, and
+//!   the L(C) common-value computation;
 //! * [`zipf`] — truncated Zipfian distributions (the data model of the
 //!   paper's analysis and of the skewed TPC-H generator);
-//! * [`Estimate`] — scaled estimators carrying variance, with normal-theory
-//!   and Agresti–Coull confidence intervals (paper Section 4.2.2, citing
+//! * [`Estimate`] — scaled estimators carrying variance, their [`Design`]
+//!   and sampled row count, with normal-theory intervals, and the
+//!   Agresti–Coull interval for proportions (paper Section 4.2.2, citing
 //!   \[5, 7\]).
 
 #![warn(missing_docs)]
@@ -32,8 +33,8 @@ pub mod wor;
 pub mod zipf;
 
 pub use bernoulli::BernoulliSampler;
-pub use estimate::{agresti_coull, normal_quantile, ConfidenceInterval, Estimate};
-pub use frequency::{ColumnFrequency, CommonValues, FrequencyCounter};
+pub use estimate::{agresti_coull, normal_quantile, ConfidenceInterval, Design, Estimate};
+pub use frequency::{ColumnFrequency, CommonValues};
 pub use reservoir::ReservoirSampler;
 pub use stratified::{water_fill, StratifiedAllocation};
 pub use wor::sample_without_replacement;

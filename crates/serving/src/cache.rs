@@ -412,7 +412,7 @@ mod tests {
             groups: vec![ApproxGroup {
                 key: vec![Value::Utf8("x".into())],
                 values: vec![ApproxValue {
-                    estimate: Estimate { value, variance: 1.0, exact: false },
+                    estimate: Estimate::with_variance(value, 1.0),
                     ci: ConfidenceInterval {
                         lo: value - half,
                         hi: value + half,

@@ -113,7 +113,7 @@ impl CoverageAudit {
                 else {
                     continue; // group absent from the exact answer
                 };
-                if value.estimate.exact {
+                if value.is_exact() {
                     self.exact_cells += 1;
                     continue;
                 }

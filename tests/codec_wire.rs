@@ -152,7 +152,8 @@ fn random_answer(rng: &mut StdRng) -> ApproxAnswer {
                             estimate: Estimate {
                                 value,
                                 variance: rng.random(),
-                                exact,
+                                design: if exact { Design::Exact } else { Design::Scaled },
+                                rows: 0,
                             },
                             ci: ConfidenceInterval {
                                 lo,

@@ -346,7 +346,7 @@ fn sampler_parts_match_the_reference(t: &Table, queries: &[Query], input: &str) 
             for (w, g) in want.iter().zip(&answer.groups) {
                 assert_eq!(w.key, g.key, "{ctx}: group order");
                 for ((agg, state), v) in q.aggregates.iter().zip(&w.aggs).zip(&g.values) {
-                    let estimate = state_to_estimate(agg.func, state, v.is_exact())
+                    let estimate = state_to_estimate(agg.func, state, v.estimate.design)
                         .unwrap_or_else(|| Estimate::with_variance(0.0, f64::INFINITY));
                     let ci = estimate.confidence_interval(0.95);
                     assert_eq!(
@@ -356,6 +356,7 @@ fn sampler_parts_match_the_reference(t: &Table, queries: &[Query], input: &str) 
                         agg.alias,
                         w.key
                     );
+                    assert_eq!(estimate.rows, v.estimate.rows, "{ctx}: sampled rows of {:?}", w.key);
                 }
             }
         }

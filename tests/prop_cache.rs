@@ -30,7 +30,8 @@ fn answer(values: &[(f64, Option<f64>)], confidence: f64, partial: bool) -> Appr
             estimate: Estimate {
                 value,
                 variance: half.map_or(0.0, |h| h * h),
-                exact: half.is_none(),
+                design: if half.is_none() { Design::Exact } else { Design::Scaled },
+                rows: 0,
             },
             ci: ConfidenceInterval {
                 lo: value - half.unwrap_or(0.0),

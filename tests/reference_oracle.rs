@@ -100,9 +100,10 @@ fn reference_counts_and_sums_by_hand() {
         assert_eq!((a[1].rows, a[1].sum_w, a[1].sum_wx), (2, 2.0, 6.0));
         assert_eq!((a[2].min, a[3].max), (1.0, 5.0));
         assert_eq!((b[0].rows, b[1].sum_wx, b[2].min, b[3].max), (2, 6.0, 2.0, 4.0));
-        // Unit weights: the variance accumulators stay zero.
+        // Unit weights: no row is sampled, and the variance accumulators
+        // stay zero.
+        assert_eq!(a[1].sampled_rows, 0);
         assert_eq!((a[1].var_acc, a[1].var_acc_w, a[1].cov_acc), (0.0, 0.0, 0.0));
-        assert_eq!((a[1].sum_x, a[1].sum_x_sq), (6.0, 26.0));
     }
 }
 
@@ -155,8 +156,8 @@ fn constant_and_per_row_weights_scale_count_and_sum() {
     let constant = ExecOptions { weight: Weighting::Constant(2.5), ..ExecOptions::default() };
     for out in answers(&t, &q, constant) {
         let [n, s] = [&only(&out).aggs[0], &only(&out).aggs[1]];
-        assert_eq!((n.rows, n.sum_w), (4, 10.0));
-        assert_eq!((s.rows, s.sum_w, s.sum_wx), (3, 7.5, 17.5));
+        assert_eq!((n.rows, n.sampled_rows, n.sum_w), (4, 4, 10.0));
+        assert_eq!((s.rows, s.sampled_rows, s.sum_w, s.sum_wx), (3, 3, 7.5, 17.5));
         // Σ w(w−1) = 3 × 2.5 × 1.5; Σ w(w−1)x = 3.75 × 7; Σ w(w−1)x² = 3.75 × 21.
         assert_eq!((s.var_acc_w, s.cov_acc, s.var_acc), (11.25, 26.25, 78.75));
     }
@@ -166,6 +167,9 @@ fn constant_and_per_row_weights_scale_count_and_sum() {
         let [n, s] = [&only(&out).aggs[0], &only(&out).aggs[1]];
         assert_eq!(n.sum_w, 6.5);
         assert_eq!((s.sum_w, s.sum_wx), (3.5, 10.0));
+        // Only rows whose weight is not 1 count as sampled: rows 1–3 for
+        // COUNT(*), rows 1 and 3 for SUM (row 2 is NULL).
+        assert_eq!((n.sampled_rows, s.sampled_rows), (3, 2));
     }
 }
 

@@ -144,14 +144,12 @@ fn matches(e: &Expr, row: &[Value], col: &impl Fn(&str) -> usize) -> bool {
     }
 }
 
-/// Whether two states agree in all ten fields, floats by bit pattern.
+/// Whether two states agree in all nine fields, floats by bit pattern.
 pub fn same_bits(a: &AggState, b: &AggState) -> bool {
-    a.rows == b.rows
+    (a.rows, a.sampled_rows) == (b.rows, b.sampled_rows)
         && [
             (a.sum_w, b.sum_w),
             (a.sum_wx, b.sum_wx),
-            (a.sum_x, b.sum_x),
-            (a.sum_x_sq, b.sum_x_sq),
             (a.var_acc, b.var_acc),
             (a.var_acc_w, b.var_acc_w),
             (a.cov_acc, b.cov_acc),
