@@ -268,6 +268,53 @@ mod tests {
     }
 
     #[test]
+    fn new_keeps_design_and_rows_and_clamps_negative_variance() {
+        let e = Estimate::new(5.0, -1e-12, Design::Scaled, 3);
+        assert_eq!(e.variance, 0.0);
+        assert_eq!(e.design, Design::Scaled);
+        assert_eq!(e.rows, 3);
+        assert!(!e.is_exact());
+        let e = Estimate::new(5.0, 2.0, Design::Prefix, 7);
+        assert_eq!((e.value, e.variance, e.design, e.rows), (5.0, 2.0, Design::Prefix, 7));
+        assert_eq!(Estimate::exact(1.0).rows, 0);
+        assert_eq!(Estimate::with_variance(1.0, 1.0).design, Design::Scaled);
+    }
+
+    #[test]
+    fn ratio_takes_sampled_design_and_larger_rows() {
+        // An exact numerator over a sampled denominator takes the
+        // denominator's design, and the delta-method variance is kept.
+        let sum = Estimate::new(100.0, 0.0, Design::Exact, 0);
+        let count = Estimate::new(4.0, 0.25, Design::Prefix, 9);
+        let avg = sum.ratio_with_cov(count, 0.0).unwrap();
+        assert_eq!(avg.design, Design::Prefix);
+        assert_eq!(avg.rows, 9);
+        assert!((avg.variance - 10_000.0 * 0.25 / 256.0).abs() < 1e-12);
+        // Two sampled sides: the numerator's design wins, rows are the max.
+        let sum = Estimate::new(100.0, 16.0, Design::Scaled, 12);
+        let avg = sum.ratio_with_cov(count, 0.0).unwrap();
+        assert_eq!(avg.design, Design::Scaled);
+        assert_eq!(avg.rows, 12);
+        // Both exact: zero variance whatever the covariance argument says.
+        let avg = Estimate::exact(9.0).ratio_with_cov(Estimate::exact(3.0), 5.0).unwrap();
+        assert!(avg.is_exact());
+        assert_eq!((avg.value, avg.variance, avg.rows), (3.0, 0.0, 0));
+    }
+
+    #[test]
+    fn interval_arm_follows_design() {
+        // The sampled designs share the normal-theory interval.
+        let scaled = Estimate::new(50.0, 4.0, Design::Scaled, 10);
+        let prefix = Estimate::new(50.0, 4.0, Design::Prefix, 10);
+        let (s, p) = (scaled.confidence_interval(0.95), prefix.confidence_interval(0.95));
+        assert_eq!((s.lo, s.hi), (p.lo, p.hi));
+        assert!((s.hi - (50.0 + 1.959964 * 2.0)).abs() < 1e-4);
+        // An exact design ignores any variance it carries.
+        let exact = Estimate::new(50.0, 4.0, Design::Exact, 0).confidence_interval(0.95);
+        assert_eq!((exact.lo, exact.hi), (50.0, 50.0));
+    }
+
+    #[test]
     fn ratio_covariance_tightens_variance() {
         let sum = Estimate::with_variance(100.0, 16.0);
         let count = Estimate::with_variance(4.0, 0.25);
