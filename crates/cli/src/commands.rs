@@ -187,7 +187,8 @@ explain prints the sampler's static rewrite plan for a query; with
 quantiles, logical memory) with per-stratum attribution that reconciles
 with the trace's rows_scanned. workload --calibrate runs the CI-coverage
 calibration audit (observed vs nominal interval coverage per aggregate
-function and per group-size decile, with Agresti-Coull under-coverage
+function, per group-size decile and per sampled-row count n of the
+estimate: 1, 2, 3-5, 6-20, 21+; with Agresti-Coull under-coverage
 flagging) and writes PREFIX_calibration.json. dashboard combines
 PREFIX_report.json (summary and tiers), PREFIX_traces.jsonl (explain
 profiles and stages, each line decoded strictly) and
@@ -1462,6 +1463,7 @@ mod tests {
         .unwrap();
         assert!(msg.contains("CI coverage calibration"), "{msg}");
         assert!(msg.contains("by aggregate function"), "{msg}");
+        assert!(msg.contains("by sampled rows n:"), "{msg}");
         assert!(msg.contains("calibration:"), "{msg}");
 
         // The JSON artifact has the documented shape, with COUNT plus the
@@ -1495,6 +1497,7 @@ mod tests {
             "id=\"tiers\"",
             "id=\"stages\"",
             "<svg",
+            "<h3>Per sampled rows n</h3>",
         ] {
             assert!(html.contains(anchor), "missing {anchor} in dashboard");
         }

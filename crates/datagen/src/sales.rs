@@ -287,14 +287,8 @@ pub const SALES_EXCLUDED_GROUPING: &[&str] = &[
     "sales.revenue",
     "sales.cost",
     "sales.orderid",
-    "product.productkey",
     "product.unitprice",
-    "store.storekey",
-    "customer.customerkey",
     "customer.phone",
-    "time.timekey",
-    "promotion.promokey",
-    "channel.channelkey",
 ];
 
 #[cfg(test)]

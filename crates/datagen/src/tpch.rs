@@ -241,13 +241,9 @@ pub const TPCH_EXCLUDED_GROUPING: &[&str] = &[
     "lineitem.extendedprice",
     "lineitem.discount",
     "lineitem.tax",
-    "orders.orderkey",
     "orders.clerk",
-    "part.partkey",
     "part.retailprice",
-    "supplier.suppkey",
     "supplier.acctbal",
-    "customer.custkey",
     "customer.acctbal",
 ];
 

@@ -204,7 +204,7 @@ fn tiers_section(out: &mut String, report: Option<&Value>, traces: &[QueryTrace]
     out.push_str("</section>");
 }
 
-/// One calibration bucket table (per aggregate function or per decile).
+/// One calibration bucket table (per aggregate function, decile or n).
 fn coverage_table(out: &mut String, buckets: &[Value], nominal: f64) {
     out.push_str(
         "<table><tr><th>bucket</th><th>cells</th><th>covered</th><th>observed</th>\
@@ -241,7 +241,8 @@ fn coverage_table(out: &mut String, buckets: &[Value], nominal: f64) {
 }
 
 /// Calibration section (`id="calibration"`): observed CI coverage vs
-/// nominal, per aggregate function and per group-size decile.
+/// nominal, per aggregate function, per group-size decile and per
+/// sampled-row count n.
 fn calibration_section(out: &mut String, calibration: Option<&Value>) {
     out.push_str("<section id=\"calibration\"><h2>CI-coverage calibration</h2>");
     let Some(cal) = calibration else {
@@ -266,6 +267,10 @@ fn calibration_section(out: &mut String, calibration: Option<&Value>) {
     if let Some(Value::Arr(deciles)) = cal.get("per_decile") {
         out.push_str("<h3>Per group-size decile</h3>");
         coverage_table(out, deciles, nominal);
+    }
+    if let Some(Value::Arr(per_rows)) = cal.get("per_rows") {
+        out.push_str("<h3>Per sampled rows n</h3>");
+        coverage_table(out, per_rows, nominal);
     }
     out.push_str("</section>");
 }
@@ -366,6 +371,8 @@ mod tests {
              \"covered\":96,\"observed\":0.96,\"ci_lo\":0.90,\"ci_hi\":0.98,\
              \"flagged\":false}],\"per_decile\":[{\"label\":\"d1 [1..4]\",\"cells\":30,\
              \"covered\":20,\"observed\":0.667,\"ci_lo\":0.48,\"ci_hi\":0.81,\
+             \"flagged\":true}],\"per_rows\":[{\"label\":\"n 3-5\",\"cells\":12,\
+             \"covered\":3,\"observed\":0.25,\"ci_lo\":0.08,\"ci_hi\":0.54,\
              \"flagged\":true}]}",
         )
         .unwrap();
@@ -387,6 +394,8 @@ mod tests {
         }
         assert!(html.contains("<svg"), "has inline SVG charts");
         assert!(html.contains("UNDER-COVERS"), "flags under-covering decile");
+        assert!(html.contains("<h3>Per sampled rows n</h3>"));
+        assert!(html.contains("<td>n 3-5</td><td>12</td><td>3</td>"));
         assert!(html.contains("scan:sg_t.g"));
         // Query text is escaped.
         assert!(html.contains("&quot;g&lt;1&gt;&quot;"));

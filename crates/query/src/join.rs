@@ -7,7 +7,11 @@
 //! primary key), after which column resolution during scans is an array
 //! lookup. [`StarSchema::denormalize`] materialises the joined wide view —
 //! the *join synopsis* construction of \[3\] applies this to sample rows so
-//! that rewritten queries touch a single narrow table at runtime.
+//! that rewritten queries touch a single narrow table at runtime. The view
+//! names each join key once, by the fact's foreign-key column: the join
+//! makes the dimension's primary key equal to it on every row, so a copy
+//! would only add a column to the view and a duplicate small-group table
+//! to the sample family. The star itself keeps both columns.
 
 use crate::error::{QueryError, QueryResult};
 use aqp_storage::{Field, Schema, Table};
@@ -20,6 +24,9 @@ pub struct Dimension {
     /// The dimension table.
     pub table: Table,
     /// Primary-key column inside the dimension table (must be `Int64`).
+    /// Queries over [`DataSource::Star`](crate::DataSource::Star) may name
+    /// it; the wide view leaves it out, so a query over the view names the
+    /// key by `fk_column` and gets [`QueryError::UnknownColumn`] for this.
     pub pk_column: String,
     /// Foreign-key column inside the fact table (must be `Int64`).
     pub fk_column: String,
@@ -46,6 +53,17 @@ pub(crate) struct BoundDimension {
     pub(crate) dim: Dimension,
     /// `row_map[fact_row]` = matching dimension row.
     pub(crate) row_map: Vec<u32>,
+}
+
+impl BoundDimension {
+    /// The dimension's fields and columns the wide view keeps: all but the
+    /// primary key, which the join makes equal to the fact's foreign key.
+    fn view_columns(&self) -> impl Iterator<Item = (&Field, &aqp_storage::Column)> {
+        let table = &self.dim.table;
+        let pk = self.dim.pk_column.as_str();
+        let fields = table.schema().fields().iter();
+        fields.zip(table.columns()).filter(move |(f, _)| f.name != pk)
+    }
 }
 
 /// A fact table with foreign-key-joined dimension tables.
@@ -84,9 +102,9 @@ impl StarSchema {
         &self.dims[i].dim.table
     }
 
-    /// Iterate over dimension tables.
-    pub fn dimensions(&self) -> impl Iterator<Item = &Table> {
-        self.dims.iter().map(|b| &b.dim.table)
+    /// Iterate over the dimensions: each table with its join columns.
+    pub fn dimensions(&self) -> impl Iterator<Item = &Dimension> {
+        self.dims.iter().map(|b| &b.dim)
     }
 
     /// Locate a column by name: in the fact table or any dimension.
@@ -109,16 +127,18 @@ impl StarSchema {
     }
 
     /// The schema of the denormalised wide view: fact fields followed by
-    /// every dimension's fields, in declaration order.
+    /// each dimension's fields except its primary key, in declaration order.
     pub fn wide_schema(&self) -> QueryResult<Arc<Schema>> {
         let mut fields: Vec<Field> = self.fact.schema().fields().to_vec();
         for b in &self.dims {
-            fields.extend(b.dim.table.schema().fields().iter().cloned());
+            fields.extend(b.view_columns().map(|(f, _)| f.clone()));
         }
         Ok(Schema::new(fields)?)
     }
 
-    /// Materialise the joined wide view over all fact rows.
+    /// Materialise the joined wide view over all fact rows. It has the
+    /// columns of [`wide_schema`](Self::wide_schema): each join key once,
+    /// named by the fact's foreign key.
     pub fn denormalize(&self, name: impl Into<String>) -> QueryResult<Table> {
         let n = self.fact.num_rows();
         let all: Vec<usize> = (0..n).collect();
@@ -145,7 +165,7 @@ impl StarSchema {
                 .iter()
                 .map(|&fr| b.row_map[fr] as usize)
                 .collect();
-            for col in b.dim.table.columns() {
+            for (_, col) in b.view_columns() {
                 columns.push(col.gather(&dim_rows));
             }
         }
@@ -312,7 +332,10 @@ mod tests {
         let s = star(&[20, 10]);
         let wide = s.denormalize("wide").unwrap();
         assert_eq!(wide.num_rows(), 2);
-        assert_eq!(wide.schema().len(), 4);
+        // The dimension's key is left out: `sales.partkey` names the join.
+        assert_eq!(wide.schema().len(), 3);
+        assert!(wide.schema().contains("sales.partkey"));
+        assert!(!wide.schema().contains("part.partkey"));
         // Row 0: fk 20 → brand B.
         let brand_idx = wide.schema().index_of("part.brand").unwrap();
         assert_eq!(wide.value(0, brand_idx).to_owned(), Value::Utf8("B".into()));

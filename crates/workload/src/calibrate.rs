@@ -4,9 +4,9 @@
 //! A reported 95 % confidence interval is only worth reporting if it
 //! actually contains the true answer about 95 % of the time. This module
 //! runs a seeded workload through an AQP system *and* the differential
-//! exact oracle, then tallies — per aggregate function and per group-size
-//! decile — how often the reported interval covered the exact value
-//! ("observed coverage") versus the nominal level.
+//! exact oracle, then tallies — per aggregate function, per group-size
+//! decile and per sampled-row count n — how often the reported interval
+//! covered the exact value ("observed coverage") versus the nominal level.
 //!
 //! Three kinds of (query, group, aggregate) cells are excluded from the
 //! coverage tally, but counted separately so nothing disappears silently:
@@ -37,6 +37,18 @@ use aqp_obs::json::Value;
 use aqp_query::{AggFunc, DataSource, Query};
 use aqp_sampling::{agresti_coull, ConfidenceInterval};
 
+/// The buckets of a cell's sampled rows n (`Estimate::rows`, the scaled
+/// stratum's n): each one's largest n, and its label. A sampled cell has
+/// n ≥ 1; the `"0"` bucket keeps one that does not from hiding in `"1"`.
+pub const ROWS_BUCKETS: [(u64, &str); 6] =
+    [(0, "0"), (1, "1"), (2, "2"), (5, "3-5"), (20, "6-20"), (u64::MAX, "21+")];
+
+/// The index of the [`ROWS_BUCKETS`] entry that holds `rows`.
+pub fn rows_bucket(rows: u64) -> usize {
+    let mut largest = ROWS_BUCKETS.iter().map(|&(largest, _)| largest);
+    largest.position(|largest| rows <= largest).expect("the last bucket takes all")
+}
+
 /// One auditable cell: a (query, group, aggregate) triple whose estimate
 /// is genuinely approximate and whose interval has finite width.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -45,12 +57,14 @@ pub struct CoverageCell {
     pub func: AggFunc,
     /// Exact number of base-view tuples in the group (for decile bucketing).
     pub group_rows: u64,
+    /// The estimate's sampled rows n (for [`ROWS_BUCKETS`]).
+    pub rows: u64,
     /// Whether the reported interval contained the exact value.
     pub covered: bool,
 }
 
-/// Coverage tally for one bucket (an aggregate function, or a group-size
-/// decile).
+/// Coverage tally for one bucket (an aggregate function, a group-size
+/// decile or a sampled-row count).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CoverageBucket {
     /// Human-readable bucket label (`"COUNT"`, `"rows 12-88"`, ...).
@@ -124,6 +138,7 @@ impl CoverageAudit {
                 self.cells.push(CoverageCell {
                     func: query.aggregates[idx].func,
                     group_rows,
+                    rows: value.estimate.rows,
                     covered: value.ci.contains(exact_value),
                 });
             }
@@ -142,9 +157,21 @@ impl CoverageAudit {
             cells: 0,
             covered: 0,
         };
-        // Per aggregate function, in a stable display order.
+        // Per aggregate function, in a stable display order, and per
+        // sampled-row bucket.
         let mut by_func: BTreeMap<u8, CoverageBucket> = BTreeMap::new();
+        let mut per_rows: Vec<CoverageBucket> = ROWS_BUCKETS
+            .iter()
+            .map(|(_, label)| CoverageBucket {
+                label: format!("n {label}"),
+                cells: 0,
+                covered: 0,
+            })
+            .collect();
         for cell in &self.cells {
+            let by_rows = &mut per_rows[rows_bucket(cell.rows)];
+            by_rows.cells += 1;
+            by_rows.covered += u64::from(cell.covered);
             overall.cells += 1;
             overall.covered += u64::from(cell.covered);
             let (order, label) = func_label(cell.func);
@@ -156,6 +183,7 @@ impl CoverageAudit {
             bucket.cells += 1;
             bucket.covered += u64::from(cell.covered);
         }
+        per_rows.retain(|b| b.cells > 0);
 
         // Per group-size decile: sort cells by exact group size and cut
         // into ten equal-count buckets.
@@ -189,6 +217,7 @@ impl CoverageAudit {
             unbounded_cells: self.unbounded_cells,
             per_function: by_func.into_values().collect(),
             per_decile,
+            per_rows,
             overall,
         }
     }
@@ -205,7 +234,7 @@ fn func_label(func: AggFunc) -> (u8, &'static str) {
 }
 
 /// The calibration audit result: observed CI coverage versus nominal,
-/// per aggregate function and per group-size decile.
+/// per aggregate function, per group-size decile and per sampled-row count.
 #[derive(Debug, Clone)]
 pub struct CalibrationReport {
     /// Nominal confidence level the intervals were requested at.
@@ -220,16 +249,20 @@ pub struct CalibrationReport {
     pub per_function: Vec<CoverageBucket>,
     /// Coverage per group-size decile (smallest groups first).
     pub per_decile: Vec<CoverageBucket>,
+    /// Coverage per [`ROWS_BUCKETS`] entry that holds a cell (smallest n
+    /// first).
+    pub per_rows: Vec<CoverageBucket>,
     /// Coverage over all auditable cells.
     pub overall: CoverageBucket,
 }
 
 impl CalibrationReport {
-    /// Buckets (function or decile) that demonstrably under-cover.
+    /// Buckets (function, decile or n) that demonstrably under-cover.
     pub fn flagged_buckets(&self) -> Vec<&CoverageBucket> {
         self.per_function
             .iter()
             .chain(self.per_decile.iter())
+            .chain(self.per_rows.iter())
             .filter(|b| b.flagged(self.nominal))
             .collect()
     }
@@ -249,6 +282,7 @@ impl CalibrationReport {
             ("overall", bucket_value(&self.overall, self.nominal)),
             ("per_function", buckets(&self.per_function)),
             ("per_decile", buckets(&self.per_decile)),
+            ("per_rows", buckets(&self.per_rows)),
         ])
         .to_json()
     }
@@ -289,6 +323,12 @@ impl fmt::Display for CalibrationReport {
         if !self.per_decile.is_empty() {
             writeln!(f, "  by group-size decile:")?;
             for b in &self.per_decile {
+                write_bucket_line(f, b, self.nominal)?;
+            }
+        }
+        if !self.per_rows.is_empty() {
+            writeln!(f, "  by sampled rows n:")?;
+            for b in &self.per_rows {
                 write_bucket_line(f, b, self.nominal)?;
             }
         }
@@ -538,13 +578,14 @@ mod tests {
     }
 
     #[test]
-    fn deciles_partition_cells_and_json_shape_holds() {
+    fn deciles_and_n_buckets_partition_cells_and_json_shape_holds() {
         let mut audit = CoverageAudit::new();
         // Synthesise 50 cells with distinct group sizes directly.
         for i in 0..50u64 {
             audit.cells.push(CoverageCell {
                 func: AggFunc::Count,
                 group_rows: i + 1,
+                rows: i + 1,
                 covered: i % 20 != 0,
             });
         }
@@ -555,6 +596,16 @@ mod tests {
         assert_eq!(decile_cells, report.overall.cells);
         // Smallest groups land in the first decile.
         assert!(report.per_decile[0].label.contains("rows 1-5"));
+        // Every n from 1 to 50 lands in its bucket; the empty "0" is left out.
+        let per_rows: Vec<(&str, u64, u64)> = report
+            .per_rows
+            .iter()
+            .map(|b| (b.label.as_str(), b.cells, b.covered))
+            .collect();
+        assert_eq!(
+            per_rows,
+            [("n 1", 1, 0), ("n 2", 1, 1), ("n 3-5", 3, 3), ("n 6-20", 15, 15), ("n 21+", 30, 28)]
+        );
 
         let json = report.to_json();
         let value = aqp_obs::json::parse(&json).expect("valid JSON");
@@ -573,6 +624,12 @@ mod tests {
             value.get("per_decile").and_then(|v| v.as_arr()).map(<[_]>::len),
             Some(10)
         );
+        assert_eq!(
+            value.get("per_rows").and_then(|v| v.as_arr()).map(<[_]>::len),
+            Some(5)
+        );
+        // Appended last, so every earlier member keeps its bytes.
+        assert!(json.find("\"per_decile\"") < json.find("\"per_rows\""));
     }
 
     #[test]

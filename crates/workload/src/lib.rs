@@ -31,8 +31,8 @@ pub mod metrics;
 pub mod report;
 
 pub use calibrate::{
-    run_calibration, CalibrationConfig, CalibrationReport, CoverageAudit, CoverageBucket,
-    CoverageCell,
+    rows_bucket, run_calibration, CalibrationConfig, CalibrationReport, CoverageAudit,
+    CoverageBucket, CoverageCell, ROWS_BUCKETS,
 };
 pub use generator::{generate_queries, DatasetProfile, QueryGenConfig, WorkloadAggregate};
 pub use harness::{

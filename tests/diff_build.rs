@@ -9,7 +9,7 @@
 //! later stage can see: data vectors (placeholders under NULLs included),
 //! decoded strings, whether `nulls()` is `None` (the vectorised kernels
 //! branch on it), bitmask words, and the persisted bytes — which are also
-//! pinned to checksums recorded from the commit before the rewrite.
+//! pinned to recorded checksums.
 //!
 //! A gathered string column shares its source's dictionary, so its codes
 //! are the source's, where the reference re-interns every string into a
@@ -534,7 +534,9 @@ fn denormalize_equals_row_at_a_time_reference() {
                         .as_int64()
                         .unwrap();
                     let dim_row = pks.iter().position(|&pk| pk == key).unwrap();
-                    row.extend(dim.row(dim_row));
+                    // The view names the join key once, by the fact's
+                    // foreign key: the dimension's key (column 0) is left out.
+                    row.extend(dim.row(dim_row).into_iter().skip(1));
                 }
                 want.push_row(&row).unwrap();
             }
@@ -555,6 +557,66 @@ fn denormalize_equals_row_at_a_time_reference() {
             );
         }
     }
+}
+
+/// The join makes a dimension's primary key equal to the fact's foreign key
+/// on every row, so the view keeps only the foreign key. A copy would give
+/// the family a second small-group table with the same rows, and the star
+/// still answers queries that name the dimension's key.
+#[test]
+fn the_view_names_each_join_key_once() {
+    let star = gen_sales(&SalesConfig {
+        fact_rows: 30_000,
+        zipf_z: 1.5,
+        seed: 1,
+    })
+    .unwrap();
+    let view = star.denormalize("sales_view").unwrap();
+    for dim in star.dimensions() {
+        assert!(view.schema().contains(&dim.fk_column), "{}", dim.fk_column);
+        assert!(!view.schema().contains(&dim.pk_column), "{}", dim.pk_column);
+    }
+
+    let family = SmallGroupSampler::build(
+        &view,
+        SmallGroupConfig {
+            seed: 1,
+            ..SmallGroupConfig::with_rates(0.04, 0.5)
+        },
+    )
+    .unwrap();
+    let units = family.sample_columns();
+    let rows: Vec<Vec<String>> = family
+        .tables()
+        .take(units.len())
+        .map(|t| {
+            let mut rows: Vec<String> =
+                (0..t.num_rows()).map(|r| format!("{:?}", t.row(r))).collect();
+            rows.sort();
+            rows
+        })
+        .collect();
+    for i in 0..rows.len() {
+        for j in i + 1..rows.len() {
+            assert_ne!(rows[i], rows[j], "{} and {} hold the same rows", units[i], units[j]);
+        }
+    }
+
+    let count_by = |column: &str, source: &DataSource| {
+        let q = Query::builder().count().group_by(column).build().unwrap();
+        execute(source, &q, &ExecOptions::default()).map(|out| {
+            let groups = out.groups.iter();
+            groups.map(|g| (g.key.clone(), g.aggs[0].rows)).collect::<Vec<_>>()
+        })
+    };
+    let on_view = count_by("sales.productkey", &DataSource::Wide(&view)).unwrap();
+    let on_star = count_by("product.productkey", &DataSource::Star(&star)).unwrap();
+    assert!(on_view.len() > 100, "{} products", on_view.len());
+    assert_eq!(on_view, on_star);
+    assert!(matches!(
+        count_by("product.productkey", &DataSource::Wide(&view)),
+        Err(aqp::query::QueryError::UnknownColumn { .. })
+    ));
 }
 
 /// τ for the random view: low enough that ordinary columns cross it.
@@ -1005,12 +1067,14 @@ fn table_bytes(family: &SmallGroupSampler) -> Vec<u8> {
 }
 
 /// Family bytes for SALES 50 k rows (z = 1.5, seed 1), r = 0.04, γ = 0.5,
-/// as `(length, crc32c)` — recorded from the commit before the build path
-/// went columnar.
-const SALES_PLAIN: (usize, u32) = (8_475_176, 0xab60_bd42);
-const SALES_PAIRS: (usize, u32) = (8_974_203, 0xc2d0_a1d1);
-const SALES_OUTLIER: (usize, u32) = (8_488_623, 0x1890_27f4);
-const SALES_VIEW: (usize, u32) = (13_417_722, 0x8690_38d8);
+/// as `(length, crc32c)`. The columnar build path wrote the same bytes as
+/// the row-at-a-time code before it; these values were re-recorded when the
+/// view stopped copying each dimension's primary key, which is meant to
+/// change both the view's and the family's bytes.
+const SALES_PLAIN: (usize, u32) = (5_899_504, 0xb747_473d);
+const SALES_PAIRS: (usize, u32) = (6_319_083, 0x3f15_bc52);
+const SALES_OUTLIER: (usize, u32) = (5_912_635, 0x19c9_fe2a);
+const SALES_VIEW: (usize, u32) = (11_015_606, 0x7cad_2299);
 
 #[test]
 fn sales_family_bytes_equal_the_recorded_checksums() {

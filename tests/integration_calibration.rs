@@ -118,7 +118,9 @@ fn observed_coverage_matches_nominal_per_aggregate_function() {
         flagged_functions.is_empty(),
         "unexpected per-function under-coverage flags: {flagged_functions:?}"
     );
-    // Decile bucketing partitions the auditable cells.
+    // Decile bucketing and n bucketing each partition the auditable cells.
     let decile_cells: u64 = report.per_decile.iter().map(|b| b.cells).sum();
     assert_eq!(decile_cells, report.overall.cells);
+    let n_cells: u64 = report.per_rows.iter().map(|b| b.cells).sum();
+    assert_eq!(n_cells, report.overall.cells);
 }

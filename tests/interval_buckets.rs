@@ -4,7 +4,8 @@
 //! a budget-capped scan of the view, with COUNT, SUM and AVG group-by
 //! templates at seeds 1–3. Every non-exact cell is compared with the exact
 //! answer and counted in a bucket of its estimate's `rows` (the sampled
-//! stratum's n: 1, 2, 3–5, 6–20, 21+) × design × aggregate. The table pins
+//! stratum's n: 1, 2, 3–5, 6–20, 21+, the buckets `workload --calibrate`
+//! reports) × design × aggregate. The table pins
 //! today's cell and covered counts exactly, so a change to an interval
 //! (small-n quantiles, a floor for zero-variance cells, a prefix-scan
 //! interval) moves a number here instead of slipping under a tolerance.
@@ -17,7 +18,7 @@
 
 use aqp::datagen::sales::{SALES_EXCLUDED_GROUPING, SALES_MEASURE_COLUMNS};
 use aqp::prelude::*;
-use aqp::workload::ExactAnswer;
+use aqp::workload::{rows_bucket, ExactAnswer, ROWS_BUCKETS};
 use std::collections::BTreeMap;
 
 /// SALES fact rows per seed: enough for 1-row to 21+-row sampled groups at
@@ -31,15 +32,6 @@ const PREFIX_ROWS: usize = FACT_ROWS / 25;
 /// Templates per seed, aggregate and group-by width (1–3 columns).
 const TEMPLATES: usize = 3;
 
-/// The buckets of an estimate's sampled rows: each one's largest count,
-/// and its label.
-const BUCKETS: [(u64, &str); 6] =
-    [(0, "0"), (1, "1"), (2, "2"), (5, "3-5"), (20, "6-20"), (u64::MAX, "21+")];
-
-fn bucket(rows: u64) -> usize {
-    BUCKETS.iter().position(|&(largest, _)| rows <= largest).expect("the last bucket takes all")
-}
-
 /// `(design, aggregate, rows bucket)` → `(cells, covered)`.
 type Buckets = BTreeMap<(String, String, usize), (u64, u64)>;
 
@@ -51,7 +43,7 @@ fn record(buckets: &mut Buckets, query: &Query, answer: &ApproxAnswer, exact: &E
                 continue;
             }
             let (e, func) = (value.estimate, query.aggregates[i].func);
-            let key = (format!("{:?}", e.design), func.to_string(), bucket(e.rows));
+            let key = (format!("{:?}", e.design), func.to_string(), rows_bucket(e.rows));
             let slot = buckets.entry(key).or_default();
             slot.0 += 1;
             slot.1 += u64::from(value.ci.contains(truth));
@@ -132,7 +124,7 @@ fn sampled_cells_by_rows_design_and_aggregate_are_pinned() {
     let rows: Vec<(&str, &str, &str, u64, u64)> = measured
         .iter()
         .map(|((design, agg, at), &(cells, covered))| {
-            (design.as_str(), agg.as_str(), BUCKETS[*at].1, cells, covered)
+            (design.as_str(), agg.as_str(), ROWS_BUCKETS[*at].1, cells, covered)
         })
         .collect();
     let mut listing = String::new();
