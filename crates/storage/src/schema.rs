@@ -11,7 +11,9 @@ use std::sync::Arc;
 pub struct Field {
     /// Field name. Within the AQP system, fields in denormalised (joined)
     /// views use qualified `table.column` names so the same query text can
-    /// run against the base star schema or against a join synopsis.
+    /// run against the base star schema or against a join synopsis (a join
+    /// key by the fact's foreign-key name: the view leaves out the
+    /// dimension's primary key).
     pub name: String,
     /// The field's data type.
     pub data_type: DataType,

@@ -76,6 +76,19 @@ pub struct CoverageBucket {
 }
 
 impl CoverageBucket {
+    fn empty(label: impl Into<String>) -> Self {
+        CoverageBucket {
+            label: label.into(),
+            cells: 0,
+            covered: 0,
+        }
+    }
+
+    fn add(&mut self, covered: bool) {
+        self.cells += 1;
+        self.covered += u64::from(covered);
+    }
+
     /// Observed coverage proportion (0 when the bucket is empty).
     pub fn observed(&self) -> f64 {
         if self.cells == 0 {
@@ -152,36 +165,19 @@ impl CoverageAudit {
 
     /// Build the calibration report against a nominal confidence level.
     pub fn report(&self, nominal: f64) -> CalibrationReport {
-        let mut overall = CoverageBucket {
-            label: "overall".to_owned(),
-            cells: 0,
-            covered: 0,
-        };
+        let mut overall = CoverageBucket::empty("overall");
         // Per aggregate function, in a stable display order, and per
         // sampled-row bucket.
         let mut by_func: BTreeMap<u8, CoverageBucket> = BTreeMap::new();
         let mut per_rows: Vec<CoverageBucket> = ROWS_BUCKETS
             .iter()
-            .map(|(_, label)| CoverageBucket {
-                label: format!("n {label}"),
-                cells: 0,
-                covered: 0,
-            })
+            .map(|(_, label)| CoverageBucket::empty(format!("n {label}")))
             .collect();
         for cell in &self.cells {
-            let by_rows = &mut per_rows[rows_bucket(cell.rows)];
-            by_rows.cells += 1;
-            by_rows.covered += u64::from(cell.covered);
-            overall.cells += 1;
-            overall.covered += u64::from(cell.covered);
+            overall.add(cell.covered);
+            per_rows[rows_bucket(cell.rows)].add(cell.covered);
             let (order, label) = func_label(cell.func);
-            let bucket = by_func.entry(order).or_insert_with(|| CoverageBucket {
-                label: label.to_owned(),
-                cells: 0,
-                covered: 0,
-            });
-            bucket.cells += 1;
-            bucket.covered += u64::from(cell.covered);
+            by_func.entry(order).or_insert_with(|| CoverageBucket::empty(label)).add(cell.covered);
         }
         per_rows.retain(|b| b.cells > 0);
 
@@ -314,21 +310,15 @@ impl fmt::Display for CalibrationReport {
             self.queries, self.overall.cells, self.exact_cells, self.unbounded_cells
         )?;
         write_bucket_line(f, &self.overall, self.nominal)?;
-        if !self.per_function.is_empty() {
-            writeln!(f, "  by aggregate function:")?;
-            for b in &self.per_function {
-                write_bucket_line(f, b, self.nominal)?;
+        for (title, list) in [
+            ("by aggregate function", &self.per_function),
+            ("by group-size decile", &self.per_decile),
+            ("by sampled rows n", &self.per_rows),
+        ] {
+            if !list.is_empty() {
+                writeln!(f, "  {title}:")?;
             }
-        }
-        if !self.per_decile.is_empty() {
-            writeln!(f, "  by group-size decile:")?;
-            for b in &self.per_decile {
-                write_bucket_line(f, b, self.nominal)?;
-            }
-        }
-        if !self.per_rows.is_empty() {
-            writeln!(f, "  by sampled rows n:")?;
-            for b in &self.per_rows {
+            for b in list {
                 write_bucket_line(f, b, self.nominal)?;
             }
         }
@@ -578,7 +568,7 @@ mod tests {
     }
 
     #[test]
-    fn deciles_and_n_buckets_partition_cells_and_json_shape_holds() {
+    fn deciles_partition_cells_and_json_shape_holds() {
         let mut audit = CoverageAudit::new();
         // Synthesise 50 cells with distinct group sizes directly.
         for i in 0..50u64 {
