@@ -45,8 +45,10 @@ pub const ROWS_BUCKETS: [(u64, &str); 6] =
 
 /// The index of the [`ROWS_BUCKETS`] entry that holds `rows`.
 pub fn rows_bucket(rows: u64) -> usize {
-    let mut largest = ROWS_BUCKETS.iter().map(|&(largest, _)| largest);
-    largest.position(|largest| rows <= largest).expect("the last bucket takes all")
+    ROWS_BUCKETS
+        .iter()
+        .position(|&(largest, _)| rows <= largest)
+        .expect("the last bucket takes all")
 }
 
 /// One auditable cell: a (query, group, aggregate) triple whose estimate
