@@ -101,9 +101,7 @@ USAGE:
                 [--batch-inflight N] [--batch-queue N]
                 [--cache-capacity N] [--cache-ttl-ms N]
                 [--flight-recorder-cap N] [--flight-dump FILE]
-                [--shadow-rate F] [--shadow-seed N]
-                [--slo-availability F] [--slo-p99-ms N] [--slo-min-requests N]
-                [--faults SPEC[,SPEC]]
+                [--shadow-rate F] [--shadow-seed N] [--faults SPEC[,SPEC]]
   aqp-cli client [--addr HOST:PORT] [--class interactive|batch]
                  [--deadline-ms N] [--row-budget N] [--confidence F]
                  [--max-rel-error F] [--attempts N] [--seed N]
@@ -169,12 +167,14 @@ an always-on flight recorder — a ring of the last N request records
 (--flight-recorder-cap), each with a contiguous stage timeline
 (read/parse/cache/admission/execute/serialize/write, microseconds).
 The ring is dumped as JSONL to --flight-dump on every anomaly (shed,
-timeout, error, SLO breach) and at exit, or fetched live with the dump
-verb. A sliding-window SLO watchdog derives per-class 10s/1m/5m
-availability, shed/timeout/cache-hit rates and latency quantiles
-(aqp_slo_* gauges; breach when both the 10s and 1m windows violate
---slo-availability or --slo-p99-ms with at least --slo-min-requests).
-top renders those windows as a live table via the stats verb.
+timeout, error) and at exit, or fetched live with the dump verb. The
+stats verb returns what the server counted since it started: per class,
+its answer/shed/timeout/error counts and answer-latency histogram (parse
+to answer). top polls it every --interval-ms and prints, per class, a
+start row and one row for each of the last 10s/1m/5m that its own polls
+span (each the newest poll minus the newest poll at least that old):
+requests, availability, shed and timeout rates, latency p50/p95/p99;
+its header carries the server-wide cache hit rate.
 --shadow-rate F samples that fraction of sampled-tier answers for a
 background exact re-execution (never holding an admission slot) and
 records realized error vs the promised CI as aqp_shadow_* metrics.
@@ -1577,7 +1577,10 @@ mod tests {
         let family_arg = family.to_str().unwrap().to_owned();
         let serve = std::thread::spawn(move || {
             let family = family_arg.as_str();
-            let args = ["serve", "--family", family, "--addr", "127.0.0.1:0", "--faults", "exec-stall@0"];
+            let args = [
+                "serve", "--family", family, "--addr", "127.0.0.1:0", "--faults", "exec-stall@0",
+                "--interactive-inflight", "1", "--interactive-queue", "0", "--cache-capacity", "0",
+            ];
             let args = Args::parse(args.map(str::to_owned)).unwrap();
             crate::serve::serve_command(&args, &mut Lines(tx, Vec::new()))
         });
@@ -1591,10 +1594,35 @@ mod tests {
             run_cli(&[&["client", "--addr", addr.as_str(), "--attempts", "1"], request].concat())
         };
         let sql = "SELECT store.region, COUNT(*) AS cnt FROM v GROUP BY store.region";
-        // exec-stall@0 holds the first execution until its deadline trips.
-        let err = client(&["--deadline-ms", "150", sql]).unwrap_err();
+        // exec-stall@0 holds the first execution, and with it the only
+        // interactive slot, until its deadline trips; a query sent
+        // meanwhile is shed.
+        let stalled = {
+            let addr = addr.clone();
+            std::thread::spawn(move || {
+                run_cli(&["client", "--addr", &addr, "--attempts", "1", "--deadline-ms", "1000", sql])
+            })
+        };
+        let fired = r#"aqp_fault_injected_total{kind="exec-stall"} 1"#;
+        let waited = std::time::Instant::now();
+        while !client(&["metrics"]).unwrap().lines().any(|line| line == fired) {
+            assert!(waited.elapsed().as_secs() < 10, "the stall never fired");
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+        let err = client(&[sql]).unwrap_err();
+        assert!(err.0.starts_with("shed"), "{err}");
+        let err = stalled.join().unwrap().unwrap_err();
         assert!(err.0.starts_with("timeout"), "{err}");
         assert!(client(&[sql]).unwrap().contains("cnt"), "the second execution runs");
+        // top reads those three outcomes back from the server's registry.
+        let top = run_cli(&["top", "--addr", addr.as_str(), "--iterations", "1"]).unwrap();
+        let row = |class: &str| -> Vec<String> {
+            let line = top.lines().find(|l| l.starts_with(class)).unwrap_or_else(|| panic!("{top}"));
+            line.split_whitespace().take(6).map(str::to_owned).collect()
+        };
+        assert_eq!(row("interactive"), ["interactive", "start", "3", "33.3", "33.3", "33.3"], "{top}");
+        assert_eq!(row("batch"), ["batch", "start", "0", "100.0", "0.0", "0.0"], "{top}");
+        assert!(top.contains("requests 3 answered 1 shed 1 timeouts 1 errors 0 hit% 0.0"), "{top}");
         client(&["shutdown"]).unwrap();
         serve.join().unwrap().unwrap();
         std::fs::remove_dir_all(&dir).unwrap();

@@ -127,6 +127,7 @@ mod tests {
                 p50_seconds: 0.04,
                 p95_seconds: 0.09,
                 p99_seconds: 0.1,
+                buckets: vec![(100, 10)],
             }],
         }
     }

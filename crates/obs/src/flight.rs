@@ -6,7 +6,7 @@
 //! write, in microseconds). The ring keeps the newest N records under a
 //! single brief mutex (one push per request, no allocation beyond the
 //! record itself), so the recorder is always on: when something goes
-//! wrong — a shed, a timeout, an SLO breach — the last N requests are
+//! wrong — a shed, a timeout, an error — the last N requests are
 //! already captured and can be dumped as JSONL for offline triage.
 //!
 //! The [`Timeline`] helper guarantees the timeline invariants by

@@ -89,7 +89,8 @@ impl Value {
 
     /// Required member `key`, read by `read`: an `Err` naming the member
     /// when it is missing or `read` finds it is not `kind`. The typed
-    /// accessors below are the record decoders' only way into a value.
+    /// accessors below are the record decoders' only way into a value;
+    /// the public ones also decode the `stats` payload in `aqp top`.
     fn field<'v, T>(
         &'v self,
         key: &str,
@@ -103,7 +104,7 @@ impl Value {
     }
 
     /// Required string member.
-    pub(crate) fn str_field(&self, key: &str) -> Result<&str, String> {
+    pub fn str_field(&self, key: &str) -> Result<&str, String> {
         self.field(key, "a string", Value::as_str)
     }
 
@@ -113,7 +114,7 @@ impl Value {
     }
 
     /// Required integer member (see [`Value::as_u64`]).
-    pub(crate) fn u64_field(&self, key: &str) -> Result<u64, String> {
+    pub fn u64_field(&self, key: &str) -> Result<u64, String> {
         self.field(key, "a non-negative integer", Value::as_u64)
     }
 
@@ -126,7 +127,7 @@ impl Value {
 
     /// Required array member, every element decoded by `read`; an error
     /// names the element (`key[i]: …`).
-    pub(crate) fn items<T>(
+    pub fn items<T>(
         &self,
         key: &str,
         mut read: impl FnMut(&Value) -> Result<T, String>,

@@ -19,13 +19,12 @@
 //!   exported as Prometheus text-exposition format. [`global`] holds what
 //!   belongs to the process (executor, ladder, storage, memory, events);
 //!   a server records its requests into a registry of its own, and its
-//!   export merges the two ([`Snapshot::merge`]).
+//!   export merges the two ([`Snapshot::merge`]). The series are
+//!   cumulative: a reader that wants a window (`aqp top`) takes the
+//!   difference of two snapshots.
 //! * [`flight`] — an always-on flight recorder: a fixed-size ring of
 //!   per-request records (trace id, outcome, contiguous stage timeline)
 //!   dumped as JSONL on anomaly or on demand.
-//! * [`slo`] — sliding-window SLO watchdog: per-class availability and
-//!   latency percentiles over 10s/1m/5m rings with edge-triggered
-//!   burn-rate breach detection, exported as `aqp_slo_*` gauges.
 //! * [`QueryTrace`] — one record per query: plan chosen, sample tables
 //!   consulted, rows scanned vs. base rows, serving tier, per-stage wall
 //!   time. Serializes to one JSON line and parses back losslessly.
@@ -47,7 +46,6 @@ pub mod mem;
 pub mod metrics;
 pub mod profile;
 pub mod registry;
-pub mod slo;
 pub mod span;
 pub mod trace;
 
@@ -61,7 +59,6 @@ pub use profile::{OpProfile, ScanContext, ScanStats};
 pub use registry::{
     counter, gauge, global, histogram, HistogramValue, MetricValue, Registry, Snapshot,
 };
-pub use slo::{Breach, SloConfig, SloOutcome, SloWindows, WindowStats};
 pub use span::{span, Span};
 pub use trace::{QueryTrace, StageTime};
 

@@ -75,7 +75,7 @@ const FIRST_EXP: usize = 4;
 /// Sub-buckets per octave (2 mantissa bits → ≤12.5% relative error).
 const SUB_BUCKETS: usize = 4;
 /// Total bucket count: 16 linear + 4 per octave for exponents 4..=63.
-pub(crate) const NUM_BUCKETS: usize = LINEAR_BUCKETS + (64 - FIRST_EXP) * SUB_BUCKETS;
+pub const NUM_BUCKETS: usize = LINEAR_BUCKETS + (64 - FIRST_EXP) * SUB_BUCKETS;
 
 /// Log-linear histogram over `u64` magnitudes (recorded in nanoseconds
 /// for latencies). Fixed 256-bucket layout: values below 16 are exact,
@@ -124,6 +124,27 @@ pub(crate) fn bucket_mid(i: usize) -> u64 {
     lower + width / 2
 }
 
+/// Approximate quantile (`0.0..=1.0`) of the observations that
+/// `buckets` counts, bucket `i` holding what a [`Histogram`] files under
+/// index `i` (a prefix of the layout is enough). Returns 0 when empty.
+/// Error is bounded by the bucket width (≤12.5% relative). Every
+/// quantile over histogram buckets is read through this one function.
+pub fn quantile(buckets: &[u64], q: f64) -> u64 {
+    let total: u64 = buckets.iter().sum();
+    if total == 0 {
+        return 0;
+    }
+    let target = ((q * total as f64).ceil() as u64).clamp(1, total);
+    let mut seen = 0u64;
+    for (i, n) in buckets.iter().enumerate() {
+        seen += n;
+        if seen >= target {
+            return bucket_mid(i);
+        }
+    }
+    unreachable!("the buckets sum to at least the target")
+}
+
 impl Histogram {
     /// New empty histogram.
     pub fn new() -> Self {
@@ -155,22 +176,15 @@ impl Histogram {
         self.sum.load(Ordering::Relaxed)
     }
 
-    /// Approximate quantile (`0.0..=1.0`) in raw units. Returns 0 when
-    /// empty. Error is bounded by the bucket width (≤12.5% relative).
+    /// Observations per bucket, in the layout [`quantile`] reads.
+    pub fn buckets(&self) -> [u64; NUM_BUCKETS] {
+        std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed))
+    }
+
+    /// Approximate quantile (`0.0..=1.0`) in raw units, by [`quantile`]
+    /// over [`Histogram::buckets`].
     pub fn quantile(&self, q: f64) -> u64 {
-        let total = self.count();
-        if total == 0 {
-            return 0;
-        }
-        let target = ((q * total as f64).ceil() as u64).clamp(1, total);
-        let mut seen = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            seen += b.load(Ordering::Relaxed);
-            if seen >= target {
-                return bucket_mid(i);
-            }
-        }
-        bucket_mid(NUM_BUCKETS - 1)
+        quantile(&self.buckets(), q)
     }
 }
 
@@ -230,6 +244,30 @@ mod tests {
         assert!((p50 - 50_000.0).abs() / 50_000.0 <= 0.125, "p50={p50}");
         assert!((p99 - 99_000.0).abs() / 99_000.0 <= 0.125, "p99={p99}");
         assert!(h.quantile(0.0) >= 1_000 - 125);
+    }
+
+    #[test]
+    fn quantile_of_a_bucket_difference_is_the_later_observations() {
+        // What `aqp top` does with two polls: the buckets counted between
+        // them read the same quantiles as a histogram of those values alone.
+        let cumulative = Histogram::new();
+        let later = Histogram::new();
+        for us in [5u64, 80, 90, 4_000] {
+            cumulative.observe(us * 1_000);
+        }
+        let before = cumulative.buckets();
+        for us in 1..=50u64 {
+            cumulative.observe(us * 37_000);
+            later.observe(us * 37_000);
+        }
+        let diff: Vec<u64> = cumulative.buckets().iter().zip(&before).map(|(a, b)| a - b).collect();
+        for q in [0.0, 0.5, 0.95, 0.99, 1.0] {
+            assert_eq!(quantile(&diff, q), later.quantile(q), "q={q}");
+        }
+        // A prefix of the layout reads the same as the whole.
+        let last = diff.iter().rposition(|&n| n > 0).unwrap();
+        assert_eq!(quantile(&diff[..=last], 0.99), later.quantile(0.99));
+        assert_eq!(quantile(&[], 0.5), 0);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use crate::metrics::{Counter, Gauge, Histogram};
+use crate::metrics::{quantile, Counter, Gauge, Histogram};
 
 type MetricId = (String, Vec<(String, String)>);
 
@@ -108,15 +108,20 @@ impl Registry {
                     labels: labels.clone(),
                     value: g.get(),
                 }),
-                Metric::Histogram(h) => snap.histograms.push(HistogramValue {
-                    name: name.clone(),
-                    labels: labels.clone(),
-                    count: h.count(),
-                    sum_seconds: h.sum() as f64 / 1e9,
-                    p50_seconds: h.quantile(0.50) as f64 / 1e9,
-                    p95_seconds: h.quantile(0.95) as f64 / 1e9,
-                    p99_seconds: h.quantile(0.99) as f64 / 1e9,
-                }),
+                Metric::Histogram(h) => {
+                    let buckets = h.buckets();
+                    let seconds = |q| quantile(&buckets, q) as f64 / 1e9;
+                    snap.histograms.push(HistogramValue {
+                        name: name.clone(),
+                        labels: labels.clone(),
+                        count: h.count(),
+                        sum_seconds: h.sum() as f64 / 1e9,
+                        p50_seconds: seconds(0.50),
+                        p95_seconds: seconds(0.95),
+                        p99_seconds: seconds(0.99),
+                        buckets: buckets.iter().copied().enumerate().filter(|&(_, n)| n > 0).collect(),
+                    });
+                }
             }
         }
         snap
@@ -152,6 +157,11 @@ pub struct HistogramValue {
     pub p95_seconds: f64,
     /// 99th-percentile latency, seconds.
     pub p99_seconds: f64,
+    /// The non-empty buckets as `(index, observations)`, in index order
+    /// and in the layout [`crate::metrics::quantile`] reads (raw units,
+    /// nanoseconds for latencies): what a reader that takes differences
+    /// between snapshots needs.
+    pub buckets: Vec<(usize, u64)>,
 }
 
 /// Point-in-time view of a [`Registry`], sorted and export-ready.
@@ -218,8 +228,8 @@ impl Snapshot {
 
 /// The process-wide registry: executor scan and prune counters, the
 /// degradation ladder's tier tallies, storage faults, memory gauges and
-/// events. A server's request, cache, admission, shadow and SLO series
-/// live in the server's own registry instead.
+/// events. A server's request, cache, admission and shadow series live
+/// in the server's own registry instead.
 pub fn global() -> &'static Registry {
     static GLOBAL: OnceLock<Registry> = OnceLock::new();
     GLOBAL.get_or_init(Registry::new)
@@ -283,6 +293,24 @@ mod tests {
         let h = snap.histogram("lat_seconds", &[("stage", "scan")]).unwrap();
         assert_eq!(h.count, 1);
         assert!(h.sum_seconds > 0.0);
+    }
+
+    #[test]
+    fn snapshot_histograms_carry_their_non_empty_buckets() {
+        let r = Registry::new();
+        let h = r.histogram("lat_seconds", &[]);
+        for ns in [3u64, 3, 1_000, 1_000_000] {
+            h.observe(ns);
+        }
+        let snap = r.snapshot();
+        let v = snap.histogram("lat_seconds", &[]).unwrap();
+        let dense = h.buckets();
+        let nonzero: Vec<(usize, u64)> = dense.iter().copied().enumerate().filter(|&(_, n)| n > 0).collect();
+        assert_eq!(v.buckets, nonzero);
+        assert_eq!(v.buckets.len(), 3);
+        assert_eq!(v.buckets[0], (3, 2));
+        assert_eq!(v.p50_seconds, h.quantile(0.5) as f64 / 1e9);
+        assert_eq!(v.p99_seconds, quantile(&dense, 0.99) as f64 / 1e9);
     }
 
     #[test]

@@ -283,8 +283,8 @@ pub enum Request {
     Ping,
     /// Fetch the server's metrics registry as Prometheus text.
     Metrics,
-    /// Fetch the SLO watchdog's windowed statistics as a JSON document
-    /// (drives `aqp top`).
+    /// Fetch the server's per-class outcome counts and answer-latency
+    /// buckets since it started, as a JSON document (drives `aqp top`).
     Stats,
     /// Fetch the flight recorder's retained request records as JSONL.
     Dump,
@@ -766,7 +766,8 @@ pub enum Response {
     Pong,
     /// Prometheus text-format metrics snapshot.
     Metrics(String),
-    /// SLO watchdog windowed statistics, pre-rendered as a JSON document.
+    /// Per-class outcome counts and answer-latency buckets since the
+    /// server started, pre-rendered as a JSON document.
     Stats(String),
     /// Flight-recorder contents, rendered as JSONL (one request record
     /// per line, oldest first).

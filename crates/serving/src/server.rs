@@ -31,14 +31,17 @@
 //! Metrics: [`Server::bind`] makes one [`Registry`] for the server and
 //! hands it to the admission controller, the cache, the shadow auditor
 //! and the fault hooks, so every `aqp_server_*`, `aqp_cache_*`,
-//! `aqp_shadow_*`, `aqp_slo_*`, `aqp_flight_dump_total` and serving
+//! `aqp_shadow_*`, `aqp_flight_dump_total` and serving
 //! `aqp_fault_injected_total` series is this server's alone. Each request
-//! outcome is counted once, as `aqp_server_requests_total{class,outcome}`;
-//! the [`ServerReport`] and the `stats` verb's tallies are read off that
-//! registry. The `metrics` verb and `metrics_out` export it merged with
-//! the process-wide registry (`global()` in `aqp-obs`), which keeps what
-//! belongs to the process: tier and fallback tallies, scan and prune
-//! counters, storage faults, memory gauges, events.
+//! outcome is counted once, as `aqp_server_requests_total{class,outcome}`,
+//! and each answer's latency once, in `aqp_server_latency_seconds{class}`.
+//! The [`ServerReport`] and the `stats` verb's payload are read off one
+//! snapshot of that registry; the series are cumulative, and `aqp top`
+//! takes its 10s / 1m / 5m windows as differences of its own polls. The
+//! `metrics` verb and `metrics_out` export the registry merged with the
+//! process-wide one (`global()` in `aqp-obs`), which keeps what belongs
+//! to the process: tier and fallback tallies, scan and prune counters,
+//! storage faults, memory gauges, events.
 
 use crate::admission::{AdmissionConfig, AdmissionController, AdmitOutcome};
 use crate::cache::{CacheConfig, CacheDecision, SemanticCache};
@@ -52,8 +55,7 @@ use crate::throughput::Throughput;
 use aqp_core::{AnswerContract, AqpError, QueryBound, ResilientSystem, ServingTier};
 use aqp_obs::flight::{FlightRecorder, RequestRecord, Timeline, DEFAULT_FLIGHT_CAPACITY};
 use aqp_obs::json::Value;
-use aqp_obs::slo::{SloConfig, SloOutcome, SloWindows, WINDOWS};
-use aqp_obs::Registry;
+use aqp_obs::{Registry, Snapshot};
 use aqp_query::CancelToken;
 use std::io;
 use std::net::{TcpListener, TcpStream};
@@ -121,13 +123,11 @@ pub struct ServerConfig {
     /// Flight-recorder ring capacity (last N request records).
     pub flight_recorder_cap: usize,
     /// Dump the flight recorder to this JSONL file on anomaly (shed,
-    /// timeout, serving error, SLO breach) and at exit. `None` keeps the
-    /// ring in memory only (still served by the `dump` wire verb).
+    /// timeout, serving error) and at exit. `None` keeps the ring in
+    /// memory only (still served by the `dump` wire verb).
     pub flight_dump: Option<std::path::PathBuf>,
     /// Shadow accuracy auditor (rate 0 disables the worker entirely).
     pub shadow: ShadowConfig,
-    /// SLO watchdog thresholds.
-    pub slo: SloConfig,
     /// Injected serving faults, counted by this server's hooks alone
     /// (empty: none).
     pub faults: Vec<ServingFault>,
@@ -148,7 +148,6 @@ impl Default for ServerConfig {
             flight_recorder_cap: DEFAULT_FLIGHT_CAPACITY,
             flight_dump: None,
             shadow: ShadowConfig::default(),
-            slo: SloConfig::default(),
             faults: Vec::new(),
         }
     }
@@ -183,13 +182,13 @@ pub struct ServerReport {
 }
 
 const REQUESTS: &str = "aqp_server_requests_total";
+const LATENCY: &str = "aqp_server_latency_seconds";
 
 impl ServerReport {
-    /// The report a server's registry holds: each outcome is its
-    /// `aqp_server_requests_total{outcome}` series summed over classes,
-    /// the cache tallies are the cache's own counters.
-    fn read(registry: &Registry) -> ServerReport {
-        let snap = registry.snapshot();
+    /// The report a snapshot of a server's registry holds: each outcome
+    /// is its `aqp_server_requests_total{outcome}` series summed over
+    /// classes, the cache tallies are the cache's own counters.
+    fn read(snap: &Snapshot) -> ServerReport {
         let outcome = |want: &str| {
             snap.counters
                 .iter()
@@ -248,7 +247,6 @@ struct Inner {
     /// Per-instance (not global) so concurrent test servers never see
     /// each other's requests.
     flight: FlightRecorder,
-    slo: Mutex<SloWindows>,
     /// Taken (and drained) exactly once at server drain.
     shadow: Mutex<Option<ShadowAuditor>>,
     trace_counter: AtomicU64,
@@ -275,13 +273,6 @@ impl Server {
         let admission = AdmissionController::with_registry(config.admission, Arc::clone(&registry));
         let cache = SemanticCache::with_registry(config.cache.clone(), Arc::clone(&registry));
         let flight = FlightRecorder::new(config.flight_recorder_cap);
-        let slo = Mutex::new(SloWindows::new(
-            config.slo.clone(),
-            &[
-                ContractClass::Interactive.as_str(),
-                ContractClass::Batch.as_str(),
-            ],
-        ));
         // The auditor shares the system, not a copy of it (a `Table`
         // clone copies every column): exact re-execution runs beside
         // serving, never through admission.
@@ -303,7 +294,6 @@ impl Server {
                 draining: AtomicBool::new(false),
                 registry,
                 flight,
-                slo,
                 shadow,
                 trace_counter: AtomicU64::new(1),
                 faults,
@@ -323,7 +313,7 @@ impl Server {
     }
 
     /// This server's registry: its request, admission, cache, shadow,
-    /// SLO, flight-dump and injected-fault series, and no other server's.
+    /// flight-dump and injected-fault series, and no other server's.
     pub fn registry(&self) -> Arc<Registry> {
         Arc::clone(&self.inner.registry)
     }
@@ -397,7 +387,6 @@ impl Server {
         if let Some(shadow) = self.inner.shadow.lock().expect("shadow slot poisoned").take() {
             shadow.shutdown();
         }
-        self.inner.slo.lock().expect("slo poisoned").export_to_registry(&self.inner.registry);
         if let Some(path) = &self.inner.config.flight_dump {
             if !self.inner.flight.is_empty() {
                 if let Ok(records) = self.inner.flight.dump_to(path) {
@@ -413,7 +402,7 @@ impl Server {
         if let Some(path) = &self.inner.config.metrics_out {
             std::fs::write(path, metrics_text(&self.inner))?;
         }
-        let report = ServerReport::read(&self.inner.registry);
+        let report = ServerReport::read(&self.inner.registry.snapshot());
         aqp_obs::event::info(
             "serving::server",
             "server drained and stopped",
@@ -558,7 +547,7 @@ impl Inner {
 
     fn observe_latency(&self, class: ContractClass, elapsed: Duration) {
         let labels = &[("class", class.as_str())];
-        self.registry.histogram("aqp_server_latency_seconds", labels).observe_duration(elapsed);
+        self.registry.histogram(LATENCY, labels).observe_duration(elapsed);
     }
 }
 
@@ -575,8 +564,7 @@ fn metrics_text(inner: &Inner) -> String {
 }
 
 /// Per-query facts the connection loop needs after the response is
-/// written: the flight record's identity fields plus how to classify the
-/// outcome for the SLO watchdog.
+/// written: the flight record's fields that the timeline does not hold.
 struct RequestMeta {
     trace_id: String,
     class: ContractClass,
@@ -598,112 +586,62 @@ fn gen_trace_id(inner: &Inner) -> String {
     format!("aqp-{:08x}-{n:x}", nanos ^ (n << 20))
 }
 
-/// Finish one query request: push its flight record, feed the SLO
-/// watchdog, and dump the flight ring on anomaly or breach. Runs after
-/// the response frame was written so the `write` stage is on the record.
+/// Finish one query request: push its flight record, and dump the
+/// flight ring on anomaly. Runs after the response frame was written so
+/// the `write` stage is on the record.
 fn commit_request(inner: &Inner, meta: RequestMeta, timeline: Timeline) {
-    let total_micros = timeline.total_micros();
     inner.flight.record(RequestRecord {
-        trace_id: meta.trace_id.clone(),
+        trace_id: meta.trace_id,
         class: meta.class.as_str().to_string(),
         outcome: meta.outcome.to_string(),
         tier: meta.tier,
         cache_hit: meta.cache_hit,
         rows_scanned: meta.rows_scanned,
-        total_micros,
+        total_micros: timeline.total_micros(),
         stages: timeline.into_stages(),
     });
-
-    let slo_outcome = match meta.outcome {
-        "answer" => Some(SloOutcome::Answered { cache_hit: meta.cache_hit }),
-        "shed" => Some(SloOutcome::Shed),
-        "timeout" => Some(SloOutcome::Timeout),
-        "error" => Some(SloOutcome::Error),
-        // Draining rejects are shutdown noise, not SLO signal.
-        _ => None,
-    };
-    let breach = slo_outcome.and_then(|outcome| {
-        inner.slo.lock().expect("slo poisoned").record(
-            meta.class.as_str(),
-            outcome,
-            Duration::from_micros(total_micros),
-        )
-    });
-    if let Some(breach) = &breach {
-        inner.count("aqp_slo_breach_total", &[("class", &breach.class), ("rule", breach.rule)]);
-        aqp_obs::event::warn(
-            "serving::slo",
-            "SLO burn-rate breach",
-            &[
-                ("class", &breach.class),
-                ("rule", breach.rule),
-                ("trace_id", &meta.trace_id),
-                ("fast_availability", &format!("{:.3}", breach.fast_availability)),
-                ("slow_availability", &format!("{:.3}", breach.slow_availability)),
-            ],
-        );
-    }
-
     // Anomalies flush the ring to disk — the record that just went in
     // (and the N before it) are on disk before the next request runs.
-    let anomaly = matches!(meta.outcome, "shed" | "timeout" | "error");
-    if anomaly || breach.is_some() {
-        let trigger = if breach.is_some() { "slo-breach" } else { meta.outcome };
+    if matches!(meta.outcome, "shed" | "timeout" | "error") {
         if let Some(path) = &inner.config.flight_dump {
             if inner.flight.dump_to(path).is_ok() {
-                inner.count("aqp_flight_dump_total", &[("trigger", trigger)]);
+                inner.count("aqp_flight_dump_total", &[("trigger", meta.outcome)]);
             }
         }
     }
 }
 
-/// Render the SLO watchdog's view (plus lifetime tallies) as the JSON
-/// document behind the `stats` verb and `aqp top`.
+/// The `stats` verb's payload (what `aqp top` polls), read off the same
+/// registry snapshot as the [`ServerReport`] and counted since the server
+/// started: per class, its queries' `answer` / `shed` / `timeout` /
+/// `error` counts and the non-empty buckets of its answer latency as
+/// `[index, count]` pairs (the layout `aqp_obs::metrics::quantile`
+/// reads); server-wide, its connections, cache hits and flight records.
+/// Reading registers no series.
 fn render_stats(inner: &Inner) -> String {
-    let slo = inner.slo.lock().expect("slo poisoned");
+    let snap = inner.registry.snapshot();
     let classes = [ContractClass::Interactive, ContractClass::Batch]
         .iter()
         .map(|class| {
-            let windows = WINDOWS
-                .iter()
-                .map(|(name, seconds)| {
-                    let w = slo.window(class.as_str(), *seconds);
-                    Value::Obj(vec![
-                        ("window".into(), (*name).into()),
-                        ("requests".into(), w.requests.into()),
-                        ("answered".into(), w.answered.into()),
-                        ("availability".into(), w.availability.into()),
-                        ("shed_rate".into(), w.shed_rate().into()),
-                        ("timeout_rate".into(), w.timeout_rate().into()),
-                        ("cache_hit_rate".into(), w.cache_hit_rate().into()),
-                        ("p50_ms".into(), (w.p50_micros as f64 / 1e3).into()),
-                        ("p95_ms".into(), (w.p95_micros as f64 / 1e3).into()),
-                        ("p99_ms".into(), (w.p99_micros as f64 / 1e3).into()),
-                    ])
-                })
-                .collect();
-            Value::Obj(vec![
-                ("class".into(), class.as_str().into()),
-                ("in_breach".into(), slo.in_breach(class.as_str()).into()),
-                ("windows".into(), Value::Arr(windows)),
-            ])
+            let class = class.as_str();
+            let mut members = vec![("class".to_string(), class.into())];
+            for outcome in ["answer", "shed", "timeout", "error"] {
+                let n = snap.counter_value(REQUESTS, &[("class", class), ("outcome", outcome)]);
+                members.push((outcome.to_string(), n.unwrap_or(0).into()));
+            }
+            let latency = snap.histogram(LATENCY, &[("class", class)]).map_or(Vec::new(), |h| {
+                h.buckets.iter().map(|&(i, n)| Value::Arr(vec![i.into(), n.into()])).collect()
+            });
+            members.push(("latency".to_string(), Value::Arr(latency)));
+            Value::Obj(members)
         })
         .collect();
-    drop(slo);
-    let t = ServerReport::read(&inner.registry);
-    let tallies = Value::Obj(vec![
-        ("requests".into(), t.requests.into()),
-        ("answered".into(), t.answered.into()),
-        ("shed".into(), t.shed.into()),
-        ("timeouts".into(), t.timeouts.into()),
-        ("errors".into(), t.errors.into()),
-        ("cache_hits".into(), t.cache_hits.into()),
-        ("connections".into(), t.connections.into()),
-    ]);
-    Value::Obj(vec![
-        ("classes".into(), Value::Arr(classes)),
-        ("tallies".into(), tallies),
-        ("flight_records".into(), inner.flight.len().into()),
+    let report = ServerReport::read(&snap);
+    Value::object([
+        ("classes", Value::Arr(classes)),
+        ("connections", report.connections.into()),
+        ("cache_hits", report.cache_hits.into()),
+        ("flight_records", inner.flight.len().into()),
     ])
     .to_json()
 }
@@ -716,14 +654,10 @@ fn dispatch(inner: &Inner, request: Request, timeline: &mut Timeline) -> (Reply,
         }
         Request::Metrics => {
             tally_request(inner, ContractClass::Interactive, "metrics");
-            // Refresh the aqp_slo_* gauges so every metrics pull carries
-            // the watchdog's current windows.
-            inner.slo.lock().expect("slo poisoned").export_to_registry(&inner.registry);
             Response::Metrics(metrics_text(inner))
         }
         Request::Stats => {
             tally_request(inner, ContractClass::Interactive, "stats");
-            inner.slo.lock().expect("slo poisoned").export_to_registry(&inner.registry);
             Response::Stats(render_stats(inner))
         }
         Request::Dump => {
@@ -1143,6 +1077,40 @@ mod tests {
             other => panic!("{other:?}"),
         }
         drop(stream);
+        handle.shutdown();
+        join.join().unwrap();
+    }
+
+    #[test]
+    fn stats_reads_the_registry_without_adding_series() {
+        let server = Server::bind(ResilientSystem::exact_only(view(100)), ServerConfig::default()).unwrap();
+        let registry = server.registry();
+        let addr = server.local_addr().unwrap();
+        let handle = server.shutdown_handle();
+        let join = std::thread::spawn(move || server.run().unwrap());
+        let mut client = Client::new(addr.to_string(), RetryPolicy::no_retry());
+        assert!(matches!(client.request(&Request::query("SELECT COUNT(*) AS c FROM v")), Ok(Response::Answer(_))));
+        let ids = || {
+            let snap = registry.snapshot();
+            let mut ids: Vec<_> = snap.counters.iter().map(|c| (c.name.clone(), c.labels.clone())).collect();
+            ids.extend(snap.gauges.iter().map(|g| (g.name.clone(), g.labels.clone())));
+            ids.extend(snap.histograms.iter().map(|h| (h.name.clone(), h.labels.clone())));
+            ids
+        };
+        let stats = |client: &mut Client| match client.request(&Request::Stats).unwrap() {
+            Response::Stats(text) => text,
+            other => panic!("{other:?}"),
+        };
+        // The first pull registers its own `outcome="stats"` tally; after
+        // that, reading adds nothing, not even the batch class it reports.
+        let first = stats(&mut client);
+        let registered = ids();
+        let second = stats(&mut client);
+        assert_eq!(ids(), registered);
+        let batch = ("class".to_string(), "batch".to_string());
+        assert!(!registered.iter().any(|(_, labels)| labels.contains(&batch)), "{registered:?}");
+        assert_eq!(first, second);
+        assert!(first.contains(r#"{"class":"batch","answer":0,"shed":0,"timeout":0,"error":0,"latency":[]}"#), "{first}");
         handle.shutdown();
         join.join().unwrap();
     }

@@ -5,11 +5,12 @@
 //! mixed workload — including the proof that shadow re-execution never
 //! consumes an admission slot.
 
+use aqp::obs::json::Value;
 use aqp::obs::{Registry, RequestRecord};
 use aqp::prelude::*;
 use aqp::serving::{
-    CacheConfig, Client, ContractClass, Request, Response, RetryPolicy, Server, ServerConfig,
-    ServingFault, ShadowConfig,
+    AdmissionConfig, CacheConfig, ClassLimits, Client, ClientError, ContractClass, Request,
+    Response, RetryPolicy, Server, ServerConfig, ServingFault, ShadowConfig,
 };
 use aqp::workload::CoverageBucket;
 use std::sync::Arc;
@@ -151,28 +152,49 @@ fn anomaly_dump_file_contains_the_timed_out_trace() {
 
     // exec-stall@0 blocks this server's first execution until its
     // deadline token trips: a deterministic timeout, which is an anomaly,
-    // which must dump the flight ring to the configured path.
-    let (addr, handle, join, _) = start_server(
+    // which must dump the flight ring to the configured path. With one
+    // interactive slot and no queue, a query sent while the stall holds
+    // the slot is shed. The cache is off, so that query does not wait on
+    // the stalled one as its single-flight leader.
+    let (addr, handle, join, registry) = start_server(
         ResilientSystem::exact_only(sales_view(5_000)).with_threads(2),
         ServerConfig {
+            admission: AdmissionConfig {
+                interactive: ClassLimits { max_inflight: 1, max_queue: 0 },
+                ..AdmissionConfig::default()
+            },
+            cache: CacheConfig::disabled(),
             flight_dump: Some(dump_path.clone()),
             faults: vec![ServingFault::ExecStall { nth: 0 }],
             ..ServerConfig::default()
         },
     );
-    let mut client = Client::new(addr, RetryPolicy::no_retry());
-    match client
-        .request(&Request::Query {
-            sql: SQL.into(),
-            class: ContractClass::Interactive,
-            deadline_ms: Some(150),
-            row_budget: None,
-            confidence: None,
-            max_rel_error: None,
-            trace_id: Some("tid-stall-1".into()),
+    let stalled = {
+        let addr = addr.clone();
+        std::thread::spawn(move || {
+            Client::new(addr, RetryPolicy::no_retry()).request(&Request::Query {
+                sql: SQL.into(),
+                class: ContractClass::Interactive,
+                deadline_ms: Some(1_000),
+                row_budget: None,
+                confidence: None,
+                max_rel_error: None,
+                trace_id: Some("tid-stall-1".into()),
+            })
         })
-        .unwrap()
-    {
+    };
+    // The stall fires after admission: once it is counted, it holds the slot.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while registry.snapshot().counter_value("aqp_fault_injected_total", &[("kind", "exec-stall")]) != Some(1) {
+        assert!(Instant::now() < deadline, "the stall never fired");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let mut client = Client::new(addr, RetryPolicy::no_retry());
+    match client.request(&query_with_trace(Some("tid-shed-1"))) {
+        Err(ClientError::Shed { .. }) => {}
+        other => panic!("expected a shed, got {other:?}"),
+    }
+    match stalled.join().unwrap().unwrap() {
         Response::Timeout { trace_id, .. } => {
             assert_eq!(trace_id, "tid-stall-1", "timeout carries the trace id");
         }
@@ -200,7 +222,36 @@ fn anomaly_dump_file_contains_the_timed_out_trace() {
     assert_timeline_well_formed(&record);
     // The stall held the request for its deadline: the timeline shows
     // where the time went (execute dominates).
-    assert!(record.total_micros >= 100_000, "stalled ~150ms, saw {}us", record.total_micros);
+    assert!(record.total_micros >= 100_000, "stalled ~1s, saw {}us", record.total_micros);
+
+    // With the slot free again the same query is answered.
+    match client.request(&query_with_trace(Some("tid-ok-1"))).unwrap() {
+        Response::Answer(answer) => assert_eq!(answer.trace_id, "tid-ok-1"),
+        other => panic!("expected an answer, got {other:?}"),
+    }
+    // The stats payload reads those three outcomes off the registry: one
+    // each for the interactive class, none for batch, and one answer's
+    // latency in the interactive histogram.
+    let stats = match client.request(&Request::Stats).unwrap() {
+        Response::Stats(text) => aqp::obs::json::parse(&text).unwrap(),
+        other => panic!("expected stats, got {other:?}"),
+    };
+    let classes = stats.get("classes").and_then(Value::as_arr).expect("classes");
+    let labels: Vec<_> = classes.iter().map(|c| c.get("class").and_then(Value::as_str)).collect();
+    assert_eq!(labels, [Some("interactive"), Some("batch")]);
+    let outcomes = |class: &Value| {
+        ["answer", "shed", "timeout", "error"].map(|o| class.get(o).and_then(Value::as_u64))
+    };
+    assert_eq!(outcomes(&classes[0]), [Some(1), Some(1), Some(1), Some(0)]);
+    assert_eq!(outcomes(&classes[1]), [Some(0); 4]);
+    let answers_timed = |class: &Value| -> u64 {
+        let pairs = class.get("latency").and_then(Value::as_arr).expect("latency");
+        pairs.iter().map(|p| p.as_arr().and_then(|p| p[1].as_u64()).expect("[index, count]")).sum()
+    };
+    assert_eq!(answers_timed(&classes[0]), 1);
+    assert_eq!(answers_timed(&classes[1]), 0);
+    assert_eq!(stats.get("cache_hits").and_then(Value::as_u64), Some(0));
+    assert_eq!(stats.get("flight_records").and_then(Value::as_u64), Some(3));
 
     handle.shutdown();
     join.join().unwrap().unwrap();
