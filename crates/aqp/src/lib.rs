@@ -92,7 +92,7 @@ pub mod prelude {
     pub use aqp_sampling::{ConfidenceInterval, Design, Estimate};
     pub use aqp_sql::{parse_query, ParsedQuery};
     pub use aqp_storage::{DataType, Schema, SchemaBuilder, Table, Value};
-    pub use aqp_obs::QueryTrace;
+    pub use aqp_obs::RequestRecord;
     pub use aqp_workload::{
         evaluate_queries, evaluate_queries_traced, exact_answer, generate_queries,
         obs_report_json, DatasetProfile, QueryGenConfig, WorkloadAggregate,

@@ -122,14 +122,16 @@ any single query may scan. --threads sets the morsel-driven execution
 parallelism (default: available hardware parallelism); answers are
 bit-identical at any thread count.
 
---trace prints one JSON QueryTrace line per query (plan, sample tables
-consulted, serving tier, rows scanned, per-stage wall time); for
+--trace prints one JSON request record per query (plan, sample tables
+consulted, serving tier, rows scanned, operator profiles, span time per
+name in microseconds) — the record a server keeps per request; for
 workload it also writes PREFIX_traces.jsonl (the traces),
 PREFIX_metrics.prom (the metrics snapshot) and PREFIX_report.json (the
 accuracy summary and tier counts only; default PREFIX: OBS). --stats
 prints a Prometheus text-format metrics snapshot after the command.
-validate-trace decodes every line of a .jsonl trace file strictly:
-schema_version 3 with every field present and typed.
+validate-trace decodes every line of a .jsonl file of request records
+(a traced workload's, or a server's flight dump) strictly:
+schema_version 4 with every field present and typed.
 
 Zone-map pruning: scans consult per-block min/max/null/dictionary
 summaries persisted in .aqpt files (recomputed lazily when absent) to
@@ -165,7 +167,9 @@ Every query carries a trace id on the wire (client-supplied via
 timeout, or error response; the server stamps it into events and into
 an always-on flight recorder — a ring of the last N request records
 (--flight-recorder-cap), each with a contiguous stage timeline
-(read/parse/cache/admission/execute/serialize/write, microseconds).
+(read/parse/cache/admission/execute/serialize/write, microseconds) and,
+for an executed query, the same plan, sample tables and operator
+profiles --trace prints.
 The ring is dumped as JSONL to --flight-dump on every anomaly (shed,
 timeout, error) and at exit, or fetched live with the dump verb. The
 stats verb returns what the server counted since it started: per class,
@@ -178,8 +182,7 @@ its header carries the server-wide cache hit rate.
 --shadow-rate F samples that fraction of sampled-tier answers for a
 background exact re-execution (never holding an admission slot) and
 records realized error vs the promised CI as aqp_shadow_* metrics.
-client --stats prints a retry/shed summary line
-(aqp_client_retry_total / aqp_client_shed_total count the same events).
+client --stats prints a retry/shed summary line.
 
 explain prints the sampler's static rewrite plan for a query; with
 --analyze it also executes the query and reports a per-operator profile
@@ -191,7 +194,7 @@ function, per group-size decile and per sampled-row count n of the
 estimate: 1, 2, 3-5, 6-20, 21+; with Agresti-Coull under-coverage
 flagging) and writes PREFIX_calibration.json. dashboard combines
 PREFIX_report.json (summary and tiers), PREFIX_traces.jsonl (explain
-profiles and stages, each line decoded strictly) and
+profiles and span times, each line decoded strictly) and
 PREFIX_calibration.json, whichever exist, into a single self-contained
 PREFIX_dashboard.html.";
 
@@ -436,8 +439,8 @@ pub(crate) fn write_metrics_snapshot(out: &mut dyn Write) -> Result<(), CliError
     Ok(())
 }
 
-/// Parse, answer and print one SQL query. With `trace` the per-query
-/// [`QueryTrace`] is printed as one JSON line after the summary.
+/// Parse, answer and print one SQL query. With `trace` the query's
+/// [`RequestRecord`] is printed as one JSON line after the summary.
 fn answer_one(
     system: &ResilientSystem,
     view: Option<&Table>,
@@ -566,13 +569,13 @@ fn explain_command(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 
 /// Render the per-operator profiles of a trace as a text tree, ending
 /// with the `rows_in` vs `rows_scanned` reconciliation line.
-fn render_operator_tree(trace: &QueryTrace) -> String {
+fn render_operator_tree(trace: &RequestRecord) -> String {
     let mut s = format!(
-        "analyze: tier {}, plan {}, {} operator(s), {:.2} ms\n",
+        "analyze: tier {}, plan {}, {} operator(s), {} µs\n",
         trace.serving_tier,
         trace.plan,
         trace.operators.len(),
-        trace.total_ms
+        trace.total_micros
     );
     let last = trace.operators.len().saturating_sub(1);
     for (i, op) in trace.operators.iter().enumerate() {
@@ -807,7 +810,7 @@ fn dashboard_command(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
                 continue;
             }
             traces.push(
-                QueryTrace::from_json(line)
+                RequestRecord::from_json(line)
                     .map_err(|e| CliError(format!("{traces_path}:{}: {e}", lineno + 1)))?,
             );
         }
@@ -836,8 +839,9 @@ fn dashboard_command(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Validate a `.jsonl` trace file: every non-empty line must decode as a
-/// schema-version-3 [`QueryTrace`].
+/// Validate a `.jsonl` file of request records (a traced workload's or a
+/// flight dump): every non-empty line must decode as a schema-version-4
+/// [`RequestRecord`].
 fn validate_trace_command(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let path = args
         .positionals()
@@ -851,7 +855,7 @@ fn validate_trace_command(args: &Args, out: &mut dyn Write) -> Result<(), CliErr
         if line.trim().is_empty() {
             continue;
         }
-        QueryTrace::from_json(line).map_err(|e| CliError(format!("{path}:{}: {e}", lineno + 1)))?;
+        RequestRecord::from_json(line).map_err(|e| CliError(format!("{path}:{}: {e}", lineno + 1)))?;
         checked += 1;
     }
     if checked == 0 {
@@ -1243,11 +1247,14 @@ mod tests {
             .lines()
             .find(|l| l.starts_with('{'))
             .expect("trace JSON line present");
-        let trace = aqp::obs::QueryTrace::from_json(trace_line).unwrap();
+        let trace = RequestRecord::from_json(trace_line).unwrap();
         assert_eq!(trace.serving_tier, "primary", "{msg}");
+        assert_eq!(trace.outcome, "answer", "{msg}");
         assert!(trace.rows_scanned > 0, "{msg}");
         assert!(!trace.sample_tables.is_empty(), "{msg}");
-        assert!(trace.stages.iter().any(|s| s.stage == "query.scan"), "{msg}");
+        assert!(trace.spans.iter().any(|s| s.name == "query.scan"), "{msg}");
+        let names: Vec<&str> = trace.stages.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["execute"], "an in-process timeline is its execute stage");
         // --stats appends a Prometheus snapshot.
         assert!(msg.contains("# TYPE aqp_serving_tier_total counter"), "{msg}");
         assert!(msg.contains("aqp_stage_seconds{"), "{msg}");
@@ -1283,7 +1290,7 @@ mod tests {
         let jsonl = std::fs::read_to_string(&traces_path).unwrap();
         assert_eq!(jsonl.lines().count(), 4);
         for line in jsonl.lines() {
-            let t = aqp::obs::QueryTrace::from_json(line).unwrap();
+            let t = RequestRecord::from_json(line).unwrap();
             assert_eq!(t.serving_tier, "primary");
             assert!(t.rows_scanned > 0);
         }
@@ -1321,20 +1328,22 @@ mod tests {
         let bad = dir.join("bad.jsonl");
         std::fs::write(&bad, "{\"query\": \"q\"}\n").unwrap();
         assert!(run_cli(&["validate-trace", bad.to_str().unwrap()]).is_err());
-        // Only schema version 3 passes: a v2 line and a v1 line (no
-        // version) are rejected by name.
-        let v3 = QueryTrace {
+        // Only schema version 4 passes: a v3 line and an unversioned
+        // line (a flight record before v4) are rejected by name.
+        let v4 = RequestRecord {
+            outcome: "answer".into(),
             serving_tier: "primary".into(),
-            ..QueryTrace::default()
+            ..RequestRecord::default()
         }
         .to_json();
         let good = dir.join("good.jsonl");
-        std::fs::write(&good, format!("{v3}\n")).unwrap();
+        std::fs::write(&good, format!("{v4}\n")).unwrap();
         assert!(run_cli(&["validate-trace", good.to_str().unwrap()]).is_ok());
         for old in [
-            v3.replace("\"schema_version\":3", "\"schema_version\":2"),
-            v3.replace(",\"schema_version\":3", ""),
+            v4.replace("\"schema_version\":4", "\"schema_version\":3"),
+            v4.replace("\"schema_version\":4,", ""),
         ] {
+            assert_ne!(old, v4);
             std::fs::write(&bad, format!("{old}\n")).unwrap();
             let err = run_cli(&["validate-trace", bad.to_str().unwrap()]).unwrap_err();
             assert!(err.0.contains("schema_version"), "{err}");

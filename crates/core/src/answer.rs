@@ -119,6 +119,18 @@ impl ApproxAnswer {
     pub fn sort_by_key(&mut self) {
         self.groups.sort_by(|a, b| a.key.cmp(&b.key));
     }
+
+    /// Stamp this answer on a request record: outcome `answer`, its tier,
+    /// partial flag, rows scanned and group count. The members a cached
+    /// answer carries; the plan behind it is
+    /// [`crate::ResilientSystem::describe`]'s.
+    pub fn record_into(&self, record: &mut aqp_obs::RequestRecord) {
+        record.outcome = "answer".to_string();
+        record.serving_tier = self.tier.as_str().to_string();
+        record.partial = self.partial;
+        record.rows_scanned = self.rows_scanned as u64;
+        record.groups = self.groups.len() as u64;
+    }
 }
 
 impl fmt::Display for ApproxAnswer {

@@ -35,7 +35,7 @@ use crate::answer::{ApproxAnswer, ServingTier};
 use crate::error::{AqpError, AqpResult};
 use crate::parts::{answer_from_parts, Part};
 use crate::smallgroup::SmallGroupSampler;
-use crate::system::AqpSystem;
+use crate::system::{traced, AqpSystem};
 use aqp_query::{CancelToken, Query, Weighting};
 use aqp_sampling::Design;
 use aqp_storage::Table;
@@ -338,46 +338,10 @@ impl AqpSystem for ResilientSystem {
         &self,
         query: &Query,
         confidence: f64,
-    ) -> AqpResult<(ApproxAnswer, aqp_obs::QueryTrace)> {
-        let opened = aqp_obs::trace::begin(&query.to_string());
-        let result = self.answer(query, confidence);
-        let collected = if opened { aqp_obs::trace::finish() } else { None };
-        let answer = result?;
-        let mut trace = collected.unwrap_or_default();
-        if trace.query.is_empty() {
-            trace.query = query.to_string();
-        }
-        trace.serving_tier = answer.tier.as_str().to_string();
-        trace.partial = answer.partial;
-        trace.rows_scanned = answer.rows_scanned as u64;
-        trace.groups = answer.groups.len() as u64;
-        trace.base_rows = self
-            .view
-            .as_ref()
-            .map(|v| v.num_rows())
-            .or_else(|| self.primary.as_ref().map(|p| p.view_rows()))
-            .unwrap_or(0) as u64;
-        match answer.tier {
-            ServingTier::Primary | ServingTier::DegradedPrimary => {
-                if let Some(p) = &self.primary {
-                    trace.sample_tables = p.plan_tables(query);
-                }
-                trace.plan = format!("union-all({})", trace.sample_tables.len());
-            }
-            ServingTier::Overall => {
-                if let Some(p) = &self.primary {
-                    trace.sample_tables = p.overall_table_names();
-                }
-                trace.plan = "overall-only".into();
-            }
-            ServingTier::Exact => {
-                if let Some(v) = &self.view {
-                    trace.sample_tables = vec![v.name().to_string()];
-                }
-                trace.plan = "exact-scan".into();
-            }
-        }
-        Ok((answer, trace))
+    ) -> AqpResult<(ApproxAnswer, aqp_obs::RequestRecord)> {
+        let (answer, mut record) = traced(query, || self.answer(query, confidence))?;
+        self.describe(query, &answer, &mut record);
+        Ok((answer, record))
     }
 
     fn sample_bytes(&self) -> usize {
@@ -404,6 +368,42 @@ impl AqpSystem for ResilientSystem {
 }
 
 impl ResilientSystem {
+    /// Fill `record` with what this system decided for `answer` to
+    /// `query`: the answer's members ([`ApproxAnswer::record_into`]), the
+    /// plan label, the sample tables (or base view) its tier consulted,
+    /// and the base relation's rows. The one rule behind both the
+    /// in-process trace ([`AqpSystem::answer_traced`]) and a server's
+    /// flight record.
+    pub fn describe(&self, query: &Query, answer: &ApproxAnswer, record: &mut aqp_obs::RequestRecord) {
+        answer.record_into(record);
+        record.base_rows = self
+            .view
+            .as_ref()
+            .map(|v| v.num_rows())
+            .or_else(|| self.primary.as_ref().map(|p| p.view_rows()))
+            .unwrap_or(0) as u64;
+        match answer.tier {
+            ServingTier::Primary | ServingTier::DegradedPrimary => {
+                if let Some(p) = &self.primary {
+                    record.sample_tables = p.plan_tables(query);
+                }
+                record.plan = format!("union-all({})", record.sample_tables.len());
+            }
+            ServingTier::Overall => {
+                if let Some(p) = &self.primary {
+                    record.sample_tables = p.overall_table_names();
+                }
+                record.plan = "overall-only".into();
+            }
+            ServingTier::Exact => {
+                if let Some(v) = &self.view {
+                    record.sample_tables = vec![v.name().to_string()];
+                }
+                record.plan = "exact-scan".into();
+            }
+        }
+    }
+
     /// [`AqpSystem::answer`] under per-request [`QueryBound`] constraints:
     /// the same degradation ladder, walked under the *tightest* of the
     /// system row budget and the bound's budgets, with the bound's cancel

@@ -648,8 +648,8 @@ impl SmallGroupSampler {
 
     /// Names of the tables the dynamic selection would consult for
     /// `query`, in plan order: applicable small group tables first, then
-    /// the overall part(s). This is the table list a
-    /// [`aqp_obs::QueryTrace`] reports as `sample_tables`.
+    /// the overall part(s). This is the table list an
+    /// [`aqp_obs::RequestRecord`] reports as `sample_tables`.
     pub fn plan_tables(&self, query: &Query) -> Vec<String> {
         let mut names: Vec<String> = self
             .applicable_units(query)

@@ -29,44 +29,42 @@ pub trait AqpSystem {
     /// fairness rule of Section 5.2.3 equalises across systems.
     fn runtime_rows(&self, query: &Query) -> usize;
 
-    /// Answer `query` and return the per-query [`aqp_obs::QueryTrace`]
-    /// alongside the answer. The default implementation wraps
-    /// [`Self::answer`] with a trace collector, so every span the
-    /// execution emits lands in the trace, and fills the fields any
-    /// system can report (tier, rows scanned, groups, plan label).
+    /// Answer `query` and return its [`aqp_obs::RequestRecord`] alongside
+    /// the answer. The default implementation wraps [`Self::answer`] with
+    /// a trace collector, so every span and operator the execution emits
+    /// lands in the record, and fills the members any system can report
+    /// (tier, partial, rows scanned, groups, and its name as the plan).
     /// Systems that know more — which sample tables the plan consulted,
-    /// base-relation row counts — override this and enrich the trace.
+    /// base-relation row counts — override this and enrich the record.
     /// Tracing never changes the answer: it is `answer` plus bookkeeping.
     fn answer_traced(
         &self,
         query: &Query,
         confidence: f64,
-    ) -> AqpResult<(ApproxAnswer, aqp_obs::QueryTrace)> {
-        let opened = aqp_obs::trace::begin(&query.to_string());
-        let answer = match self.answer(query, confidence) {
-            Ok(a) => a,
-            Err(e) => {
-                if opened {
-                    aqp_obs::trace::finish();
-                }
-                return Err(e);
-            }
-        };
-        let mut trace = if opened {
-            aqp_obs::trace::finish().unwrap_or_default()
-        } else {
-            aqp_obs::QueryTrace {
-                query: query.to_string(),
-                ..aqp_obs::QueryTrace::default()
-            }
-        };
-        trace.plan = self.name().to_string();
-        trace.serving_tier = answer.tier.to_string();
-        trace.partial = answer.partial;
-        trace.rows_scanned = answer.rows_scanned as u64;
-        trace.groups = answer.groups.len() as u64;
-        Ok((answer, trace))
+    ) -> AqpResult<(ApproxAnswer, aqp_obs::RequestRecord)> {
+        let (answer, mut record) = traced(query, || self.answer(query, confidence))?;
+        record.plan = self.name().to_string();
+        answer.record_into(&mut record);
+        Ok((answer, record))
     }
+}
+
+/// Run `answer` under a trace collector opened for `query` and return its
+/// answer with the collected record (query text, one `execute` stage,
+/// spans and operators). The collector is closed whether `answer` fails
+/// or not; when an outer caller already holds it, the record carries only
+/// the query text.
+pub(crate) fn traced(
+    query: &Query,
+    answer: impl FnOnce() -> AqpResult<ApproxAnswer>,
+) -> AqpResult<(ApproxAnswer, aqp_obs::RequestRecord)> {
+    let text = query.to_string();
+    let opened = aqp_obs::trace::begin(&text);
+    let result = answer();
+    let collected = if opened { aqp_obs::trace::finish() } else { None };
+    let record =
+        collected.unwrap_or_else(|| aqp_obs::RequestRecord { query: text, ..Default::default() });
+    Ok((result?, record))
 }
 
 #[cfg(test)]
@@ -89,6 +87,37 @@ mod tests {
         fn runtime_rows(&self, _q: &Query) -> usize {
             0
         }
+    }
+
+    /// A system whose every answer fails.
+    struct Failing;
+    impl AqpSystem for Failing {
+        fn name(&self) -> &str {
+            "failing"
+        }
+        fn answer(&self, _q: &Query, _c: f64) -> AqpResult<ApproxAnswer> {
+            Err(crate::error::AqpError::Unsupported("nothing answers".into()))
+        }
+        fn sample_bytes(&self) -> usize {
+            0
+        }
+        fn runtime_rows(&self, _q: &Query) -> usize {
+            0
+        }
+    }
+
+    #[test]
+    fn answer_traced_closes_its_collector_and_fills_the_record() {
+        let q = Query::builder().count().build().unwrap();
+        assert!(Failing.answer_traced(&q, 0.95).is_err());
+        assert!(!aqp_obs::trace::is_active(), "a failed answer leaves no open collector");
+        let (_, record) = Dummy.answer_traced(&q, 0.95).unwrap();
+        assert!(!aqp_obs::trace::is_active());
+        assert_eq!((record.outcome.as_str(), record.plan.as_str()), ("answer", "dummy"));
+        assert_eq!(record.query, q.to_string());
+        let names: Vec<&str> = record.stages.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["execute"]);
+        assert_eq!(aqp_obs::RequestRecord::from_json(&record.to_json()), Ok(record));
     }
 
     #[test]

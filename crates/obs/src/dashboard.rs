@@ -3,13 +3,13 @@
 //! Renders one self-contained HTML file — inline CSS and hand-built SVG
 //! bar charts, no external assets or scripts — combining the observability
 //! artifacts a workload run writes: per-operator explain profiles (from
-//! traces), per-stage wall time, serving-tier counts, and the CI-coverage
+//! request records), span time per name, serving-tier counts, and the CI-coverage
 //! calibration audit. Hand-rolled string building in the same spirit as
 //! [`crate::json`]; the section anchors (`id="explain"`, `id="stages"`,
 //! `id="tiers"`, `id="calibration"`) are stable so CI can grep for them.
 
 use crate::json::Value;
-use crate::trace::QueryTrace;
+use crate::flight::RequestRecord;
 use std::fmt::Write as _;
 
 /// Everything the dashboard can render; all inputs optional.
@@ -21,8 +21,9 @@ pub struct DashboardData<'a> {
     pub report: Option<&'a Value>,
     /// Parsed `{prefix}_calibration.json` (coverage audit).
     pub calibration: Option<&'a Value>,
-    /// Traces from `{prefix}_traces.jsonl` (stage timings + operators).
-    pub traces: &'a [QueryTrace],
+    /// Request records from `{prefix}_traces.jsonl` (span times +
+    /// operators).
+    pub traces: &'a [RequestRecord],
 }
 
 /// Escape text for HTML body and attribute positions.
@@ -115,7 +116,7 @@ fn human_ns(ns: f64) -> String {
 /// Operator-profile section (`id="explain"`): a table of per-operator
 /// rows/selectivity/memory from the trace with the most operators, plus a
 /// rows-scanned-per-stratum bar chart.
-fn explain_section(out: &mut String, traces: &[QueryTrace]) {
+fn explain_section(out: &mut String, traces: &[RequestRecord]) {
     out.push_str("<section id=\"explain\"><h2>Explain profiles</h2>");
     let trace = traces.iter().max_by_key(|t| t.operators.len());
     let Some(trace) = trace.filter(|t| !t.operators.is_empty()) else {
@@ -163,26 +164,27 @@ fn explain_section(out: &mut String, traces: &[QueryTrace]) {
     out.push_str("</section>");
 }
 
-/// Stage-timing section (`id="stages"`): wall time summed over all traces.
-fn stages_section(out: &mut String, traces: &[QueryTrace]) {
+/// Stage-timing section (`id="stages"`): span time per name, summed over
+/// all records.
+fn stages_section(out: &mut String, traces: &[RequestRecord]) {
     out.push_str("<section id=\"stages\"><h2>Stage timings</h2>");
     let mut totals: Vec<(String, f64)> = Vec::new();
     for t in traces {
-        for s in &t.stages {
-            if let Some((_, ms)) = totals.iter_mut().find(|(name, _)| *name == s.stage) {
-                *ms += s.ms;
+        for s in &t.spans {
+            if let Some((_, us)) = totals.iter_mut().find(|(name, _)| *name == s.name) {
+                *us += s.micros as f64;
             } else {
-                totals.push((s.stage.clone(), s.ms));
+                totals.push((s.name.clone(), s.micros as f64));
             }
         }
     }
-    out.push_str(&bar_chart(&totals, &|v| format!("{v:.2} ms")));
+    out.push_str(&bar_chart(&totals, &|v| format!("{v:.0} µs")));
     out.push_str("</section>");
 }
 
 /// Serving-tier section (`id="tiers"`): counts from the report summary,
-/// falling back to counting trace tiers.
-fn tiers_section(out: &mut String, report: Option<&Value>, traces: &[QueryTrace]) {
+/// falling back to counting the tiers of answered records.
+fn tiers_section(out: &mut String, report: Option<&Value>, traces: &[RequestRecord]) {
     out.push_str("<section id=\"tiers\"><h2>Serving tiers</h2>");
     let mut rows: Vec<(String, f64)> = Vec::new();
     if let Some(tiers) = report.and_then(|r| r.get("summary")).and_then(|s| s.get("tiers")) {
@@ -192,7 +194,7 @@ fn tiers_section(out: &mut String, report: Option<&Value>, traces: &[QueryTrace]
             }
         }
     } else {
-        for t in traces {
+        for t in traces.iter().filter(|t| !t.serving_tier.is_empty()) {
             if let Some((_, n)) = rows.iter_mut().find(|(l, _)| *l == t.serving_tier) {
                 *n += 1.0;
             } else {
@@ -322,17 +324,17 @@ mod tests {
     use super::*;
     use crate::json;
     use crate::profile::OpProfile;
-    use crate::trace::StageTime;
+    use crate::flight::Stage;
 
-    fn trace() -> QueryTrace {
-        QueryTrace {
+    fn trace() -> RequestRecord {
+        RequestRecord {
             query: "SELECT COUNT(*) FROM t GROUP BY \"g<1>\"".into(),
             plan: "union-all(2)".into(),
             serving_tier: "primary".into(),
             rows_scanned: 130,
-            stages: vec![
-                StageTime { stage: "query.scan".into(), ms: 1.5 },
-                StageTime { stage: "query.merge".into(), ms: 0.25 },
+            spans: vec![
+                Stage { name: "query.scan".into(), micros: 1_500 },
+                Stage { name: "query.merge".into(), micros: 250 },
             ],
             operators: vec![
                 OpProfile {
@@ -359,7 +361,7 @@ mod tests {
                     ..OpProfile::default()
                 },
             ],
-            ..QueryTrace::default()
+            ..RequestRecord::default()
         }
     }
 
@@ -397,6 +399,7 @@ mod tests {
         assert!(html.contains("<h3>Per sampled rows n</h3>"));
         assert!(html.contains("<td>n 3-5</td><td>12</td><td>3</td>"));
         assert!(html.contains("scan:sg_t.g"));
+        assert!(html.contains(">1500 µs</text>"), "span time charted in µs");
         // Query text is escaped.
         assert!(html.contains("&quot;g&lt;1&gt;&quot;"));
         assert!(!html.contains("\"g<1>\""));

@@ -10,7 +10,7 @@
 //!   4 sub-buckets per power of two, ≤12.5% relative error) with
 //!   p50/p95/p99 extraction.
 //! * [`span()`] — scoped stage timers that record into the global registry
-//!   and the thread-local active [`QueryTrace`]. Spans are created and
+//!   and the thread-local [`trace`] collector. Spans are created and
 //!   dropped on the control thread only, so they are safe under the
 //!   multi-threaded morsel executor (workers touch nothing but atomics).
 //! * [`event`] — structured events (level + key/value fields) in a capped
@@ -22,12 +22,13 @@
 //!   export merges the two ([`Snapshot::merge`]). The series are
 //!   cumulative: a reader that wants a window (`aqp top`) takes the
 //!   difference of two snapshots.
-//! * [`flight`] — an always-on flight recorder: a fixed-size ring of
-//!   per-request records (trace id, outcome, contiguous stage timeline)
+//! * [`RequestRecord`] — one record per request, served or in-process:
+//!   trace id, outcome, contiguous stage timeline, and the decision —
+//!   plan chosen, sample tables consulted, rows scanned vs. base rows,
+//!   serving tier, operator profiles, span time per name. One JSON line
+//!   (`schema_version` 4) that parses back losslessly. [`trace`] collects
+//!   it in-process; a server keeps the last N in a [`flight`] ring,
 //!   dumped as JSONL on anomaly or on demand.
-//! * [`QueryTrace`] — one record per query: plan chosen, sample tables
-//!   consulted, rows scanned vs. base rows, serving tier, per-stage wall
-//!   time. Serializes to one JSON line and parses back losslessly.
 //!
 //! Every record is written through [`json::Value`] and read back by one
 //! strict decoder per record type. Collection is switched at runtime via
@@ -60,7 +61,6 @@ pub use registry::{
     counter, gauge, global, histogram, HistogramValue, MetricValue, Registry, Snapshot,
 };
 pub use span::{span, Span};
-pub use trace::{QueryTrace, StageTime};
 
 static ENABLED: AtomicBool = AtomicBool::new(true);
 

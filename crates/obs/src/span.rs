@@ -3,7 +3,7 @@
 //! `span("query.scan")` returns a guard; when it drops, the elapsed wall
 //! time is recorded into the global `aqp_stage_seconds{stage=...}`
 //! histogram and, if a [`crate::trace`] collector is open on this
-//! thread, accumulated into the current [`crate::QueryTrace`].
+//! thread, accumulated under its name into the open trace's `spans`.
 //!
 //! Safety under the morsel executor: spans live on the control thread
 //! that calls `run_round`, bracketing the whole scheduling round.
@@ -38,7 +38,7 @@ pub fn span(stage: &'static str) -> Span {
 impl Drop for Span {
     fn drop(&mut self) {
         let elapsed = self.started.elapsed();
-        crate::trace::record_stage(self.stage, elapsed);
+        crate::trace::record_span(self.stage, elapsed);
         if crate::enabled() {
             crate::registry::histogram(STAGE_METRIC, &[("stage", self.stage)])
                 .observe_duration(elapsed);
@@ -58,8 +58,8 @@ mod tests {
             std::hint::black_box(1 + 1);
         }
         let trace = crate::trace::finish().unwrap();
-        assert_eq!(trace.stages.len(), 1);
-        assert_eq!(trace.stages[0].stage, "test.stage");
+        assert_eq!(trace.spans.len(), 1);
+        assert_eq!(trace.spans[0].name, "test.stage");
         let snap = crate::registry::global().snapshot();
         let h = snap
             .histogram(STAGE_METRIC, &[("stage", "test.stage")])

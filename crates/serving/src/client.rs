@@ -94,9 +94,8 @@ impl From<io::Error> for ClientError {
 
 /// What this client session spent on cooperation: every shed response
 /// received, every backoff actually scheduled, and the total time slept
-/// in backoff. The same facts feed `aqp_client_shed_total` and
-/// `aqp_client_retry_total{reason}` in the global registry; this struct
-/// is the per-client view the CLI's `--stats` line prints.
+/// in backoff. It is the only count of them: the CLI's `--stats` line
+/// prints it, and the client registers no metric.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClientStats {
     /// Requests that completed with a terminal response (including
@@ -192,7 +191,6 @@ impl Client {
             match self.attempt(&payload) {
                 Ok(Response::Shed { retry_after_ms, class, trace_id }) => {
                     self.stats.sheds += 1;
-                    aqp_obs::counter("aqp_client_shed_total", &[]).inc();
                     if attempt >= self.policy.max_attempts {
                         return Err(ClientError::Shed { retry_after_ms, attempts: attempt });
                     }
@@ -200,7 +198,6 @@ impl Client {
                     // Counted only when a retry is actually scheduled —
                     // a final shed is an exhausted request, not a retry.
                     self.stats.retries_shed += 1;
-                    aqp_obs::counter("aqp_client_retry_total", &[("reason", "shed")]).inc();
                     let wait = self.backoff(attempt, retry_after_ms);
                     self.stats.backoff_ms += wait.as_millis() as u64;
                     std::thread::sleep(wait);
@@ -213,12 +210,10 @@ impl Client {
                     // The connection is suspect after any transport error;
                     // the next attempt reconnects from scratch.
                     self.conn = None;
-                    aqp_obs::counter("aqp_client_io_retry_total", &[]).inc();
                     if attempt >= self.policy.max_attempts {
                         return Err(ClientError::Io(e));
                     }
                     self.stats.retries_io += 1;
-                    aqp_obs::counter("aqp_client_retry_total", &[("reason", "io")]).inc();
                     let wait = self.backoff(attempt, 0);
                     self.stats.backoff_ms += wait.as_millis() as u64;
                     std::thread::sleep(wait);

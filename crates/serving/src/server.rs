@@ -462,7 +462,7 @@ fn handle_connection(inner: Arc<Inner>, stream: TcpStream) {
                 let mut timeline = Timeline::start_at(frame_started.take().unwrap_or_else(Instant::now));
                 inner.faults.slow_read();
                 timeline.mark("read");
-                let (reply, meta) = match Request::from_json(&payload) {
+                let (reply, record) = match Request::from_json(&payload) {
                     Ok(request) => dispatch(&inner, request, &mut timeline),
                     Err(e) => {
                         tally_request(&inner, ContractClass::Interactive, "error");
@@ -480,8 +480,8 @@ fn handle_connection(inner: Arc<Inner>, stream: TcpStream) {
                 if json.capacity() > RETAINED_BUFFER_BYTES {
                     json = String::new();
                 }
-                if let Some(meta) = meta {
-                    commit_request(&inner, meta, timeline);
+                if let Some(record) = record {
+                    commit_request(&inner, record, timeline);
                 }
                 if wrote.is_err() {
                     // Peer gone mid-response; nothing more to say to it.
@@ -563,17 +563,6 @@ fn metrics_text(inner: &Inner) -> String {
     aqp_obs::to_prometheus(&merged)
 }
 
-/// Per-query facts the connection loop needs after the response is
-/// written: the flight record's fields that the timeline does not hold.
-struct RequestMeta {
-    trace_id: String,
-    class: ContractClass,
-    outcome: &'static str,
-    tier: String,
-    cache_hit: bool,
-    rows_scanned: u64,
-}
-
 /// Server-generated trace id: a per-process counter (uniqueness within
 /// the run) salted with wall-clock nanos (distinguishes runs in merged
 /// logs).
@@ -586,27 +575,19 @@ fn gen_trace_id(inner: &Inner) -> String {
     format!("aqp-{:08x}-{n:x}", nanos ^ (n << 20))
 }
 
-/// Finish one query request: push its flight record, and dump the
-/// flight ring on anomaly. Runs after the response frame was written so
-/// the `write` stage is on the record.
-fn commit_request(inner: &Inner, meta: RequestMeta, timeline: Timeline) {
-    inner.flight.record(RequestRecord {
-        trace_id: meta.trace_id,
-        class: meta.class.as_str().to_string(),
-        outcome: meta.outcome.to_string(),
-        tier: meta.tier,
-        cache_hit: meta.cache_hit,
-        rows_scanned: meta.rows_scanned,
-        total_micros: timeline.total_micros(),
-        stages: timeline.into_stages(),
-    });
+/// Finish one query request: close its record with the timeline, push
+/// it to the flight ring, and dump the ring on anomaly. Runs after the
+/// response frame was written so the `write` stage is on the record.
+fn commit_request(inner: &Inner, mut record: RequestRecord, timeline: Timeline) {
+    record.total_micros = timeline.total_micros();
+    record.stages = timeline.into_stages();
+    let anomaly = ["shed", "timeout", "error"].into_iter().find(|o| *o == record.outcome);
+    inner.flight.record(record);
     // Anomalies flush the ring to disk — the record that just went in
     // (and the N before it) are on disk before the next request runs.
-    if matches!(meta.outcome, "shed" | "timeout" | "error") {
-        if let Some(path) = &inner.config.flight_dump {
-            if inner.flight.dump_to(path).is_ok() {
-                inner.count("aqp_flight_dump_total", &[("trigger", meta.outcome)]);
-            }
+    if let (Some(trigger), Some(path)) = (anomaly, &inner.config.flight_dump) {
+        if inner.flight.dump_to(path).is_ok() {
+            inner.count("aqp_flight_dump_total", &[("trigger", trigger)]);
         }
     }
 }
@@ -646,7 +627,7 @@ fn render_stats(inner: &Inner) -> String {
     .to_json()
 }
 
-fn dispatch(inner: &Inner, request: Request, timeline: &mut Timeline) -> (Reply, Option<RequestMeta>) {
+fn dispatch(inner: &Inner, request: Request, timeline: &mut Timeline) -> (Reply, Option<RequestRecord>) {
     let response = match request {
         Request::Ping => {
             tally_request(inner, ContractClass::Interactive, "ping");
@@ -686,43 +667,49 @@ fn dispatch(inner: &Inner, request: Request, timeline: &mut Timeline) -> (Reply,
             let trace_id = trace_id
                 .filter(|t| !t.is_empty())
                 .unwrap_or_else(|| gen_trace_id(inner));
-            return serve_query(
-                inner, timeline, trace_id, sql, class, deadline_ms, row_budget, confidence,
+            let mut record = RequestRecord {
+                trace_id,
+                class: class.as_str().to_string(),
+                query: sql,
+                ..RequestRecord::default()
+            };
+            let reply = serve_query(
+                inner, timeline, &mut record, class, deadline_ms, row_budget, confidence,
                 max_rel_error,
             );
+            return (reply, Some(record));
         }
     };
     (response.into(), None)
 }
 
+/// Count one terminal query response and stamp its outcome on the
+/// request's record.
+fn settle(inner: &Inner, record: &mut RequestRecord, class: ContractClass, outcome: &'static str) {
+    tally_request(inner, class, outcome);
+    record.outcome = outcome.to_string();
+}
+
+/// Serve one query, filling `record` on every exit: the outcome always
+/// (an answer's through [`aqp_core::ApproxAnswer::record_into`], with
+/// its tier, rows, groups and partial flag); on the execute
+/// path the plan, sample tables, operators and spans collected while
+/// metrics are on (whatever a timeout or error had collected before it
+/// ended).
 #[allow(clippy::too_many_arguments)]
 fn serve_query(
     inner: &Inner,
     timeline: &mut Timeline,
-    trace_id: String,
-    sql: String,
+    record: &mut RequestRecord,
     class: ContractClass,
     deadline_ms: Option<u64>,
     row_budget: Option<usize>,
     confidence: Option<f64>,
     max_rel_error: Option<f64>,
-) -> (Reply, Option<RequestMeta>) {
-    // Builds the meta alongside each terminal response so every exit of
-    // this function leaves one flight record with a consistent outcome.
-    let meta = |outcome: &'static str, tier: &str, cache_hit: bool, rows: u64| {
-        Some(RequestMeta {
-            trace_id: trace_id.clone(),
-            class,
-            outcome,
-            tier: tier.to_string(),
-            cache_hit,
-            rows_scanned: rows,
-        })
-    };
-
+) -> Reply {
     if inner.draining.load(Ordering::SeqCst) || inner.shutdown.load(Ordering::SeqCst) {
-        tally_request(inner, class, "draining");
-        return (Response::Draining.into(), meta("draining", "", false, 0));
+        settle(inner, record, class, "draining");
+        return Response::Draining.into();
     }
 
     let deadline = deadline_ms
@@ -733,19 +720,16 @@ fn serve_query(
     let t0 = Instant::now();
     // Parse before admission: the cache key is the canonicalized plan,
     // and a cache hit must not consume an executor slot at all.
-    let parsed = match aqp_sql::parse_query(&sql) {
+    let parsed = match aqp_sql::parse_query(&record.query) {
         Ok(p) => p,
         Err(e) => {
             timeline.mark("parse");
-            tally_request(inner, class, "error");
-            return (
-                Response::Error {
-                    message: format!("parse error: {e}"),
-                    trace_id: trace_id.clone(),
-                }
-                .into(),
-                meta("error", "", false, 0),
-            );
+            settle(inner, record, class, "error");
+            return Response::Error {
+                message: format!("parse error: {e}"),
+                trace_id: record.trace_id.clone(),
+            }
+            .into();
         }
     };
     timeline.mark("parse");
@@ -764,16 +748,18 @@ fn serve_query(
             tally_request(inner, class, "answer");
             let elapsed = t0.elapsed();
             inner.observe_latency(class, elapsed);
-            let m = meta("answer", answer.tier.as_str(), true, answer.rows_scanned as u64);
+            // A hit executed nothing: no plan, tables, operators or spans.
+            answer.record_into(record);
+            record.cache_hit = true;
             let served = ServedAnswer {
                 answer,
-                trace_id: trace_id.clone(),
+                trace_id: record.trace_id.clone(),
                 deadline_limited: false,
                 effective_budget: None,
                 elapsed_ms: elapsed.as_secs_f64() * 1e3,
                 cache_hit: true,
             };
-            return (Reply::Answer(served), m);
+            return Reply::Answer(served);
         }
         CacheDecision::Bypass => None,
         CacheDecision::Execute(guard) => Some(guard),
@@ -786,27 +772,21 @@ fn serve_query(
     let permit = match admitted {
         AdmitOutcome::Admitted(p) => p,
         AdmitOutcome::Shed { retry_after_ms } => {
-            tally_request(inner, class, "shed");
-            return (
-                Response::Shed {
-                    retry_after_ms,
-                    class: class.as_str().to_string(),
-                    trace_id: trace_id.clone(),
-                }
-                .into(),
-                meta("shed", "", false, 0),
-            );
+            settle(inner, record, class, "shed");
+            return Response::Shed {
+                retry_after_ms,
+                class: class.as_str().to_string(),
+                trace_id: record.trace_id.clone(),
+            }
+            .into();
         }
         AdmitOutcome::QueueTimeout => {
-            tally_request(inner, class, "timeout");
-            return (
-                Response::Timeout {
-                    message: "deadline expired in admission queue".into(),
-                    trace_id: trace_id.clone(),
-                }
-                .into(),
-                meta("timeout", "", false, 0),
-            );
+            settle(inner, record, class, "timeout");
+            return Response::Timeout {
+                message: "deadline expired in admission queue".into(),
+                trace_id: record.trace_id.clone(),
+            }
+            .into();
         }
     };
 
@@ -822,16 +802,13 @@ fn serve_query(
     // 0-row "answer" would be vacuous. Report the timeout honestly.
     if deadline.is_some_and(|d| Instant::now() >= d) {
         timeline.mark("execute");
-        tally_request(inner, class, "timeout");
+        settle(inner, record, class, "timeout");
         drop(permit);
-        return (
-            Response::Timeout {
-                message: "deadline expired before execution".into(),
-                trace_id: trace_id.clone(),
-            }
-            .into(),
-            meta("timeout", "", false, 0),
-        );
+        return Response::Timeout {
+            message: "deadline expired before execution".into(),
+            trace_id: record.trace_id.clone(),
+        }
+        .into();
     }
 
     let deadline_budget = deadline
@@ -843,9 +820,17 @@ fn serve_query(
         deadline_budget,
         cancel: Some(token.clone()),
     };
+    // The trace collector is a reader of the flight ring, which is idle
+    // while metrics are off. It is closed on every exit, so none outlives
+    // this request on the connection thread.
+    let tracing = aqp_obs::enabled() && aqp_obs::trace::begin("");
     let executed = inner.system.answer_bounded(&parsed.query, conf, &bound);
+    if let Some(collected) = tracing.then(aqp_obs::trace::finish).flatten() {
+        record.operators = collected.operators;
+        record.spans = collected.spans;
+    }
     timeline.mark("execute");
-    let (reply, meta) = match executed {
+    let reply = match executed {
         Ok(bounded) => {
             let elapsed = t0.elapsed();
             // Teach the estimator only from exact-tier scans:
@@ -870,52 +855,46 @@ fn serve_query(
             // shadow auditor (bounded non-blocking push on its queue —
             // never an admission slot, never a stall here).
             if let Some(shadow) = inner.shadow.lock().expect("shadow slot poisoned").as_ref() {
-                shadow.maybe_submit(&parsed.query, &bounded.answer, conf, &trace_id);
+                shadow.maybe_submit(&parsed.query, &bounded.answer, conf, &record.trace_id);
             }
-            let answer = bounded.answer;
-            let m = meta("answer", answer.tier.as_str(), false, answer.rows_scanned as u64);
+            if tracing {
+                inner.system.describe(&parsed.query, &bounded.answer, record);
+            } else {
+                bounded.answer.record_into(record);
+            }
             let served = ServedAnswer {
-                answer: Arc::new(answer),
-                trace_id: trace_id.clone(),
+                answer: Arc::new(bounded.answer),
+                trace_id: record.trace_id.clone(),
                 deadline_limited: bounded.deadline_limited,
                 effective_budget: bounded.effective_budget,
                 elapsed_ms: elapsed.as_secs_f64() * 1e3,
                 cache_hit: false,
             };
-            (Reply::Answer(served), m)
+            Reply::Answer(served)
         }
         Err(AqpError::Cancelled { deadline: true }) => {
-            tally_request(inner, class, "timeout");
-            (
-                Response::Timeout {
-                    message: "deadline exceeded mid-scan; no tier could finish".into(),
-                    trace_id: trace_id.clone(),
-                }
-                .into(),
-                meta("timeout", "", false, 0),
-            )
+            settle(inner, record, class, "timeout");
+            Response::Timeout {
+                message: "deadline exceeded mid-scan; no tier could finish".into(),
+                trace_id: record.trace_id.clone(),
+            }
+            .into()
         }
         Err(AqpError::Cancelled { deadline: false }) => {
-            tally_request(inner, class, "error");
-            (
-                Response::Error {
-                    message: "query cancelled".into(),
-                    trace_id: trace_id.clone(),
-                }
-                .into(),
-                meta("error", "", false, 0),
-            )
+            settle(inner, record, class, "error");
+            Response::Error {
+                message: "query cancelled".into(),
+                trace_id: record.trace_id.clone(),
+            }
+            .into()
         }
         Err(e) => {
-            tally_request(inner, class, "error");
-            (
-                Response::Error { message: e.to_string(), trace_id: trace_id.clone() }.into(),
-                meta("error", "", false, 0),
-            )
+            settle(inner, record, class, "error");
+            Response::Error { message: e.to_string(), trace_id: record.trace_id.clone() }.into()
         }
     };
     drop(permit);
-    (reply, meta)
+    reply
 }
 
 #[cfg(test)]

@@ -194,7 +194,7 @@ pub fn evaluate_queries(
 
 /// Like [`evaluate_queries`], but when `trace` is set every query is run
 /// through [`AqpSystem::answer_traced`] and the per-query
-/// [`aqp_obs::QueryTrace`] records are returned alongside the summary.
+/// [`aqp_obs::RequestRecord`]s are returned alongside the summary.
 /// With `trace` off the returned vector is empty and the evaluation path
 /// is identical to [`evaluate_queries`].
 pub fn evaluate_queries_traced(
@@ -203,7 +203,7 @@ pub fn evaluate_queries_traced(
     queries: &[Query],
     confidence: f64,
     trace: bool,
-) -> Result<(EvalSummary, Vec<aqp_obs::QueryTrace>), Box<dyn std::error::Error>> {
+) -> Result<(EvalSummary, Vec<aqp_obs::RequestRecord>), Box<dyn std::error::Error>> {
     let mut summary = EvalSummary::default();
     let mut traces = Vec::new();
     for q in queries {
@@ -217,11 +217,6 @@ pub fn evaluate_queries_traced(
             system.answer(q, confidence)?
         };
         let approx_time = start.elapsed();
-        if trace {
-            if let Some(t) = traces.last_mut() {
-                t.total_ms = approx_time.as_secs_f64() * 1e3;
-            }
-        }
 
         let metrics = metric_report(&exact.per_agg[0], &approx_map(&approx, 0));
         let eval = QueryEval {

@@ -14,9 +14,10 @@
 //! * [`harness`] — exact-answer computation, per-query evaluation of any
 //!   [`aqp_core::AqpSystem`], timing, and aggregation of metric averages —
 //!   including the per-group-selectivity bucketing of Figure 5;
-//! * [`report`] — the per-run observability report combining the accuracy
-//!   summary, per-query [`aqp_obs::QueryTrace`] records and a metrics
-//!   snapshot into one JSON document;
+//! * [`report`] — the per-run observability report: the accuracy summary
+//!   of a traced run as one JSON document (its per-query
+//!   [`aqp_obs::RequestRecord`]s and metrics snapshot go to their own
+//!   files);
 //! * [`calibrate`] — the CI-coverage calibration audit: observed versus
 //!   nominal confidence-interval coverage per aggregate function and per
 //!   group-size decile, with Agresti–Coull under-coverage flagging.

@@ -53,11 +53,11 @@ pin tpch.aqpt 108e6400286a54407410cf67314d723381b9bfe0e3bdffe05a0862ffa1bb1657
 pin tpch.aqps 27b613170978ea12fdbd70e9593fc33f5f90c93cb766e100c0305fee1f22ea0e
 "$CLI" workload --family tpch.aqps --view tpch.aqpt --queries 10 --threads 4 --trace --obs-out OBS
 "$CLI" validate-trace OBS_traces.jsonl
-# Only trace schema version 3 decodes: a schema_version 2 line must fail.
-head -n 1 OBS_traces.jsonl | sed 's/"schema_version":3/"schema_version":2/' > v2_trace.jsonl
-grep -q '"schema_version":2' v2_trace.jsonl
-if "$CLI" validate-trace v2_trace.jsonl; then
-  echo "validate-trace accepted a schema_version 2 line"
+# Only record schema version 4 decodes: a schema_version 3 line must fail.
+head -n 1 OBS_traces.jsonl | sed 's/"schema_version":4/"schema_version":3/' > v3_trace.jsonl
+grep -q '"schema_version":3' v3_trace.jsonl
+if "$CLI" validate-trace v3_trace.jsonl; then
+  echo "validate-trace accepted a schema_version 3 line"
   exit 1
 fi
 grep -q 'aqp_prune_blocks_total{outcome="skip"}' OBS_metrics.prom
@@ -207,6 +207,10 @@ grep -q 'client: requests=' ok.out
 # 33.3 % availability.
 "$CLI" client --addr $ADDR dump > dump.out
 grep -q tid-ci-ok dump.out
+# The live dump is the same record form --trace writes, and the answered
+# query's record carries the plan that answered it.
+"$CLI" validate-trace dump.out
+grep '"trace_id":"tid-ci-ok"' dump.out | grep -q '"plan":"union-all('
 "$CLI" top --addr $ADDR --iterations 2 --interval-ms 200 | tee top.out
 grep -Eq '^interactive +start +3 +33\.3 ' top.out
 "$CLI" client --addr $ADDR shutdown

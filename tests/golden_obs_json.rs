@@ -1,46 +1,46 @@
 //! Byte-exact pins for the observability records' JSON.
 //!
-//! `QueryTrace`, `RequestRecord` and `CalibrationReport` are encoded
-//! through `aqp_obs::json::Value`. The expected strings below were
-//! recorded from the hand-written `push_str` encoders that preceded it,
-//! so a reader of any earlier trace, flight dump or calibration file
-//! reads these bytes unchanged: member order, escapes, integer and
-//! shortest round-trip float formatting, empty arrays.
+//! `RequestRecord` and `CalibrationReport` are encoded through
+//! `aqp_obs::json::Value`. The pins fix member order, escapes, integer
+//! and shortest round-trip float formatting and empty arrays, so a reader
+//! of any flight dump, trace file or calibration file reads these bytes
+//! unchanged.
 
 use aqp::obs::flight::{RequestRecord, Stage};
-use aqp::obs::{OpProfile, QueryTrace, StageTime};
+use aqp::obs::OpProfile;
 use aqp::workload::{CalibrationReport, CoverageBucket};
 
-fn traces() -> Vec<QueryTrace> {
+fn stage(name: &str, micros: u64) -> Stage {
+    Stage { name: name.into(), micros }
+}
+
+/// One record of each kind: a served answer, a cache hit, a shed and an
+/// in-process trace.
+fn records() -> Vec<RequestRecord> {
     vec![
-        QueryTrace {
+        RequestRecord {
+            trace_id: "t-\"42\"\\".into(),
+            class: "interactive".into(),
+            outcome: "answer".into(),
+            cache_hit: false,
+            total_micros: 1_234_567,
+            stages: vec![
+                stage("read", 3),
+                stage("parse", 11),
+                stage("cache", 1),
+                stage("admission", 0),
+                stage("execute", 1_234_500),
+                stage("serialize", 40),
+                stage("write", 12),
+            ],
             query: "SELECT a, COUNT(*) FROM t WHERE b = 'x\"q\\s\n\t\u{1}≈' GROUP BY a".into(),
-            plan: "union-all(3)".into(),
+            plan: "union-all(2)".into(),
             serving_tier: "degraded".into(),
             partial: true,
             sample_tables: vec!["sg_a".into(), "overall".into()],
-            rows_scanned: 12_345,
+            rows_scanned: 3,
             base_rows: 9_007_199_254_740_992,
             groups: 0,
-            stages: vec![
-                StageTime {
-                    stage: "query.scan".into(),
-                    ms: 1.2345678901234,
-                },
-                StageTime {
-                    stage: "query.merge".into(),
-                    ms: 0.001,
-                },
-                StageTime {
-                    stage: "tiny".into(),
-                    ms: 1e-9,
-                },
-                StageTime {
-                    stage: "whole".into(),
-                    ms: 12345.0,
-                },
-            ],
-            total_ms: 1.5e3,
             operators: vec![
                 OpProfile {
                     op: "scan:sg_a".into(),
@@ -75,42 +75,49 @@ fn traces() -> Vec<QueryTrace> {
                     rows_pruned: 8_192,
                 },
             ],
-            cache_hit: true,
-        },
-        QueryTrace::default(),
-    ]
-}
-
-fn records() -> Vec<RequestRecord> {
-    vec![
-        RequestRecord {
-            trace_id: "t-\"42\"\\".into(),
-            class: "interactive".into(),
-            outcome: "timeout".into(),
-            tier: String::new(),
-            cache_hit: false,
-            rows_scanned: 0,
-            total_micros: 1_234_567,
-            stages: vec![
-                Stage {
-                    name: "read".into(),
-                    micros: 3,
-                },
-                Stage {
-                    name: "execute".into(),
-                    micros: 1_234_564,
-                },
-            ],
+            spans: vec![stage("query.scan", 1_234), stage("plan.finalize", 0)],
         },
         RequestRecord {
             trace_id: "srv-7".into(),
             class: "batch".into(),
             outcome: "answer".into(),
-            tier: "primary".into(),
             cache_hit: true,
+            total_micros: 9,
+            stages: vec![
+                stage("read", 1),
+                stage("parse", 4),
+                stage("cache", 2),
+                stage("serialize", 1),
+                stage("write", 1),
+            ],
+            query: "SELECT COUNT(*) FROM t".into(),
+            serving_tier: "primary".into(),
             rows_scanned: 500_000,
-            total_micros: 0,
-            stages: vec![],
+            groups: 1,
+            ..RequestRecord::default()
+        },
+        RequestRecord {
+            trace_id: "aqp-0000002a-3".into(),
+            class: "interactive".into(),
+            outcome: "shed".into(),
+            total_micros: 7,
+            stages: vec![stage("read", 0), stage("parse", 5), stage("cache", 1), stage("admission", 1)],
+            query: "SELECT COUNT(*) FROM t".into(),
+            ..RequestRecord::default()
+        },
+        RequestRecord {
+            outcome: "answer".into(),
+            total_micros: 1_500,
+            stages: vec![stage("execute", 1_500)],
+            query: "SELECT COUNT(*) FROM t".into(),
+            plan: "exact-scan".into(),
+            serving_tier: "exact".into(),
+            sample_tables: vec!["view".into()],
+            rows_scanned: 10,
+            base_rows: 10,
+            groups: 1,
+            spans: vec![stage("query.scan", 1_000), stage("query.merge", 0)],
+            ..RequestRecord::default()
         },
     ]
 }
@@ -151,14 +158,11 @@ fn calibrations() -> Vec<CalibrationReport> {
     ]
 }
 
-const TRACES: [&str; 2] = [
-    "{\"query\":\"SELECT a, COUNT(*) FROM t WHERE b = 'x\\\"q\\\\s\\n\\t\\u0001≈' GROUP BY a\",\"plan\":\"union-all(3)\",\"serving_tier\":\"degraded\",\"partial\":true,\"sample_tables\":[\"sg_a\",\"overall\"],\"rows_scanned\":12345,\"base_rows\":9007199254740992,\"groups\":0,\"stages\":[{\"stage\":\"query.scan\",\"ms\":1.2345678901234},{\"stage\":\"query.merge\",\"ms\":0.001},{\"stage\":\"tiny\",\"ms\":0.000000001},{\"stage\":\"whole\",\"ms\":12345}],\"total_ms\":1500,\"cache_hit\":true,\"schema_version\":3,\"operators\":[{\"op\":\"scan:sg_a\",\"table\":\"sg_a\",\"stratum\":\"small-group\",\"weight\":0,\"rows_in\":0,\"rows_out\":0,\"selectivity\":1,\"morsels\":0,\"morsels_per_worker\":[],\"morsel_p50_ns\":0,\"morsel_p95_ns\":0,\"morsel_p99_ns\":0,\"mem_peak_bytes\":0,\"mem_current_bytes\":0,\"kernel\":\"\",\"blocks_skipped\":0,\"blocks_taken\":0,\"blocks_scanned\":0,\"rows_pruned\":0},{\"op\":\"scan:overall\",\"table\":\"overall\",\"stratum\":\"overall\",\"weight\":20.5,\"rows_in\":3,\"rows_out\":1,\"selectivity\":0.3333333333333333,\"morsels\":3,\"morsels_per_worker\":[2,1],\"morsel_p50_ns\":90000,\"morsel_p95_ns\":140000,\"morsel_p99_ns\":1000000007,\"mem_peak_bytes\":65536,\"mem_current_bytes\":8192,\"kernel\":\"vectorized-hash\",\"blocks_skipped\":2,\"blocks_taken\":1,\"blocks_scanned\":4,\"rows_pruned\":8192}]}",
-    "{\"query\":\"\",\"plan\":\"\",\"serving_tier\":\"\",\"partial\":false,\"sample_tables\":[],\"rows_scanned\":0,\"base_rows\":0,\"groups\":0,\"stages\":[],\"total_ms\":0,\"cache_hit\":false,\"schema_version\":3,\"operators\":[]}",
-];
-
-const RECORDS: [&str; 2] = [
-    "{\"trace_id\":\"t-\\\"42\\\"\\\\\",\"class\":\"interactive\",\"outcome\":\"timeout\",\"tier\":\"\",\"cache_hit\":false,\"rows_scanned\":0,\"total_micros\":1234567,\"stages\":[{\"stage\":\"read\",\"micros\":3},{\"stage\":\"execute\",\"micros\":1234564}]}",
-    "{\"trace_id\":\"srv-7\",\"class\":\"batch\",\"outcome\":\"answer\",\"tier\":\"primary\",\"cache_hit\":true,\"rows_scanned\":500000,\"total_micros\":0,\"stages\":[]}",
+const RECORDS: [&str; 4] = [
+    "{\"schema_version\":4,\"trace_id\":\"t-\\\"42\\\"\\\\\",\"class\":\"interactive\",\"outcome\":\"answer\",\"cache_hit\":false,\"total_micros\":1234567,\"stages\":[{\"stage\":\"read\",\"micros\":3},{\"stage\":\"parse\",\"micros\":11},{\"stage\":\"cache\",\"micros\":1},{\"stage\":\"admission\",\"micros\":0},{\"stage\":\"execute\",\"micros\":1234500},{\"stage\":\"serialize\",\"micros\":40},{\"stage\":\"write\",\"micros\":12}],\"query\":\"SELECT a, COUNT(*) FROM t WHERE b = 'x\\\"q\\\\s\\n\\t\\u0001≈' GROUP BY a\",\"plan\":\"union-all(2)\",\"serving_tier\":\"degraded\",\"partial\":true,\"sample_tables\":[\"sg_a\",\"overall\"],\"rows_scanned\":3,\"base_rows\":9007199254740992,\"groups\":0,\"operators\":[{\"op\":\"scan:sg_a\",\"table\":\"sg_a\",\"stratum\":\"small-group\",\"weight\":0,\"rows_in\":0,\"rows_out\":0,\"selectivity\":1,\"morsels\":0,\"morsels_per_worker\":[],\"morsel_p50_ns\":0,\"morsel_p95_ns\":0,\"morsel_p99_ns\":0,\"mem_peak_bytes\":0,\"mem_current_bytes\":0,\"kernel\":\"\",\"blocks_skipped\":0,\"blocks_taken\":0,\"blocks_scanned\":0,\"rows_pruned\":0},{\"op\":\"scan:overall\",\"table\":\"overall\",\"stratum\":\"overall\",\"weight\":20.5,\"rows_in\":3,\"rows_out\":1,\"selectivity\":0.3333333333333333,\"morsels\":3,\"morsels_per_worker\":[2,1],\"morsel_p50_ns\":90000,\"morsel_p95_ns\":140000,\"morsel_p99_ns\":1000000007,\"mem_peak_bytes\":65536,\"mem_current_bytes\":8192,\"kernel\":\"vectorized-hash\",\"blocks_skipped\":2,\"blocks_taken\":1,\"blocks_scanned\":4,\"rows_pruned\":8192}],\"spans\":[{\"stage\":\"query.scan\",\"micros\":1234},{\"stage\":\"plan.finalize\",\"micros\":0}]}",
+    "{\"schema_version\":4,\"trace_id\":\"srv-7\",\"class\":\"batch\",\"outcome\":\"answer\",\"cache_hit\":true,\"total_micros\":9,\"stages\":[{\"stage\":\"read\",\"micros\":1},{\"stage\":\"parse\",\"micros\":4},{\"stage\":\"cache\",\"micros\":2},{\"stage\":\"serialize\",\"micros\":1},{\"stage\":\"write\",\"micros\":1}],\"query\":\"SELECT COUNT(*) FROM t\",\"plan\":\"\",\"serving_tier\":\"primary\",\"partial\":false,\"sample_tables\":[],\"rows_scanned\":500000,\"base_rows\":0,\"groups\":1,\"operators\":[],\"spans\":[]}",
+    "{\"schema_version\":4,\"trace_id\":\"aqp-0000002a-3\",\"class\":\"interactive\",\"outcome\":\"shed\",\"cache_hit\":false,\"total_micros\":7,\"stages\":[{\"stage\":\"read\",\"micros\":0},{\"stage\":\"parse\",\"micros\":5},{\"stage\":\"cache\",\"micros\":1},{\"stage\":\"admission\",\"micros\":1}],\"query\":\"SELECT COUNT(*) FROM t\",\"plan\":\"\",\"serving_tier\":\"\",\"partial\":false,\"sample_tables\":[],\"rows_scanned\":0,\"base_rows\":0,\"groups\":0,\"operators\":[],\"spans\":[]}",
+    "{\"schema_version\":4,\"trace_id\":\"\",\"class\":\"\",\"outcome\":\"answer\",\"cache_hit\":false,\"total_micros\":1500,\"stages\":[{\"stage\":\"execute\",\"micros\":1500}],\"query\":\"SELECT COUNT(*) FROM t\",\"plan\":\"exact-scan\",\"serving_tier\":\"exact\",\"partial\":false,\"sample_tables\":[\"view\"],\"rows_scanned\":10,\"base_rows\":10,\"groups\":1,\"operators\":[],\"spans\":[{\"stage\":\"query.scan\",\"micros\":1000},{\"stage\":\"query.merge\",\"micros\":0}]}",
 ];
 
 const CALIBRATIONS: [&str; 2] = [
@@ -167,15 +171,8 @@ const CALIBRATIONS: [&str; 2] = [
 ];
 
 #[test]
-fn query_trace_json_is_byte_exact() {
-    for (trace, want) in traces().iter().zip(TRACES) {
-        assert_eq!(trace.to_json(), want);
-    }
-    assert_eq!(QueryTrace::from_json(TRACES[0]).unwrap(), traces()[0]);
-}
-
-#[test]
 fn request_record_json_is_byte_exact() {
+    assert_eq!(records().len(), RECORDS.len());
     for (record, want) in records().iter().zip(RECORDS) {
         assert_eq!(record.to_json(), want);
         assert_eq!(&RequestRecord::from_json(want).unwrap(), record);

@@ -407,3 +407,98 @@ fn metrics_pull_merges_server_and_process_registries() {
     assert!(families.contains(&"aqp_server_latency_seconds"), "{text}");
     assert!(families.contains(&"aqp_rows_scanned_total"), "{text}");
 }
+
+/// A served request's flight record carries the same decision the
+/// in-process trace does, a cache hit's carries none, a timeout's no
+/// tier, and the next answer on the connection only its own operators.
+#[test]
+fn served_record_matches_the_in_process_trace() {
+    let build = || {
+        let star = gen_sales(&SalesConfig { fact_rows: 20_000, zipf_z: 1.5, seed: 42 }).unwrap();
+        let view = star.denormalize("view").unwrap();
+        let sampler = SmallGroupSampler::build(
+            &view,
+            SmallGroupConfig { seed: 7, ..SmallGroupConfig::with_rates(0.05, 0.5) },
+        )
+        .unwrap();
+        ResilientSystem::from_sampler(sampler).with_view(view).with_threads(2)
+    };
+    // The second execution stalls until its deadline: the first answer
+    // executes, the repeat is a cache hit, which executes nothing.
+    let (addr, handle, join, _) = start_server(
+        build(),
+        ServerConfig { faults: vec![ServingFault::ExecStall { nth: 1 }], ..ServerConfig::default() },
+    );
+    let mut client = Client::new(addr, RetryPolicy::no_retry());
+    let query = |sql: &str, trace_id: &str, deadline_ms: Option<u64>| Request::Query {
+        sql: sql.into(),
+        class: ContractClass::Interactive,
+        deadline_ms,
+        row_budget: None,
+        confidence: None,
+        max_rel_error: None,
+        trace_id: Some(trace_id.into()),
+    };
+    const STALLED: &str = "SELECT product.category, COUNT(*) AS c FROM v GROUP BY product.category";
+    const AFTER: &str = "SELECT customer.segment, SUM(sales.units) AS u FROM v \
+                         WHERE sales.revenue > 10 GROUP BY customer.segment";
+    for (sql, tid) in [(SQL, "tid-first"), (SQL, "tid-hit")] {
+        assert!(matches!(client.request(&query(sql, tid, None)).unwrap(), Response::Answer(_)));
+    }
+    match client.request(&query(STALLED, "tid-timeout", Some(200))).unwrap() {
+        Response::Timeout { .. } => {}
+        other => panic!("expected a timeout, got {other:?}"),
+    }
+    assert!(matches!(client.request(&query(AFTER, "tid-after", None)).unwrap(), Response::Answer(_)));
+    let dump = match client.request(&Request::Dump).unwrap() {
+        Response::Dump(text) => text,
+        other => panic!("expected dump, got {other:?}"),
+    };
+    handle.shutdown();
+    join.join().unwrap().unwrap();
+
+    let records: Vec<RequestRecord> =
+        dump.lines().map(|line| RequestRecord::from_json(line).unwrap()).collect();
+    let record = |tid: &str| {
+        records.iter().find(|r| r.trace_id == tid).unwrap_or_else(|| panic!("{tid} not in the dump"))
+    };
+    let rows_in = |r: &RequestRecord| r.operators.iter().map(|o| o.rows_in).sum::<u64>();
+
+    // The served answer's decision is the in-process one's.
+    let first = record("tid-first");
+    let parsed = parse_query(SQL).unwrap();
+    let (_, local) = build().answer_traced(&parsed.query, 0.95).unwrap();
+    assert_eq!(first.query, SQL, "the request's own SQL text");
+    assert!(first.plan.starts_with("union-all("), "{}", first.plan);
+    assert_eq!(
+        (&first.plan, &first.serving_tier, first.partial, &first.sample_tables),
+        (&local.plan, &local.serving_tier, local.partial, &local.sample_tables)
+    );
+    assert_eq!(
+        (first.rows_scanned, first.base_rows, first.groups),
+        (local.rows_scanned, local.base_rows, local.groups)
+    );
+    assert!(!first.operators.is_empty() && !first.spans.is_empty());
+    assert_eq!(rows_in(first), first.rows_scanned, "operators reconcile with rows_scanned");
+
+    // The hit took its answer's members and executed nothing.
+    let hit = record("tid-hit");
+    assert!(hit.cache_hit);
+    assert_eq!((hit.outcome.as_str(), &hit.serving_tier), ("answer", &first.serving_tier));
+    assert_eq!((hit.rows_scanned, hit.groups), (first.rows_scanned, first.groups));
+    assert!(hit.operators.is_empty() && hit.spans.is_empty() && hit.plan.is_empty());
+    assert!(hit.sample_tables.is_empty());
+
+    let timeout = record("tid-timeout");
+    assert_eq!((timeout.outcome.as_str(), timeout.serving_tier.as_str()), ("timeout", ""));
+
+    // A collector left open by the timeout would own the next answer's
+    // operators (or hand it the timeout's).
+    let after = record("tid-after");
+    assert_eq!(after.outcome, "answer");
+    assert!(!after.operators.is_empty());
+    assert_eq!(rows_in(after), after.rows_scanned, "only its own operators");
+    for r in [first, hit, timeout, after] {
+        assert_timeline_well_formed(r);
+    }
+}

@@ -114,7 +114,7 @@ fn flight_ring_wraps_concurrently_without_tearing() {
                         trace_id: format!("t{t}-{i}"),
                         class: "interactive".into(),
                         outcome: "answer".into(),
-                        tier: "primary".into(),
+                        serving_tier: "primary".into(),
                         cache_hit: false,
                         rows_scanned: seq,
                         total_micros: seq,
@@ -122,6 +122,7 @@ fn flight_ring_wraps_concurrently_without_tearing() {
                             obs::Stage { name: "read".into(), micros: seq / 2 },
                             obs::Stage { name: "execute".into(), micros: seq - seq / 2 },
                         ],
+                        ..obs::RequestRecord::default()
                     });
                 }
             });
