@@ -254,7 +254,7 @@ fn operator_value(op: &OpProfile) -> Value {
     Value::object([
         ("op", op.op.as_str().into()),
         ("table", op.table.as_str().into()),
-        ("stratum", op.stratum.as_str().into()),
+        ("stratum", (&*op.stratum).into()),
         ("weight", op.weight.into()),
         ("rows_in", op.rows_in.into()),
         ("rows_out", op.rows_out.into()),
@@ -269,7 +269,7 @@ fn operator_value(op: &OpProfile) -> Value {
         ("morsel_p99_ns", op.morsel_p99_ns.into()),
         ("mem_peak_bytes", op.mem_peak_bytes.into()),
         ("mem_current_bytes", op.mem_current_bytes.into()),
-        ("kernel", op.kernel.as_str().into()),
+        ("kernel", (&*op.kernel).into()),
         ("blocks_skipped", op.blocks_skipped.into()),
         ("blocks_taken", op.blocks_taken.into()),
         ("blocks_scanned", op.blocks_scanned.into()),
@@ -284,7 +284,7 @@ fn operator_from_value(o: &Value) -> Result<OpProfile, String> {
     Ok(OpProfile {
         op: o.str_field("op")?.to_string(),
         table: o.str_field("table")?.to_string(),
-        stratum: o.str_field("stratum")?.to_string(),
+        stratum: o.str_field("stratum")?.to_owned().into(),
         weight: o.f64_field("weight")?,
         rows_in: o.u64_field("rows_in")?,
         rows_out: o.u64_field("rows_out")?,
@@ -298,7 +298,7 @@ fn operator_from_value(o: &Value) -> Result<OpProfile, String> {
         morsel_p99_ns: o.u64_field("morsel_p99_ns")?,
         mem_peak_bytes: o.u64_field("mem_peak_bytes")?,
         mem_current_bytes: o.u64_field("mem_current_bytes")?,
-        kernel: o.str_field("kernel")?.to_string(),
+        kernel: o.str_field("kernel")?.to_owned().into(),
         blocks_skipped: o.u64_field("blocks_skipped")?,
         blocks_taken: o.u64_field("blocks_taken")?,
         blocks_scanned: o.u64_field("blocks_scanned")?,

@@ -15,6 +15,7 @@
 //! feeds the `aqp_op_morsel_seconds{op=…}` histogram and, when a trace is
 //! open, appends the profile to it.
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 
 /// Execution profile of one plan operator (a scan over one stratum).
@@ -25,8 +26,9 @@ pub struct OpProfile {
     /// Name of the table scanned.
     pub table: String,
     /// Stratum kind: `small-group`, `overall`, `base`, or empty when the
-    /// scan is not part of a rewritten sample plan.
-    pub stratum: String,
+    /// scan is not part of a rewritten sample plan. Borrowed from the plan
+    /// layer's static label when recorded, owned when decoded.
+    pub stratum: Cow<'static, str>,
     /// Constant row weight applied to this stratum (0 when weights are
     /// per-row).
     pub weight: f64,
@@ -51,8 +53,8 @@ pub struct OpProfile {
     /// Logical bytes still held at operator completion (merged table).
     pub mem_current_bytes: u64,
     /// Group-id path the executor's kernels took: `vectorized-hash` or
-    /// `vectorized-dense`.
-    pub kernel: String,
+    /// `vectorized-dense` (borrowed like `stratum`).
+    pub kernel: Cow<'static, str>,
     /// Zone-map blocks skipped wholesale (no row could match; the block's
     /// column data was never touched). Zero when pruning was inactive.
     pub blocks_skipped: u64,
@@ -195,7 +197,7 @@ pub fn record_scan(stats: ScanStats) {
         crate::trace::record_operator(OpProfile {
             op,
             table: ctx.table.clone(),
-            stratum: ctx.stratum.to_owned(),
+            stratum: ctx.stratum.into(),
             weight: ctx.weight,
             rows_in: stats.rows_in,
             rows_out: stats.rows_out,
@@ -206,7 +208,7 @@ pub fn record_scan(stats: ScanStats) {
             morsel_p99_ns: rank(&sorted, 0.99),
             mem_peak_bytes: stats.mem_peak_bytes,
             mem_current_bytes: stats.mem_current_bytes,
-            kernel: stats.kernel.to_owned(),
+            kernel: stats.kernel.into(),
             blocks_skipped: stats.blocks_skipped,
             blocks_taken: stats.blocks_taken,
             blocks_scanned: stats.blocks_scanned,

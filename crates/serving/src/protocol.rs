@@ -24,6 +24,7 @@
 use aqp_core::{ApproxAnswer, ApproxGroup};
 use aqp_obs::json::{self, write_escaped, write_f64, Reader, Value};
 use aqp_storage::Value as Datum;
+use std::borrow::Cow;
 use std::io::{self, IoSlice, Read, Write};
 use std::sync::Arc;
 
@@ -867,100 +868,158 @@ impl Response {
         v.write(out);
     }
 
-    /// Decode a JSON frame payload. The `groups` member — the only one
-    /// whose size grows with the answer — is decoded as it is tokenized;
-    /// the handful of other members form a small tree.
+    /// Decode a JSON frame payload in one pass over the tokenizer: each
+    /// member goes straight into its typed slot, `groups` into
+    /// [`WireGroup`]s, and a string is copied once, when a field keeps
+    /// it. As in a `Value::get` lookup, the first member of a name is the
+    /// one that counts, and a mistyped one reads as absent.
     pub fn from_json(payload: &str) -> Result<Response, String> {
         let mut reader = Reader::new(payload);
-        let mut members = Vec::new();
-        // `Some` once a `groups` member was read, whatever its type: as in
-        // a `Value::get` lookup, the first member of a name is the one.
-        let mut groups = None;
-        let is_object = reader.try_object(|r, key| {
-            if key != "groups" {
-                members.push((key.into_owned(), r.value()?));
-            } else if groups.is_none() {
-                groups = Some(WireAnswer::read_groups(r)?);
-            } else {
-                r.skip()?;
-            }
-            Ok(())
-        })?;
+        let mut m = Members::default();
+        let is_object = reader.try_object(|r, key| m.read(r, &key))?;
         reader.finish()?;
         if !is_object {
             return Err("missing status".into());
         }
-        let v = Value::Obj(members);
-        let status = v.get("status").and_then(Value::as_str).ok_or("missing status")?;
-        match status {
+        let owned = |s: Option<Option<Cow<'_, str>>>, default: &str| {
+            s.flatten()
+                .map_or_else(|| default.to_string(), Cow::into_owned)
+        };
+        let status = m.status.flatten().ok_or("missing status")?;
+        let flag = |b: Option<Option<bool>>| b.flatten() == Some(true);
+        match &*status {
             "shed" => Ok(Response::Shed {
-                retry_after_ms: v.get("retry_after_ms").and_then(Value::as_u64).unwrap_or(0),
-                class: v
-                    .get("class")
-                    .and_then(Value::as_str)
-                    .unwrap_or("interactive")
-                    .to_string(),
-                trace_id: v.get("trace_id").and_then(Value::as_str).unwrap_or("").to_string(),
+                retry_after_ms: m.retry_after_ms.flatten().unwrap_or(0),
+                class: owned(m.class, "interactive"),
+                trace_id: owned(m.trace_id, ""),
             }),
             "draining" => Ok(Response::Draining),
             "timeout" => Ok(Response::Timeout {
-                message: v.get("message").and_then(Value::as_str).unwrap_or("").to_string(),
-                trace_id: v.get("trace_id").and_then(Value::as_str).unwrap_or("").to_string(),
+                message: owned(m.message, ""),
+                trace_id: owned(m.trace_id, ""),
             }),
             "error" => Ok(Response::Error {
-                message: v.get("message").and_then(Value::as_str).unwrap_or("").to_string(),
-                trace_id: v.get("trace_id").and_then(Value::as_str).unwrap_or("").to_string(),
+                message: owned(m.message, ""),
+                trace_id: owned(m.trace_id, ""),
+            }),
+            "ok" if flag(m.pong) => Ok(Response::Pong),
+            "ok" if flag(m.shutting_down) => Ok(Response::ShuttingDown),
+            "ok" if flag(m.invalidated) => Ok(Response::Invalidated {
+                epoch: m.epoch.flatten().unwrap_or(0),
             }),
             "ok" => {
-                if v.get("pong").and_then(Value::as_bool) == Some(true) {
-                    return Ok(Response::Pong);
+                if let Some(text) = m.metrics.flatten() {
+                    return Ok(Response::Metrics(text.into_owned()));
                 }
-                if v.get("shutting_down").and_then(Value::as_bool) == Some(true) {
-                    return Ok(Response::ShuttingDown);
+                if let Some(text) = m.stats.flatten() {
+                    return Ok(Response::Stats(text.into_owned()));
                 }
-                if v.get("invalidated").and_then(Value::as_bool) == Some(true) {
-                    return Ok(Response::Invalidated {
-                        epoch: v.get("epoch").and_then(Value::as_u64).unwrap_or(0),
-                    });
+                if let Some(text) = m.dump.flatten() {
+                    return Ok(Response::Dump(text.into_owned()));
                 }
-                if let Some(text) = v.get("metrics").and_then(Value::as_str) {
-                    return Ok(Response::Metrics(text.to_string()));
-                }
-                if let Some(text) = v.get("stats").and_then(Value::as_str) {
-                    return Ok(Response::Stats(text.to_string()));
-                }
-                if let Some(text) = v.get("dump").and_then(Value::as_str) {
-                    return Ok(Response::Dump(text.to_string()));
-                }
-                let groups = groups.flatten().ok_or("ok response needs groups")?;
-                let strings = |k: &str| -> Vec<String> {
-                    v.get(k)
-                        .and_then(Value::as_arr)
-                        .unwrap_or(&[])
-                        .iter()
-                        .filter_map(|s| s.as_str().map(str::to_string))
-                        .collect()
-                };
+                let groups = m.groups.flatten().ok_or("ok response needs groups")?;
                 Ok(Response::Answer(WireAnswer {
-                    trace_id: v.get("trace_id").and_then(Value::as_str).unwrap_or("").to_string(),
-                    tier: v.get("tier").and_then(Value::as_str).unwrap_or("").to_string(),
-                    partial: v.get("partial").and_then(Value::as_bool).unwrap_or(false),
-                    deadline_limited: v
-                        .get("deadline_limited")
-                        .and_then(Value::as_bool)
-                        .unwrap_or(false),
-                    cache_hit: v.get("cache_hit").and_then(Value::as_bool).unwrap_or(false),
-                    rows_scanned: v.get("rows_scanned").and_then(Value::as_u64).unwrap_or(0),
-                    effective_budget: v.get("effective_budget").and_then(Value::as_u64),
-                    elapsed_ms: v.get("elapsed_ms").and_then(Value::as_f64).unwrap_or(0.0),
-                    group_names: strings("group_names"),
-                    agg_aliases: strings("agg_aliases"),
+                    trace_id: owned(m.trace_id, ""),
+                    tier: owned(m.tier, ""),
+                    partial: flag(m.partial),
+                    deadline_limited: flag(m.deadline_limited),
+                    cache_hit: flag(m.cache_hit),
+                    rows_scanned: m.rows_scanned.flatten().unwrap_or(0),
+                    effective_budget: m.effective_budget.flatten(),
+                    elapsed_ms: m.elapsed_ms.flatten().unwrap_or(0.0),
+                    group_names: m.group_names.unwrap_or_default(),
+                    agg_aliases: m.agg_aliases.unwrap_or_default(),
                     groups,
                 }))
             }
             other => Err(format!("unknown status {other:?}")),
         }
     }
+}
+
+/// The members of a response frame, each `Some` once the first member of
+/// its name was read, holding `None` when that member had the wrong type.
+#[derive(Default)]
+struct Members<'a> {
+    status: Option<Option<Cow<'a, str>>>,
+    trace_id: Option<Option<Cow<'a, str>>>,
+    tier: Option<Option<Cow<'a, str>>>,
+    class: Option<Option<Cow<'a, str>>>,
+    message: Option<Option<Cow<'a, str>>>,
+    metrics: Option<Option<Cow<'a, str>>>,
+    stats: Option<Option<Cow<'a, str>>>,
+    dump: Option<Option<Cow<'a, str>>>,
+    partial: Option<Option<bool>>,
+    deadline_limited: Option<Option<bool>>,
+    cache_hit: Option<Option<bool>>,
+    pong: Option<Option<bool>>,
+    shutting_down: Option<Option<bool>>,
+    invalidated: Option<Option<bool>>,
+    rows_scanned: Option<Option<u64>>,
+    effective_budget: Option<Option<u64>>,
+    epoch: Option<Option<u64>>,
+    retry_after_ms: Option<Option<u64>>,
+    elapsed_ms: Option<Option<f64>>,
+    group_names: Option<Vec<String>>,
+    agg_aliases: Option<Vec<String>>,
+    groups: Option<Option<Vec<WireGroup>>>,
+}
+
+impl<'a> Members<'a> {
+    /// Read the member `key`, positioned at its value.
+    fn read(&mut self, r: &mut Reader<'a>, key: &str) -> Result<(), String> {
+        let u64_of = |r: &mut Reader<'a>| Ok(r.try_f64()?.and_then(|n| Value::Num(n).as_u64()));
+        match key {
+            "status" => first(&mut self.status, r, Reader::try_str),
+            "trace_id" => first(&mut self.trace_id, r, Reader::try_str),
+            "tier" => first(&mut self.tier, r, Reader::try_str),
+            "class" => first(&mut self.class, r, Reader::try_str),
+            "message" => first(&mut self.message, r, Reader::try_str),
+            "metrics" => first(&mut self.metrics, r, Reader::try_str),
+            "stats" => first(&mut self.stats, r, Reader::try_str),
+            "dump" => first(&mut self.dump, r, Reader::try_str),
+            "partial" => first(&mut self.partial, r, Reader::try_bool),
+            "deadline_limited" => first(&mut self.deadline_limited, r, Reader::try_bool),
+            "cache_hit" => first(&mut self.cache_hit, r, Reader::try_bool),
+            "pong" => first(&mut self.pong, r, Reader::try_bool),
+            "shutting_down" => first(&mut self.shutting_down, r, Reader::try_bool),
+            "invalidated" => first(&mut self.invalidated, r, Reader::try_bool),
+            "rows_scanned" => first(&mut self.rows_scanned, r, u64_of),
+            "effective_budget" => first(&mut self.effective_budget, r, u64_of),
+            "epoch" => first(&mut self.epoch, r, u64_of),
+            "retry_after_ms" => first(&mut self.retry_after_ms, r, u64_of),
+            "elapsed_ms" => first(&mut self.elapsed_ms, r, Reader::try_f64),
+            "group_names" => first(&mut self.group_names, r, read_strings),
+            "agg_aliases" => first(&mut self.agg_aliases, r, read_strings),
+            "groups" => first(&mut self.groups, r, WireAnswer::read_groups),
+            _ => r.skip(),
+        }
+    }
+}
+
+/// Fill an empty `slot` by `read`; a member whose slot is filled is a
+/// later duplicate, skipped.
+fn first<'a, T>(
+    slot: &mut Option<T>,
+    r: &mut Reader<'a>,
+    read: impl FnOnce(&mut Reader<'a>) -> Result<T, String>,
+) -> Result<(), String> {
+    if slot.is_some() {
+        return r.skip();
+    }
+    *slot = Some(read(r)?);
+    Ok(())
+}
+
+/// The string elements of an array (others dropped); empty when the
+/// value is not an array.
+fn read_strings(r: &mut Reader<'_>) -> Result<Vec<String>, String> {
+    let mut items = Vec::new();
+    r.try_array(|r| {
+        items.extend(r.try_str()?.map(Cow::into_owned));
+        Ok(())
+    })?;
+    Ok(items)
 }
 
 #[cfg(test)]

@@ -7,6 +7,9 @@
 //! exact oracle, then tallies — per aggregate function, per group-size
 //! decile and per sampled-row count n — how often the reported interval
 //! covered the exact value ("observed coverage") versus the nominal level.
+//! Beside each n bucket's coverage, per design, it reports the median
+//! half-width of the intervals relative to their estimates: what a change
+//! to the interval construction buys in coverage it pays for in width.
 //!
 //! Three kinds of (query, group, aggregate) cells are excluded from the
 //! coverage tally, but counted separately so nothing disappears silently:
@@ -35,7 +38,7 @@ use crate::harness::{exact_answer_threaded, ExactAnswer};
 use aqp_core::{ApproxAnswer, AqpSystem};
 use aqp_obs::json::Value;
 use aqp_query::{AggFunc, DataSource, Query};
-use aqp_sampling::{agresti_coull, ConfidenceInterval};
+use aqp_sampling::{agresti_coull, ConfidenceInterval, Design};
 
 /// The buckets of a cell's sampled rows n (`Estimate::rows`, the scaled
 /// stratum's n): each one's largest n, and its label. A sampled cell has
@@ -61,6 +64,11 @@ pub struct CoverageCell {
     pub group_rows: u64,
     /// The estimate's sampled rows n (for [`ROWS_BUCKETS`]).
     pub rows: u64,
+    /// The design the estimate's rows were drawn by.
+    pub design: Design,
+    /// The interval's half-width over the estimate's magnitude (infinite
+    /// for a zero estimate).
+    pub rel_half_width: f64,
     /// Whether the reported interval contained the exact value.
     pub covered: bool,
 }
@@ -154,6 +162,8 @@ impl CoverageAudit {
                     func: query.aggregates[idx].func,
                     group_rows,
                     rows: value.estimate.rows,
+                    design: value.estimate.design,
+                    rel_half_width: value.ci.width() / 2.0 / value.estimate.value.abs(),
                     covered: value.ci.contains(exact_value),
                 });
             }
@@ -175,13 +185,26 @@ impl CoverageAudit {
             .iter()
             .map(|(_, label)| CoverageBucket::empty(format!("n {label}")))
             .collect();
+        // Per (sampled-row bucket, design): coverage and the widths.
+        let mut by_rows_design: BTreeMap<(usize, u8), (CoverageBucket, Vec<f64>)> = BTreeMap::new();
         for cell in &self.cells {
             overall.add(cell.covered);
-            per_rows[rows_bucket(cell.rows)].add(cell.covered);
+            let rows = rows_bucket(cell.rows);
+            per_rows[rows].add(cell.covered);
             let (order, label) = func_label(cell.func);
             by_func.entry(order).or_insert_with(|| CoverageBucket::empty(label)).add(cell.covered);
+            let (order, design) = design_label(cell.design);
+            let (bucket, widths) = by_rows_design.entry((rows, order)).or_insert_with(|| {
+                (CoverageBucket::empty(format!("n {} {design}", ROWS_BUCKETS[rows].1)), Vec::new())
+            });
+            bucket.add(cell.covered);
+            widths.push(cell.rel_half_width);
         }
         per_rows.retain(|b| b.cells > 0);
+        let per_rows_design = by_rows_design
+            .into_values()
+            .map(|(coverage, widths)| WidthBucket { coverage, median_rel_half_width: median_finite(widths) })
+            .collect();
 
         // Per group-size decile: sort cells by exact group size and cut
         // into ten equal-count buckets.
@@ -216,9 +239,42 @@ impl CoverageAudit {
             per_function: by_func.into_values().collect(),
             per_decile,
             per_rows,
+            per_rows_design,
             overall,
         }
     }
+}
+
+/// The median of the finite values (the mean of the middle two for an
+/// even count); NaN when there are none.
+fn median_finite(mut values: Vec<f64>) -> f64 {
+    values.retain(|v| v.is_finite());
+    values.sort_by(f64::total_cmp);
+    match values.len() {
+        0 => f64::NAN,
+        n if n % 2 == 1 => values[n / 2],
+        n => (values[n / 2 - 1] + values[n / 2]) / 2.0,
+    }
+}
+
+fn design_label(design: Design) -> (u8, &'static str) {
+    match design {
+        Design::Exact => (0, "exact"),
+        Design::Scaled => (1, "scaled"),
+        Design::Prefix => (2, "prefix"),
+    }
+}
+
+/// Coverage and interval width of the cells in one sampled-row bucket
+/// drawn by one design.
+#[derive(Debug, Clone, PartialEq)]
+pub struct WidthBucket {
+    /// Coverage of the cells, labelled `n <bucket> <design>`.
+    pub coverage: CoverageBucket,
+    /// Median of the intervals' half-widths over their estimates'
+    /// magnitudes (cells with a zero estimate left out; NaN, `null` in
+    /// JSON, when none is left).
+    pub median_rel_half_width: f64,
 }
 
 fn func_label(func: AggFunc) -> (u8, &'static str) {
@@ -250,6 +306,10 @@ pub struct CalibrationReport {
     /// Coverage per [`ROWS_BUCKETS`] entry that holds a cell (smallest n
     /// first).
     pub per_rows: Vec<CoverageBucket>,
+    /// Coverage and median relative half-width per [`ROWS_BUCKETS`] entry
+    /// and design that hold a cell (smallest n first, then exact, scaled,
+    /// prefix).
+    pub per_rows_design: Vec<WidthBucket>,
     /// Coverage over all auditable cells.
     pub overall: CoverageBucket,
 }
@@ -281,6 +341,10 @@ impl CalibrationReport {
             ("per_function", buckets(&self.per_function)),
             ("per_decile", buckets(&self.per_decile)),
             ("per_rows", buckets(&self.per_rows)),
+            (
+                "per_rows_design",
+                Value::Arr(self.per_rows_design.iter().map(|b| width_value(b, self.nominal)).collect()),
+            ),
         ])
         .to_json()
     }
@@ -299,6 +363,14 @@ fn bucket_value(bucket: &CoverageBucket, nominal: f64) -> Value {
     ])
 }
 
+fn width_value(bucket: &WidthBucket, nominal: f64) -> Value {
+    let mut value = bucket_value(&bucket.coverage, nominal);
+    if let Value::Obj(members) = &mut value {
+        members.push(("median_rel_half_width".into(), bucket.median_rel_half_width.into()));
+    }
+    value
+}
+
 impl fmt::Display for CalibrationReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
@@ -311,7 +383,7 @@ impl fmt::Display for CalibrationReport {
             "  queries: {}   auditable cells: {}   exact cells skipped: {}   unbounded skipped: {}",
             self.queries, self.overall.cells, self.exact_cells, self.unbounded_cells
         )?;
-        write_bucket_line(f, &self.overall, self.nominal)?;
+        write_bucket_line(f, &self.overall, self.nominal, "")?;
         for (title, list) in [
             ("by aggregate function", &self.per_function),
             ("by group-size decile", &self.per_decile),
@@ -321,22 +393,31 @@ impl fmt::Display for CalibrationReport {
                 writeln!(f, "  {title}:")?;
             }
             for b in list {
-                write_bucket_line(f, b, self.nominal)?;
+                write_bucket_line(f, b, self.nominal, "")?;
             }
+        }
+        if !self.per_rows_design.is_empty() {
+            writeln!(f, "  by sampled rows n and design (median half-width / |estimate|):")?;
+        }
+        for b in &self.per_rows_design {
+            let width = format!("  half-width {:.3}", b.median_rel_half_width);
+            write_bucket_line(f, &b.coverage, self.nominal, &width)?;
         }
         Ok(())
     }
 }
 
+/// One bucket's line; `extra` is printed after its coverage interval.
 fn write_bucket_line(
     f: &mut fmt::Formatter<'_>,
     bucket: &CoverageBucket,
     nominal: f64,
+    extra: &str,
 ) -> fmt::Result {
     let ci = bucket.interval();
     writeln!(
         f,
-        "    {:<18} {:>6} cells  {:>5.1}% covered  AC95 [{:.1}%, {:.1}%]{}",
+        "    {:<18} {:>6} cells  {:>5.1}% covered  AC95 [{:.1}%, {:.1}%]{extra}{}",
         bucket.label,
         bucket.cells,
         bucket.observed() * 100.0,
@@ -578,6 +659,8 @@ mod tests {
                 func: AggFunc::Count,
                 group_rows: i + 1,
                 rows: i + 1,
+                design: if i % 2 == 0 { Design::Scaled } else { Design::Prefix },
+                rel_half_width: if i == 49 { f64::INFINITY } else { (i % 10) as f64 / 10.0 },
                 covered: i % 20 != 0,
             });
         }
@@ -622,6 +705,36 @@ mod tests {
         );
         // Appended last, so every earlier member keeps its bytes.
         assert!(json.find("\"per_decile\"") < json.find("\"per_rows\""));
+
+        // n × design: even i is scaled, odd i prefix; i = 49's infinite
+        // width is left out of its median.
+        let per_rows_design: Vec<(&str, u64)> = report
+            .per_rows_design
+            .iter()
+            .map(|b| (b.coverage.label.as_str(), b.coverage.cells))
+            .collect();
+        assert_eq!(
+            per_rows_design,
+            [
+                ("n 1 scaled", 1),
+                ("n 2 prefix", 1),
+                ("n 3-5 scaled", 2),
+                ("n 3-5 prefix", 1),
+                ("n 6-20 scaled", 7),
+                ("n 6-20 prefix", 8),
+                ("n 21+ scaled", 15),
+                ("n 21+ prefix", 15)
+            ]
+        );
+        let widths: Vec<f64> = report.per_rows_design.iter().map(|b| b.median_rel_half_width).collect();
+        assert!((widths[2] - 0.3).abs() < 1e-12, "{widths:?}");
+        // i = 21, 23, ..., 47 (i = 49 left out): widths 0.1, 0.3, ..., 0.9.
+        assert!((widths[7] - 0.5).abs() < 1e-12, "{widths:?}");
+        let rows_design = value.get("per_rows_design").and_then(|v| v.as_arr()).unwrap();
+        assert_eq!(rows_design.len(), 8);
+        assert!(rows_design[0].get("median_rel_half_width").and_then(|v| v.as_f64()).is_some());
+        assert!(json.find("\"per_rows\"") < json.find("\"per_rows_design\""));
+        assert!(report.to_string().contains("n 3-5 prefix"), "{report}");
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub mod report;
 
 pub use calibrate::{
     rows_bucket, run_calibration, CalibrationConfig, CalibrationReport, CoverageAudit,
-    CoverageBucket, CoverageCell, ROWS_BUCKETS,
+    CoverageBucket, CoverageCell, WidthBucket, ROWS_BUCKETS,
 };
 pub use generator::{generate_queries, DatasetProfile, QueryGenConfig, WorkloadAggregate};
 pub use harness::{

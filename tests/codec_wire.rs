@@ -1,10 +1,12 @@
 //! Differential and robustness tests for the streaming answer codec.
 //!
 //! `Response::to_json` writes an answer straight into one string and
-//! `Response::from_json` reads its `groups` straight off the tokenizer.
-//! The `Value`-tree encoder they replaced is kept here, as the reference
-//! the bytes are compared against: the wire format did not change, so the
-//! two must agree on every answer, to the byte.
+//! `Response::from_json` reads it straight off the tokenizer. The
+//! `Value`-tree encoder they replaced is kept here, as the reference the
+//! bytes are compared against: the wire format did not change, so the two
+//! must agree on every answer, to the byte. The reference prints the tree
+//! itself, numbers through std's `Display` and strings one char at a
+//! time, so it shares no formatting code with the encoder under test.
 
 use aqp::obs::json::{self, Value as Json};
 use aqp::prelude::*;
@@ -14,6 +16,70 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::sync::Arc;
 use std::time::Instant;
+
+/// A number as the wire has always written it, by std alone: an integral
+/// value below 10^15 in magnitude through `i64`'s `Display`, any other
+/// finite value through `f64`'s (shortest round trip, no exponent), and a
+/// non-finite one as `null`. `-0.0` keeps the float path, which writes
+/// `-0`.
+fn reference_number(out: &mut String, v: f64) {
+    if v.abs() < 1e15 && v.trunc() == v && !(v == 0.0 && v.is_sign_negative()) {
+        out.push_str(&(v as i64).to_string());
+    } else if v.is_finite() {
+        out.push_str(&v.to_string());
+    } else {
+        out.push_str("null");
+    }
+}
+
+/// A JSON string literal, escaped one char at a time.
+fn reference_string(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+/// Print a tree compactly, with the reference number and string text.
+fn reference_write(out: &mut String, v: &Json) {
+    match v {
+        Json::Null => out.push_str("null"),
+        Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        Json::Num(n) => reference_number(out, *n),
+        Json::Str(s) => reference_string(out, s),
+        Json::Arr(items) => {
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                reference_write(out, item);
+            }
+            out.push(']');
+        }
+        Json::Obj(members) => {
+            out.push('{');
+            for (i, (k, v)) in members.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                reference_string(out, k);
+                out.push(':');
+                reference_write(out, v);
+            }
+            out.push('}');
+        }
+    }
+}
 
 /// The encoder as it was before answers were streamed: build the whole
 /// frame as a [`Json`] tree, then print the tree.
@@ -57,7 +123,9 @@ fn reference_to_json(a: &WireAnswer) -> String {
     if let Some(budget) = a.effective_budget {
         members.insert(6, ("effective_budget".into(), budget.into()));
     }
-    Json::Obj(members).to_json()
+    let mut out = String::new();
+    reference_write(&mut out, &Json::Obj(members));
+    out
 }
 
 const STRINGS: [&str; 10] = [

@@ -692,7 +692,7 @@ fn kernel_label(t: &Table, q: &Query) -> String {
     assert!(aqp::obs::trace::begin("kernel label"));
     aqp::query::execute(&DataSource::Wide(t), q, &ExecOptions::default()).unwrap();
     let trace = aqp::obs::trace::finish().expect("trace open");
-    trace.operators[0].kernel.clone()
+    trace.operators[0].kernel.to_string()
 }
 
 #[test]

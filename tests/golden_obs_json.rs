@@ -8,7 +8,7 @@
 
 use aqp::obs::flight::{RequestRecord, Stage};
 use aqp::obs::OpProfile;
-use aqp::workload::{CalibrationReport, CoverageBucket};
+use aqp::workload::{CalibrationReport, CoverageBucket, WidthBucket};
 
 fn stage(name: &str, micros: u64) -> Stage {
     Stage { name: name.into(), micros }
@@ -51,7 +51,7 @@ fn records() -> Vec<RequestRecord> {
                     rows_out: 0,
                     morsels: 0,
                     morsels_per_worker: vec![],
-                    kernel: String::new(),
+                    kernel: String::new().into(),
                     ..OpProfile::default()
                 },
                 OpProfile {
@@ -143,6 +143,10 @@ fn calibrations() -> Vec<CalibrationReport> {
                 bucket("d2 \"rows\" 6-10", 0, 0),
             ],
             per_rows: vec![bucket("n 1", 12, 3), bucket("n 21+", 38, 28)],
+            per_rows_design: vec![
+                WidthBucket { coverage: bucket("n 1 scaled", 12, 3), median_rel_half_width: 1.625 },
+                WidthBucket { coverage: bucket("n 21+ prefix", 0, 0), median_rel_half_width: f64::NAN },
+            ],
             overall: bucket("overall", 50, 31),
         },
         CalibrationReport {
@@ -153,6 +157,7 @@ fn calibrations() -> Vec<CalibrationReport> {
             per_function: vec![],
             per_decile: vec![],
             per_rows: vec![],
+            per_rows_design: vec![],
             overall: bucket("overall", 0, 0),
         },
     ]
@@ -166,8 +171,8 @@ const RECORDS: [&str; 4] = [
 ];
 
 const CALIBRATIONS: [&str; 2] = [
-    "{\"nominal\":0.95,\"queries\":15,\"cells\":50,\"exact_cells\":4,\"unbounded_cells\":1,\"overall\":{\"label\":\"overall\",\"cells\":50,\"covered\":31,\"observed\":0.62,\"ci_lo\":0.4812427804271055,\"ci_hi\":0.7416337957552479,\"flagged\":true},\"per_function\":[{\"label\":\"COUNT\",\"cells\":20,\"covered\":19,\"observed\":0.95,\"ci_lo\":0.7458854858383909,\"ci_hi\":1,\"flagged\":false},{\"label\":\"SUM\",\"cells\":30,\"covered\":12,\"observed\":0.4,\"ci_lo\":0.2455614310774872,\"ci_hi\":0.5771412475897575,\"flagged\":true}],\"per_decile\":[{\"label\":\"d1 rows 1-5\",\"cells\":5,\"covered\":2,\"observed\":0.4,\"ci_lo\":0.11598664943233872,\"ci_hi\":0.7709098436035329,\"flagged\":true},{\"label\":\"d2 \\\"rows\\\" 6-10\",\"cells\":0,\"covered\":0,\"observed\":0,\"ci_lo\":0,\"ci_hi\":1,\"flagged\":false}],\"per_rows\":[{\"label\":\"n 1\",\"cells\":12,\"covered\":3,\"observed\":0.25,\"ci_lo\":0.08274891324343844,\"ci_hi\":0.538498090232275,\"flagged\":true},{\"label\":\"n 21+\",\"cells\":38,\"covered\":28,\"observed\":0.7368421052631579,\"ci_lo\":0.5783325374679076,\"ci_hi\":0.851862788045763,\"flagged\":true}]}",
-    "{\"nominal\":0.9,\"queries\":0,\"cells\":0,\"exact_cells\":0,\"unbounded_cells\":0,\"overall\":{\"label\":\"overall\",\"cells\":0,\"covered\":0,\"observed\":0,\"ci_lo\":0,\"ci_hi\":1,\"flagged\":false},\"per_function\":[],\"per_decile\":[],\"per_rows\":[]}",
+    "{\"nominal\":0.95,\"queries\":15,\"cells\":50,\"exact_cells\":4,\"unbounded_cells\":1,\"overall\":{\"label\":\"overall\",\"cells\":50,\"covered\":31,\"observed\":0.62,\"ci_lo\":0.4812427804271055,\"ci_hi\":0.7416337957552479,\"flagged\":true},\"per_function\":[{\"label\":\"COUNT\",\"cells\":20,\"covered\":19,\"observed\":0.95,\"ci_lo\":0.7458854858383909,\"ci_hi\":1,\"flagged\":false},{\"label\":\"SUM\",\"cells\":30,\"covered\":12,\"observed\":0.4,\"ci_lo\":0.2455614310774872,\"ci_hi\":0.5771412475897575,\"flagged\":true}],\"per_decile\":[{\"label\":\"d1 rows 1-5\",\"cells\":5,\"covered\":2,\"observed\":0.4,\"ci_lo\":0.11598664943233872,\"ci_hi\":0.7709098436035329,\"flagged\":true},{\"label\":\"d2 \\\"rows\\\" 6-10\",\"cells\":0,\"covered\":0,\"observed\":0,\"ci_lo\":0,\"ci_hi\":1,\"flagged\":false}],\"per_rows\":[{\"label\":\"n 1\",\"cells\":12,\"covered\":3,\"observed\":0.25,\"ci_lo\":0.08274891324343844,\"ci_hi\":0.538498090232275,\"flagged\":true},{\"label\":\"n 21+\",\"cells\":38,\"covered\":28,\"observed\":0.7368421052631579,\"ci_lo\":0.5783325374679076,\"ci_hi\":0.851862788045763,\"flagged\":true}],\"per_rows_design\":[{\"label\":\"n 1 scaled\",\"cells\":12,\"covered\":3,\"observed\":0.25,\"ci_lo\":0.08274891324343844,\"ci_hi\":0.538498090232275,\"flagged\":true,\"median_rel_half_width\":1.625},{\"label\":\"n 21+ prefix\",\"cells\":0,\"covered\":0,\"observed\":0,\"ci_lo\":0,\"ci_hi\":1,\"flagged\":false,\"median_rel_half_width\":null}]}",
+    "{\"nominal\":0.9,\"queries\":0,\"cells\":0,\"exact_cells\":0,\"unbounded_cells\":0,\"overall\":{\"label\":\"overall\",\"cells\":0,\"covered\":0,\"observed\":0,\"ci_lo\":0,\"ci_hi\":1,\"flagged\":false},\"per_function\":[],\"per_decile\":[],\"per_rows\":[],\"per_rows_design\":[]}",
 ];
 
 #[test]
