@@ -8,23 +8,35 @@
 //! bounds (BlinkDB-style bounded-error contracts; VerdictDB-style reuse
 //! of sample-derived estimates across queries).
 //!
+//! * **Statements**: the cache keeps the statements it has seen
+//!   ([`SemanticCache::statement`]): each SQL text's parse and plan-key
+//!   text, so a repeated text is neither parsed nor canonicalized again.
+//!   A text that does not parse is not kept. At most `capacity` texts
+//!   are kept, least recently used out first; an `invalidate` keeps them,
+//!   as the plan-key text they hold carries no epoch.
 //! * **Keys** are canonicalized plans ([`aqp_sql::plan_key_text`]):
 //!   whitespace, literal formatting, predicate commutation, and aggregate
-//!   aliases are erased; table name, predicate set, group columns,
-//!   aggregate list, and the cache **epoch** (bumped on table rebuild)
-//!   are folded in. The full key text is the map key — a fixed-width
-//!   hash ([`aqp_query::FxHasher`], deterministic and platform-stable)
-//!   is carried only as a fingerprint for logs and metrics.
+//!   aliases are erased; table name, predicate set, group columns and
+//!   aggregate list are folded in. Answers are mapped by that full text —
+//!   a fixed-width hash ([`aqp_query::FxHasher`], deterministic and
+//!   platform-stable) is carried only as a fingerprint for logs and
+//!   metrics. A [`PlanKey`] (a flight's, or [`SemanticCache::key`]'s)
+//!   also carries the cache **epoch** (bumped on table rebuild), and an
+//!   answer keyed under an earlier epoch than the cache's is not kept, so
+//!   every entry belongs to the current epoch.
 //! * **Hits** are contract-checked, never key-only: a cached approximate
 //!   answer serves a request at equal-or-lower confidence (its intervals
 //!   cover with at least the demanded probability) and within any
 //!   relative-error bound; exact answers satisfy any contract; partial
-//!   answers are never cached. A hit shares the cached answer
-//!   (`Arc<ApproxAnswer>`), copying nothing, when the incoming query
-//!   spells its group names and aliases as the cached one did; otherwise
-//!   the copy it gets is re-skinned from the incoming query, so
-//!   `COUNT(*) AS n` hits an answer cached as `COUNT(*) AS c` yet comes
-//!   back labelled `n`.
+//!   answers are never cached. A hit costs two map lookups (statement,
+//!   answer) and the contract check, and copies nothing: it shares the
+//!   entry's answer (`Arc<ApproxAnswer>`) and the entry's frame text of
+//!   that answer's groups ([`GroupsText`], written by the entry's first
+//!   hit), and the server writes its frame as a fresh head plus one copy
+//!   of that text. When the incoming query names its columns otherwise
+//!   than the cached one, the hit carries the incoming names for the
+//!   head ([`CachedFrame`]), so `COUNT(*) AS n` hits an answer cached as
+//!   `COUNT(*) AS c` yet comes back labelled `n`.
 //! * **Single-flight**: N concurrent misses on one key execute once. The
 //!   first miss becomes the *leader* (returns [`CacheDecision::Execute`]
 //!   with a [`FlightGuard`]); followers block — bounded by their own
@@ -33,8 +45,8 @@
 //!   panicked or errored execution can never wedge its followers.
 //! * **Bounds**: capacity-capped with LRU eviction, optional TTL expiry
 //!   (checked at lookup), and explicit [`SemanticCache::invalidate`] for
-//!   table rebuilds (bumps the epoch so stale keys can never match, and
-//!   clears the map).
+//!   table rebuilds (bumps the epoch and clears the map). An entry's
+//!   groups text goes with it.
 //!
 //! Observability: `aqp_cache_{hit,miss,insert,evict,bypass}_total`
 //! counters (`evict` labelled by reason: `lru`, `ttl`, `invalidate`) and
@@ -42,11 +54,13 @@
 //! Every [`SemanticCache::decide`] counts exactly one of hit, miss or
 //! bypass, so the server reads its cache tallies from these counters.
 
+use crate::protocol::{CachedFrame, GroupsText};
 use aqp_core::{AnswerContract, ApproxAnswer};
 use aqp_obs::Registry;
 use aqp_query::{FxHashMap, Query};
+use aqp_sql::{ParsedQuery, SqlResult};
 use std::collections::HashMap;
-use std::hash::Hasher;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -58,8 +72,8 @@ const FLIGHT_WAIT_TICK: Duration = Duration::from_millis(50);
 /// Cache configuration (server flags map onto this).
 #[derive(Debug, Clone)]
 pub struct CacheConfig {
-    /// Maximum number of cached answers; `0` disables the cache (every
-    /// query bypasses).
+    /// Maximum number of cached answers, and of kept statements; `0`
+    /// disables the cache (every query bypasses).
     pub capacity: usize,
     /// Entry time-to-live; `None` = entries live until evicted or
     /// invalidated.
@@ -86,9 +100,19 @@ impl CacheConfig {
 pub struct PlanKey {
     text: String,
     hash: u64,
+    epoch: u64,
+    /// Where the plan-key text starts in `text`, past the epoch.
+    plan_at: usize,
 }
 
 impl PlanKey {
+    fn new(epoch: u64, plan: &str) -> PlanKey {
+        let text = format!("e{epoch}|{plan}");
+        let mut h = aqp_query::FxHasher::default();
+        h.write(text.as_bytes());
+        PlanKey { plan_at: text.len() - plan.len(), hash: h.finish(), text, epoch }
+    }
+
     /// The full canonical key text (injective over plans + epoch).
     pub fn text(&self) -> &str {
         &self.text
@@ -100,13 +124,37 @@ impl PlanKey {
     pub fn hash(&self) -> u64 {
         self.hash
     }
+
+    /// The plan-key text, without the epoch: what the answers are mapped by.
+    fn plan(&self) -> &str {
+        &self.text[self.plan_at..]
+    }
+}
+
+/// A statement as [`SemanticCache::statement`] returns it: the parse of
+/// one SQL text and the plan-key text the cache maps its answers by.
+#[derive(Debug)]
+pub struct Statement {
+    /// The parsed statement.
+    pub parsed: ParsedQuery,
+    /// [`aqp_sql::plan_key_text`] of the parse, without the epoch; empty
+    /// from a disabled cache, which keys nothing.
+    plan: String,
 }
 
 struct Entry {
     answer: Arc<ApproxAnswer>,
+    /// The frame text of `answer`'s groups, written by the first hit.
+    groups: Arc<GroupsText>,
     confidence: f64,
     inserted: Instant,
     /// LRU clock value at last touch.
+    used: u64,
+}
+
+struct KeptStatement {
+    statement: Arc<Statement>,
+    /// LRU clock value at last use.
     used: u64,
 }
 
@@ -115,11 +163,12 @@ pub enum CacheDecision<'a> {
     /// Caching is disabled for this request; execute normally, do not
     /// insert.
     Bypass,
-    /// Contract-satisfying answer served from cache, named as the
-    /// incoming query names its columns: the cached answer itself when
-    /// the names agree, a re-skinned copy when they do not. The `f64` is
-    /// the confidence the cached intervals were computed at.
-    Hit(Arc<ApproxAnswer>, f64),
+    /// Contract-satisfying answer served from cache: the cached answer,
+    /// shared with its entry and named as the query that executed it; the
+    /// confidence its intervals were computed at; and what the hit's
+    /// frame takes from the entry: the groups text and, when the incoming
+    /// query names its columns otherwise, those names.
+    Hit(Arc<ApproxAnswer>, f64, CachedFrame),
     /// Miss: the caller must execute and then [`FlightGuard::complete`]
     /// (or drop the guard to abandon the flight).
     Execute(FlightGuard<'a>),
@@ -144,15 +193,23 @@ impl FlightGuard<'_> {
     }
 
     /// Record the executed answer. Complete (non-partial) answers
-    /// computed at `confidence` are inserted for reuse; partial or
-    /// deadline-shaped answers are released without caching when
-    /// `insertable` is false — they describe the request's budget, not
-    /// the data.
+    /// computed at `confidence` are copied into the cache for reuse;
+    /// partial or deadline-shaped answers are released without caching
+    /// when `insertable` is false — they describe the request's budget,
+    /// not the data.
     pub fn complete(self, answer: &ApproxAnswer, confidence: f64, insertable: bool) {
         if insertable && !answer.partial {
             self.cache.insert(&self.key, Arc::new(answer.clone()), confidence);
         }
         // Drop releases the flight and wakes followers.
+    }
+
+    /// [`FlightGuard::complete`] for an answer already behind an `Arc`:
+    /// the entry shares it rather than a copy.
+    pub fn complete_shared(self, answer: &Arc<ApproxAnswer>, confidence: f64, insertable: bool) {
+        if insertable {
+            self.cache.insert(&self.key, Arc::clone(answer), confidence);
+        }
     }
 }
 
@@ -175,7 +232,10 @@ pub struct SemanticCache {
     registry: Arc<Registry>,
     epoch: AtomicU64,
     clock: AtomicU64,
+    /// Answers by plan-key text, all of the current epoch.
     state: Mutex<FxHashMap<String, Entry>>,
+    /// Statements by SQL text.
+    statements: Mutex<FxHashMap<Box<str>, KeptStatement>>,
     flights: Mutex<std::collections::HashSet<String>>,
     flight_done: Condvar,
 }
@@ -208,6 +268,7 @@ impl SemanticCache {
             epoch: AtomicU64::new(0),
             clock: AtomicU64::new(0),
             state: Mutex::new(HashMap::default()),
+            statements: Mutex::new(HashMap::default()),
             flights: Mutex::new(std::collections::HashSet::new()),
             flight_done: Condvar::new(),
         }
@@ -235,15 +296,45 @@ impl SemanticCache {
 
     /// The epoch-stamped canonical key for `query` against `table`.
     pub fn key(&self, table: &str, query: &Query) -> PlanKey {
-        let text = format!(
-            "e{}|{}",
-            self.epoch.load(Ordering::SeqCst),
-            aqp_sql::plan_key_text(table, query)
-        );
-        let mut h = aqp_query::FxHasher::default();
-        h.write(text.as_bytes());
-        let hash = h.finish();
-        PlanKey { text, hash }
+        PlanKey::new(self.epoch(), &aqp_sql::plan_key_text(table, query))
+    }
+
+    /// The statement `sql` parses to. An enabled cache parses and keys a
+    /// text once and keeps the statement for the text's next request; a
+    /// text that does not parse is not kept, so each of its requests gets
+    /// the parse error. A disabled cache parses every time and keeps
+    /// nothing.
+    pub fn statement(&self, sql: &str) -> SqlResult<Arc<Statement>> {
+        if !self.enabled {
+            let parsed = aqp_sql::parse_query(sql)?;
+            return Ok(Arc::new(Statement { parsed, plan: String::new() }));
+        }
+        if let Some(kept) = self.statements.lock().expect("cache statements poisoned").get_mut(sql) {
+            kept.used = self.tick();
+            return Ok(Arc::clone(&kept.statement));
+        }
+        let parsed = aqp_sql::parse_query(sql)?;
+        let plan = aqp_sql::plan_key_text(&parsed.table, &parsed.query);
+        let statement = Arc::new(Statement { parsed, plan });
+        let mut statements = self.statements.lock().expect("cache statements poisoned");
+        let kept = KeptStatement { statement: Arc::clone(&statement), used: self.tick() };
+        statements.insert(sql.into(), kept);
+        evict_lru(&mut statements, self.config.capacity, |k| k.used);
+        Ok(statement)
+    }
+
+    /// [`SemanticCache::decide`] for a statement from
+    /// [`SemanticCache::statement`], whose plan-key text is already made.
+    pub fn decide_statement<'a>(
+        &'a self,
+        statement: &Statement,
+        contract: &AnswerContract,
+        deadline: Option<Instant>,
+    ) -> CacheDecision<'a> {
+        if !self.enabled {
+            return self.bypass();
+        }
+        self.decide_plan(&statement.plan, &statement.parsed.query, contract, deadline)
     }
 
     /// Route one query: serve a contract-satisfying cached answer, join
@@ -258,25 +349,37 @@ impl SemanticCache {
         deadline: Option<Instant>,
     ) -> CacheDecision<'a> {
         if !self.enabled {
-            self.registry.counter("aqp_cache_bypass_total", &[]).inc();
-            return CacheDecision::Bypass;
+            return self.bypass();
         }
-        let key = self.key(table, query);
+        self.decide_plan(&aqp_sql::plan_key_text(table, query), query, contract, deadline)
+    }
+
+    fn bypass<'a>(&self) -> CacheDecision<'a> {
+        self.registry.counter("aqp_cache_bypass_total", &[]).inc();
+        CacheDecision::Bypass
+    }
+
+    /// [`SemanticCache::decide`] for the plan-key text `plan` of `query`.
+    fn decide_plan<'a>(
+        &'a self,
+        plan: &str,
+        query: &Query,
+        contract: &AnswerContract,
+        deadline: Option<Instant>,
+    ) -> CacheDecision<'a> {
         loop {
-            if let Some((answer, confidence)) = self.lookup(&key, contract, query) {
-                self.registry.counter("aqp_cache_hit_total", &[]).inc();
-                return CacheDecision::Hit(answer, confidence);
+            if let Some(hit) = self.lookup(plan, contract, query) {
+                return hit;
             }
+            let key = PlanKey::new(self.epoch(), plan);
             let mut flights = self.flights.lock().expect("cache flights poisoned");
             if !flights.contains(&key.text) {
                 // No flight, but one may have landed between the lookup
                 // above and this lock. A leader inserts before it lands,
                 // so look again (flights → state is the only nesting of
                 // the two locks) rather than execute the key a second time.
-                if let Some((answer, confidence)) = self.lookup(&key, contract, query) {
-                    drop(flights);
-                    self.registry.counter("aqp_cache_hit_total", &[]).inc();
-                    return CacheDecision::Hit(answer, confidence);
+                if let Some(hit) = self.lookup(plan, contract, query) {
+                    return hit;
                 }
                 flights.insert(key.text.clone());
                 drop(flights);
@@ -308,17 +411,13 @@ impl SemanticCache {
         }
     }
 
-    /// Contract-checked lookup. Expired entries are evicted on the way.
-    fn lookup(
-        &self,
-        key: &PlanKey,
-        contract: &AnswerContract,
-        query: &Query,
-    ) -> Option<(Arc<ApproxAnswer>, f64)> {
+    /// Contract-checked lookup, counted as a hit when it finds one.
+    /// Expired entries are evicted on the way.
+    fn lookup<'a>(&self, plan: &str, contract: &AnswerContract, query: &Query) -> Option<CacheDecision<'a>> {
         let mut state = self.state.lock().expect("cache state poisoned");
-        let entry = state.get_mut(&key.text)?;
+        let entry = state.get_mut(plan)?;
         if self.config.ttl.is_some_and(|ttl| entry.inserted.elapsed() >= ttl) {
-            state.remove(&key.text);
+            state.remove(plan);
             self.registry.counter("aqp_cache_evict_total", &[("reason", "ttl")]).inc();
             self.registry.gauge("aqp_cache_size", &[]).set(state.len() as i64);
             return None;
@@ -326,20 +425,18 @@ impl SemanticCache {
         if !contract.satisfied_by(&entry.answer, entry.confidence) {
             return None;
         }
-        entry.used = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
+        entry.used = self.tick();
         let answer = Arc::clone(&entry.answer);
+        let groups = Arc::clone(&entry.groups);
         let confidence = entry.confidence;
         drop(state);
         // The key erases aliases, so the cached names may differ from the
-        // incoming query's; only then is the answer copied, to re-skin it.
+        // incoming query's; only then does the hit carry the query's.
         let aliases = query.aggregates.iter().map(|a| &a.alias);
-        if answer.group_names == query.group_by && answer.agg_aliases.iter().eq(aliases) {
-            return Some((answer, confidence));
-        }
-        let mut answer = ApproxAnswer::clone(&answer);
-        answer.agg_aliases = query.aggregates.iter().map(|a| a.alias.clone()).collect();
-        answer.group_names = query.group_by.clone();
-        Some((Arc::new(answer), confidence))
+        let names = (answer.group_names != query.group_by || !answer.agg_aliases.iter().eq(aliases))
+            .then(|| (query.group_by.clone(), query.aggregates.iter().map(|a| a.alias.clone()).collect()));
+        self.registry.counter("aqp_cache_hit_total", &[]).inc();
+        Some(CacheDecision::Hit(answer, confidence, CachedFrame { groups, names }))
     }
 
     /// Insert an answer (used by [`FlightGuard::complete`]). Evicts LRU
@@ -349,20 +446,20 @@ impl SemanticCache {
             return;
         }
         let mut state = self.state.lock().expect("cache state poisoned");
-        let used = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-        state.insert(
-            key.text.clone(),
-            Entry { answer, confidence, inserted: Instant::now(), used },
-        );
+        // A flight that took off before an `invalidate` may have read the
+        // data from before the rebuild: its answer is not kept. (The
+        // epoch is bumped before the map is cleared under this lock, so
+        // no such answer outlives the clear.)
+        if key.epoch != self.epoch() {
+            return;
+        }
+        let used = self.tick();
+        let entry = Entry { answer, groups: Arc::default(), confidence, inserted: Instant::now(), used };
+        state.insert(key.plan().to_owned(), entry);
         self.registry.counter("aqp_cache_insert_total", &[]).inc();
-        while state.len() > self.config.capacity {
-            let coldest = state
-                .iter()
-                .min_by_key(|(_, e)| e.used)
-                .map(|(k, _)| k.clone())
-                .expect("non-empty over-capacity map");
-            state.remove(&coldest);
-            self.registry.counter("aqp_cache_evict_total", &[("reason", "lru")]).inc();
+        let evicted = evict_lru(&mut state, self.config.capacity, |e| e.used);
+        if evicted > 0 {
+            self.registry.counter("aqp_cache_evict_total", &[("reason", "lru")]).inc_by(evicted);
         }
         self.registry.gauge("aqp_cache_size", &[]).set(state.len() as i64);
     }
@@ -370,8 +467,7 @@ impl SemanticCache {
     /// Explicit invalidation on table rebuild: bump the epoch (so a key
     /// computed before the bump can never match one computed after) and
     /// drop every cached answer. In-flight executions keyed under the
-    /// old epoch may still insert; their entries are unreachable by new
-    /// lookups and age out via LRU/TTL. Returns the new epoch.
+    /// old epoch are not kept when they complete. Returns the new epoch.
     pub fn invalidate(&self) -> u64 {
         let epoch = self.epoch.fetch_add(1, Ordering::SeqCst) + 1;
         let mut state = self.state.lock().expect("cache state poisoned");
@@ -385,6 +481,28 @@ impl SemanticCache {
         self.registry.gauge("aqp_cache_size", &[]).set(0);
         epoch
     }
+
+    /// The next LRU clock value.
+    fn tick(&self) -> u64 {
+        self.clock.fetch_add(1, Ordering::Relaxed) + 1
+    }
+}
+
+/// Drop `map`'s least recently used members (by `used`) until it holds at
+/// most `capacity`; returns how many went. An O(n) scan per member:
+/// capacities are hundreds, not millions.
+fn evict_lru<K: Clone + Eq + Hash, V>(map: &mut FxHashMap<K, V>, capacity: usize, used: impl Fn(&V) -> u64) -> u64 {
+    let mut evicted = 0;
+    while map.len() > capacity {
+        let coldest = map
+            .iter()
+            .min_by_key(|(_, v)| used(v))
+            .map(|(k, _)| k.clone())
+            .expect("non-empty over-capacity map");
+        map.remove(&coldest);
+        evicted += 1;
+    }
+    evicted
 }
 
 #[cfg(test)]
@@ -442,10 +560,13 @@ mod tests {
         let c = cache(8);
         run_miss(&c, "v", &query("cached_name"), &answer(100.0, 5.0, false));
         assert_eq!(c.len(), 1);
-        // Same plan, different alias: key matches, output re-skinned.
+        // Same plan, different alias: key matches, the frame takes the
+        // incoming names.
         match c.decide("v", &query("fresh_name"), &AnswerContract::at_confidence(0.95), None) {
-            CacheDecision::Hit(a, conf) => {
-                assert_eq!(a.agg_aliases, vec!["fresh_name".to_owned()]);
+            CacheDecision::Hit(a, conf, frame) => {
+                assert_eq!(a.agg_aliases, vec!["cached_name".to_owned()], "the entry is not re-skinned");
+                let names = (vec!["g".to_owned()], vec!["fresh_name".to_owned()]);
+                assert_eq!(frame.names, Some(names));
                 assert!((conf - 0.95).abs() < 1e-12);
             }
             _ => panic!("expected a hit"),
@@ -453,19 +574,79 @@ mod tests {
     }
 
     #[test]
-    fn a_hit_under_the_cached_names_shares_the_entry() {
+    fn every_hit_shares_the_entry() {
         let c = cache(8);
         run_miss(&c, "v", &query("cached_name"), &answer(100.0, 5.0, false));
         let hit = |alias: &str| match c.decide("v", &query(alias), &AnswerContract::at_confidence(0.95), None) {
-            CacheDecision::Hit(a, _) => a,
+            CacheDecision::Hit(a, _, frame) => (a, frame),
             _ => panic!("expected a hit"),
         };
-        let (first, second) = (hit("cached_name"), hit("cached_name"));
-        assert!(Arc::ptr_eq(&first, &second), "both hits hold the cached answer");
-        let reskinned = hit("fresh_name");
-        assert!(!Arc::ptr_eq(&first, &reskinned), "a re-aliased hit is a copy");
-        assert_eq!(reskinned.groups, first.groups);
-        assert_eq!(first.agg_aliases, vec!["cached_name".to_owned()], "the entry is not re-skinned");
+        let (first, second, reskinned) = (hit("cached_name"), hit("cached_name"), hit("fresh_name"));
+        for (other, what) in [(&second, "a second hit"), (&reskinned, "a re-aliased hit")] {
+            assert!(Arc::ptr_eq(&first.0, &other.0), "{what} holds the cached answer");
+            assert!(Arc::ptr_eq(&first.1.groups, &other.1.groups), "{what} holds the entry's groups text");
+        }
+        assert!(first.1.names.is_none() && second.1.names.is_none());
+    }
+
+    #[test]
+    fn statements_are_parsed_once_and_keyed_without_the_epoch() {
+        let c = cache(8);
+        let sql = "SELECT g, COUNT(*) AS n FROM v GROUP BY g";
+        let first = c.statement(sql).unwrap();
+        assert!(Arc::ptr_eq(&first, &c.statement(sql).unwrap()), "a repeated text is not parsed again");
+        assert_eq!(first.plan, aqp_sql::plan_key_text(&first.parsed.table, &first.parsed.query));
+        let contract = AnswerContract::at_confidence(0.95);
+        let key = |c: &SemanticCache| match c.decide_statement(&first, &contract, None) {
+            CacheDecision::Execute(guard) => {
+                let key = guard.key().clone();
+                guard.complete(&answer(1.0, 0.1, false), 0.95, true);
+                key
+            }
+            _ => panic!("expected a miss"),
+        };
+        let before = key(&c);
+        assert_eq!(before, c.key(&first.parsed.table, &first.parsed.query));
+        assert!(matches!(c.decide_statement(&first, &contract, None), CacheDecision::Hit(..)));
+        c.invalidate();
+        // The kept statement outlives the bump; its key is the new epoch's.
+        let after = key(&c);
+        assert!(Arc::ptr_eq(&first, &c.statement(sql).unwrap()));
+        assert_eq!(after, c.key(&first.parsed.table, &first.parsed.query));
+        assert!(after.text().starts_with("e1|") && before.text().starts_with("e0|"), "{after:?}");
+        assert!(matches!(c.decide_statement(&first, &contract, None), CacheDecision::Hit(..)));
+    }
+
+    #[test]
+    fn unparsable_texts_are_not_kept_and_kept_ones_are_bounded() {
+        let c = cache(2);
+        for _ in 0..3 {
+            assert!(c.statement("SELEKT garbage").is_err());
+        }
+        assert!(c.statements.lock().unwrap().is_empty());
+        let sql = |g: &str| format!("SELECT {g}, COUNT(*) FROM v GROUP BY {g}");
+        let a = c.statement(&sql("a")).unwrap();
+        c.statement(&sql("b")).unwrap();
+        c.statement(&sql("a")).unwrap();
+        c.statement(&sql("c")).unwrap();
+        let kept = c.statements.lock().unwrap().keys().map(|k| k.to_string()).collect::<std::collections::BTreeSet<_>>();
+        assert_eq!(kept, [sql("a"), sql("c")].into_iter().collect(), "the least recently used text went");
+        assert!(Arc::ptr_eq(&a, &c.statement(&sql("a")).unwrap()));
+        let off = SemanticCache::new(CacheConfig::disabled());
+        off.statement(&sql("a")).unwrap();
+        assert!(off.statements.lock().unwrap().is_empty(), "a disabled cache keeps nothing");
+    }
+
+    #[test]
+    fn a_flight_from_before_an_invalidate_is_not_kept() {
+        let c = cache(8);
+        let stale = match c.decide("v", &query("n"), &AnswerContract::at_confidence(0.95), None) {
+            CacheDecision::Execute(guard) => guard,
+            _ => panic!("expected a miss"),
+        };
+        c.invalidate();
+        stale.complete(&answer(1.0, 0.1, false), 0.95, true);
+        assert!(c.is_empty());
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //! read straight off the tokenizer, with no tree in between. The server
 //! writes an answer frame from the [`ApproxAnswer`] it computed or shares
 //! with the cache ([`ServedAnswer`]); a client decodes it into a
-//! [`WireAnswer`]. One function lays out the bytes for both.
+//! [`WireAnswer`]. One function lays out the bytes for both. A cache
+//! entry keeps its answer's `groups` member as text ([`GroupsText`]),
+//! so a hit writes only the frame's head and copies the rest.
 //!
 //! Degradation is a *first-class wire concept*: an `ok` response carries
 //! the [`aqp_core::ServingTier`] that produced the answer, whether the
@@ -26,7 +28,7 @@ use aqp_obs::json::{self, write_escaped, write_f64, Reader, Value};
 use aqp_storage::Value as Datum;
 use std::borrow::Cow;
 use std::io::{self, IoSlice, Read, Write};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Frames larger than this are rejected before allocation — a corrupt
 /// or hostile length prefix must not OOM the server.
@@ -508,7 +510,8 @@ impl WireAnswer {
                 group_names: &self.group_names,
                 agg_aliases: &self.agg_aliases,
             },
-            &self.groups,
+            self.groups.len(),
+            |out| write_groups(out, &self.groups),
         );
     }
 
@@ -591,34 +594,76 @@ pub struct ServedAnswer {
     pub effective_budget: Option<usize>,
     /// Server-side wall time, milliseconds.
     pub elapsed_ms: f64,
-    /// True when the answer was re-served from the semantic cache.
-    pub cache_hit: bool,
+    /// Set when the answer is re-served from the semantic cache (the
+    /// frame's `cache_hit`): what the frame takes from the cache entry
+    /// rather than from `answer`.
+    pub cached: Option<CachedFrame>,
 }
 
 impl ServedAnswer {
-    /// Append the answer frame's payload to `out`.
+    /// Append the answer frame's payload to `out`. A cache hit's groups
+    /// are the entry's [`GroupsText`], copied; any other answer's are
+    /// written from the answer.
     pub fn write_json(&self, out: &mut String) {
         let answer = &*self.answer;
         debug_assert!(
             answer.groups.is_sorted_by(|a, b| a.key <= b.key),
             "a served answer is in key order"
         );
-        write_answer_frame(
-            out,
-            &FrameHead {
-                trace_id: &self.trace_id,
-                tier: answer.tier.as_str(),
-                partial: answer.partial,
-                deadline_limited: self.deadline_limited,
-                cache_hit: self.cache_hit,
-                effective_budget: self.effective_budget.map(|b| b as u64),
-                rows_scanned: answer.rows_scanned as u64,
-                elapsed_ms: self.elapsed_ms,
-                group_names: &answer.group_names,
-                agg_aliases: &answer.agg_aliases,
-            },
-            &answer.groups,
-        );
+        let (group_names, agg_aliases) = match self.cached.as_ref().and_then(|c| c.names.as_ref()) {
+            Some((group_names, agg_aliases)) => (group_names, agg_aliases),
+            None => (&answer.group_names, &answer.agg_aliases),
+        };
+        let head = FrameHead {
+            trace_id: &self.trace_id,
+            tier: answer.tier.as_str(),
+            partial: answer.partial,
+            deadline_limited: self.deadline_limited,
+            cache_hit: self.cached.is_some(),
+            effective_budget: self.effective_budget.map(|b| b as u64),
+            rows_scanned: answer.rows_scanned as u64,
+            elapsed_ms: self.elapsed_ms,
+            group_names,
+            agg_aliases,
+        };
+        write_answer_frame(out, &head, answer.groups.len(), |out| match &self.cached {
+            Some(cached) => cached.groups.write(out, answer),
+            None => write_groups(out, &answer.groups),
+        });
+    }
+}
+
+/// What a cache hit's frame takes from the cache rather than from its
+/// answer.
+#[derive(Debug, Default)]
+pub struct CachedFrame {
+    /// The cache entry's groups text, shared by every hit on the entry.
+    pub groups: Arc<GroupsText>,
+    /// The hit query's group names and aggregate aliases, when they are
+    /// not the cached answer's. The cache key erases aliases, so
+    /// `COUNT(*) AS n` hits an answer cached as `COUNT(*) AS c` and its
+    /// frame is labelled `n`, while the groups are the entry's.
+    pub names: Option<(Vec<String>, Vec<String>)>,
+}
+
+/// An answer frame's `groups` member as text: written by the first frame
+/// that serves the answer, and copied by every later one. A cache entry
+/// keeps one beside its answer, so a hit encodes nothing; the text goes
+/// with the entry (LRU eviction, TTL expiry, `invalidate`).
+#[derive(Debug, Default)]
+pub struct GroupsText(OnceLock<Box<str>>);
+
+impl GroupsText {
+    /// Append the text of `answer`'s groups to `out`: a copy of the kept
+    /// text, or, the first time, the text written in place and kept.
+    fn write(&self, out: &mut String, answer: &ApproxAnswer) {
+        if let Some(text) = self.0.get() {
+            return out.push_str(text);
+        }
+        let at = out.len();
+        write_groups(out, &answer.groups);
+        // Two first frames may both get here; they wrote the same bytes.
+        let _ = self.0.set(out[at..].into());
     }
 }
 
@@ -687,13 +732,22 @@ impl FrameGroup for ApproxGroup {
     }
 }
 
-/// The one layout of an answer frame's payload, appended to `out`.
-fn write_answer_frame<G: FrameGroup>(out: &mut String, head: &FrameHead<'_>, groups: &[G]) {
+fn bool_str(b: bool) -> &'static str {
+    if b {
+        "true"
+    } else {
+        "false"
+    }
+}
+
+/// The one layout of an answer frame's payload, appended to `out`: the
+/// head's members, then `groups`, which appends the `groups` array of
+/// `count` groups.
+fn write_answer_frame(out: &mut String, head: &FrameHead<'_>, count: usize, groups: impl FnOnce(&mut String)) {
     // Typical widths: ~12 bytes a key, ~100 a value object; the
     // string grows if an answer is wider.
     let per_group = 24 + 12 * head.group_names.len() + 100 * head.agg_aliases.len();
-    out.reserve(256 + groups.len() * per_group);
-    let bool_str = |b: bool| if b { "true" } else { "false" };
+    out.reserve(256 + count * per_group);
     let write_strings = |out: &mut String, items: &[String]| {
         out.push('[');
         for (i, item) in items.iter().enumerate() {
@@ -728,23 +782,29 @@ fn write_answer_frame<G: FrameGroup>(out: &mut String, head: &FrameHead<'_>, gro
     write_strings(out, head.group_names);
     out.push_str(",\"agg_aliases\":");
     write_strings(out, head.agg_aliases);
-    out.push_str(",\"groups\":[");
-    // An estimate's text, kept for a bound with the same bits: every
-    // exact cell's interval is its estimate twice.
-    let mut estimate = String::new();
+    out.push_str(",\"groups\":");
+    groups(out);
+    out.push('}');
+}
+
+/// The `groups` array of an answer frame, appended to `out`.
+fn write_groups<G: FrameGroup>(out: &mut String, groups: &[G]) {
+    out.push('[');
     for (i, group) in groups.iter().enumerate() {
         out.push_str(if i > 0 { ",{\"key\":[" } else { "{\"key\":[" });
         group.write_key(out);
         out.push_str("],\"values\":[");
         for (j, v) in group.cells().enumerate() {
             out.push_str(if j > 0 { ",{\"estimate\":" } else { "{\"estimate\":" });
-            estimate.clear();
-            write_f64(&mut estimate, v.estimate);
-            out.push_str(&estimate);
+            // The estimate's text, copied for a bound with the same bits:
+            // every exact cell's interval is its estimate twice.
+            let estimate = out.len();
+            write_f64(out, v.estimate);
+            let estimate = estimate..out.len();
             for (name, bound) in [(",\"lo\":", v.lo), (",\"hi\":", v.hi)] {
                 out.push_str(name);
                 if bound.to_bits() == v.estimate.to_bits() {
-                    out.push_str(&estimate);
+                    out.extend_from_within(estimate.clone());
                 } else {
                     write_f64(out, bound);
                 }
@@ -755,7 +815,7 @@ fn write_answer_frame<G: FrameGroup>(out: &mut String, head: &FrameHead<'_>, gro
         }
         out.push_str("]}");
     }
-    out.push_str("]}");
+    out.push(']');
 }
 
 /// One server response. Every request receives exactly one of these.

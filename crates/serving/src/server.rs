@@ -719,9 +719,10 @@ fn serve_query(
 
     let t0 = Instant::now();
     // Parse before admission: the cache key is the canonicalized plan,
-    // and a cache hit must not consume an executor slot at all.
-    let parsed = match aqp_sql::parse_query(&record.query) {
-        Ok(p) => p,
+    // and a cache hit must not consume an executor slot at all. While the
+    // cache is on, a text it has seen is neither parsed nor keyed again.
+    let statement = match inner.cache.statement(&record.query) {
+        Ok(statement) => statement,
         Err(e) => {
             timeline.mark("parse");
             settle(inner, record, class, "error");
@@ -732,6 +733,7 @@ fn serve_query(
             .into();
         }
     };
+    let parsed = &statement.parsed;
     timeline.mark("parse");
     let conf = confidence.unwrap_or(inner.config.default_confidence);
     let contract = AnswerContract { confidence: conf, max_rel_error };
@@ -741,10 +743,10 @@ fn serve_query(
     // guard: concurrent misses on the same key park here (bounded by
     // their own deadline) while one leader executes; when the leader
     // completes they re-check and hit.
-    let decision = inner.cache.decide(&parsed.table, &parsed.query, &contract, deadline);
+    let decision = inner.cache.decide_statement(&statement, &contract, deadline);
     timeline.mark("cache");
     let flight = match decision {
-        CacheDecision::Hit(answer, _) => {
+        CacheDecision::Hit(answer, _, cached) => {
             tally_request(inner, class, "answer");
             let elapsed = t0.elapsed();
             inner.observe_latency(class, elapsed);
@@ -757,7 +759,7 @@ fn serve_query(
                 deadline_limited: false,
                 effective_budget: None,
                 elapsed_ms: elapsed.as_secs_f64() * 1e3,
-                cache_hit: true,
+                cached: Some(cached),
             };
             return Reply::Answer(served);
         }
@@ -844,31 +846,33 @@ fn serve_query(
             }
             tally_request(inner, class, "answer");
             inner.observe_latency(class, elapsed);
-            // Publish to the cache: deadline-shaped answers are an
-            // artifact of this request's time budget, not a reusable
-            // statement about the data — complete() skips them (and any
-            // partial answer) while still releasing the flight.
+            // Publish to the cache, which shares the served answer:
+            // deadline-shaped answers are an artifact of this request's
+            // time budget, not a reusable statement about the data —
+            // complete_shared() skips them (and any partial answer) while
+            // still releasing the flight.
+            let answer = Arc::new(bounded.answer);
             if let Some(guard) = flight {
-                guard.complete(&bounded.answer, conf, !bounded.deadline_limited);
+                guard.complete_shared(&answer, conf, !bounded.deadline_limited);
             }
             // Offer the freshly executed sampled-tier answer to the
             // shadow auditor (bounded non-blocking push on its queue —
             // never an admission slot, never a stall here).
             if let Some(shadow) = inner.shadow.lock().expect("shadow slot poisoned").as_ref() {
-                shadow.maybe_submit(&parsed.query, &bounded.answer, conf, &record.trace_id);
+                shadow.maybe_submit(&parsed.query, &answer, conf, &record.trace_id);
             }
             if tracing {
-                inner.system.describe(&parsed.query, &bounded.answer, record);
+                inner.system.describe(&parsed.query, &answer, record);
             } else {
-                bounded.answer.record_into(record);
+                answer.record_into(record);
             }
             let served = ServedAnswer {
-                answer: Arc::new(bounded.answer),
+                answer,
                 trace_id: record.trace_id.clone(),
                 deadline_limited: bounded.deadline_limited,
                 effective_budget: bounded.effective_budget,
                 elapsed_ms: elapsed.as_secs_f64() * 1e3,
-                cache_hit: false,
+                cached: None,
             };
             Reply::Answer(served)
         }
@@ -1098,12 +1102,17 @@ mod tests {
     fn bad_sql_gets_error_response() {
         let (addr, handle, join) = start(ServerConfig::default());
         let mut client = Client::new(addr.to_string(), RetryPolicy::no_retry());
-        match client.request(&Request::query("SELEKT garbage")).unwrap() {
-            Response::Error { message, .. } => assert!(message.contains("parse"), "{message}"),
-            other => panic!("{other:?}"),
+        // The cache keeps the statements it parsed, never a failed parse:
+        // the same bad text fails every time, around a good one.
+        for sql in ["SELEKT garbage", "SELECT COUNT(*) AS c FROM v", "SELEKT garbage"] {
+            match client.request(&Request::query(sql)).unwrap() {
+                Response::Error { message, .. } => assert!(message.starts_with("parse error"), "{message}"),
+                Response::Answer(_) if !sql.starts_with("SELEKT") => {}
+                other => panic!("{other:?}"),
+            }
         }
         handle.shutdown();
         let report = join.join().unwrap();
-        assert_eq!(report.errors, 1);
+        assert_eq!((report.errors, report.answered), (2, 1));
     }
 }

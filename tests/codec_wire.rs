@@ -10,12 +10,13 @@
 
 use aqp::obs::json::{self, Value as Json};
 use aqp::prelude::*;
-use aqp::serving::protocol::{ServedAnswer, WireGroup, WireValue};
+use aqp::serving::protocol::{CachedFrame, ServedAnswer, WireGroup, WireValue};
 use aqp::serving::{CacheConfig, CacheDecision, Response, SemanticCache, WireAnswer};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// A number as the wire has always written it, by std alone: an integral
 /// value below 10^15 in magnitude through `i64`'s `Display`, any other
@@ -379,12 +380,15 @@ fn from_answer_orders_groups_like_sort_by_key() {
     }
 }
 
-/// What the server writes for `answer` (in key order) against what
-/// `Response::Answer(WireAnswer::from_answer(..))` writes through the
-/// tree encoder, under a random envelope.
+/// What the server writes for `answer` (in key order), fresh or, with
+/// `cached`, as a cache hit, against what
+/// `Response::Answer(WireAnswer::from_answer(&expected, ..))` writes
+/// through the tree encoder, under a random envelope.
 fn assert_served_bytes(
+    expected: &ApproxAnswer,
     answer: Arc<ApproxAnswer>,
-    cache_hit: bool,
+    cached: Option<CachedFrame>,
+    trace_id: String,
     rng: &mut StdRng,
     ctx: &str,
 ) -> String {
@@ -392,13 +396,12 @@ fn assert_served_bytes(
         .random_bool(0.5)
         .then(|| rng.random_range(0..5_000_000usize));
     let (deadline_limited, elapsed_ms) = (rng.random(), pick_float(rng).abs());
-    let trace_id = STRINGS[rng.random_range(0..STRINGS.len())].to_string();
     let wire = WireAnswer::from_answer(
-        &answer,
+        expected,
         deadline_limited,
         budget,
         elapsed_ms,
-        cache_hit,
+        cached.is_some(),
         trace_id.clone(),
     );
     let served = ServedAnswer {
@@ -407,7 +410,7 @@ fn assert_served_bytes(
         deadline_limited,
         effective_budget: budget,
         elapsed_ms,
-        cache_hit,
+        cached,
     };
     let mut json = String::new();
     served.write_json(&mut json);
@@ -444,10 +447,16 @@ fn served_answers_write_the_bytes_of_from_answer() {
                 }] += 1;
             }
         }
-        let cache_hit = rng.random();
+        // A hit's frame copies the groups text its entry keeps, written
+        // here by this first hit.
+        let cached = rng.random_bool(0.5).then(CachedFrame::default);
+        let trace_id = STRINGS[rng.random_range(0..STRINGS.len())].to_string();
+        let answer = Arc::new(answer);
         assert_served_bytes(
-            Arc::new(answer),
-            cache_hit,
+            &answer,
+            Arc::clone(&answer),
+            cached,
+            trace_id,
             &mut rng,
             &format!("case {case}"),
         );
@@ -459,57 +468,102 @@ fn served_answers_write_the_bytes_of_from_answer() {
     assert!(key_kinds.iter().all(|&n| n > 50), "{key_kinds:?}");
 }
 
-#[test]
-fn cache_hits_write_the_bytes_of_from_answer_under_either_name() {
-    let cache = SemanticCache::new(CacheConfig::default());
-    let query = |group: &str, alias: &str| {
-        Query::builder()
-            .aggregate(AggExpr::count(alias))
-            .group_by(group)
-            .build()
-            .unwrap()
-    };
+fn count_by(group: &str, alias: &str) -> Query {
+    Query::builder()
+        .aggregate(AggExpr::count(alias))
+        .group_by(group)
+        .build()
+        .unwrap()
+}
+
+/// A random complete answer to `count_by(group, "cached")`, in key order.
+fn cacheable_answer(rng: &mut StdRng, group: &str) -> ApproxAnswer {
+    loop {
+        let mut answer = random_answer(rng);
+        if answer.group_names.len() == 1 && answer.agg_aliases.len() == 1 {
+            answer.sort_by_key();
+            answer.partial = false;
+            answer.group_names = vec![group.into()];
+            answer.agg_aliases = vec!["cached".into()];
+            return answer;
+        }
+    }
+}
+
+/// Miss on `group`'s plan and complete the flight with a fresh random
+/// answer, which `cache` keeps; returns that answer.
+fn seed(cache: &SemanticCache, group: &str, rng: &mut StdRng, ctx: &str) -> ApproxAnswer {
+    let answer = cacheable_answer(rng, group);
     let contract = AnswerContract::at_confidence(0.95);
+    match cache.decide("v", &count_by(group, "cached"), &contract, None) {
+        CacheDecision::Execute(flight) => flight.complete(&answer, 0.95, true),
+        _ => panic!("{ctx}: expected a miss"),
+    }
+    answer
+}
+
+/// Hit `group`'s plan under `alias`: the frame must be `expected`'s fresh
+/// encode, named as the hit's query names it, under this hit's own trace
+/// id (each hit gets one no other request had).
+fn assert_hit(
+    cache: &SemanticCache,
+    group: &str,
+    alias: &str,
+    expected: &ApproxAnswer,
+    rng: &mut StdRng,
+    ctx: &str,
+) -> String {
+    static TRACE: AtomicUsize = AtomicUsize::new(0);
+    let contract = AnswerContract::at_confidence(0.95);
+    let (answer, cached) = match cache.decide("v", &count_by(group, alias), &contract, None) {
+        CacheDecision::Hit(answer, _, cached) => (answer, cached),
+        _ => panic!("{ctx}: expected a hit"),
+    };
+    let mut expected = expected.clone();
+    expected.agg_aliases = vec![alias.into()];
+    let trace_id = format!("hit-{}", TRACE.fetch_add(1, Ordering::Relaxed));
+    let json = assert_served_bytes(&expected, answer, Some(cached), trace_id, rng, ctx);
+    assert!(json.contains(&format!("\"agg_aliases\":[\"{alias}\"]")), "{ctx}");
+    json
+}
+
+#[test]
+fn cache_hits_write_the_bytes_of_a_fresh_encode() {
     let mut rng = StdRng::seed_from_u64(0xCAC4E);
-    let mut cases = 0;
-    while cases < 40 {
-        let mut answer = random_answer(&mut rng);
-        if answer.group_names.len() != 1 || answer.agg_aliases.len() != 1 {
-            continue;
+    for case in 0..40 {
+        let ctx = |what: &str| format!("case {case}, {what}");
+        // The first hit writes the entry's groups text; the later ones,
+        // under the cached names or others, copy it behind their own head.
+        let cache = SemanticCache::new(CacheConfig::default());
+        let a = seed(&cache, "g", &mut rng, &ctx("seed"));
+        for (alias, what) in [("cached", "first hit"), ("cached", "second hit"), ("fresh", "re-aliased hit")] {
+            assert_hit(&cache, "g", alias, &a, &mut rng, &ctx(what));
         }
-        answer.sort_by_key();
-        answer.partial = false;
-        answer.group_names = vec![format!("g{cases}")];
-        answer.agg_aliases = vec!["cached".into()];
-        let decide =
-            |alias: &str| cache.decide("v", &query(&format!("g{cases}"), alias), &contract, None);
-        match decide("cached") {
-            CacheDecision::Execute(flight) => flight.complete(&answer, 0.95, true),
-            _ => panic!("case {cases}: a fresh key misses"),
-        }
-        let hit = |alias: &str| match decide(alias) {
-            CacheDecision::Hit(hit, _) => hit,
-            _ => panic!("case {cases}: expected a hit"),
-        };
-        let shared = hit("cached");
-        assert!(
-            Arc::ptr_eq(&shared, &hit("cached")),
-            "case {cases}: a hit under the cached names shares"
-        );
-        let json = assert_served_bytes(shared, true, &mut rng, &format!("case {cases}, shared"));
-        assert!(
-            json.contains("\"agg_aliases\":[\"cached\"]"),
-            "case {cases}"
-        );
-        let reskinned = hit("fresh");
-        let json = assert_served_bytes(
-            reskinned,
-            true,
-            &mut rng,
-            &format!("case {cases}, re-aliased"),
-        );
-        assert!(json.contains("\"agg_aliases\":[\"fresh\"]"), "case {cases}");
-        cases += 1;
+        // An invalidate drops the entry and its text: the next answer under
+        // the same plan is served with its own bytes.
+        cache.invalidate();
+        let b = seed(&cache, "g", &mut rng, &ctx("seed after invalidate"));
+        assert_hit(&cache, "g", "cached", &b, &mut rng, &ctx("first hit after invalidate"));
+        // So does an LRU eviction.
+        let small = SemanticCache::new(CacheConfig { capacity: 1, ..CacheConfig::default() });
+        let a = seed(&small, "g", &mut rng, &ctx("seed"));
+        assert_hit(&small, "g", "cached", &a, &mut rng, &ctx("hit before eviction"));
+        seed(&small, "h", &mut rng, &ctx("seed evicting g"));
+        let b = seed(&small, "g", &mut rng, &ctx("re-insert"));
+        assert_hit(&small, "g", "cached", &b, &mut rng, &ctx("hit after eviction and re-insert"));
+    }
+    // And a TTL expiry, for a few entries at once (one sleep).
+    let ttl = Duration::from_millis(300);
+    let cache = SemanticCache::new(CacheConfig { ttl: Some(ttl), ..CacheConfig::default() });
+    let groups = ["g0", "g1", "g2", "g3"];
+    let before: Vec<_> = groups.iter().map(|g| seed(&cache, g, &mut rng, g)).collect();
+    for (g, a) in groups.iter().zip(&before) {
+        assert_hit(&cache, g, "cached", a, &mut rng, &format!("{g}, hit before expiry"));
+    }
+    std::thread::sleep(ttl + Duration::from_millis(50));
+    let after: Vec<_> = groups.iter().map(|g| seed(&cache, g, &mut rng, &format!("{g}, expired"))).collect();
+    for (g, b) in groups.iter().zip(&after) {
+        assert_hit(&cache, g, "cached", b, &mut rng, &format!("{g}, hit after expiry"));
     }
 }
 

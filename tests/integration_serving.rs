@@ -452,7 +452,7 @@ fn differential_oracle_cache_on_matches_cache_off_across_rebuild() {
         // Cache path: the server's logic in miniature.
         let (served, served_conf) =
             match cache.decide(&parsed.table, &parsed.query, &contract, None) {
-                CacheDecision::Hit(a, conf) => {
+                CacheDecision::Hit(a, conf, _) => {
                     hits += 1;
                     (ApproxAnswer::clone(&a), conf)
                 }

@@ -10,15 +10,16 @@
 //!    relative-error bound);
 //! 2. a [`SemanticCache`] returns a `Hit` for a seeded key **iff** the
 //!    stored answer satisfies the incoming contract — never for a looser
-//!    answer, always for an equal-or-tighter one — and re-skins the hit
-//!    to the incoming query's aliases while leaving estimates bitwise
-//!    untouched;
+//!    answer, always for an equal-or-tighter one — and the hit's frame
+//!    carries the incoming query's aliases while leaving estimates
+//!    bitwise untouched;
 //! 3. reuse never crosses plans (different predicate literal → different
 //!    key → miss) nor epochs (`invalidate()` → miss), no matter how
 //!    permissive the incoming contract is.
 
 use aqp::prelude::*;
-use aqp::serving::{CacheConfig, CacheDecision, SemanticCache};
+use aqp::serving::protocol::ServedAnswer;
+use aqp::serving::{CacheConfig, CacheDecision, Response, SemanticCache};
 use proptest::prelude::*;
 
 /// Build a synthetic one-group answer with controlled CI geometry.
@@ -143,14 +144,29 @@ proptest! {
         let contract = AnswerContract { confidence: contract_conf, max_rel_error: rel_bound };
         let expect_hit = contract.satisfied_by(&stored, answer_conf);
         match cache.decide(&reuse.table, &reuse.query, &contract, None) {
-            CacheDecision::Hit(served, served_conf) => {
+            CacheDecision::Hit(answer, served_conf, cached) => {
                 prop_assert!(expect_hit, "hit though contract unsatisfied");
                 prop_assert_eq!(served_conf, answer_conf);
+                // What the client reads: the hit's frame, decoded.
+                let served = ServedAnswer {
+                    answer,
+                    trace_id: "t".into(),
+                    deadline_limited: false,
+                    effective_budget: None,
+                    elapsed_ms: 0.0,
+                    cached: Some(cached),
+                };
+                let mut json = String::new();
+                served.write_json(&mut json);
+                let Ok(Response::Answer(served)) = Response::from_json(&json) else {
+                    panic!("a hit frames an answer: {json}");
+                };
                 let aliases: Vec<String> =
                     (0..values.len()).map(|i| format!("fresh{i}")).collect();
                 prop_assert_eq!(&served.agg_aliases, &aliases, "hit must re-skin aliases");
+                prop_assert!(served.cache_hit);
                 for (vs, &(v, _)) in served.groups[0].values.iter().zip(&values) {
-                    prop_assert_eq!(vs.value().to_bits(), v.to_bits());
+                    prop_assert_eq!(vs.estimate.to_bits(), v.to_bits());
                 }
             }
             CacheDecision::Execute(_) => {
