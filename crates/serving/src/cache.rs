@@ -11,9 +11,10 @@
 //! * **Statements**: the cache keeps the statements it has seen
 //!   ([`SemanticCache::statement`]): each SQL text's parse and plan-key
 //!   text, so a repeated text is neither parsed nor canonicalized again.
-//!   A text that does not parse is not kept. At most `capacity` texts
-//!   are kept, least recently used out first; an `invalidate` keeps them,
-//!   as the plan-key text they hold carries no epoch.
+//!   A text that does not parse is not kept, nor one longer than
+//!   [`MAX_KEPT_STATEMENT_BYTES`]. At most `capacity` texts are kept,
+//!   least recently used out first; an `invalidate` keeps them, as the
+//!   plan-key text they hold carries no epoch.
 //! * **Keys** are canonicalized plans ([`aqp_sql::plan_key_text`]):
 //!   whitespace, literal formatting, predicate commutation, and aggregate
 //!   aliases are erased; table name, predicate set, group columns and
@@ -68,6 +69,11 @@ use std::time::{Duration, Instant};
 /// How often a waiting follower re-checks its deadline while parked on
 /// the flight condvar (wakeups also arrive via notify on completion).
 const FLIGHT_WAIT_TICK: Duration = Duration::from_millis(50);
+
+/// The longest SQL text whose statement is kept. Longer texts are parsed
+/// and keyed on every request, so the statements map holds at most
+/// `capacity` times this many bytes of SQL however the texts are padded.
+pub const MAX_KEPT_STATEMENT_BYTES: usize = 4096;
 
 /// Cache configuration (server flags map onto this).
 #[derive(Debug, Clone)]
@@ -192,24 +198,22 @@ impl FlightGuard<'_> {
         &self.key
     }
 
-    /// Record the executed answer. Complete (non-partial) answers
-    /// computed at `confidence` are copied into the cache for reuse;
-    /// partial or deadline-shaped answers are released without caching
-    /// when `insertable` is false — they describe the request's budget,
-    /// not the data.
+    /// [`FlightGuard::complete_shared`] for an answer not behind an
+    /// `Arc`: the entry keeps a copy.
     pub fn complete(self, answer: &ApproxAnswer, confidence: f64, insertable: bool) {
-        if insertable && !answer.partial {
-            self.cache.insert(&self.key, Arc::new(answer.clone()), confidence);
-        }
-        // Drop releases the flight and wakes followers.
+        self.complete_shared(&Arc::new(answer.clone()), confidence, insertable);
     }
 
-    /// [`FlightGuard::complete`] for an answer already behind an `Arc`:
-    /// the entry shares it rather than a copy.
+    /// Record the executed answer. A complete (non-partial) answer
+    /// computed at `confidence` is shared with the cache for reuse; a
+    /// partial answer, or a deadline-shaped one (`insertable` false), is
+    /// released without caching — it describes the request's budget, not
+    /// the data.
     pub fn complete_shared(self, answer: &Arc<ApproxAnswer>, confidence: f64, insertable: bool) {
-        if insertable {
+        if insertable && !answer.partial {
             self.cache.insert(&self.key, Arc::clone(answer), confidence);
         }
+        // Drop releases the flight and wakes followers.
     }
 }
 
@@ -302,8 +306,9 @@ impl SemanticCache {
     /// The statement `sql` parses to. An enabled cache parses and keys a
     /// text once and keeps the statement for the text's next request; a
     /// text that does not parse is not kept, so each of its requests gets
-    /// the parse error. A disabled cache parses every time and keeps
-    /// nothing.
+    /// the parse error, and a text longer than
+    /// [`MAX_KEPT_STATEMENT_BYTES`] is parsed and keyed every time. A
+    /// disabled cache parses every time and keeps nothing.
     pub fn statement(&self, sql: &str) -> SqlResult<Arc<Statement>> {
         if !self.enabled {
             let parsed = aqp_sql::parse_query(sql)?;
@@ -316,6 +321,9 @@ impl SemanticCache {
         let parsed = aqp_sql::parse_query(sql)?;
         let plan = aqp_sql::plan_key_text(&parsed.table, &parsed.query);
         let statement = Arc::new(Statement { parsed, plan });
+        if sql.len() > MAX_KEPT_STATEMENT_BYTES {
+            return Ok(statement);
+        }
         let mut statements = self.statements.lock().expect("cache statements poisoned");
         let kept = KeptStatement { statement: Arc::clone(&statement), used: self.tick() };
         statements.insert(sql.into(), kept);
@@ -439,10 +447,10 @@ impl SemanticCache {
         Some(CacheDecision::Hit(answer, confidence, CachedFrame { groups, names }))
     }
 
-    /// Insert an answer (used by [`FlightGuard::complete`]). Evicts LRU
-    /// entries down to capacity.
+    /// Insert an answer (used by [`FlightGuard::complete_shared`]). Evicts
+    /// LRU entries down to capacity.
     fn insert(&self, key: &PlanKey, answer: Arc<ApproxAnswer>, confidence: f64) {
-        if answer.partial || !self.enabled {
+        if !self.enabled {
             return;
         }
         let mut state = self.state.lock().expect("cache state poisoned");
@@ -632,6 +640,13 @@ mod tests {
         let kept = c.statements.lock().unwrap().keys().map(|k| k.to_string()).collect::<std::collections::BTreeSet<_>>();
         assert_eq!(kept, [sql("a"), sql("c")].into_iter().collect(), "the least recently used text went");
         assert!(Arc::ptr_eq(&a, &c.statement(&sql("a")).unwrap()));
+        // An oversized text is parsed and keyed, but not kept.
+        let padded = format!("{}{}", sql("a"), " ".repeat(MAX_KEPT_STATEMENT_BYTES));
+        let long = c.statement(&padded).unwrap();
+        assert_eq!(long.plan, a.plan, "padding does not change the plan");
+        assert!(!Arc::ptr_eq(&long, &c.statement(&padded).unwrap()), "an oversized text is parsed again");
+        assert!(!c.statements.lock().unwrap().contains_key(padded.as_str()));
+        assert_eq!(c.statements.lock().unwrap().len(), 2);
         let off = SemanticCache::new(CacheConfig::disabled());
         off.statement(&sql("a")).unwrap();
         assert!(off.statements.lock().unwrap().is_empty(), "a disabled cache keeps nothing");
@@ -673,12 +688,28 @@ mod tests {
         let c = cache(8);
         run_miss(&c, "v", &query("n"), &answer(100.0, 5.0, true));
         assert!(c.is_empty());
-        // Deadline-shaped answers (insertable = false) are not cached either.
-        match c.decide("v", &query("n"), &AnswerContract::at_confidence(0.95), None) {
-            CacheDecision::Execute(guard) => guard.complete(&answer(100.0, 5.0, false), 0.95, false),
+        let miss = || match c.decide("v", &query("n"), &AnswerContract::at_confidence(0.95), None) {
+            CacheDecision::Execute(guard) => guard,
             _ => panic!("expected a miss"),
-        }
+        };
+        // Nor through the server's shared insert, even when insertable.
+        miss().complete_shared(&Arc::new(answer(100.0, 5.0, true)), 0.95, true);
         assert!(c.is_empty());
+        // Deadline-shaped answers (insertable = false) are not cached either.
+        miss().complete(&answer(100.0, 5.0, false), 0.95, false);
+        miss().complete_shared(&Arc::new(answer(100.0, 5.0, false)), 0.95, false);
+        assert!(c.is_empty());
+        // A partial answer does not displace a good entry for its plan.
+        miss().complete_shared(&Arc::new(answer(100.0, 5.0, false)), 0.95, true);
+        let inserts = || c.registry.counter("aqp_cache_insert_total", &[]).get();
+        let before = inserts();
+        let late = FlightGuard { cache: &c, key: c.key("v", &query("n")), owns_flight: false };
+        late.complete_shared(&Arc::new(answer(100.0, 5.0, true)), 0.95, true);
+        assert_eq!(inserts(), before);
+        assert!(matches!(
+            c.decide("v", &query("n"), &AnswerContract::at_confidence(0.95), None),
+            CacheDecision::Hit(..)
+        ));
     }
 
     #[test]
